@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .aggregation import classify_cuts, closure_approx
 from .cone import (
@@ -206,6 +207,7 @@ def cmd_verify(args) -> tuple[str, int]:
     return doc.render(args.format), EXIT_INTERNAL if failed else EXIT_OK
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="closurelab",

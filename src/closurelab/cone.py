@@ -22,6 +22,7 @@ from fractions import Fraction
 from .errors import (
     ContractViolation,
     EmptyClosureError,
+    InternalInvariantError,
     InvalidInequalityError,
     NotFullDimensionalError,
     NotPointedError,
@@ -165,11 +166,11 @@ def is_pointed(k: GeneratedCone) -> Pointedness:
     objective = linalg.zeros(d) + (_ONE,)
     res = solve_lp(tuple(rows), tuple(rhs), objective, "max")
     if res.status is not LpStatus.OPTIMAL:
-        raise ContractViolation("internal: support LP is bounded and feasible")
+        raise InternalInvariantError("support LP is bounded and feasible")
     if res.objective > 0:
         h = res.x[:d]
         if any(dot(h, g) <= 0 for g in gens):
-            raise ContractViolation("internal: support vector fails substitution")
+            raise InternalInvariantError("support vector fails substitution")
         return Pointedness(True, support=h)
 
     # Not pointed: find mu >= 0 with sum mu_i g_i = 0 and sum mu_i = 1;
@@ -178,7 +179,7 @@ def is_pointed(k: GeneratedCone) -> Pointedness:
     target = linalg.zeros(d) + (_ONE,)
     member = cone_membership(lifted, target)
     if not member.member:
-        raise ContractViolation("internal: support LP and line search disagree")
+        raise InternalInvariantError("support LP and line search disagree")
     witness = next(g for g, m in zip(gens, member.multipliers) if m > 0)
     return Pointedness(False, line_witness=witness)
 
@@ -255,7 +256,7 @@ def is_valid_for_closure(k: GeneratedCone, q: Inequality) -> ValidityCheck:
         step = max(_ZERO, (q.rhs - dot(q.normal, feasible)) / gain) + 1
         witness = linalg.add(feasible, linalg.scale(step, res.certificate))
     if q.satisfied_by(witness) or not system.contains(witness):
-        raise ContractViolation("internal: invalidity witness fails substitution")
+        raise InternalInvariantError("invalidity witness fails substitution")
     return ValidityCheck(False, gens, witness=witness)
 
 

@@ -174,11 +174,3 @@ def format_cone(k: GeneratedCone) -> str:
     lines = ["kind: cone", f"n: {k.n}"]
     lines.extend(f"G: {linalg.format_vector(g)}" for g in k.generators)
     return "\n".join(lines) + "\n"
-
-
-def format_hrep(p: HPolyhedron) -> str:
-    lines = ["kind: hrep", f"n: {p.n}"]
-    from .polyhedron import format_le
-
-    lines.extend(f"H: {format_le(q)}" for q in p.inequalities)
-    return "\n".join(lines) + "\n"

@@ -1,16 +1,24 @@
-"""Exact rational scalars, vectors, and matrices.
+"""Exact rational scalars, vectors, and matrices, and the integer-row
+elimination core the solvers run on.
 
-Every number in the toolkit is a ``fractions.Fraction``: arbitrary
-precision, always in lowest terms with positive denominator, no rounding
-anywhere.  Vectors are tuples of Fractions and matrices are tuples of
-row vectors; both are immutable, so all operations are pure functions.
+Every number the toolkit accepts or returns is a ``fractions.Fraction``:
+arbitrary precision, always in lowest terms with positive denominator, no
+rounding anywhere.  Vectors are tuples of Fractions and matrices are
+tuples of row vectors; both are immutable, so all operations are pure
+functions.  Inside, the simplex (``lp``), ``rank`` and double description
+(``polyhedron.dd_cone``) work on primitive integer rows (``int_row``) and
+eliminate fraction-free with ``p*a - f*b`` over the row gcd (``combine``).
+A positive scale changes no sign test or ratio comparison, so they make
+the decisions the Fraction code would, and return Fractions.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import ContractViolation, ParseError
@@ -18,8 +26,7 @@ from .errors import ContractViolation, ParseError
 Rational = Fraction
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
-QVector = Vector
-QMatrix = Matrix
+IntRow = list[int]
 
 RationalLike = Union[Fraction, int, str]
 
@@ -120,12 +127,7 @@ def transpose(m: Matrix) -> Matrix:
 def primitive(v: Vector) -> Vector:
     """Scale by the unique positive rational that makes the entries coprime
     integers.  The zero vector is returned unchanged."""
-    if is_zero(v):
-        return tuple(Fraction(0) for _ in v)
-    common = lcm(*(a.denominator for a in v)) if v else 1
-    ints = [a.numerator * (common // a.denominator) for a in v]
-    g = gcd(*ints)
-    return tuple(Fraction(a // g) for a in ints)
+    return tuple(map(Fraction, int_row(v)))
 
 
 def parallel(u: Vector, v: Vector) -> bool:
@@ -133,49 +135,50 @@ def parallel(u: Vector, v: Vector) -> bool:
     return primitive(u) == primitive(v)
 
 
-def rank(rows: Sequence[Vector]) -> int:
-    """Exact rank by fraction-free-enough Gaussian elimination."""
-    work = [list(r) for r in rows if not is_zero(r)]
-    if not work:
-        return 0
-    ncols = len(work[0])
+def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
+    """Exact rank of rational or integer rows, by fraction-free Gaussian
+    elimination on their primitive integer forms."""
+    work = [r for r in map(int_row, rows) if any(r)]
     r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(r, len(work)) if work[i][col]), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
         pr = work[r]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                f = work[i][col] / pr[col]
-                work[i] = [a - f * b for a, b in zip(work[i], pr)]
+        for i in range(r + 1, len(work)):
+            if work[i][col]:
+                work[i] = combine(pr[col], work[i], work[i][col], pr)
         r += 1
         if r == len(work):
             break
     return r
 
 
-def solve_square(m: Matrix, b: Vector) -> Vector | None:
-    """Solve m x = b for square m; None when m is singular."""
-    n = len(m)
-    if n == 0:
-        return ()
-    check_dim(b, n)
-    aug = [list(row) + [rhs] for row, rhs in zip(m, b)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pr = aug[col]
-        inv = 1 / pr[col]
-        aug[col] = [a * inv for a in pr]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b2 for a, b2 in zip(aug[i], aug[col])]
-    return tuple(aug[i][n] for i in range(n))
+# ---------------------------------------------------------------------------
+# integer-row core
+
+
+def int_row(v: Sequence[Fraction | int]) -> IntRow:
+    """The primitive integer row c*v for the unique rational c > 0 (the
+    zero row for a zero input).  Accepts ints, whose denominator is 1."""
+    common = reduce(lcm, (a.denominator for a in v), 1)
+    ints = [a.numerator * (common // a.denominator) for a in v]
+    g = reduce(gcd, ints, 0)
+    return [a // g for a in ints] if g > 1 else ints
+
+
+def combine(p: int, a: Sequence[int], f: int, b: Sequence[int]) -> IntRow:
+    """p*a - f*b divided by the gcd of its entries: a positive multiple of
+    p*a - f*b in lowest terms.  With p = b[j] and f = a[j] it clears
+    column j of a against the pivot row b."""
+    out = [p * x - f * y for x, y in zip(a, b)]
+    g = reduce(gcd, out, 0)
+    return [x // g for x in out] if g > 1 else out
+
+
+def int_dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
 
 
 def format_vector(v: Vector) -> str:

@@ -1,11 +1,16 @@
 """Certified exact linear programming over the rationals.
 
 The kernel is a dense two-phase simplex with Bland's anti-cycling rule,
-run entirely in Fraction arithmetic.  Every answer is exact and every
-non-optimal answer carries a certificate that verifies by substitution:
-a Farkas vector for infeasibility, an improving ray for unboundedness.
-Free variables are handled by the classic x = x+ - x- split; exactness
-and certificates were preferred over speed throughout.
+run on integer rows (``linalg.int_row`` / ``linalg.combine``): tableau
+row i is an integer vector whose rational value is ``row / row[basis[i]]``,
+and the cost row is integer numerators over one positive denominator.
+Both scales are positive, so Bland's sign tests and cross-multiplied
+ratio comparisons pick the same pivots the rational tableau would.
+Inputs, results and certificates are Fractions.  Every answer is exact
+and every non-optimal answer carries a certificate that verifies by
+substitution: a Farkas vector for infeasibility, an improving ray for
+unboundedness.  Free variables are handled by the classic x = x+ - x-
+split.
 """
 
 from __future__ import annotations
@@ -17,10 +22,13 @@ from typing import Sequence
 
 from .errors import ContractViolation, InternalInvariantError
 from .linalg import (
+    IntRow,
     Matrix,
     Vector,
     check_dim,
+    combine,
     dot,
+    int_row,
     is_zero,
     mat_vec,
     primitive,
@@ -64,35 +72,32 @@ class ConeMembership:
     separator: Vector | None = None
 
 
-def _pivot(tableau: list[list[Fraction]], cost: list[Fraction], basis: list[int],
+def _pivot(tableau: list[IntRow], cost: list[int], basis: list[int],
            row: int, col: int) -> None:
     pr = tableau[row]
-    inv = _ONE / pr[col]
-    tableau[row] = pr = [a * inv for a in pr]
+    if pr[col] < 0:
+        tableau[row] = pr = [-a for a in pr]
+    p = pr[col]
     for i, other in enumerate(tableau):
-        if i != row and other[col] != 0:
-            f = other[col]
-            tableau[i] = [a - f * b for a, b in zip(other, pr)]
-    if cost[col] != 0:
-        f = cost[col]
-        cost[:] = [a - f * b for a, b in zip(cost, pr)]
+        if i != row and other[col]:
+            tableau[i] = combine(p, other, other[col], pr)
+    if cost[col]:
+        cost[:] = combine(p, cost, cost[col], pr + [0])
     basis[row] = col
 
 
-def _reduced_costs(tableau: list[list[Fraction]], basis: list[int],
-                   full_costs: list[Fraction]) -> list[Fraction]:
-    width = len(full_costs)
-    cost = list(full_costs) + [_ZERO]
-    for i, b in enumerate(basis):
-        cb = full_costs[b]
-        if cb != 0:
-            row = tableau[i]
-            cost = [a - cb * r for a, r in zip(cost, row)]
-    # entry `width` holds minus the current objective value
-    return cost[: width + 1]
+def _reduced_costs(tableau: list[IntRow], basis: list[int],
+                   full_costs: Sequence[Fraction | int]) -> list[int]:
+    """Reduced-cost numerators, the entry for minus the objective value,
+    then their common positive denominator."""
+    cost = int_row([*full_costs, 0, 1])
+    for row, b in zip(tableau, basis):
+        if cost[b]:
+            cost = combine(row[b], cost, cost[b], row + [0])
+    return cost
 
 
-def _run_phase(tableau: list[list[Fraction]], cost: list[Fraction], basis: list[int],
+def _run_phase(tableau: list[IntRow], cost: list[int], basis: list[int],
                enterable: int) -> int | None:
     """Pivot to optimality; returns None, or the entering column on
     an unbounded direction.  Bland's rule: lowest-index entering column,
@@ -101,15 +106,17 @@ def _run_phase(tableau: list[list[Fraction]], cost: list[Fraction], basis: list[
         col = next((j for j in range(enterable) if cost[j] < 0), None)
         if col is None:
             return None
-        best_ratio = None
         leave = None
         for i, row in enumerate(tableau):
-            if row[col] > 0:
-                ratio = row[-1] / row[col]
-                if best_ratio is None or ratio < best_ratio or (
-                        ratio == best_ratio and basis[i] < basis[leave]):
-                    best_ratio = ratio
-                    leave = i
+            a = row[col]
+            if a > 0:
+                # row[-1] / a against the best ratio num / den, both den > 0
+                if leave is None:
+                    leave, num, den = i, row[-1], a
+                    continue
+                lhs, rhs = row[-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, num, den = i, row[-1], a
         if leave is None:
             return col
         _pivot(tableau, cost, basis, leave, col)
@@ -125,23 +132,24 @@ def _simplex_standard(rows: Matrix, rhs: Vector, costs: Vector):
     """
     m = len(rows)
     n_cols = len(costs)
-    signs = [(-_ONE if rhs[i] < 0 else _ONE) for i in range(m)]
-    tableau = [
-        [signs[i] * a for a in rows[i]]
-        + [(_ONE if k == i else _ZERO) for k in range(m)]
-        + [signs[i] * rhs[i]]
-        for i in range(m)
-    ]
+    signs = [(-1 if rhs[i] < 0 else 1) for i in range(m)]
+    tableau = []
+    for i in range(m):
+        # c*(row, 1, rhs) for a c > 0, then the sign and the artificial column
+        *scaled, c, b = int_row([*rows[i], 1, rhs[i]])
+        s = signs[i]
+        tableau.append([s * a for a in scaled] + [0] * i + [c]
+                       + [0] * (m - i - 1) + [s * b])
     basis = [n_cols + i for i in range(m)]
     width = n_cols + m
 
-    phase1_costs = [_ZERO] * n_cols + [_ONE] * m
-    cost = _reduced_costs(tableau, basis, phase1_costs)
+    cost = _reduced_costs(tableau, basis, [0] * n_cols + [1] * m)
     unb = _run_phase(tableau, cost, basis, width)
     if unb is not None:
         raise InternalInvariantError("phase-1 objective is bounded below by zero")
-    if -cost[-1] > 0:
-        u = tuple(signs[i] * (_ONE - cost[n_cols + i]) for i in range(m))
+    if cost[width] < 0:
+        den = cost[-1]
+        u = tuple(Fraction(signs[i] * (den - cost[n_cols + i]), den) for i in range(m))
         _check_farkas_standard(rows, rhs, u)
         return ("infeasible", u)
 
@@ -149,7 +157,7 @@ def _simplex_standard(rows: Matrix, rhs: Vector, costs: Vector):
     keep = []
     for i in range(m):
         if basis[i] >= n_cols:
-            col = next((j for j in range(n_cols) if tableau[i][j] != 0), None)
+            col = next((j for j in range(n_cols) if tableau[i][j]), None)
             if col is None:
                 continue
             _pivot(tableau, cost, basis, i, col)
@@ -157,22 +165,21 @@ def _simplex_standard(rows: Matrix, rhs: Vector, costs: Vector):
     live_rows = [tableau[i] for i in keep]
     live_basis = [basis[i] for i in keep]
 
-    phase2_costs = list(costs) + [_ZERO] * m
-    cost = _reduced_costs(live_rows, live_basis, phase2_costs)
+    cost = _reduced_costs(live_rows, live_basis, list(costs) + [0] * m)
     unb = _run_phase(live_rows, cost, live_basis, n_cols)
 
     z = list(zeros(n_cols))
-    for i, b in enumerate(live_basis):
+    for row, b in zip(live_rows, live_basis):
         if b < n_cols:
-            z[b] = live_rows[i][-1]
+            z[b] = Fraction(row[-1], row[b])
     z = tuple(z)
 
     if unb is not None:
         ray = list(zeros(n_cols))
         ray[unb] = _ONE
-        for i, b in enumerate(live_basis):
+        for row, b in zip(live_rows, live_basis):
             if b < n_cols:
-                ray[b] = -live_rows[i][unb]
+                ray[b] = Fraction(-row[unb], row[b])
         ray = tuple(ray)
         if dot(costs, ray) >= 0 or any(r != 0 for r in mat_vec(rows, ray)):
             raise InternalInvariantError("unbounded ray fails substitution check")
@@ -180,7 +187,7 @@ def _simplex_standard(rows: Matrix, rhs: Vector, costs: Vector):
 
     duals = [_ZERO] * m
     for i in keep:
-        duals[i] = signs[i] * (-cost[n_cols + i])
+        duals[i] = Fraction(-signs[i] * cost[n_cols + i], cost[-1])
     return ("optimal", z, tuple(duals))
 
 

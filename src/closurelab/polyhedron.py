@@ -21,12 +21,14 @@ from typing import Iterable, Sequence
 from .errors import (
     ContractViolation,
     InconsistentSystemError,
+    InternalInvariantError,
     InvalidInequalityError,
     NotFullDimensionalError,
     ParseError,
 )
 from . import linalg
-from .linalg import Matrix, Vector, dot, format_rational, format_vector, primitive, rational
+from .linalg import (IntRow, Matrix, Vector, combine, dot, format_rational, format_vector,
+                     int_dot, primitive, rational)
 from .lp import LpStatus, cone_membership, solve_lp
 
 _ZERO = Fraction(0)
@@ -168,22 +170,15 @@ def _is_empty(p: HPolyhedron) -> bool:
     return res.status is LpStatus.INFEASIBLE
 
 
-def feasible_point(p: HPolyhedron) -> Vector | None:
-    a, b = p.as_rows()
-    res = solve_lp(a, b, linalg.zeros(p.n), "max")
-    return res.x if res.status is LpStatus.OPTIMAL else None
-
-
 # ---------------------------------------------------------------------------
 # double description on cones {y : row . y <= 0}
 
 
-def _line_canonical(v: Vector) -> Vector:
-    """Primitive form with the first nonzero entry positive (lines carry
-    no orientation)."""
-    p = primitive(v)
-    lead = next((a for a in p if a != 0), _ZERO)
-    return linalg.neg(p) if lead < 0 else p
+def _line_canonical(v: IntRow) -> IntRow:
+    """The primitive row v with its first nonzero entry made positive
+    (lines carry no orientation)."""
+    lead = next((a for a in v if a), 0)
+    return [-a for a in v] if lead < 0 else v
 
 
 def dd_cone(rows: Sequence[Vector], dim: int) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
@@ -192,62 +187,54 @@ def dd_cone(rows: Sequence[Vector], dim: int) -> tuple[tuple[Vector, ...], tuple
     Incremental double description: start from all of R^dim as a lineality
     basis, fold constraints in one at a time, and keep a ray exactly when
     the processed rows tight at it have rank dim - #lines - 1 (the exact
-    rank test for extremality modulo the lineality space).
+    rank test for extremality modulo the lineality space).  Rows, lines
+    and rays are primitive integer rows throughout (rays as tuples, so
+    they can be deduplicated); the generators come back as Fraction
+    vectors.
     """
-    lines: list[Vector] = [linalg.unit(dim, j) for j in range(dim)]
-    rays: list[Vector] = []
-    processed: list[Vector] = []
+    lines: list[IntRow] = [[int(i == j) for i in range(dim)] for j in range(dim)]
+    rays: list[tuple[int, ...]] = []
+    processed: list[IntRow] = []
 
     for raw in rows:
-        row = primitive(raw)
-        if linalg.is_zero(row):
+        row = linalg.int_row(raw)
+        if not any(row):
             continue
-        vals = [dot(row, l) for l in lines]
-        hit = next((j for j in range(len(lines)) if vals[j] != 0), None)
+        processed.append(row)
+        vals = [int_dot(row, l) for l in lines]
+        hit = next((j for j in range(len(lines)) if vals[j]), None)
         if hit is not None:
-            star = lines[hit] if vals[hit] < 0 else linalg.neg(lines[hit])
-            dstar = dot(row, star)
-            new_lines = []
-            for j, l in enumerate(lines):
-                if j == hit:
-                    continue
-                t = vals[j] / dstar
-                new_lines.append(_line_canonical(linalg.sub(l, linalg.scale(t, star))))
-            new_rays = []
-            for r in rays:
-                t = dot(row, r) / dstar
-                new_rays.append(primitive(linalg.sub(r, linalg.scale(t, star))))
-            new_rays.append(primitive(star))
-            lines = new_lines
-            rays = _dedupe(new_rays)
-            processed.append(row)
+            # star: the hit line oriented so that row.star = -d < 0
+            d = abs(vals[hit])
+            star = lines[hit] if vals[hit] < 0 else [-a for a in lines[hit]]
+            lines = [_line_canonical(combine(d, l, -vals[j], star))
+                     for j, l in enumerate(lines) if j != hit]
+            rays = _dedupe([combine(d, r, -int_dot(row, r), star) for r in rays] + [star])
             continue
 
-        processed.append(row)
         zero, posi, negi = [], [], []
         for r in rays:
-            v = dot(row, r)
+            v = int_dot(row, r)
             (zero if v == 0 else posi if v > 0 else negi).append((r, v))
         candidates = [r for r, _ in zero] + [r for r, _ in negi]
         for rn, vn in negi:
             for rp, vp in posi:
-                w = primitive(linalg.sub(linalg.scale(vp, rn), linalg.scale(vn, rp)))
-                if not linalg.is_zero(w):
+                w = combine(vp, rn, vn, rp)
+                if any(w):
                     candidates.append(w)
         target = dim - len(lines) - 1
         rays = [
             r for r in _dedupe(candidates)
-            if linalg.rank([q for q in processed if dot(q, r) == 0]) == target
+            if linalg.rank([q for q in processed if int_dot(q, r) == 0]) == target
         ]
 
-    return (tuple(sorted(lines)), tuple(sorted(rays)))
+    return (tuple(tuple(map(Fraction, l)) for l in sorted(lines)),
+            tuple(tuple(map(Fraction, r)) for r in sorted(rays)))
 
 
-def _dedupe(vectors: Iterable[Vector]) -> list[Vector]:
-    seen = {}
-    for v in vectors:
-        seen.setdefault(v, None)
-    return list(seen)
+def _dedupe(rows: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The distinct rows as tuples, in first-seen order."""
+    return list(dict.fromkeys(map(tuple, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +364,7 @@ def check_implication(system: Sequence[Inequality], target: Inequality) -> Impli
         step = max(_ZERO, (target.rhs - dot(target.normal, x0)) / gain) + 1
         witness = linalg.add(x0, linalg.scale(step, ray))
     if target.satisfied_by(witness) or not all(q.satisfied_by(witness) for q in system):
-        raise ContractViolation("internal: witness fails substitution check")
+        raise InternalInvariantError("witness fails substitution check")
     return Implication(False, witness=witness)
 
 
@@ -431,15 +418,16 @@ def fourier_motzkin_project(p: HPolyhedron, keep: Sequence[int]) -> HPolyhedron:
             c = q.normal[j]
             (neutral if c == 0 else upper if c > 0 else lower).append(q)
         combined = list(neutral)
+        upper = [linalg.int_row(q.stacked()) for q in upper]
         for ql in lower:
-            for qu in upper:
-                cl, cu = ql.normal[j], qu.normal[j]
-                normal = linalg.sub(linalg.scale(cu, ql.normal), linalg.scale(cl, qu.normal))
-                rhs = cu * ql.rhs - cl * qu.rhs
-                if linalg.is_zero(normal) and rhs < 0:
-                    return empty_hpolyhedron(len(keep))
-                if not linalg.is_zero(normal):
-                    combined.append(Inequality(normal, rhs))
+            low = linalg.int_row(ql.stacked())
+            for up in upper:
+                *normal, rhs = combine(up[j], low, low[j], up)
+                if not any(normal):
+                    if rhs < 0:
+                        return empty_hpolyhedron(len(keep))
+                    continue
+                combined.append(Inequality(normal, rhs))
         system = [
             q for q in sorted_unique(combined)
             if not q.is_trivial()

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, commands, exit codes, determinism."""
 
+import gc
 import json
 import os
 import subprocess
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from closurelab import cone as cone_module, polyhedron
 from closurelab.cli import main
 from closurelab.errors import ParseError
+from closurelab.lp import ConeMembership, LpResult, LpStatus
 from closurelab.io import parse_instance
 from closurelab.covering import CoveringInstance
 from closurelab.cone import GeneratedCone
@@ -53,6 +56,7 @@ G: 0 0 1
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+UNIT_SQUARE = str(Path(__file__).resolve().parent.parent / "instances" / "unit_square_cone.txt")
 
 
 def cli_env(**extra):
@@ -244,3 +248,73 @@ def test_cli_determinism_subprocess(tmp_path):
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert len(first.stdout) > 0
+
+
+def test_repeated_main_leaves_no_argparse_garbage(capsys):
+    # the parser is built once per process, so a second main() call
+    # leaves no parser, action or formatter in reference cycles
+    argv = ["cone", UNIT_SQUARE, "pointed"]
+    assert main(argv) == 0
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        leaked = [type(o).__name__ for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert leaked == []
+
+
+def _returning(result):
+    return lambda *args, **kwargs: result
+
+
+NOT_A_MEMBER = ConeMembership(False, separator=(1, 0, 0))
+
+
+def _assert_internal_exit(argv, message, capsys):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 5
+    assert f"internal invariant failure: {message}" in err
+
+
+def test_pointed_exits_5_when_support_lp_is_not_optimal(monkeypatch, capsys):
+    monkeypatch.setattr(cone_module, "solve_lp",
+                        _returning(LpResult(LpStatus.INFEASIBLE, certificate=(1,))))
+    _assert_internal_exit(["cone", UNIT_SQUARE, "pointed"],
+                          "support LP is bounded and feasible", capsys)
+
+
+def test_pointed_exits_5_when_support_fails_substitution(monkeypatch, capsys):
+    zero = (0, 0, 0, 0)
+    monkeypatch.setattr(cone_module, "solve_lp",
+                        _returning(LpResult(LpStatus.OPTIMAL, x=zero, objective=1)))
+    _assert_internal_exit(["cone", UNIT_SQUARE, "pointed"],
+                          "support vector fails substitution", capsys)
+
+
+def test_pointed_exits_5_when_line_search_disagrees(monkeypatch, capsys):
+    zero = (0, 0, 0, 0)
+    monkeypatch.setattr(cone_module, "solve_lp",
+                        _returning(LpResult(LpStatus.OPTIMAL, x=zero, objective=0)))
+    monkeypatch.setattr(cone_module, "cone_membership", _returning(NOT_A_MEMBER))
+    _assert_internal_exit(["cone", UNIT_SQUARE, "pointed"],
+                          "support LP and line search disagree", capsys)
+
+
+def test_fii_exits_5_when_invalidity_witness_fails(monkeypatch, capsys):
+    # a valid inequality reported as outside the cone: the LP point found
+    # as a violating witness satisfies it
+    monkeypatch.setattr(cone_module, "cone_membership", _returning(NOT_A_MEMBER))
+    _assert_internal_exit(["cone", UNIT_SQUARE, "fii", "x1 <= 1"],
+                          "invalidity witness fails substitution", capsys)
+
+
+def test_theorem1_exits_5_when_implication_witness_fails(monkeypatch, capsys):
+    monkeypatch.setattr(polyhedron, "cone_membership", _returning(NOT_A_MEMBER))
+    _assert_internal_exit(["cone", UNIT_SQUARE, "theorem1"],
+                          "witness fails substitution check", capsys)
