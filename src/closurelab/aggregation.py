@@ -15,8 +15,6 @@ at any density because every aggregation rescales the one row.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -168,24 +166,16 @@ def aggregate(q: CoveringInstance, sample: AggregationSample) -> CoveringInstanc
     return CoveringInstance(tuple(rows), tuple(demand))
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CLOSURELAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _hulls_for(q: CoveringInstance, samples: Sequence[AggregationSample]) -> list[AggregatedHull]:
-    def one(sample: AggregationSample) -> AggregatedHull:
+def _hulls_for(q: CoveringInstance, samples: Sequence[AggregationSample],
+               built: dict[CoveringInstance, HPolyhedron]) -> list[AggregatedHull]:
+    """The samples' aggregated hulls; ``built`` caches them by instance."""
+    out = []
+    for sample in samples:
         agg = aggregate(q, sample)
-        return AggregatedHull(sample, agg, integer_hull(agg))
-
-    threads = _thread_count()
-    if threads > 1 and len(samples) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, samples))  # map preserves sample order
-    return [one(s) for s in samples]
+        if agg not in built:
+            built[agg] = integer_hull(agg)
+        out.append(AggregatedHull(sample, agg, built[agg]))
+    return out
 
 
 def _intersect(n: int, hulls: Iterable[AggregatedHull]) -> HPolyhedron:
@@ -197,12 +187,14 @@ def _intersect(n: int, hulls: Iterable[AggregatedHull]) -> HPolyhedron:
 
 def closure_approx(q: CoveringInstance, k: int, density: int) -> ClosureApprox:
     """Intersection of the aggregated integer hulls over the density grid,
-    redundancy-eliminated, with the density-doubling stabilization check."""
+    redundancy-eliminated, with the density-doubling stabilization check.
+    Each distinct aggregated instance's hull is built once per call."""
     if k < 1 or density < 1:
         raise ContractViolation("k and density must be at least 1")
-    hulls = _hulls_for(q, sample_multipliers(q.m, k, density))
+    built: dict[CoveringInstance, HPolyhedron] = {}
+    hulls = _hulls_for(q, sample_multipliers(q.m, k, density), built)
     poly = _intersect(q.n, hulls)
-    doubled = _intersect(q.n, _hulls_for(q, sample_multipliers(q.m, k, 2 * density)))
+    doubled = _intersect(q.n, _hulls_for(q, sample_multipliers(q.m, k, 2 * density), built))
     return ClosureApprox(
         polyhedron=poly, hulls=tuple(hulls), k=k, density=density,
         stabilized=same_point_set(poly, doubled))

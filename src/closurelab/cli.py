@@ -29,7 +29,7 @@ from .cone import (
     fii_check,
     is_pointed,
 )
-from .covering import integer_hull, minimal_integer_points
+from .covering import minimal_integer_points
 from .errors import (
     ClosureLabError,
     ContractViolation,
@@ -96,7 +96,7 @@ def cmd_hull(args) -> tuple[str, int]:
     inst = _load(args.instance, "covering")
     q = inst.payload
     minimal = minimal_integer_points(q)
-    hull = integer_hull(q)
+    hull = minimal.hull()
     doc = _Doc("hull", args.seed)
     doc.field("n", q.n)
     doc.field("m", q.m)

@@ -202,35 +202,36 @@ def extreme_rays(k: GeneratedCone) -> RaySet:
     return RaySet(tuple(rays))
 
 
-def closure_of(k: GeneratedCone) -> HPolyhedron:
-    """The set cut out by reading every generator as alpha.x <= beta,
-    with (0, ..., 0, 1) supplied when missing; redundancy-eliminated.
-    The result may be empty."""
+def _closure_rows(k: GeneratedCone) -> list[Inequality] | None:
+    """The generators plus unit-last as rows alpha.x <= beta, in order,
+    skipping 0.x <= b >= 0; None if some generator is 0.x <= b < 0."""
     ku, _ = k.with_unit_last()
     out = []
     for g in ku.unique_generators():
         normal, rhs = g[:-1], g[-1]
         if linalg.is_zero(normal):
             if rhs < 0:
-                return empty_hpolyhedron(k.n)
+                return None
             continue  # 0.x <= b, b >= 0: no constraint
         out.append(Inequality(normal, rhs))
-    return remove_redundant(HPolyhedron(k.n, sorted_unique(out)))
+    return out
+
+
+def closure_of(k: GeneratedCone) -> HPolyhedron:
+    """The set cut out by reading every generator as alpha.x <= beta,
+    with (0, ..., 0, 1) supplied when missing; redundancy-eliminated.
+    The result may be empty."""
+    rows = _closure_rows(k)
+    if rows is None:
+        return empty_hpolyhedron(k.n)
+    return remove_redundant(HPolyhedron(k.n, sorted_unique(rows)))
 
 
 def closure_system(k: GeneratedCone) -> HPolyhedron:
     """Like closure_of but without redundancy elimination; used where the
     original generator rows themselves are the constraint system."""
-    ku, _ = k.with_unit_last()
-    out = []
-    for g in ku.unique_generators():
-        normal, rhs = g[:-1], g[-1]
-        if linalg.is_zero(normal):
-            if rhs < 0:
-                return empty_hpolyhedron(k.n)
-            continue
-        out.append(Inequality(normal, rhs))
-    return HPolyhedron(k.n, tuple(out))
+    rows = _closure_rows(k)
+    return empty_hpolyhedron(k.n) if rows is None else HPolyhedron(k.n, tuple(rows))
 
 
 def is_valid_for_closure(k: GeneratedCone, q: Inequality) -> ValidityCheck:

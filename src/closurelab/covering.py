@@ -99,6 +99,15 @@ class MinimalPointSet:
                         f"not an antichain: {p} and {q} are comparable")
         object.__setattr__(self, "points", pts)
 
+    def hull(self) -> HPolyhedron:
+        """Irredundant H-representation of conv(points) + R^n_+; for the
+        minimal points of a covering instance this is its integer hull."""
+        if not self.points:
+            raise ContractViolation("the hull of an empty point set is undefined")
+        n = len(self.points[0])
+        rays = tuple(linalg.unit(n, j) for j in range(n))
+        return v_to_h(VPolyhedron(n, self.points, rays))
+
 
 def dominates(low, high) -> bool:
     """low <= high componentwise."""
@@ -157,10 +166,9 @@ def minimal_elements(points: Iterable[Sequence]) -> MinimalPointSet:
 
 def integer_hull(q: CoveringInstance) -> HPolyhedron:
     """Irredundant H-representation of conv({x in N^n : Mx >= d}), which
-    equals conv(minimal points) + R^n_+ and is again of covering form."""
-    minimal = minimal_integer_points(q)
-    rays = tuple(linalg.unit(q.n, j) for j in range(q.n))
-    return v_to_h(VPolyhedron(q.n, minimal.points, rays))
+    equals conv(minimal points) + R^n_+ and is again of covering form.
+    Holding the minimal points already, call their ``hull()`` instead."""
+    return minimal_integer_points(q).hull()
 
 
 def down_set_contains(e1: Iterable[Sequence], e2: Iterable[Sequence]) -> bool:

@@ -130,11 +130,6 @@ def primitive(v: Vector) -> Vector:
     return tuple(map(Fraction, int_row(v)))
 
 
-def parallel(u: Vector, v: Vector) -> bool:
-    """True when u = c*v for some c > 0 (identical primitive forms)."""
-    return primitive(u) == primitive(v)
-
-
 def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
     """Exact rank of rational or integer rows, by fraction-free Gaussian
     elimination on their primitive integer forms."""

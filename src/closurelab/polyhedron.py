@@ -273,6 +273,12 @@ def v_to_h(p: VPolyhedron) -> HPolyhedron:
 
     A rays-only description is read as a cone with apex at the origin.
     Implicit equalities of flat polyhedra come out as inequality pairs.
+
+    No LP is needed.  The DD lines of the polar cone {(a, b) : a.v <= b,
+    a.r <= 0} are the equalities, with independent normals.  A DD ray whose
+    normal lies in their span is (0, b > 0) plus a line, implied by the
+    equality pairs; every other ray is a facet.  With no lines, as for a
+    full-dimensional P, only the rays with a zero normal are skipped.
     """
     vertices = p.vertices
     if not vertices and not p.rays:
@@ -283,18 +289,13 @@ def v_to_h(p: VPolyhedron) -> HPolyhedron:
     rows.extend(r + (_ZERO,) for r in p.rays)
     lines, rays = dd_cone(rows, p.n + 1)
 
-    out = []
-    for g in rays:
-        normal, rhs = g[:-1], g[-1]
-        if linalg.is_zero(normal):
-            continue  # 0.x <= b with b >= 0 carries no information
-        out.append(Inequality(normal, rhs))
+    line_normals = [g[:-1] for g in lines]
+    out = [Inequality(g[:-1], g[-1]) for g in rays
+           if linalg.rank(line_normals + [g[:-1]]) > len(lines)]
     for g in lines:
-        normal, rhs = g[:-1], g[-1]
-        q = Inequality(normal, rhs)
+        q = Inequality(g[:-1], g[-1])
         out.extend((q, q.flipped()))
-    result = HPolyhedron(p.n, sorted_unique(out))
-    return remove_redundant(result)
+    return HPolyhedron(p.n, sorted_unique(out))
 
 
 # ---------------------------------------------------------------------------

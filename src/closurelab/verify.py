@@ -294,7 +294,7 @@ def suite_covering(seed: int, count: int = 100) -> SuiteReport:
                    for row, di in zip(q.M, q.d)))
         report.check(complete, lambda: dump("a feasible box point dominates no minimal point"))
 
-        hull = integer_hull(q)
+        hull = minimal.hull()
         signs_ok = True
         for facet in hull.inequalities:
             ge_normal = linalg.neg(facet.normal)

@@ -1,7 +1,7 @@
 """Brute-force oracles used by the tests, independent of the library's
-conversion and projection code paths, and Fraction reference versions of
+conversion and projection code paths, Fraction reference versions of
 the routines the library runs on integer rows (simplex, rank, double
-description)."""
+description), and the LP-pruned V-to-H conversion that v_to_h replaces."""
 
 from __future__ import annotations
 
@@ -15,7 +15,8 @@ from closurelab import linalg, lp
 from closurelab.errors import InternalInvariantError
 from closurelab.linalg import Matrix, Vector, dot, is_zero, mat_vec, primitive, zeros
 from closurelab.lp import LpStatus, solve_lp
-from closurelab.polyhedron import HPolyhedron, Inequality
+from closurelab.polyhedron import (HPolyhedron, Inequality, VPolyhedron, dd_cone,
+                                   remove_redundant, sorted_unique)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -120,6 +121,28 @@ def fraction_rank(rows: Sequence[Vector]) -> int:
         if r == len(work):
             break
     return r
+
+
+# ---------------------------------------------------------------------------
+# V to H with an LP redundancy pass (the reference for polyhedron.v_to_h)
+
+
+def dd_rows_zero_normal_skip(p: VPolyhedron) -> HPolyhedron:
+    """Every double-description generator of the polar cone as a row,
+    lines as equality pairs, skipping only rays with a zero normal."""
+    vertices = p.vertices or (zeros(p.n),)
+    rows = [v + (-_ONE,) for v in vertices] + [r + (_ZERO,) for r in p.rays]
+    lines, rays = dd_cone(rows, p.n + 1)
+    out = [Inequality(g[:-1], g[-1]) for g in rays if not is_zero(g[:-1])]
+    for g in lines:
+        q = Inequality(g[:-1], g[-1])
+        out.extend((q, q.flipped()))
+    return HPolyhedron(p.n, sorted_unique(out))
+
+
+def lp_v_to_h(p: VPolyhedron) -> HPolyhedron:
+    """The DD rows pruned by one LP per row."""
+    return remove_redundant(dd_rows_zero_normal_skip(p))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from closurelab import linalg
+from closurelab import aggregation, linalg
 from closurelab.aggregation import (
     HULL_FACET,
     SIGN,
@@ -116,6 +116,23 @@ def test_closure_single_row_exact_for_k_and_density():
             ca = closure_approx(q, k, density)
             assert ca.stabilized
             assert same_point_set(ca.polyhedron, hull)
+
+
+def test_closure_builds_one_hull_per_aggregated_instance(monkeypatch):
+    built = []
+
+    def counted(q):
+        built.append(q)
+        return integer_hull(q)
+
+    monkeypatch.setattr(aggregation, "integer_hull", counted)
+    for k, density in ((1, 2), (2, 2)):
+        built.clear()
+        closure_approx(TWO_ROW, k, density)
+        expected = {aggregate(TWO_ROW, s)
+                    for d in (density, 2 * density) for s in sample_multipliers(2, k, d)}
+        assert len(built) == len(set(built))
+        assert set(built) == expected
 
 
 def test_closure_two_row_matches_denominator_grid_oracle():

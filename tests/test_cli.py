@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from closurelab import cone as cone_module, polyhedron
+from closurelab import cli, cone as cone_module, covering, polyhedron
 from closurelab.cli import main
 from closurelab.errors import ParseError
 from closurelab.lp import ConeMembership, LpResult, LpStatus
@@ -113,6 +113,21 @@ def test_hull_command(tmp_path, capsys):
     assert "  1 1" in out
     assert "  1 2 >= 3" in out
     assert "  1 1 >= 2" in out
+
+
+def test_hull_scans_the_box_once(tmp_path, capsys, monkeypatch):
+    scanned = []
+    original = covering.minimal_integer_points
+
+    def counted(q):
+        scanned.append(q)
+        return original(q)
+
+    monkeypatch.setattr(covering, "minimal_integer_points", counted)
+    monkeypatch.setattr(cli, "minimal_integer_points", counted)
+    code, _, _ = run_cli(["hull", write(tmp_path, "two.txt", TWO_ROW)], capsys)
+    assert code == 0
+    assert len(scanned) == 1
 
 
 def test_hull_rejects_negative_entry(tmp_path, capsys):

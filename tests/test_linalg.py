@@ -33,11 +33,6 @@ def test_primitive_form():
     assert linalg.primitive(V([0, 0])) == V([0, 0])
 
 
-def test_parallel():
-    assert linalg.parallel(V([2, 4]), V([1, 2]))
-    assert not linalg.parallel(V([2, 4]), V([-1, -2]))
-
-
 def test_rank():
     assert linalg.rank([V([1, 0]), V([0, 1])]) == 2
     assert linalg.rank([V([1, 2]), V([2, 4])]) == 1

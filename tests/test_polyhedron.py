@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from closurelab import linalg
 from closurelab.errors import (
@@ -35,7 +36,8 @@ from closurelab.polyhedron import (
     v_to_h,
 )
 
-from oracles import brute_force_vertices, point_has_extension, rational_grid
+from oracles import (brute_force_vertices, dd_rows_zero_normal_skip, lp_v_to_h,
+                     point_has_extension, rational_grid)
 
 V = linalg.vector
 
@@ -104,6 +106,65 @@ def test_v_to_h_segment_gives_equality_pair():
 def test_v_to_h_rejects_all_empty():
     with pytest.raises(ContractViolation):
         v_to_h(VPolyhedron(2, (), ()))
+
+
+small = st.builds(F, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3)))
+
+
+@st.composite
+def v_polyhedra(draw):
+    """Full-dimensional, flat (vertices in a random affine subspace of
+    dimension 0..n, rays in its direction space), single-point and
+    rays-only V-polyhedra in R^1..R^3."""
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("full", "flat", "point", "rays")))
+
+    def vec():
+        return tuple(draw(st.lists(small, min_size=n, max_size=n)))
+
+    if kind == "point":
+        return VPolyhedron(n, (vec(),), ())
+    if kind == "rays":
+        return VPolyhedron(n, (), tuple(vec() for _ in range(draw(st.integers(1, 4)))))
+    if kind == "full":
+        return VPolyhedron(n, tuple(vec() for _ in range(draw(st.integers(1, 5)))),
+                           tuple(vec() for _ in range(draw(st.integers(0, 3)))))
+    base = vec()
+    basis = [vec() for _ in range(draw(st.integers(0, n)))]
+
+    def in_span(coeffs):
+        out = linalg.zeros(n)
+        for c, b in zip(coeffs, basis):
+            out = linalg.add(out, linalg.scale(c, b))
+        return out
+
+    def coeffs():
+        return draw(st.lists(small, min_size=len(basis), max_size=len(basis)))
+
+    vertices = tuple(linalg.add(base, in_span(coeffs()))
+                     for _ in range(draw(st.integers(1, 4))))
+    rays = tuple(in_span(coeffs()) for _ in range(draw(st.integers(0, 2))))
+    return VPolyhedron(n, vertices, rays)
+
+
+POINT_TWO_THIRDS = VPolyhedron(1, ((F(2, 3),),), ())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(v_polyhedra())
+@example(POINT_TWO_THIRDS)
+def test_v_to_h_matches_lp_pruned_reference(p):
+    hp = v_to_h(p)
+    assert [q.stacked() for q in hp.inequalities] == \
+        [q.stacked() for q in lp_v_to_h(p).inequalities]
+    assert remove_redundant(hp) == hp
+
+
+def test_v_to_h_skips_rays_implied_by_equalities():
+    # the DD ray -x <= 0 of the point 2/3 is implied by 3x = 2, but its
+    # normal is not zero
+    assert len(dd_rows_zero_normal_skip(POINT_TWO_THIRDS).inequalities) == 3
+    assert set(v_to_h(POINT_TWO_THIRDS).inequalities) == {ineq([3], 2), ineq([-3], -2)}
 
 
 def test_whole_space_round_trip():

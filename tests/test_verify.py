@@ -1,9 +1,6 @@
-"""Verification suites: deterministic seeding, failure reporting, threads."""
+"""Verification suites: deterministic seeding, failure reporting."""
 
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 from closurelab.verify import (
     SuiteReport,
@@ -45,20 +42,3 @@ def test_run_suite_all():
         assert names == ["farkas", "aggregation"]
     else:
         assert [r.name for r in reports] == ["farkas", "cone", "covering", "aggregation"]
-
-
-def test_thread_env_var_keeps_output_identical(tmp_path):
-    instance = tmp_path / "two.txt"
-    instance.write_text(
-        "kind: covering\nn: 2\nm: 2\nM: 1 2\nM: 2 1\nd: 3 3\n", encoding="utf-8")
-    cmd = [sys.executable, "-m", "closurelab.cli", "closure", str(instance),
-           "--density", "2"]
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env_seq = dict(os.environ, CLOSURELAB_THREADS="1")
-    env_par = dict(os.environ, CLOSURELAB_THREADS="4")
-    for env in (env_seq, env_par):
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    sequential = subprocess.run(cmd, capture_output=True, env=env_seq)
-    parallel = subprocess.run(cmd, capture_output=True, env=env_par)
-    assert sequential.returncode == parallel.returncode == 0
-    assert sequential.stdout == parallel.stdout
