@@ -3,12 +3,21 @@ minimal integer points, and their integer hulls.
 
 The feasible integer points form an upward-closed subset of N^n, so the
 finitely many minimal ones generate everything by domination and
-conv(minimal points) + R^n_+ is exactly the integer hull.  Minimal points
-are found by exact enumeration over the box 0 <= x_j <= B_j with
-B_j = max over rows i with M_ij > 0 of ceil(d_i / M_ij): any feasible
-point with x_j > B_j stays feasible after decrementing x_j, so no minimal
-point escapes the box, and the box is downward closed, so no box point is
-dominated from outside it.
+conv(minimal points) + R^n_+ is exactly the integer hull.  Every minimal
+point lies in the box 0 <= x_j <= B_j with B_j = max over rows i with
+M_ij > 0 of ceil(d_i / M_ij): any feasible point with x_j > B_j stays
+feasible after decrementing x_j.
+
+Minimal points are found exactly by a scan over the first n-1
+coordinates of that box only.  For a prefix x' that satisfies every row
+whose last coefficient is 0, the least feasible last coordinate is
+t(x') = max(0, max over rows with M_in > 0 of ceil((d_i - M_i'.x') / M_in)),
+and t(x') <= B_n because M_i'.x' >= 0.  A minimal point with prefix x'
+has x_n = t(x').  As t does not increase when x' grows, (x', t(x')) is
+minimal exactly when every predecessor x' - e_j with x'_j > 0 either
+fails a row with last coefficient 0 or has a larger t: in an
+upward-closed set a point is minimal exactly when no single unit step
+down stays feasible.  With t stored per prefix, that is an O(n) test.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import ceil
+from operator import le, mul
 from typing import Iterable, Sequence
 
 from .errors import ContractViolation
@@ -92,11 +102,15 @@ class MinimalPointSet:
         for p in pts:
             if any(a.denominator != 1 or a < 0 for a in p):
                 raise ContractViolation(f"minimal points live in N^n, got {p}")
-        for i, p in enumerate(pts):
-            for q in pts[i + 1:]:
-                if dominates(p, q) or dominates(q, p):
+        # A point that dominates another sorts before it, and a later point
+        # can only dominate an earlier one by being equal to it, so one
+        # direction of the test catches every comparable pair.
+        ints = [tuple(a.numerator for a in p) for p in pts]
+        for i, low in enumerate(ints):
+            for q, high in zip(pts[i + 1:], ints[i + 1:]):
+                if all(map(le, low, high)):
                     raise ContractViolation(
-                        f"not an antichain: {p} and {q} are comparable")
+                        f"not an antichain: {pts[i]} and {q} are comparable")
         object.__setattr__(self, "points", pts)
 
     def hull(self) -> HPolyhedron:
@@ -129,7 +143,7 @@ def enumeration_box(q: CoveringInstance) -> tuple[int, ...]:
 
 def _integer_rows(q: CoveringInstance) -> list[tuple[tuple[int, ...], int]]:
     # Positive rescaling of each row keeps the feasible set; integer rows
-    # let the box scan run in plain int arithmetic.
+    # let the prefix scan run in plain int arithmetic.
     rows = []
     for row, di in zip(q.M, q.d):
         stacked = primitive(row + (di,))
@@ -138,19 +152,39 @@ def _integer_rows(q: CoveringInstance) -> list[tuple[tuple[int, ...], int]]:
 
 
 def minimal_integer_points(q: CoveringInstance) -> MinimalPointSet:
-    """Exactly the minimal elements of {x in N^n : Mx >= d}."""
+    """Exactly the minimal elements of {x in N^n : Mx >= d}.
+
+    Scans the prefixes x' of the box in lexicographic order.  A prefix
+    that fails a row with last coefficient 0 stores B_n + 1, above every
+    least last coordinate t(x') <= B_n, so the minimality test is one
+    comparison per predecessor: (x', t(x')) is kept when every x' - e_j
+    with x'_j > 0 stores a larger value."""
     rows = _integer_rows(q)
-    box = enumeration_box(q)
+    *prefix_box, last_bound = enumeration_box(q)
+    fixed = [(row[:-1], rhs) for row, rhs in rows if row[-1] == 0]
+    lifting = [(row[:-1], row[-1], rhs) for row, rhs in rows if row[-1] > 0]
+    blocked = last_bound + 1
+    # Prefixes are enumerated in row-major order, so x' - e_j sits
+    # strides[j] entries back in ``least``.
+    strides = [1] * len(prefix_box)
+    for j in range(len(prefix_box) - 1, 0, -1):
+        strides[j - 1] = strides[j] * (prefix_box[j] + 1)
+    least: list[int] = []
     kept: list[tuple[int, ...]] = []
-    # Lexicographic scan: any dominating point precedes what it dominates,
-    # so checking against the running antichain is exact.
-    for point in product(*(range(b + 1) for b in box)):
-        if any(sum(c * x for c, x in zip(row, point)) < rhs for row, rhs in rows):
+    for index, prefix in enumerate(product(*(range(b + 1) for b in prefix_box))):
+        if any(sum(map(mul, row, prefix)) < rhs for row, rhs in fixed):
+            least.append(blocked)
             continue
-        if any(dominates(p, point) for p in kept):
-            continue
-        kept.append(point)
-    return MinimalPointSet(tuple(linalg.vector(p) for p in kept))
+        t = 0
+        for row, last, rhs in lifting:
+            # ceil((rhs - row.prefix) / last) in integer arithmetic
+            need = -((sum(map(mul, row, prefix)) - rhs) // last)
+            if need > t:
+                t = need
+        least.append(t)
+        if all(least[index - stride] > t for stride, x in zip(strides, prefix) if x):
+            kept.append(prefix + (t,))
+    return MinimalPointSet(tuple(kept))
 
 
 def minimal_elements(points: Iterable[Sequence]) -> MinimalPointSet:

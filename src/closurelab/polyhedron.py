@@ -13,7 +13,7 @@ entirely in exact arithmetic.  Empty polyhedra are ordinary values.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -48,6 +48,9 @@ class Inequality:
 
     normal: Vector
     rhs: Fraction
+    # primitive(stacked()), filled on first use: identity, hashing and
+    # sorting all go through it.
+    _canonical: Vector | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "normal", linalg.vector(self.normal))
@@ -65,7 +68,9 @@ class Inequality:
         return self.normal + (self.rhs,)
 
     def canonical_stacked(self) -> Vector:
-        return primitive(self.stacked())
+        if self._canonical is None:
+            object.__setattr__(self, "_canonical", primitive(self.stacked()))
+        return self._canonical
 
     def canonical(self) -> "Inequality":
         v = self.canonical_stacked()
@@ -163,7 +168,9 @@ def sorted_unique(ineqs: Iterable[Inequality]) -> tuple[Inequality, ...]:
     return tuple(seen[k] for k in sorted(seen))
 
 
-@lru_cache(maxsize=None)
+# Bounded so a long-lived process does not keep every polyhedron it has
+# seen; a whole perfbench pool (about 100 jobs) stays below 400 entries.
+@lru_cache(maxsize=1024)
 def _is_empty(p: HPolyhedron) -> bool:
     a, b = p.as_rows()
     res = solve_lp(a, b, linalg.zeros(p.n), "max")
@@ -374,7 +381,7 @@ def dimension(p: HPolyhedron) -> int:
     return _dimension(p)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _dimension(p: HPolyhedron) -> int:
     if p.is_empty:
         return -1

@@ -1,9 +1,11 @@
 """Covering instances: minimal points, integer hulls, down-set dominance."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from closurelab import linalg
 from closurelab.covering import (
@@ -83,13 +85,32 @@ def test_minimal_elements_matches_pairwise_oracle():
         assert got == oracle
 
 
+def _rejects(points, message):
+    with pytest.raises(ContractViolation, match=f"^{re.escape(message)}$"):
+        MinimalPointSet(points)
+
+
 def test_minimal_point_set_enforces_antichain():
-    with pytest.raises(ContractViolation):
-        MinimalPointSet(pts((1, 2), (0, 2)))
-    with pytest.raises(ContractViolation):
-        MinimalPointSet(pts((1, 1), (1, 1)))
-    with pytest.raises(ContractViolation):
-        MinimalPointSet((V([F(1, 2), F(1)]),))
+    comparable = ("not an antichain: (Fraction(0, 1), Fraction(2, 1)) and "
+                  "(Fraction(1, 1), Fraction(2, 1)) are comparable")
+    _rejects(pts((1, 2), (0, 2)), comparable)
+    _rejects(pts((0, 2), (1, 2)), comparable)
+    _rejects(pts((1, 1), (1, 1)),
+             "not an antichain: (Fraction(1, 1), Fraction(1, 1)) and "
+             "(Fraction(1, 1), Fraction(1, 1)) are comparable")
+    _rejects((V([F(1, 2), F(1)]),),
+             "minimal points live in N^n, got (Fraction(1, 2), Fraction(1, 1))")
+    _rejects(pts((0, 3), (-1, 2)),
+             "minimal points live in N^n, got (Fraction(-1, 1), Fraction(2, 1))")
+
+
+def test_minimal_point_set_reports_first_comparable_pair_in_sorted_order():
+    _rejects(pts((0, 3), (1, 2), (1, 1)),
+             "not an antichain: (Fraction(1, 1), Fraction(1, 1)) and "
+             "(Fraction(1, 1), Fraction(2, 1)) are comparable")
+    _rejects(pts((2, 0), (0, 2), (1, 3), (3, 1)),
+             "not an antichain: (Fraction(0, 1), Fraction(2, 1)) and "
+             "(Fraction(1, 1), Fraction(3, 1)) are comparable")
 
 
 def test_down_set_examples():
@@ -166,3 +187,39 @@ def test_rational_data_instance():
     assert mp.points == pts((0, 2), (2, 1), (5, 0))
     hull = integer_hull(q)
     assert same_point_set(hull, integer_hull(CoveringInstance(([2, 6],), (9,))))
+
+
+# Small nonnegative rationals, zero drawn often: zero coefficients give
+# rows that ignore the last coordinate and zero demands give the origin.
+coefficients = st.sampled_from((F(0), F(0), F(1, 2), F(1), F(3, 2), F(2), F(3)))
+demands = st.sampled_from((F(0), F(1), F(3, 2), F(2), F(3)))
+
+
+@st.composite
+def coverings(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    zero_last_column = draw(st.booleans())
+    rows, rhs = [], []
+    for _ in range(m):
+        row = draw(st.lists(coefficients, min_size=n, max_size=n))
+        if zero_last_column:
+            row[-1] = F(0)
+        rows.append(row)
+        rhs.append(draw(demands) if any(row) else F(0))
+    return CoveringInstance(tuple(rows), tuple(rhs))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(coverings())
+# n = 1: the only prefix is empty, and x_1 is the least feasible value
+@example(CoveringInstance(([F(2, 3)],), (F(5, 3),)))
+@example(CoveringInstance(([0], [F(1, 2)]), (0, 2)))
+# the predecessor (1,) of prefix (2,) fails x_1 >= 2, a row with last
+# coefficient 0; the second row alone would give it the same t = 1
+@example(CoveringInstance(([1, 0], [0, 1]), (2, 1)))
+# prefix (2,) has t = 1 like its predecessor (1,), so (1, 1) dominates
+# (2, 1): only the strict comparison drops it
+@example(CoveringInstance(([1, 2],), (3,)))
+def test_minimal_points_match_brute_force_oracle(q):
+    assert minimal_integer_points(q).points == brute_force_minimal_points(q)

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from closurelab import linalg
+from closurelab import linalg, polyhedron
 from closurelab.errors import (
     ContractViolation,
     InconsistentSystemError,
@@ -50,6 +50,23 @@ def test_inequality_identity_up_to_positive_scaling():
     assert ineq([1, 2], 4) == ineq([F(1, 2), 1], 2)
     assert ineq([1, 2], 4) != ineq([-1, -2], -4)
     assert hash(ineq([2, 4], 8)) == hash(ineq([1, 2], 4))
+
+
+def test_inequality_canonical_form_is_cached_outside_identity_and_repr():
+    q = ineq([2, 4], 8)
+    assert repr(q) == "Inequality('2 4 <= 8')"
+    assert q.canonical_stacked() is q.canonical_stacked()
+    assert q.canonical_stacked() == (F(1), F(2), F(4))
+    assert q == ineq([1, 2], 4) and repr(q) == "Inequality('2 4 <= 8')"
+    c = q.canonical()
+    assert (c.normal, c.rhs) == ((F(1), F(2)), F(4))
+    assert c.canonical_stacked() == q.canonical_stacked()
+
+
+def test_polyhedron_query_caches_are_bounded():
+    for cached in (polyhedron._is_empty, polyhedron._dimension):
+        maxsize = cached.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
 
 
 def test_inequality_zero_normal_needs_nonnegative_rhs():
