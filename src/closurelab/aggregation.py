@@ -27,11 +27,8 @@ from .covering import CoveringInstance, integer_hull
 from .polyhedron import (
     HPolyhedron,
     Inequality,
-    check_implication,
     fourier_motzkin_project,
-    is_facet_defining,
     remove_redundant,
-    same_point_set,
     sorted_unique,
 )
 
@@ -188,7 +185,8 @@ def _intersect(n: int, hulls: Iterable[AggregatedHull]) -> HPolyhedron:
 def closure_approx(q: CoveringInstance, k: int, density: int) -> ClosureApprox:
     """Intersection of the aggregated integer hulls over the density grid,
     redundancy-eliminated, with the density-doubling stabilization check.
-    Each distinct aggregated instance's hull is built once per call."""
+    Each distinct aggregated instance's hull is built once per call.  Both
+    contain q's integer hull, so they are compared as facet lists: no LP."""
     if k < 1 or density < 1:
         raise ContractViolation("k and density must be at least 1")
     built: dict[CoveringInstance, HPolyhedron] = {}
@@ -197,7 +195,7 @@ def closure_approx(q: CoveringInstance, k: int, density: int) -> ClosureApprox:
     doubled = _intersect(q.n, _hulls_for(q, sample_multipliers(q.m, k, 2 * density), built))
     return ClosureApprox(
         polyhedron=poly, hulls=tuple(hulls), k=k, density=density,
-        stabilized=same_point_set(poly, doubled))
+        stabilized=poly == doubled)
 
 
 def _is_sign_constraint(q: Inequality) -> bool:
@@ -208,23 +206,17 @@ def _is_sign_constraint(q: Inequality) -> bool:
 def classify_cuts(ca: ClosureApprox) -> tuple[CutClass, ...]:
     """Label each closure facet: SIGN for a nonnegativity bound, HULL_FACET
     with the first sampled hull it is facet-defining for, UNATTRIBUTED
-    otherwise (in practice a symptom of too sparse a sample)."""
+    otherwise.  Each hull is v_to_h of conv(points) + R^n_+, a
+    full-dimensional facet list, so a facet is facet-defining for it
+    exactly when it is a row: no LP.  Every closure_approx row is a hull
+    row, so only a ClosureApprox built by hand has UNATTRIBUTED facets."""
     out = []
     for facet in ca.polyhedron.inequalities:
         if _is_sign_constraint(facet):
             out.append(CutClass(facet, SIGN))
             continue
-        attributed = None
-        for h in ca.hulls:
-            if not check_implication(h.hull.inequalities, facet).implied:
-                continue
-            if is_facet_defining(h.hull, facet):
-                attributed = h.sample
-                break
-        if attributed is not None:
-            out.append(CutClass(facet, HULL_FACET, sample=attributed))
-        else:
-            out.append(CutClass(facet, UNATTRIBUTED))
+        source = next((h.sample for h in ca.hulls if facet in h.hull.inequalities), None)
+        out.append(CutClass(facet, UNATTRIBUTED if source is None else HULL_FACET, source))
     return tuple(out)
 
 
@@ -252,7 +244,7 @@ def check_projection_lemma(q: CoveringInstance, t: int, k: int) -> ProjectionChe
     integer hull, verify that projecting the closure equals the closure of
     the projected instance.  Multi-row instances are refused: both sides
     would be sampled approximations and the equality is only guaranteed
-    for the exact closures."""
+    for the exact closures.  Both sides are facet lists, compared as lists."""
     if q.m != 1:
         raise ContractViolation(
             "projection commutation is only checked for single-row instances; "
@@ -262,7 +254,7 @@ def check_projection_lemma(q: CoveringInstance, t: int, k: int) -> ProjectionChe
     projected = project_instance(q, t)
     rhs = closure_approx(projected, k, 1).polyhedron
     return ProjectionCheck(
-        passed=same_point_set(lhs, rhs),
+        passed=lhs == rhs,
         projected_closure=lhs,
         closure_of_projection=rhs,
         projected_instance=projected)

@@ -5,8 +5,8 @@ instance), closure (sampled aggregation closure with per-facet
 classification), cone (rays / pointed / closure / theorem1 / fii), and
 verify (the seeded invariant suites).  Output is canonical and
 byte-stable for fixed inputs, flags, and seed; the structured format is
-a single JSON document with sorted keys.  Work counters stand in for
-wall-clock timings so identical runs stay byte-identical.
+a single JSON document with sorted keys.  Reports carry no timings or
+work counters, so identical runs stay byte-identical.
 
 Exit codes: 0 ok, 2 usage or parse failure, 3 closure not stabilized,
 4 hypothesis violation (non-pointed, non-full-dimensional, empty

@@ -36,7 +36,6 @@ from .polyhedron import (
     empty_hpolyhedron,
     dimension,
     remove_redundant,
-    same_point_set,
     sorted_unique,
 )
 
@@ -290,26 +289,27 @@ def is_fii(k: GeneratedCone, q: Inequality) -> bool:
 def check_theorem1(k: GeneratedCone) -> Theorem1Report:
     """Cross-check on a finite family with full-dimensional closure:
     (a) the closure rebuilt from the extreme rays alone is the same point
-    set, and (b) pointedness holds, matching full dimension."""
+    set, and (b) pointedness holds, matching full dimension.  The rebuilt
+    closure contains the full-dimensional one and both are canonical facet
+    lists, so (a) is list equality; the pointedness LP runs once."""
     ku, added = k.with_unit_last()
     closure = closure_of(ku)
     if dimension(closure) != k.n:
         raise NotFullDimensionalError(
             "the equivalence is stated for full-dimensional closures "
             f"(found dimension {dimension(closure)} in R^{k.n})")
-    pt = is_pointed(ku)
-    if not pt.pointed:
+    try:
+        rays = extreme_rays(ku)
+    except NotPointedError as e:
         return Theorem1Report(
             passed=False, pointed=False, extreme_rays=(),
             rays_are_generators=False, rebuilt_equals_closure=False,
             added_unit_last=added,
             detail=(f"full-dimensional closure but cone contains the line "
-                    f"through {linalg.format_vector(pt.line_witness)}"))
-    rays = extreme_rays(ku)
+                    f"through {linalg.format_vector(e.line_witness)}"))
     gen_set = set(ku.unique_generators())
     rays_ok = all(r in gen_set for r in rays.rays)
-    rebuilt = closure_of(GeneratedCone(rays.rays + (ku.unit_last(),)))
-    equal = same_point_set(closure, rebuilt)
+    equal = closure == closure_of(GeneratedCone(rays.rays + (ku.unit_last(),)))
     detail = ""
     if not rays_ok:
         stray = next(r for r in rays.rays if r not in gen_set)

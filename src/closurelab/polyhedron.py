@@ -8,6 +8,13 @@ ever leaving the rationals.  ``HPolyhedron`` is a finite intersection of
 half-spaces, ``VPolyhedron`` is conv(vertices) + cone(rays); conversion
 both ways runs the double description method on the homogenization,
 entirely in exact arithmetic.  Empty polyhedra are ordinary values.
+
+A full-dimensional polyhedron has one irredundant system up to positive
+scaling of rows: its facets (Schrijver 1986, section 8.4).  So for such
+polyhedra, irredundant systems in ``sorted_unique`` order (which
+``remove_redundant`` keeps) describe the same set exactly when they are
+equal, and a valid inequality is facet-defining exactly when it is a row;
+otherwise use the LP-based ``same_point_set`` and ``is_facet_defining``.
 """
 
 from __future__ import annotations
@@ -267,7 +274,7 @@ def h_to_v(p: HPolyhedron) -> VPolyhedron:
             directions.append(primitive(r[:-1]))
     for l in lines:
         if l[-1] != 0:
-            raise ContractViolation("homogenization admits a line with t != 0")
+            raise InternalInvariantError("homogenization admits a line with t != 0")
         directions.append(primitive(l[:-1]))
         directions.append(primitive(linalg.neg(l[:-1])))
     if not vertices:

@@ -1,7 +1,8 @@
 """Brute-force oracles used by the tests, independent of the library's
 conversion and projection code paths, Fraction reference versions of
 the routines the library runs on integer rows (simplex, rank, double
-description), and the LP-pruned V-to-H conversion that v_to_h replaces."""
+description), the LP-pruned V-to-H conversion that v_to_h replaces, and
+the LP-decided cut attribution that classify_cuts replaces."""
 
 from __future__ import annotations
 
@@ -12,11 +13,14 @@ from typing import Sequence
 from unittest import mock
 
 from closurelab import linalg, lp
+from closurelab.aggregation import (HULL_FACET, SIGN, UNATTRIBUTED, ClosureApprox, CutClass,
+                                    _is_sign_constraint)
 from closurelab.errors import InternalInvariantError
 from closurelab.linalg import Matrix, Vector, dot, is_zero, mat_vec, primitive, zeros
 from closurelab.lp import LpStatus, solve_lp
-from closurelab.polyhedron import (HPolyhedron, Inequality, VPolyhedron, dd_cone,
-                                   remove_redundant, sorted_unique)
+from closurelab.polyhedron import (HPolyhedron, Inequality, VPolyhedron, check_implication,
+                                   dd_cone, is_facet_defining, remove_redundant,
+                                   sorted_unique)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -143,6 +147,32 @@ def dd_rows_zero_normal_skip(p: VPolyhedron) -> HPolyhedron:
 def lp_v_to_h(p: VPolyhedron) -> HPolyhedron:
     """The DD rows pruned by one LP per row."""
     return remove_redundant(dd_rows_zero_normal_skip(p))
+
+
+# ---------------------------------------------------------------------------
+# cut attribution by LP (the reference for aggregation.classify_cuts)
+
+
+def lp_classify_cuts(ca: ClosureApprox) -> tuple[CutClass, ...]:
+    """Attribute each non-sign closure facet to the first sampled hull
+    that implies it and for which it is facet-defining, both by LP."""
+    out = []
+    for facet in ca.polyhedron.inequalities:
+        if _is_sign_constraint(facet):
+            out.append(CutClass(facet, SIGN))
+            continue
+        attributed = None
+        for h in ca.hulls:
+            if not check_implication(h.hull.inequalities, facet).implied:
+                continue
+            if is_facet_defining(h.hull, facet):
+                attributed = h.sample
+                break
+        if attributed is not None:
+            out.append(CutClass(facet, HULL_FACET, sample=attributed))
+        else:
+            out.append(CutClass(facet, UNATTRIBUTED))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

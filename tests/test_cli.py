@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from closurelab.errors import ParseError
 from closurelab.lp import ConeMembership, LpResult, LpStatus
 from closurelab.io import parse_instance
 from closurelab.covering import CoveringInstance
-from closurelab.cone import GeneratedCone
+from closurelab.cone import GeneratedCone, Pointedness
 from closurelab.polyhedron import HPolyhedron, VPolyhedron
 
 COVERING = """\
@@ -329,7 +330,35 @@ def test_fii_exits_5_when_invalidity_witness_fails(monkeypatch, capsys):
                           "invalidity witness fails substitution", capsys)
 
 
-def test_theorem1_exits_5_when_implication_witness_fails(monkeypatch, capsys):
+def test_verify_exits_5_when_implication_witness_fails(monkeypatch, capsys):
     monkeypatch.setattr(polyhedron, "cone_membership", _returning(NOT_A_MEMBER))
-    _assert_internal_exit(["cone", UNIT_SQUARE, "theorem1"],
+    _assert_internal_exit(["verify", "covering", "--seed", "1"],
                           "witness fails substitution check", capsys)
+
+
+def test_theorem1_runs_the_pointedness_lp_once(monkeypatch, capsys):
+    calls = []
+    real = cone_module.is_pointed
+
+    def counted(k):
+        calls.append(k)
+        return real(k)
+
+    monkeypatch.setattr(cone_module, "is_pointed", counted)
+    code, out, _ = run_cli(["cone", UNIT_SQUARE, "theorem1"], capsys)
+    assert code == 0 and "result: PASS" in out
+    assert len(calls) == 1
+
+
+def test_theorem1_reports_a_line_and_exits_5(monkeypatch, capsys):
+    # a full-dimensional closure with a non-pointed cone contradicts
+    # Theorem 1, so only a broken pointedness test reaches this report
+    witness = (F(1), F(0), F(0))
+    monkeypatch.setattr(cone_module, "is_pointed",
+                        _returning(Pointedness(False, line_witness=witness)))
+    code, out, _ = run_cli(["cone", UNIT_SQUARE, "theorem1"], capsys)
+    assert code == 5
+    assert "result: FAIL\npointed: false\nextreme-rays: 0\n" in out
+    assert "rebuilt-closure-equal: false\n" in out
+    assert ("detail: full-dimensional closure but cone contains the line "
+            "through 1 0 0\n") in out

@@ -10,6 +10,7 @@ from closurelab import linalg, polyhedron
 from closurelab.errors import (
     ContractViolation,
     InconsistentSystemError,
+    InternalInvariantError,
     InvalidInequalityError,
     NotFullDimensionalError,
     ParseError,
@@ -100,6 +101,15 @@ def test_h_to_v_empty():
     empty = HPolyhedron(1, (ineq([1], -1), ineq([-1], 0)))
     vp = h_to_v(empty)
     assert vp.vertices == () and vp.rays == ()
+
+
+def test_h_to_v_line_with_t_is_an_internal_error(monkeypatch):
+    # the row -t <= 0 forces t = 0 on every line of the homogenization,
+    # so a line with t != 0 can only come from a broken double description
+    monkeypatch.setattr(polyhedron, "dd_cone",
+                        lambda rows, dim: ((V([0, 0, 1]),), (V([0, 0, 1]),)))
+    with pytest.raises(InternalInvariantError, match="line with t != 0"):
+        h_to_v(SQUARE)
 
 
 def test_v_to_h_wedge():
