@@ -27,6 +27,7 @@ from .covering import CoveringInstance, integer_hull
 from .polyhedron import (
     HPolyhedron,
     Inequality,
+    format_ge,
     fourier_motzkin_project,
     remove_redundant,
     sorted_unique,
@@ -37,7 +38,6 @@ _ONE = Fraction(1)
 
 SIGN = "SIGN"
 HULL_FACET = "HULL_FACET"
-UNATTRIBUTED = "UNATTRIBUTED"
 
 
 @dataclass(frozen=True)
@@ -204,19 +204,22 @@ def _is_sign_constraint(q: Inequality) -> bool:
 
 
 def classify_cuts(ca: ClosureApprox) -> tuple[CutClass, ...]:
-    """Label each closure facet: SIGN for a nonnegativity bound, HULL_FACET
-    with the first sampled hull it is facet-defining for, UNATTRIBUTED
-    otherwise.  Each hull is v_to_h of conv(points) + R^n_+, a
-    full-dimensional facet list, so a facet is facet-defining for it
-    exactly when it is a row: no LP.  Every closure_approx row is a hull
-    row, so only a ClosureApprox built by hand has UNATTRIBUTED facets."""
+    """Label each closure facet: SIGN for a nonnegativity bound, otherwise
+    HULL_FACET with the first sampled hull it is facet-defining for.  Each
+    hull is v_to_h of conv(points) + R^n_+, a full-dimensional facet list,
+    so a facet is facet-defining for it exactly when it is a row: no LP.
+    Every closure_approx row is a hull row, so a facet in no hull can only
+    come from a ClosureApprox built by hand; it raises ContractViolation."""
     out = []
     for facet in ca.polyhedron.inequalities:
         if _is_sign_constraint(facet):
             out.append(CutClass(facet, SIGN))
             continue
         source = next((h.sample for h in ca.hulls if facet in h.hull.inequalities), None)
-        out.append(CutClass(facet, UNATTRIBUTED if source is None else HULL_FACET, source))
+        if source is None:
+            raise ContractViolation(
+                f"closure row {format_ge(facet)} is a row of no sampled hull")
+        out.append(CutClass(facet, HULL_FACET, source))
     return tuple(out)
 
 

@@ -32,7 +32,6 @@ from .cone import (
 from .covering import minimal_integer_points
 from .errors import (
     ClosureLabError,
-    ContractViolation,
     HypothesisViolation,
     InternalInvariantError,
     InvalidInequalityError,
@@ -259,12 +258,6 @@ def main(argv=None) -> int:
         parser.error("--k and --density must be at least 1")
     try:
         text, code = args.run(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ContractViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except InvalidInequalityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.witness is not None:

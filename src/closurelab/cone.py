@@ -226,20 +226,14 @@ def closure_of(k: GeneratedCone) -> HPolyhedron:
     return remove_redundant(HPolyhedron(k.n, sorted_unique(rows)))
 
 
-def closure_system(k: GeneratedCone) -> HPolyhedron:
-    """Like closure_of but without redundancy elimination; used where the
-    original generator rows themselves are the constraint system."""
-    rows = _closure_rows(k)
-    return empty_hpolyhedron(k.n) if rows is None else HPolyhedron(k.n, tuple(rows))
-
-
 def is_valid_for_closure(k: GeneratedCone, q: Inequality) -> ValidityCheck:
     """Validity of q over the closure, decided as membership of (alpha,
     beta) in cone(generators + unit-last).  The closure must be nonempty."""
     if q.n != k.n:
         raise ContractViolation("inequality/cone dimension mismatch")
     ku, _ = k.with_unit_last()
-    system = closure_system(ku)
+    rows = _closure_rows(ku)
+    system = empty_hpolyhedron(k.n) if rows is None else HPolyhedron(k.n, tuple(rows))
     if system.is_empty:
         raise EmptyClosureError("validity over an empty closure is undefined")
     gens = ku.unique_generators()

@@ -9,6 +9,11 @@ half-spaces, ``VPolyhedron`` is conv(vertices) + cone(rays); conversion
 both ways runs the double description method on the homogenization,
 entirely in exact arithmetic.  Empty polyhedra are ordinary values.
 
+One cached double description of the homogenization gives an
+H-polyhedron's emptiness, dimension and vertices, and the facets of a
+full-dimensional one.  LPs remain where a certificate is made
+(``check_implication``) and in the redundancy scan of flat inputs.
+
 A full-dimensional polyhedron has one irredundant system up to positive
 scaling of rows: its facets (Schrijver 1986, section 8.4).  So for such
 polyhedra, irredundant systems in ``sorted_unique`` order (which
@@ -129,7 +134,8 @@ class HPolyhedron:
 
     @property
     def is_empty(self) -> bool:
-        return _is_empty(self)
+        """True when no ray of the homogenization has t > 0."""
+        return all(r[-1] <= 0 for r in _homogenized_dd(self)[1])
 
 
 @dataclass(frozen=True)
@@ -173,15 +179,6 @@ def sorted_unique(ineqs: Iterable[Inequality]) -> tuple[Inequality, ...]:
     for q in ineqs:
         seen.setdefault(q.canonical_stacked(), q.canonical())
     return tuple(seen[k] for k in sorted(seen))
-
-
-# Bounded so a long-lived process does not keep every polyhedron it has
-# seen; a whole perfbench pool (about 100 jobs) stays below 400 entries.
-@lru_cache(maxsize=1024)
-def _is_empty(p: HPolyhedron) -> bool:
-    a, b = p.as_rows()
-    res = solve_lp(a, b, linalg.zeros(p.n), "max")
-    return res.status is LpStatus.INFEASIBLE
 
 
 # ---------------------------------------------------------------------------
@@ -255,30 +252,35 @@ def _dedupe(rows: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
 # conversions
 
 
-def h_to_v(p: HPolyhedron) -> VPolyhedron:
-    """Exact V-representation via double description of the homogenization
-    {(x, t) : normal.x - rhs.t <= 0, t >= 0}.  Empty input gives empty
-    vertex and ray lists; lines come back as opposite ray pairs."""
-    if p.n < 1:
-        raise ContractViolation("ambient dimension must be at least 1")
+# Bounded so a long-lived process does not keep every polyhedron it has
+# seen; a whole perfbench pool (about 100 jobs) stays below 400 entries.
+@lru_cache(maxsize=1024)
+def _homogenized_dd(p: HPolyhedron) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
+    """dd_cone of the homogenization {(x, t) : normal.x - rhs.t <= 0, t >= 0}.
+    The row -t <= 0 forces t = 0 on every line, so p is empty exactly when
+    no ray has t > 0, and otherwise dim p is the generators' rank minus 1."""
     rows = [q.normal + (-q.rhs,) for q in p.inequalities]
     rows.append(linalg.zeros(p.n) + (-_ONE,))
     lines, rays = dd_cone(rows, p.n + 1)
+    if any(l[-1] != 0 for l in lines):
+        raise InternalInvariantError("homogenization admits a line with t != 0")
+    return lines, rays
 
-    vertices = []
-    directions = []
-    for r in rays:
-        if r[-1] > 0:
-            vertices.append(tuple(a / r[-1] for a in r[:-1]))
-        else:
-            directions.append(primitive(r[:-1]))
-    for l in lines:
-        if l[-1] != 0:
-            raise InternalInvariantError("homogenization admits a line with t != 0")
-        directions.append(primitive(l[:-1]))
-        directions.append(primitive(linalg.neg(l[:-1])))
+
+def h_to_v(p: HPolyhedron) -> VPolyhedron:
+    """Exact V-representation via double description of the homogenization.
+    Empty input gives empty vertex and ray lists; lines come back as
+    opposite ray pairs."""
+    if p.n < 1:
+        raise ContractViolation("ambient dimension must be at least 1")
+    lines, rays = _homogenized_dd(p)
+    vertices = [tuple(a / r[-1] for a in r[:-1]) for r in rays if r[-1] > 0]
     if not vertices:
         return VPolyhedron(p.n, (), ())
+    directions = [primitive(r[:-1]) for r in rays if r[-1] == 0]
+    for l in lines:
+        directions.append(primitive(l[:-1]))
+        directions.append(primitive(linalg.neg(l[:-1])))
     return VPolyhedron(p.n, tuple(sorted(set(vertices))), tuple(sorted(set(directions))))
 
 
@@ -317,11 +319,26 @@ def v_to_h(p: VPolyhedron) -> HPolyhedron:
 
 
 def remove_redundant(p: HPolyhedron) -> HPolyhedron:
-    """Minimal sub-list defining the same set: scan in order and drop each
-    inequality implied by the survivors.  An inconsistent input is returned
-    unchanged; callers observe that through ``is_empty``."""
+    """Minimal sub-list defining the same set, in input order; an
+    inconsistent input is returned unchanged.  A full-dimensional p keeps
+    the last copy of each facet: a row with a nonzero normal whose tight
+    homogenization generators (all lines, the rays g with row.g = 0) have
+    rank n.  A flat p has no unique irredundant system; its rows are
+    scanned in order, dropping each one the survivors imply (by LP)."""
     if p.is_empty:
         return p
+    if dimension(p) == p.n:
+        lines, rays = _homogenized_dd(p)
+        rays = [linalg.int_row(g) for g in rays]
+        last = {q: i for i, q in enumerate(p.inequalities)}
+
+        def is_facet(q: Inequality) -> bool:
+            row = linalg.int_row(q.normal + (-q.rhs,))
+            return linalg.rank(lines + tuple(g for g in rays if int_dot(row, g) == 0)) == p.n
+
+        return HPolyhedron(p.n, tuple(
+            q for i, q in enumerate(p.inequalities)
+            if last[q] == i and not q.is_trivial() and is_facet(q)))
     kept = list(p.inequalities)
     i = 0
     while i < len(kept):
@@ -384,21 +401,12 @@ def check_implication(system: Sequence[Inequality], target: Inequality) -> Impli
 
 
 def dimension(p: HPolyhedron) -> int:
-    """Affine dimension, or -1 for the empty polyhedron."""
-    return _dimension(p)
-
-
-@lru_cache(maxsize=1024)
-def _dimension(p: HPolyhedron) -> int:
+    """Affine dimension, or -1 for the empty polyhedron: the rank of the
+    homogenization's lines and rays, minus 1."""
     if p.is_empty:
         return -1
-    a, b = p.as_rows()
-    tight_rows = []
-    for q in p.inequalities:
-        res = solve_lp(a, b, q.normal, "min")
-        if res.status is LpStatus.OPTIMAL and res.objective == q.rhs:
-            tight_rows.append(q.normal)
-    return p.n - linalg.rank(tight_rows)
+    lines, rays = _homogenized_dd(p)
+    return linalg.rank(lines + rays) - 1
 
 
 def is_facet_defining(p: HPolyhedron, q: Inequality) -> bool:

@@ -33,7 +33,8 @@ from .covering import (
     minimal_integer_points,
 )
 from .aggregation import (
-    UNATTRIBUTED,
+    HULL_FACET,
+    SIGN,
     classify_cuts,
     closure_approx,
 )
@@ -384,7 +385,7 @@ def suite_aggregation(seed: int, single_count: int = 10, pair_count: int = 5) ->
 
         if low.stabilized:
             labels = classify_cuts(low)
-            report.check(all(c.label != UNATTRIBUTED for c in labels),
+            report.check(all(c.label in (SIGN, HULL_FACET) for c in labels),
                          lambda: dump("stabilized run left an unattributed facet"))
     return report
 

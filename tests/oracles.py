@@ -1,8 +1,10 @@
 """Brute-force oracles used by the tests, independent of the library's
 conversion and projection code paths, Fraction reference versions of
 the routines the library runs on integer rows (simplex, rank, double
-description), the LP-pruned V-to-H conversion that v_to_h replaces, and
-the LP-decided cut attribution that classify_cuts replaces."""
+description), the LP-pruned V-to-H conversion that v_to_h replaces, the
+LP-decided cut attribution that classify_cuts replaces, and the LP
+emptiness, dimension and redundancy tests that the homogenized double
+description replaces."""
 
 from __future__ import annotations
 
@@ -13,17 +15,17 @@ from typing import Sequence
 from unittest import mock
 
 from closurelab import linalg, lp
-from closurelab.aggregation import (HULL_FACET, SIGN, UNATTRIBUTED, ClosureApprox, CutClass,
-                                    _is_sign_constraint)
+from closurelab.aggregation import HULL_FACET, SIGN, ClosureApprox, CutClass, _is_sign_constraint
 from closurelab.errors import InternalInvariantError
 from closurelab.linalg import Matrix, Vector, dot, is_zero, mat_vec, primitive, zeros
 from closurelab.lp import LpStatus, solve_lp
 from closurelab.polyhedron import (HPolyhedron, Inequality, VPolyhedron, check_implication,
-                                   dd_cone, is_facet_defining, remove_redundant,
-                                   sorted_unique)
+                                   dd_cone, is_facet_defining, sorted_unique)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+UNATTRIBUTED = "UNATTRIBUTED"
 
 
 def brute_force_vertices(p: HPolyhedron) -> tuple[Vector, ...]:
@@ -146,7 +148,51 @@ def dd_rows_zero_normal_skip(p: VPolyhedron) -> HPolyhedron:
 
 def lp_v_to_h(p: VPolyhedron) -> HPolyhedron:
     """The DD rows pruned by one LP per row."""
-    return remove_redundant(dd_rows_zero_normal_skip(p))
+    return lp_remove_redundant(dd_rows_zero_normal_skip(p))
+
+
+# ---------------------------------------------------------------------------
+# emptiness, dimension and redundancy by LP (the references for
+# HPolyhedron.is_empty, polyhedron.dimension and polyhedron.remove_redundant)
+
+
+def lp_is_empty(p: HPolyhedron) -> bool:
+    """Infeasibility of the system, by one LP."""
+    a, b = p.as_rows()
+    return solve_lp(a, b, zeros(p.n), "max").status is LpStatus.INFEASIBLE
+
+
+def lp_dimension(p: HPolyhedron) -> int:
+    """n minus the rank of the implicit equalities, each found by one LP
+    (min normal.x reaches rhs); -1 when empty."""
+    if lp_is_empty(p):
+        return -1
+    a, b = p.as_rows()
+    tight_rows = []
+    for q in p.inequalities:
+        res = solve_lp(a, b, q.normal, "min")
+        if res.status is LpStatus.OPTIMAL and res.objective == q.rhs:
+            tight_rows.append(q.normal)
+    return p.n - linalg.rank(tight_rows)
+
+
+def lp_remove_redundant(p: HPolyhedron) -> HPolyhedron:
+    """Scan the rows in order and drop each one the survivors and the
+    unscanned rows imply, by one LP per row; empty input is unchanged."""
+    if lp_is_empty(p):
+        return p
+    kept = list(p.inequalities)
+    i = 0
+    while i < len(kept):
+        others = kept[:i] + kept[i + 1:]
+        a = tuple(q.normal for q in others)
+        b = tuple(q.rhs for q in others)
+        res = solve_lp(a, b, kept[i].normal, "max")
+        if res.status is LpStatus.OPTIMAL and res.objective <= kept[i].rhs:
+            kept.pop(i)
+        else:
+            i += 1
+    return HPolyhedron(p.n, tuple(kept))
 
 
 # ---------------------------------------------------------------------------

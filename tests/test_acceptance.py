@@ -14,7 +14,8 @@ import pytest
 
 from closurelab import linalg
 from closurelab.aggregation import (
-    UNATTRIBUTED,
+    HULL_FACET,
+    SIGN,
     AggregationSample,
     aggregate,
     check_projection_lemma,
@@ -223,7 +224,7 @@ def test_criterion_9_two_row_grid_oracle():
             bad += 1
             continue
         if ca.stabilized:
-            if any(c.label == UNATTRIBUTED for c in classify_cuts(ca)):
+            if any(c.label not in (SIGN, HULL_FACET) for c in classify_cuts(ca)):
                 bad += 1
     elapsed = time.monotonic() - start
     ok = bad == 0 and elapsed < 300.0

@@ -2,6 +2,7 @@
 classification, and projection commutation."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,6 @@ from closurelab import aggregation, linalg
 from closurelab.aggregation import (
     HULL_FACET,
     SIGN,
-    UNATTRIBUTED,
     AggregationSample,
     aggregate,
     check_projection_lemma,
@@ -197,7 +197,17 @@ def test_classify_orthant_all_sign():
 def test_classify_stabilized_two_row_fully_attributed():
     ca = closure_approx(TWO_ROW, 1, 8)
     assert ca.stabilized
-    assert all(c.label != UNATTRIBUTED for c in classify_cuts(ca))
+    assert all(c.label in (SIGN, HULL_FACET) for c in classify_cuts(ca))
+
+
+def test_classify_rejects_a_row_of_no_hull():
+    # closure_approx only yields hull rows; a hand-built closure can break that
+    ca = closure_approx(TWO_ROW, 1, 2)
+    stray = ge([1, 1], 1)
+    assert all(stray not in h.hull.inequalities for h in ca.hulls)
+    forged = replace(ca, polyhedron=HPolyhedron(2, ca.polyhedron.inequalities + (stray,)))
+    with pytest.raises(ContractViolation, match="row 1 1 >= 1 is a row of no sampled hull"):
+        classify_cuts(forged)
 
 
 def test_projection_instance_construction():

@@ -37,8 +37,9 @@ from closurelab.polyhedron import (
     v_to_h,
 )
 
-from oracles import (brute_force_vertices, dd_rows_zero_normal_skip, lp_v_to_h,
-                     point_has_extension, rational_grid)
+from oracles import (brute_force_vertices, dd_rows_zero_normal_skip, lp_dimension,
+                     lp_is_empty, lp_remove_redundant, lp_v_to_h, point_has_extension,
+                     rational_grid)
 
 V = linalg.vector
 
@@ -65,9 +66,8 @@ def test_inequality_canonical_form_is_cached_outside_identity_and_repr():
 
 
 def test_polyhedron_query_caches_are_bounded():
-    for cached in (polyhedron._is_empty, polyhedron._dimension):
-        maxsize = cached.cache_info().maxsize
-        assert isinstance(maxsize, int) and maxsize > 0
+    maxsize = polyhedron._homogenized_dd.cache_info().maxsize
+    assert isinstance(maxsize, int) and maxsize > 0
 
 
 def test_inequality_zero_normal_needs_nonnegative_rhs():
@@ -105,7 +105,9 @@ def test_h_to_v_empty():
 
 def test_h_to_v_line_with_t_is_an_internal_error(monkeypatch):
     # the row -t <= 0 forces t = 0 on every line of the homogenization,
-    # so a line with t != 0 can only come from a broken double description
+    # so a line with t != 0 can only come from a broken double description;
+    # clear the cache so the patched dd_cone is reached
+    polyhedron._homogenized_dd.cache_clear()
     monkeypatch.setattr(polyhedron, "dd_cone",
                         lambda rows, dim: ((V([0, 0, 1]),), (V([0, 0, 1]),)))
     with pytest.raises(InternalInvariantError, match="line with t != 0"):
@@ -284,6 +286,75 @@ def test_remove_redundant_preserves_point_set_random():
             rest = out.inequalities[:i] + out.inequalities[i + 1:]
             if rest:
                 assert not check_implication(rest, q).implied
+
+
+@st.composite
+def h_polyhedra(draw):
+    """H-polyhedra in R^1..R^4 drawn to be full-dimensional (positive
+    right-hand sides), flat (an equality pair), empty (a contradictory
+    pair) or unbounded (rows through the origin), with rescaled duplicate
+    rows and 0.x <= b rows mixed in, in random order."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("full", "flat", "empty", "unbounded")))
+    positive = st.builds(F, st.integers(1, 4), st.sampled_from((1, 2, 3)))
+
+    def normal(nonzero=False):
+        entries = st.lists(small, min_size=n, max_size=n)
+        return tuple(draw(entries.filter(any) if nonzero else entries))
+
+    rhs = {"full": positive, "unbounded": st.just(F(0))}.get(kind, small)
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        a = normal()
+        rows.append(Inequality(a, draw(positive) if linalg.is_zero(a) else draw(rhs)))
+    if kind in ("flat", "empty"):
+        q = Inequality(normal(nonzero=True), draw(small))
+        gap = draw(positive) if kind == "empty" else 0
+        rows += [q, Inequality(linalg.neg(q.normal), -q.rhs - gap)]
+    for q in draw(st.lists(st.sampled_from(rows), max_size=2)) if rows else ():
+        c = draw(positive)
+        rows.append(Inequality(linalg.scale(c, q.normal), c * q.rhs))
+    if draw(st.booleans()):
+        rows.append(Inequality(linalg.zeros(n), draw(st.sampled_from((0, 1)))))
+    return HPolyhedron(n, tuple(draw(st.permutations(rows))))
+
+
+# the kept facet is the last of its two scalings
+TWO_SCALINGS = HPolyhedron(2, (ineq([2, 0], 2), ineq([0, 1], 1), ineq([-1, 0], 0),
+                               ineq([1, 0], 1), ineq([0, -1], 0)))
+ZERO_NORMAL_ROW = HPolyhedron(2, SQUARE.inequalities[:2] + (ineq([0, 0], 3),)
+                              + SQUARE.inequalities[2:])
+POINT_IN_R1 = HPolyhedron(1, (ineq([3], 2), ineq([-3], -2)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(h_polyhedra())
+@example(TWO_SCALINGS)
+@example(ZERO_NORMAL_ROW)
+@example(POINT_IN_R1)
+def test_dd_queries_match_lp_references(p):
+    assert p.is_empty == lp_is_empty(p)
+    assert dimension(p) == lp_dimension(p)
+    assert [q.stacked() for q in remove_redundant(p).inequalities] == \
+        [q.stacked() for q in lp_remove_redundant(p).inequalities]
+
+
+def test_dd_queries_named_examples():
+    assert [q.stacked() for q in remove_redundant(TWO_SCALINGS).inequalities] == \
+        [V([0, 1, 1]), V([-1, 0, 0]), V([1, 0, 1]), V([0, -1, 0])]
+    assert remove_redundant(ZERO_NORMAL_ROW).inequalities == SQUARE.inequalities
+    assert dimension(POINT_IN_R1) == 0 and not POINT_IN_R1.is_empty
+    assert remove_redundant(POINT_IN_R1) == POINT_IN_R1
+
+
+def test_dd_queries_solve_no_lp(monkeypatch):
+    def no_lp(*args):
+        raise AssertionError("LP solved")
+
+    monkeypatch.setattr(polyhedron, "solve_lp", no_lp)
+    polyhedron._homogenized_dd.cache_clear()
+    assert dimension(TWO_SCALINGS) == 2 and not TWO_SCALINGS.is_empty
+    assert len(remove_redundant(TWO_SCALINGS).inequalities) == 4
 
 
 def test_check_implication_half_sum():
