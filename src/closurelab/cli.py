@@ -8,9 +8,9 @@ byte-stable for fixed inputs, flags, and seed; the structured format is
 a single JSON document with sorted keys.  Reports carry no timings or
 work counters, so identical runs stay byte-identical.
 
-Exit codes: 0 ok, 2 usage or parse failure, 3 closure not stabilized,
-4 hypothesis violation (non-pointed, non-full-dimensional, empty
-closure, invalid inequality), 5 internal invariant failure.
+Exit codes: 0 ok, 2 usage, parse or file I/O failure, 3 closure not
+stabilized, 4 hypothesis violation (non-pointed, non-full-dimensional,
+empty closure, invalid inequality), 5 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -37,12 +37,10 @@ from .errors import (
     InvalidInequalityError,
     ParseError,
 )
-from . import linalg
+from . import __version__, linalg
 from .io import InstanceFile, parse_instance
 from .polyhedron import format_ge, format_le, parse_inequality
 from .verify import SUITES, run_suite
-
-VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -57,8 +55,8 @@ class _Doc:
     """Accumulates one report as both text lines and a JSON object."""
 
     def __init__(self, command: str, seed: int):
-        self.lines = [f"command: {command}", f"version: {VERSION}", f"seed: {seed}"]
-        self.data = {"command": command, "version": VERSION, "seed": seed}
+        self.lines = [f"command: {command}", f"version: {__version__}", f"seed: {seed}"]
+        self.data = {"command": command, "version": __version__, "seed": seed}
 
     def field(self, key: str, value, text=None):
         self.lines.append(f"{key}: {value if text is None else text}")
@@ -85,6 +83,8 @@ def _load(path: str, expected_kind: str | None = None) -> InstanceFile:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise ParseError(f"cannot read {path}: not UTF-8 text")
     inst = parse_instance(text)
     if expected_kind and inst.kind != expected_kind:
         raise ParseError(f"expected a {expected_kind} instance, got {inst.kind!r}")
@@ -278,8 +278,12 @@ def main(argv=None) -> int:
 
     sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return EXIT_USAGE
     return code
 
 

@@ -11,7 +11,9 @@ entirely in exact arithmetic.  Empty polyhedra are ordinary values.
 
 One cached double description of the homogenization gives an
 H-polyhedron's emptiness, dimension and vertices, and the facets of a
-full-dimensional one.  LPs remain where a certificate is made
+full-dimensional one.  Projection restricts those vertices and rays to
+the kept coordinates and converts back with ``v_to_h``, so it needs no
+algorithm of its own.  LPs remain where a certificate is made
 (``check_implication``) and in the redundancy scan of flat inputs.
 
 A full-dimensional polyhedron has one irredundant system up to positive
@@ -169,10 +171,6 @@ def ge(normal: Iterable, rhs) -> Inequality:
     return Inequality(linalg.neg(linalg.vector(normal)), -rational(rhs))
 
 
-def _sort_key(q: Inequality) -> Vector:
-    return q.canonical_stacked()
-
-
 def sorted_unique(ineqs: Iterable[Inequality]) -> tuple[Inequality, ...]:
     """Canonical forms, deduplicated, lexicographically sorted."""
     seen = {}
@@ -311,7 +309,10 @@ def v_to_h(p: VPolyhedron) -> HPolyhedron:
     for g in lines:
         q = Inequality(g[:-1], g[-1])
         out.extend((q, q.flipped()))
-    return HPolyhedron(p.n, sorted_unique(out))
+    # Already canonical and distinct, so sorting is all that is left: every
+    # DD generator is a primitive integer row, dd_cone deduplicates rays, and
+    # a ray that is +-a line lies in the lines' span and was skipped above.
+    return HPolyhedron(p.n, tuple(sorted(out, key=Inequality.canonical_stacked)))
 
 
 # ---------------------------------------------------------------------------
@@ -427,47 +428,27 @@ def is_facet_defining(p: HPolyhedron, q: Inequality) -> bool:
 
 def fourier_motzkin_project(p: HPolyhedron, keep: Sequence[int]) -> HPolyhedron:
     """Exact orthogonal projection onto the coordinates in ``keep`` (listed
-    in increasing original order), redundancy-eliminated."""
+    in increasing original order), irredundant and canonical.
+
+    The projection goes through the generators: the projection of
+    conv(V) + cone(R) is conv(V') + cone(R') with every generator
+    restricted to ``keep``, so ``h_to_v`` and ``v_to_h`` do the work and
+    no LP is solved.  Lines arrive as opposite ray pairs; rays
+    that restrict to zero drop out.  An empty p gives
+    ``empty_hpolyhedron(len(keep))``."""
     keep = sorted(set(keep))
     if not keep:
         raise ContractViolation("projection needs a nonempty index set")
     if keep[0] < 0 or keep[-1] >= p.n:
         raise ContractViolation(f"projection indices out of range for R^{p.n}")
 
-    system = list(p.inequalities)
-    for j in sorted(set(range(p.n)) - set(keep), reverse=True):
-        lower, upper, neutral = [], [], []
-        for q in system:
-            c = q.normal[j]
-            (neutral if c == 0 else upper if c > 0 else lower).append(q)
-        combined = list(neutral)
-        upper = [linalg.int_row(q.stacked()) for q in upper]
-        for ql in lower:
-            low = linalg.int_row(ql.stacked())
-            for up in upper:
-                *normal, rhs = combine(up[j], low, low[j], up)
-                if not any(normal):
-                    if rhs < 0:
-                        return empty_hpolyhedron(len(keep))
-                    continue
-                combined.append(Inequality(normal, rhs))
-        system = [
-            q for q in sorted_unique(combined)
-            if not q.is_trivial()
-        ]
-        reduced = remove_redundant(HPolyhedron(p.n, tuple(system)))
-        system = list(reduced.inequalities)
-
-    out = []
-    for q in system:
-        normal = tuple(q.normal[j] for j in keep)
-        if linalg.is_zero(normal):
-            if q.rhs < 0:
-                return empty_hpolyhedron(len(keep))
-            continue
-        out.append(Inequality(normal, q.rhs))
-    result = HPolyhedron(len(keep), sorted_unique(out))
-    return remove_redundant(result)
+    v = h_to_v(p)
+    if v.is_empty:
+        return empty_hpolyhedron(len(keep))
+    vertices = {tuple(x[j] for j in keep) for x in v.vertices}
+    rays = {primitive(tuple(r[j] for j in keep)) for r in v.rays}
+    rays.discard(linalg.zeros(len(keep)))
+    return v_to_h(VPolyhedron(len(keep), tuple(sorted(vertices)), tuple(sorted(rays))))
 
 
 def empty_hpolyhedron(n: int) -> HPolyhedron:
@@ -497,26 +478,6 @@ def format_le(q: Inequality) -> str:
 def format_ge(q: Inequality) -> str:
     """Token form of the same inequality written as -normal.x >= -rhs."""
     return f"{format_vector(linalg.neg(q.normal))} >= {format_rational(-q.rhs)}"
-
-
-def format_human(q: Inequality, orient: str = "le") -> str:
-    """Grammar form 'c1 x1 + c2 x2 <= b' (or the >= rewrite)."""
-    if orient == "ge":
-        normal, rhs, op = linalg.neg(q.normal), -q.rhs, ">="
-    else:
-        normal, rhs, op = q.normal, q.rhs, "<="
-    parts = []
-    for j, c in enumerate(normal):
-        if c == 0:
-            continue
-        mag = abs(c)
-        term = f"x{j + 1}" if mag == 1 else f"{format_rational(mag)} x{j + 1}"
-        if not parts:
-            parts.append(f"-{term}" if c < 0 else term)
-        else:
-            parts.append(f"- {term}" if c < 0 else f"+ {term}")
-    lhs = " ".join(parts) if parts else "0"
-    return f"{lhs} {op} {format_rational(rhs)}"
 
 
 _TERM = re.compile(r"([+-]?)\s*(\d+(?:/\d+)?)?\s*\*?\s*x(\d+)\s*")

@@ -2,9 +2,10 @@
 conversion and projection code paths, Fraction reference versions of
 the routines the library runs on integer rows (simplex, rank, double
 description), the LP-pruned V-to-H conversion that v_to_h replaces, the
-LP-decided cut attribution that classify_cuts replaces, and the LP
+LP-decided cut attribution that classify_cuts replaces, the LP
 emptiness, dimension and redundancy tests that the homogenized double
-description replaces."""
+description replaces, and the Fourier-Motzkin elimination that
+projection through the generators replaces."""
 
 from __future__ import annotations
 
@@ -17,10 +18,11 @@ from unittest import mock
 from closurelab import linalg, lp
 from closurelab.aggregation import HULL_FACET, SIGN, ClosureApprox, CutClass, _is_sign_constraint
 from closurelab.errors import InternalInvariantError
-from closurelab.linalg import Matrix, Vector, dot, is_zero, mat_vec, primitive, zeros
+from closurelab.linalg import Matrix, Vector, combine, dot, is_zero, mat_vec, primitive, zeros
 from closurelab.lp import LpStatus, solve_lp
 from closurelab.polyhedron import (HPolyhedron, Inequality, VPolyhedron, check_implication,
-                                   dd_cone, is_facet_defining, sorted_unique)
+                                   dd_cone, empty_hpolyhedron, is_facet_defining,
+                                   sorted_unique)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -193,6 +195,49 @@ def lp_remove_redundant(p: HPolyhedron) -> HPolyhedron:
         else:
             i += 1
     return HPolyhedron(p.n, tuple(kept))
+
+
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin elimination with LP pruning (the reference for
+# polyhedron.fourier_motzkin_project)
+
+
+def fm_project(p: HPolyhedron, keep: Sequence[int]) -> HPolyhedron:
+    """Eliminate the dropped coordinates one at a time, last first: pair
+    every row with a negative coefficient with every row with a positive
+    one, and prune by lp_remove_redundant after each step and at the end.
+    A 0 <= negative row gives empty_hpolyhedron(len(keep)); other
+    inconsistent inputs come back as some inconsistent system."""
+    keep = sorted(set(keep))
+    system = list(p.inequalities)
+    for j in sorted(set(range(p.n)) - set(keep), reverse=True):
+        lower, upper, neutral = [], [], []
+        for q in system:
+            c = q.normal[j]
+            (neutral if c == 0 else upper if c > 0 else lower).append(q)
+        combined = list(neutral)
+        upper = [linalg.int_row(q.stacked()) for q in upper]
+        for ql in lower:
+            low = linalg.int_row(ql.stacked())
+            for up in upper:
+                *normal, rhs = combine(up[j], low, low[j], up)
+                if not any(normal):
+                    if rhs < 0:
+                        return empty_hpolyhedron(len(keep))
+                    continue
+                combined.append(Inequality(normal, rhs))
+        system = [q for q in sorted_unique(combined) if not q.is_trivial()]
+        system = list(lp_remove_redundant(HPolyhedron(p.n, tuple(system))).inequalities)
+
+    out = []
+    for q in system:
+        normal = tuple(q.normal[j] for j in keep)
+        if is_zero(normal):
+            if q.rhs < 0:
+                return empty_hpolyhedron(len(keep))
+            continue
+        out.append(Inequality(normal, q.rhs))
+    return lp_remove_redundant(HPolyhedron(len(keep), sorted_unique(out)))
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,8 @@ G: 0 0 1
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-UNIT_SQUARE = str(Path(__file__).resolve().parent.parent / "instances" / "unit_square_cone.txt")
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+UNIT_SQUARE = str(INSTANCES / "unit_square_cone.txt")
 
 
 def cli_env(**extra):
@@ -253,6 +254,39 @@ def test_out_flag_writes_same_bytes(tmp_path, capsys):
     code, out, _ = run_cli(["hull", path, "--out", str(out_path)], capsys)
     assert code == 0
     assert out_path.read_text(encoding="utf-8") == out
+
+
+def test_non_utf8_instance_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("# caf\xe9\n".encode("latin-1") + COVERING.encode("ascii"))
+    code, out, err = run_cli(["hull", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read {path}: not UTF-8 text\n"
+
+
+def test_out_into_missing_directory_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "cov.txt", COVERING)
+    _, report, _ = run_cli(["hull", path], capsys)
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run_cli(["hull", path, "--out", str(target)], capsys)
+    assert code == 2
+    assert out == report
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["hull", "single_row.txt"], 0, None),
+    (["closure", "knapsack_pair.txt", "--density", "1"], 3, "stabilized: false"),
+    (["closure", "knapsack_pair.txt", "--density", "2"], 0, "stabilized: true"),
+    (["cone", "strip_cone.txt", "fii", "x2 <= 7/2"], 0,
+     "result: NOT FII (multipliers: 1/4 1/4 0)"),
+])
+def test_readme_sample_commands(argv, code, line, capsys):
+    argv = [argv[0], str(INSTANCES / argv[1])] + argv[2:]
+    got, out, _ = run_cli(argv, capsys)
+    assert got == code
+    if line is not None:
+        assert line in out.splitlines()
 
 
 def test_cli_determinism_subprocess(tmp_path):
