@@ -4,9 +4,13 @@ closure they induce.
 A ``GeneratedCone`` holds a finite family of nonzero vectors (alpha, beta)
 in Q^(n+1), each read as the half-space alpha.x <= beta.  The closure of
 the family is the intersection of those half-spaces.  Everything here is
-exact: extreme rays are found by membership tests against the remaining
-generators, pointedness by a strict-support LP over a box, and validity
-by cone membership, so every answer carries a checkable certificate.
+exact and every answer carries a checkable certificate.  Cone membership
+decides extreme rays (against the remaining generators), validity, and
+pointedness: (0, ..., 0, 1) lies in the cone of the lifted generators
+(g, 1) exactly when the cone contains a line.  ``is_pointed`` also
+solves a strict-support LP over a box, because it reports the support;
+``extreme_rays`` and ``check_theorem1`` solve no LP.  A violating point
+for an invalid inequality comes from ``check_implication``.
 
 For a finite family the conical hull is closed, so each extreme ray is
 one of the generators up to positive scaling; ``check_theorem1`` turns
@@ -33,6 +37,7 @@ from .lp import LpStatus, cone_membership, solve_lp
 from .polyhedron import (
     HPolyhedron,
     Inequality,
+    check_implication,
     empty_hpolyhedron,
     dimension,
     remove_redundant,
@@ -146,10 +151,24 @@ class Theorem1Report:
     detail: str = ""
 
 
+def _line_through(gens: tuple[Vector, ...]) -> Vector | None:
+    """A generator spanning a line of cone(gens), or None when the cone is
+    pointed.  Decided as membership of (0, ..., 0, 1) in cone of the lifted
+    generators (g, 1): multipliers are mu >= 0 with sum mu_i g_i = 0 and
+    sum mu_i = 1, and any generator carrying positive weight spans a line;
+    a separator (h, t) has t > 0 and h.g <= -t, so -h strictly supports
+    every generator.  Either answer is substitution-checked."""
+    lifted = [g + (_ONE,) for g in gens]
+    member = cone_membership(lifted, linalg.zeros(len(gens[0])) + (_ONE,))
+    if not member.member:
+        return None
+    return next(g for g, m in zip(gens, member.multipliers) if m > 0)
+
+
 def is_pointed(k: GeneratedCone) -> Pointedness:
     """Strict-support test: maximize s subject to h.g >= s over the box
-    -1 <= h_i <= 1.  A positive optimum certifies pointedness; otherwise a
-    nonzero vector v with v, -v in the cone is extracted exactly."""
+    -1 <= h_i <= 1.  A positive optimum gives the support h; otherwise the
+    line search must find a generator spanning a line of the cone."""
     d = k.dim
     gens = k.unique_generators()
     rows = []
@@ -171,28 +190,22 @@ def is_pointed(k: GeneratedCone) -> Pointedness:
         if any(dot(h, g) <= 0 for g in gens):
             raise InternalInvariantError("support vector fails substitution")
         return Pointedness(True, support=h)
-
-    # Not pointed: find mu >= 0 with sum mu_i g_i = 0 and sum mu_i = 1;
-    # any generator carrying positive weight spans a line of the cone.
-    lifted = [g + (_ONE,) for g in gens]
-    target = linalg.zeros(d) + (_ONE,)
-    member = cone_membership(lifted, target)
-    if not member.member:
+    witness = _line_through(gens)
+    if witness is None:
         raise InternalInvariantError("support LP and line search disagree")
-    witness = next(g for g, m in zip(gens, member.multipliers) if m > 0)
     return Pointedness(False, line_witness=witness)
 
 
 def extreme_rays(k: GeneratedCone) -> RaySet:
     """The extreme rays of cone(generators), each of which is a generator
-    up to positive scaling.  Requires a pointed cone; a cone containing a
-    line has no extreme-ray description and raises NotPointedError."""
-    pt = is_pointed(k)
-    if not pt.pointed:
-        raise NotPointedError(
-            "extreme rays are only defined for pointed cones",
-            line_witness=pt.line_witness)
+    up to positive scaling.  Requires a pointed cone, decided by the line
+    search alone (no support LP): a cone containing a line has no
+    extreme-ray description and raises NotPointedError."""
     gens = k.unique_generators()
+    line = _line_through(gens)
+    if line is not None:
+        raise NotPointedError(
+            "extreme rays are only defined for pointed cones", line_witness=line)
     rays = []
     for i, g in enumerate(gens):
         others = gens[:i] + gens[i + 1:]
@@ -240,18 +253,10 @@ def is_valid_for_closure(k: GeneratedCone, q: Inequality) -> ValidityCheck:
     member = cone_membership(gens, q.stacked())
     if member.member:
         return ValidityCheck(True, gens, multipliers=member.multipliers)
-    a, b = system.as_rows()
-    res = solve_lp(a, b, q.normal, "max")
-    if res.status is LpStatus.OPTIMAL:
-        witness = res.x
-    else:
-        feasible = solve_lp(a, b, linalg.zeros(k.n), "max").x
-        gain = dot(q.normal, res.certificate)
-        step = max(_ZERO, (q.rhs - dot(q.normal, feasible)) / gain) + 1
-        witness = linalg.add(feasible, linalg.scale(step, res.certificate))
-    if q.satisfied_by(witness) or not system.contains(witness):
+    imp = check_implication(system.inequalities, q)
+    if imp.implied:
         raise InternalInvariantError("invalidity witness fails substitution")
-    return ValidityCheck(False, gens, witness=witness)
+    return ValidityCheck(False, gens, witness=imp.witness)
 
 
 def fii_check(k: GeneratedCone, q: Inequality) -> FiiCheck:
@@ -285,7 +290,8 @@ def check_theorem1(k: GeneratedCone) -> Theorem1Report:
     (a) the closure rebuilt from the extreme rays alone is the same point
     set, and (b) pointedness holds, matching full dimension.  The rebuilt
     closure contains the full-dimensional one and both are canonical facet
-    lists, so (a) is list equality; the pointedness LP runs once."""
+    lists, so (a) is list equality; (b) is the line search inside
+    ``extreme_rays``, and no LP is solved."""
     ku, added = k.with_unit_last()
     closure = closure_of(ku)
     if dimension(closure) != k.n:

@@ -1,20 +1,15 @@
-"""Instance files: one small line-oriented format for every input kind.
+"""Instance files: one small line-oriented format for both input kinds.
 
 A document is a sequence of "key: value" lines; '#' starts a comment and
 blank lines are ignored.  The first line fixes the kind, then dimensions,
 then the payload rows in order:
 
-    kind: covering          kind: cone            kind: hrep
-    n: 2                    n: 2                  n: 2
-    m: 2                    G: -1 0 0             H: 1 1 <= 2
-    M: 1 2                  G: 0 -1 0             H: 1 0 >= 0
+    kind: covering          kind: cone
+    n: 2                    n: 2
+    m: 2                    G: -1 0 0
+    M: 1 2                  G: 0 -1 0
     M: 2 1                  G: 0 0 1
     d: 3 3
-
-    kind: vrep              kind: pointset
-    n: 2                    n: 2
-    V: 0 2                  P: 1 2
-    R: 1 0                  P: 0 2
 
 All numbers are decimal-free rational tokens "p" or "p/q".  Parse errors
 carry the offending line and column.
@@ -23,18 +18,14 @@ carry the offending line and column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .cone import GeneratedCone
 from .covering import CoveringInstance
 from .errors import ContractViolation, ParseError
 from . import linalg
-from .linalg import Vector, parse_vector
-from .polyhedron import HPolyhedron, VPolyhedron, parse_le_tokens
+from .linalg import parse_vector
 
-KINDS = ("covering", "cone", "hrep", "vrep", "pointset")
-
-Payload = Union[CoveringInstance, GeneratedCone, HPolyhedron, VPolyhedron, tuple[Vector, ...]]
+KINDS = ("covering", "cone")
 
 
 @dataclass(frozen=True)
@@ -42,7 +33,7 @@ class InstanceFile:
     kind: str
     n: int
     m: int | None
-    payload: Payload
+    payload: CoveringInstance | GeneratedCone
 
 
 def _directives(text: str):
@@ -105,7 +96,7 @@ def _expect_key(kind: str, key: str, allowed: tuple[str, ...], lineno: int) -> N
             lineno, 1)
 
 
-def _build(kind: str, n: int, m: int | None, rows) -> Payload:
+def _build(kind: str, n: int, m: int | None, rows) -> CoveringInstance | GeneratedCone:
     if kind == "covering":
         matrix_rows = []
         demand = None
@@ -129,38 +120,13 @@ def _build(kind: str, n: int, m: int | None, rows) -> Payload:
             raise ParseError(f"'d' needs {m} entries, found {len(d)}", dline, 1)
         return CoveringInstance(tuple(matrix_rows), d)
 
-    if kind == "cone":
-        gens = []
-        for lineno, key, value in rows:
-            _expect_key(kind, key, ("G",), lineno)
-            gens.append(parse_vector(value, n + 1, lineno))
-        if not gens:
-            raise ParseError("cone instance needs at least one 'G' line", 1, 1)
-        return GeneratedCone(tuple(gens))
-
-    if kind == "hrep":
-        ineqs = []
-        for lineno, key, value in rows:
-            _expect_key(kind, key, ("H",), lineno)
-            ineqs.append(parse_le_tokens(value, n, lineno))
-        return HPolyhedron(n, tuple(ineqs))
-
-    if kind == "vrep":
-        vertices = []
-        rays = []
-        for lineno, key, value in rows:
-            _expect_key(kind, key, ("V", "R"), lineno)
-            vec = parse_vector(value, n, lineno)
-            (vertices if key == "V" else rays).append(vec)
-        if not vertices and not rays:
-            raise ParseError("vrep instance needs at least one 'V' or 'R' line", 1, 1)
-        return VPolyhedron(n, tuple(vertices), tuple(rays))
-
-    points = []
+    gens = []
     for lineno, key, value in rows:
-        _expect_key(kind, key, ("P",), lineno)
-        points.append(parse_vector(value, n, lineno))
-    return tuple(points)
+        _expect_key(kind, key, ("G",), lineno)
+        gens.append(parse_vector(value, n + 1, lineno))
+    if not gens:
+        raise ParseError("cone instance needs at least one 'G' line", 1, 1)
+    return GeneratedCone(tuple(gens))
 
 
 def format_covering(q: CoveringInstance) -> str:

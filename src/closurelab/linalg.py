@@ -23,7 +23,6 @@ from typing import Iterable, Sequence, Union
 
 from .errors import ContractViolation, ParseError
 
-Rational = Fraction
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 IntRow = list[int]

@@ -7,8 +7,8 @@ and the cost row is integer numerators over one positive denominator.
 Both scales are positive, so Bland's sign tests and cross-multiplied
 ratio comparisons pick the same pivots the rational tableau would.
 Inputs, results and certificates are Fractions.  Every answer is exact
-and every non-optimal answer carries a certificate that verifies by
-substitution: a Farkas vector for infeasibility, an improving ray for
+and carries a certificate that verifies by substitution: optimal duals
+for an optimum, a Farkas vector for infeasibility, an improving ray for
 unboundedness.  Free variables are handled by the classic x = x+ - x-
 split.
 """
@@ -50,9 +50,11 @@ class LpStatus(Enum):
 class LpResult:
     """Outcome of solve_lp.
 
-    ``x`` is the exact optimal point when OPTIMAL.  ``certificate`` is a
-    Farkas vector y (y >= 0, yA = 0, yb < 0) when INFEASIBLE and an
-    improving recession ray when UNBOUNDED; both are primitive-scaled.
+    ``x`` is the exact optimal point when OPTIMAL.  ``certificate`` is
+    the optimal dual y (y >= 0, yA = obj, yb = obj.x, where obj is c for
+    max and -c for min) when OPTIMAL, a Farkas vector y (y >= 0, yA = 0,
+    yb < 0) when INFEASIBLE and an improving recession ray when
+    UNBOUNDED; the last two are primitive-scaled.
     """
 
     status: LpStatus
@@ -231,9 +233,14 @@ def solve_lp(a: Matrix, b: Vector, c: Vector, sense: str = "max") -> LpResult:
         if bad_dir or any(q > 0 for q in mat_vec(a, ray)):
             raise InternalInvariantError("unboundedness certificate fails substitution")
         return LpResult(LpStatus.UNBOUNDED, certificate=ray)
-    _, z, _ = outcome
+    _, z, duals = outcome
     x = tuple(z[j] - z[n + j] for j in range(n))
-    return LpResult(LpStatus.OPTIMAL, x=x, objective=dot(c, x))
+    y = tuple(-u for u in duals)
+    # vec_mat of no rows is (), not the zero vector of length n
+    ya = vec_mat(y, a) if a else zeros(n)
+    if any(q < 0 for q in y) or ya != tuple(obj) or dot(y, b) != dot(obj, x):
+        raise InternalInvariantError("optimality certificate fails substitution")
+    return LpResult(LpStatus.OPTIMAL, x=x, certificate=y, objective=dot(c, x))
 
 
 def cone_membership(generators: Sequence[Vector], target: Vector) -> ConeMembership:

@@ -41,9 +41,9 @@ from .errors import (
     ParseError,
 )
 from . import linalg
-from .linalg import (IntRow, Matrix, Vector, combine, dot, format_rational, format_vector,
+from .linalg import (IntRow, Vector, combine, dot, format_rational, format_vector,
                      int_dot, primitive, rational)
-from .lp import LpStatus, cone_membership, solve_lp
+from .lp import LpStatus, solve_lp
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -125,10 +125,6 @@ class HPolyhedron:
             if ineq.n != self.n:
                 raise ContractViolation(
                     f"inequality in R^{ineq.n} inside polyhedron in R^{self.n}")
-
-    def as_rows(self) -> tuple[Matrix, Vector]:
-        return (tuple(q.normal for q in self.inequalities),
-                tuple(q.rhs for q in self.inequalities))
 
     def contains(self, x: Vector) -> bool:
         linalg.check_dim(x, self.n, "point")
@@ -366,9 +362,13 @@ class Implication:
 
 
 def check_implication(system: Sequence[Inequality], target: Inequality) -> Implication:
-    """Does the system of inequalities force target?  Exact either way; the
-    system must be consistent (otherwise InconsistentSystemError carries a
-    Farkas certificate)."""
+    """Does the system of inequalities force target?  Decided by one LP,
+    max target.normal over the system, exact either way.  An optimum at
+    most rhs is implied: the LP's optimal duals are the multipliers and
+    slack = rhs - optimum.  An optimum above rhs is the violating point;
+    on an unbounded LP a feasible point (one more LP) stepped along the
+    improving ray is.  The system must be consistent (otherwise
+    InconsistentSystemError carries the LP's Farkas certificate)."""
     system = tuple(system)
     n = target.n
     for q in system:
@@ -376,22 +376,18 @@ def check_implication(system: Sequence[Inequality], target: Inequality) -> Impli
             raise ContractViolation("system/target dimension mismatch")
     a = tuple(q.normal for q in system)
     b = tuple(q.rhs for q in system)
-    feas = solve_lp(a, b, linalg.zeros(n), "max")
-    if feas.status is LpStatus.INFEASIBLE:
-        raise InconsistentSystemError(
-            "implication requires a consistent system", certificate=feas.certificate)
-
-    unit_last = linalg.zeros(n) + (_ONE,)
-    member = cone_membership([q.stacked() for q in system] + [unit_last], target.stacked())
-    if member.member:
-        mult = member.multipliers
-        return Implication(True, multipliers=mult[:-1], slack=mult[-1])
-
     res = solve_lp(a, b, target.normal, "max")
+    if res.status is LpStatus.INFEASIBLE:
+        raise InconsistentSystemError(
+            "implication requires a consistent system", certificate=res.certificate)
+    if res.status is LpStatus.OPTIMAL and res.objective <= target.rhs:
+        return Implication(True, multipliers=res.certificate,
+                           slack=target.rhs - res.objective)
+
     if res.status is LpStatus.OPTIMAL:
         witness = res.x
     else:
-        x0 = feas.x
+        x0 = solve_lp(a, b, linalg.zeros(n), "max").x
         ray = res.certificate
         gain = dot(target.normal, ray)
         step = max(_ZERO, (target.rhs - dot(target.normal, x0)) / gain) + 1
@@ -512,16 +508,3 @@ def parse_inequality(text: str, n: int) -> Inequality:
     if op == ">=":
         return Inequality(linalg.neg(tuple(coeffs)), -rhs)
     return Inequality(tuple(coeffs), rhs)
-
-
-def parse_le_tokens(text: str, n: int, line: int = 0) -> Inequality:
-    """Parse the file token form 'a1 ... an <= b' or 'a1 ... an >= b'."""
-    for op in ("<=", ">="):
-        if op in text:
-            left, _, right = text.partition(op)
-            normal = linalg.parse_vector(left, n, line)
-            rhs = rational(right.strip())
-            if op == ">=":
-                return Inequality(linalg.neg(normal), -rhs)
-            return Inequality(normal, rhs)
-    raise ParseError("inequality line needs '<=' or '>='", line, 1)

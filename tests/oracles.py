@@ -4,8 +4,9 @@ the routines the library runs on integer rows (simplex, rank, double
 description), the LP-pruned V-to-H conversion that v_to_h replaces, the
 LP-decided cut attribution that classify_cuts replaces, the LP
 emptiness, dimension and redundancy tests that the homogenized double
-description replaces, and the Fourier-Motzkin elimination that
-projection through the generators replaces."""
+description replaces, the Fourier-Motzkin elimination that
+projection through the generators replaces, and the three-solve
+implication test that check_implication's single LP replaces."""
 
 from __future__ import annotations
 
@@ -17,12 +18,12 @@ from unittest import mock
 
 from closurelab import linalg, lp
 from closurelab.aggregation import HULL_FACET, SIGN, ClosureApprox, CutClass, _is_sign_constraint
-from closurelab.errors import InternalInvariantError
+from closurelab.errors import InconsistentSystemError, InternalInvariantError
 from closurelab.linalg import Matrix, Vector, combine, dot, is_zero, mat_vec, primitive, zeros
 from closurelab.lp import LpStatus, solve_lp
-from closurelab.polyhedron import (HPolyhedron, Inequality, VPolyhedron, check_implication,
-                                   dd_cone, empty_hpolyhedron, is_facet_defining,
-                                   sorted_unique)
+from closurelab.polyhedron import (HPolyhedron, Implication, Inequality, VPolyhedron,
+                                   check_implication, dd_cone, empty_hpolyhedron,
+                                   is_facet_defining, sorted_unique)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -158,9 +159,14 @@ def lp_v_to_h(p: VPolyhedron) -> HPolyhedron:
 # HPolyhedron.is_empty, polyhedron.dimension and polyhedron.remove_redundant)
 
 
+def _rows(p: HPolyhedron) -> tuple[Matrix, Vector]:
+    return (tuple(q.normal for q in p.inequalities),
+            tuple(q.rhs for q in p.inequalities))
+
+
 def lp_is_empty(p: HPolyhedron) -> bool:
     """Infeasibility of the system, by one LP."""
-    a, b = p.as_rows()
+    a, b = _rows(p)
     return solve_lp(a, b, zeros(p.n), "max").status is LpStatus.INFEASIBLE
 
 
@@ -169,7 +175,7 @@ def lp_dimension(p: HPolyhedron) -> int:
     (min normal.x reaches rhs); -1 when empty."""
     if lp_is_empty(p):
         return -1
-    a, b = p.as_rows()
+    a, b = _rows(p)
     tight_rows = []
     for q in p.inequalities:
         res = solve_lp(a, b, q.normal, "min")
@@ -238,6 +244,42 @@ def fm_project(p: HPolyhedron, keep: Sequence[int]) -> HPolyhedron:
             continue
         out.append(Inequality(normal, q.rhs))
     return lp_remove_redundant(HPolyhedron(len(keep), sorted_unique(out)))
+
+
+# ---------------------------------------------------------------------------
+# implication by three solves (the reference for polyhedron.check_implication)
+
+
+def three_solve_implication(system: Sequence[Inequality], target: Inequality) -> Implication:
+    """A feasibility LP, cone membership of target.stacked() in the cone of
+    the stacked rows plus (0, ..., 0, 1), and, when not a member, the LP
+    max target.normal for a violating point (stepped along the improving
+    ray from the feasibility LP's point when unbounded)."""
+    system = tuple(system)
+    n = target.n
+    a = tuple(q.normal for q in system)
+    b = tuple(q.rhs for q in system)
+    feas = solve_lp(a, b, zeros(n), "max")
+    if feas.status is LpStatus.INFEASIBLE:
+        raise InconsistentSystemError(
+            "implication requires a consistent system", certificate=feas.certificate)
+
+    unit_last = zeros(n) + (_ONE,)
+    member = lp.cone_membership([q.stacked() for q in system] + [unit_last], target.stacked())
+    if member.member:
+        mult = member.multipliers
+        return Implication(True, multipliers=mult[:-1], slack=mult[-1])
+
+    res = solve_lp(a, b, target.normal, "max")
+    if res.status is LpStatus.OPTIMAL:
+        witness = res.x
+    else:
+        gain = dot(target.normal, res.certificate)
+        step = max(_ZERO, (target.rhs - dot(target.normal, feas.x)) / gain) + 1
+        witness = linalg.add(feas.x, linalg.scale(step, res.certificate))
+    if target.satisfied_by(witness) or not all(q.satisfied_by(witness) for q in system):
+        raise InternalInvariantError("witness fails substitution check")
+    return Implication(False, witness=witness)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ from closurelab import cli, cone as cone_module, covering, polyhedron
 from closurelab.cli import main
 from closurelab.errors import ParseError
 from closurelab.lp import ConeMembership, LpResult, LpStatus
-from closurelab.io import parse_instance
+from closurelab.io import format_cone, parse_instance
 from closurelab.covering import CoveringInstance
-from closurelab.cone import GeneratedCone, Pointedness
-from closurelab.polyhedron import HPolyhedron, VPolyhedron
+from closurelab.cone import GeneratedCone
+from closurelab.verify import random_pointed_cones
 
 COVERING = """\
 kind: covering
@@ -82,13 +82,12 @@ def write(tmp_path, name, text):
 def test_parse_instance_kinds():
     assert isinstance(parse_instance(COVERING).payload, CoveringInstance)
     assert isinstance(parse_instance(CONE).payload, GeneratedCone)
-    hp = parse_instance("kind: hrep\nn: 2\nH: 1 1 <= 2\nH: 1 0 >= 0\n")
-    assert isinstance(hp.payload, HPolyhedron)
-    assert len(hp.payload.inequalities) == 2
-    vp = parse_instance("kind: vrep\nn: 2\nV: 0 2\nR: 1 0\n")
-    assert isinstance(vp.payload, VPolyhedron)
-    ps = parse_instance("kind: pointset\nn: 2\nP: 1 2\nP: 0 2\n")
-    assert len(ps.payload) == 2
+    # no command reads the H-, V- or point-set kinds, so the format has none
+    for text in ("kind: hrep\nn: 2\nH: 1 1 <= 2\nH: 1 0 >= 0\n",
+                 "kind: vrep\nn: 2\nV: 0 2\nR: 1 0\n",
+                 "kind: pointset\nn: 2\nP: 1 2\nP: 0 2\n"):
+        with pytest.raises(ParseError):
+            parse_instance(text)
 
 
 def test_parse_errors_carry_position():
@@ -365,31 +364,65 @@ def test_fii_exits_5_when_invalidity_witness_fails(monkeypatch, capsys):
 
 
 def test_verify_exits_5_when_implication_witness_fails(monkeypatch, capsys):
-    monkeypatch.setattr(polyhedron, "cone_membership", _returning(NOT_A_MEMBER))
+    # every implication LP reports the origin as an optimum above any rhs,
+    # so the first "violating point" fails its substitution check
+    real = polyhedron.solve_lp
+
+    def above_rhs(a, b, c, sense="max"):
+        res = real(a, b, c, sense)
+        if res.status is not LpStatus.OPTIMAL or not any(c):
+            return res
+        return LpResult(LpStatus.OPTIMAL, x=(F(0),) * len(c), objective=F(10**9))
+
+    monkeypatch.setattr(polyhedron, "solve_lp", above_rhs)
     _assert_internal_exit(["verify", "covering", "--seed", "1"],
                           "witness fails substitution check", capsys)
 
 
 def test_theorem1_runs_the_pointedness_lp_once(monkeypatch, capsys):
+    # pointedness is the line search alone: one search and no LP
     calls = []
-    real = cone_module.is_pointed
+    real = cone_module._line_through
 
-    def counted(k):
-        calls.append(k)
-        return real(k)
+    def counted(gens):
+        calls.append(gens)
+        return real(gens)
 
-    monkeypatch.setattr(cone_module, "is_pointed", counted)
+    def no_lp(*args, **kwargs):
+        raise AssertionError("theorem1 solved an LP")
+
+    monkeypatch.setattr(cone_module, "_line_through", counted)
+    monkeypatch.setattr(cone_module, "solve_lp", no_lp)
+    monkeypatch.setattr(polyhedron, "solve_lp", no_lp)
     code, out, _ = run_cli(["cone", UNIT_SQUARE, "theorem1"], capsys)
     assert code == 0 and "result: PASS" in out
     assert len(calls) == 1
 
 
+def test_theorem1_and_rays_solve_no_lp(monkeypatch, capsys, tmp_path):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("solve_lp called")
+
+    # the two modules that import solve_lp and that cone commands reach
+    monkeypatch.setattr(cone_module, "solve_lp", no_lp)
+    monkeypatch.setattr(polyhedron, "solve_lp", no_lp)
+    paths = [str(p) for p in sorted(INSTANCES.glob("*_cone.txt"))]
+    paths.append(write(tmp_path, "line.txt", LINE_CONE))
+    for i, k in enumerate(random_pointed_cones(seed=4, count=12)):
+        paths.append(write(tmp_path, f"pointed{i}.txt", format_cone(k)))
+    for path in paths:
+        code, _, _ = run_cli(["cone", path, "rays"], capsys)
+        assert code == (4 if path.endswith("line.txt") else 0)
+        if not path.endswith("line.txt"):
+            code, out, _ = run_cli(["cone", path, "theorem1"], capsys)
+            assert code == 0 and "result: PASS" in out
+
+
 def test_theorem1_reports_a_line_and_exits_5(monkeypatch, capsys):
     # a full-dimensional closure with a non-pointed cone contradicts
-    # Theorem 1, so only a broken pointedness test reaches this report
+    # Theorem 1, so only a broken line search reaches this report
     witness = (F(1), F(0), F(0))
-    monkeypatch.setattr(cone_module, "is_pointed",
-                        _returning(Pointedness(False, line_witness=witness)))
+    monkeypatch.setattr(cone_module, "_line_through", _returning(witness))
     code, out, _ = run_cli(["cone", UNIT_SQUARE, "theorem1"], capsys)
     assert code == 5
     assert "result: FAIL\npointed: false\nextreme-rays: 0\n" in out

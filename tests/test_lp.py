@@ -144,5 +144,29 @@ def test_certificate_audit_random():
             r = res.certificate
             assert linalg.dot(c, r) > 0
             assert all(linalg.dot(row, r) <= 0 for row in a)
+        else:
+            assert_optimal_duals(a, b, c, res)
     # the generator hits all three statuses at this seed
     assert all(count > 0 for count in seen.values())
+
+
+def assert_optimal_duals(a, b, obj, res):
+    """y >= 0, yA = obj and y.b = obj.x, with obj = c for max, -c for min."""
+    y = res.certificate
+    assert len(y) == len(a)
+    assert all(q >= 0 for q in y)
+    assert (linalg.vec_mat(y, a) if a else linalg.zeros(len(obj))) == obj
+    assert linalg.dot(y, b) == linalg.dot(obj, res.x)
+
+
+def test_optimal_duals_min_sense_and_no_rows():
+    # min x1 + x2 over x1 >= 1, x2 >= 2, x1 + x2 >= 1 (the last row is slack)
+    a = (V([-1, 0]), V([0, -1]), V([-1, -1]))
+    res = solve_lp(a, V([-1, -2, -1]), V([1, 1]), "min")
+    assert res.status is LpStatus.OPTIMAL and res.objective == 3
+    assert res.certificate == V([1, 1, 0])
+    assert_optimal_duals(a, V([-1, -2, -1]), V([-1, -1]), res)
+
+    res = solve_lp((), (), V([0, 0]), "max")
+    assert res.status is LpStatus.OPTIMAL
+    assert res.x == V([0, 0]) and res.certificate == () and res.objective == 0

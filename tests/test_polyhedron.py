@@ -29,7 +29,6 @@ from closurelab.polyhedron import (
     ineq,
     is_facet_defining,
     parse_inequality,
-    parse_le_tokens,
     remove_redundant,
     same_point_set,
     sorted_unique,
@@ -38,7 +37,7 @@ from closurelab.polyhedron import (
 
 from oracles import (brute_force_vertices, dd_rows_zero_normal_skip, fm_project,
                      lp_dimension, lp_is_empty, lp_remove_redundant, lp_v_to_h,
-                     point_has_extension, rational_grid)
+                     point_has_extension, rational_grid, three_solve_implication)
 
 V = linalg.vector
 
@@ -390,6 +389,78 @@ def test_check_implication_rejects_inconsistent_system():
     assert err.value.certificate is not None
 
 
+@st.composite
+def implication_cases(draw):
+    """A system from h_polyhedra and a target that is either a nonnegative
+    combination of its rows plus slack (implied when consistent), a row
+    with its rhs lowered, or random."""
+    p = draw(h_polyhedra())
+    n, rows = p.n, p.inequalities
+    kind = draw(st.sampled_from(("combination", "tightened", "random")))
+    if kind == "combination" and rows:
+        stacked = linalg.zeros(n) + (draw(st.sampled_from((0, 0, 1))),)
+        for q in rows:
+            stacked = linalg.add(stacked, linalg.scale(draw(st.integers(0, 2)), q.stacked()))
+    elif kind == "tightened" and rows:
+        q = draw(st.sampled_from(rows))
+        stacked = q.normal + (q.rhs - draw(st.sampled_from((F(1, 2), F(1)))),)
+    else:
+        stacked = tuple(draw(st.lists(small, min_size=n + 1, max_size=n + 1)))
+    normal, rhs = stacked[:-1], stacked[-1]
+    if linalg.is_zero(normal):
+        rhs = abs(rhs)
+    return rows, Inequality(normal, rhs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(implication_cases())
+@example(((ineq([1, 2], 4), ineq([1, 0], 2)), ineq([1, 1], 3)))
+@example(((ineq([1], 1),), ineq([1], 0)))
+@example(((ineq([1, 0], 0),), ineq([0, 1], 0)))
+@example(((ineq([1], -1), ineq([-1], 0)), ineq([1], 5)))
+@example(((), ineq([0, 0], 0)))
+def test_check_implication_matches_three_solve_reference(case):
+    system, target = case
+    try:
+        want = three_solve_implication(system, target)
+    except InconsistentSystemError as err:
+        with pytest.raises(InconsistentSystemError) as got:
+            check_implication(system, target)
+        assert got.value.certificate == err.certificate
+        return
+    got = check_implication(system, target)
+    assert got.implied == want.implied
+    assert got.witness == want.witness
+    if got.implied:
+        assert all(y >= 0 for y in got.multipliers) and got.slack >= 0
+        rebuilt = linalg.zeros(target.n) + (got.slack,)
+        for y, q in zip(got.multipliers, system, strict=True):
+            rebuilt = linalg.add(rebuilt, linalg.scale(y, q.stacked()))
+        assert rebuilt == target.stacked()
+
+
+def test_check_implication_solves_one_lp_unless_unbounded(monkeypatch):
+    calls = []
+    real = polyhedron.solve_lp
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polyhedron, "solve_lp", counted)
+    for system, target, solves in (
+            ((ineq([1, 2], 4), ineq([1, 0], 2)), ineq([1, 1], 3), 1),  # implied
+            ((ineq([1], 1),), ineq([1], 0), 1),                        # optimum violates
+            ((ineq([1], -1), ineq([-1], 0)), ineq([1], 5), 1),         # inconsistent
+            ((ineq([1, 0], 0),), ineq([0, 1], 0), 2)):                 # unbounded
+        calls.clear()
+        try:
+            check_implication(system, target)
+        except InconsistentSystemError:
+            pass
+        assert len(calls) == solves
+
+
 def test_dimension_examples():
     assert dimension(SQUARE) == 2
     assert dimension(HPolyhedron(2, (ineq([1, 0], 0), ineq([-1, 0], 0)))) == 1
@@ -558,7 +629,6 @@ def test_projection_of_flat_polyhedron_solves_no_lp(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(polyhedron, "solve_lp", no_lp)
-        m.setattr(polyhedron, "cone_membership", no_lp)
         out = fourier_motzkin_project(FLAT_SEGMENT, [0, 1])
     assert same_point_set(out, fm_project(FLAT_SEGMENT, [0, 1]))
 
@@ -578,8 +648,6 @@ def test_formatting_and_parsing():
     assert parse_inequality("2 x2 + x1 <= 4", 2) == q
     assert parse_inequality("x1 + 2 x2 >= 3", 2) == ge([1, 2], 3)
     assert parse_inequality("1/2 x1 - x2 <= -1/3", 2) == ineq([F(1, 2), -1], F(-1, 3))
-    assert parse_le_tokens("1 2 <= 4", 2) == q
-    assert parse_le_tokens("1 2 >= 3", 2) == ge([1, 2], 3)
 
 
 def test_parse_errors():
@@ -587,8 +655,6 @@ def test_parse_errors():
         parse_inequality("x1 + x2", 2)
     with pytest.raises(ParseError):
         parse_inequality("x3 <= 1", 2)
-    with pytest.raises(ParseError):
-        parse_le_tokens("1 0.5 <= 1", 2)
 
 
 def test_sorted_unique_canonicalizes():
