@@ -246,14 +246,15 @@ def is_valid_for_closure(k: GeneratedCone, q: Inequality) -> ValidityCheck:
         raise ContractViolation("inequality/cone dimension mismatch")
     ku, _ = k.with_unit_last()
     rows = _closure_rows(ku)
-    system = empty_hpolyhedron(k.n) if rows is None else HPolyhedron(k.n, tuple(rows))
-    if system.is_empty:
+    # sorted_unique rows, as in closure_of, so the cached DD is reused;
+    # the LP below keeps generator order, which fixes its witness
+    if rows is None or HPolyhedron(k.n, sorted_unique(rows)).is_empty:
         raise EmptyClosureError("validity over an empty closure is undefined")
     gens = ku.unique_generators()
     member = cone_membership(gens, q.stacked())
     if member.member:
         return ValidityCheck(True, gens, multipliers=member.multipliers)
-    imp = check_implication(system.inequalities, q)
+    imp = check_implication(rows, q)
     if imp.implied:
         raise InternalInvariantError("invalidity witness fails substitution")
     return ValidityCheck(False, gens, witness=imp.witness)

@@ -190,56 +190,62 @@ def dd_cone(rows: Sequence[Vector], dim: int) -> tuple[tuple[Vector, ...], tuple
     """Minimal generators (lines, rays) of {y in R^dim : r.y <= 0 for all r}.
 
     Incremental double description: start from all of R^dim as a lineality
-    basis, fold constraints in one at a time, and keep a ray exactly when
-    the processed rows tight at it have rank dim - #lines - 1 (the exact
-    rank test for extremality modulo the lineality space).  Rows, lines
-    and rays are primitive integer rows throughout (rays as tuples, so
-    they can be deduplicated); the generators come back as Fraction
-    vectors.
+    basis and fold the nonzero rows in one at a time.  Each ray keeps its
+    zero set as an int bitmask: bit k is set when the ray is tight at the
+    k-th nonzero row.  A row that hits a line turns that line into a ray
+    and projects the other rays onto the row's hyperplane.  Otherwise the
+    rays on the row's feasible side stay, and a (negative, positive) pair
+    makes a new ray exactly when the two are adjacent, decided from zero
+    sets alone (Fukuda & Prodon 1996, Prop. 7): their common zero set has
+    at least dim - #lines - 2 rows, and no other ray's zero set contains
+    it.  The containment test needs the ray list to be exactly the
+    extreme rays, one per class modulo the lineality space; each step
+    keeps that invariant, so no ray is repeated and no rank is taken.
+    Rows, lines and rays are primitive integer rows throughout; the
+    generators come back as Fraction vectors.
     """
     lines: list[IntRow] = [[int(i == j) for i in range(dim)] for j in range(dim)]
-    rays: list[tuple[int, ...]] = []
-    processed: list[IntRow] = []
+    rays: list[IntRow] = []
+    zs: list[int] = []  # zs[i]: the zero set of rays[i]
+    bit = 1
 
     for raw in rows:
         row = linalg.int_row(raw)
         if not any(row):
             continue
-        processed.append(row)
         vals = [int_dot(row, l) for l in lines]
         hit = next((j for j in range(len(lines)) if vals[j]), None)
         if hit is not None:
-            # star: the hit line oriented so that row.star = -d < 0
+            # star: the hit line oriented so that row.star = -d < 0; it is
+            # tight at every earlier row, and every projected ray at this one
             d = abs(vals[hit])
             star = lines[hit] if vals[hit] < 0 else [-a for a in lines[hit]]
             lines = [_line_canonical(combine(d, l, -vals[j], star))
                      for j, l in enumerate(lines) if j != hit]
-            rays = _dedupe([combine(d, r, -int_dot(row, r), star) for r in rays] + [star])
-            continue
-
-        zero, posi, negi = [], [], []
-        for r in rays:
-            v = int_dot(row, r)
-            (zero if v == 0 else posi if v > 0 else negi).append((r, v))
-        candidates = [r for r, _ in zero] + [r for r, _ in negi]
-        for rn, vn in negi:
-            for rp, vp in posi:
-                w = combine(vp, rn, vn, rp)
-                if any(w):
-                    candidates.append(w)
-        target = dim - len(lines) - 1
-        rays = [
-            r for r in _dedupe(candidates)
-            if linalg.rank([q for q in processed if int_dot(q, r) == 0]) == target
-        ]
+            rays = [combine(d, r, -int_dot(row, r), star) for r in rays] + [star]
+            zs = [z | bit for z in zs] + [bit - 1]
+        else:
+            zero, posi, negi = [], [], []
+            for i, r in enumerate(rays):
+                v = int_dot(row, r)
+                (zero if v == 0 else posi if v > 0 else negi).append((i, v))
+            need = dim - len(lines) - 2
+            new_rays = [rays[i] for i, _ in zero + negi]
+            new_zs = [zs[i] | bit for i, _ in zero] + [zs[i] for i, _ in negi]
+            for i, vn in negi:
+                for j, vp in posi:
+                    # a positive combination is tight exactly where both are
+                    common = zs[i] & zs[j]
+                    if common.bit_count() < need or any(
+                            z & common == common for t, z in enumerate(zs) if t != i and t != j):
+                        continue
+                    new_rays.append(combine(vp, rays[i], vn, rays[j]))
+                    new_zs.append(common | bit)
+            rays, zs = new_rays, new_zs
+        bit <<= 1
 
     return (tuple(tuple(map(Fraction, l)) for l in sorted(lines)),
             tuple(tuple(map(Fraction, r)) for r in sorted(rays)))
-
-
-def _dedupe(rows: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
-    """The distinct rows as tuples, in first-seen order."""
-    return list(dict.fromkeys(map(tuple, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +312,7 @@ def v_to_h(p: VPolyhedron) -> HPolyhedron:
         q = Inequality(g[:-1], g[-1])
         out.extend((q, q.flipped()))
     # Already canonical and distinct, so sorting is all that is left: every
-    # DD generator is a primitive integer row, dd_cone deduplicates rays, and
+    # DD generator is a primitive integer row, dd_cone repeats no ray, and
     # a ray that is +-a line lies in the lines' span and was skipped above.
     return HPolyhedron(p.n, tuple(sorted(out, key=Inequality.canonical_stacked)))
 

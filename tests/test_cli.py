@@ -399,6 +399,23 @@ def test_theorem1_runs_the_pointedness_lp_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_fii_runs_one_double_description(monkeypatch, capsys):
+    # closure_of, dimension and the emptiness test of is_valid_for_closure
+    # all read the one cached DD of the sorted closure rows
+    calls = []
+    real = polyhedron.dd_cone
+
+    def counted(rows, dim):
+        calls.append(rows)
+        return real(rows, dim)
+
+    polyhedron._homogenized_dd.cache_clear()
+    monkeypatch.setattr(polyhedron, "dd_cone", counted)
+    code, out, _ = run_cli(["cone", UNIT_SQUARE, "fii", "x1 <= 1"], capsys)
+    assert code == 0 and "result: FII" in out
+    assert len(calls) == 1
+
+
 def test_theorem1_and_rays_solve_no_lp(monkeypatch, capsys, tmp_path):
     def no_lp(*args, **kwargs):
         raise AssertionError("solve_lp called")

@@ -122,6 +122,44 @@ def test_rank_matches_fraction_rank(args):
     assert linalg.rank(ints) == fraction_rank(rows)
 
 
+@st.composite
+def degenerate_row_lists(draw):
+    """A few base rows plus repeats, negations, positive multiples and sums
+    of them, shuffled: many rays tight at one row set, flat cones and
+    duplicated rows, where the adjacency test leans on its invariant."""
+    dim = draw(st.integers(1, 5))
+    # small integer rows meet in many common zeros
+    small = st.lists(st.integers(-2, 2).map(F), min_size=dim, max_size=dim).map(tuple)
+    rows = draw(st.lists(st.one_of(vectors(dim), small), min_size=2, max_size=6))
+    for _ in range(draw(st.integers(1, 6))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        rows.append(draw(st.sampled_from((
+            a, linalg.neg(a), linalg.scale(draw(st.integers(2, 3)), a), linalg.add(a, b)))))
+    return dim, draw(st.permutations(rows))
+
+
+# homogenized square pyramid {(x, t) : a.x <= b.t, t >= 0} in R^4: the apex
+# ray (1, 1, 2, 2) is tight at all four side rows, and the four base rays at
+# the base row -z <= 0
+PYRAMID = (4, [V([0, -2, 1, 0]), V([-2, 0, 1, 0]), V([0, 2, 1, -2]), V([2, 0, 1, -2]),
+               V([0, 0, -1, 0]), V([0, 0, 0, -1])])
+# a row and its negation after two line steps: the cone is flat
+FLAT = (3, [V([-1, 0, 0]), V([1, 1, 0]), V([-1, -1, 0]), V([0, 0, -1])])
+# the first row is a line step, its repeat an ordinary step
+REPEAT_AFTER_LINE = (3, [V([1, 1, 0]), V([0, -1, 1]), V([1, 1, 0]), V([0, 0, -1])])
+# the homogenized unit cube, its bottom row given twice, cut by x + y <= 1:
+# the bottom diagonal's ends share two rows, as many as an edge needs, but
+# the other bottom vertices contain that zero set, so they are not adjacent
+CUT_CUBE = (4, [V([1, 0, 0, -1]), V([-1, 0, 0, 0]), V([0, 1, 0, -1]), V([0, -1, 0, 0]),
+                V([0, 0, 1, -1]), V([0, 0, -1, 0]), V([0, 0, -2, 0]), V([0, 0, 0, -1]),
+                V([1, 1, 0, -1])])
+
+# a ray tight at a row keeps that row in its zero set: the last row pairs
+# two rays that were both tight at (2, 0, 0, 0) before it came
+TIGHT_BEFORE = (4, [V([2, 1, 0, 0]), V([1, 0, 0, 1]), V([2, 0, 0, 0]), V([0, 0, 0, -1]),
+                    V([-1, 2, 0, 1])])
+
+
 @PROPERTY
 @given(row_lists(max_dim=4))
 @example((3, []))
@@ -132,6 +170,31 @@ def test_dd_cone_matches_fraction_reference(args):
     got = dd_cone(rows, dim)
     assert got == fraction_dd_cone(rows, dim)
     assert _all_fractions(*got[0], *got[1])
+
+
+@settings(PROPERTY, max_examples=500)
+@given(degenerate_row_lists())
+@example(PYRAMID)
+@example(FLAT)
+@example(REPEAT_AFTER_LINE)
+@example(CUT_CUBE)
+@example(TIGHT_BEFORE)
+def test_dd_cone_matches_fraction_reference_on_degenerate_rows(args):
+    dim, rows = args
+    assert dd_cone(rows, dim) == fraction_dd_cone(rows, dim)
+
+
+def test_dd_cone_takes_no_rank(monkeypatch):
+    # adjacency is decided from zero sets alone
+    def no_rank(rows):
+        raise AssertionError("dd_cone called linalg.rank")
+
+    cases = [PYRAMID, FLAT, REPEAT_AFTER_LINE, CUT_CUBE, TIGHT_BEFORE]
+    want = [fraction_dd_cone(rows, dim) for dim, rows in cases]
+    monkeypatch.setattr(linalg, "rank", no_rank)
+    assert [dd_cone(rows, dim) for dim, rows in cases] == want
+    # the square pyramid has one apex and four base vertices
+    assert len(want[0][1]) == 5 and V([1, 1, 2, 2]) in want[0][1]
 
 
 def test_int_row_and_combine():
