@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import ContractViolation
@@ -120,18 +121,18 @@ def multiplier_rows(m: int, density: int) -> tuple[Vector, ...]:
     denominator at most density."""
     if m < 1 or density < 1:
         raise ContractViolation("m and density must be at least 1")
-    rows: dict[Vector, None] = {}
+    rows: list[Vector] = []
 
     def build(prefix: list[int], remaining: int, slots: int) -> None:
         if slots == 0:
-            if any(prefix):
-                rows.setdefault(primitive(linalg.vector(prefix)), None)
+            if gcd(*prefix) == 1:  # primitive; also excludes the zero row
+                rows.append(linalg.vector(prefix))
             return
         for v in range(remaining + 1):
             build(prefix + [v], remaining - v, slots - 1)
 
-    build([], density, m)
-    return tuple(sorted(rows))
+    build([], density, m)  # yields rows in lexicographic order
+    return tuple(rows)
 
 
 def sample_multipliers(m: int, k: int, density: int) -> tuple[AggregationSample, ...]:

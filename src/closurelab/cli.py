@@ -10,7 +10,8 @@ work counters, so identical runs stay byte-identical.
 
 Exit codes: 0 ok, 2 usage, parse or file I/O failure, 3 closure not
 stabilized, 4 hypothesis violation (non-pointed, non-full-dimensional,
-empty closure, invalid inequality), 5 internal invariant failure.
+empty closure, invalid inequality), 5 internal invariant failure.  A
+library failure takes its code from its error type's ``exit_code``.
 """
 
 from __future__ import annotations
@@ -30,13 +31,7 @@ from .cone import (
     is_pointed,
 )
 from .covering import minimal_integer_points
-from .errors import (
-    ClosureLabError,
-    HypothesisViolation,
-    InternalInvariantError,
-    InvalidInequalityError,
-    ParseError,
-)
+from .errors import ClosureLabError, ParseError
 from . import __version__, linalg
 from .io import InstanceFile, parse_instance
 from .polyhedron import format_ge, format_le, parse_inequality
@@ -45,7 +40,6 @@ from .verify import SUITES, run_suite
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NOT_STABILIZED = 3
-EXIT_HYPOTHESIS = 4
 EXIT_INTERNAL = 5
 
 CONE_SUBCOMMANDS = ("rays", "pointed", "closure", "theorem1", "fii")
@@ -258,23 +252,13 @@ def main(argv=None) -> int:
         parser.error("--k and --density must be at least 1")
     try:
         text, code = args.run(args)
-    except InvalidInequalityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.witness is not None:
-            print(f"violating point: {linalg.format_vector(exc.witness)}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except HypothesisViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        witness = getattr(exc, "line_witness", None)
-        if witness is not None:
-            print(f"line witness: {linalg.format_vector(witness)}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except InternalInvariantError as exc:
-        print(f"internal invariant failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except ClosureLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        for label, attr in (("violating point", "witness"), ("line witness", "line_witness")):
+            point = getattr(exc, attr, None)
+            if point is not None:
+                print(f"{label}: {linalg.format_vector(point)}", file=sys.stderr)
+        return exc.exit_code
 
     sys.stdout.write(text)
     if args.out:

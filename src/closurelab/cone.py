@@ -9,7 +9,8 @@ decides extreme rays (against the remaining generators), validity, and
 pointedness: (0, ..., 0, 1) lies in the cone of the lifted generators
 (g, 1) exactly when the cone contains a line.  ``is_pointed`` also
 solves a strict-support LP over a box, because it reports the support;
-``extreme_rays`` and ``check_theorem1`` solve no LP.  A violating point
+``extreme_rays`` and ``check_theorem1`` call no ``solve_lp`` (their
+cone-membership tests are LPs of their own).  A violating point
 for an invalid inequality comes from ``check_implication``.
 
 For a finite family the conical hull is closed, so each extreme ray is
@@ -292,7 +293,8 @@ def check_theorem1(k: GeneratedCone) -> Theorem1Report:
     set, and (b) pointedness holds, matching full dimension.  The rebuilt
     closure contains the full-dimensional one and both are canonical facet
     lists, so (a) is list equality; (b) is the line search inside
-    ``extreme_rays``, and no LP is solved."""
+    ``extreme_rays``, and ``solve_lp`` is never called (only
+    ``lp.cone_membership``)."""
     ku, added = k.with_unit_last()
     closure = closure_of(ku)
     if dimension(closure) != k.n:

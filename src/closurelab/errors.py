@@ -4,7 +4,12 @@ from __future__ import annotations
 
 
 class ClosureLabError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.  ``exit_code`` and ``prefix`` are
+    the CLI's exit code and stderr prefix for the type; subclasses inherit
+    them unless they override."""
+
+    exit_code = 2
+    prefix = "error"
 
 
 class ContractViolation(ClosureLabError):
@@ -35,6 +40,8 @@ class InconsistentSystemError(ClosureLabError):
 class HypothesisViolation(ClosureLabError):
     """An operation's mathematical hypothesis fails on the given input."""
 
+    exit_code = 4
+
 
 class NotPointedError(HypothesisViolation):
     """Cone contains a line; carries a nonzero vector v with v and -v in it."""
@@ -55,6 +62,8 @@ class EmptyClosureError(HypothesisViolation):
 class InvalidInequalityError(ClosureLabError):
     """Inequality claimed valid is violated; carries a violating point."""
 
+    exit_code = 4
+
     def __init__(self, message: str, witness=None):
         super().__init__(message)
         self.witness = witness
@@ -62,3 +71,6 @@ class InvalidInequalityError(ClosureLabError):
 
 class InternalInvariantError(ClosureLabError):
     """An internal exactness invariant failed; indicates a bug, not bad input."""
+
+    exit_code = 5
+    prefix = "internal invariant failure"

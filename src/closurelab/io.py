@@ -69,16 +69,16 @@ def parse_instance(text: str) -> InstanceFile:
                          lineno, 7)
     kind = value
 
-    n = None
-    m = None
+    sizes: dict[str, int] = {}
     rows: list[tuple[int, str, str]] = []
     for lineno, key, value in items[1:]:
-        if key == "n":
-            n = _int_field(value, "n", lineno)
-        elif key == "m":
-            m = _int_field(value, "m", lineno)
+        if key == "n" or (key == "m" and kind == "covering"):
+            if key in sizes:
+                raise ParseError(f"repeated {key!r} line", lineno, 1)
+            sizes[key] = _int_field(value, key, lineno)
         else:
             rows.append((lineno, key, value))
+    n, m = sizes.get("n"), sizes.get("m")
     if n is None:
         raise ParseError("missing 'n' directive", items[-1][0], 1)
 
@@ -86,7 +86,7 @@ def parse_instance(text: str) -> InstanceFile:
         payload = _build(kind, n, m, rows)
     except ContractViolation as exc:
         raise ParseError(str(exc), rows[0][0] if rows else items[-1][0], 1)
-    return InstanceFile(kind, n, m if kind == "covering" else None, payload)
+    return InstanceFile(kind, n, m, payload)
 
 
 def _expect_key(kind: str, key: str, allowed: tuple[str, ...], lineno: int) -> None:
@@ -104,6 +104,8 @@ def _build(kind: str, n: int, m: int | None, rows) -> CoveringInstance | Generat
             _expect_key(kind, key, ("M", "d"), lineno)
             if key == "M":
                 matrix_rows.append(parse_vector(value, n, lineno))
+            elif demand is not None:
+                raise ParseError("repeated 'd' line", lineno, 1)
             else:
                 demand = (parse_vector(value, None, lineno), lineno)
         if m is None:

@@ -32,6 +32,7 @@ from .linalg import (
     is_zero,
     mat_vec,
     primitive,
+    transpose,
     vec_mat,
     zeros,
 )
@@ -196,9 +197,8 @@ def _simplex_standard(rows: Matrix, rhs: Vector, costs: Vector):
 def _check_farkas_standard(rows: Matrix, rhs: Vector, u: Vector) -> None:
     if dot(u, rhs) <= 0:
         raise InternalInvariantError("Farkas certificate has nonpositive value")
-    for j in range(len(rows[0]) if rows else 0):
-        if sum((u[i] * rows[i][j] for i in range(len(rows))), _ZERO) > 0:
-            raise InternalInvariantError("Farkas certificate fails column check")
+    if any(q > 0 for q in vec_mat(u, rows)):
+        raise InternalInvariantError("Farkas certificate fails column check")
 
 
 def solve_lp(a: Matrix, b: Vector, c: Vector, sense: str = "max") -> LpResult:
@@ -257,15 +257,10 @@ def cone_membership(generators: Sequence[Vector], target: Vector) -> ConeMembers
             return ConeMembership(True, multipliers=())
         return ConeMembership(False, separator=primitive(target))
 
-    rows = tuple(tuple(g[i] for g in generators) for i in range(d))
-    outcome = _simplex_standard(rows, target, zeros(len(generators)))
+    outcome = _simplex_standard(transpose(generators), target, zeros(len(generators)))
     if outcome[0] == "optimal":
         mult = outcome[1]
-        recombined = tuple(
-            sum((mult[j] * generators[j][i] for j in range(len(generators))), _ZERO)
-            for i in range(d)
-        )
-        if recombined != tuple(target):
+        if vec_mat(mult, generators) != tuple(target):
             raise InternalInvariantError("membership multipliers fail to reproduce target")
         return ConeMembership(True, multipliers=mult)
     h = primitive(outcome[1])

@@ -497,14 +497,17 @@ def parse_inequality(text: str, n: int) -> Inequality:
     coeffs = [_ZERO] * n
     pos = 0
     lhs_stripped = lhs.strip()
-    if lhs_stripped == "0":
-        pass
-    else:
+    if not lhs_stripped:
+        raise ParseError("inequality needs a left-hand side (write '0' for none)", column=1)
+    if lhs_stripped != "0":
         while pos < len(lhs_stripped):
             m = _TERM.match(lhs_stripped, pos)
             if not m:
                 raise ParseError(f"cannot read term at {lhs_stripped[pos:]!r}", column=pos + 1)
             sign, coeff_text, var = m.groups()
+            if pos and not sign:
+                raise ParseError(f"expected '+' or '-' before {lhs_stripped[pos:]!r}",
+                                 column=pos + 1)
             idx = int(var) - 1
             if not 0 <= idx < n:
                 raise ParseError(f"variable x{var} out of range for n={n}", column=pos + 1)

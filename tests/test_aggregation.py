@@ -4,6 +4,7 @@ classification, and projection commutation."""
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -65,6 +66,14 @@ def test_multiplier_rows_are_primitive_denominator_grid():
         V((a, b)) for a in range(9) for b in range(9)
         if 1 <= a + b <= 8 and gcd(a, b) == 1)
     assert list(rows) == expected
+    # by definition: the primitive form of every nonzero nonnegative
+    # integer row of total at most density, once each, in sorted order
+    for m in range(1, 6):
+        for density in range(1, 9 if m < 5 else 6):
+            grid = product(range(density + 1), repeat=m)
+            expected = sorted({linalg.primitive(V(row)) for row in grid
+                               if 1 <= sum(row) <= density})
+            assert list(multiplier_rows(m, density)) == expected, (m, density)
 
 
 def test_aggregate_selects_row():

@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -10,9 +11,18 @@ from pathlib import Path
 
 import pytest
 
-from closurelab import cli, cone as cone_module, covering, polyhedron
+from closurelab import cli, cone as cone_module, covering, errors, polyhedron
 from closurelab.cli import main
-from closurelab.errors import ParseError
+from closurelab.errors import (
+    ContractViolation,
+    EmptyClosureError,
+    InconsistentSystemError,
+    InternalInvariantError,
+    InvalidInequalityError,
+    NotFullDimensionalError,
+    NotPointedError,
+    ParseError,
+)
 from closurelab.lp import ConeMembership, LpResult, LpStatus
 from closurelab.io import format_cone, parse_instance
 from closurelab.covering import CoveringInstance
@@ -104,6 +114,32 @@ def test_parse_errors_carry_position():
         parse_instance("kind: covering\nn: 2\nm: 2\nM: 1 2\nd: 3 3\n")
     with pytest.raises(ParseError):  # generator width must be n+1
         parse_instance("kind: cone\nn: 2\nG: 1 0\n")
+
+
+def test_parse_instance_rejects_repeated_sizes_and_cone_m():
+    cases = [
+        ("kind: covering\nn: 2\nm: 1\nM: 1 1\nd: 3\nd: 5\n", 6, "repeated 'd' line"),
+        ("kind: covering\nn: 2\nn: 3\nm: 1\nM: 1 1\nd: 3\n", 3, "repeated 'n' line"),
+        ("kind: covering\nn: 2\nm: 1\nm: 1\nM: 1 1\nd: 3\n", 4, "repeated 'm' line"),
+        ("kind: cone\nn: 2\nm: 1\nG: 1 0 1\n", 3, "kind 'cone' does not accept 'm' lines"),
+    ]
+    for text, line, message in cases:
+        with pytest.raises(ParseError, match=message) as err:
+            parse_instance(text)
+        assert (err.value.line, err.value.column) == (line, 1)
+
+
+def test_repeated_demand_line_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "cov.txt", COVERING + "d: 5\n")
+    code, out, err = run_cli(["hull", path], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: line 6, column 1: repeated 'd' line\n"
+
+
+def test_fii_with_juxtaposed_terms_exits_2(capsys):
+    code, out, err = run_cli(["cone", UNIT_SQUARE, "fii", "x1 x2 <= 1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: expected '+' or '-' before 'x2'\n"
 
 
 def test_hull_command(tmp_path, capsys):
@@ -446,3 +482,42 @@ def test_theorem1_reports_a_line_and_exits_5(monkeypatch, capsys):
     assert "rebuilt-closure-equal: false\n" in out
     assert ("detail: full-dimensional closure but cone contains the line "
             "through 1 0 0\n") in out
+
+
+LIBRARY_FAILURES = [
+    (ParseError("bad token", 3, 4), 2, "error: line 3, column 4: bad token\n"),
+    (ContractViolation("dimension mismatch"), 2, "error: dimension mismatch\n"),
+    (InconsistentSystemError("system is infeasible", certificate=(F(1),)), 2,
+     "error: system is infeasible\n"),
+    (NotPointedError("cone contains a line", line_witness=(F(1), F(-1, 2), F(0))), 4,
+     "error: cone contains a line\nline witness: 1 -1/2 0\n"),
+    (NotFullDimensionalError("closure is flat"), 4, "error: closure is flat\n"),
+    (EmptyClosureError("closure is empty"), 4, "error: closure is empty\n"),
+    (InvalidInequalityError("inequality is violated", witness=(F(1, 2), F(2))), 4,
+     "error: inequality is violated\nviolating point: 1/2 2\n"),
+    (InternalInvariantError("certificate fails substitution"), 5,
+     "internal invariant failure: certificate fails substitution\n"),
+]
+
+
+@pytest.mark.parametrize("exc, code, err", LIBRARY_FAILURES,
+                         ids=[type(exc).__name__ for exc, _, _ in LIBRARY_FAILURES])
+def test_library_failure_exit_codes_and_stderr(exc, code, err, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "_load", fail)
+    assert run_cli(["hull", str(INSTANCES / "single_row.txt")], capsys) == (code, "", err)
+
+
+def test_every_error_type_has_a_documented_exit_code():
+    readme = (INSTANCES.parent / "README.md").read_text(encoding="utf-8")
+    paragraph = readme[readme.index("Exit codes:"):].split("\n\n", 1)[0]
+    documented = {int(c) for c in re.findall(r"`(\d)`", paragraph)}
+    assert documented == {0, 2, 3, 4, 5}
+    types = [t for t in vars(errors).values()
+             if isinstance(t, type) and issubclass(t, errors.ClosureLabError)]
+    assert len(types) == 10
+    for t in types:
+        assert t.exit_code in {2, 4, 5} & documented, t
+        assert t.prefix == ("internal invariant failure" if t.exit_code == 5 else "error"), t

@@ -657,6 +657,22 @@ def test_parse_errors():
         parse_inequality("x3 <= 1", 2)
 
 
+def test_parse_inequality_rejects_juxtaposed_terms_and_empty_left_side():
+    with pytest.raises(ParseError, match="or '-' before 'x2'") as err:
+        parse_inequality("x1 x2 <= 1", 2)
+    assert err.value.column == 4
+    with pytest.raises(ParseError, match="before '2 x2'"):
+        parse_inequality("x1 2 x2 >= 1", 2)
+    with pytest.raises(ParseError, match="left-hand side") as err:
+        parse_inequality(" <= 1", 2)
+    assert err.value.column == 1
+    # the explicit zero left side, the pinned CLI form and the README form
+    assert parse_inequality("0 <= 1", 2) == ineq([0, 0], 1)
+    assert parse_inequality("- 2 x1 + 1 x3 <= 4", 3) == ineq([-2, 0, 1], 4)
+    assert parse_inequality("x2 <= 7/2", 2) == ineq([0, 1], F(7, 2))
+    assert parse_inequality("x1+x2 >= 1", 2) == ge([1, 1], 1)
+
+
 def test_sorted_unique_canonicalizes():
     out = sorted_unique([ineq([2, 4], 8), ineq([1, 2], 4), ineq([0, 1], 1)])
     assert out == (ineq([0, 1], 1), ineq([1, 2], 4))
