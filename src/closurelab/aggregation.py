@@ -11,23 +11,31 @@ the true closure that contains the instance's integer hull; doubling the
 density and observing no change is reported as ``stabilized``, which is
 evidence of exactness but not a proof, and single-row instances are exact
 at any density because every aggregation rescales the one row.
+
+Aggregation runs on integer rows: [M | d] times one common denominator
+(never row by row, since the multipliers weight the rows as given), each
+aggregated row an integer combination reduced to lowest terms.
+``closure_approx`` caches each aggregated instance and its hull by those
+rows, and makes the Fraction ``CoveringInstance`` only for a new one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import ContractViolation
 from . import linalg
-from .linalg import Vector, primitive
+from .linalg import Vector, int_dot, primitive
 from .covering import CoveringInstance, integer_hull
 from .polyhedron import (
     HPolyhedron,
     Inequality,
+    IntRows,
     format_ge,
     fourier_motzkin_project,
     remove_redundant,
@@ -35,7 +43,6 @@ from .polyhedron import (
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 SIGN = "SIGN"
 HULL_FACET = "HULL_FACET"
@@ -149,30 +156,46 @@ def sample_multipliers(m: int, k: int, density: int) -> tuple[AggregationSample,
     return tuple(AggregationSample(combo) for combo in combinations(rows, size))
 
 
+def _aggregated_rows(q: CoveringInstance, samples: Iterable[AggregationSample]):
+    """Each sample with its rows lambda^j [M | d] as primitive integer rows.
+    [M | d] is scaled by one common denominator of all its entries: each
+    row made primitive on its own would reweight the rows, and so change
+    what a multiplier aggregates."""
+    stacked = [row + (di,) for row, di in zip(q.M, q.d)]
+    common = reduce(lcm, (a.denominator for row in stacked for a in row), 1)
+    columns = list(zip(*([a.numerator * (common // a.denominator) for a in row]
+                         for row in stacked)))
+    for sample in samples:
+        rows = []
+        for lam in sample.multipliers:
+            linalg.check_dim(lam, q.m, "multiplier row")
+            weights = [a.numerator for a in lam]  # a primitive row is integral
+            rows.append(tuple(linalg.lowest_terms([int_dot(weights, c) for c in columns])))
+        yield sample, tuple(rows)
+
+
+def _instance(rows: IntRows) -> CoveringInstance:
+    return CoveringInstance(tuple(r[:-1] for r in rows), tuple(r[-1] for r in rows))
+
+
 def aggregate(q: CoveringInstance, sample: AggregationSample) -> CoveringInstance:
     """The k-row covering instance with rows lambda^j M >= lambda^j d, each
     row reduced to canonical primitive form."""
-    rows = []
-    demand = []
-    for lam in sample.multipliers:
-        linalg.check_dim(lam, q.m, "multiplier row")
-        row = linalg.vec_mat(lam, q.M)
-        rhs = linalg.dot(lam, q.d)
-        stacked = primitive(row + (rhs,))
-        rows.append(stacked[:-1])
-        demand.append(stacked[-1])
-    return CoveringInstance(tuple(rows), tuple(demand))
+    [(_, rows)] = _aggregated_rows(q, [sample])
+    return _instance(rows)
 
 
 def _hulls_for(q: CoveringInstance, samples: Sequence[AggregationSample],
-               built: dict[CoveringInstance, HPolyhedron]) -> list[AggregatedHull]:
-    """The samples' aggregated hulls; ``built`` caches them by instance."""
+               built: dict[IntRows, tuple[CoveringInstance, HPolyhedron]]
+               ) -> list[AggregatedHull]:
+    """The samples' aggregated hulls; ``built`` caches each aggregated
+    instance and its hull by the instance's integer rows."""
     out = []
-    for sample in samples:
-        agg = aggregate(q, sample)
-        if agg not in built:
-            built[agg] = integer_hull(agg)
-        out.append(AggregatedHull(sample, agg, built[agg]))
+    for sample, rows in _aggregated_rows(q, samples):
+        if rows not in built:
+            agg = _instance(rows)
+            built[rows] = (agg, integer_hull(agg))
+        out.append(AggregatedHull(sample, *built[rows]))
     return out
 
 
@@ -190,7 +213,7 @@ def closure_approx(q: CoveringInstance, k: int, density: int) -> ClosureApprox:
     contain q's integer hull, so they are compared as facet lists: no LP."""
     if k < 1 or density < 1:
         raise ContractViolation("k and density must be at least 1")
-    built: dict[CoveringInstance, HPolyhedron] = {}
+    built: dict[IntRows, tuple[CoveringInstance, HPolyhedron]] = {}
     hulls = _hulls_for(q, sample_multipliers(q.m, k, density), built)
     poly = _intersect(q.n, hulls)
     doubled = _intersect(q.n, _hulls_for(q, sample_multipliers(q.m, k, 2 * density), built))

@@ -18,24 +18,29 @@ minimal exactly when every predecessor x' - e_j with x'_j > 0 either
 fails a row with last coefficient 0 or has a larger t: in an
 upward-closed set a point is minimal exactly when no single unit step
 down stays feasible.  With t stored per prefix, that is an O(n) test.
+
+The box, the scan and ``MinimalPointSet``'s checks run on ints: each row
+of [M | d] scaled to its primitive integer form (a positive scale keeps
+the feasible set), and the points as int tuples.  ``hull()`` hands the
+points and unit rays to the double description as integer rows.
+Fractions are made only for ``CoveringInstance`` data and
+``MinimalPointSet.points``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import ceil
 from operator import le, mul
 from typing import Iterable, Sequence
 
 from .errors import ContractViolation
 from . import linalg
-from .linalg import Matrix, Vector, primitive
-from .polyhedron import HPolyhedron, Inequality, VPolyhedron, v_to_h
+from .linalg import Matrix, Vector
+from .polyhedron import HPolyhedron, Inequality, _v_to_h_rows
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -96,31 +101,53 @@ class MinimalPointSet:
     feasible integer point; lexicographically sorted."""
 
     points: tuple[Vector, ...]
+    # the points as int tuples, in the same order; hull() reads these
+    _ints: tuple[tuple[int, ...], ...] = field(default=(), init=False, repr=False,
+                                               compare=False)
 
     def __post_init__(self):
-        pts = tuple(sorted(linalg.vector(p) for p in self.points))
-        for p in pts:
-            if any(a.denominator != 1 or a < 0 for a in p):
-                raise ContractViolation(f"minimal points live in N^n, got {p}")
+        ints = [_natural(p) for p in self.points]
+        if None in ints:
+            bad = min(linalg.vector(p) for p, i in zip(self.points, ints) if i is None)
+            raise ContractViolation(f"minimal points live in N^n, got {bad}")
+        ints.sort()
         # A point that dominates another sorts before it, and a later point
         # can only dominate an earlier one by being equal to it, so one
         # direction of the test catches every comparable pair.
-        ints = [tuple(a.numerator for a in p) for p in pts]
         for i, low in enumerate(ints):
-            for q, high in zip(pts[i + 1:], ints[i + 1:]):
+            for high in ints[i + 1:]:
                 if all(map(le, low, high)):
                     raise ContractViolation(
-                        f"not an antichain: {pts[i]} and {q} are comparable")
-        object.__setattr__(self, "points", pts)
+                        f"not an antichain: {_fractions(low)} and {_fractions(high)} "
+                        "are comparable")
+        object.__setattr__(self, "points", tuple(map(_fractions, ints)))
+        object.__setattr__(self, "_ints", tuple(ints))
 
     def hull(self) -> HPolyhedron:
         """Irredundant H-representation of conv(points) + R^n_+; for the
         minimal points of a covering instance this is its integer hull."""
-        if not self.points:
+        if not self._ints:
             raise ContractViolation("the hull of an empty point set is undefined")
-        n = len(self.points[0])
-        rays = tuple(linalg.unit(n, j) for j in range(n))
-        return v_to_h(VPolyhedron(n, self.points, rays))
+        n = len(self._ints[0])
+        rows = [p + (-1,) for p in self._ints]
+        rows.extend(tuple(int(i == j) for i in range(n + 1)) for j in range(n))
+        return _v_to_h_rows(n, rows)
+
+
+def _natural(p: Sequence) -> tuple[int, ...] | None:
+    """p as a tuple of ints when every entry is a nonnegative integer."""
+    if all(type(a) is int for a in p):
+        ints = tuple(p)
+    else:
+        v = linalg.vector(p)
+        if any(a.denominator != 1 for a in v):
+            return None
+        ints = tuple(a.numerator for a in v)
+    return ints if all(a >= 0 for a in ints) else None
+
+
+def _fractions(p: tuple[int, ...]) -> Vector:
+    return tuple(map(Fraction, p))
 
 
 def dominates(low, high) -> bool:
@@ -128,27 +155,34 @@ def dominates(low, high) -> bool:
     return all(a <= b for a, b in zip(low, high))
 
 
-def enumeration_box(q: CoveringInstance) -> tuple[int, ...]:
-    """The exact per-coordinate bounds B_j; every minimal integer point
-    satisfies x_j <= B_j."""
-    bounds = []
-    for j in range(q.n):
-        best = 0
-        for i in range(q.m):
-            if q.M[i][j] > 0:
-                best = max(best, ceil(q.d[i] / q.M[i][j]))
-        bounds.append(best)
+CoveringRows = list[tuple[tuple[int, ...], int]]
+
+
+def _integer_rows(q: CoveringInstance) -> CoveringRows:
+    # Positive rescaling of each row keeps the feasible set; integer rows
+    # let the box and the prefix scan run in plain int arithmetic.
+    rows = []
+    for row, di in zip(q.M, q.d):
+        *ints, rhs = linalg.int_row(row + (di,))
+        rows.append((tuple(ints), rhs))
+    return rows
+
+
+def _box(rows: CoveringRows) -> tuple[int, ...]:
+    bounds = [0] * len(rows[0][0])
+    for row, rhs in rows:
+        for j, a in enumerate(row):
+            if a > 0:
+                need = -(-rhs // a)  # ceil(rhs / a)
+                if need > bounds[j]:
+                    bounds[j] = need
     return tuple(bounds)
 
 
-def _integer_rows(q: CoveringInstance) -> list[tuple[tuple[int, ...], int]]:
-    # Positive rescaling of each row keeps the feasible set; integer rows
-    # let the prefix scan run in plain int arithmetic.
-    rows = []
-    for row, di in zip(q.M, q.d):
-        stacked = primitive(row + (di,))
-        rows.append((tuple(int(a) for a in stacked[:-1]), int(stacked[-1])))
-    return rows
+def enumeration_box(q: CoveringInstance) -> tuple[int, ...]:
+    """The exact per-coordinate bounds B_j; every minimal integer point
+    satisfies x_j <= B_j."""
+    return _box(_integer_rows(q))
 
 
 def minimal_integer_points(q: CoveringInstance) -> MinimalPointSet:
@@ -160,7 +194,7 @@ def minimal_integer_points(q: CoveringInstance) -> MinimalPointSet:
     comparison per predecessor: (x', t(x')) is kept when every x' - e_j
     with x'_j > 0 stores a larger value."""
     rows = _integer_rows(q)
-    *prefix_box, last_bound = enumeration_box(q)
+    *prefix_box, last_bound = _box(rows)
     fixed = [(row[:-1], rhs) for row, rhs in rows if row[-1] == 0]
     lifting = [(row[:-1], row[-1], rhs) for row, rhs in rows if row[-1] > 0]
     blocked = last_bound + 1

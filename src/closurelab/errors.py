@@ -25,6 +25,8 @@ class ParseError(ClosureLabError):
         self.column = column
         if line:
             message = f"line {line}, column {column}: {message}"
+        elif column:
+            message = f"column {column}: {message}"
         super().__init__(message)
 
 

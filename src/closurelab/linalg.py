@@ -6,10 +6,13 @@ arbitrary precision, always in lowest terms with positive denominator, no
 rounding anywhere.  Vectors are tuples of Fractions and matrices are
 tuples of row vectors; both are immutable, so all operations are pure
 functions.  Inside, the simplex (``lp``), ``rank`` and double description
-(``polyhedron.dd_cone``) work on primitive integer rows (``int_row``) and
-eliminate fraction-free with ``p*a - f*b`` over the row gcd (``combine``).
-A positive scale changes no sign test or ratio comparison, so they make
-the decisions the Fraction code would, and return Fractions.
+(``polyhedron.dd_cone``) work on primitive integer rows (``int_row``,
+``lowest_terms``) and eliminate fraction-free with ``p*a - f*b`` over the
+row gcd (``combine``).  A positive scale changes no sign test or ratio
+comparison, so they make the decisions the Fraction code would.  The hull
+pipeline (aggregation, the covering scan, the double description and the
+facet rows of ``v_to_h``) stays in integer rows from end to end; Fractions
+are made only where a value leaves it through the API.
 """
 
 from __future__ import annotations
@@ -157,18 +160,21 @@ def int_row(v: Sequence[Fraction | int]) -> IntRow:
     """The primitive integer row c*v for the unique rational c > 0 (the
     zero row for a zero input).  Accepts ints, whose denominator is 1."""
     common = reduce(lcm, (a.denominator for a in v), 1)
-    ints = [a.numerator * (common // a.denominator) for a in v]
-    g = reduce(gcd, ints, 0)
-    return [a // g for a in ints] if g > 1 else ints
+    return lowest_terms([a.numerator * (common // a.denominator) for a in v])
+
+
+def lowest_terms(row: IntRow) -> IntRow:
+    """The integer row divided by the gcd of its entries; a row already in
+    lowest terms, or zero, is returned as it is."""
+    g = reduce(gcd, row, 0)
+    return [a // g for a in row] if g > 1 else row
 
 
 def combine(p: int, a: Sequence[int], f: int, b: Sequence[int]) -> IntRow:
     """p*a - f*b divided by the gcd of its entries: a positive multiple of
     p*a - f*b in lowest terms.  With p = b[j] and f = a[j] it clears
     column j of a against the pivot row b."""
-    out = [p * x - f * y for x, y in zip(a, b)]
-    g = reduce(gcd, out, 0)
-    return [x // g for x in out] if g > 1 else out
+    return lowest_terms([p * x - f * y for x, y in zip(a, b)])
 
 
 def int_dot(u: Sequence[int], v: Sequence[int]) -> int:

@@ -9,6 +9,13 @@ half-spaces, ``VPolyhedron`` is conv(vertices) + cone(rays); conversion
 both ways runs the double description method on the homogenization,
 entirely in exact arithmetic.  Empty polyhedra are ordinary values.
 
+``dd_cone`` takes and returns primitive integer rows.  Fractions are made
+only for the values handed out: the Fraction data of an ``Inequality``,
+``HPolyhedron`` or ``VPolyhedron``.  An inequality compares, hashes and
+sorts by its primitive integer row, which ``v_to_h`` attaches from the
+DD row it was read from, so a facet's canonical form is never derived
+twice.
+
 One cached double description of the homogenization gives an
 H-polyhedron's emptiness, dimension and vertices, and the facets of a
 full-dimensional one.  Projection restricts those vertices and rays to
@@ -62,8 +69,10 @@ class Inequality:
 
     normal: Vector
     rhs: Fraction
-    # primitive(stacked()), filled on first use: identity, hashing and
-    # sorting all go through it.
+    # The primitive integer row of stacked(), filled on first use or by the
+    # double description that made the row: identity, hashing and sorting
+    # all go through it.  _canonical is the same row in Fractions.
+    _row: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
     _canonical: Vector | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -81,14 +90,23 @@ class Inequality:
         """The (normal, rhs) vector in Q^(n+1)."""
         return self.normal + (self.rhs,)
 
+    def _primitive_row(self) -> tuple[int, ...]:
+        if self._row is None:
+            object.__setattr__(self, "_row", tuple(linalg.int_row(self.stacked())))
+        return self._row
+
     def canonical_stacked(self) -> Vector:
         if self._canonical is None:
-            object.__setattr__(self, "_canonical", primitive(self.stacked()))
+            object.__setattr__(self, "_canonical", tuple(map(Fraction, self._primitive_row())))
         return self._canonical
 
     def canonical(self) -> "Inequality":
-        v = self.canonical_stacked()
-        return Inequality(v[:-1], v[-1])
+        """The inequality scaled to its canonical form; itself when it
+        already is."""
+        row = self._primitive_row()
+        if self.rhs == row[-1] and self.normal == row[:-1]:
+            return self
+        return _from_row(row)
 
     def flipped(self) -> "Inequality":
         """The reverse inequality -normal.x <= -rhs (for equality pairs)."""
@@ -103,10 +121,10 @@ class Inequality:
     def __eq__(self, other):
         if not isinstance(other, Inequality):
             return NotImplemented
-        return self.canonical_stacked() == other.canonical_stacked()
+        return self._primitive_row() == other._primitive_row()
 
     def __hash__(self):
-        return hash(self.canonical_stacked())
+        return hash(self._primitive_row())
 
     def __repr__(self):
         return f"Inequality({format_le(self)!r})"
@@ -158,6 +176,14 @@ class VPolyhedron:
         return not self.vertices and not self.rays
 
 
+def _from_row(row: tuple[int, ...]) -> Inequality:
+    """row[:-1].x <= row[-1] for a primitive integer row, which is its own
+    canonical form."""
+    q = Inequality(tuple(map(Fraction, row[:-1])), Fraction(row[-1]))
+    object.__setattr__(q, "_row", row)
+    return q
+
+
 def ineq(normal: Iterable, rhs) -> Inequality:
     return Inequality(linalg.vector(normal), rational(rhs))
 
@@ -171,8 +197,8 @@ def sorted_unique(ineqs: Iterable[Inequality]) -> tuple[Inequality, ...]:
     """Canonical forms, deduplicated, lexicographically sorted."""
     seen = {}
     for q in ineqs:
-        seen.setdefault(q.canonical_stacked(), q.canonical())
-    return tuple(seen[k] for k in sorted(seen))
+        seen.setdefault(q._primitive_row(), q)
+    return tuple(seen[k].canonical() for k in sorted(seen))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +212,10 @@ def _line_canonical(v: IntRow) -> IntRow:
     return [-a for a in v] if lead < 0 else v
 
 
-def dd_cone(rows: Sequence[Vector], dim: int) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
+IntRows = tuple[tuple[int, ...], ...]
+
+
+def dd_cone(rows: Sequence[Sequence[int]], dim: int) -> tuple[IntRows, IntRows]:
     """Minimal generators (lines, rays) of {y in R^dim : r.y <= 0 for all r}.
 
     Incremental double description: start from all of R^dim as a lineality
@@ -201,16 +230,15 @@ def dd_cone(rows: Sequence[Vector], dim: int) -> tuple[tuple[Vector, ...], tuple
     it.  The containment test needs the ray list to be exactly the
     extreme rays, one per class modulo the lineality space; each step
     keeps that invariant, so no ray is repeated and no rank is taken.
-    Rows, lines and rays are primitive integer rows throughout; the
-    generators come back as Fraction vectors.
+    Rows come in, and lines and rays go out, as primitive integer rows, in
+    lexicographic order; callers convert at their own boundary.
     """
     lines: list[IntRow] = [[int(i == j) for i in range(dim)] for j in range(dim)]
     rays: list[IntRow] = []
     zs: list[int] = []  # zs[i]: the zero set of rays[i]
     bit = 1
 
-    for raw in rows:
-        row = linalg.int_row(raw)
+    for row in rows:
         if not any(row):
             continue
         vals = [int_dot(row, l) for l in lines]
@@ -244,8 +272,7 @@ def dd_cone(rows: Sequence[Vector], dim: int) -> tuple[tuple[Vector, ...], tuple
             rays, zs = new_rays, new_zs
         bit <<= 1
 
-    return (tuple(tuple(map(Fraction, l)) for l in sorted(lines)),
-            tuple(tuple(map(Fraction, r)) for r in sorted(rays)))
+    return tuple(map(tuple, sorted(lines))), tuple(map(tuple, sorted(rays)))
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +282,22 @@ def dd_cone(rows: Sequence[Vector], dim: int) -> tuple[tuple[Vector, ...], tuple
 # Bounded so a long-lived process does not keep every polyhedron it has
 # seen; a whole perfbench pool (about 100 jobs) stays below 400 entries.
 @lru_cache(maxsize=1024)
-def _homogenized_dd(p: HPolyhedron) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
+def _homogenized_dd(p: HPolyhedron) -> tuple[IntRows, IntRows]:
     """dd_cone of the homogenization {(x, t) : normal.x - rhs.t <= 0, t >= 0}.
     The row -t <= 0 forces t = 0 on every line, so p is empty exactly when
     no ray has t > 0, and otherwise dim p is the generators' rank minus 1."""
-    rows = [q.normal + (-q.rhs,) for q in p.inequalities]
-    rows.append(linalg.zeros(p.n) + (-_ONE,))
+    rows = [_homogenized_row(q) for q in p.inequalities]
+    rows.append((0,) * p.n + (-1,))
     lines, rays = dd_cone(rows, p.n + 1)
     if any(l[-1] != 0 for l in lines):
         raise InternalInvariantError("homogenization admits a line with t != 0")
     return lines, rays
+
+
+def _homogenized_row(q: Inequality) -> tuple[int, ...]:
+    """The primitive integer row (normal, -rhs)."""
+    *normal, rhs = q._primitive_row()
+    return (*normal, -rhs)
 
 
 def h_to_v(p: HPolyhedron) -> VPolyhedron:
@@ -274,14 +307,15 @@ def h_to_v(p: HPolyhedron) -> VPolyhedron:
     if p.n < 1:
         raise ContractViolation("ambient dimension must be at least 1")
     lines, rays = _homogenized_dd(p)
-    vertices = [tuple(a / r[-1] for a in r[:-1]) for r in rays if r[-1] > 0]
+    vertices = {tuple(Fraction(a, r[-1]) for a in r[:-1]) for r in rays if r[-1] > 0}
     if not vertices:
         return VPolyhedron(p.n, (), ())
-    directions = [primitive(r[:-1]) for r in rays if r[-1] == 0]
+    # a primitive generator with t = 0 is primitive on x alone
+    directions = {r[:-1] for r in rays if r[-1] == 0}
     for l in lines:
-        directions.append(primitive(l[:-1]))
-        directions.append(primitive(linalg.neg(l[:-1])))
-    return VPolyhedron(p.n, tuple(sorted(set(vertices))), tuple(sorted(set(directions))))
+        directions.update((l[:-1], tuple(-a for a in l[:-1])))
+    return VPolyhedron(p.n, tuple(sorted(vertices)),
+                       tuple(tuple(map(Fraction, d)) for d in sorted(directions)))
 
 
 def v_to_h(p: VPolyhedron) -> HPolyhedron:
@@ -301,20 +335,25 @@ def v_to_h(p: VPolyhedron) -> HPolyhedron:
         raise ContractViolation("V-representation needs at least one vertex or ray")
     if not vertices:
         vertices = (linalg.zeros(p.n),)
-    rows = [v + (-_ONE,) for v in vertices]
-    rows.extend(r + (_ZERO,) for r in p.rays)
-    lines, rays = dd_cone(rows, p.n + 1)
+    rows = [linalg.int_row(v + (-_ONE,)) for v in vertices]
+    rows.extend(linalg.int_row(r + (_ZERO,)) for r in p.rays)
+    return _v_to_h_rows(p.n, rows)
 
-    line_normals = [g[:-1] for g in lines]
-    out = [Inequality(g[:-1], g[-1]) for g in rays
-           if linalg.rank(line_normals + [g[:-1]]) > len(lines)]
-    for g in lines:
-        q = Inequality(g[:-1], g[-1])
-        out.extend((q, q.flipped()))
-    # Already canonical and distinct, so sorting is all that is left: every
-    # DD generator is a primitive integer row, dd_cone repeats no ray, and
-    # a ray that is +-a line lies in the lines' span and was skipped above.
-    return HPolyhedron(p.n, tuple(sorted(out, key=Inequality.canonical_stacked)))
+
+def _v_to_h_rows(n: int, rows: Sequence[Sequence[int]]) -> HPolyhedron:
+    """v_to_h given the polar cone's rows: (v, -1) for each vertex and
+    (r, 0) for each ray, as integer rows."""
+    lines, rays = dd_cone(rows, n + 1)
+    if lines:
+        normals = [g[:-1] for g in lines]
+        rays = [g for g in rays if linalg.rank(normals + [g[:-1]]) > len(lines)]
+    else:
+        rays = [g for g in rays if any(g[:-1])]
+    out = [*rays, *lines, *(tuple(-a for a in g) for g in lines)]
+    # Every DD generator is a primitive integer row, so each row is its
+    # facet's canonical form; dd_cone repeats no ray, and a ray that is
+    # +-a line lies in the lines' span and was skipped above.
+    return HPolyhedron(n, tuple(map(_from_row, sorted(out))))
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +371,10 @@ def remove_redundant(p: HPolyhedron) -> HPolyhedron:
         return p
     if dimension(p) == p.n:
         lines, rays = _homogenized_dd(p)
-        rays = [linalg.int_row(g) for g in rays]
         last = {q: i for i, q in enumerate(p.inequalities)}
 
         def is_facet(q: Inequality) -> bool:
-            row = linalg.int_row(q.normal + (-q.rhs,))
+            row = _homogenized_row(q)
             return linalg.rank(lines + tuple(g for g in rays if int_dot(row, g) == 0)) == p.n
 
         return HPolyhedron(p.n, tuple(
@@ -486,7 +524,8 @@ _TERM = re.compile(r"([+-]?)\s*(\d+(?:/\d+)?)?\s*\*?\s*x(\d+)\s*")
 
 
 def parse_inequality(text: str, n: int) -> Inequality:
-    """Parse the CLI grammar 'c1 x1 + c2 x2 ... <= b' (or >=) in R^n."""
+    """Parse the CLI grammar 'c1 x1 + c2 x2 ... <= b' (or >=) in R^n.
+    Error columns count from 1 at the first character of ``text``."""
     for op in ("<=", ">="):
         if op in text:
             lhs, _, rhs_text = text.partition(op)
@@ -495,18 +534,19 @@ def parse_inequality(text: str, n: int) -> Inequality:
         raise ParseError(f"inequality needs '<=' or '>=': {text!r}")
     rhs = rational(rhs_text.strip())
     coeffs = [_ZERO] * n
-    pos = 0
-    lhs_stripped = lhs.strip()
-    if not lhs_stripped:
+    # the left side is scanned in place, so columns count in ``text``
+    start, end = len(lhs) - len(lhs.lstrip()), len(lhs.rstrip())
+    if start >= end:
         raise ParseError("inequality needs a left-hand side (write '0' for none)", column=1)
-    if lhs_stripped != "0":
-        while pos < len(lhs_stripped):
-            m = _TERM.match(lhs_stripped, pos)
+    if lhs[start:end] != "0":
+        pos = start
+        while pos < end:
+            m = _TERM.match(lhs, pos, end)
             if not m:
-                raise ParseError(f"cannot read term at {lhs_stripped[pos:]!r}", column=pos + 1)
+                raise ParseError(f"cannot read term at {lhs[pos:end]!r}", column=pos + 1)
             sign, coeff_text, var = m.groups()
-            if pos and not sign:
-                raise ParseError(f"expected '+' or '-' before {lhs_stripped[pos:]!r}",
+            if pos > start and not sign:
+                raise ParseError(f"expected '+' or '-' before {lhs[pos:end]!r}",
                                  column=pos + 1)
             idx = int(var) - 1
             if not 0 <= idx < n:

@@ -5,25 +5,32 @@ description), the LP-pruned V-to-H conversion that v_to_h replaces, the
 LP-decided cut attribution that classify_cuts replaces, the LP
 emptiness, dimension and redundancy tests that the homogenized double
 description replaces, the Fourier-Motzkin elimination that
-projection through the generators replaces, and the three-solve
-implication test that check_implication's single LP replaces."""
+projection through the generators replaces, the three-solve
+implication test that check_implication's single LP replaces, and the
+Fraction hull pipeline (aggregation, minimal point checks, V to H, the
+sampled closure) that the integer rows replace."""
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, product
+from math import ceil
+from operator import le
 from typing import Sequence
 from unittest import mock
 
 from closurelab import linalg, lp
-from closurelab.aggregation import HULL_FACET, SIGN, ClosureApprox, CutClass, _is_sign_constraint
-from closurelab.errors import InconsistentSystemError, InternalInvariantError
+from closurelab.aggregation import (HULL_FACET, SIGN, AggregatedHull, AggregationSample,
+                                    ClosureApprox, CutClass, _is_sign_constraint,
+                                    sample_multipliers)
+from closurelab.covering import CoveringInstance
+from closurelab.errors import ContractViolation, InconsistentSystemError, InternalInvariantError
 from closurelab.linalg import Matrix, Vector, combine, dot, is_zero, mat_vec, primitive, zeros
 from closurelab.lp import LpStatus, solve_lp
 from closurelab.polyhedron import (HPolyhedron, Implication, Inequality, VPolyhedron,
                                    check_implication, dd_cone, empty_hpolyhedron,
-                                   is_facet_defining, sorted_unique)
+                                   is_facet_defining, remove_redundant, sorted_unique)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -141,7 +148,7 @@ def dd_rows_zero_normal_skip(p: VPolyhedron) -> HPolyhedron:
     lines as equality pairs, skipping only rays with a zero normal."""
     vertices = p.vertices or (zeros(p.n),)
     rows = [v + (-_ONE,) for v in vertices] + [r + (_ZERO,) for r in p.rays]
-    lines, rays = dd_cone(rows, p.n + 1)
+    lines, rays = fraction_io_dd_cone(rows, p.n + 1)
     out = [Inequality(g[:-1], g[-1]) for g in rays if not is_zero(g[:-1])]
     for g in lines:
         q = Inequality(g[:-1], g[-1])
@@ -472,3 +479,113 @@ def fraction_simplex():
     the Fraction reference simplex above."""
     with mock.patch.object(lp, "_simplex_standard", simplex_standard):
         yield
+
+
+# ---------------------------------------------------------------------------
+# the Fraction hull pipeline (the reference for the integer rows that
+# aggregation, covering and v_to_h carry from the instance to the facets)
+
+
+def fraction_io_dd_cone(rows: Sequence[Vector], dim: int):
+    """polyhedron.dd_cone with rational rows in and Fraction generators out."""
+    lines, rays = dd_cone([linalg.int_row(r) for r in rows], dim)
+    return (tuple(tuple(map(Fraction, g)) for g in lines),
+            tuple(tuple(map(Fraction, g)) for g in rays))
+
+
+def fraction_aggregate(q: CoveringInstance, sample: AggregationSample) -> CoveringInstance:
+    """Each row lambda^j M >= lambda^j d computed in Fractions, then made
+    primitive."""
+    rows, demand = [], []
+    for lam in sample.multipliers:
+        linalg.check_dim(lam, q.m, "multiplier row")
+        stacked = primitive(linalg.vec_mat(lam, q.M) + (dot(lam, q.d),))
+        rows.append(stacked[:-1])
+        demand.append(stacked[-1])
+    return CoveringInstance(tuple(rows), tuple(demand))
+
+
+def fraction_minimal_point_set(points) -> tuple[Vector, ...]:
+    """MinimalPointSet's checks on Fraction points: the sorted points, or
+    ContractViolation for the first bad point or comparable pair."""
+    pts = tuple(sorted(linalg.vector(p) for p in points))
+    for p in pts:
+        if any(a.denominator != 1 or a < 0 for a in p):
+            raise ContractViolation(f"minimal points live in N^n, got {p}")
+    for i, low in enumerate(pts):
+        for high in pts[i + 1:]:
+            if all(map(le, low, high)):
+                raise ContractViolation(f"not an antichain: {low} and {high} are comparable")
+    return pts
+
+
+def fraction_minimal_points(q: CoveringInstance) -> tuple[Vector, ...]:
+    """The minimal feasible points by enumerating the box
+    0 <= x_j <= max_i ceil(d_i / M_ij) in Fractions.  The feasible set is
+    upward closed, so a feasible point is minimal exactly when no unit
+    step down from it is feasible."""
+    box = [max((ceil(di / row[j]) for row, di in zip(q.M, q.d) if row[j] > 0), default=0)
+           for j in range(q.n)]
+    feasible = {x for x in map(linalg.vector, product(*(range(b + 1) for b in box)))
+                if all(dot(row, x) >= di for row, di in zip(q.M, q.d))}
+    return tuple(sorted(
+        x for x in feasible
+        if not any(x[j] and linalg.sub(x, linalg.unit(q.n, j)) in feasible
+                   for j in range(q.n))))
+
+
+def fraction_v_to_h(p: VPolyhedron) -> HPolyhedron:
+    """V to H on Fraction generators: every DD ray whose normal is outside
+    the span of the line normals is a facet (a rank test even with no
+    lines), each line an equality pair, sorted by canonical form."""
+    vertices = p.vertices or (zeros(p.n),)
+    rows = [v + (-_ONE,) for v in vertices] + [r + (_ZERO,) for r in p.rays]
+    lines, rays = fraction_io_dd_cone(rows, p.n + 1)
+    line_normals = [g[:-1] for g in lines]
+    out = [Inequality(g[:-1], g[-1]) for g in rays
+           if fraction_rank(line_normals + [g[:-1]]) > len(lines)]
+    for g in lines:
+        q = Inequality(g[:-1], g[-1])
+        out.extend((q, q.flipped()))
+    return HPolyhedron(p.n, tuple(sorted(out, key=Inequality.canonical_stacked)))
+
+
+def fraction_integer_hull(q: CoveringInstance) -> HPolyhedron:
+    points = fraction_minimal_point_set(fraction_minimal_points(q))
+    rays = tuple(linalg.unit(q.n, j) for j in range(q.n))
+    return fraction_v_to_h(VPolyhedron(q.n, points, rays))
+
+
+def fraction_sorted_unique(ineqs) -> tuple[Inequality, ...]:
+    """A new canonical Inequality per distinct row, sorted."""
+    seen = {}
+    for q in ineqs:
+        v = primitive(q.stacked())
+        seen.setdefault(v, Inequality(v[:-1], v[-1]))
+    return tuple(seen[k] for k in sorted(seen))
+
+
+def fraction_closure_approx(q: CoveringInstance, k: int, density: int) -> ClosureApprox:
+    """closure_approx on the Fraction pipeline above; the intersection is
+    pruned by polyhedron.remove_redundant, as in the library (that function
+    has its own LP reference, lp_remove_redundant)."""
+    built: dict[CoveringInstance, HPolyhedron] = {}
+
+    def hulls_for(d):
+        out = []
+        for sample in sample_multipliers(q.m, k, d):
+            agg = fraction_aggregate(q, sample)
+            if agg not in built:
+                built[agg] = fraction_integer_hull(agg)
+            out.append(AggregatedHull(sample, agg, built[agg]))
+        return out
+
+    def intersect(hulls):
+        pool = [row for h in hulls for row in h.hull.inequalities]
+        return remove_redundant(HPolyhedron(q.n, fraction_sorted_unique(pool)))
+
+    hulls = hulls_for(density)
+    poly = intersect(hulls)
+    doubled = intersect(hulls_for(2 * density))
+    return ClosureApprox(polyhedron=poly, hulls=tuple(hulls), k=k, density=density,
+                         stabilized=poly == doubled)

@@ -139,7 +139,19 @@ def test_repeated_demand_line_exits_2(tmp_path, capsys):
 def test_fii_with_juxtaposed_terms_exits_2(capsys):
     code, out, err = run_cli(["cone", UNIT_SQUARE, "fii", "x1 x2 <= 1"], capsys)
     assert (code, out) == (2, "")
-    assert err == "error: expected '+' or '-' before 'x2'\n"
+    assert err == "error: column 4: expected '+' or '-' before 'x2'\n"
+
+
+def test_fii_parse_error_column_counts_in_the_argument(capsys):
+    # leading blanks count: the column points into the argument as typed
+    for arg, err_text in (
+            ("  x1 x2 <= 1", "error: column 6: expected '+' or '-' before 'x2'\n"),
+            ("x1 + x9 <= 1", "error: column 4: variable x9 out of range for n=2\n"),
+            (" x1 + y1 >= 0", "error: column 5: cannot read term at '+ y1'\n"),
+            ("  <= 1", "error: column 1: inequality needs a left-hand side "
+                       "(write '0' for none)\n")):
+        code, out, err = run_cli(["cone", UNIT_SQUARE, "fii", arg], capsys)
+        assert (code, out, err) == (2, "", err_text), arg
 
 
 def test_hull_command(tmp_path, capsys):

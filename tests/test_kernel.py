@@ -66,6 +66,15 @@ def _all_fractions(*vectors):
     return all(type(q) is F for v in vectors if v is not None for q in v)
 
 
+def _int_rows(rows):
+    """dd_cone's input: the rows as primitive integer rows."""
+    return [linalg.int_row(r) for r in rows]
+
+
+def _all_int_tuples(rows):
+    return all(type(r) is tuple and all(type(a) is int for a in r) for r in rows)
+
+
 @PROPERTY
 @given(lps())
 @example(BEALE)
@@ -166,10 +175,11 @@ TIGHT_BEFORE = (4, [V([2, 1, 0, 0]), V([1, 0, 0, 1]), V([2, 0, 0, 0]), V([0, 0, 
 @example((2, [V([0, 0]), V([1, 0]), V([-1, 0])]))
 @example((3, [V([-1, 0, 0]), V([0, -1, 0]), V([0, 0, -1]), V([1, 1, -1])]))
 def test_dd_cone_matches_fraction_reference(args):
+    # integer rows in and out; equal values compare equal to Fractions
     dim, rows = args
-    got = dd_cone(rows, dim)
+    got = dd_cone(_int_rows(rows), dim)
     assert got == fraction_dd_cone(rows, dim)
-    assert _all_fractions(*got[0], *got[1])
+    assert _all_int_tuples(got[0] + got[1])
 
 
 @settings(PROPERTY, max_examples=500)
@@ -181,7 +191,7 @@ def test_dd_cone_matches_fraction_reference(args):
 @example(TIGHT_BEFORE)
 def test_dd_cone_matches_fraction_reference_on_degenerate_rows(args):
     dim, rows = args
-    assert dd_cone(rows, dim) == fraction_dd_cone(rows, dim)
+    assert dd_cone(_int_rows(rows), dim) == fraction_dd_cone(rows, dim)
 
 
 def test_dd_cone_takes_no_rank(monkeypatch):
@@ -192,7 +202,7 @@ def test_dd_cone_takes_no_rank(monkeypatch):
     cases = [PYRAMID, FLAT, REPEAT_AFTER_LINE, CUT_CUBE, TIGHT_BEFORE]
     want = [fraction_dd_cone(rows, dim) for dim, rows in cases]
     monkeypatch.setattr(linalg, "rank", no_rank)
-    assert [dd_cone(rows, dim) for dim, rows in cases] == want
+    assert [dd_cone(_int_rows(rows), dim) for dim, rows in cases] == want
     # the square pyramid has one apex and four base vertices
     assert len(want[0][1]) == 5 and V([1, 1, 2, 2]) in want[0][1]
 

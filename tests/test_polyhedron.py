@@ -338,6 +338,17 @@ def test_dd_queries_match_lp_references(p):
         [q.stacked() for q in lp_remove_redundant(p).inequalities]
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(h_polyhedra())
+@example(POINT_IN_R1)
+def test_h_to_v_generators_are_fractions(p):
+    # the DD hands back integer rows; a vertex is x / t for t > 0, which
+    # true division of ints would make a float
+    v = h_to_v(p)
+    assert all(type(a) is F for g in v.vertices + v.rays for a in g)
+    assert all(p.contains(x) for x in v.vertices)
+
+
 def test_dd_queries_named_examples():
     assert [q.stacked() for q in remove_redundant(TWO_SCALINGS).inequalities] == \
         [V([0, 1, 1]), V([-1, 0, 0]), V([1, 0, 1]), V([0, -1, 0])]
