@@ -277,6 +277,9 @@ def fii_check(k: GeneratedCone, q: Inequality) -> FiiCheck:
             "inequality is not valid for the closure", witness=validity.witness)
     canon = primitive(q.stacked())
     others = tuple(g for g in ku.unique_generators() if g != canon)
+    if others == validity.generators:
+        # q's row is no generator, so the validity LP already asked this
+        return FiiCheck(False, others, multipliers=validity.multipliers)
     member = cone_membership(others, q.stacked())
     if member.member:
         return FiiCheck(False, others, multipliers=member.multipliers)

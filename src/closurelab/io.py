@@ -37,23 +37,32 @@ class InstanceFile:
 
 
 def _directives(text: str):
+    """(line number, key, value) per directive.  The value is left in
+    place, its line as typed with the key and ':' blanked, so parse-error
+    columns count in the raw line."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]
+        if not line.strip():
             continue
         key, sep, value = line.partition(":")
         if not sep:
             raise ParseError("expected 'key: value'", lineno, 1)
-        yield lineno, key.strip(), value.strip()
+        yield lineno, key.strip(), " " * (len(key) + 1) + value
+
+
+def _column(value: str) -> int:
+    """Column of the first character of an in-place value."""
+    return len(value) - len(value.lstrip()) + 1
 
 
 def _int_field(value: str, name: str, lineno: int) -> int:
     try:
         out = int(value)
     except ValueError:
-        raise ParseError(f"{name} must be an integer, got {value!r}", lineno, len(name) + 3)
+        raise ParseError(f"{name} must be an integer, got {value.strip()!r}",
+                         lineno, _column(value))
     if out < 1:
-        raise ParseError(f"{name} must be at least 1, got {out}", lineno, len(name) + 3)
+        raise ParseError(f"{name} must be at least 1, got {out}", lineno, _column(value))
     return out
 
 
@@ -64,10 +73,10 @@ def parse_instance(text: str) -> InstanceFile:
     lineno, key, value = items[0]
     if key != "kind":
         raise ParseError(f"first directive must be 'kind', got {key!r}", lineno, 1)
-    if value not in KINDS:
-        raise ParseError(f"unknown kind {value!r}; expected one of {', '.join(KINDS)}",
-                         lineno, 7)
-    kind = value
+    kind = value.strip()
+    if kind not in KINDS:
+        raise ParseError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}",
+                         lineno, _column(value))
 
     sizes: dict[str, int] = {}
     rows: list[tuple[int, str, str]] = []

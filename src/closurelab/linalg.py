@@ -186,14 +186,13 @@ def format_vector(v: Vector) -> str:
 
 
 def parse_vector(text: str, expected_len: int | None = None, line: int = 0) -> Vector:
-    tokens = text.split()
+    """Blank-separated rational tokens.  Error columns count from 1 at the
+    first character of ``text``."""
     out = []
-    col = 1
-    for tok in tokens:
-        if not _RATIONAL_TOKEN.match(tok):
-            raise ParseError(f"not a rational token: {tok!r}", line, col)
-        out.append(Fraction(tok))
-        col += len(tok) + 1
+    for tok in re.finditer(r"\S+", text):
+        if not _RATIONAL_TOKEN.match(tok[0]):
+            raise ParseError(f"not a rational token: {tok[0]!r}", line, tok.start() + 1)
+        out.append(Fraction(tok[0]))
     v = tuple(out)
     if expected_len is not None and len(v) != expected_len:
         raise ParseError(f"expected {expected_len} rational tokens, found {len(v)}", line, 1)

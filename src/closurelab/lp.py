@@ -6,11 +6,14 @@ row i is an integer vector whose rational value is ``row / row[basis[i]]``,
 and the cost row is integer numerators over one positive denominator.
 Both scales are positive, so Bland's sign tests and cross-multiplied
 ratio comparisons pick the same pivots the rational tableau would.
-Inputs, results and certificates are Fractions.  Every answer is exact
-and carries a certificate that verifies by substitution: optimal duals
-for an optimum, a Farkas vector for infeasibility, an improving ray for
-unboundedness.  Free variables are handled by the classic x = x+ - x-
-split.
+Inputs, results and certificates are Fractions.  Free variables are
+handled by the classic x = x+ - x- split.
+
+Every answer is exact and carries a certificate.  The public function
+that returns it, ``solve_lp`` or ``cone_membership``, checks it once and
+in full by substitution against the caller's data (InternalInvariantError
+if it fails); ``_simplex_standard`` is a plain solver and checks none.
+``LpResult`` and ``ConeMembership`` say what each check covers.
 """
 
 from __future__ import annotations
@@ -49,13 +52,17 @@ class LpStatus(Enum):
 
 @dataclass(frozen=True)
 class LpResult:
-    """Outcome of solve_lp.
+    """Outcome of solve_lp, checked by solve_lp before it is returned.
 
     ``x`` is the exact optimal point when OPTIMAL.  ``certificate`` is
-    the optimal dual y (y >= 0, yA = obj, yb = obj.x, where obj is c for
-    max and -c for min) when OPTIMAL, a Farkas vector y (y >= 0, yA = 0,
-    yb < 0) when INFEASIBLE and an improving recession ray when
-    UNBOUNDED; the last two are primitive-scaled.
+    the optimal dual y when OPTIMAL, a Farkas vector y when INFEASIBLE
+    and an improving recession ray r when UNBOUNDED; the last two are
+    primitive-scaled.  With obj = c for max and -c for min, the check
+    covers the whole claim of each status:
+
+      OPTIMAL     a.x <= b, y >= 0, yA = obj and y.b = obj.x
+      INFEASIBLE  y >= 0, yA = 0 and y.b < 0
+      UNBOUNDED   a.r <= 0 and obj.r > 0
     """
 
     status: LpStatus
@@ -66,9 +73,10 @@ class LpResult:
 
 @dataclass(frozen=True)
 class ConeMembership:
-    """Answer to 'is target in cone(generators)?' with an exact witness:
-    nonnegative multipliers reproducing the target, or a separating h
-    with h.g <= 0 for every generator and h.target > 0."""
+    """Answer to 'is target in cone(generators)?' with an exact witness,
+    checked by cone_membership before it is returned: multipliers that
+    are nonnegative and reproduce the target, or a separating h with
+    h.g <= 0 for every generator and h.target > 0."""
 
     member: bool
     multipliers: Vector | None = None
@@ -132,6 +140,7 @@ def _simplex_standard(rows: Matrix, rhs: Vector, costs: Vector):
       ("optimal", z, duals)      with duals u satisfying u.rows <= costs
       ("infeasible", u)          with u.rows <= 0 componentwise, u.rhs > 0
       ("unbounded", z, ray)      with rows.ray = 0, ray >= 0, costs.ray < 0
+    Only the phase-1 invariant is checked here; callers check the rest.
     """
     m = len(rows)
     n_cols = len(costs)
@@ -152,9 +161,8 @@ def _simplex_standard(rows: Matrix, rhs: Vector, costs: Vector):
         raise InternalInvariantError("phase-1 objective is bounded below by zero")
     if cost[width] < 0:
         den = cost[-1]
-        u = tuple(Fraction(signs[i] * (den - cost[n_cols + i]), den) for i in range(m))
-        _check_farkas_standard(rows, rhs, u)
-        return ("infeasible", u)
+        return ("infeasible",
+                tuple(Fraction(signs[i] * (den - cost[n_cols + i]), den) for i in range(m)))
 
     # Feasible: drive zero-valued artificials out; all-zero rows are redundant.
     keep = []
@@ -183,22 +191,12 @@ def _simplex_standard(rows: Matrix, rhs: Vector, costs: Vector):
         for row, b in zip(live_rows, live_basis):
             if b < n_cols:
                 ray[b] = Fraction(-row[unb], row[b])
-        ray = tuple(ray)
-        if dot(costs, ray) >= 0 or any(r != 0 for r in mat_vec(rows, ray)):
-            raise InternalInvariantError("unbounded ray fails substitution check")
-        return ("unbounded", z, ray)
+        return ("unbounded", z, tuple(ray))
 
     duals = [_ZERO] * m
     for i in keep:
         duals[i] = Fraction(-signs[i] * cost[n_cols + i], cost[-1])
     return ("optimal", z, tuple(duals))
-
-
-def _check_farkas_standard(rows: Matrix, rhs: Vector, u: Vector) -> None:
-    if dot(u, rhs) <= 0:
-        raise InternalInvariantError("Farkas certificate has nonpositive value")
-    if any(q > 0 for q in vec_mat(u, rows)):
-        raise InternalInvariantError("Farkas certificate fails column check")
 
 
 def solve_lp(a: Matrix, b: Vector, c: Vector, sense: str = "max") -> LpResult:
@@ -238,7 +236,8 @@ def solve_lp(a: Matrix, b: Vector, c: Vector, sense: str = "max") -> LpResult:
     y = tuple(-u for u in duals)
     # vec_mat of no rows is (), not the zero vector of length n
     ya = vec_mat(y, a) if a else zeros(n)
-    if any(q < 0 for q in y) or ya != tuple(obj) or dot(y, b) != dot(obj, x):
+    if (any(q < 0 for q in y) or ya != tuple(obj) or dot(y, b) != dot(obj, x)
+            or any(ax > bi for ax, bi in zip(mat_vec(a, x), b))):
         raise InternalInvariantError("optimality certificate fails substitution")
     return LpResult(LpStatus.OPTIMAL, x=x, certificate=y, objective=dot(c, x))
 
@@ -260,8 +259,8 @@ def cone_membership(generators: Sequence[Vector], target: Vector) -> ConeMembers
     outcome = _simplex_standard(transpose(generators), target, zeros(len(generators)))
     if outcome[0] == "optimal":
         mult = outcome[1]
-        if vec_mat(mult, generators) != tuple(target):
-            raise InternalInvariantError("membership multipliers fail to reproduce target")
+        if any(q < 0 for q in mult) or vec_mat(mult, generators) != tuple(target):
+            raise InternalInvariantError("membership multipliers fail substitution")
         return ConeMembership(True, multipliers=mult)
     h = primitive(outcome[1])
     if dot(h, target) <= 0 or any(dot(h, g) > 0 for g in generators):

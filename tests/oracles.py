@@ -26,7 +26,8 @@ from closurelab.aggregation import (HULL_FACET, SIGN, AggregatedHull, Aggregatio
                                     sample_multipliers)
 from closurelab.covering import CoveringInstance
 from closurelab.errors import ContractViolation, InconsistentSystemError, InternalInvariantError
-from closurelab.linalg import Matrix, Vector, combine, dot, is_zero, mat_vec, primitive, zeros
+from closurelab.linalg import (Matrix, Vector, combine, dot, is_zero, mat_vec, primitive,
+                               vec_mat, zeros)
 from closurelab.lp import LpStatus, solve_lp
 from closurelab.polyhedron import (HPolyhedron, Implication, Inequality, VPolyhedron,
                                    check_implication, dd_cone, empty_hpolyhedron,
@@ -434,7 +435,8 @@ def simplex_standard(rows: Matrix, rhs: Vector, costs: Vector):
         raise InternalInvariantError("phase-1 objective is bounded below by zero")
     if -cost[-1] > 0:
         u = tuple(signs[i] * (_ONE - cost[n_cols + i]) for i in range(m))
-        lp._check_farkas_standard(rows, rhs, u)
+        if dot(u, rhs) <= 0 or any(q > 0 for q in vec_mat(u, rows)):
+            raise InternalInvariantError("Farkas vector fails substitution check")
         return ("infeasible", u)
 
     keep = []

@@ -136,6 +136,23 @@ def test_repeated_demand_line_exits_2(tmp_path, capsys):
     assert err == "error: line 6, column 1: repeated 'd' line\n"
 
 
+@pytest.mark.parametrize("text, err_text", [
+    ("kind: covering\nn: 2\nm: 1\nM:  1   x\nd: 3\n",
+     "error: line 4, column 9: not a rational token: 'x'\n"),
+    ("kind: covering\nn: 2\nm: 1\nM: 1 1\nd: 3 1/0\n",
+     "error: line 5, column 6: not a rational token: '1/0'\n"),
+    ("kind: cone\nn: 2\nG:\t1 y 0  # tab and comment\n",
+     "error: line 3, column 6: not a rational token: 'y'\n"),
+    ("kind: covering\nn:   abc\n", "error: line 2, column 6: n must be an integer, got 'abc'\n"),
+    ("kind: covering\nn: 2\n m:  0\n", "error: line 3, column 6: m must be at least 1, got 0\n"),
+    ("kind:   widget\nn: 2\n",
+     "error: line 1, column 9: unknown kind 'widget'; expected one of covering, cone\n"),
+], ids=["M token", "d token", "tab", "n integer", "m at least 1", "kind"])
+def test_instance_parse_error_columns_count_in_the_raw_line(tmp_path, capsys, text, err_text):
+    code, out, err = run_cli(["hull", write(tmp_path, "bad.txt", text)], capsys)
+    assert (code, out, err) == (2, "", err_text)
+
+
 def test_fii_with_juxtaposed_terms_exits_2(capsys):
     code, out, err = run_cli(["cone", UNIT_SQUARE, "fii", "x1 x2 <= 1"], capsys)
     assert (code, out) == (2, "")

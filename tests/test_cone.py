@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from closurelab import linalg
+from closurelab import cone as cone_module, linalg
 from closurelab.cone import (
     GeneratedCone,
     check_theorem1,
@@ -184,6 +184,31 @@ def test_fii_example_one_standin():
     res = fii_check(k, ineq([0, 1], F(7, 2)))
     assert not res.is_fii
     assert res.multipliers == (F(1, 4), F(1, 4), F(0))
+
+
+STRIP_CONE = GeneratedCone((V([-1, 2, 7]), V([1, 2, 7]), V([0, 0, 1])))
+
+
+@pytest.mark.parametrize("cone, q, want, lps", [
+    (STRIP_CONE, ineq([0, 1], F(7, 2)), (F(1, 4), F(1, 4), F(0)), 1),
+    (STRIP_CONE, ineq([0, 1], 7), (F(1, 4), F(1, 4), F(7, 2)), 1),
+    (SQUARE_CONE, ineq([1, 1], 2), (F(1), F(1), F(0), F(0), F(0)), 1),
+    # q is a generator: others drops it, so the second LP is a new question
+    (SQUARE_CONE, ineq([1, 0], 1), None, 2),
+], ids=["strip x2<=7/2", "strip x2<=7", "square x1+x2<=2", "square x1<=1"])
+def test_fii_reuses_the_validity_lp_when_q_is_no_generator(monkeypatch, cone, q, want, lps):
+    calls = []
+
+    def counting(generators, target):
+        calls.append(target)
+        return cone_membership(generators, target)
+
+    monkeypatch.setattr(cone_module, "cone_membership", counting)
+    res = fii_check(cone, q)
+    assert len(calls) == lps
+    assert res.is_fii == (want is None) and res.multipliers == want
+    canon = linalg.primitive(q.stacked())
+    assert res.others == tuple(g for g in cone.unique_generators() if g != canon)
 
 
 def test_fii_rejects_invalid_inequality():

@@ -5,8 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from closurelab import linalg
-from closurelab.errors import ContractViolation
+from closurelab import linalg, lp
+from closurelab.errors import ContractViolation, InternalInvariantError
 from closurelab.lp import LpStatus, cone_membership, solve_lp
 from closurelab.verify import dual_of_max, random_lp
 
@@ -170,3 +170,51 @@ def test_optimal_duals_min_sense_and_no_rows():
     res = solve_lp((), (), V([0, 0]), "max")
     assert res.status is LpStatus.OPTIMAL
     assert res.x == V([0, 0]) and res.certificate == () and res.objective == 0
+
+
+# Each row: an LP or membership question, a corrupted standard-form
+# outcome for _simplex_standard to return, and the message the public
+# function must raise.  Standard form for solve_lp is z = (x+, x-, slack)
+# with duals u = -y; for cone_membership z is the multiplier vector.
+MAX_X1 = ((V([1, 0]), V([0, 1])), V([1, 0]), V([1, 0]), "max")  # max x1, x1 <= 1, x2 <= 0
+TAMPERED_LPS = {
+    "optimal x infeasible": (MAX_X1, ("optimal", V([1, 5, 0, 0, 0, 0]), V([-1, 0])),
+                             "optimality certificate fails substitution"),
+    "optimal duals wrong": (MAX_X1, ("optimal", V([1, 0, 0, 0, 0, 0]), V([-2, 0])),
+                            "optimality certificate fails substitution"),
+    "farkas vector wrong": (((V([1]), V([-1])), V([-1, 0]), V([0]), "max"),
+                            ("infeasible", V([-1, 0])),
+                            "infeasibility certificate fails substitution"),
+    "ray not improving": (((V([-1]),), V([0]), V([1]), "max"),
+                          ("unbounded", V([0, 0, 0]), V([0, 1, 0])),
+                          "unboundedness certificate fails substitution"),
+}
+TAMPERED_MEMBERSHIPS = {
+    "negative multipliers": (([V([1, 0]), V([1, 0])], V([1, 0])),
+                             ("optimal", V([2, -1]), V([0, 0])),
+                             "membership multipliers fail substitution"),
+    "multipliers wrong": (([V([1, 0]), V([1, 0])], V([1, 0])),
+                          ("optimal", V([1, 1]), V([0, 0])),
+                          "membership multipliers fail substitution"),
+    "separator wrong": (([V([1, 0]), V([0, 1])], V([-1, 0])),
+                        ("infeasible", V([1, 0])),
+                        "separating vector fails substitution"),
+}
+
+
+@pytest.mark.parametrize("case", TAMPERED_LPS)
+def test_solve_lp_checks_every_status_in_full(monkeypatch, case):
+    args, outcome, message = TAMPERED_LPS[case]
+    monkeypatch.setattr(lp, "_simplex_standard", lambda *_: outcome)
+    with pytest.raises(InternalInvariantError) as exc:
+        solve_lp(*args)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("case", TAMPERED_MEMBERSHIPS)
+def test_cone_membership_checks_both_answers_in_full(monkeypatch, case):
+    args, outcome, message = TAMPERED_MEMBERSHIPS[case]
+    monkeypatch.setattr(lp, "_simplex_standard", lambda *_: outcome)
+    with pytest.raises(InternalInvariantError) as exc:
+        cone_membership(*args)
+    assert str(exc.value) == message
