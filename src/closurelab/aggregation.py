@@ -7,10 +7,16 @@ this module samples them on an exact rational grid: every multiplier row
 with nonnegative integer coordinates of total at most the density D,
 reduced to primitive form (equivalently, every rational direction of
 denominator at most D).  The result is always an outer approximation of
-the true closure that contains the instance's integer hull; doubling the
-density and observing no change is reported as ``stabilized``, which is
-evidence of exactness but not a proof, and single-row instances are exact
-at any density because every aggregation rescales the one row.
+the true closure that contains the instance's integer hull P_I, and
+single-row instances are exact at any density because every aggregation
+rescales the one row.
+
+``stabilized`` reports that doubling the density changes nothing.  It is
+settled against P_I first: P_I lies in the density-2D intersection, which
+lies in the density-D one, so an approximation equal to P_I is the
+closure itself and doubling cannot change it.  Only otherwise are the
+density-2D hulls built and the two intersections compared; no change
+there is evidence of exactness, not a proof.
 
 Aggregation runs on integer rows: [M | d] times one common denominator
 (never row by row, since the multipliers weight the rows as given), each
@@ -91,8 +97,10 @@ class AggregatedHull:
 class ClosureApprox:
     """Intersection of the sampled aggregated hulls: an outer approximation
     of the aggregation closure that always contains the instance's integer
-    hull.  ``stabilized`` records that doubling the density left the point
-    set unchanged (necessary, not sufficient, for exactness)."""
+    hull.  ``stabilized`` records that doubling the density leaves the
+    point set unchanged (necessary, not sufficient, for exactness); it
+    always holds when the approximation equals the integer hull, which
+    makes it the exact closure."""
 
     polyhedron: HPolyhedron
     hulls: tuple[AggregatedHull, ...]
@@ -209,17 +217,22 @@ def _intersect(n: int, hulls: Iterable[AggregatedHull]) -> HPolyhedron:
 def closure_approx(q: CoveringInstance, k: int, density: int) -> ClosureApprox:
     """Intersection of the aggregated integer hulls over the density grid,
     redundancy-eliminated, with the density-doubling stabilization check.
-    Each distinct aggregated instance's hull is built once per call.  Both
+    The check compares the intersection with q's integer hull first and
+    builds the density-2D hulls only when they differ.  Each distinct
+    aggregated instance's hull is built once per call.  All of these
     contain q's integer hull, so they are compared as facet lists: no LP."""
     if k < 1 or density < 1:
         raise ContractViolation("k and density must be at least 1")
     built: dict[IntRows, tuple[CoveringInstance, HPolyhedron]] = {}
     hulls = _hulls_for(q, sample_multipliers(q.m, k, density), built)
     poly = _intersect(q.n, hulls)
-    doubled = _intersect(q.n, _hulls_for(q, sample_multipliers(q.m, k, 2 * density), built))
+    # q's own rows, as the unit multipliers in grid order: when they are a
+    # density-D sample (k = m, say) their hull is already built
+    [own] = _hulls_for(q, [AggregationSample(multiplier_rows(q.m, 1))], built)
+    stabilized = poly == own.hull or poly == _intersect(
+        q.n, _hulls_for(q, sample_multipliers(q.m, k, 2 * density), built))
     return ClosureApprox(
-        polyhedron=poly, hulls=tuple(hulls), k=k, density=density,
-        stabilized=poly == doubled)
+        polyhedron=poly, hulls=tuple(hulls), k=k, density=density, stabilized=stabilized)
 
 
 def _is_sign_constraint(q: Inequality) -> bool:

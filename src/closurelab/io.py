@@ -37,9 +37,9 @@ class InstanceFile:
 
 
 def _directives(text: str):
-    """(line number, key, value) per directive.  The value is left in
-    place, its line as typed with the key and ':' blanked, so parse-error
-    columns count in the raw line."""
+    """(line number, key, key column, value) per directive.  The value is
+    left in place, its line as typed with the key and ':' blanked, so
+    parse-error columns count in the raw line."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -47,11 +47,11 @@ def _directives(text: str):
         key, sep, value = line.partition(":")
         if not sep:
             raise ParseError("expected 'key: value'", lineno, 1)
-        yield lineno, key.strip(), " " * (len(key) + 1) + value
+        yield lineno, key.strip(), _column(key), " " * (len(key) + 1) + value
 
 
 def _column(value: str) -> int:
-    """Column of the first character of an in-place value."""
+    """Column of the first character of an in-place key or value."""
     return len(value) - len(value.lstrip()) + 1
 
 
@@ -70,23 +70,23 @@ def parse_instance(text: str) -> InstanceFile:
     items = list(_directives(text))
     if not items:
         raise ParseError("empty instance file", 1, 1)
-    lineno, key, value = items[0]
+    lineno, key, column, value = items[0]
     if key != "kind":
-        raise ParseError(f"first directive must be 'kind', got {key!r}", lineno, 1)
+        raise ParseError(f"first directive must be 'kind', got {key!r}", lineno, column)
     kind = value.strip()
     if kind not in KINDS:
         raise ParseError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}",
                          lineno, _column(value))
 
     sizes: dict[str, int] = {}
-    rows: list[tuple[int, str, str]] = []
-    for lineno, key, value in items[1:]:
+    rows: list[tuple[int, str, int, str]] = []
+    for lineno, key, column, value in items[1:]:
         if key == "n" or (key == "m" and kind == "covering"):
             if key in sizes:
-                raise ParseError(f"repeated {key!r} line", lineno, 1)
+                raise ParseError(f"repeated {key!r} line", lineno, column)
             sizes[key] = _int_field(value, key, lineno)
         else:
-            rows.append((lineno, key, value))
+            rows.append((lineno, key, column, value))
     n, m = sizes.get("n"), sizes.get("m")
     if n is None:
         raise ParseError("missing 'n' directive", items[-1][0], 1)
@@ -98,23 +98,24 @@ def parse_instance(text: str) -> InstanceFile:
     return InstanceFile(kind, n, m, payload)
 
 
-def _expect_key(kind: str, key: str, allowed: tuple[str, ...], lineno: int) -> None:
+def _expect_key(kind: str, key: str, allowed: tuple[str, ...], lineno: int,
+                column: int) -> None:
     if key not in allowed:
         raise ParseError(
             f"kind {kind!r} does not accept {key!r} lines (expected {', '.join(allowed)})",
-            lineno, 1)
+            lineno, column)
 
 
 def _build(kind: str, n: int, m: int | None, rows) -> CoveringInstance | GeneratedCone:
     if kind == "covering":
         matrix_rows = []
         demand = None
-        for lineno, key, value in rows:
-            _expect_key(kind, key, ("M", "d"), lineno)
+        for lineno, key, column, value in rows:
+            _expect_key(kind, key, ("M", "d"), lineno, column)
             if key == "M":
                 matrix_rows.append(parse_vector(value, n, lineno))
             elif demand is not None:
-                raise ParseError("repeated 'd' line", lineno, 1)
+                raise ParseError("repeated 'd' line", lineno, column)
             else:
                 demand = (parse_vector(value, None, lineno), lineno)
         if m is None:
@@ -132,8 +133,8 @@ def _build(kind: str, n: int, m: int | None, rows) -> CoveringInstance | Generat
         return CoveringInstance(tuple(matrix_rows), d)
 
     gens = []
-    for lineno, key, value in rows:
-        _expect_key(kind, key, ("G",), lineno)
+    for lineno, key, column, value in rows:
+        _expect_key(kind, key, ("G",), lineno, column)
         gens.append(parse_vector(value, n + 1, lineno))
     if not gens:
         raise ParseError("cone instance needs at least one 'G' line", 1, 1)

@@ -8,7 +8,9 @@ description replaces, the Fourier-Motzkin elimination that
 projection through the generators replaces, the three-solve
 implication test that check_implication's single LP replaces, and the
 Fraction hull pipeline (aggregation, minimal point checks, V to H, the
-sampled closure) that the integer rows replace."""
+sampled closure) that the integer rows replace, and the density-doubling
+stabilization check that closure_approx now runs only when its
+approximation is not already the integer hull."""
 
 from __future__ import annotations
 
@@ -22,8 +24,8 @@ from unittest import mock
 
 from closurelab import linalg, lp
 from closurelab.aggregation import (HULL_FACET, SIGN, AggregatedHull, AggregationSample,
-                                    ClosureApprox, CutClass, _is_sign_constraint,
-                                    sample_multipliers)
+                                    ClosureApprox, CutClass, _hulls_for, _intersect,
+                                    _is_sign_constraint, sample_multipliers)
 from closurelab.covering import CoveringInstance
 from closurelab.errors import ContractViolation, InconsistentSystemError, InternalInvariantError
 from closurelab.linalg import (Matrix, Vector, combine, dot, is_zero, mat_vec, primitive,
@@ -591,3 +593,14 @@ def fraction_closure_approx(q: CoveringInstance, k: int, density: int) -> Closur
     doubled = intersect(hulls_for(2 * density))
     return ClosureApprox(polyhedron=poly, hulls=tuple(hulls), k=k, density=density,
                          stabilized=poly == doubled)
+
+
+def doubling_stabilized(q: CoveringInstance, k: int, density: int) -> bool:
+    """closure_approx's ``stabilized`` by the density-doubling pass alone:
+    the density-D and density-2D intersections compared as facet lists."""
+    built: dict = {}
+
+    def intersect(d):
+        return _intersect(q.n, _hulls_for(q, sample_multipliers(q.m, k, d), built))
+
+    return intersect(density) == intersect(2 * density)

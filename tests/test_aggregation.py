@@ -5,8 +5,11 @@ import random
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
+from math import comb
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from closurelab import aggregation, linalg
 from closurelab.aggregation import (
@@ -23,6 +26,7 @@ from closurelab.aggregation import (
 )
 from closurelab.covering import CoveringInstance, integer_hull
 from closurelab.errors import ContractViolation
+from closurelab.io import parse_instance
 from closurelab.polyhedron import (
     HPolyhedron,
     check_implication,
@@ -32,8 +36,10 @@ from closurelab.polyhedron import (
     sorted_unique,
 )
 from closurelab.verify import random_single_row
+from oracles import doubling_stabilized
 
 V = linalg.vector
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 TWO_ROW = CoveringInstance(([1, 2], [2, 1]), (3, 3))
 
@@ -127,7 +133,16 @@ def test_closure_single_row_exact_for_k_and_density():
             assert same_point_set(ca.polyhedron, hull)
 
 
+# at density 1 the (1, 1) aggregation is missing: not stabilized
+KNAPSACK_PAIR = parse_instance((INSTANCES / "knapsack_pair.txt").read_text()).payload
+# stabilized at k = 1, density 4, yet the approximation is larger than P_I
+ABOVE_HULL = CoveringInstance(([4, 4], [1, 4]), (6, 3))
+
+
 def test_closure_builds_one_hull_per_aggregated_instance(monkeypatch):
+    """The density-D instances and q itself, whose hull settles
+    stabilization when it equals the approximation; the density-2D
+    instances only when it does not."""
     built = []
 
     def counted(q):
@@ -135,13 +150,68 @@ def test_closure_builds_one_hull_per_aggregated_instance(monkeypatch):
         return integer_hull(q)
 
     monkeypatch.setattr(aggregation, "integer_hull", counted)
-    for k, density in ((1, 2), (2, 2)):
+    own = AggregationSample(multiplier_rows(2, 1))
+    for q, k, density, stabilized, at_hull in (
+            (TWO_ROW, 1, 2, True, True), (TWO_ROW, 2, 2, True, True),
+            (KNAPSACK_PAIR, 1, 1, False, False), (ABOVE_HULL, 1, 4, True, False)):
         built.clear()
-        closure_approx(TWO_ROW, k, density)
-        expected = {aggregate(TWO_ROW, s)
-                    for d in (density, 2 * density) for s in sample_multipliers(2, k, d)}
+        ca = closure_approx(q, k, density)
+        assert ca.stabilized == stabilized
+        assert (ca.polyhedron == integer_hull(q)) == at_hull
+        passes = (density,) if at_hull else (density, 2 * density)
+        expected = {aggregate(q, s) for d in passes for s in sample_multipliers(2, k, d)}
+        # q itself is a density-D instance here exactly when k = m
+        assert (aggregate(q, own) in expected) == (k == q.m)
         assert len(built) == len(set(built))
-        assert set(built) == expected
+        assert set(built) == expected | {aggregate(q, own)}
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+# the oracle always builds every density-2D hull; larger runs take seconds each
+MAX_DOUBLED_TUPLES = 300
+
+
+@st.composite
+def coverings(draw):
+    """1-3 variables and rows, integer entries with zeros common; a row
+    drawn all zero gets demand 0."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entries = st.sampled_from((0, 0, 1, 2, 3, 4, 5))
+    rows = [tuple(draw(entries) for _ in range(n)) for _ in range(m)]
+    demand = [draw(st.integers(0, 9)) if any(row) else 0 for row in rows]
+    return CoveringInstance(tuple(rows), tuple(demand))
+
+
+def _doubled_tuples(m, k, density):
+    rows = len(multiplier_rows(m, 2 * density))
+    return comb(rows, min(k, rows))
+
+
+@st.composite
+def closure_runs(draw):
+    q = draw(coverings())
+    k, density = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)).filter(
+        lambda kd: _doubled_tuples(q.m, *kd) <= MAX_DOUBLED_TUPLES))
+    return q, k, density
+
+
+@PROPERTY
+@given(closure_runs())
+@example((KNAPSACK_PAIR, 1, 1))
+@example((ABOVE_HULL, 1, 4))
+def test_stabilized_matches_the_doubling_pass(args):
+    q, k, density = args
+    assert closure_approx(q, k, density).stabilized == doubling_stabilized(q, k, density)
+
+
+@PROPERTY
+@given(coverings())
+def test_own_rows_hull_is_its_own_intersection(q):
+    """closure_approx compares its approximation with this hull directly:
+    the hull of q's rows is P_I, and _intersect keeps it row for row."""
+    sample = AggregationSample(multiplier_rows(q.m, 1))
+    [own] = aggregation._hulls_for(q, [sample], {})
+    assert own.hull == integer_hull(q) == aggregation._intersect(q.n, [own])
 
 
 def test_closure_two_row_matches_denominator_grid_oracle():

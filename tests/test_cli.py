@@ -153,6 +153,23 @@ def test_instance_parse_error_columns_count_in_the_raw_line(tmp_path, capsys, te
     assert (code, out, err) == (2, "", err_text)
 
 
+@pytest.mark.parametrize("command, text, err_text", [
+    (("cone", "theorem1"), "kind: cone\nn: 2\n   m: 1\nG: 1 0 0\n",
+     "error: line 3, column 4: kind 'cone' does not accept 'm' lines (expected G)\n"),
+    (("hull",), "kind: covering\nn: 2\n  n: 3\n",
+     "error: line 3, column 3: repeated 'n' line\n"),
+    (("hull",), "kind: covering\nn: 2\nm: 1\nM: 1 1\nd: 3\n\td: 5\n",
+     "error: line 6, column 2: repeated 'd' line\n"),
+    (("hull",), "# header\n    n: 2\nkind: covering\n",
+     "error: line 2, column 5: first directive must be 'kind', got 'n'\n"),
+], ids=["key not accepted", "repeated size", "repeated d", "first not kind"])
+def test_indented_key_errors_report_the_key_column(tmp_path, capsys, command, text,
+                                                    err_text):
+    name, *rest = command
+    code, out, err = run_cli([name, write(tmp_path, "bad.txt", text), *rest], capsys)
+    assert (code, out, err) == (2, "", err_text)
+
+
 def test_fii_with_juxtaposed_terms_exits_2(capsys):
     code, out, err = run_cli(["cone", UNIT_SQUARE, "fii", "x1 x2 <= 1"], capsys)
     assert (code, out) == (2, "")
