@@ -226,9 +226,13 @@ def closure_approx(q: CoveringInstance, k: int, density: int) -> ClosureApprox:
     built: dict[IntRows, tuple[CoveringInstance, HPolyhedron]] = {}
     hulls = _hulls_for(q, sample_multipliers(q.m, k, density), built)
     poly = _intersect(q.n, hulls)
-    # q's own rows, as the unit multipliers in grid order: when they are a
-    # density-D sample (k = m, say) their hull is already built
-    [own] = _hulls_for(q, [AggregationSample(multiplier_rows(q.m, 1))], built)
+    # P_I: a density-D sample holding every unit row (k >= m) has exactly
+    # q's integer points, so its hull is P_I; otherwise q's own rows, the
+    # unit multipliers in grid order, are aggregated and hulled
+    units = multiplier_rows(q.m, 1)
+    own = next((h for h in hulls if set(units).issubset(h.sample.multipliers)), None)
+    if own is None:
+        [own] = _hulls_for(q, [AggregationSample(units)], built)
     stabilized = poly == own.hull or poly == _intersect(
         q.n, _hulls_for(q, sample_multipliers(q.m, k, 2 * density), built))
     return ClosureApprox(

@@ -156,11 +156,17 @@ def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
 # integer-row core
 
 
+def clear_denominators(v: Sequence[Fraction | int]) -> tuple[IntRow, int]:
+    """The integer row L*v and L, the lcm of v's denominators: L = 1 and
+    the entries unchanged for integral v.  Accepts ints."""
+    common = reduce(lcm, (a.denominator for a in v), 1)
+    return [a.numerator * (common // a.denominator) for a in v], common
+
+
 def int_row(v: Sequence[Fraction | int]) -> IntRow:
     """The primitive integer row c*v for the unique rational c > 0 (the
     zero row for a zero input).  Accepts ints, whose denominator is 1."""
-    common = reduce(lcm, (a.denominator for a in v), 1)
-    return lowest_terms([a.numerator * (common // a.denominator) for a in v])
+    return lowest_terms(clear_denominators(v)[0])
 
 
 def lowest_terms(row: IntRow) -> IntRow:

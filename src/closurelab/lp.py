@@ -7,12 +7,16 @@ and the cost row is integer numerators over one positive denominator.
 Both scales are positive, so Bland's sign tests and cross-multiplied
 ratio comparisons pick the same pivots the rational tableau would.
 Inputs, results and certificates are Fractions.  Free variables are
-handled by the classic x = x+ - x- split.
+handled by the classic x = x+ - x- split.  ``cone_membership`` hands the
+simplex integer columns: each generator and the target scaled by the
+lcm of their own denominators (integral data is passed as it is).
 
 Every answer is exact and carries a certificate.  The public function
 that returns it, ``solve_lp`` or ``cone_membership``, checks it once and
-in full by substitution against the caller's data (InternalInvariantError
-if it fails); ``_simplex_standard`` is a plain solver and checks none.
+in full by substitution (InternalInvariantError if it fails):
+``solve_lp`` in Fractions against the caller's data, ``cone_membership``
+in ints against those positive integer scalings of it, which makes the
+same claim.  ``_simplex_standard`` is a plain solver and checks none.
 ``LpResult`` and ``ConeMembership`` say what each check covers.
 """
 
@@ -29,13 +33,14 @@ from .linalg import (
     Matrix,
     Vector,
     check_dim,
+    clear_denominators,
     combine,
     dot,
+    int_dot,
     int_row,
     is_zero,
     mat_vec,
     primitive,
-    transpose,
     vec_mat,
     zeros,
 )
@@ -76,7 +81,11 @@ class ConeMembership:
     """Answer to 'is target in cone(generators)?' with an exact witness,
     checked by cone_membership before it is returned: multipliers that
     are nonnegative and reproduce the target, or a separating h with
-    h.g <= 0 for every generator and h.target > 0."""
+    h.g <= 0 for every generator and h.target > 0.  Both checks are exact
+    integer substitutions against generator j and the target scaled by
+    the lcms L_j and L_t of their denominators; the multipliers checked
+    there are the returned ones times L_t / L_j, so each check makes the
+    same claim as on the caller's data."""
 
     member: bool
     multipliers: Vector | None = None
@@ -247,6 +256,14 @@ def cone_membership(generators: Sequence[Vector], target: Vector) -> ConeMembers
 
     cone(()) is {0}: the zero target is a member with no multipliers and
     anything else is separated by itself.
+
+    The simplex runs on integer columns: generator j and the target are
+    scaled by the lcms L_j and L_t of their own denominators.  A positive
+    column or right-hand-side scale moves neither Bland's pivots nor the
+    phase-1 duals, so the multipliers z'_j found for the scaled data give
+    z'_j * L_j / L_t, the answer on the caller's data, and the separator
+    is the same vector.  Both are checked by exact integer substitution
+    against the scaled data before they are returned.
     """
     d = len(target)
     for g in generators:
@@ -256,13 +273,19 @@ def cone_membership(generators: Sequence[Vector], target: Vector) -> ConeMembers
             return ConeMembership(True, multipliers=())
         return ConeMembership(False, separator=primitive(target))
 
-    outcome = _simplex_standard(transpose(generators), target, zeros(len(generators)))
+    columns, scales = zip(*map(clear_denominators, generators))
+    rhs, rhs_scale = clear_denominators(target)
+    rows = tuple(zip(*columns))
+    outcome = _simplex_standard(rows, rhs, [0] * len(columns))
     if outcome[0] == "optimal":
-        mult = outcome[1]
-        if any(q < 0 for q in mult) or vec_mat(mult, generators) != tuple(target):
+        z = outcome[1]
+        weights, den = clear_denominators(z)
+        if (any(w < 0 for w in weights)
+                or [int_dot(weights, row) for row in rows] != [den * a for a in rhs]):
             raise InternalInvariantError("membership multipliers fail substitution")
-        return ConeMembership(True, multipliers=mult)
-    h = primitive(outcome[1])
-    if dot(h, target) <= 0 or any(dot(h, g) > 0 for g in generators):
+        return ConeMembership(True, multipliers=tuple(
+            q * s / rhs_scale for q, s in zip(z, scales)))
+    h = int_row(outcome[1])
+    if int_dot(h, rhs) <= 0 or any(int_dot(h, col) > 0 for col in columns):
         raise InternalInvariantError("separating vector fails substitution")
-    return ConeMembership(False, separator=h)
+    return ConeMembership(False, separator=tuple(map(Fraction, h)))

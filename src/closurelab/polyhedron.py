@@ -18,9 +18,11 @@ twice.
 
 One cached double description of the homogenization gives an
 H-polyhedron's emptiness, dimension and vertices, and the facets of a
-full-dimensional one.  Projection restricts those vertices and rays to
-the kept coordinates and converts back with ``v_to_h``, so it needs no
-algorithm of its own.  LPs remain where a certificate is made
+full-dimensional one.  The cache entry keeps the dimension, so its one
+rank is taken once, and the facets are read from zero sets with no
+rank.  Projection restricts those vertices and rays to the kept
+coordinates and converts back with ``v_to_h``, so it needs no algorithm
+of its own.  LPs remain where a certificate is made
 (``check_implication``) and in the redundancy scan of flat inputs.
 
 A full-dimensional polyhedron has one irredundant system up to positive
@@ -151,7 +153,7 @@ class HPolyhedron:
     @property
     def is_empty(self) -> bool:
         """True when no ray of the homogenization has t > 0."""
-        return all(r[-1] <= 0 for r in _homogenized_dd(self)[1])
+        return _homogenized_dd(self)[2] < 0
 
 
 @dataclass(frozen=True)
@@ -282,16 +284,24 @@ def dd_cone(rows: Sequence[Sequence[int]], dim: int) -> tuple[IntRows, IntRows]:
 # Bounded so a long-lived process does not keep every polyhedron it has
 # seen; a whole perfbench pool (about 100 jobs) stays below 400 entries.
 @lru_cache(maxsize=1024)
-def _homogenized_dd(p: HPolyhedron) -> tuple[IntRows, IntRows]:
-    """dd_cone of the homogenization {(x, t) : normal.x - rhs.t <= 0, t >= 0}.
-    The row -t <= 0 forces t = 0 on every line, so p is empty exactly when
-    no ray has t > 0, and otherwise dim p is the generators' rank minus 1."""
+def _homogenized_dd(p: HPolyhedron) -> tuple[IntRows, IntRows, int]:
+    """dd_cone of the homogenization {(x, t) : normal.x - rhs.t <= 0, t >= 0},
+    with the dimension of p.  The row -t <= 0 forces t = 0 on every line,
+    so p is empty (dimension -1) exactly when no ray has t > 0, and
+    otherwise dim p is the generators' rank minus 1."""
     rows = [_homogenized_row(q) for q in p.inequalities]
-    rows.append((0,) * p.n + (-1,))
+    rows.append(_t_row(p.n))
     lines, rays = dd_cone(rows, p.n + 1)
     if any(l[-1] != 0 for l in lines):
         raise InternalInvariantError("homogenization admits a line with t != 0")
-    return lines, rays
+    if all(r[-1] <= 0 for r in rays):
+        return lines, rays, -1
+    return lines, rays, linalg.rank(lines + rays) - 1
+
+
+def _t_row(n: int) -> tuple[int, ...]:
+    """The homogenization's row -t <= 0."""
+    return (0,) * n + (-1,)
 
 
 def _homogenized_row(q: Inequality) -> tuple[int, ...]:
@@ -306,7 +316,7 @@ def h_to_v(p: HPolyhedron) -> VPolyhedron:
     opposite ray pairs."""
     if p.n < 1:
         raise ContractViolation("ambient dimension must be at least 1")
-    lines, rays = _homogenized_dd(p)
+    lines, rays, _ = _homogenized_dd(p)
     vertices = {tuple(Fraction(a, r[-1]) for a in r[:-1]) for r in rays if r[-1] > 0}
     if not vertices:
         return VPolyhedron(p.n, (), ())
@@ -362,24 +372,34 @@ def _v_to_h_rows(n: int, rows: Sequence[Sequence[int]]) -> HPolyhedron:
 
 def remove_redundant(p: HPolyhedron) -> HPolyhedron:
     """Minimal sub-list defining the same set, in input order; an
-    inconsistent input is returned unchanged.  A full-dimensional p keeps
-    the last copy of each facet: a row with a nonzero normal whose tight
-    homogenization generators (all lines, the rays g with row.g = 0) have
-    rank n.  A flat p has no unique irredundant system; its rows are
+    inconsistent input is returned unchanged.
+
+    A full-dimensional p keeps the last copy of each facet, read off the
+    cached DD of its homogenization C without a rank.  Each homogenized
+    row, and the row -t <= 0, has a zero set: the rays of C it is tight
+    at (every line is tight at every row).  C is full-dimensional, so a
+    row tight at every ray is zero (0.x <= 0) and cuts no face; any other
+    row cuts the proper face spanned by the lines and its zero set.  The
+    facets are the maximal proper faces, and every facet is cut by some
+    row, so a row with a nonzero normal is a facet exactly when no other
+    row's zero set strictly contains its own, rows tight at every ray
+    left out.  A flat p has no unique irredundant system; its rows are
     scanned in order, dropping each one the survivors imply (by LP)."""
-    if p.is_empty:
+    _, rays, dim = _homogenized_dd(p)
+    if dim < 0:
         return p
-    if dimension(p) == p.n:
-        lines, rays = _homogenized_dd(p)
+    if dim == p.n:
+        def zero_set(row: Sequence[int]) -> int:
+            return sum(1 << k for k, g in enumerate(rays) if int_dot(row, g) == 0)
+
+        zs = {q: zero_set(_homogenized_row(q)) for q in p.inequalities}
+        every = (1 << len(rays)) - 1
+        faces = {z for z in zs.values() if z != every} | {zero_set(_t_row(p.n))}
+        facets = {z for z in faces if not any(z != f and z & f == z for f in faces)}
         last = {q: i for i, q in enumerate(p.inequalities)}
-
-        def is_facet(q: Inequality) -> bool:
-            row = _homogenized_row(q)
-            return linalg.rank(lines + tuple(g for g in rays if int_dot(row, g) == 0)) == p.n
-
         return HPolyhedron(p.n, tuple(
             q for i, q in enumerate(p.inequalities)
-            if last[q] == i and not q.is_trivial() and is_facet(q)))
+            if last[q] == i and not q.is_trivial() and zs[q] in facets))
     kept = list(p.inequalities)
     i = 0
     while i < len(kept):
@@ -443,11 +463,9 @@ def check_implication(system: Sequence[Inequality], target: Inequality) -> Impli
 
 def dimension(p: HPolyhedron) -> int:
     """Affine dimension, or -1 for the empty polyhedron: the rank of the
-    homogenization's lines and rays, minus 1."""
-    if p.is_empty:
-        return -1
-    lines, rays = _homogenized_dd(p)
-    return linalg.rank(lines + rays) - 1
+    homogenization's lines and rays, minus 1, taken once with the cached
+    DD that it is read from."""
+    return _homogenized_dd(p)[2]
 
 
 def is_facet_defining(p: HPolyhedron, q: Inequality) -> bool:

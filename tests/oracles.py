@@ -1,10 +1,11 @@
 """Brute-force oracles used by the tests, independent of the library's
 conversion and projection code paths, Fraction reference versions of
-the routines the library runs on integer rows (simplex, rank, double
-description), the LP-pruned V-to-H conversion that v_to_h replaces, the
-LP-decided cut attribution that classify_cuts replaces, the LP
-emptiness, dimension and redundancy tests that the homogenized double
-description replaces, the Fourier-Motzkin elimination that
+the routines the library runs on integer rows (simplex, cone
+membership, rank and double description), the LP-pruned V-to-H
+conversion that v_to_h replaces, the LP-decided cut attribution that
+classify_cuts replaces, the LP emptiness, dimension and redundancy tests
+that the homogenized double description replaces, the rank-based facet
+test that its zero sets replace, the Fourier-Motzkin elimination that
 projection through the generators replaces, the three-solve
 implication test that check_implication's single LP replaces, and the
 Fraction hull pipeline (aggregation, minimal point checks, V to H, the
@@ -28,9 +29,9 @@ from closurelab.aggregation import (HULL_FACET, SIGN, AggregatedHull, Aggregatio
                                     _is_sign_constraint, sample_multipliers)
 from closurelab.covering import CoveringInstance
 from closurelab.errors import ContractViolation, InconsistentSystemError, InternalInvariantError
-from closurelab.linalg import (Matrix, Vector, combine, dot, is_zero, mat_vec, primitive,
-                               vec_mat, zeros)
-from closurelab.lp import LpStatus, solve_lp
+from closurelab.linalg import (Matrix, Vector, check_dim, combine, dot, int_dot, is_zero,
+                               mat_vec, primitive, transpose, vec_mat, zeros)
+from closurelab.lp import ConeMembership, LpStatus, solve_lp
 from closurelab.polyhedron import (HPolyhedron, Implication, Inequality, VPolyhedron,
                                    check_implication, dd_cone, empty_hpolyhedron,
                                    is_facet_defining, remove_redundant, sorted_unique)
@@ -213,6 +214,27 @@ def lp_remove_redundant(p: HPolyhedron) -> HPolyhedron:
     return HPolyhedron(p.n, tuple(kept))
 
 
+def rank_remove_redundant(p: HPolyhedron) -> HPolyhedron:
+    """remove_redundant with the facet test by rank: for a full-dimensional
+    p, the last copy of each row with a nonzero normal whose tight
+    homogenization generators (every line, the rays g with row.g = 0)
+    have rank n; any other p goes to lp_remove_redundant, which is the
+    library's scan of flat rows."""
+    if lp_dimension(p) < p.n:
+        return lp_remove_redundant(p)
+    rows = [(*q.normal, -q.rhs) for q in p.inequalities] + [zeros(p.n) + (-_ONE,)]
+    lines, rays = dd_cone([linalg.int_row(r) for r in rows], p.n + 1)
+    last = {q: i for i, q in enumerate(p.inequalities)}
+
+    def is_facet(q: Inequality) -> bool:
+        row = linalg.int_row((*q.normal, -q.rhs))
+        return linalg.rank(lines + tuple(g for g in rays if int_dot(row, g) == 0)) == p.n
+
+    return HPolyhedron(p.n, tuple(
+        q for i, q in enumerate(p.inequalities)
+        if last[q] == i and not q.is_trivial() and is_facet(q)))
+
+
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin elimination with LP pruning (the reference for
 # polyhedron.fourier_motzkin_project)
@@ -367,7 +389,8 @@ def fraction_dd_cone(rows: Sequence[Vector], dim: int):
 
 
 # ---------------------------------------------------------------------------
-# Fraction simplex (the reference for lp._simplex_standard)
+# Fraction simplex (the reference for lp._simplex_standard) and cone
+# membership on Fraction rows (the reference for lp.cone_membership)
 
 
 def _pivot(tableau, cost, basis, row, col):
@@ -475,6 +498,30 @@ def simplex_standard(rows: Matrix, rhs: Vector, costs: Vector):
     for i in keep:
         duals[i] = signs[i] * (-cost[n_cols + i])
     return ("optimal", z, tuple(duals))
+
+
+def fraction_cone_membership(generators: Sequence[Vector], target: Vector) -> ConeMembership:
+    """lp.cone_membership on the caller's Fraction data: the generators
+    transposed into the simplex's rows, the target its right-hand side,
+    and both answers checked by substitution in Fractions."""
+    d = len(target)
+    for g in generators:
+        check_dim(g, d, "generator")
+    if not generators:
+        if is_zero(target):
+            return ConeMembership(True, multipliers=())
+        return ConeMembership(False, separator=primitive(target))
+
+    outcome = lp._simplex_standard(transpose(generators), target, zeros(len(generators)))
+    if outcome[0] == "optimal":
+        mult = outcome[1]
+        if any(q < 0 for q in mult) or vec_mat(mult, generators) != tuple(target):
+            raise InternalInvariantError("membership multipliers fail substitution")
+        return ConeMembership(True, multipliers=mult)
+    h = primitive(outcome[1])
+    if dot(h, target) <= 0 or any(dot(h, g) > 0 for g in generators):
+        raise InternalInvariantError("separating vector fails substitution")
+    return ConeMembership(False, separator=h)
 
 
 @contextmanager

@@ -166,6 +166,24 @@ def test_closure_builds_one_hull_per_aggregated_instance(monkeypatch):
         assert set(built) == expected | {aggregate(q, own)}
 
 
+def test_closure_reads_p_i_from_a_sample_holding_every_unit_row(monkeypatch):
+    """At k > m and density >= 2 a density-D sample holds both unit rows:
+    its aggregated instance has exactly q's integer points, so its hull
+    is P_I and q's own hull is not built again."""
+    built = []
+
+    def counted(q):
+        built.append(q)
+        return integer_hull(q)
+
+    monkeypatch.setattr(aggregation, "integer_hull", counted)
+    for density, hulls in ((2, 1), (3, 10)):
+        built.clear()
+        ca = closure_approx(TWO_ROW, 3, density)
+        assert len(built) == len(set(built)) == hulls
+        assert ca.stabilized == doubling_stabilized(TWO_ROW, 3, density)
+
+
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 # the oracle always builds every density-2D hull; larger runs take seconds each
 MAX_DOUBLED_TUPLES = 300

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from closurelab import cli, cone as cone_module, covering, errors, polyhedron
+from closurelab import cli, cone as cone_module, covering, errors, linalg, polyhedron
 from closurelab.cli import main
 from closurelab.errors import (
     ContractViolation,
@@ -496,6 +496,29 @@ def test_fii_runs_one_double_description(monkeypatch, capsys):
     code, out, _ = run_cli(["cone", UNIT_SQUARE, "fii", "x1 <= 1"], capsys)
     assert code == 0 and "result: FII" in out
     assert len(calls) == 1
+
+
+def test_theorem1_takes_one_rank_per_double_description(monkeypatch, capsys):
+    # the dimension is kept with each cached DD, and the facet test reads
+    # zero sets, so no rank is taken that a DD did not come with
+    counts = {"rank": 0, "dd_cone": 0}
+    real_rank, real_dd = linalg.rank, polyhedron.dd_cone
+
+    def counted_rank(rows):
+        counts["rank"] += 1
+        return real_rank(rows)
+
+    def counted_dd(rows, dim):
+        counts["dd_cone"] += 1
+        return real_dd(rows, dim)
+
+    polyhedron._homogenized_dd.cache_clear()
+    monkeypatch.setattr(linalg, "rank", counted_rank)
+    monkeypatch.setattr(polyhedron, "dd_cone", counted_dd)
+    for name in ("unit_square_cone.txt", "strip_cone.txt"):
+        code, out, _ = run_cli(["cone", str(INSTANCES / name), "theorem1"], capsys)
+        assert code == 0 and "result: PASS" in out
+    assert 0 < counts["rank"] <= counts["dd_cone"]
 
 
 def test_theorem1_and_rays_solve_no_lp(monkeypatch, capsys, tmp_path):

@@ -4,11 +4,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from closurelab import linalg, lp
 from closurelab.errors import ContractViolation, InternalInvariantError
 from closurelab.lp import LpStatus, cone_membership, solve_lp
 from closurelab.verify import dual_of_max, random_lp
+from oracles import fraction_cone_membership
 
 V = linalg.vector
 
@@ -114,6 +116,52 @@ def test_membership_round_trip_random():
             h = res.separator
             assert linalg.dot(h, target) > 0
             assert all(linalg.dot(h, g) <= 0 for g in gens)
+
+
+@st.composite
+def memberships(draw):
+    """Up to five generators in Q^1..Q^4 with fractional and non-primitive
+    entries, plus repeats of drawn ones, as they are or rescaled; the
+    target is zero, a nonnegative combination of the generators with
+    fractional weights (so often a member), or drawn freely."""
+    d = draw(st.integers(1, 4))
+    entries = st.one_of(st.just(F(0)),
+                        st.builds(F, st.integers(-4, 4), st.sampled_from((1, 1, 2, 3, 6))))
+    vectors = st.lists(entries, min_size=d, max_size=d).map(tuple)
+    gens = draw(st.lists(vectors, max_size=5))
+    for g in draw(st.lists(st.sampled_from(gens), max_size=2)) if gens else ():
+        gens.append(linalg.scale(draw(st.sampled_from((1, 2, F(1, 3)))), g))
+    kind = draw(st.sampled_from(("zero", "combination", "combination", "free", "free")))
+    if kind == "zero":
+        target = linalg.zeros(d)
+    elif kind == "combination" and gens:
+        target = linalg.zeros(d)
+        for g in gens:
+            weight = draw(st.sampled_from((0, 1, 2, F(1, 2), F(3, 4))))
+            target = linalg.add(target, linalg.scale(weight, g))
+    else:
+        target = draw(vectors)
+    return draw(st.permutations(gens)), target
+
+
+STRIP_FII = ([V([-1, 2, 7]), V([1, 2, 7]), V([0, 0, 1])], V([0, 1, F(7, 2)]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(memberships())
+@example(STRIP_FII)
+@example(([V([F(1, 2), F(-1, 3)]), V([2, 4]), V([2, 4])], V([F(5, 2), F(11, 3)])))
+@example(([V([F(2, 3), 0]), V([0, F(3, 4)])], V([-1, F(1, 5)])))
+@example(([V([F(1, 2), 0]), V([0, F(2, 3)])], V([F(1, 3), 4])))
+@example(([], V([0, 0])))
+@example(([], V([F(2, 3), -4])))
+@example(([V([1, 0]), V([1, 0])], V([0, 0])))
+def test_cone_membership_matches_fraction_reference(args):
+    # the same flag, multipliers and separator as on the caller's Fractions
+    generators, target = args
+    got = cone_membership(generators, target)
+    assert got == fraction_cone_membership(generators, target)
+    assert all(type(q) is F for v in (got.multipliers, got.separator) if v for q in v)
 
 
 def test_duality_audit_random():

@@ -37,7 +37,8 @@ from closurelab.polyhedron import (
 
 from oracles import (brute_force_vertices, dd_rows_zero_normal_skip, fm_project,
                      lp_dimension, lp_is_empty, lp_remove_redundant, lp_v_to_h,
-                     point_has_extension, rational_grid, three_solve_implication)
+                     point_has_extension, rank_remove_redundant, rational_grid,
+                     three_solve_implication)
 
 V = linalg.vector
 
@@ -324,6 +325,9 @@ TWO_SCALINGS = HPolyhedron(2, (ineq([2, 0], 2), ineq([0, 1], 1), ineq([-1, 0], 0
 ZERO_NORMAL_ROW = HPolyhedron(2, SQUARE.inequalities[:2] + (ineq([0, 0], 3),)
                               + SQUARE.inequalities[2:])
 POINT_IN_R1 = HPolyhedron(1, (ineq([3], 2), ineq([-3], -2)))
+# 0.x <= 0 is tight at every ray of the homogenization; counted as a face,
+# it would contain the zero set of the facet x3 <= 1 and drop it
+ZERO_ROW_FACE = HPolyhedron(3, (ineq([0, 0, 0], 1), ineq([0, 0, 1], 1), ineq([0, 0, 0], 0)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -336,6 +340,16 @@ def test_dd_queries_match_lp_references(p):
     assert dimension(p) == lp_dimension(p)
     assert [q.stacked() for q in remove_redundant(p).inequalities] == \
         [q.stacked() for q in lp_remove_redundant(p).inequalities]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(h_polyhedra())
+@example(TWO_SCALINGS)
+@example(ZERO_NORMAL_ROW)
+@example(ZERO_ROW_FACE)
+def test_zero_set_facets_match_rank_facet_test(p):
+    assert [q.stacked() for q in remove_redundant(p).inequalities] == \
+        [q.stacked() for q in rank_remove_redundant(p).inequalities]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -353,6 +367,7 @@ def test_dd_queries_named_examples():
     assert [q.stacked() for q in remove_redundant(TWO_SCALINGS).inequalities] == \
         [V([0, 1, 1]), V([-1, 0, 0]), V([1, 0, 1]), V([0, -1, 0])]
     assert remove_redundant(ZERO_NORMAL_ROW).inequalities == SQUARE.inequalities
+    assert remove_redundant(ZERO_ROW_FACE).inequalities == (ineq([0, 0, 1], 1),)
     assert dimension(POINT_IN_R1) == 0 and not POINT_IN_R1.is_empty
     assert remove_redundant(POINT_IN_R1) == POINT_IN_R1
 
