@@ -3,15 +3,18 @@ closure they induce.
 
 A ``GeneratedCone`` holds a finite family of nonzero vectors (alpha, beta)
 in Q^(n+1), each read as the half-space alpha.x <= beta.  The closure of
-the family is the intersection of those half-spaces.  Everything here is
-exact and every answer carries a checkable certificate.  Cone membership
-decides extreme rays (against the remaining generators), validity, and
-pointedness: (0, ..., 0, 1) lies in the cone of the lifted generators
-(g, 1) exactly when the cone contains a line.  ``is_pointed`` also
-solves a strict-support LP over a box, because it reports the support;
-``extreme_rays`` and ``check_theorem1`` call no ``solve_lp`` (their
-cone-membership tests are LPs of their own).  A violating point
-for an invalid inequality comes from ``check_implication``.
+the family is the intersection of those half-spaces.  Each cone keeps its
+distinct generators as primitive integer rows, made once when it is built;
+its LPs get integer columns and rows, and Fractions are made only for the
+values it returns.  Everything here is exact and every answer carries a
+checkable certificate.  Cone membership decides extreme rays (against
+the remaining generators), validity, and pointedness: (0, ..., 0, 1)
+lies in the cone of the lifted generators (g, 1) exactly when the cone
+contains a line.  ``is_pointed`` also solves a strict-support LP over a
+box, because it reports the support; ``extreme_rays`` and
+``check_theorem1`` call no ``solve_lp`` (their cone-membership tests
+are LPs of their own).  A violating point for an invalid inequality
+comes from ``check_implication``.
 
 For a finite family the conical hull is closed, so each extreme ray is
 one of the generators up to positive scaling; ``check_theorem1`` turns
@@ -21,8 +24,7 @@ runtime cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 
 from .errors import (
     ContractViolation,
@@ -33,20 +35,18 @@ from .errors import (
     NotPointedError,
 )
 from . import linalg
-from .linalg import Vector, dot, primitive
+from .linalg import Vector, dot
 from .lp import LpStatus, cone_membership, solve_lp
 from .polyhedron import (
     HPolyhedron,
     Inequality,
+    _from_row,
     check_implication,
     empty_hpolyhedron,
     dimension,
     remove_redundant,
     sorted_unique,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -59,19 +59,24 @@ class GeneratedCone:
     """
 
     generators: tuple[Vector, ...]
+    # the distinct generators as primitive int rows, in first-seen order
+    _rows: tuple[tuple[int, ...], ...] = field(default=(), init=False, repr=False,
+                                               compare=False)
 
     def __post_init__(self):
-        gens = tuple(primitive(linalg.vector(g)) for g in self.generators)
-        if not gens:
+        rows = tuple(tuple(linalg.int_row(linalg.vector(g))) for g in self.generators)
+        if not rows:
             raise ContractViolation("a generated cone needs at least one generator")
-        d = len(gens[0])
+        d = len(rows[0])
         if d < 2:
             raise ContractViolation("generators live in Q^(n+1) with n >= 1")
-        for g in gens:
-            linalg.check_dim(g, d, "generator")
-            if linalg.is_zero(g):
-                raise ContractViolation("the zero vector is not a legal generator")
-        object.__setattr__(self, "generators", gens)
+        for i, row in enumerate(rows):
+            linalg.check_dim(row, d, "generator")
+            if not any(row):
+                raise ContractViolation("the zero vector is not a legal generator",
+                                        at=("generators", i))
+        object.__setattr__(self, "generators", tuple(map(linalg.vector, rows)))
+        object.__setattr__(self, "_rows", tuple(dict.fromkeys(rows)))
 
     @property
     def dim(self) -> int:
@@ -87,7 +92,7 @@ class GeneratedCone:
         return self.unit_last() in self.generators
 
     def unit_last(self) -> Vector:
-        return linalg.zeros(self.n) + (_ONE,)
+        return linalg.unit(self.dim, self.n)
 
     def with_unit_last(self) -> tuple["GeneratedCone", bool]:
         """The same cone, with (0, ..., 0, 1) appended when missing."""
@@ -152,18 +157,17 @@ class Theorem1Report:
     detail: str = ""
 
 
-def _line_through(gens: tuple[Vector, ...]) -> Vector | None:
-    """A generator spanning a line of cone(gens), or None when the cone is
+def _line_through(rows: tuple[tuple[int, ...], ...]) -> Vector | None:
+    """A generator spanning a line of cone(rows), or None when the cone is
     pointed.  Decided as membership of (0, ..., 0, 1) in cone of the lifted
     generators (g, 1): multipliers are mu >= 0 with sum mu_i g_i = 0 and
     sum mu_i = 1, and any generator carrying positive weight spans a line;
     a separator (h, t) has t > 0 and h.g <= -t, so -h strictly supports
     every generator.  Either answer is substitution-checked."""
-    lifted = [g + (_ONE,) for g in gens]
-    member = cone_membership(lifted, linalg.zeros(len(gens[0])) + (_ONE,))
+    member = cone_membership([g + (1,) for g in rows], (0,) * len(rows[0]) + (1,))
     if not member.member:
         return None
-    return next(g for g, m in zip(gens, member.multipliers) if m > 0)
+    return linalg.vector(next(g for g, m in zip(rows, member.multipliers) if m > 0))
 
 
 def is_pointed(k: GeneratedCone) -> Pointedness:
@@ -171,27 +175,20 @@ def is_pointed(k: GeneratedCone) -> Pointedness:
     -1 <= h_i <= 1.  A positive optimum gives the support h; otherwise the
     line search must find a generator spanning a line of the cone."""
     d = k.dim
-    gens = k.unique_generators()
-    rows = []
-    rhs = []
-    for g in gens:
-        rows.append(linalg.neg(g) + (_ONE,))  # s - h.g <= 0
-        rhs.append(_ZERO)
+    rows = [tuple(-a for a in g) + (1,) for g in k._rows]  # s - h.g <= 0
     for j in range(d):
-        rows.append(linalg.unit(d + 1, j))
-        rhs.append(_ONE)
-        rows.append(linalg.neg(linalg.unit(d + 1, j)))
-        rhs.append(_ONE)
-    objective = linalg.zeros(d) + (_ONE,)
-    res = solve_lp(tuple(rows), tuple(rhs), objective, "max")
+        e = tuple(int(i == j) for i in range(d + 1))
+        rows += [e, tuple(-a for a in e)]
+    rhs = (0,) * len(k._rows) + (1,) * (2 * d)
+    res = solve_lp(tuple(rows), rhs, (0,) * d + (1,), "max")
     if res.status is not LpStatus.OPTIMAL:
         raise InternalInvariantError("support LP is bounded and feasible")
     if res.objective > 0:
         h = res.x[:d]
-        if any(dot(h, g) <= 0 for g in gens):
+        if any(dot(h, g) <= 0 for g in k._rows):
             raise InternalInvariantError("support vector fails substitution")
         return Pointedness(True, support=h)
-    witness = _line_through(gens)
+    witness = _line_through(k._rows)
     if witness is None:
         raise InternalInvariantError("support LP and line search disagree")
     return Pointedness(False, line_witness=witness)
@@ -202,31 +199,27 @@ def extreme_rays(k: GeneratedCone) -> RaySet:
     up to positive scaling.  Requires a pointed cone, decided by the line
     search alone (no support LP): a cone containing a line has no
     extreme-ray description and raises NotPointedError."""
-    gens = k.unique_generators()
-    line = _line_through(gens)
+    rows = k._rows
+    line = _line_through(rows)
     if line is not None:
         raise NotPointedError(
             "extreme rays are only defined for pointed cones", line_witness=line)
-    rays = []
-    for i, g in enumerate(gens):
-        others = gens[:i] + gens[i + 1:]
-        if not cone_membership(others, g).member:
-            rays.append(g)
-    return RaySet(tuple(rays))
+    return RaySet(tuple(linalg.vector(g) for i, g in enumerate(rows)
+                        if not cone_membership(rows[:i] + rows[i + 1:], g).member))
 
 
 def _closure_rows(k: GeneratedCone) -> list[Inequality] | None:
     """The generators plus unit-last as rows alpha.x <= beta, in order,
-    skipping 0.x <= b >= 0; None if some generator is 0.x <= b < 0."""
+    skipping 0.x <= b >= 0; None if some generator is 0.x <= b < 0.  A
+    primitive generator is its inequality's canonical row."""
     ku, _ = k.with_unit_last()
     out = []
-    for g in ku.unique_generators():
-        normal, rhs = g[:-1], g[-1]
-        if linalg.is_zero(normal):
-            if rhs < 0:
+    for g in ku._rows:
+        if not any(g[:-1]):
+            if g[-1] < 0:
                 return None
             continue  # 0.x <= b, b >= 0: no constraint
-        out.append(Inequality(normal, rhs))
+        out.append(_from_row(g))
     return out
 
 
@@ -252,7 +245,7 @@ def is_valid_for_closure(k: GeneratedCone, q: Inequality) -> ValidityCheck:
     if rows is None or HPolyhedron(k.n, sorted_unique(rows)).is_empty:
         raise EmptyClosureError("validity over an empty closure is undefined")
     gens = ku.unique_generators()
-    member = cone_membership(gens, q.stacked())
+    member = cone_membership(ku._rows, q.stacked())
     if member.member:
         return ValidityCheck(True, gens, multipliers=member.multipliers)
     imp = check_implication(rows, q)
@@ -275,15 +268,14 @@ def fii_check(k: GeneratedCone, q: Inequality) -> FiiCheck:
     if not validity.valid:
         raise InvalidInequalityError(
             "inequality is not valid for the closure", witness=validity.witness)
-    canon = primitive(q.stacked())
-    others = tuple(g for g in ku.unique_generators() if g != canon)
-    if others == validity.generators:
+    canon = q._primitive_row()
+    others = tuple(g for g in ku._rows if g != canon)
+    if others == ku._rows:
         # q's row is no generator, so the validity LP already asked this
-        return FiiCheck(False, others, multipliers=validity.multipliers)
+        return FiiCheck(False, validity.generators, multipliers=validity.multipliers)
     member = cone_membership(others, q.stacked())
-    if member.member:
-        return FiiCheck(False, others, multipliers=member.multipliers)
-    return FiiCheck(True, others)
+    return FiiCheck(not member.member, tuple(map(linalg.vector, others)),
+                    multipliers=member.multipliers)
 
 
 def is_fii(k: GeneratedCone, q: Inequality) -> bool:
@@ -313,7 +305,7 @@ def check_theorem1(k: GeneratedCone) -> Theorem1Report:
             added_unit_last=added,
             detail=(f"full-dimensional closure but cone contains the line "
                     f"through {linalg.format_vector(e.line_witness)}"))
-    gen_set = set(ku.unique_generators())
+    gen_set = set(ku._rows)  # a ray's Fractions equal and hash as its int row
     rays_ok = all(r in gen_set for r in rays.rays)
     equal = closure == closure_of(GeneratedCone(rays.rays + (ku.unit_last(),)))
     detail = ""

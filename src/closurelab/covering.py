@@ -67,14 +67,16 @@ class CoveringInstance:
             for j, entry in enumerate(row):
                 if entry < 0:
                     raise ContractViolation(
-                        f"covering data must be nonnegative: M[{i + 1}][{j + 1}] = {entry}")
+                        f"covering data must be nonnegative: M[{i + 1}][{j + 1}] = {entry}",
+                        at=("M", i, j))
             if demand[i] < 0:
                 raise ContractViolation(
-                    f"covering data must be nonnegative: d[{i + 1}] = {demand[i]}")
+                    f"covering data must be nonnegative: d[{i + 1}] = {demand[i]}",
+                    at=("d", i))
             if demand[i] > 0 and all(entry == 0 for entry in row):
                 raise ContractViolation(
                     f"row {i + 1} demands {demand[i]} with all-zero coefficients; "
-                    "the instance would be empty")
+                    "the instance would be empty", at=("M", i))
         object.__setattr__(self, "M", m_rows)
         object.__setattr__(self, "d", demand)
 

@@ -14,7 +14,14 @@ class ClosureLabError(Exception):
 
 class ContractViolation(ClosureLabError):
     """An operation was called with inputs that break its contract
-    (dimension mismatch, empty generator description, bad data signs)."""
+    (dimension mismatch, empty generator description, bad data signs).
+    ``at`` locates the bad datum, when there is one, as a path into the
+    constructor's arguments counted from 0: for example ("M", i, j) is
+    M[i][j], ("M", i) the whole row M[i] and ("d", i) the entry d[i]."""
+
+    def __init__(self, message: str, at: tuple = ()):
+        super().__init__(message)
+        self.at = at
 
 
 class ParseError(ClosureLabError):

@@ -17,6 +17,7 @@ carry the offending line and column.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .cone import GeneratedCone
@@ -94,8 +95,25 @@ def parse_instance(text: str) -> InstanceFile:
     try:
         payload = _build(kind, n, m, rows)
     except ContractViolation as exc:
-        raise ParseError(str(exc), rows[0][0] if rows else items[-1][0], 1)
+        raise _data_error(exc, rows)
     return InstanceFile(kind, n, m, payload)
+
+
+def _data_error(exc: ContractViolation, rows) -> ParseError:
+    """A payload constructor's ContractViolation, placed at the token that
+    holds the bad value, or at its row's first token when the whole row is
+    at fault.  Each 'M' or 'G' line is one row of M or of the generators;
+    the one 'd' line holds the demand vector.  An error that names no
+    datum is placed at the first payload row."""
+    if not exc.at:
+        return ParseError(str(exc), rows[0][0], 1)
+    name, *path = exc.at
+    if name == "d":
+        path.insert(0, 0)
+    key = "G" if name == "generators" else name
+    lineno, _, _, value = [row for row in rows if row[1] == key][path[0]]
+    token = list(re.finditer(r"\S+", value))[path[1] if len(path) > 1 else 0]
+    return ParseError(str(exc), lineno, token.start() + 1)
 
 
 def _expect_key(kind: str, key: str, allowed: tuple[str, ...], lineno: int,

@@ -170,6 +170,25 @@ def test_indented_key_errors_report_the_key_column(tmp_path, capsys, command, te
     assert (code, out, err) == (2, "", err_text)
 
 
+@pytest.mark.parametrize("command, text, err_text", [
+    (("hull",), "kind: covering\nn: 2\nm: 2\nM: 1 1\nM: 1 -1\nd: 3 3\n",
+     "error: line 5, column 6: covering data must be nonnegative: M[2][2] = -1\n"),
+    (("hull",), "kind: covering\nn: 2\nm: 2\nM: 1 1\nM: 1 1\nd: 3 -3\n",
+     "error: line 6, column 6: covering data must be nonnegative: d[2] = -3\n"),
+    (("hull",), "kind: covering\nn: 2\nm: 2\nM: 1 1\nM: 0 0\nd: 3 3\n",
+     "error: line 5, column 4: row 2 demands 3 with all-zero coefficients; "
+     "the instance would be empty\n"),
+    (("cone", "rays"), "kind: cone\nn: 2\nG: 1 0 0\nG: 0 0 0\n",
+     "error: line 4, column 4: the zero vector is not a legal generator\n"),
+], ids=["negative M entry", "negative demand", "zero row with demand", "zero generator"])
+def test_instance_data_errors_point_at_the_bad_value(tmp_path, capsys, command, text,
+                                                     err_text):
+    # an entry error points at its token, a whole-row error at the row's first token
+    name, *rest = command
+    code, out, err = run_cli([name, write(tmp_path, "bad.txt", text), *rest], capsys)
+    assert (code, out, err) == (2, "", err_text)
+
+
 def test_fii_with_juxtaposed_terms_exits_2(capsys):
     code, out, err = run_cli(["cone", UNIT_SQUARE, "fii", "x1 x2 <= 1"], capsys)
     assert (code, out) == (2, "")

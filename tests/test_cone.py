@@ -1,8 +1,10 @@
 """Generated cones: extreme rays, pointedness, closure, validity, FII."""
 
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from closurelab import cone as cone_module, linalg
 from closurelab.cone import (
@@ -16,17 +18,21 @@ from closurelab.cone import (
     is_valid_for_closure,
 )
 from closurelab.errors import (
+    ClosureLabError,
     ContractViolation,
     EmptyClosureError,
     InvalidInequalityError,
     NotFullDimensionalError,
     NotPointedError,
 )
-from closurelab.lp import cone_membership
+from closurelab.io import parse_instance
+from closurelab.lp import cone_membership, solve_lp
 from closurelab.polyhedron import dimension, ineq, is_facet_defining, same_point_set
 from closurelab.verify import random_line_cones, random_pointed_cones
 
 V = linalg.vector
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 ORTHANT_CONE = GeneratedCone((V([-1, 0, 0]), V([0, -1, 0]), V([0, 0, 1])))
 SQUARE_CONE = GeneratedCone((V([1, 0, 1]), V([0, 1, 1]),
@@ -261,3 +267,100 @@ def test_scaled_duplicate_generators_collapse():
     k = GeneratedCone((V([1, 0]), V([3, 0]), V([0, 2]), V([0, 1])))
     assert k.unique_generators() == (V([1, 0]), V([0, 1]))
     assert extreme_rays(k).rays == (V([0, 1]), V([1, 0]))
+
+
+def _ints(v):
+    return type(v) is tuple and all(type(a) is int for a in v)
+
+
+def _fractions(v):
+    return type(v) is tuple and all(type(a) is F for a in v)
+
+
+def test_cone_layer_hands_the_lp_ints_and_returns_fractions(monkeypatch):
+    columns, lp_rows = [], []
+
+    def recording_membership(generators, target):
+        columns.extend(generators)
+        return cone_membership(generators, target)
+
+    def recording_lp(a, b, c, sense="max"):
+        lp_rows.extend(a)
+        return solve_lp(a, b, c, sense)
+
+    monkeypatch.setattr(cone_module, "cone_membership", recording_membership)
+    monkeypatch.setattr(cone_module, "solve_lp", recording_lp)
+    vectors = []  # every vector a result hands out
+    for name, fii, not_fii, invalid in (
+            ("strip_cone.txt", ineq([-1, 2], 7), ineq([0, 1], F(7, 2)), ineq([0, 1], 1)),
+            ("unit_square_cone.txt", ineq([1, 0], 1), ineq([1, 1], 2), ineq([1, 1], 1))):
+        k = parse_instance((INSTANCES / name).read_text()).payload
+        vectors += k.unique_generators() + extreme_rays(k).rays
+        pointed = is_pointed(k)
+        assert pointed.pointed
+        vectors.append(pointed.support)
+        vectors += [q.stacked() for q in closure_of(k).inequalities]
+        report = check_theorem1(k)
+        assert report.passed
+        vectors += report.extreme_rays
+        yes, no = fii_check(k, fii), fii_check(k, not_fii)
+        assert yes.is_fii and not no.is_fii
+        vectors += yes.others + no.others + (no.multipliers,)
+        valid, bad = is_valid_for_closure(k, not_fii), is_valid_for_closure(k, invalid)
+        assert valid.valid and not bad.valid
+        vectors += valid.generators + (valid.multipliers,) + bad.generators + (bad.witness,)
+        with pytest.raises(InvalidInequalityError) as err:
+            fii_check(k, invalid)
+        vectors.append(err.value.witness)
+    line = GeneratedCone((V([1, 0, 0]), V([-1, 0, 0]), V([0, 0, 1])))
+    pointed = is_pointed(line)
+    assert not pointed.pointed
+    vectors.append(pointed.line_witness)
+    with pytest.raises(NotPointedError) as err:
+        extreme_rays(line)
+    vectors.append(err.value.line_witness)
+    vectors += [q.stacked() for q in closure_of(line).inequalities]
+    with pytest.raises(NotFullDimensionalError):
+        check_theorem1(line)
+    with pytest.raises(NotFullDimensionalError):
+        fii_check(line, ineq([1, 0], 1))
+    assert columns and lp_rows
+    assert all(map(_ints, columns)) and all(map(_ints, lp_rows))
+    assert vectors and all(map(_fractions, vectors))
+
+
+@st.composite
+def cones_built_twice(draw):
+    """A cone from integer generators, and the same cone from each
+    generator times p/q, some of them repeated."""
+    n = draw(st.sampled_from((2, 3)))
+    generator = st.tuples(*[st.integers(-3, 3)] * n, st.integers(0, 3)).filter(any)
+    gens = draw(st.lists(generator, min_size=2, max_size=6))
+    scale = st.builds(F, st.integers(1, 5), st.integers(1, 5))
+    scaled = []
+    for g in gens:
+        for c in draw(st.lists(scale, min_size=1, max_size=2)):
+            scaled.append(tuple(c * a for a in g))
+    return GeneratedCone(tuple(gens)), GeneratedCone(tuple(scaled))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ClosureLabError as e:
+        return type(e), str(e), getattr(e, "line_witness", None)
+
+
+@PROPERTY
+@given(cones_built_twice())
+@example((GeneratedCone(((1, 0, 0), (-1, 0, 0), (0, 0, 1))),
+          GeneratedCone(((3, 0, 0), (-1, 0, 0), (F(-1, 2), 0, 0), (0, 0, 5)))))
+def test_rescaled_and_repeated_generators_give_the_same_cone(cones):
+    k, scaled = cones
+    assert scaled.unique_generators() == k.unique_generators()
+    assert k._rows == tuple(tuple(linalg.int_row(g)) for g in k.unique_generators())
+    for query in (extreme_rays, is_pointed, closure_of, check_theorem1):
+        assert _outcome(query, scaled) == _outcome(query, k), query.__name__
+    for g in k.unique_generators():
+        q = ineq(g[:-1], g[-1])
+        assert _outcome(fii_check, scaled, q) == _outcome(fii_check, k, q)
