@@ -2,19 +2,14 @@
 closure they induce.
 
 A ``GeneratedCone`` holds a finite family of nonzero vectors (alpha, beta)
-in Q^(n+1), each read as the half-space alpha.x <= beta.  The closure of
-the family is the intersection of those half-spaces.  Each cone keeps its
-distinct generators as primitive integer rows, made once when it is built;
-its LPs get integer columns and rows, and Fractions are made only for the
-values it returns.  Everything here is exact and every answer carries a
-checkable certificate.  Cone membership decides extreme rays (against
-the remaining generators), validity, and pointedness: (0, ..., 0, 1)
-lies in the cone of the lifted generators (g, 1) exactly when the cone
-contains a line.  ``is_pointed`` also solves a strict-support LP over a
-box, because it reports the support; ``extreme_rays`` and
-``check_theorem1`` call no ``solve_lp`` (their cone-membership tests
-are LPs of their own).  A violating point for an invalid inequality
-comes from ``check_implication``.
+in Q^(n+1), each read as the half-space alpha.x <= beta; the closure is
+their intersection.  Each cone keeps its distinct generators as primitive
+integer rows, made once; Fractions are made only for returned values.
+Extreme rays and pointedness come from the polar cone's double
+description (for a cone holding (0, ..., 0, 1), the closure system's
+cached one), so ``extreme_rays`` and ``check_theorem1`` solve no LP on a
+pointed cone.  Exact LPs remain where a certificate is printed: a line,
+a strict support, validity multipliers, a violating point.
 
 For a finite family the conical hull is closed, so each extreme ray is
 one of the generators up to positive scaling; ``check_theorem1`` turns
@@ -35,13 +30,16 @@ from .errors import (
     NotPointedError,
 )
 from . import linalg
-from .linalg import Vector, dot
+from .linalg import Vector, dot, int_dot
 from .lp import LpStatus, cone_membership, solve_lp
 from .polyhedron import (
     HPolyhedron,
     Inequality,
+    IntRows,
     _from_row,
+    _homogenized_dd,
     check_implication,
+    dd_cone,
     empty_hpolyhedron,
     dimension,
     remove_redundant,
@@ -64,7 +62,16 @@ class GeneratedCone:
                                                compare=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(linalg.int_row(linalg.vector(g))) for g in self.generators)
+        self._set_rows(tuple(tuple(linalg.int_row(linalg.vector(g))) for g in self.generators))
+
+    @classmethod
+    def _of_rows(cls, rows: tuple[tuple[int, ...], ...]) -> "GeneratedCone":
+        """The cone of rows already primitive, checked but not rescaled."""
+        k = object.__new__(cls)
+        k._set_rows(rows)
+        return k
+
+    def _set_rows(self, rows: tuple[tuple[int, ...], ...]) -> None:
         if not rows:
             raise ContractViolation("a generated cone needs at least one generator")
         d = len(rows[0])
@@ -89,16 +96,19 @@ class GeneratedCone:
 
     @property
     def has_unit_last(self) -> bool:
-        return self.unit_last() in self.generators
+        return self._unit_row() in self._rows
 
     def unit_last(self) -> Vector:
         return linalg.unit(self.dim, self.n)
+
+    def _unit_row(self) -> tuple[int, ...]:
+        return (0,) * self.n + (1,)
 
     def with_unit_last(self) -> tuple["GeneratedCone", bool]:
         """The same cone, with (0, ..., 0, 1) appended when missing."""
         if self.has_unit_last:
             return self, False
-        return GeneratedCone(self.generators + (self.unit_last(),)), True
+        return GeneratedCone._of_rows(self._rows + (self._unit_row(),)), True
 
     def unique_generators(self) -> tuple[Vector, ...]:
         return tuple(dict.fromkeys(self.generators))
@@ -194,33 +204,54 @@ def is_pointed(k: GeneratedCone) -> Pointedness:
     return Pointedness(False, line_witness=witness)
 
 
+def _polar_rays(k: GeneratedCone) -> IntRows:
+    """The rays of the polar cone {y : g.y <= 0 for every generator g}.
+    With unit-last, the rows (a, -b) and -t <= 0 of the closure system's
+    cached homogenization are the generators with t = -y_last, so its rays
+    are read with the last entry negated; other cones take one dd_cone."""
+    rows = _closure_rows(k) if k.has_unit_last else None
+    if rows is None:
+        return dd_cone(k._rows, k.dim)[1]
+    return tuple(r[:-1] + (-r[-1],) for r in _homogenized_dd(_system(k.n, rows))[1])
+
+
 def extreme_rays(k: GeneratedCone) -> RaySet:
-    """The extreme rays of cone(generators), each of which is a generator
-    up to positive scaling.  Requires a pointed cone, decided by the line
-    search alone (no support LP): a cone containing a line has no
-    extreme-ray description and raises NotPointedError."""
-    rows = k._rows
-    line = _line_through(rows)
-    if line is not None:
+    """The extreme rays of cone(generators), each a generator up to
+    positive scaling, with no LP on a pointed cone.  A generator's zero set
+    is the polar rays it is tight at.  One tight at every ray is orthogonal
+    to the polar, so the cone has a line (NotPointedError, the line named
+    by the line search).  Otherwise a generator is extreme exactly when its
+    face of the polar is a facet: no other generator's zero set contains
+    its own (Fukuda & Prodon 1996)."""
+    rays = _polar_rays(k)
+    zs = [sum(1 << i for i, r in enumerate(rays) if not int_dot(g, r)) for g in k._rows]
+    if (1 << len(rays)) - 1 in zs:
+        line = _line_through(k._rows)
+        if line is None:
+            raise InternalInvariantError("DD and line search disagree")
         raise NotPointedError(
             "extreme rays are only defined for pointed cones", line_witness=line)
-    return RaySet(tuple(linalg.vector(g) for i, g in enumerate(rows)
-                        if not cone_membership(rows[:i] + rows[i + 1:], g).member))
+    return RaySet(tuple(linalg.vector(g) for i, (g, z) in enumerate(zip(k._rows, zs))
+                        if not any(j != i and y & z == z for j, y in enumerate(zs))))
 
 
 def _closure_rows(k: GeneratedCone) -> list[Inequality] | None:
-    """The generators plus unit-last as rows alpha.x <= beta, in order,
-    skipping 0.x <= b >= 0; None if some generator is 0.x <= b < 0.  A
-    primitive generator is its inequality's canonical row."""
-    ku, _ = k.with_unit_last()
+    """The generators as rows alpha.x <= beta, in order, skipping 0.x <= b
+    >= 0 (unit-last among them); None if some generator is 0.x <= b < 0.
+    A primitive generator is its inequality's canonical row."""
     out = []
-    for g in ku._rows:
+    for g in k._rows:
         if not any(g[:-1]):
             if g[-1] < 0:
                 return None
             continue  # 0.x <= b, b >= 0: no constraint
         out.append(_from_row(g))
     return out
+
+
+def _system(n: int, rows: list[Inequality]) -> HPolyhedron:
+    """The closure system whose cached DD all cone queries read."""
+    return HPolyhedron(n, sorted_unique(rows))
 
 
 def closure_of(k: GeneratedCone) -> HPolyhedron:
@@ -230,7 +261,7 @@ def closure_of(k: GeneratedCone) -> HPolyhedron:
     rows = _closure_rows(k)
     if rows is None:
         return empty_hpolyhedron(k.n)
-    return remove_redundant(HPolyhedron(k.n, sorted_unique(rows)))
+    return remove_redundant(_system(k.n, rows))
 
 
 def is_valid_for_closure(k: GeneratedCone, q: Inequality) -> ValidityCheck:
@@ -239,10 +270,9 @@ def is_valid_for_closure(k: GeneratedCone, q: Inequality) -> ValidityCheck:
     if q.n != k.n:
         raise ContractViolation("inequality/cone dimension mismatch")
     ku, _ = k.with_unit_last()
-    rows = _closure_rows(ku)
-    # sorted_unique rows, as in closure_of, so the cached DD is reused;
+    rows = _closure_rows(k)
     # the LP below keeps generator order, which fixes its witness
-    if rows is None or HPolyhedron(k.n, sorted_unique(rows)).is_empty:
+    if rows is None or _system(k.n, rows).is_empty:
         raise EmptyClosureError("validity over an empty closure is undefined")
     gens = ku.unique_generators()
     member = cone_membership(ku._rows, q.stacked())
@@ -287,9 +317,8 @@ def check_theorem1(k: GeneratedCone) -> Theorem1Report:
     (a) the closure rebuilt from the extreme rays alone is the same point
     set, and (b) pointedness holds, matching full dimension.  The rebuilt
     closure contains the full-dimensional one and both are canonical facet
-    lists, so (a) is list equality; (b) is the line search inside
-    ``extreme_rays``, and ``solve_lp`` is never called (only
-    ``lp.cone_membership``)."""
+    lists, so (a) is list equality; (b) and the rays are read from the
+    closure system's cached DD, so a pointed cone costs no LP."""
     ku, added = k.with_unit_last()
     closure = closure_of(ku)
     if dimension(closure) != k.n:
@@ -307,7 +336,8 @@ def check_theorem1(k: GeneratedCone) -> Theorem1Report:
                     f"through {linalg.format_vector(e.line_witness)}"))
     gen_set = set(ku._rows)  # a ray's Fractions equal and hash as its int row
     rays_ok = all(r in gen_set for r in rays.rays)
-    equal = closure == closure_of(GeneratedCone(rays.rays + (ku.unit_last(),)))
+    rows = tuple(tuple(map(int, r)) for r in rays.rays)  # primitive, so integral
+    equal = closure == closure_of(GeneratedCone._of_rows(rows + (ku._unit_row(),)))
     detail = ""
     if not rays_ok:
         stray = next(r for r in rays.rays if r not in gen_set)

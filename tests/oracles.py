@@ -7,11 +7,12 @@ classify_cuts replaces, the LP emptiness, dimension and redundancy tests
 that the homogenized double description replaces, the rank-based facet
 test that its zero sets replace, the Fourier-Motzkin elimination that
 projection through the generators replaces, the three-solve
-implication test that check_implication's single LP replaces, and the
-Fraction hull pipeline (aggregation, minimal point checks, V to H, the
-sampled closure) that the integer rows replace, and the density-doubling
-stabilization check that closure_approx now runs only when its
-approximation is not already the integer hull."""
+implication test that check_implication's single LP replaces, the
+per-generator membership LPs that the polar cone's zero sets replace in
+extreme_rays, and the Fraction hull pipeline (aggregation, minimal point
+checks, V to H, the sampled closure) that the integer rows replace, and
+the density-doubling stabilization check that closure_approx now runs
+only when its approximation is not already the integer hull."""
 
 from __future__ import annotations
 
@@ -27,8 +28,10 @@ from closurelab import linalg, lp
 from closurelab.aggregation import (HULL_FACET, SIGN, AggregatedHull, AggregationSample,
                                     ClosureApprox, CutClass, _hulls_for, _intersect,
                                     _is_sign_constraint, sample_multipliers)
+from closurelab.cone import GeneratedCone, RaySet, _line_through
 from closurelab.covering import CoveringInstance
-from closurelab.errors import ContractViolation, InconsistentSystemError, InternalInvariantError
+from closurelab.errors import (ContractViolation, InconsistentSystemError,
+                               InternalInvariantError, NotPointedError)
 from closurelab.linalg import (Matrix, Vector, check_dim, combine, dot, int_dot, is_zero,
                                mat_vec, primitive, transpose, vec_mat, zeros)
 from closurelab.lp import ConeMembership, LpStatus, solve_lp
@@ -522,6 +525,20 @@ def fraction_cone_membership(generators: Sequence[Vector], target: Vector) -> Co
     if dot(h, target) <= 0 or any(dot(h, g) > 0 for g in generators):
         raise InternalInvariantError("separating vector fails substitution")
     return ConeMembership(False, separator=h)
+
+
+def lp_extreme_rays(k: GeneratedCone) -> RaySet:
+    """The extreme rays of cone(generators) by LP, as cone.extreme_rays
+    decided them before it read the polar cone's DD: the line search
+    decides pointedness, and a generator is extreme when it is no member
+    of the cone of the others."""
+    rows = k._rows
+    line = _line_through(rows)
+    if line is not None:
+        raise NotPointedError(
+            "extreme rays are only defined for pointed cones", line_witness=line)
+    return RaySet(tuple(linalg.vector(g) for i, g in enumerate(rows)
+                        if not lp.cone_membership(rows[:i] + rows[i + 1:], g).member))
 
 
 @contextmanager

@@ -480,24 +480,18 @@ def test_verify_exits_5_when_implication_witness_fails(monkeypatch, capsys):
                           "witness fails substitution check", capsys)
 
 
-def test_theorem1_runs_the_pointedness_lp_once(monkeypatch, capsys):
-    # pointedness is the line search alone: one search and no LP
-    calls = []
-    real = cone_module._line_through
+def test_theorem1_on_a_pointed_cone_solves_no_lp(monkeypatch, capsys):
+    # pointedness and extreme rays come from the polar cone's DD: no line
+    # search, no cone membership and no other LP
+    def refused(*args, **kwargs):
+        raise AssertionError("theorem1 searched for a line or solved an LP")
 
-    def counted(gens):
-        calls.append(gens)
-        return real(gens)
-
-    def no_lp(*args, **kwargs):
-        raise AssertionError("theorem1 solved an LP")
-
-    monkeypatch.setattr(cone_module, "_line_through", counted)
-    monkeypatch.setattr(cone_module, "solve_lp", no_lp)
-    monkeypatch.setattr(polyhedron, "solve_lp", no_lp)
-    code, out, _ = run_cli(["cone", UNIT_SQUARE, "theorem1"], capsys)
-    assert code == 0 and "result: PASS" in out
-    assert len(calls) == 1
+    for name in ("_line_through", "cone_membership", "solve_lp"):
+        monkeypatch.setattr(cone_module, name, refused)
+    monkeypatch.setattr(polyhedron, "solve_lp", refused)
+    for path in (UNIT_SQUARE, str(INSTANCES / "strip_cone.txt")):
+        code, out, _ = run_cli(["cone", path, "theorem1"], capsys)
+        assert code == 0 and "result: PASS" in out
 
 
 def test_fii_runs_one_double_description(monkeypatch, capsys):
@@ -540,6 +534,34 @@ def test_theorem1_takes_one_rank_per_double_description(monkeypatch, capsys):
     assert 0 < counts["rank"] <= counts["dd_cone"]
 
 
+def test_theorem1_makes_no_new_double_description(monkeypatch, capsys, tmp_path):
+    # the polar cone's rays come from the closure system's cached DD, so
+    # every dd_cone call is a cache miss of _homogenized_dd, and no cone
+    # membership LP is solved
+    calls = []
+    real_dd = polyhedron.dd_cone
+
+    def counted_dd(rows, dim):
+        calls.append(rows)
+        return real_dd(rows, dim)
+
+    def no_membership(*args):
+        raise AssertionError("theorem1 solved a cone-membership LP")
+
+    paths = [str(INSTANCES / name) for name in ("unit_square_cone.txt", "strip_cone.txt")]
+    for i, k in enumerate(random_pointed_cones(seed=4, count=12)):
+        paths.append(write(tmp_path, f"pointed{i}.txt", format_cone(k)))
+    polyhedron._homogenized_dd.cache_clear()
+    monkeypatch.setattr(polyhedron, "dd_cone", counted_dd)
+    monkeypatch.setattr(cone_module, "dd_cone", counted_dd)
+    monkeypatch.setattr(cone_module, "cone_membership", no_membership)
+    for path in paths:
+        code, out, _ = run_cli(["cone", path, "theorem1"], capsys)
+        assert code == 0 and "result: PASS" in out
+    # 19 DDs for these 14 cones when extreme rays were decided by LPs
+    assert len(calls) == polyhedron._homogenized_dd.cache_info().misses <= 19
+
+
 def test_theorem1_and_rays_solve_no_lp(monkeypatch, capsys, tmp_path):
     def no_lp(*args, **kwargs):
         raise AssertionError("solve_lp called")
@@ -559,10 +581,17 @@ def test_theorem1_and_rays_solve_no_lp(monkeypatch, capsys, tmp_path):
             assert code == 0 and "result: PASS" in out
 
 
+def _polar_without_rays(monkeypatch):
+    # a polar cone with no rays leaves every generator tight at every ray,
+    # which is the DD's "not pointed" verdict
+    monkeypatch.setattr(cone_module, "_polar_rays", _returning(()))
+
+
 def test_theorem1_reports_a_line_and_exits_5(monkeypatch, capsys):
     # a full-dimensional closure with a non-pointed cone contradicts
-    # Theorem 1, so only a broken line search reaches this report
+    # Theorem 1, so only a broken DD verdict reaches this report
     witness = (F(1), F(0), F(0))
+    _polar_without_rays(monkeypatch)
     monkeypatch.setattr(cone_module, "_line_through", _returning(witness))
     code, out, _ = run_cli(["cone", UNIT_SQUARE, "theorem1"], capsys)
     assert code == 5
@@ -570,6 +599,14 @@ def test_theorem1_reports_a_line_and_exits_5(monkeypatch, capsys):
     assert "rebuilt-closure-equal: false\n" in out
     assert ("detail: full-dimensional closure but cone contains the line "
             "through 1 0 0\n") in out
+
+
+@pytest.mark.parametrize("sub", ["rays", "theorem1"])
+def test_dd_and_line_search_disagreeing_exits_5(sub, monkeypatch, capsys):
+    # the DD says "not pointed" on a pointed cone, so the line search
+    # finds no line to print
+    _polar_without_rays(monkeypatch)
+    _assert_internal_exit(["cone", UNIT_SQUARE, sub], "DD and line search disagree", capsys)
 
 
 LIBRARY_FAILURES = [

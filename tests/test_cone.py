@@ -30,6 +30,8 @@ from closurelab.lp import cone_membership, solve_lp
 from closurelab.polyhedron import dimension, ineq, is_facet_defining, same_point_set
 from closurelab.verify import random_line_cones, random_pointed_cones
 
+from oracles import lp_extreme_rays
+
 V = linalg.vector
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -364,3 +366,27 @@ def test_rescaled_and_repeated_generators_give_the_same_cone(cones):
     for g in k.unique_generators():
         q = ineq(g[:-1], g[-1])
         assert _outcome(fii_check, scaled, q) == _outcome(fii_check, k, q)
+
+
+@st.composite
+def small_cones(draw):
+    """Cones in Q^3..Q^6 of 1-8 generators with entries -2..2, with or
+    without the unit-last generator; many contain a line."""
+    n = draw(st.integers(2, 5))
+    generator = st.tuples(*[st.integers(-2, 2)] * (n + 1)).filter(any)
+    gens = draw(st.lists(generator, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        gens.append((0,) * n + (1,))
+    return GeneratedCone(tuple(gens))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_cones())
+@example(GeneratedCone(((1, 0, 0), (-1, 0, 0), (0, 0, 1))))  # a line, unit-last
+@example(GeneratedCone(((1, 0, 0), (-1, 0, 0), (0, 1, 0))))  # a line, no unit-last
+@example(GeneratedCone(((0, 0, -1), (0, 0, 1), (1, 0, 0))))  # unit-last, no closure rows
+@example(GeneratedCone(((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))))  # all of Q^3
+@example(GeneratedCone(((1, 2, 0),)))  # one generator: a polar with lines
+@example(GeneratedCone(((0, 0, 1),)))  # unit-last alone: no closure row
+def test_extreme_rays_match_the_membership_lp_reference(k):
+    assert _outcome(extreme_rays, k) == _outcome(lp_extreme_rays, k)
