@@ -11,12 +11,17 @@ the true closure that contains the instance's integer hull P_I, and
 single-row instances are exact at any density because every aggregation
 rescales the one row.
 
-``stabilized`` reports that doubling the density changes nothing.  It is
-settled against P_I first: P_I lies in the density-2D intersection, which
-lies in the density-D one, so an approximation equal to P_I is the
-closure itself and doubling cannot change it.  Only otherwise are the
-density-2D hulls built and the two intersections compared; no change
-there is evidence of exactness, not a proof.
+``closure_approx`` builds P_I first, then the density-D hulls one at a
+time in grid order, and stops at the first sample where every facet of
+P_I is a row of some hull built so far.  P_I lies in every intersection
+of sampled hulls, and from then on the hulls built already cut it out,
+so the approximation is P_I, the closure itself, and doubling the
+density cannot change it: ``stabilized`` holds.  Every hull and P_I is a
+full-dimensional canonical facet list, so the test needs no LP and no
+intersection.  A run that builds every sample without covering P_I
+intersects them all; that approximation is not P_I, and ``stabilized``
+compares it with the density-2D intersection.  No change there is
+evidence of exactness, not a proof.
 
 Aggregation runs on integer rows: [M | d] times one common denominator
 (never row by row, since the multipliers weight the rows as given), each
@@ -32,7 +37,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 from .errors import ContractViolation
 from . import linalg
@@ -75,6 +80,13 @@ class AggregationSample:
             raise ContractViolation("at least one multiplier row must be nonzero")
         object.__setattr__(self, "multipliers", rows)
 
+    @classmethod
+    def _of_rows(cls, rows: tuple[Vector, ...]) -> "AggregationSample":
+        """The sample of grid rows already primitive, not checked again."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "multipliers", rows)
+        return s
+
     @property
     def k(self) -> int:
         return len(self.multipliers)
@@ -97,20 +109,24 @@ class AggregatedHull:
 class ClosureApprox:
     """Intersection of the sampled aggregated hulls: an outer approximation
     of the aggregation closure that always contains the instance's integer
-    hull.  ``stabilized`` records that doubling the density leaves the
+    hull.  ``samples`` is every density-D sample in grid order; ``hulls``
+    is the hulls built, a grid-order prefix of ``samples`` that ends where
+    the hulls first cover every facet of the integer hull, or holds them
+    all.  ``stabilized`` records that doubling the density leaves the
     point set unchanged (necessary, not sufficient, for exactness); it
     always holds when the approximation equals the integer hull, which
     makes it the exact closure."""
 
     polyhedron: HPolyhedron
     hulls: tuple[AggregatedHull, ...]
+    samples: tuple[AggregationSample, ...]
     k: int
     density: int
     stabilized: bool
 
     @property
     def samples_used(self) -> tuple[AggregationSample, ...]:
-        return tuple(h.sample for h in self.hulls)
+        return self.samples
 
 
 @dataclass(frozen=True)
@@ -161,7 +177,7 @@ def sample_multipliers(m: int, k: int, density: int) -> tuple[AggregationSample,
         raise ContractViolation("k must be at least 1")
     rows = multiplier_rows(m, density)
     size = min(k, len(rows))
-    return tuple(AggregationSample(combo) for combo in combinations(rows, size))
+    return tuple(AggregationSample._of_rows(combo) for combo in combinations(rows, size))
 
 
 def _aggregated_rows(q: CoveringInstance, samples: Iterable[AggregationSample]):
@@ -193,18 +209,17 @@ def aggregate(q: CoveringInstance, sample: AggregationSample) -> CoveringInstanc
     return _instance(rows)
 
 
-def _hulls_for(q: CoveringInstance, samples: Sequence[AggregationSample],
+def _hulls_for(q: CoveringInstance, samples: Iterable[AggregationSample],
                built: dict[IntRows, tuple[CoveringInstance, HPolyhedron]]
-               ) -> list[AggregatedHull]:
-    """The samples' aggregated hulls; ``built`` caches each aggregated
-    instance and its hull by the instance's integer rows."""
-    out = []
+               ) -> Iterator[AggregatedHull]:
+    """The samples' aggregated hulls, each built when it is drawn;
+    ``built`` caches each aggregated instance and its hull by the
+    instance's integer rows."""
     for sample, rows in _aggregated_rows(q, samples):
         if rows not in built:
             agg = _instance(rows)
             built[rows] = (agg, integer_hull(agg))
-        out.append(AggregatedHull(sample, *built[rows]))
-    return out
+        yield AggregatedHull(sample, *built[rows])
 
 
 def _intersect(n: int, hulls: Iterable[AggregatedHull]) -> HPolyhedron:
@@ -215,28 +230,38 @@ def _intersect(n: int, hulls: Iterable[AggregatedHull]) -> HPolyhedron:
 
 
 def closure_approx(q: CoveringInstance, k: int, density: int) -> ClosureApprox:
-    """Intersection of the aggregated integer hulls over the density grid,
-    redundancy-eliminated, with the density-doubling stabilization check.
-    The check compares the intersection with q's integer hull first and
-    builds the density-2D hulls only when they differ.  Each distinct
-    aggregated instance's hull is built once per call.  All of these
-    contain q's integer hull, so they are compared as facet lists: no LP."""
+    """The aggregation closure sampled on the density grid.  q's integer
+    hull P_I is built first; the density-D hulls follow in grid order
+    until every facet of P_I is a row of one of them, and the answer is
+    then P_I, stabilized.  If the samples run out first, the answer is
+    the redundancy-eliminated intersection of all their hulls, and it is
+    stabilized when the density-2D intersection is the same.  Each
+    distinct aggregated instance's hull is built once per call.  All of
+    these contain P_I, so they are compared as facet lists: no LP."""
     if k < 1 or density < 1:
         raise ContractViolation("k and density must be at least 1")
+    samples = sample_multipliers(q.m, k, density)
     built: dict[IntRows, tuple[CoveringInstance, HPolyhedron]] = {}
-    hulls = _hulls_for(q, sample_multipliers(q.m, k, density), built)
-    poly = _intersect(q.n, hulls)
     # P_I: a density-D sample holding every unit row (k >= m) has exactly
     # q's integer points, so its hull is P_I; otherwise q's own rows, the
     # unit multipliers in grid order, are aggregated and hulled
     units = multiplier_rows(q.m, 1)
-    own = next((h for h in hulls if set(units).issubset(h.sample.multipliers)), None)
-    if own is None:
-        [own] = _hulls_for(q, [AggregationSample(units)], built)
-    stabilized = poly == own.hull or poly == _intersect(
+    own = (next(s for s in samples if set(units).issubset(s.multipliers)) if k >= q.m
+           else AggregationSample._of_rows(units))
+    [p_i] = _hulls_for(q, [own], built)
+    uncovered = set(p_i.hull.inequalities)
+    hulls = []
+    for h in _hulls_for(q, samples, built):
+        hulls.append(h)
+        uncovered.difference_update(h.hull.inequalities)
+        if not uncovered:
+            return ClosureApprox(polyhedron=p_i.hull, hulls=tuple(hulls), samples=samples,
+                                 k=k, density=density, stabilized=True)
+    poly = _intersect(q.n, hulls)
+    stabilized = poly == _intersect(
         q.n, _hulls_for(q, sample_multipliers(q.m, k, 2 * density), built))
-    return ClosureApprox(
-        polyhedron=poly, hulls=tuple(hulls), k=k, density=density, stabilized=stabilized)
+    return ClosureApprox(polyhedron=poly, hulls=tuple(hulls), samples=samples,
+                         k=k, density=density, stabilized=stabilized)
 
 
 def _is_sign_constraint(q: Inequality) -> bool:

@@ -108,7 +108,7 @@ def cmd_closure(args) -> tuple[str, int]:
     q = inst.payload
     _note(args, f"closure: {q.m} rows, k={args.k}, density={args.density}")
     ca = closure_approx(q, args.k, args.density)
-    _note(args, f"closure: {len(ca.hulls)} aggregated hulls intersected, "
+    _note(args, f"closure: {len(ca.hulls)} of {len(ca.samples_used)} sample hulls built, "
                 f"stabilized={ca.stabilized}")
     cuts = classify_cuts(ca)
     doc = _Doc("closure", args.seed)
@@ -116,7 +116,7 @@ def cmd_closure(args) -> tuple[str, int]:
     doc.field("m", q.m)
     doc.field("k", args.k)
     doc.field("density", args.density)
-    doc.field("samples", len(ca.hulls))
+    doc.field("samples", len(ca.samples_used))
     doc.field("stabilized", ca.stabilized, text=_bool(ca.stabilized))
     entries = []
     for cut in cuts:

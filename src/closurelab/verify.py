@@ -35,6 +35,7 @@ from .covering import (
 from .aggregation import (
     HULL_FACET,
     SIGN,
+    aggregate,
     classify_cuts,
     closure_approx,
 )
@@ -377,10 +378,10 @@ def suite_aggregation(seed: int, single_count: int = 10, pair_count: int = 5) ->
         hull = integer_hull(q)
         sandwich = all(check_implication(hull.inequalities, t).implied
                        for t in low.polyhedron.inequalities)
-        for h in low.hulls:
+        for s in low.samples_used:
             sandwich = sandwich and all(
                 check_implication(low.polyhedron.inequalities, t).implied
-                for t in h.hull.inequalities)
+                for t in integer_hull(aggregate(q, s)).inequalities)
         report.check(sandwich, lambda: dump("closure leaves the hull sandwich"))
 
         if low.stabilized:

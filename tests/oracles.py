@@ -12,7 +12,9 @@ per-generator membership LPs that the polar cone's zero sets replace in
 extreme_rays, and the Fraction hull pipeline (aggregation, minimal point
 checks, V to H, the sampled closure) that the integer rows replace, and
 the density-doubling stabilization check that closure_approx now runs
-only when its approximation is not already the integer hull."""
+only when its approximation is not already the integer hull, and the
+closure that builds every density-D hull before it compares the
+intersection with the integer hull."""
 
 from __future__ import annotations
 
@@ -27,7 +29,8 @@ from unittest import mock
 from closurelab import linalg, lp
 from closurelab.aggregation import (HULL_FACET, SIGN, AggregatedHull, AggregationSample,
                                     ClosureApprox, CutClass, _hulls_for, _intersect,
-                                    _is_sign_constraint, sample_multipliers)
+                                    _is_sign_constraint, multiplier_rows,
+                                    sample_multipliers)
 from closurelab.cone import GeneratedCone, RaySet, _line_through
 from closurelab.covering import CoveringInstance
 from closurelab.errors import (ContractViolation, InconsistentSystemError,
@@ -655,7 +658,8 @@ def fraction_closure_approx(q: CoveringInstance, k: int, density: int) -> Closur
     hulls = hulls_for(density)
     poly = intersect(hulls)
     doubled = intersect(hulls_for(2 * density))
-    return ClosureApprox(polyhedron=poly, hulls=tuple(hulls), k=k, density=density,
+    return ClosureApprox(polyhedron=poly, hulls=tuple(hulls),
+                         samples=sample_multipliers(q.m, k, density), k=k, density=density,
                          stabilized=poly == doubled)
 
 
@@ -668,3 +672,26 @@ def doubling_stabilized(q: CoveringInstance, k: int, density: int) -> bool:
         return _intersect(q.n, _hulls_for(q, sample_multipliers(q.m, k, d), built))
 
     return intersect(density) == intersect(2 * density)
+
+
+def full_closure_approx(q: CoveringInstance, k: int, density: int) -> ClosureApprox:
+    """closure_approx before it stopped early: every density-D hull is
+    built and intersected, the intersection compared with P_I, and the
+    density-2D hulls built only when the two differ."""
+    if k < 1 or density < 1:
+        raise ContractViolation("k and density must be at least 1")
+    built: dict = {}
+    samples = sample_multipliers(q.m, k, density)
+    hulls = list(_hulls_for(q, samples, built))
+    poly = _intersect(q.n, hulls)
+    # P_I: a density-D sample holding every unit row (k >= m) has exactly
+    # q's integer points, so its hull is P_I; otherwise q's own rows, the
+    # unit multipliers in grid order, are aggregated and hulled
+    units = multiplier_rows(q.m, 1)
+    own = next((h for h in hulls if set(units).issubset(h.sample.multipliers)), None)
+    if own is None:
+        [own] = _hulls_for(q, [AggregationSample(units)], built)
+    stabilized = poly == own.hull or poly == _intersect(
+        q.n, _hulls_for(q, sample_multipliers(q.m, k, 2 * density), built))
+    return ClosureApprox(polyhedron=poly, hulls=tuple(hulls), samples=samples,
+                         k=k, density=density, stabilized=stabilized)

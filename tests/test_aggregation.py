@@ -36,7 +36,7 @@ from closurelab.polyhedron import (
     sorted_unique,
 )
 from closurelab.verify import random_single_row
-from oracles import doubling_stabilized
+from oracles import doubling_stabilized, full_closure_approx
 
 V = linalg.vector
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -139,10 +139,22 @@ KNAPSACK_PAIR = parse_instance((INSTANCES / "knapsack_pair.txt").read_text()).pa
 ABOVE_HULL = CoveringInstance(([4, 4], [1, 4]), (6, 3))
 
 
+def _covering_prefix(q, samples):
+    """The length of the shortest grid-order prefix of samples whose
+    aggregated hulls hold every facet of P_I as a row, or None."""
+    uncovered = set(integer_hull(q).inequalities)
+    for j, s in enumerate(samples, 1):
+        uncovered -= set(integer_hull(aggregate(q, s)).inequalities)
+        if not uncovered:
+            return j
+    return None
+
+
 def test_closure_builds_one_hull_per_aggregated_instance(monkeypatch):
-    """The density-D instances and q itself, whose hull settles
-    stabilization when it equals the approximation; the density-2D
-    instances only when it does not."""
+    """q itself, whose hull P_I is built first, and the density-D
+    instances in grid order up to the first sample where their hulls hold
+    every facet of P_I; when no sample gets there, every density-D
+    instance and every density-2D one."""
     built = []
 
     def counted(q):
@@ -154,12 +166,21 @@ def test_closure_builds_one_hull_per_aggregated_instance(monkeypatch):
     for q, k, density, stabilized, at_hull in (
             (TWO_ROW, 1, 2, True, True), (TWO_ROW, 2, 2, True, True),
             (KNAPSACK_PAIR, 1, 1, False, False), (ABOVE_HULL, 1, 4, True, False)):
+        samples = sample_multipliers(2, k, density)
+        stop = _covering_prefix(q, samples)
+        assert (stop is not None) == at_hull
         built.clear()
         ca = closure_approx(q, k, density)
         assert ca.stabilized == stabilized
         assert (ca.polyhedron == integer_hull(q)) == at_hull
-        passes = (density,) if at_hull else (density, 2 * density)
-        expected = {aggregate(q, s) for d in passes for s in sample_multipliers(2, k, d)}
+        assert ca.samples_used == samples
+        if at_hull:
+            assert [h.sample for h in ca.hulls] == list(samples[:stop])
+            expected = {aggregate(q, s) for s in samples[:stop]}
+        else:
+            assert [h.sample for h in ca.hulls] == list(samples)
+            expected = {aggregate(q, s) for d in (density, 2 * density)
+                        for s in sample_multipliers(2, k, d)}
         # q itself is a density-D instance here exactly when k = m
         assert (aggregate(q, own) in expected) == (k == q.m)
         assert len(built) == len(set(built))
@@ -169,7 +190,8 @@ def test_closure_builds_one_hull_per_aggregated_instance(monkeypatch):
 def test_closure_reads_p_i_from_a_sample_holding_every_unit_row(monkeypatch):
     """At k > m and density >= 2 a density-D sample holds both unit rows:
     its aggregated instance has exactly q's integer points, so its hull
-    is P_I and q's own hull is not built again."""
+    is P_I and q's own hull is not built again.  That sample comes first
+    in grid order and its hull covers P_I, so no other hull is built."""
     built = []
 
     def counted(q):
@@ -177,11 +199,13 @@ def test_closure_reads_p_i_from_a_sample_holding_every_unit_row(monkeypatch):
         return integer_hull(q)
 
     monkeypatch.setattr(aggregation, "integer_hull", counted)
-    for density, hulls in ((2, 1), (3, 10)):
+    for density, samples in ((2, 1), (3, 10)):
         built.clear()
         ca = closure_approx(TWO_ROW, 3, density)
-        assert len(built) == len(set(built)) == hulls
+        assert len(built) == len(set(built)) == len(ca.hulls) == 1
+        assert len(ca.samples_used) == samples
         assert ca.stabilized == doubling_stabilized(TWO_ROW, 3, density)
+        assert aggregate(TWO_ROW, AggregationSample(multiplier_rows(2, 1))) not in built
 
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -220,6 +244,49 @@ def closure_runs(draw):
 def test_stabilized_matches_the_doubling_pass(args):
     q, k, density = args
     assert closure_approx(q, k, density).stabilized == doubling_stabilized(q, k, density)
+
+
+def _facet_rows(p):
+    return [f.stacked() for f in p.inequalities]
+
+
+def _cut_rows(ca):
+    return [(c.inequality.stacked(), c.label, c.sample) for c in classify_cuts(ca)]
+
+
+@PROPERTY
+@given(closure_runs())
+@example((KNAPSACK_PAIR, 1, 1))
+@example((ABOVE_HULL, 1, 4))
+@example((TWO_ROW, 3, 3))
+def test_closure_matches_the_full_intersection(args):
+    """Stopping once the hulls built cover P_I changes no answer: the
+    rows, stabilized, the samples and each cut's label and source are
+    those of building every hull, of which the hulls built are a prefix."""
+    q, k, density = args
+    got, want = closure_approx(q, k, density), full_closure_approx(q, k, density)
+    assert _facet_rows(got.polyhedron) == _facet_rows(want.polyhedron)
+    assert got.stabilized == want.stabilized
+    assert got.samples_used == want.samples_used
+    assert _cut_rows(got) == _cut_rows(want)
+    assert 0 < len(got.hulls) <= len(want.hulls)
+    assert got.hulls == want.hulls[:len(got.hulls)]
+
+
+def test_three_row_pair_closure_stops_after_32_hulls(monkeypatch):
+    """P_I and the first 31 of 6903 density-8 samples: their hulls hold
+    every facet of P_I, so no other hull is built."""
+    q = parse_instance((INSTANCES / "three_row.txt").read_text()).payload
+    built = []
+
+    def counted(q):
+        built.append(q)
+        return integer_hull(q)
+
+    monkeypatch.setattr(aggregation, "integer_hull", counted)
+    ca = closure_approx(q, 2, 8)
+    assert len(built) == 32
+    assert (len(ca.hulls), len(ca.samples_used), ca.stabilized) == (31, 6903, True)
 
 
 @PROPERTY

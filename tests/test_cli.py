@@ -265,6 +265,15 @@ def test_closure_reports_samples_used(tmp_path, capsys):
     assert "  [1]" in out
 
 
+def test_closure_verbose_note_counts_the_hulls_built(capsys):
+    path = str(INSTANCES / "three_row.txt")
+    code, out, err = run_cli(["closure", path, "--k", "2", "--density", "8", "-v"], capsys)
+    assert code == 0
+    assert "samples: 6903" in out and "stabilized: true" in out
+    assert err.splitlines()[-1] == "closure: 31 of 6903 sample hulls built, stabilized=True"
+    assert run_cli(["closure", path, "--k", "2", "--density", "8"], capsys) == (0, out, "")
+
+
 def test_cone_pointed_command(tmp_path, capsys):
     path = write(tmp_path, "cone.txt", CONE)
     code, out, _ = run_cli(["cone", path, "pointed"], capsys)

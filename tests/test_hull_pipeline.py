@@ -79,7 +79,9 @@ def test_closure_matches_fraction_pipeline(args):
     assert got.stabilized == want.stabilized
     assert got.samples_used == want.samples_used
     assert _rows(got.polyhedron) == _rows(want.polyhedron)
-    for have, ref in zip(got.hulls, want.hulls, strict=True):
+    # the hulls built are a grid-order prefix of the reference's
+    assert 0 < len(got.hulls) <= len(want.hulls)
+    for have, ref in zip(got.hulls, want.hulls[:len(got.hulls)], strict=True):
         assert have.polyhedron == ref.polyhedron == fraction_aggregate(q, have.sample)
         assert _rows(have.hull) == _rows(ref.hull)
         assert _all_fractions(*have.polyhedron.M, have.polyhedron.d, *_rows(have.hull))
