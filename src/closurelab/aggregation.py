@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import ContractViolation
 from . import linalg
@@ -91,8 +91,8 @@ class AggregationSample:
     def k(self) -> int:
         return len(self.multipliers)
 
-    def describe(self) -> str:
-        return "[" + "; ".join(linalg.format_vector(r) for r in self.multipliers) + "]"
+    def describe(self, fmt: Callable[[Vector], str] = linalg.format_vector) -> str:
+        return "[" + "; ".join(map(fmt, self.multipliers)) + "]"
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .errors import (
     NotPointedError,
 )
 from . import linalg
-from .linalg import Vector, dot, int_dot
+from .linalg import Vector, dot
 from .lp import LpStatus, cone_membership, solve_lp
 from .polyhedron import (
     HPolyhedron,
@@ -38,6 +38,7 @@ from .polyhedron import (
     IntRows,
     _from_row,
     _homogenized_dd,
+    _zero_set,
     check_implication,
     dd_cone,
     empty_hpolyhedron,
@@ -224,7 +225,7 @@ def extreme_rays(k: GeneratedCone) -> RaySet:
     face of the polar is a facet: no other generator's zero set contains
     its own (Fukuda & Prodon 1996)."""
     rays = _polar_rays(k)
-    zs = [sum(1 << i for i, r in enumerate(rays) if not int_dot(g, r)) for g in k._rows]
+    zs = [_zero_set(g, rays) for g in k._rows]
     if (1 << len(rays)) - 1 in zs:
         line = _line_through(k._rows)
         if line is None:

@@ -22,15 +22,16 @@ full-dimensional one.  The cache entry keeps the dimension, so its one
 rank is taken once, and the facets are read from zero sets with no
 rank.  Projection restricts those vertices and rays to the kept
 coordinates and converts back with ``v_to_h``, so it needs no algorithm
-of its own.  LPs remain where a certificate is made
-(``check_implication``) and in the redundancy scan of flat inputs.
+of its own.  The same generators decide containment (``is_subset``,
+``same_point_set``, validity, the flat redundancy scan); an LP remains
+only where a certificate is returned (``check_implication``).
 
 A full-dimensional polyhedron has one irredundant system up to positive
 scaling of rows: its facets (Schrijver 1986, section 8.4).  So for such
 polyhedra, irredundant systems in ``sorted_unique`` order (which
 ``remove_redundant`` keeps) describe the same set exactly when they are
-equal, and a valid inequality is facet-defining exactly when it is a row;
-otherwise use the LP-based ``same_point_set`` and ``is_facet_defining``.
+equal, and a valid inequality is facet-defining exactly when it is a row
+(``is_facet_defining``); otherwise compare with ``same_point_set``.
 """
 
 from __future__ import annotations
@@ -370,6 +371,17 @@ def _v_to_h_rows(n: int, rows: Sequence[Sequence[int]]) -> HPolyhedron:
 # reductions and queries
 
 
+def _zero_set(row: Sequence[int], rays: IntRows) -> int:
+    """The rays row is tight at, as a bitmask: bit k for rays[k]."""
+    return sum(1 << k for k, g in enumerate(rays) if int_dot(row, g) == 0)
+
+
+def _holds(lines: IntRows, rays: IntRows, row: Sequence[int]) -> bool:
+    """Does a.x <= b, as the row (a, -b), hold on a nonempty P given by the
+    DD of its homogenization?  That is the closed cone over P x {1}."""
+    return all(int_dot(row, g) <= 0 for g in rays) and not any(int_dot(row, l) for l in lines)
+
+
 def remove_redundant(p: HPolyhedron) -> HPolyhedron:
     """Minimal sub-list defining the same set, in input order; an
     inconsistent input is returned unchanged.
@@ -383,18 +395,16 @@ def remove_redundant(p: HPolyhedron) -> HPolyhedron:
     facets are the maximal proper faces, and every facet is cut by some
     row, so a row with a nonzero normal is a facet exactly when no other
     row's zero set strictly contains its own, rows tight at every ray
-    left out.  A flat p has no unique irredundant system; its rows are
-    scanned in order, dropping each one the survivors imply (by LP)."""
+    left out.  A flat p has no unique irredundant system: each row in turn
+    is dropped if it holds on the others (a nonempty superset of p), read
+    from a throwaway DD."""
     _, rays, dim = _homogenized_dd(p)
     if dim < 0:
         return p
     if dim == p.n:
-        def zero_set(row: Sequence[int]) -> int:
-            return sum(1 << k for k, g in enumerate(rays) if int_dot(row, g) == 0)
-
-        zs = {q: zero_set(_homogenized_row(q)) for q in p.inequalities}
+        zs = {q: _zero_set(_homogenized_row(q), rays) for q in p.inequalities}
         every = (1 << len(rays)) - 1
-        faces = {z for z in zs.values() if z != every} | {zero_set(_t_row(p.n))}
+        faces = {z for z in zs.values() if z != every} | {_zero_set(_t_row(p.n), rays)}
         facets = {z for z in faces if not any(z != f and z & f == z for f in faces)}
         last = {q: i for i, q in enumerate(p.inequalities)}
         return HPolyhedron(p.n, tuple(
@@ -403,15 +413,20 @@ def remove_redundant(p: HPolyhedron) -> HPolyhedron:
     kept = list(p.inequalities)
     i = 0
     while i < len(kept):
-        others = kept[:i] + kept[i + 1:]
-        a = tuple(q.normal for q in others)
-        b = tuple(q.rhs for q in others)
-        res = solve_lp(a, b, kept[i].normal, "max")
-        if res.status is LpStatus.OPTIMAL and res.objective <= kept[i].rhs:
+        others = [_homogenized_row(q) for q in kept[:i] + kept[i + 1:]]
+        if _holds(*dd_cone(others + [_t_row(p.n)], p.n + 1), _homogenized_row(kept[i])):
             kept.pop(i)
         else:
             i += 1
     return HPolyhedron(p.n, tuple(kept))
+
+
+def is_subset(p: HPolyhedron, q: HPolyhedron) -> bool:
+    """p lies in q: every row of q holds over p's cached DD (an empty p lies in all)."""
+    if p.n != q.n:
+        raise ContractViolation("cannot compare polyhedra of different dimension")
+    lines, rays, dim = _homogenized_dd(p)
+    return dim < 0 or all(_holds(lines, rays, _homogenized_row(t)) for t in q.inequalities)
 
 
 @dataclass(frozen=True)
@@ -470,18 +485,20 @@ def dimension(p: HPolyhedron) -> int:
 
 def is_facet_defining(p: HPolyhedron, q: Inequality) -> bool:
     """True when the face p intersect {normal.x = rhs} has dimension n-1.
-    Requires p full-dimensional and q valid for p."""
+    Requires p full-dimensional (its facets are the rows remove_redundant
+    keeps) and q valid for p (else check_implication's violating point)."""
     if q.n != p.n:
         raise ContractViolation("inequality/polyhedron dimension mismatch")
     if dimension(p) != p.n:
         raise NotFullDimensionalError(
             f"facet test requires a full-dimensional polyhedron (dim {dimension(p)} < {p.n})")
-    imp = check_implication(p.inequalities, q)
-    if not imp.implied:
+    if not is_subset(p, HPolyhedron(p.n, (q,))):
+        imp = check_implication(p.inequalities, q)
+        if imp.implied:
+            raise InternalInvariantError("DD and LP disagree on validity")
         raise InvalidInequalityError(
             "inequality is not valid for the polyhedron", witness=imp.witness)
-    face = HPolyhedron(p.n, p.inequalities + (q, q.flipped()))
-    return dimension(face) == p.n - 1
+    return q in remove_redundant(p).inequalities
 
 
 def fourier_motzkin_project(p: HPolyhedron, keep: Sequence[int]) -> HPolyhedron:
@@ -515,13 +532,8 @@ def empty_hpolyhedron(n: int) -> HPolyhedron:
 
 
 def same_point_set(p: HPolyhedron, q: HPolyhedron) -> bool:
-    """Exact point-set equality via mutual implication of every inequality."""
-    if p.n != q.n:
-        raise ContractViolation("cannot compare polyhedra of different dimension")
-    if p.is_empty or q.is_empty:
-        return p.is_empty and q.is_empty
-    return (all(check_implication(p.inequalities, t).implied for t in q.inequalities)
-            and all(check_implication(q.inequalities, t).implied for t in p.inequalities))
+    """Exact point-set equality: containment both ways."""
+    return is_subset(p, q) and is_subset(q, p)
 
 
 # ---------------------------------------------------------------------------

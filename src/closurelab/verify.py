@@ -18,12 +18,7 @@ from typing import Callable
 from . import linalg
 from .linalg import Vector
 from .lp import LpStatus, solve_lp
-from .polyhedron import (
-    check_implication,
-    dimension,
-    h_to_v,
-    same_point_set,
-)
+from .polyhedron import dimension, h_to_v, is_subset, same_point_set
 from .cone import GeneratedCone, check_theorem1, closure_of, is_pointed
 from .covering import (
     CoveringInstance,
@@ -297,19 +292,14 @@ def suite_covering(seed: int, count: int = 100) -> SuiteReport:
         report.check(complete, lambda: dump("a feasible box point dominates no minimal point"))
 
         hull = minimal.hull()
-        signs_ok = True
-        for facet in hull.inequalities:
-            ge_normal = linalg.neg(facet.normal)
-            if any(a < 0 for a in ge_normal) or -facet.rhs < 0:
-                signs_ok = False
+        # covering form: every facet reads c.x >= d with c, d >= 0
+        signs_ok = all(all(a <= 0 for a in f.normal) and f.rhs <= 0 for f in hull.inequalities)
         report.check(signs_ok, lambda: dump("a hull facet leaves covering form"))
         rays = h_to_v(hull).rays
         units = tuple(sorted(linalg.unit(q.n, j) for j in range(q.n)))
         report.check(rays == units, lambda: dump(f"hull rays {rays} != unit vectors"))
 
-        relax = q.to_hpolyhedron()
-        inside = all(check_implication(hull.inequalities, t).implied
-                     for t in relax.inequalities)
+        inside = is_subset(hull, q.to_hpolyhedron())
         report.check(inside, lambda: dump("integer hull escapes the relaxation"))
         pts_ok = all(hull.contains(p) for p in minimal.points)
         report.check(pts_ok, lambda: dump("a minimal point misses the hull"))
@@ -366,22 +356,16 @@ def suite_aggregation(seed: int, single_count: int = 10, pair_count: int = 5) ->
 
         low = closure_approx(q, 1, 2)
         high = closure_approx(q, 1, 4)
-        mono = all(check_implication(high.polyhedron.inequalities, t).implied
-                   for t in low.polyhedron.inequalities)
+        mono = is_subset(high.polyhedron, low.polyhedron)
         report.check(mono, lambda: dump("density doubling did not shrink the closure"))
 
         deeper = closure_approx(q, 2, 2)
-        k_mono = all(check_implication(deeper.polyhedron.inequalities, t).implied
-                     for t in low.polyhedron.inequalities)
+        k_mono = is_subset(deeper.polyhedron, low.polyhedron)
         report.check(k_mono, lambda: dump("raising k did not shrink the closure"))
 
         hull = integer_hull(q)
-        sandwich = all(check_implication(hull.inequalities, t).implied
-                       for t in low.polyhedron.inequalities)
-        for s in low.samples_used:
-            sandwich = sandwich and all(
-                check_implication(low.polyhedron.inequalities, t).implied
-                for t in integer_hull(aggregate(q, s)).inequalities)
+        sandwich = is_subset(hull, low.polyhedron) and all(
+            is_subset(low.polyhedron, integer_hull(aggregate(q, s))) for s in low.samples_used)
         report.check(sandwich, lambda: dump("closure leaves the hull sandwich"))
 
         if low.stabilized:
@@ -392,15 +376,9 @@ def suite_aggregation(seed: int, single_count: int = 10, pair_count: int = 5) ->
 
 
 def run_suite(name: str, seed: int) -> list[SuiteReport]:
-    if name == "farkas":
-        return [suite_farkas(seed)]
-    if name == "cone":
-        return [suite_cone(seed)]
-    if name == "covering":
-        return [suite_covering(seed)]
-    if name == "aggregation":
-        return [suite_aggregation(seed)]
-    if name == "all":
-        return [suite_farkas(seed), suite_cone(seed), suite_covering(seed),
-                suite_aggregation(seed)]
-    raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)}")
+    """The named suite, or every suite in SUITES order for 'all'."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)}")
+    suites = {"farkas": suite_farkas, "cone": suite_cone, "covering": suite_covering,
+              "aggregation": suite_aggregation}
+    return [run(seed) for key, run in suites.items() if name in (key, "all")]

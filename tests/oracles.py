@@ -12,9 +12,11 @@ per-generator membership LPs that the polar cone's zero sets replace in
 extreme_rays, and the Fraction hull pipeline (aggregation, minimal point
 checks, V to H, the sampled closure) that the integer rows replace, and
 the density-doubling stabilization check that closure_approx now runs
-only when its approximation is not already the integer hull, and the
+only when its approximation is not already the integer hull, the
 closure that builds every density-D hull before it compares the
-intersection with the integer hull."""
+intersection with the integer hull, and the containment, point-set
+equality and facet tests by check_implication that the homogenized
+double description replaces."""
 
 from __future__ import annotations
 
@@ -34,13 +36,14 @@ from closurelab.aggregation import (HULL_FACET, SIGN, AggregatedHull, Aggregatio
 from closurelab.cone import GeneratedCone, RaySet, _line_through
 from closurelab.covering import CoveringInstance
 from closurelab.errors import (ContractViolation, InconsistentSystemError,
-                               InternalInvariantError, NotPointedError)
+                               InternalInvariantError, InvalidInequalityError,
+                               NotFullDimensionalError, NotPointedError)
 from closurelab.linalg import (Matrix, Vector, check_dim, combine, dot, int_dot, is_zero,
                                mat_vec, primitive, transpose, vec_mat, zeros)
 from closurelab.lp import ConeMembership, LpStatus, solve_lp
 from closurelab.polyhedron import (HPolyhedron, Implication, Inequality, VPolyhedron,
                                    check_implication, dd_cone, empty_hpolyhedron,
-                                   is_facet_defining, remove_redundant, sorted_unique)
+                                   remove_redundant, sorted_unique)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -224,8 +227,8 @@ def rank_remove_redundant(p: HPolyhedron) -> HPolyhedron:
     """remove_redundant with the facet test by rank: for a full-dimensional
     p, the last copy of each row with a nonzero normal whose tight
     homogenization generators (every line, the rays g with row.g = 0)
-    have rank n; any other p goes to lp_remove_redundant, which is the
-    library's scan of flat rows."""
+    have rank n; any other p goes to lp_remove_redundant, which drops the
+    same rows as the library's scan of flat rows."""
     if lp_dimension(p) < p.n:
         return lp_remove_redundant(p)
     rows = [(*q.normal, -q.rhs) for q in p.inequalities] + [zeros(p.n) + (-_ONE,)]
@@ -239,6 +242,49 @@ def rank_remove_redundant(p: HPolyhedron) -> HPolyhedron:
     return HPolyhedron(p.n, tuple(
         q for i, q in enumerate(p.inequalities)
         if last[q] == i and not q.is_trivial() and is_facet(q)))
+
+
+# ---------------------------------------------------------------------------
+# containment, point-set equality and the facet test by LP (the references
+# for polyhedron.is_subset, polyhedron.same_point_set and
+# polyhedron.is_facet_defining)
+
+
+def lp_is_subset(p: HPolyhedron, q: HPolyhedron) -> bool:
+    """p is empty, or check_implication proves every row of q from p's."""
+    return lp_is_empty(p) or all(
+        check_implication(p.inequalities, t).implied for t in q.inequalities)
+
+
+def lp_same_point_set(p: HPolyhedron, q: HPolyhedron) -> bool:
+    """Mutual implication of every row; two empty polyhedra are equal
+    and an empty one equals no other."""
+    if p.n != q.n:
+        raise ContractViolation("cannot compare polyhedra of different dimension")
+    if lp_is_empty(p) or lp_is_empty(q):
+        return lp_is_empty(p) and lp_is_empty(q)
+    return lp_is_subset(p, q) and lp_is_subset(q, p)
+
+
+def lp_is_facet_defining(p: HPolyhedron, q: Inequality) -> bool:
+    """Validity by check_implication (its violating point otherwise), then
+    the face p with q and q.flipped() added has dimension n-1, by
+    lp_dimension.  A zero-normal q defines no facet."""
+    if q.n != p.n:
+        raise ContractViolation("inequality/polyhedron dimension mismatch")
+    dim = lp_dimension(p)
+    if dim != p.n:
+        raise NotFullDimensionalError(
+            f"facet test requires a full-dimensional polyhedron (dim {dim} < {p.n})")
+    imp = check_implication(p.inequalities, q)
+    if not imp.implied:
+        raise InvalidInequalityError(
+            "inequality is not valid for the polyhedron", witness=imp.witness)
+    if q.is_trivial():
+        # the face is p or empty; q.flipped() of 0.x <= b > 0 is no inequality
+        return False
+    face = HPolyhedron(p.n, p.inequalities + (q, q.flipped()))
+    return lp_dimension(face) == p.n - 1
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +382,7 @@ def lp_classify_cuts(ca: ClosureApprox) -> tuple[CutClass, ...]:
         for h in ca.hulls:
             if not check_implication(h.hull.inequalities, facet).implied:
                 continue
-            if is_facet_defining(h.hull, facet):
+            if lp_is_facet_defining(h.hull, facet):
                 attributed = h.sample
                 break
         if attributed is not None:

@@ -473,9 +473,10 @@ def test_fii_exits_5_when_invalidity_witness_fails(monkeypatch, capsys):
                           "invalidity witness fails substitution", capsys)
 
 
-def test_verify_exits_5_when_implication_witness_fails(monkeypatch, capsys):
+def test_fii_exits_5_when_implication_witness_fails(monkeypatch, capsys):
     # every implication LP reports the origin as an optimum above any rhs,
-    # so the first "violating point" fails its substitution check
+    # so the violating point for the invalid x1 <= 1/2 fails its
+    # substitution check
     real = polyhedron.solve_lp
 
     def above_rhs(a, b, c, sense="max"):
@@ -485,7 +486,7 @@ def test_verify_exits_5_when_implication_witness_fails(monkeypatch, capsys):
         return LpResult(LpStatus.OPTIMAL, x=(F(0),) * len(c), objective=F(10**9))
 
     monkeypatch.setattr(polyhedron, "solve_lp", above_rhs)
-    _assert_internal_exit(["verify", "covering", "--seed", "1"],
+    _assert_internal_exit(["cone", UNIT_SQUARE, "fii", "x1 <= 1/2"],
                           "witness fails substitution check", capsys)
 
 
@@ -501,6 +502,24 @@ def test_theorem1_on_a_pointed_cone_solves_no_lp(monkeypatch, capsys):
     for path in (UNIT_SQUARE, str(INSTANCES / "strip_cone.txt")):
         code, out, _ = run_cli(["cone", path, "theorem1"], capsys)
         assert code == 0 and "result: PASS" in out
+
+
+def test_containment_equality_and_facet_questions_solve_no_lp(monkeypatch, capsys):
+    # the verify containment checks, same_point_set and a valid facet test
+    # read the cached double description; only a certificate needs an LP
+    def refused(*args, **kwargs):
+        raise AssertionError("a yes/no question solved an LP")
+
+    monkeypatch.setattr(polyhedron, "solve_lp", refused)
+    for suite in ("covering", "aggregation"):
+        code, out, _ = run_cli(["verify", suite, "--seed", "1"], capsys)
+        assert code == 0 and "result: PASS" in out
+    ineq = polyhedron.ineq
+    square = polyhedron.HPolyhedron(2, (ineq([1, 0], 1), ineq([-1, 0], 0), ineq([0, 1], 1),
+                                        ineq([0, -1], 0), ineq([1, 1], 2)))
+    assert polyhedron.same_point_set(square, polyhedron.remove_redundant(square))
+    assert polyhedron.is_facet_defining(square, ineq([1, 0], 1))
+    assert not polyhedron.is_facet_defining(square, ineq([1, 1], 2))
 
 
 def test_fii_runs_one_double_description(monkeypatch, capsys):

@@ -3,9 +3,9 @@
 Full-dimensional irredundant systems in sorted canonical form describe
 the same set exactly when they are equal, and a facet of a
 full-dimensional hull is one of its rows.  These tests check each such
-decision against the LP path it replaces: ``same_point_set`` for the
+decision against the LP path it replaces: ``lp_same_point_set`` for the
 stabilization flag and the theorem-1 rebuild, and ``lp_classify_cuts``
-(``check_implication`` plus ``is_facet_defining``) for attribution.
+(``check_implication`` plus ``lp_is_facet_defining``) for attribution.
 """
 
 from fractions import Fraction as F
@@ -16,9 +16,9 @@ from closurelab import linalg, lp, polyhedron
 from closurelab.aggregation import check_projection_lemma, classify_cuts, closure_approx
 from closurelab.cone import GeneratedCone, check_theorem1, closure_of, extreme_rays
 from closurelab.covering import CoveringInstance
-from closurelab.polyhedron import dimension, same_point_set
+from closurelab.polyhedron import dimension
 
-from oracles import lp_classify_cuts
+from oracles import lp_classify_cuts, lp_same_point_set
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -56,7 +56,7 @@ def test_stabilized_matches_same_point_set(run):
     q, k, density = run
     ca = closure_approx(q, k, density)
     doubled = closure_approx(q, k, 2 * density).polyhedron
-    assert ca.stabilized == same_point_set(ca.polyhedron, doubled)
+    assert ca.stabilized == lp_same_point_set(ca.polyhedron, doubled)
 
 
 @PROPERTY
@@ -99,7 +99,8 @@ SUM_CONE = GeneratedCone(((1, 0, 1), (0, 1, 1), (1, 1, 2), (-1, 0, 0), (0, -1, 0
 def test_rebuilt_equals_closure_matches_same_point_set(cone):
     ku, _ = cone.with_unit_last()
     rebuilt = closure_of(GeneratedCone(extreme_rays(ku).rays + (ku.unit_last(),)))
-    assert check_theorem1(cone).rebuilt_equals_closure == same_point_set(closure_of(ku), rebuilt)
+    assert check_theorem1(cone).rebuilt_equals_closure == \
+        lp_same_point_set(closure_of(ku), rebuilt)
 
 
 @PROPERTY
@@ -114,7 +115,7 @@ def test_closure_list_equality_matches_same_point_set_on_subfamilies(cone):
     gens = ku.unique_generators()
     for i in range(len(gens)):
         sub = closure_of(GeneratedCone(gens[:i] + gens[i + 1:] + (ku.unit_last(),)))
-        assert (closure == sub) == same_point_set(closure, sub)
+        assert (closure == sub) == lp_same_point_set(closure, sub)
 
 
 def test_classify_cuts_makes_no_lp_call(monkeypatch):
@@ -129,7 +130,8 @@ def test_classify_cuts_makes_no_lp_call(monkeypatch):
 
 
 def test_facet_list_decisions_make_no_implication_lp(monkeypatch):
-    # same_point_set and is_facet_defining both go through check_implication
+    # facet-list comparisons, is_facet_defining and same_point_set read the
+    # cached DD; check_implication is only for certificates
     def no_implication(*args):
         raise AssertionError("an implication LP decided a facet-list comparison")
 

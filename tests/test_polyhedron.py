@@ -21,6 +21,7 @@ from closurelab.polyhedron import (
     VPolyhedron,
     check_implication,
     dimension,
+    empty_hpolyhedron,
     format_ge,
     format_le,
     fourier_motzkin_project,
@@ -28,6 +29,7 @@ from closurelab.polyhedron import (
     h_to_v,
     ineq,
     is_facet_defining,
+    is_subset,
     parse_inequality,
     remove_redundant,
     same_point_set,
@@ -36,7 +38,8 @@ from closurelab.polyhedron import (
 )
 
 from oracles import (brute_force_vertices, dd_rows_zero_normal_skip, fm_project,
-                     lp_dimension, lp_is_empty, lp_remove_redundant, lp_v_to_h,
+                     lp_dimension, lp_is_empty, lp_is_facet_defining, lp_is_subset,
+                     lp_remove_redundant, lp_same_point_set, lp_v_to_h,
                      point_has_extension, rank_remove_redundant, rational_grid,
                      three_solve_implication)
 
@@ -289,12 +292,13 @@ def test_remove_redundant_preserves_point_set_random():
 
 
 @st.composite
-def h_polyhedra(draw, min_n=1):
-    """H-polyhedra in R^min_n..R^4 drawn to be full-dimensional (positive
-    right-hand sides), flat (an equality pair), empty (a contradictory
-    pair) or unbounded (rows through the origin), with rescaled duplicate
-    rows and 0.x <= b rows mixed in, in random order."""
-    n = draw(st.integers(min_n, 4))
+def h_polyhedra(draw, min_n=1, n=None):
+    """H-polyhedra in R^n (by default R^min_n..R^4) drawn to be
+    full-dimensional (positive right-hand sides), flat (an equality pair),
+    empty (a contradictory pair) or unbounded (rows through the origin),
+    with rescaled duplicate rows and 0.x <= b rows mixed in, in random
+    order."""
+    n = n or draw(st.integers(min_n, 4))
     kind = draw(st.sampled_from(("full", "flat", "empty", "unbounded")))
     positive = st.builds(F, st.integers(1, 4), st.sampled_from((1, 2, 3)))
 
@@ -486,6 +490,82 @@ def test_check_implication_solves_one_lp_unless_unbounded(monkeypatch):
             pass
         assert len(calls) == solves
 
+
+@st.composite
+def polyhedron_pairs(draw):
+    """An h_polyhedra draw p and, in the same R^n, remove_redundant(p), p
+    less one row, p with another draw's rows added, or another draw."""
+    p = draw(h_polyhedra())
+    kind = draw(st.sampled_from(("reduced", "dropped", "added", "independent")))
+    rows = p.inequalities
+    if kind == "reduced":
+        return p, remove_redundant(p)
+    if kind == "dropped" and rows:
+        i = draw(st.integers(0, len(rows) - 1))
+        return p, HPolyhedron(p.n, rows[:i] + rows[i + 1:])
+    other = draw(h_polyhedra(n=p.n))
+    if kind == "added":
+        return p, HPolyhedron(p.n, rows + other.inequalities[:draw(st.integers(1, 2))])
+    return p, other
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(polyhedron_pairs())
+@example((SQUARE, SQUARE))
+@example((POINT_IN_R1, empty_hpolyhedron(1)))
+@example((empty_hpolyhedron(2), HPolyhedron(2, (ineq([1, 0], -1), ineq([-1, 0], -1)))))
+def test_containment_and_equality_match_lp_references(pair):
+    p, q = pair
+    assert is_subset(p, q) == lp_is_subset(p, q)
+    assert is_subset(q, p) == lp_is_subset(q, p)
+    assert same_point_set(p, q) == lp_same_point_set(p, q)
+    assert same_point_set(p, remove_redundant(p))
+
+
+@st.composite
+def facet_cases(draw):
+    """An implication_cases system as a polyhedron, with its target or
+    with one of its rows, as it is or with its rhs raised."""
+    rows, target = draw(implication_cases())
+    p = HPolyhedron(target.n, rows)
+    if rows and draw(st.booleans()):
+        q = draw(st.sampled_from(rows))
+        target = Inequality(q.normal, q.rhs + draw(st.sampled_from((0, 0, F(1, 2)))))
+    return p, target
+
+
+def _facet_outcome(test, p, q):
+    try:
+        return test(p, q)
+    except (NotFullDimensionalError, InvalidInequalityError) as err:
+        return type(err), getattr(err, "witness", None)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(facet_cases())
+@example((SQUARE, ineq([1, 0], 1)))
+@example((SQUARE, ineq([1, 1], 2)))
+@example((SQUARE, ineq([1, 0], F(1, 2))))
+@example((SQUARE, ineq([0, 0], 0)))
+@example((SQUARE, ineq([0, 0], 1)))
+@example((WEDGE, ge([1, 2], 3)))
+@example((HPolyhedron(2, (ineq([1, 0], 0), ineq([-1, 0], 0))), ineq([1, 0], 0)))
+def test_is_facet_defining_matches_lp_reference(case):
+    p, q = case
+    assert _facet_outcome(is_facet_defining, p, q) == _facet_outcome(lp_is_facet_defining, p, q)
+
+
+def test_is_subset_examples():
+    assert is_subset(SQUARE, HPolyhedron(2, (ineq([1, 1], 2),)))
+    assert not is_subset(HPolyhedron(2, (ineq([1, 1], 2),)), SQUARE)
+    assert is_subset(empty_hpolyhedron(2), SQUARE)
+    assert not is_subset(SQUARE, empty_hpolyhedron(2))
+    # a line: x1 = 0 holds on it, x2 <= 5 does not
+    line = HPolyhedron(2, (ineq([1, 0], 0), ineq([-1, 0], 0)))
+    assert is_subset(line, HPolyhedron(2, (ineq([1, 0], 0), ineq([0, 0], 1))))
+    assert not is_subset(line, HPolyhedron(2, (ineq([0, 1], 5),)))
+    with pytest.raises(ContractViolation):
+        is_subset(SQUARE, POINT_IN_R1)
 
 def test_dimension_examples():
     assert dimension(SQUARE) == 2
