@@ -4,17 +4,19 @@ closure they induce.
 A ``GeneratedCone`` holds a finite family of nonzero vectors (alpha, beta)
 in Q^(n+1), each read as the half-space alpha.x <= beta; the closure is
 their intersection.  Each cone keeps its distinct generators as primitive
-integer rows, made once; Fractions are made only for returned values.
+integer rows, made once; every query runs on those rows, with (0, ..., 0,
+1) appended where needed, and makes Fractions only for returned values.
 Extreme rays and pointedness come from the polar cone's double
 description (for a cone holding (0, ..., 0, 1), the closure system's
 cached one), so ``extreme_rays`` and ``check_theorem1`` solve no LP on a
 pointed cone.  Exact LPs remain where a certificate is printed: a line,
 a strict support, validity multipliers, a violating point.
 
-For a finite family the conical hull is closed, so each extreme ray is
-one of the generators up to positive scaling; ``check_theorem1`` turns
-that statement and the pointedness/full-dimension equivalence into a
-runtime cross-check.
+For a finite family the conical hull is closed, so each extreme ray is a
+generator up to positive scaling; here that holds by construction, as
+the rays are selected from the generator rows.  ``check_theorem1``
+cross-checks the rebuild from extreme rays and the pointedness/full-
+dimension equivalence at runtime.
 """
 
 from __future__ import annotations
@@ -63,16 +65,7 @@ class GeneratedCone:
                                                compare=False)
 
     def __post_init__(self):
-        self._set_rows(tuple(tuple(linalg.int_row(linalg.vector(g))) for g in self.generators))
-
-    @classmethod
-    def _of_rows(cls, rows: tuple[tuple[int, ...], ...]) -> "GeneratedCone":
-        """The cone of rows already primitive, checked but not rescaled."""
-        k = object.__new__(cls)
-        k._set_rows(rows)
-        return k
-
-    def _set_rows(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        rows = tuple(tuple(linalg.int_row(linalg.vector(g))) for g in self.generators)
         if not rows:
             raise ContractViolation("a generated cone needs at least one generator")
         d = len(rows[0])
@@ -97,19 +90,16 @@ class GeneratedCone:
 
     @property
     def has_unit_last(self) -> bool:
-        return self._unit_row() in self._rows
+        return _unit_row(self.dim) in self._rows
 
     def unit_last(self) -> Vector:
         return linalg.unit(self.dim, self.n)
-
-    def _unit_row(self) -> tuple[int, ...]:
-        return (0,) * self.n + (1,)
 
     def with_unit_last(self) -> tuple["GeneratedCone", bool]:
         """The same cone, with (0, ..., 0, 1) appended when missing."""
         if self.has_unit_last:
             return self, False
-        return GeneratedCone._of_rows(self._rows + (self._unit_row(),)), True
+        return GeneratedCone(self.unique_generators() + (self.unit_last(),)), True
 
     def unique_generators(self) -> tuple[Vector, ...]:
         return tuple(dict.fromkeys(self.generators))
@@ -159,6 +149,10 @@ class FiiCheck:
 
 @dataclass(frozen=True)
 class Theorem1Report:
+    """check_theorem1 outcome.  ``rays_are_generators`` is True whenever
+    the cone is pointed: each extreme ray is selected from the cone's own
+    generator rows, so it is a generator by construction."""
+
     passed: bool
     pointed: bool
     extreme_rays: tuple[Vector, ...]
@@ -205,64 +199,73 @@ def is_pointed(k: GeneratedCone) -> Pointedness:
     return Pointedness(False, line_witness=witness)
 
 
-def _polar_rays(k: GeneratedCone) -> IntRows:
-    """The rays of the polar cone {y : g.y <= 0 for every generator g}.
-    With unit-last, the rows (a, -b) and -t <= 0 of the closure system's
-    cached homogenization are the generators with t = -y_last, so its rays
-    are read with the last entry negated; other cones take one dd_cone."""
-    rows = _closure_rows(k) if k.has_unit_last else None
-    if rows is None:
-        return dd_cone(k._rows, k.dim)[1]
-    return tuple(r[:-1] + (-r[-1],) for r in _homogenized_dd(_system(k.n, rows))[1])
+def _unit_row(d: int) -> tuple[int, ...]:
+    return (0,) * (d - 1) + (1,)
 
 
-def extreme_rays(k: GeneratedCone) -> RaySet:
-    """The extreme rays of cone(generators), each a generator up to
-    positive scaling, with no LP on a pointed cone.  A generator's zero set
-    is the polar rays it is tight at.  One tight at every ray is orthogonal
-    to the polar, so the cone has a line (NotPointedError, the line named
-    by the line search).  Otherwise a generator is extreme exactly when its
-    face of the polar is a facet: no other generator's zero set contains
-    its own (Fukuda & Prodon 1996)."""
-    rays = _polar_rays(k)
-    zs = [_zero_set(g, rays) for g in k._rows]
+def _with_unit_row(rows: IntRows) -> IntRows:
+    """rows, with (0, ..., 0, 1) appended when missing."""
+    unit = _unit_row(len(rows[0]))
+    return rows if unit in rows else rows + (unit,)
+
+
+def _polar_rays(rows: IntRows) -> IntRows:
+    """The rays of the polar cone {y : g.y <= 0 for every row g}.  With
+    unit-last, the rows (a, -b) and -t <= 0 of the closure system's cached
+    homogenization are the rows with t = -y_last, so its rays are read
+    with the last entry negated; other row sets take one dd_cone."""
+    d = len(rows[0])
+    system = _system(rows) if _unit_row(d) in rows else None
+    if system is None:
+        return dd_cone(rows, d)[1]
+    return tuple(r[:-1] + (-r[-1],) for r in _homogenized_dd(system)[1])
+
+
+def _extreme_rows(rows: IntRows) -> IntRows:
+    """The rows spanning extreme rays of cone(rows), with no LP on a
+    pointed cone.  A row's zero set is the polar rays it is tight at.  One
+    tight at every ray is orthogonal to the polar, so the cone has a line
+    (NotPointedError, the line named by the line search).  Otherwise a row
+    is extreme exactly when its face of the polar is a facet: no other
+    row's zero set contains its own (Fukuda & Prodon 1996)."""
+    rays = _polar_rays(rows)
+    zs = [_zero_set(g, rays) for g in rows]
     if (1 << len(rays)) - 1 in zs:
-        line = _line_through(k._rows)
+        line = _line_through(rows)
         if line is None:
             raise InternalInvariantError("DD and line search disagree")
         raise NotPointedError(
             "extreme rays are only defined for pointed cones", line_witness=line)
-    return RaySet(tuple(linalg.vector(g) for i, (g, z) in enumerate(zip(k._rows, zs))
-                        if not any(j != i and y & z == z for j, y in enumerate(zs))))
+    return tuple(g for i, (g, z) in enumerate(zip(rows, zs))
+                 if not any(j != i and y & z == z for j, y in enumerate(zs)))
 
 
-def _closure_rows(k: GeneratedCone) -> list[Inequality] | None:
-    """The generators as rows alpha.x <= beta, in order, skipping 0.x <= b
-    >= 0 (unit-last among them); None if some generator is 0.x <= b < 0.
-    A primitive generator is its inequality's canonical row."""
-    out = []
-    for g in k._rows:
-        if not any(g[:-1]):
-            if g[-1] < 0:
-                return None
-            continue  # 0.x <= b, b >= 0: no constraint
-        out.append(_from_row(g))
-    return out
+def extreme_rays(k: GeneratedCone) -> RaySet:
+    """The extreme rays of cone(generators), each a generator up to
+    positive scaling."""
+    return RaySet(tuple(map(linalg.vector, _extreme_rows(k._rows))))
 
 
-def _system(n: int, rows: list[Inequality]) -> HPolyhedron:
-    """The closure system whose cached DD all cone queries read."""
-    return HPolyhedron(n, sorted_unique(rows))
+def _system(rows: IntRows) -> HPolyhedron | None:
+    """The closure system whose cached DD all cone queries read: the rows
+    as alpha.x <= beta (a primitive row is its inequality's canonical
+    form), skipping 0.x <= b >= 0, unit-last among them.  None if some row
+    is 0.x <= b < 0."""
+    if any(not any(g[:-1]) and g[-1] < 0 for g in rows):
+        return None
+    return HPolyhedron(len(rows[0]) - 1, sorted_unique(_from_row(g) for g in rows if any(g[:-1])))
+
+
+def _closure(rows: IntRows) -> HPolyhedron:
+    system = _system(rows)
+    return empty_hpolyhedron(len(rows[0]) - 1) if system is None else remove_redundant(system)
 
 
 def closure_of(k: GeneratedCone) -> HPolyhedron:
     """The set cut out by reading every generator as alpha.x <= beta,
     with (0, ..., 0, 1) supplied when missing; redundancy-eliminated.
     The result may be empty."""
-    rows = _closure_rows(k)
-    if rows is None:
-        return empty_hpolyhedron(k.n)
-    return remove_redundant(_system(k.n, rows))
+    return _closure(k._rows)
 
 
 def is_valid_for_closure(k: GeneratedCone, q: Inequality) -> ValidityCheck:
@@ -270,16 +273,16 @@ def is_valid_for_closure(k: GeneratedCone, q: Inequality) -> ValidityCheck:
     beta) in cone(generators + unit-last).  The closure must be nonempty."""
     if q.n != k.n:
         raise ContractViolation("inequality/cone dimension mismatch")
-    ku, _ = k.with_unit_last()
-    rows = _closure_rows(k)
-    # the LP below keeps generator order, which fixes its witness
-    if rows is None or _system(k.n, rows).is_empty:
+    system = _system(k._rows)
+    if system is None or system.is_empty:
         raise EmptyClosureError("validity over an empty closure is undefined")
-    gens = ku.unique_generators()
-    member = cone_membership(ku._rows, q.stacked())
+    rows = _with_unit_row(k._rows)
+    gens = tuple(map(linalg.vector, rows))
+    member = cone_membership(rows, q.stacked())
     if member.member:
         return ValidityCheck(True, gens, multipliers=member.multipliers)
-    imp = check_implication(rows, q)
+    # the LP keeps generator order, which fixes its witness
+    imp = check_implication([_from_row(g) for g in k._rows if any(g[:-1])], q)
     if imp.implied:
         raise InternalInvariantError("invalidity witness fails substitution")
     return ValidityCheck(False, gens, witness=imp.witness)
@@ -288,20 +291,21 @@ def is_valid_for_closure(k: GeneratedCone, q: Inequality) -> ValidityCheck:
 def fii_check(k: GeneratedCone, q: Inequality) -> FiiCheck:
     """Is q an extreme ray of cone(generators + unit-last)?  Exactly the
     inequalities no finite family of other valid inequalities implies.
-    Requires a full-dimensional closure and a valid q."""
-    ku, _ = k.with_unit_last()
-    closure = closure_of(ku)
-    if dimension(closure) != k.n:
+    Requires a full-dimensional closure (read from the closure system,
+    the same point set) and a valid q."""
+    system = _system(k._rows)
+    if system is None or dimension(system) != k.n:
         raise NotFullDimensionalError(
             "the extreme-ray/irredundancy correspondence assumes a "
             "full-dimensional closure")
-    validity = is_valid_for_closure(ku, q)
+    validity = is_valid_for_closure(k, q)
     if not validity.valid:
         raise InvalidInequalityError(
             "inequality is not valid for the closure", witness=validity.witness)
+    rows = _with_unit_row(k._rows)
     canon = q._primitive_row()
-    others = tuple(g for g in ku._rows if g != canon)
-    if others == ku._rows:
+    others = tuple(g for g in rows if g != canon)
+    if others == rows:
         # q's row is no generator, so the validity LP already asked this
         return FiiCheck(False, validity.generators, multipliers=validity.multipliers)
     member = cone_membership(others, q.stacked())
@@ -315,19 +319,21 @@ def is_fii(k: GeneratedCone, q: Inequality) -> bool:
 
 def check_theorem1(k: GeneratedCone) -> Theorem1Report:
     """Cross-check on a finite family with full-dimensional closure:
-    (a) the closure rebuilt from the extreme rays alone is the same point
-    set, and (b) pointedness holds, matching full dimension.  The rebuilt
-    closure contains the full-dimensional one and both are canonical facet
-    lists, so (a) is list equality; (b) and the rays are read from the
-    closure system's cached DD, so a pointed cone costs no LP."""
-    ku, added = k.with_unit_last()
-    closure = closure_of(ku)
-    if dimension(closure) != k.n:
+    (a) the closure rebuilt from the extreme rays of cone(generators +
+    unit-last) alone is the same point set, and (b) pointedness holds,
+    matching full dimension.  The rebuilt closure contains the
+    full-dimensional one and both are canonical facet lists, so (a) is
+    list equality; (b) and the rays are read from the closure system's
+    cached DD, so a pointed cone costs no LP.  Unit-last cuts nothing."""
+    closure = closure_of(k)
+    dim = dimension(closure)
+    if dim != k.n:
         raise NotFullDimensionalError(
             "the equivalence is stated for full-dimensional closures "
-            f"(found dimension {dimension(closure)} in R^{k.n})")
+            f"(found dimension {dim} in R^{k.n})")
+    added = not k.has_unit_last
     try:
-        rays = extreme_rays(ku)
+        rays = _extreme_rows(_with_unit_row(k._rows))
     except NotPointedError as e:
         return Theorem1Report(
             passed=False, pointed=False, extreme_rays=(),
@@ -335,17 +341,9 @@ def check_theorem1(k: GeneratedCone) -> Theorem1Report:
             added_unit_last=added,
             detail=(f"full-dimensional closure but cone contains the line "
                     f"through {linalg.format_vector(e.line_witness)}"))
-    gen_set = set(ku._rows)  # a ray's Fractions equal and hash as its int row
-    rays_ok = all(r in gen_set for r in rays.rays)
-    rows = tuple(tuple(map(int, r)) for r in rays.rays)  # primitive, so integral
-    equal = closure == closure_of(GeneratedCone._of_rows(rows + (ku._unit_row(),)))
-    detail = ""
-    if not rays_ok:
-        stray = next(r for r in rays.rays if r not in gen_set)
-        detail = f"extreme ray {linalg.format_vector(stray)} is not a generator"
-    elif not equal:
-        detail = "closure rebuilt from extreme rays differs from the full closure"
+    equal = closure == _closure(rays)
     return Theorem1Report(
-        passed=rays_ok and equal, pointed=True, extreme_rays=rays.rays,
-        rays_are_generators=rays_ok, rebuilt_equals_closure=equal,
-        added_unit_last=added, detail=detail)
+        passed=equal, pointed=True,
+        extreme_rays=RaySet(tuple(map(linalg.vector, rays))).rays,
+        rays_are_generators=True, rebuilt_equals_closure=equal, added_unit_last=added,
+        detail="" if equal else "closure rebuilt from extreme rays differs from the full closure")

@@ -77,11 +77,13 @@ cone_entries = st.integers(-3, 3)
 @st.composite
 def full_dimensional_cones(draw):
     n = draw(st.integers(2, 3))
-    gens = [linalg.zeros(n) + (F(1),)]
+    # unit-last is optional: the cone workload's cones lack it
+    gens = [linalg.zeros(n) + (F(1),)] if draw(st.booleans()) else []
     for _ in range(draw(st.integers(2, 5))):
         alpha = tuple(F(draw(cone_entries)) for _ in range(n))
         if not linalg.is_zero(alpha):
             gens.append(alpha + (F(draw(st.integers(0, 3))),))
+    assume(gens)
     cone = GeneratedCone(tuple(gens))
     assume(dimension(closure_of(cone)) == n)
     return cone
@@ -90,17 +92,23 @@ def full_dimensional_cones(draw):
 SQUARE_CONE = GeneratedCone(((1, 0, 1), (0, 1, 1), (-1, 0, 0), (0, -1, 0), (0, 0, 1)))
 # (1, 1, 2) is the sum of two other generators: a redundant row
 SUM_CONE = GeneratedCone(((1, 0, 1), (0, 1, 1), (1, 1, 2), (-1, 0, 0), (0, -1, 0)))
+# no (0, 0, 1): check_theorem1 appends it
+NO_UNIT_CONE = GeneratedCone(((1, 0, 0), (0, 1, 0), (1, 1, 0)))
 
 
 @PROPERTY
 @given(full_dimensional_cones())
 @example(SQUARE_CONE)
 @example(SUM_CONE)
+@example(NO_UNIT_CONE)
 def test_rebuilt_equals_closure_matches_same_point_set(cone):
     ku, _ = cone.with_unit_last()
-    rebuilt = closure_of(GeneratedCone(extreme_rays(ku).rays + (ku.unit_last(),)))
-    assert check_theorem1(cone).rebuilt_equals_closure == \
-        lp_same_point_set(closure_of(ku), rebuilt)
+    rays = extreme_rays(ku).rays
+    rebuilt = closure_of(GeneratedCone(rays + (ku.unit_last(),)))
+    rep = check_theorem1(cone)
+    assert rep.rebuilt_equals_closure == lp_same_point_set(closure_of(ku), rebuilt)
+    assert rep.extreme_rays == rays
+    assert rep.added_unit_last == (not cone.has_unit_last)
 
 
 @PROPERTY
