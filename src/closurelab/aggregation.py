@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator
 
@@ -152,18 +152,9 @@ def multiplier_rows(m: int, density: int) -> tuple[Vector, ...]:
     denominator at most density."""
     if m < 1 or density < 1:
         raise ContractViolation("m and density must be at least 1")
-    rows: list[Vector] = []
-
-    def build(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 0:
-            if gcd(*prefix) == 1:  # primitive; also excludes the zero row
-                rows.append(linalg.vector(prefix))
-            return
-        for v in range(remaining + 1):
-            build(prefix + [v], remaining - v, slots - 1)
-
-    build([], density, m)  # yields rows in lexicographic order
-    return tuple(rows)
+    # product runs in lexicographic order; gcd 1 also excludes the zero row
+    return tuple(linalg.vector(v) for v in product(range(density + 1), repeat=m)
+                 if sum(v) <= density and gcd(*v) == 1)
 
 
 def sample_multipliers(m: int, k: int, density: int) -> tuple[AggregationSample, ...]:

@@ -15,8 +15,11 @@ a strict support, validity multipliers, a violating point.
 For a finite family the conical hull is closed, so each extreme ray is a
 generator up to positive scaling; here that holds by construction, as
 the rays are selected from the generator rows.  ``check_theorem1``
-cross-checks the rebuild from extreme rays and the pointedness/full-
-dimension equivalence at runtime.
+checks at runtime that the extreme rows cover every facet of the
+closure, and the pointedness/full-dimension equivalence.  Both sides are
+read from one DD's zero sets, so this guards the bookkeeping between
+``remove_redundant`` and ``_extreme_rows``; the LP-reference property
+tests are the independent check.
 """
 
 from __future__ import annotations
@@ -256,16 +259,12 @@ def _system(rows: IntRows) -> HPolyhedron | None:
     return HPolyhedron(len(rows[0]) - 1, sorted_unique(_from_row(g) for g in rows if any(g[:-1])))
 
 
-def _closure(rows: IntRows) -> HPolyhedron:
-    system = _system(rows)
-    return empty_hpolyhedron(len(rows[0]) - 1) if system is None else remove_redundant(system)
-
-
 def closure_of(k: GeneratedCone) -> HPolyhedron:
     """The set cut out by reading every generator as alpha.x <= beta,
     with (0, ..., 0, 1) supplied when missing; redundancy-eliminated.
     The result may be empty."""
-    return _closure(k._rows)
+    system = _system(k._rows)
+    return empty_hpolyhedron(k.n) if system is None else remove_redundant(system)
 
 
 def is_valid_for_closure(k: GeneratedCone, q: Inequality) -> ValidityCheck:
@@ -321,12 +320,13 @@ def check_theorem1(k: GeneratedCone) -> Theorem1Report:
     """Cross-check on a finite family with full-dimensional closure:
     (a) the closure rebuilt from the extreme rays of cone(generators +
     unit-last) alone is the same point set, and (b) pointedness holds,
-    matching full dimension.  The rebuilt closure contains the
-    full-dimensional one and both are canonical facet lists, so (a) is
-    list equality; (b) and the rays are read from the closure system's
-    cached DD, so a pointed cone costs no LP.  Unit-last cuts nothing."""
-    closure = closure_of(k)
-    dim = dimension(closure)
+    matching full dimension.  Each extreme row is a row of the closure
+    system and a full-dimensional closure has one facet list, so (a)
+    holds exactly when every facet is an extreme row.  Dimension, facets
+    and rays come from the closure system's cached DD (its zero sets),
+    so a pointed cone costs one DD and no LP.  Unit-last cuts nothing."""
+    system = _system(k._rows)
+    dim = -1 if system is None else dimension(system)
     if dim != k.n:
         raise NotFullDimensionalError(
             "the equivalence is stated for full-dimensional closures "
@@ -341,7 +341,7 @@ def check_theorem1(k: GeneratedCone) -> Theorem1Report:
             added_unit_last=added,
             detail=(f"full-dimensional closure but cone contains the line "
                     f"through {linalg.format_vector(e.line_witness)}"))
-    equal = closure == _closure(rays)
+    equal = {q._primitive_row() for q in remove_redundant(system).inequalities} <= set(rays)
     return Theorem1Report(
         passed=equal, pointed=True,
         extreme_rays=RaySet(tuple(map(linalg.vector, rays))).rays,

@@ -192,8 +192,8 @@ def random_line_cones(seed: int, count: int = 20):
 
 
 def suite_cone(seed: int, count: int = 50, line_count: int = 20) -> SuiteReport:
-    """Extreme-ray reconstruction, generator provenance of every extreme
-    ray, and the pointedness/full-dimension equivalence."""
+    """Extreme-ray reconstruction, every extreme ray but unit-last a facet
+    of the closure, and the pointedness/full-dimension equivalence."""
     report = SuiteReport("cone", seed)
     for cone in random_pointed_cones(seed, count):
         rep = check_theorem1(cone)
@@ -208,9 +208,11 @@ def suite_cone(seed: int, count: int = 50, line_count: int = 20) -> SuiteReport:
             return f"{reason}\n{format_cone(GeneratedCone(shrunk))}"
 
         report.check(rep.passed, lambda: dump(f"theorem-1 cross-check failed: {rep.detail}"))
-        report.check(rep.rays_are_generators,
-                     lambda: dump("an extreme ray is not a generator up to scaling"))
-        full = dimension(closure_of(cone)) == cone.n
+        closure = closure_of(cone)
+        facets = {q.stacked() for q in closure.inequalities}
+        report.check(all(r in facets for r in rep.extreme_rays if r != cone.unit_last()),
+                     lambda: dump("an extreme ray is not a facet of the closure"))
+        full = dimension(closure) == cone.n
         pointed = is_pointed(cone).pointed
         report.check(pointed == full,
                      lambda: dump(f"pointed={pointed} but full-dimensional={full}"))

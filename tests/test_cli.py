@@ -563,31 +563,39 @@ def test_theorem1_takes_one_rank_per_double_description(monkeypatch, capsys):
 
 
 def test_theorem1_makes_no_new_double_description(monkeypatch, capsys, tmp_path):
-    # the polar cone's rays come from the closure system's cached DD, so
-    # every dd_cone call is a cache miss of _homogenized_dd, and no cone
-    # membership LP is solved
-    calls = []
-    real_dd = polyhedron.dd_cone
+    # the dimension, the facets and the polar cone's rays all come from the
+    # closure system's cached DD, so each run makes one DD (a cache miss of
+    # _homogenized_dd) and one redundancy pass, even with a redundant
+    # generator, and solves no cone membership LP
+    calls, passes = [], []
+    real_dd, real_remove = polyhedron.dd_cone, cone_module.remove_redundant
 
     def counted_dd(rows, dim):
         calls.append(rows)
         return real_dd(rows, dim)
 
+    def counted_remove(p):
+        passes.append(p)
+        return real_remove(p)
+
     def no_membership(*args):
         raise AssertionError("theorem1 solved a cone-membership LP")
 
     paths = [str(INSTANCES / name) for name in ("unit_square_cone.txt", "strip_cone.txt")]
+    paths.append(write(tmp_path, "redundant.txt",
+                       (INSTANCES / "unit_square_cone.txt").read_text() + "G: 1 1 3\n"))
     for i, k in enumerate(random_pointed_cones(seed=4, count=12)):
         paths.append(write(tmp_path, f"pointed{i}.txt", format_cone(k)))
     polyhedron._homogenized_dd.cache_clear()
     monkeypatch.setattr(polyhedron, "dd_cone", counted_dd)
     monkeypatch.setattr(cone_module, "dd_cone", counted_dd)
+    monkeypatch.setattr(cone_module, "remove_redundant", counted_remove)
     monkeypatch.setattr(cone_module, "cone_membership", no_membership)
     for path in paths:
         code, out, _ = run_cli(["cone", path, "theorem1"], capsys)
         assert code == 0 and "result: PASS" in out
-    # 19 DDs for these 14 cones when extreme rays were decided by LPs
-    assert len(calls) == polyhedron._homogenized_dd.cache_info().misses <= 19
+    assert len(calls) == polyhedron._homogenized_dd.cache_info().misses == len(paths)
+    assert len(passes) == len(paths)
 
 
 def test_theorem1_and_rays_solve_no_lp(monkeypatch, capsys, tmp_path):
