@@ -256,8 +256,8 @@ def closure_approx(q: CoveringInstance, k: int, density: int) -> ClosureApprox:
 
 
 def _is_sign_constraint(q: Inequality) -> bool:
-    v = q.canonical_stacked()
-    return v[-1] == 0 and sum(1 for a in v[:-1] if a != 0) == 1 and min(v[:-1]) == -1
+    *normal, rhs = q.row
+    return rhs == 0 and sum(1 for a in normal if a) == 1 and min(normal) == -1
 
 
 def classify_cuts(ca: ClosureApprox) -> tuple[CutClass, ...]:

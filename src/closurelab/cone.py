@@ -98,15 +98,6 @@ class GeneratedCone:
     def unit_last(self) -> Vector:
         return linalg.unit(self.dim, self.n)
 
-    def with_unit_last(self) -> tuple["GeneratedCone", bool]:
-        """The same cone, with (0, ..., 0, 1) appended when missing."""
-        if self.has_unit_last:
-            return self, False
-        return GeneratedCone(self.unique_generators() + (self.unit_last(),)), True
-
-    def unique_generators(self) -> tuple[Vector, ...]:
-        return tuple(dict.fromkeys(self.generators))
-
 
 @dataclass(frozen=True)
 class RaySet:
@@ -302,8 +293,7 @@ def fii_check(k: GeneratedCone, q: Inequality) -> FiiCheck:
         raise InvalidInequalityError(
             "inequality is not valid for the closure", witness=validity.witness)
     rows = _with_unit_row(k._rows)
-    canon = q._primitive_row()
-    others = tuple(g for g in rows if g != canon)
+    others = tuple(g for g in rows if g != q.row)
     if others == rows:
         # q's row is no generator, so the validity LP already asked this
         return FiiCheck(False, validity.generators, multipliers=validity.multipliers)
@@ -341,7 +331,7 @@ def check_theorem1(k: GeneratedCone) -> Theorem1Report:
             added_unit_last=added,
             detail=(f"full-dimensional closure but cone contains the line "
                     f"through {linalg.format_vector(e.line_witness)}"))
-    equal = {q._primitive_row() for q in remove_redundant(system).inequalities} <= set(rays)
+    equal = {q.row for q in remove_redundant(system).inequalities} <= set(rays)
     return Theorem1Report(
         passed=equal, pointed=True,
         extreme_rays=RaySet(tuple(map(linalg.vector, rays))).rays,

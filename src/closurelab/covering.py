@@ -21,15 +21,15 @@ down stays feasible.  With t stored per prefix, that is an O(n) test.
 
 The box, the scan and ``MinimalPointSet``'s checks run on ints: each row
 of [M | d] scaled to its primitive integer form (a positive scale keeps
-the feasible set), and the points as int tuples.  ``hull()`` hands the
-points and unit rays to the double description as integer rows.
-Fractions are made only for ``CoveringInstance`` data and
-``MinimalPointSet.points``.
+the feasible set), and the points as int tuples, which are all that a
+``MinimalPointSet`` stores.  ``hull()`` hands them and the unit rays to
+the double description as integer rows.  ``MinimalPointSet.points`` is a
+Fraction view made on read; only ``CoveringInstance`` stores Fractions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import le, mul
@@ -97,20 +97,19 @@ class CoveringInstance:
         return HPolyhedron(self.n, tuple(out))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class MinimalPointSet:
     """An antichain of feasible integer points that dominates every
-    feasible integer point; lexicographically sorted."""
+    feasible integer point; lexicographically sorted.  The points are
+    stored as int tuples; ``points`` is their Fraction view."""
 
-    points: tuple[Vector, ...]
-    # the points as int tuples, in the same order; hull() reads these
-    _ints: tuple[tuple[int, ...], ...] = field(default=(), init=False, repr=False,
-                                               compare=False)
+    int_points: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        ints = [_natural(p) for p in self.points]
+    def __init__(self, points: Iterable[Sequence]):
+        points = tuple(points)
+        ints = [_natural(p) for p in points]
         if None in ints:
-            bad = min(linalg.vector(p) for p, i in zip(self.points, ints) if i is None)
+            bad = min(linalg.vector(p) for p, i in zip(points, ints) if i is None)
             raise ContractViolation(f"minimal points live in N^n, got {bad}")
         ints.sort()
         # A point that dominates another sorts before it, and a later point
@@ -120,18 +119,24 @@ class MinimalPointSet:
             for high in ints[i + 1:]:
                 if all(map(le, low, high)):
                     raise ContractViolation(
-                        f"not an antichain: {_fractions(low)} and {_fractions(high)} "
-                        "are comparable")
-        object.__setattr__(self, "points", tuple(map(_fractions, ints)))
-        object.__setattr__(self, "_ints", tuple(ints))
+                        f"not an antichain: {tuple(map(Fraction, low))} and "
+                        f"{tuple(map(Fraction, high))} are comparable")
+        object.__setattr__(self, "int_points", tuple(ints))
+
+    @property
+    def points(self) -> tuple[Vector, ...]:
+        return tuple(tuple(map(Fraction, p)) for p in self.int_points)
+
+    def __repr__(self):
+        return f"MinimalPointSet(points={self.points!r})"
 
     def hull(self) -> HPolyhedron:
         """Irredundant H-representation of conv(points) + R^n_+; for the
         minimal points of a covering instance this is its integer hull."""
-        if not self._ints:
+        if not self.int_points:
             raise ContractViolation("the hull of an empty point set is undefined")
-        n = len(self._ints[0])
-        rows = [p + (-1,) for p in self._ints]
+        n = len(self.int_points[0])
+        rows = [p + (-1,) for p in self.int_points]
         rows.extend(tuple(int(i == j) for i in range(n + 1)) for j in range(n))
         return _v_to_h_rows(n, rows)
 
@@ -146,10 +151,6 @@ def _natural(p: Sequence) -> tuple[int, ...] | None:
             return None
         ints = tuple(a.numerator for a in v)
     return ints if all(a >= 0 for a in ints) else None
-
-
-def _fractions(p: tuple[int, ...]) -> Vector:
-    return tuple(map(Fraction, p))
 
 
 def dominates(low, high) -> bool:

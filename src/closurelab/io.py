@@ -57,11 +57,11 @@ def _column(value: str) -> int:
 
 
 def _int_field(value: str, name: str, lineno: int) -> int:
-    try:
-        out = int(value)
-    except ValueError:
+    # ASCII digits only: int() would also read '1_0' and other scripts' digits
+    if not re.fullmatch(r"[+-]?[0-9]+", value.strip()):
         raise ParseError(f"{name} must be an integer, got {value.strip()!r}",
                          lineno, _column(value))
+    out = int(value)
     if out < 1:
         raise ParseError(f"{name} must be at least 1, got {out}", lineno, _column(value))
     return out

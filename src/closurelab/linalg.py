@@ -11,8 +11,10 @@ functions.  Inside, the simplex (``lp``), ``rank`` and double description
 row gcd (``combine``).  A positive scale changes no sign test or ratio
 comparison, so they make the decisions the Fraction code would.  The hull
 pipeline (aggregation, the covering scan, the double description and the
-facet rows of ``v_to_h``) stays in integer rows from end to end; Fractions
-are made only where a value leaves it through the API.
+facet rows of ``v_to_h``) stays in integer rows from end to end, and
+stores them: an ``Inequality`` keeps its primitive row and a
+``MinimalPointSet`` its int points, and their Fractions are views made
+on read.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ IntRow = list[int]
 
 RationalLike = Union[Fraction, int, str]
 
-_RATIONAL_TOKEN = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_TOKEN = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
 
 
 def rational(value: RationalLike) -> Fraction:
@@ -88,11 +90,6 @@ def dot(u: Vector, v: Vector) -> Fraction:
 def add(u: Vector, v: Vector) -> Vector:
     check_dim(v, len(u))
     return tuple(a + b for a, b in zip(u, v))
-
-
-def sub(u: Vector, v: Vector) -> Vector:
-    check_dim(v, len(u))
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def scale(c: RationalLike, v: Vector) -> Vector:

@@ -9,12 +9,12 @@ half-spaces, ``VPolyhedron`` is conv(vertices) + cone(rays); conversion
 both ways runs the double description method on the homogenization,
 entirely in exact arithmetic.  Empty polyhedra are ordinary values.
 
-``dd_cone`` takes and returns primitive integer rows.  Fractions are made
-only for the values handed out: the Fraction data of an ``Inequality``,
-``HPolyhedron`` or ``VPolyhedron``.  An inequality compares, hashes and
-sorts by its primitive integer row, which ``v_to_h`` attaches from the
-DD row it was read from, so a facet's canonical form is never derived
-twice.
+``dd_cone`` takes and returns primitive integer rows, and an
+``Inequality`` stores one: its primitive row, plus the positive scale
+that gives back the values it was built from (1 for every row the
+library makes).  Identity, hashing and sorting read the row; ``normal``,
+``rhs`` and ``stacked()`` are Fraction views made on read, so a facet
+that ``v_to_h`` reads off a DD row makes no Fraction until it is used.
 
 One cached double description of the homogenization gives an
 H-polyhedron's emptiness, dimension and vertices, and the facets of a
@@ -39,7 +39,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -59,75 +60,61 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False, repr=False)
 class Inequality:
-    """normal.x <= rhs, kept exactly as constructed.
+    """normal.x <= rhs, stored as its primitive integer row and the
+    positive scale with scale * row == (normal, rhs) as given.
 
-    Identity (== and hashing) is by canonical form, so positive rescalings
-    of one another compare equal.  A zero normal is only legal with a
+    Identity (== and hashing) is by the row, so positive rescalings of one
+    another compare equal.  ``normal``, ``rhs`` and ``stacked()`` are
+    Fraction views made on read.  A zero normal is only legal with a
     nonnegative right-hand side: 0.x <= b for b < 0 is not an inequality
     but an inconsistency marker, and callers must represent emptiness with
     a genuine inconsistent system instead.
     """
 
-    normal: Vector
-    rhs: Fraction
-    # The primitive integer row of stacked(), filled on first use or by the
-    # double description that made the row: identity, hashing and sorting
-    # all go through it.  _canonical is the same row in Fractions.
-    _row: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
-    _canonical: Vector | None = field(default=None, init=False, repr=False, compare=False)
+    row: tuple[int, ...]
+    scale: Fraction = field(compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "normal", linalg.vector(self.normal))
-        object.__setattr__(self, "rhs", rational(self.rhs))
-        if linalg.is_zero(self.normal) and self.rhs < 0:
-            raise ContractViolation(
-                f"zero normal requires nonnegative rhs, got {self.rhs}")
+    def __init__(self, normal: Iterable, rhs):
+        v = linalg.vector(normal) + (rational(rhs),)
+        if linalg.is_zero(v[:-1]) and v[-1] < 0:
+            raise ContractViolation(f"zero normal requires nonnegative rhs, got {v[-1]}")
+        ints, common = linalg.clear_denominators(v)
+        # common is the lcm of the denominators, so g / common is in lowest
+        # terms and is 1 only for a primitive integer input
+        g = reduce(gcd, ints, 0) or 1
+        object.__setattr__(self, "row", tuple(a // g for a in ints))
+        object.__setattr__(self, "scale", _ONE if g == common else Fraction(g, common))
 
     @property
     def n(self) -> int:
-        return len(self.normal)
+        return len(self.row) - 1
 
     def stacked(self) -> Vector:
         """The (normal, rhs) vector in Q^(n+1)."""
-        return self.normal + (self.rhs,)
+        if self.scale == 1:
+            return tuple(map(Fraction, self.row))
+        return tuple(self.scale * a for a in self.row)
 
-    def _primitive_row(self) -> tuple[int, ...]:
-        if self._row is None:
-            object.__setattr__(self, "_row", tuple(linalg.int_row(self.stacked())))
-        return self._row
+    @property
+    def normal(self) -> Vector:
+        return self.stacked()[:-1]
 
-    def canonical_stacked(self) -> Vector:
-        if self._canonical is None:
-            object.__setattr__(self, "_canonical", tuple(map(Fraction, self._primitive_row())))
-        return self._canonical
+    @property
+    def rhs(self) -> Fraction:
+        return self.scale * self.row[-1]
 
     def canonical(self) -> "Inequality":
         """The inequality scaled to its canonical form; itself when it
         already is."""
-        row = self._primitive_row()
-        if self.rhs == row[-1] and self.normal == row[:-1]:
-            return self
-        return _from_row(row)
-
-    def flipped(self) -> "Inequality":
-        """The reverse inequality -normal.x <= -rhs (for equality pairs)."""
-        return Inequality(linalg.neg(self.normal), -self.rhs)
+        return self if self.scale == 1 else _from_row(self.row)
 
     def satisfied_by(self, x: Vector) -> bool:
-        return dot(self.normal, x) <= self.rhs
+        return dot(self.row[:-1], x) <= self.row[-1]
 
     def is_trivial(self) -> bool:
-        return linalg.is_zero(self.normal)
-
-    def __eq__(self, other):
-        if not isinstance(other, Inequality):
-            return NotImplemented
-        return self._primitive_row() == other._primitive_row()
-
-    def __hash__(self):
-        return hash(self._primitive_row())
+        return not any(self.row[:-1])
 
     def __repr__(self):
         return f"Inequality({format_le(self)!r})"
@@ -180,15 +167,15 @@ class VPolyhedron:
 
 
 def _from_row(row: tuple[int, ...]) -> Inequality:
-    """row[:-1].x <= row[-1] for a primitive integer row, which is its own
-    canonical form."""
-    q = Inequality(tuple(map(Fraction, row[:-1])), Fraction(row[-1]))
-    object.__setattr__(q, "_row", row)
+    """row[:-1].x <= row[-1] for a primitive integer row with a nonzero
+    normal, which is its own canonical form; no Fraction is made."""
+    q = object.__new__(Inequality)
+    object.__setattr__(q, "row", row)
+    object.__setattr__(q, "scale", _ONE)
     return q
 
 
-def ineq(normal: Iterable, rhs) -> Inequality:
-    return Inequality(linalg.vector(normal), rational(rhs))
+ineq = Inequality  # the short name the tests and docs use
 
 
 def ge(normal: Iterable, rhs) -> Inequality:
@@ -200,7 +187,7 @@ def sorted_unique(ineqs: Iterable[Inequality]) -> tuple[Inequality, ...]:
     """Canonical forms, deduplicated, lexicographically sorted."""
     seen = {}
     for q in ineqs:
-        seen.setdefault(q._primitive_row(), q)
+        seen.setdefault(q.row, q)
     return tuple(seen[k].canonical() for k in sorted(seen))
 
 
@@ -307,7 +294,7 @@ def _t_row(n: int) -> tuple[int, ...]:
 
 def _homogenized_row(q: Inequality) -> tuple[int, ...]:
     """The primitive integer row (normal, -rhs)."""
-    *normal, rhs = q._primitive_row()
+    *normal, rhs = q.row
     return (*normal, -rhs)
 
 
@@ -455,21 +442,20 @@ def check_implication(system: Sequence[Inequality], target: Inequality) -> Impli
             raise ContractViolation("system/target dimension mismatch")
     a = tuple(q.normal for q in system)
     b = tuple(q.rhs for q in system)
-    res = solve_lp(a, b, target.normal, "max")
+    c, d = target.normal, target.rhs
+    res = solve_lp(a, b, c, "max")
     if res.status is LpStatus.INFEASIBLE:
         raise InconsistentSystemError(
             "implication requires a consistent system", certificate=res.certificate)
-    if res.status is LpStatus.OPTIMAL and res.objective <= target.rhs:
-        return Implication(True, multipliers=res.certificate,
-                           slack=target.rhs - res.objective)
+    if res.status is LpStatus.OPTIMAL and res.objective <= d:
+        return Implication(True, multipliers=res.certificate, slack=d - res.objective)
 
     if res.status is LpStatus.OPTIMAL:
         witness = res.x
     else:
         x0 = solve_lp(a, b, linalg.zeros(n), "max").x
         ray = res.certificate
-        gain = dot(target.normal, ray)
-        step = max(_ZERO, (target.rhs - dot(target.normal, x0)) / gain) + 1
+        step = max(_ZERO, (d - dot(c, x0)) / dot(c, ray)) + 1
         witness = linalg.add(x0, linalg.scale(step, ray))
     if target.satisfied_by(witness) or not all(q.satisfied_by(witness) for q in system):
         raise InternalInvariantError("witness fails substitution check")
@@ -541,16 +527,19 @@ def same_point_set(p: HPolyhedron, q: HPolyhedron) -> bool:
 
 
 def format_le(q: Inequality) -> str:
-    """Token form 'a1 a2 ... an <= b'."""
-    return f"{format_vector(q.normal)} <= {format_rational(q.rhs)}"
+    """Token form 'a1 a2 ... an <= b'.  A row of scale 1 is printed from
+    its ints, which print as the Fractions they stand for."""
+    *normal, rhs = q.row if q.scale == 1 else q.stacked()
+    return f"{format_vector(normal)} <= {format_rational(rhs)}"
 
 
 def format_ge(q: Inequality) -> str:
     """Token form of the same inequality written as -normal.x >= -rhs."""
-    return f"{format_vector(linalg.neg(q.normal))} >= {format_rational(-q.rhs)}"
+    *normal, rhs = q.row if q.scale == 1 else q.stacked()
+    return f"{format_vector(linalg.neg(normal))} >= {format_rational(-rhs)}"
 
 
-_TERM = re.compile(r"([+-]?)\s*(\d+(?:/\d+)?)?\s*\*?\s*x(\d+)\s*")
+_TERM = re.compile(r"([+-]?)\s*([0-9]+(?:/[0-9]+)?)?\s*\*?\s*x([0-9]+)\s*")
 
 
 def parse_inequality(text: str, n: int) -> Inequality:

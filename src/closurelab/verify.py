@@ -274,20 +274,20 @@ def suite_covering(seed: int, count: int = 100) -> SuiteReport:
             return f"instance {idx}: {reason}\n{format_covering(q)}"
 
         minimal = minimal_integer_points(q)
+        points = minimal.points
         oracle = brute_force_minimal_points(q)
-        report.check(minimal.points == oracle,
-                     lambda: dump(f"minimal points {minimal.points} != oracle {oracle}"))
+        report.check(points == oracle,
+                     lambda: dump(f"minimal points {points} != oracle {oracle}"))
         enlarged = brute_force_minimal_points(q, slack=2)
-        report.check(minimal.points == enlarged,
+        report.check(points == enlarged,
                      lambda: dump("minimal points change when the box grows"))
         pairwise_ok = not any(
-            a != b and dominates(a, b)
-            for a in minimal.points for b in minimal.points)
+            a != b and dominates(a, b) for a in points for b in points)
         report.check(pairwise_ok, lambda: dump("minimal points are not an antichain"))
 
         box = enumeration_box(q)
         complete = all(
-            any(dominates(p, linalg.vector(point)) for p in minimal.points)
+            any(dominates(p, linalg.vector(point)) for p in points)
             for point in product(*(range(b + 1) for b in box))
             if all(linalg.dot(row, linalg.vector(point)) >= di
                    for row, di in zip(q.M, q.d)))
@@ -295,7 +295,7 @@ def suite_covering(seed: int, count: int = 100) -> SuiteReport:
 
         hull = minimal.hull()
         # covering form: every facet reads c.x >= d with c, d >= 0
-        signs_ok = all(all(a <= 0 for a in f.normal) and f.rhs <= 0 for f in hull.inequalities)
+        signs_ok = all(a <= 0 for f in hull.inequalities for a in f.row)
         report.check(signs_ok, lambda: dump("a hull facet leaves covering form"))
         rays = h_to_v(hull).rays
         units = tuple(sorted(linalg.unit(q.n, j) for j in range(q.n)))
@@ -303,7 +303,7 @@ def suite_covering(seed: int, count: int = 100) -> SuiteReport:
 
         inside = is_subset(hull, q.to_hpolyhedron())
         report.check(inside, lambda: dump("integer hull escapes the relaxation"))
-        pts_ok = all(hull.contains(p) for p in minimal.points)
+        pts_ok = all(hull.contains(p) for p in points)
         report.check(pts_ok, lambda: dump("a minimal point misses the hull"))
     return report
 

@@ -16,7 +16,9 @@ only when its approximation is not already the integer hull, the
 closure that builds every density-D hull before it compares the
 intersection with the integer hull, and the containment, point-set
 equality and facet tests by check_implication that the homogenized
-double description replaces."""
+double description replaces.  It also holds the Fraction text forms of
+an inequality that Inequality now prints from its integer row, and the
+small vector, inequality and cone helpers that only the tests use."""
 
 from __future__ import annotations
 
@@ -49,6 +51,36 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 UNATTRIBUTED = "UNATTRIBUTED"
+
+
+def sub(u: Vector, v: Vector) -> Vector:
+    check_dim(v, len(u))
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def flipped(q: Inequality) -> Inequality:
+    """The reverse inequality -normal.x <= -rhs (for equality pairs)."""
+    return Inequality(linalg.neg(q.normal), -q.rhs)
+
+
+def fraction_format_le(normal: Vector, rhs: Fraction) -> str:
+    """format_le's text computed from the Fractions an inequality was built from."""
+    return f"{' '.join(map(str, normal))} <= {rhs}"
+
+
+def fraction_format_ge(normal: Vector, rhs: Fraction) -> str:
+    return f"{' '.join(str(-a) for a in normal)} >= {-rhs}"
+
+
+def unique_generators(k: GeneratedCone) -> tuple[Vector, ...]:
+    return tuple(dict.fromkeys(k.generators))
+
+
+def with_unit_last(k: GeneratedCone) -> tuple[GeneratedCone, bool]:
+    """The same cone, with (0, ..., 0, 1) appended when missing."""
+    if k.has_unit_last:
+        return k, False
+    return GeneratedCone(unique_generators(k) + (k.unit_last(),)), True
 
 
 def brute_force_vertices(p: HPolyhedron) -> tuple[Vector, ...]:
@@ -165,7 +197,7 @@ def dd_rows_zero_normal_skip(p: VPolyhedron) -> HPolyhedron:
     out = [Inequality(g[:-1], g[-1]) for g in rays if not is_zero(g[:-1])]
     for g in lines:
         q = Inequality(g[:-1], g[-1])
-        out.extend((q, q.flipped()))
+        out.extend((q, flipped(q)))
     return HPolyhedron(p.n, sorted_unique(out))
 
 
@@ -268,7 +300,7 @@ def lp_same_point_set(p: HPolyhedron, q: HPolyhedron) -> bool:
 
 def lp_is_facet_defining(p: HPolyhedron, q: Inequality) -> bool:
     """Validity by check_implication (its violating point otherwise), then
-    the face p with q and q.flipped() added has dimension n-1, by
+    the face p with q and flipped(q) added has dimension n-1, by
     lp_dimension.  A zero-normal q defines no facet."""
     if q.n != p.n:
         raise ContractViolation("inequality/polyhedron dimension mismatch")
@@ -281,9 +313,9 @@ def lp_is_facet_defining(p: HPolyhedron, q: Inequality) -> bool:
         raise InvalidInequalityError(
             "inequality is not valid for the polyhedron", witness=imp.witness)
     if q.is_trivial():
-        # the face is p or empty; q.flipped() of 0.x <= b > 0 is no inequality
+        # the face is p or empty; flipped(q) of 0.x <= b > 0 is no inequality
         return False
-    face = HPolyhedron(p.n, p.inequalities + (q, q.flipped()))
+    face = HPolyhedron(p.n, p.inequalities + (q, flipped(q)))
     return lp_dimension(face) == p.n - 1
 
 
@@ -418,9 +450,9 @@ def fraction_dd_cone(rows: Sequence[Vector], dim: int):
         if hit is not None:
             star = lines[hit] if vals[hit] < 0 else linalg.neg(lines[hit])
             dstar = dot(row, star)
-            lines = [_line_canonical(linalg.sub(l, linalg.scale(vals[j] / dstar, star)))
+            lines = [_line_canonical(sub(l, linalg.scale(vals[j] / dstar, star)))
                      for j, l in enumerate(lines) if j != hit]
-            new_rays = [primitive(linalg.sub(r, linalg.scale(dot(row, r) / dstar, star)))
+            new_rays = [primitive(sub(r, linalg.scale(dot(row, r) / dstar, star)))
                         for r in rays]
             rays = list(dict.fromkeys(new_rays + [primitive(star)]))
             continue
@@ -431,7 +463,7 @@ def fraction_dd_cone(rows: Sequence[Vector], dim: int):
         candidates = [r for r, _ in zero] + [r for r, _ in negi]
         for rn, vn in negi:
             for rp, vp in posi:
-                w = primitive(linalg.sub(linalg.scale(vp, rn), linalg.scale(vn, rp)))
+                w = primitive(sub(linalg.scale(vp, rn), linalg.scale(vn, rp)))
                 if not is_zero(w):
                     candidates.append(w)
         target = dim - len(lines) - 1
@@ -647,7 +679,7 @@ def fraction_minimal_points(q: CoveringInstance) -> tuple[Vector, ...]:
                 if all(dot(row, x) >= di for row, di in zip(q.M, q.d))}
     return tuple(sorted(
         x for x in feasible
-        if not any(x[j] and linalg.sub(x, linalg.unit(q.n, j)) in feasible
+        if not any(x[j] and sub(x, linalg.unit(q.n, j)) in feasible
                    for j in range(q.n))))
 
 
@@ -663,8 +695,8 @@ def fraction_v_to_h(p: VPolyhedron) -> HPolyhedron:
            if fraction_rank(line_normals + [g[:-1]]) > len(lines)]
     for g in lines:
         q = Inequality(g[:-1], g[-1])
-        out.extend((q, q.flipped()))
-    return HPolyhedron(p.n, tuple(sorted(out, key=Inequality.canonical_stacked)))
+        out.extend((q, flipped(q)))
+    return HPolyhedron(p.n, tuple(sorted(out, key=lambda q: q.row)))
 
 
 def fraction_integer_hull(q: CoveringInstance) -> HPolyhedron:

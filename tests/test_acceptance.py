@@ -56,7 +56,7 @@ from closurelab.verify import (
     suite_farkas,
 )
 
-from oracles import down_set_box_oracle
+from oracles import down_set_box_oracle, unique_generators, with_unit_last
 
 V = linalg.vector
 
@@ -115,7 +115,7 @@ def test_criterion_4_rays_come_from_generators(theorem1_data):
     cones, reports = theorem1_data
     exceptions = 0
     for cone, rep in zip(cones, reports):
-        gens = set(cone.with_unit_last()[0].unique_generators())
+        gens = set(unique_generators(with_unit_last(cone)[0]))
         if not all(r in gens for r in rep.extreme_rays):
             exceptions += 1
     ok = exceptions == 0
@@ -128,7 +128,7 @@ def test_criterion_5_fii_facet_agreement():
     tested = 0
     for cone in random_pointed_cones(SEED + 5, count=30):
         closure = closure_of(cone)
-        for g in cone.unique_generators():
+        for g in unique_generators(cone):
             normal, rhs = g[:-1], g[-1]
             if linalg.is_zero(normal):
                 continue  # the mandatory trivial generator induces no half-space

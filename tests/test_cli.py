@@ -147,7 +147,13 @@ def test_repeated_demand_line_exits_2(tmp_path, capsys):
     ("kind: covering\nn: 2\n m:  0\n", "error: line 3, column 6: m must be at least 1, got 0\n"),
     ("kind:   widget\nn: 2\n",
      "error: line 1, column 9: unknown kind 'widget'; expected one of covering, cone\n"),
-], ids=["M token", "d token", "tab", "n integer", "m at least 1", "kind"])
+    ("kind: covering\nn: 1_0\n", "error: line 2, column 4: n must be an integer, got '1_0'\n"),
+    ("kind: covering\nn: \uff12\n",
+     "error: line 2, column 4: n must be an integer, got '\uff12'\n"),
+    ("kind: covering\nn: 2\nm: 1\nM: 1 \u0663\nd: 3\n",
+     "error: line 4, column 6: not a rational token: '\u0663'\n"),
+], ids=["M token", "d token", "tab", "n integer", "m at least 1", "kind",
+        "n underscore", "n fullwidth digit", "M arabic-indic digit"])
 def test_instance_parse_error_columns_count_in_the_raw_line(tmp_path, capsys, text, err_text):
     code, out, err = run_cli(["hull", write(tmp_path, "bad.txt", text)], capsys)
     assert (code, out, err) == (2, "", err_text)

@@ -30,7 +30,7 @@ from closurelab.lp import cone_membership, solve_lp
 from closurelab.polyhedron import dimension, ineq, is_facet_defining, same_point_set
 from closurelab.verify import random_line_cones, random_pointed_cones
 
-from oracles import lp_extreme_rays
+from oracles import lp_extreme_rays, unique_generators
 
 V = linalg.vector
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -164,7 +164,7 @@ def test_theorem1_random_cones():
         rep = check_theorem1(cone)
         assert rep.passed
         # every drawn cone holds (0, ..., 0, 1), so no generator is added
-        assert set(rep.extreme_rays) <= set(cone.unique_generators())
+        assert set(rep.extreme_rays) <= set(unique_generators(cone))
 
 
 def test_pointedness_matches_full_dimension_random():
@@ -217,7 +217,7 @@ def test_fii_reuses_the_validity_lp_when_q_is_no_generator(monkeypatch, cone, q,
     assert len(calls) == lps
     assert res.is_fii == (want is None) and res.multipliers == want
     canon = linalg.primitive(q.stacked())
-    assert res.others == tuple(g for g in cone.unique_generators() if g != canon)
+    assert res.others == tuple(g for g in unique_generators(cone) if g != canon)
 
 
 def test_fii_rejects_invalid_inequality():
@@ -234,7 +234,7 @@ def test_fii_requires_full_dimensional_closure():
 def test_fii_matches_facet_defining_on_generators():
     for cone in random_pointed_cones(29, count=10):
         closure = closure_of(cone)
-        for g in cone.unique_generators():
+        for g in unique_generators(cone):
             normal, rhs = g[:-1], g[-1]
             if linalg.is_zero(normal):
                 continue
@@ -245,7 +245,7 @@ def test_fii_matches_facet_defining_on_generators():
 def test_extreme_ray_soundness_random():
     for cone in random_pointed_cones(37, count=8):
         rays = extreme_rays(cone)
-        gens = cone.unique_generators()
+        gens = unique_generators(cone)
         for g in gens:
             others = tuple(x for x in gens if x != g)
             member = cone_membership(others, g).member
@@ -268,7 +268,7 @@ def test_extreme_rays_order_independent():
 
 def test_scaled_duplicate_generators_collapse():
     k = GeneratedCone((V([1, 0]), V([3, 0]), V([0, 2]), V([0, 1])))
-    assert k.unique_generators() == (V([1, 0]), V([0, 1]))
+    assert unique_generators(k) == (V([1, 0]), V([0, 1]))
     assert extreme_rays(k).rays == (V([0, 1]), V([1, 0]))
 
 
@@ -298,7 +298,7 @@ def test_cone_layer_hands_the_lp_ints_and_returns_fractions(monkeypatch):
             ("strip_cone.txt", ineq([-1, 2], 7), ineq([0, 1], F(7, 2)), ineq([0, 1], 1)),
             ("unit_square_cone.txt", ineq([1, 0], 1), ineq([1, 1], 2), ineq([1, 1], 1))):
         k = parse_instance((INSTANCES / name).read_text()).payload
-        vectors += k.unique_generators() + extreme_rays(k).rays
+        vectors += unique_generators(k) + extreme_rays(k).rays
         pointed = is_pointed(k)
         assert pointed.pointed
         vectors.append(pointed.support)
@@ -360,11 +360,11 @@ def _outcome(f, *args):
           GeneratedCone(((3, 0, 0), (-1, 0, 0), (F(-1, 2), 0, 0), (0, 0, 5)))))
 def test_rescaled_and_repeated_generators_give_the_same_cone(cones):
     k, scaled = cones
-    assert scaled.unique_generators() == k.unique_generators()
-    assert k._rows == tuple(tuple(linalg.int_row(g)) for g in k.unique_generators())
+    assert unique_generators(scaled) == unique_generators(k)
+    assert k._rows == tuple(tuple(linalg.int_row(g)) for g in unique_generators(k))
     for query in (extreme_rays, is_pointed, closure_of, check_theorem1):
         assert _outcome(query, scaled) == _outcome(query, k), query.__name__
-    for g in k.unique_generators():
+    for g in unique_generators(k):
         q = ineq(g[:-1], g[-1])
         assert _outcome(fii_check, scaled, q) == _outcome(fii_check, k, q)
 

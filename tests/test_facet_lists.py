@@ -18,7 +18,8 @@ from closurelab.cone import GeneratedCone, check_theorem1, closure_of, extreme_r
 from closurelab.covering import CoveringInstance
 from closurelab.polyhedron import dimension
 
-from oracles import lp_classify_cuts, lp_same_point_set
+from oracles import (lp_classify_cuts, lp_same_point_set, unique_generators,
+                     with_unit_last)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -102,7 +103,7 @@ NO_UNIT_CONE = GeneratedCone(((1, 0, 0), (0, 1, 0), (1, 1, 0)))
 @example(SUM_CONE)
 @example(NO_UNIT_CONE)
 def test_rebuilt_equals_closure_matches_same_point_set(cone):
-    ku, _ = cone.with_unit_last()
+    ku, _ = with_unit_last(cone)
     rays = extreme_rays(ku).rays
     rebuilt = closure_of(GeneratedCone(rays + (ku.unit_last(),)))
     rep = check_theorem1(cone)
@@ -118,9 +119,9 @@ def test_rebuilt_equals_closure_matches_same_point_set(cone):
 def test_closure_list_equality_matches_same_point_set_on_subfamilies(cone):
     # dropping one generator gives a closure containing the full one, so
     # both outcomes of the list comparison occur
-    ku, _ = cone.with_unit_last()
+    ku, _ = with_unit_last(cone)
     closure = closure_of(ku)
-    gens = ku.unique_generators()
+    gens = unique_generators(ku)
     for i in range(len(gens)):
         sub = closure_of(GeneratedCone(gens[:i] + gens[i + 1:] + (ku.unit_last(),)))
         assert (closure == sub) == lp_same_point_set(closure, sub)

@@ -106,6 +106,11 @@ def test_minimal_point_set_checks_match_fraction_reference(points):
         return
     got = MinimalPointSet(tuple(points))
     assert got.points == want and _all_fractions(*got.points)
+    assert repr(got) == f"MinimalPointSet(points={want!r})"
+    # the same points given as ints and as Fractions make one equal set
+    for same in (MinimalPointSet(tuple(tuple(map(int, p)) for p in want)),
+                 MinimalPointSet(want)):
+        assert same == got and hash(same) == hash(got) and same.points == want
     if want:
         n = len(want[0])
         rays = tuple(linalg.unit(n, j) for j in range(n))

@@ -38,7 +38,7 @@ from closurelab.polyhedron import (
 )
 
 from oracles import (brute_force_vertices, dd_rows_zero_normal_skip, fm_project,
-                     lp_dimension, lp_is_empty, lp_is_facet_defining, lp_is_subset,
+                     fraction_format_ge, fraction_format_le, lp_dimension, lp_is_empty, lp_is_facet_defining, lp_is_subset,
                      lp_remove_redundant, lp_same_point_set, lp_v_to_h,
                      point_has_extension, rank_remove_redundant, rational_grid,
                      three_solve_implication)
@@ -56,15 +56,64 @@ def test_inequality_identity_up_to_positive_scaling():
     assert hash(ineq([2, 4], 8)) == hash(ineq([1, 2], 4))
 
 
-def test_inequality_canonical_form_is_cached_outside_identity_and_repr():
+def test_inequality_stores_its_primitive_row_and_scale():
     q = ineq([2, 4], 8)
+    assert q.row == (1, 2, 4) and q.scale == 2
     assert repr(q) == "Inequality('2 4 <= 8')"
-    assert q.canonical_stacked() is q.canonical_stacked()
-    assert q.canonical_stacked() == (F(1), F(2), F(4))
+    assert q.stacked() == (F(2), F(4), F(8))
     assert q == ineq([1, 2], 4) and repr(q) == "Inequality('2 4 <= 8')"
     c = q.canonical()
-    assert (c.normal, c.rhs) == ((F(1), F(2)), F(4))
-    assert c.canonical_stacked() == q.canonical_stacked()
+    assert (c.normal, c.rhs) == ((F(1), F(2)), F(4)) and c.row == q.row and c.scale == 1
+    assert c.canonical() is c
+    for attr, value in (("row", (1, 1, 1)), ("scale", F(1)), ("normal", (F(1), F(1)))):
+        with pytest.raises(AttributeError):
+            setattr(q, attr, value)
+
+
+RATIONALS = st.one_of(
+    st.just(F(0)), st.integers(-9, 9).map(F),
+    st.builds(F, st.integers(-10**20, 10**20), st.integers(1, 10**20)))
+
+
+@st.composite
+def inequality_pairs(draw):
+    """Two (normal, rhs) pairs in one R^n, the second often a positive
+    rescaling of the first; zero normals come with a nonnegative rhs."""
+    n = draw(st.integers(1, 4))
+
+    def one():
+        normal = tuple(draw(RATIONALS) for _ in range(n))
+        rhs = draw(RATIONALS)
+        return normal, rhs if any(normal) else abs(rhs)
+
+    first = one()
+    if draw(st.booleans()):
+        c = draw(st.builds(F, st.integers(1, 10**6), st.integers(1, 10**6)))
+        return first, (tuple(c * a for a in first[0]), c * first[1])
+    return first, one()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(inequality_pairs())
+@example((((F(2), F(4)), F(8)), ((F(1), F(2)), F(4))))
+@example((((F(0), F(0)), F(0)), ((F(0), F(0)), F(3, 7))))
+def test_inequality_views_match_fraction_reference(pair):
+    qs = [Inequality(normal, rhs) for normal, rhs in pair]
+    for q, (normal, rhs) in zip(qs, pair):
+        assert (q.normal, q.rhs, q.stacked()) == (normal, rhs, normal + (rhs,))
+        assert all(type(a) is F for a in q.stacked())
+        assert format_le(q) == fraction_format_le(normal, rhs)
+        assert format_ge(q) == fraction_format_ge(normal, rhs)
+        assert repr(q) == f"Inequality({fraction_format_le(normal, rhs)!r})"
+        r = q.row
+        built, typed = polyhedron._from_row(r), Inequality(r[:-1], r[-1])
+        assert built.scale == typed.scale == 1 and built.row == typed.row == r
+        assert (built.stacked(), format_le(built), format_ge(built), repr(built)) == \
+            (typed.stacked(), format_le(typed), format_ge(typed), repr(typed))
+    same = linalg.primitive(pair[0][0] + (pair[0][1],)) == \
+        linalg.primitive(pair[1][0] + (pair[1][1],))
+    assert (qs[0] == qs[1]) == same
+    assert not same or hash(qs[0]) == hash(qs[1])
 
 
 def test_polyhedron_query_caches_are_bounded():
@@ -189,7 +238,7 @@ def test_v_to_h_matches_lp_pruned_reference(p):
     assert [q.stacked() for q in hp.inequalities] == \
         [q.stacked() for q in lp_v_to_h(p).inequalities]
     assert remove_redundant(hp) == hp
-    assert all(q.stacked() == q.canonical_stacked() for q in hp.inequalities)
+    assert all(q.scale == 1 for q in hp.inequalities)
 
 
 def test_v_to_h_skips_rays_implied_by_equalities():
@@ -726,7 +775,7 @@ def test_projection_named_examples():
         [V([-1, 0, 0]), V([0, -1, 0]), V([1, 1, 2])]
 
     assert fourier_motzkin_project(SQUARE, [1, 0]).inequalities == \
-        tuple(sorted(SQUARE.inequalities, key=Inequality.canonical_stacked))
+        tuple(sorted(SQUARE.inequalities, key=lambda q: q.row))
 
 
 def test_projection_of_flat_polyhedron_solves_no_lp(monkeypatch):
@@ -761,6 +810,10 @@ def test_parse_errors():
         parse_inequality("x1 + x2", 2)
     with pytest.raises(ParseError):
         parse_inequality("x3 <= 1", 2)
+    # digits are ASCII only: no other script's digits, no underscores
+    for text in ("x\u0662 <= 1", "\u0662 x1 <= 1", "x1 <= \u0662", "1_0 x1 <= 1"):
+        with pytest.raises(ParseError):
+            parse_inequality(text, 2)
 
 
 def test_parse_inequality_rejects_juxtaposed_terms_and_empty_left_side():
