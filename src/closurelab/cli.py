@@ -33,7 +33,7 @@ from .cone import (
 from .covering import minimal_integer_points
 from .errors import ClosureLabError, ParseError
 from . import __version__, linalg
-from .io import InstanceFile, parse_instance
+from .io import InstanceFile, is_ascii_int, parse_instance
 from .polyhedron import format_ge, format_le, parse_inequality
 from .verify import SUITES, run_suite
 
@@ -206,6 +206,13 @@ def cmd_verify(args) -> tuple[str, int]:
     return doc.render(args.format), EXIT_INTERNAL if failed else EXIT_OK
 
 
+def _int_arg(text: str) -> int:
+    """argparse type for integer flags: ASCII digits only, as in instance files."""
+    if not is_ascii_int(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -215,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0,
+        p.add_argument("--seed", type=_int_arg, default=0,
                        help="seed for randomized work (echoed in output)")
         p.add_argument("--out", help="also write the report to this path")
         p.add_argument("--format", choices=("text", "structured"), default="text")
@@ -229,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closure", help="sampled aggregation closure")
     p.add_argument("instance")
-    p.add_argument("--k", type=int, default=1, help="rows per aggregation (default 1)")
-    p.add_argument("--density", type=int, default=4,
+    p.add_argument("--k", type=_int_arg, default=1, help="rows per aggregation (default 1)")
+    p.add_argument("--density", type=_int_arg, default=4,
                    help="multiplier grid density (default 4)")
     common(p)
     p.set_defaults(run=cmd_closure)

@@ -56,9 +56,14 @@ def _column(value: str) -> int:
     return len(value) - len(value.lstrip()) + 1
 
 
+def is_ascii_int(text: str) -> bool:
+    """Is text an optionally signed run of ASCII digits, up to surrounding
+    whitespace?  int() would also read '1_0' and other scripts' digits."""
+    return re.fullmatch(r"[+-]?[0-9]+", text.strip()) is not None
+
+
 def _int_field(value: str, name: str, lineno: int) -> int:
-    # ASCII digits only: int() would also read '1_0' and other scripts' digits
-    if not re.fullmatch(r"[+-]?[0-9]+", value.strip()):
+    if not is_ascii_int(value):
         raise ParseError(f"{name} must be an integer, got {value.strip()!r}",
                          lineno, _column(value))
     out = int(value)

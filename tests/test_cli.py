@@ -299,6 +299,21 @@ def test_closure_usage_error_on_zero_density(tmp_path, capsys):
     capsys.readouterr()
 
 
+# int() reads each of these (as 10, 2 and 3), and each names a valid run
+@pytest.mark.parametrize("value", ["1_0", "２", "٣"])
+@pytest.mark.parametrize("command, flag", [
+    ("hull", "--seed"), ("closure", "--seed"), ("closure", "--k"), ("closure", "--density"),
+])
+def test_integer_flags_take_ascii_digits_only(command, flag, value, capsys):
+    instance = str(INSTANCES / ("single_row.txt" if command == "hull" else "knapsack_pair.txt"))
+    with pytest.raises(SystemExit) as err:
+        main([command, instance, flag, value])
+    assert err.value.code == 2
+    out, err_text = capsys.readouterr()
+    assert out == ""
+    assert f"argument {flag}: invalid int value: {value!r}" in err_text
+
+
 def test_cone_rays_command(tmp_path, capsys):
     path = write(tmp_path, "cone.txt", CONE)
     code, out, _ = run_cli(["cone", path, "rays"], capsys)

@@ -223,3 +223,15 @@ def coverings(draw):
 @example(CoveringInstance(([1, 2],), (3,)))
 def test_minimal_points_match_brute_force_oracle(q):
     assert minimal_integer_points(q).points == brute_force_minimal_points(q)
+
+
+def test_minimal_point_set_checks_a_long_antichain():
+    antichain = [(i, 2999 - i) for i in range(3000)]
+    assert MinimalPointSet(antichain).int_points == tuple(antichain)
+    _rejects(antichain + [(0, 2999)],
+             "not an antichain: (Fraction(0, 1), Fraction(2999, 1)) and "
+             "(Fraction(0, 1), Fraction(2999, 1)) are comparable")
+
+
+def test_minimal_point_set_rejects_mixed_dimensions():
+    _rejects([(1, 0), (0,)], "minimal points must all have the same dimension")

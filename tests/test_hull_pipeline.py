@@ -11,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from closurelab import linalg
 from closurelab.aggregation import AggregationSample, aggregate, closure_approx
-from closurelab.covering import CoveringInstance, MinimalPointSet, integer_hull
+from closurelab.covering import (CoveringInstance, MinimalPointSet, dominates, integer_hull,
+                                 minimal_elements, minimal_integer_points)
 from closurelab.errors import ContractViolation
 from closurelab.polyhedron import VPolyhedron
 from oracles import (fraction_aggregate, fraction_closure_approx, fraction_integer_hull,
@@ -115,3 +116,45 @@ def test_minimal_point_set_checks_match_fraction_reference(points):
         n = len(want[0])
         rays = tuple(linalg.unit(n, j) for j in range(n))
         assert _rows(got.hull()) == _rows(fraction_v_to_h(VPolyhedron(n, want, rays)))
+
+
+@st.composite
+def long_point_lists(draw):
+    """Up to 60 minimal points of a covering instance in N^1 to N^4, in a
+    drawn order, and in three draws of four one more point inserted at a
+    drawn position: a copy of one of them, or a point above or below one
+    (a copy again when the step is 0)."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    # demands that give dozens of minimal points, scanned in a few hundred prefixes
+    cap = {1: 9, 2: 80, 3: 16, 4: 8}[n]
+    demand = st.integers(cap // 2, cap)
+    rows = tuple(tuple(draw(st.integers(1, 3)) for _ in range(n)) for _ in range(m))
+    q = CoveringInstance(rows, tuple(draw(demand) for _ in rows))
+    points = draw(st.permutations(minimal_integer_points(q).int_points))[:60]
+    extra = draw(st.sampled_from(("none", "copy", "above", "below")))
+    if extra != "none":
+        base = draw(st.sampled_from(points))
+        step = tuple(draw(st.integers(0, 2)) for _ in range(n))
+        if extra == "above":
+            point = tuple(a + b for a, b in zip(base, step))
+        elif extra == "below":
+            point = tuple(max(a - b, 0) for a, b in zip(base, step))
+        else:
+            point = base
+        points.insert(draw(st.integers(0, len(points))), point)
+    return points
+
+
+@PROPERTY
+@given(long_point_lists())
+def test_minimal_point_set_reports_the_reference_pair_on_long_lists(points):
+    try:
+        want = fraction_minimal_point_set(points)
+    except ContractViolation as exc:
+        with pytest.raises(ContractViolation, match=f"^{re.escape(str(exc))}$"):
+            MinimalPointSet(points)
+    else:
+        assert MinimalPointSet(points).points == want
+    vecs = sorted(set(map(linalg.vector, points)))
+    assert minimal_elements(points).points == tuple(
+        p for p in vecs if not any(q != p and dominates(q, p) for q in vecs))
