@@ -142,7 +142,7 @@ def cmd_cone(args) -> tuple[str, int]:
 
     if sub == "rays":
         rays = extreme_rays(cone)  # NotPointedError -> exit 4 with witness
-        doc.block("rays", [linalg.format_vector(r) for r in rays.rays])
+        doc.block("rays", [linalg.format_vector(r) for r in rays.int_rays])
         return doc.render(args.format), EXIT_OK
 
     if sub == "pointed":
@@ -166,7 +166,7 @@ def cmd_cone(args) -> tuple[str, int]:
         rep = check_theorem1(cone)
         doc.field("result", "PASS" if rep.passed else "FAIL")
         doc.field("pointed", rep.pointed, text=_bool(rep.pointed))
-        doc.block("extreme-rays", [linalg.format_vector(r) for r in rep.extreme_rays])
+        doc.block("extreme-rays", [linalg.format_vector(r) for r in rep.extreme_rows])
         doc.field("rays-are-generators", rep.rays_are_generators,
                   text=_bool(rep.rays_are_generators))
         doc.field("rebuilt-closure-equal", rep.rebuilt_equals_closure,

@@ -3,14 +3,17 @@ closure they induce.
 
 A ``GeneratedCone`` holds a finite family of nonzero vectors (alpha, beta)
 in Q^(n+1), each read as the half-space alpha.x <= beta; the closure is
-their intersection.  Each cone keeps its distinct generators as primitive
-integer rows, made once; every query runs on those rows, with (0, ..., 0,
-1) appended where needed, and makes Fractions only for returned values.
-Extreme rays and pointedness come from the polar cone's double
-description (for a cone holding (0, ..., 0, 1), the closure system's
-cached one), so ``extreme_rays`` and ``check_theorem1`` solve no LP on a
-pointed cone.  Exact LPs remain where a certificate is printed: a line,
-a strict support, validity multipliers, a violating point.
+their intersection.  A cone stores its generators as primitive integer
+rows, made once (integral input stays int; anything else goes through
+``linalg.vector``), and ``generators`` is a Fraction view; ``RaySet``
+and ``Theorem1Report`` store their rays the same way.  Every query runs
+on the distinct rows, with (0, ..., 0, 1) appended where needed.
+Extreme rays and pointedness come from the zero sets of the polar
+cone's double description (for a cone holding (0, ..., 0, 1), the ones
+cached with the closure system's DD), so ``extreme_rays`` and
+``check_theorem1`` solve no LP on a pointed cone and make no Fraction.
+Exact LPs remain where a certificate is printed: a line, a strict
+support, validity multipliers, a violating point.
 
 For a finite family the conical hull is closed, so each extreme ray is a
 generator up to positive scaling; here that holds by construction, as
@@ -25,6 +28,8 @@ tests are the independent check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Iterable, Sequence
 
 from .errors import (
     ContractViolation,
@@ -53,22 +58,30 @@ from .polyhedron import (
 )
 
 
-@dataclass(frozen=True)
+def _primitive_row(v: Sequence) -> tuple[int, ...]:
+    """The primitive integer row of v: ints are reduced as they are,
+    anything else goes through ``linalg.vector``, which accepts exactly
+    the exact rationals."""
+    v = tuple(v)
+    return tuple(linalg.int_row(v if all(type(a) is int for a in v) else linalg.vector(v)))
+
+
+@dataclass(frozen=True, init=False)
 class GeneratedCone:
     """cone(generators) for a finite family of candidate inequality vectors.
 
-    Generators are stored in canonical primitive form and must be nonzero;
-    the last coordinate is the right-hand side of the inequality the
-    generator encodes.
+    Generators must be nonzero; the last coordinate is the right-hand side
+    of the inequality the generator encodes.  They are stored as their
+    canonical primitive int rows, in the order given, repeats included;
+    ``generators`` is their Fraction view.
     """
 
-    generators: tuple[Vector, ...]
-    # the distinct generators as primitive int rows, in first-seen order
-    _rows: tuple[tuple[int, ...], ...] = field(default=(), init=False, repr=False,
-                                               compare=False)
+    int_generators: tuple[tuple[int, ...], ...]
+    # the distinct generators, in first-seen order
+    _rows: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        rows = tuple(tuple(linalg.int_row(linalg.vector(g))) for g in self.generators)
+    def __init__(self, generators: Iterable[Sequence]):
+        rows = tuple(map(_primitive_row, generators))
         if not rows:
             raise ContractViolation("a generated cone needs at least one generator")
         d = len(rows[0])
@@ -79,12 +92,16 @@ class GeneratedCone:
             if not any(row):
                 raise ContractViolation("the zero vector is not a legal generator",
                                         at=("generators", i))
-        object.__setattr__(self, "generators", tuple(map(linalg.vector, rows)))
+        object.__setattr__(self, "int_generators", rows)
         object.__setattr__(self, "_rows", tuple(dict.fromkeys(rows)))
 
     @property
+    def generators(self) -> tuple[Vector, ...]:
+        return tuple(tuple(map(Fraction, g)) for g in self.int_generators)
+
+    @property
     def dim(self) -> int:
-        return len(self.generators[0])
+        return len(self._rows[0])
 
     @property
     def n(self) -> int:
@@ -99,14 +116,19 @@ class GeneratedCone:
         return linalg.unit(self.dim, self.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RaySet:
-    """Extreme rays in canonical primitive form, lexicographically sorted."""
+    """Extreme rays in canonical primitive form, lexicographically sorted
+    and stored as int rows; ``rays`` is their Fraction view."""
 
-    rays: tuple[Vector, ...]
+    int_rays: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(sorted(dict.fromkeys(self.rays))))
+    def __init__(self, rays: Iterable[Sequence]):
+        object.__setattr__(self, "int_rays", tuple(sorted(set(map(_primitive_row, rays)))))
+
+    @property
+    def rays(self) -> tuple[Vector, ...]:
+        return tuple(tuple(map(Fraction, r)) for r in self.int_rays)
 
 
 @dataclass(frozen=True)
@@ -145,15 +167,21 @@ class FiiCheck:
 class Theorem1Report:
     """check_theorem1 outcome.  ``rays_are_generators`` is True whenever
     the cone is pointed: each extreme ray is selected from the cone's own
-    generator rows, so it is a generator by construction."""
+    generator rows, so it is a generator by construction.  The extreme
+    rays are stored as sorted int rows; ``extreme_rays`` is their Fraction
+    view."""
 
     passed: bool
     pointed: bool
-    extreme_rays: tuple[Vector, ...]
+    extreme_rows: tuple[tuple[int, ...], ...]
     rays_are_generators: bool
     rebuilt_equals_closure: bool
     added_unit_last: bool
     detail: str = ""
+
+    @property
+    def extreme_rays(self) -> tuple[Vector, ...]:
+        return tuple(tuple(map(Fraction, r)) for r in self.extreme_rows)
 
 
 def _line_through(rows: tuple[tuple[int, ...], ...]) -> Vector | None:
@@ -203,28 +231,35 @@ def _with_unit_row(rows: IntRows) -> IntRows:
     return rows if unit in rows else rows + (unit,)
 
 
-def _polar_rays(rows: IntRows) -> IntRows:
-    """The rays of the polar cone {y : g.y <= 0 for every row g}.  With
-    unit-last, the rows (a, -b) and -t <= 0 of the closure system's cached
-    homogenization are the rows with t = -y_last, so its rays are read
-    with the last entry negated; other row sets take one dd_cone."""
+def _polar_zero_sets(rows: IntRows, system: HPolyhedron | None) -> tuple[int, list[int]]:
+    """The zero set of every row, in order, on the rays of the polar cone
+    {y : g.y <= 0 for every row g}, and the set of all those rays.
+    ``system`` is the rows' closure system when they hold unit-last, else
+    None.  Then the polar is its homogenization with t = -y_last: the
+    polar ray (r, -t) gives a row (a, b) the zero set that the DD ray
+    (r, t) gives the homogenized row (a, -b), and unit-last the one of
+    -t <= 0.  So those zero sets are read from the cached DD; other row
+    sets take one dd_cone."""
     d = len(rows[0])
-    system = _system(rows) if _unit_row(d) in rows else None
     if system is None:
-        return dd_cone(rows, d)[1]
-    return tuple(r[:-1] + (-r[-1],) for r in _homogenized_dd(system)[1])
+        rays = dd_cone(rows, d)[1]
+        return (1 << len(rays)) - 1, [_zero_set(g, rays) for g in rows]
+    _, rays, zero_sets, _ = _homogenized_dd(system)
+    of = {q.row: z for q, z in zip(system.inequalities, zero_sets)}
+    of[_unit_row(d)] = zero_sets[-1]
+    return (1 << len(rays)) - 1, [of[g] for g in rows]
 
 
-def _extreme_rows(rows: IntRows) -> IntRows:
+def _extreme_rows(rows: IntRows, system: HPolyhedron | None) -> IntRows:
     """The rows spanning extreme rays of cone(rows), with no LP on a
-    pointed cone.  A row's zero set is the polar rays it is tight at.  One
-    tight at every ray is orthogonal to the polar, so the cone has a line
-    (NotPointedError, the line named by the line search).  Otherwise a row
-    is extreme exactly when its face of the polar is a facet: no other
-    row's zero set contains its own (Fukuda & Prodon 1996)."""
-    rays = _polar_rays(rows)
-    zs = [_zero_set(g, rays) for g in rows]
-    if (1 << len(rays)) - 1 in zs:
+    pointed cone; ``system`` as for ``_polar_zero_sets``.  A row's zero
+    set is the polar rays it is tight at.  One tight at every ray is
+    orthogonal to the polar, so the cone has a line (NotPointedError, the
+    line named by the line search).  Otherwise a row is extreme exactly
+    when its face of the polar is a facet: no other row's zero set
+    contains its own (Fukuda & Prodon 1996)."""
+    every, zs = _polar_zero_sets(rows, system)
+    if every in zs:
         line = _line_through(rows)
         if line is None:
             raise InternalInvariantError("DD and line search disagree")
@@ -237,7 +272,7 @@ def _extreme_rows(rows: IntRows) -> IntRows:
 def extreme_rays(k: GeneratedCone) -> RaySet:
     """The extreme rays of cone(generators), each a generator up to
     positive scaling."""
-    return RaySet(tuple(map(linalg.vector, _extreme_rows(k._rows))))
+    return RaySet(_extreme_rows(k._rows, _system(k._rows) if k.has_unit_last else None))
 
 
 def _system(rows: IntRows) -> HPolyhedron | None:
@@ -323,10 +358,10 @@ def check_theorem1(k: GeneratedCone) -> Theorem1Report:
             f"(found dimension {dim} in R^{k.n})")
     added = not k.has_unit_last
     try:
-        rays = _extreme_rows(_with_unit_row(k._rows))
+        rays = _extreme_rows(_with_unit_row(k._rows), system)
     except NotPointedError as e:
         return Theorem1Report(
-            passed=False, pointed=False, extreme_rays=(),
+            passed=False, pointed=False, extreme_rows=(),
             rays_are_generators=False, rebuilt_equals_closure=False,
             added_unit_last=added,
             detail=(f"full-dimensional closure but cone contains the line "
@@ -334,6 +369,6 @@ def check_theorem1(k: GeneratedCone) -> Theorem1Report:
     equal = {q.row for q in remove_redundant(system).inequalities} <= set(rays)
     return Theorem1Report(
         passed=equal, pointed=True,
-        extreme_rays=RaySet(tuple(map(linalg.vector, rays))).rays,
+        extreme_rows=tuple(sorted(rays)),
         rays_are_generators=True, rebuilt_equals_closure=equal, added_unit_last=added,
         detail="" if equal else "closure rebuilt from extreme rays differs from the full closure")

@@ -12,7 +12,9 @@ then the payload rows in order:
     d: 3 3
 
 All numbers are decimal-free rational tokens "p" or "p/q".  Parse errors
-carry the offending line and column.
+carry the offending line and column.  Cone generators are read with
+``linalg.parse_row``, so an integral token stays an int from the file to
+the cone's rows; covering data is read as Fractions.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .cone import GeneratedCone
 from .covering import CoveringInstance
 from .errors import ContractViolation, ParseError
 from . import linalg
-from .linalg import parse_vector
+from .linalg import parse_row, parse_vector
 
 KINDS = ("covering", "cone")
 
@@ -158,7 +160,7 @@ def _build(kind: str, n: int, m: int | None, rows) -> CoveringInstance | Generat
     gens = []
     for lineno, key, column, value in rows:
         _expect_key(kind, key, ("G",), lineno, column)
-        gens.append(parse_vector(value, n + 1, lineno))
+        gens.append(parse_row(value, n + 1, lineno))
     if not gens:
         raise ParseError("cone instance needs at least one 'G' line", 1, 1)
     return GeneratedCone(tuple(gens))
@@ -173,5 +175,5 @@ def format_covering(q: CoveringInstance) -> str:
 
 def format_cone(k: GeneratedCone) -> str:
     lines = ["kind: cone", f"n: {k.n}"]
-    lines.extend(f"G: {linalg.format_vector(g)}" for g in k.generators)
+    lines.extend(f"G: {linalg.format_vector(g)}" for g in k.int_generators)
     return "\n".join(lines) + "\n"

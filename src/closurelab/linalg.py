@@ -11,10 +11,11 @@ functions.  Inside, the simplex (``lp``), ``rank`` and double description
 row gcd (``combine``).  A positive scale changes no sign test or ratio
 comparison, so they make the decisions the Fraction code would.  The hull
 pipeline (aggregation, the covering scan, the double description and the
-facet rows of ``v_to_h``) stays in integer rows from end to end, and
-stores them: an ``Inequality`` keeps its primitive row and a
-``MinimalPointSet`` its int points, and their Fractions are views made
-on read.
+facet rows of ``v_to_h``) and the cone queries stay in integer rows from
+end to end, and store them: an ``Inequality`` keeps its primitive row, a
+``MinimalPointSet`` its int points and a ``GeneratedCone`` its generator
+rows, and their Fractions are views made on read.  ``parse_row`` reads
+an integral token as an int and only "p/q" as a Fraction.
 """
 
 from __future__ import annotations
@@ -188,15 +189,21 @@ def format_vector(v: Vector) -> str:
     return " ".join(format_rational(a) for a in v)
 
 
-def parse_vector(text: str, expected_len: int | None = None, line: int = 0) -> Vector:
-    """Blank-separated rational tokens.  Error columns count from 1 at the
-    first character of ``text``."""
+def parse_row(text: str, expected_len: int | None = None,
+              line: int = 0) -> tuple[int | Fraction, ...]:
+    """Blank-separated rational tokens: an integral token "p" as an int,
+    only "p/q" as a Fraction.  Error columns count from 1 at the first
+    character of ``text``."""
     out = []
     for tok in re.finditer(r"\S+", text):
         if not _RATIONAL_TOKEN.match(tok[0]):
             raise ParseError(f"not a rational token: {tok[0]!r}", line, tok.start() + 1)
-        out.append(Fraction(tok[0]))
-    v = tuple(out)
-    if expected_len is not None and len(v) != expected_len:
-        raise ParseError(f"expected {expected_len} rational tokens, found {len(v)}", line, 1)
-    return v
+        out.append(Fraction(tok[0]) if "/" in tok[0] else int(tok[0]))
+    if expected_len is not None and len(out) != expected_len:
+        raise ParseError(f"expected {expected_len} rational tokens, found {len(out)}", line, 1)
+    return tuple(out)
+
+
+def parse_vector(text: str, expected_len: int | None = None, line: int = 0) -> Vector:
+    """``parse_row`` with every entry a Fraction."""
+    return tuple(map(rational, parse_row(text, expected_len, line)))

@@ -5,8 +5,9 @@ membership, rank and double description), the LP-pruned V-to-H
 conversion that v_to_h replaces, the LP-decided cut attribution that
 classify_cuts replaces, the LP emptiness, dimension and redundancy tests
 that the homogenized double description replaces, the rank-based facet
-test that its zero sets replace, the Fourier-Motzkin elimination that
-projection through the generators replaces, the three-solve
+test that its zero sets replace, the dimension from the rank of its
+generators that the implicit equalities replace, the Fourier-Motzkin
+elimination that projection through the generators replaces, the three-solve
 implication test that check_implication's single LP replaces, the
 per-generator membership LPs that the polar cone's zero sets replace in
 extreme_rays, and the Fraction hull pipeline (aggregation, minimal point
@@ -234,6 +235,16 @@ def lp_dimension(p: HPolyhedron) -> int:
         if res.status is LpStatus.OPTIMAL and res.objective == q.rhs:
             tight_rows.append(q.normal)
     return p.n - linalg.rank(tight_rows)
+
+
+def generator_rank_dimension(p: HPolyhedron) -> int:
+    """dim p as the rank of the homogenization's DD lines and rays minus
+    1, from a DD of its own; -1 when no ray has t > 0."""
+    rows = [(*q.row[:-1], -q.row[-1]) for q in p.inequalities] + [(0,) * p.n + (-1,)]
+    lines, rays = dd_cone(rows, p.n + 1)
+    if all(r[-1] <= 0 for r in rays):
+        return -1
+    return linalg.rank(lines + rays) - 1
 
 
 def lp_remove_redundant(p: HPolyhedron) -> HPolyhedron:

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, commands, exit codes, determinism."""
 
+import fractions
 import gc
 import json
 import os
@@ -152,8 +153,13 @@ def test_repeated_demand_line_exits_2(tmp_path, capsys):
      "error: line 2, column 4: n must be an integer, got '\uff12'\n"),
     ("kind: covering\nn: 2\nm: 1\nM: 1 \u0663\nd: 3\n",
      "error: line 4, column 6: not a rational token: '\u0663'\n"),
+    # cone generators are read with int(), which alone would take both tokens
+    ("kind: cone\nn: 2\nG: 1_0 0 1\n", "error: line 3, column 4: not a rational token: '1_0'\n"),
+    ("kind: cone\nn: 2\nG: 1 \u0663 1\n",
+     "error: line 3, column 6: not a rational token: '\u0663'\n"),
 ], ids=["M token", "d token", "tab", "n integer", "m at least 1", "kind",
-        "n underscore", "n fullwidth digit", "M arabic-indic digit"])
+        "n underscore", "n fullwidth digit", "M arabic-indic digit",
+        "G underscore", "G arabic-indic digit"])
 def test_instance_parse_error_columns_count_in_the_raw_line(tmp_path, capsys, text, err_text):
     code, out, err = run_cli(["hull", write(tmp_path, "bad.txt", text)], capsys)
     assert (code, out, err) == (2, "", err_text)
@@ -638,10 +644,30 @@ def test_theorem1_and_rays_solve_no_lp(monkeypatch, capsys, tmp_path):
             assert code == 0 and "result: PASS" in out
 
 
+def test_cone_theorem1_and_rays_make_no_fraction(monkeypatch, capsys):
+    # integral tokens are read as ints, and the cone, its rays, the closure
+    # system's DD and the printed rows all stay int rows
+    made = []
+    real_new = fractions.Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    polyhedron._homogenized_dd.cache_clear()
+    monkeypatch.setattr(fractions.Fraction, "__new__", counted)
+    for name in ("strip_cone.txt", "unit_square_cone.txt"):
+        for sub in ("theorem1", "rays"):
+            code, _, _ = run_cli(["cone", str(INSTANCES / name), sub], capsys)
+            assert code == 0
+    assert made == []
+
+
 def _polar_without_rays(monkeypatch):
     # a polar cone with no rays leaves every generator tight at every ray,
     # which is the DD's "not pointed" verdict
-    monkeypatch.setattr(cone_module, "_polar_rays", _returning(()))
+    monkeypatch.setattr(cone_module, "_polar_zero_sets",
+                        lambda rows, system: (0, [0] * len(rows)))
 
 
 def test_theorem1_reports_a_line_and_exits_5(monkeypatch, capsys):

@@ -46,6 +46,20 @@ def test_generators_are_canonicalized():
     assert k.generators == (V([1, 2]), V([0, 1]))
 
 
+def test_generator_contract_is_kept_by_the_int_fast_path():
+    # all-int generators skip linalg.vector; anything else still passes
+    # through it, so a float is refused with the same error as before
+    for gens in (((1, 0.5, 1),), ((1, 0, 1), (1.0, 1, 1))):
+        with pytest.raises(ContractViolation, match="cannot interpret"):
+            GeneratedCone(gens)
+    k = GeneratedCone((("1/2", "1", "3/2"), (F(2, 3), F(0), F(4, 3)), (2, 4, 6)))
+    assert k.generators == (V([1, 2, 3]), V([1, 0, 2]), V([1, 2, 3]))
+    assert all(type(a) is F for g in k.generators for a in g)
+    assert k.int_generators == ((1, 2, 3), (1, 0, 2), (1, 2, 3))
+    assert k._rows == ((1, 2, 3), (1, 0, 2))
+    assert k == GeneratedCone(((1, 2, 3), (1, 0, 2), (1, 2, 3)))
+
+
 def test_zero_generator_rejected():
     with pytest.raises(ContractViolation):
         GeneratedCone((V([0, 0]),))

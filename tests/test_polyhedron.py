@@ -38,7 +38,8 @@ from closurelab.polyhedron import (
 )
 
 from oracles import (brute_force_vertices, dd_rows_zero_normal_skip, fm_project,
-                     fraction_format_ge, fraction_format_le, lp_dimension, lp_is_empty, lp_is_facet_defining, lp_is_subset,
+                     fraction_format_ge, fraction_format_le, generator_rank_dimension,
+                     lp_dimension, lp_is_empty, lp_is_facet_defining, lp_is_subset,
                      lp_remove_redundant, lp_same_point_set, lp_v_to_h,
                      point_has_extension, rank_remove_redundant, rational_grid,
                      three_solve_implication)
@@ -403,6 +404,20 @@ def test_dd_queries_match_lp_references(p):
 def test_zero_set_facets_match_rank_facet_test(p):
     assert [q.stacked() for q in remove_redundant(p).inequalities] == \
         [q.stacked() for q in rank_remove_redundant(p).inequalities]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(h_polyhedra())
+@example(POINT_IN_R1)
+@example(ZERO_ROW_FACE)
+def test_cached_zero_sets_give_the_generator_rank_dimension(p):
+    # one zero set per homogenized row (p's rows, then -t <= 0); the rows
+    # tight at every ray are the implicit equalities that fix the dimension
+    _, rays, zero_sets, dim = polyhedron._homogenized_dd(p)
+    assert dim == dimension(p) == generator_rank_dimension(p)
+    rows = [polyhedron._homogenized_row(q) for q in p.inequalities]
+    rows.append(polyhedron._t_row(p.n))
+    assert zero_sets == tuple(polyhedron._zero_set(r, rays) for r in rows)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
