@@ -23,26 +23,26 @@ intersects them all; that approximation is not P_I, and ``stabilized``
 compares it with the density-2D intersection.  No change there is
 evidence of exactness, not a proof.
 
-Aggregation runs on integer rows: [M | d] times one common denominator
-(never row by row, since the multipliers weight the rows as given), each
-aggregated row an integer combination reduced to lowest terms.
-``closure_approx`` caches each aggregated instance and its hull by those
-rows, and makes the Fraction ``CoveringInstance`` only for a new one.
+Aggregation runs on integer rows: each aggregated row is an integer
+combination of the rows ``CoveringInstance`` stores, [M | d] times one
+common denominator (never row by row, since the multipliers weight the
+rows as given), reduced to lowest terms.  ``closure_approx`` scans each
+distinct aggregated row set once, and hulls each distinct set of minimal
+points once: the samples that share it share one ``HPolyhedron``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Iterable, Iterator
 
 from .errors import ContractViolation
 from . import linalg
-from .linalg import Vector, int_dot, primitive
-from .covering import CoveringInstance, integer_hull
+from .linalg import int_dot
+from .covering import CoveringInstance, minimal_integer_points
 from .polyhedron import (
     HPolyhedron,
     Inequality,
@@ -62,26 +62,27 @@ HULL_FACET = "HULL_FACET"
 @dataclass(frozen=True)
 class AggregationSample:
     """A tuple of multiplier rows, each a nonnegative vector over the
-    instance's rows in canonical primitive form; at least one row must be
+    instance's rows as a primitive int row; at least one row must be
     nonzero.  Zero rows are legal and aggregate to the trivial 0 >= 0."""
 
-    multipliers: tuple[Vector, ...]
+    multipliers: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(primitive(linalg.vector(r)) for r in self.multipliers)
+        rows = tuple(tuple(linalg.int_row(linalg.exact_row(r))) for r in self.multipliers)
         if not rows:
             raise ContractViolation("a sample needs at least one multiplier row")
         width = len(rows[0])
         for r in rows:
             linalg.check_dim(r, width, "multiplier row")
             if any(a < 0 for a in r):
-                raise ContractViolation(f"multipliers must be nonnegative, got {r}")
+                raise ContractViolation(
+                    f"multipliers must be nonnegative, got {tuple(map(Fraction, r))}")
         if all(linalg.is_zero(r) for r in rows):
             raise ContractViolation("at least one multiplier row must be nonzero")
         object.__setattr__(self, "multipliers", rows)
 
     @classmethod
-    def _of_rows(cls, rows: tuple[Vector, ...]) -> "AggregationSample":
+    def _of_rows(cls, rows: tuple[tuple[int, ...], ...]) -> "AggregationSample":
         """The sample of grid rows already primitive, not checked again."""
         s = object.__new__(cls)
         object.__setattr__(s, "multipliers", rows)
@@ -91,7 +92,7 @@ class AggregationSample:
     def k(self) -> int:
         return len(self.multipliers)
 
-    def describe(self, fmt: Callable[[Vector], str] = linalg.format_vector) -> str:
+    def describe(self, fmt: Callable[[tuple[int, ...]], str] = linalg.format_vector) -> str:
         return "[" + "; ".join(map(fmt, self.multipliers)) + "]"
 
 
@@ -146,14 +147,14 @@ class ProjectionCheck:
     projected_instance: CoveringInstance
 
 
-def multiplier_rows(m: int, density: int) -> tuple[Vector, ...]:
+def multiplier_rows(m: int, density: int) -> tuple[tuple[int, ...], ...]:
     """All primitive nonnegative integer rows of length m with coordinate
     sum between 1 and density: the exact grid of multiplier directions of
     denominator at most density."""
     if m < 1 or density < 1:
         raise ContractViolation("m and density must be at least 1")
     # product runs in lexicographic order; gcd 1 also excludes the zero row
-    return tuple(linalg.vector(v) for v in product(range(density + 1), repeat=m)
+    return tuple(v for v in product(range(density + 1), repeat=m)
                  if sum(v) <= density and gcd(*v) == 1)
 
 
@@ -172,20 +173,15 @@ def sample_multipliers(m: int, k: int, density: int) -> tuple[AggregationSample,
 
 
 def _aggregated_rows(q: CoveringInstance, samples: Iterable[AggregationSample]):
-    """Each sample with its rows lambda^j [M | d] as primitive integer rows.
-    [M | d] is scaled by one common denominator of all its entries: each
-    row made primitive on its own would reweight the rows, and so change
-    what a multiplier aggregates."""
-    stacked = [row + (di,) for row, di in zip(q.M, q.d)]
-    common = reduce(lcm, (a.denominator for row in stacked for a in row), 1)
-    columns = list(zip(*([a.numerator * (common // a.denominator) for a in row]
-                         for row in stacked)))
+    """Each sample with its rows lambda^j [M | d] as primitive integer rows,
+    combined from q's rows: [M | d] at one scale, as a scale per row would
+    change what a multiplier aggregates."""
+    columns = list(zip(*q.rows))
     for sample in samples:
         rows = []
         for lam in sample.multipliers:
             linalg.check_dim(lam, q.m, "multiplier row")
-            weights = [a.numerator for a in lam]  # a primitive row is integral
-            rows.append(tuple(linalg.lowest_terms([int_dot(weights, c) for c in columns])))
+            rows.append(tuple(linalg.lowest_terms([int_dot(lam, c) for c in columns])))
         yield sample, tuple(rows)
 
 
@@ -201,15 +197,19 @@ def aggregate(q: CoveringInstance, sample: AggregationSample) -> CoveringInstanc
 
 
 def _hulls_for(q: CoveringInstance, samples: Iterable[AggregationSample],
-               built: dict[IntRows, tuple[CoveringInstance, HPolyhedron]]
-               ) -> Iterator[AggregatedHull]:
+               built: dict[IntRows, tuple[CoveringInstance, HPolyhedron]],
+               hulls: dict[IntRows, HPolyhedron]) -> Iterator[AggregatedHull]:
     """The samples' aggregated hulls, each built when it is drawn;
     ``built`` caches each aggregated instance and its hull by the
-    instance's integer rows."""
+    instance's integer rows, and ``hulls`` each hull by its minimal
+    points."""
     for sample, rows in _aggregated_rows(q, samples):
         if rows not in built:
             agg = _instance(rows)
-            built[rows] = (agg, integer_hull(agg))
+            points = minimal_integer_points(agg)
+            if points.int_points not in hulls:
+                hulls[points.int_points] = points.hull()
+            built[rows] = (agg, hulls[points.int_points])
         yield AggregatedHull(sample, *built[rows])
 
 
@@ -227,22 +227,23 @@ def closure_approx(q: CoveringInstance, k: int, density: int) -> ClosureApprox:
     then P_I, stabilized.  If the samples run out first, the answer is
     the redundancy-eliminated intersection of all their hulls, and it is
     stabilized when the density-2D intersection is the same.  Each
-    distinct aggregated instance's hull is built once per call.  All of
+    distinct set of minimal points is hulled once per call.  All of
     these contain P_I, so they are compared as facet lists: no LP."""
     if k < 1 or density < 1:
         raise ContractViolation("k and density must be at least 1")
     samples = sample_multipliers(q.m, k, density)
     built: dict[IntRows, tuple[CoveringInstance, HPolyhedron]] = {}
+    by_points: dict[IntRows, HPolyhedron] = {}
     # P_I: a density-D sample holding every unit row (k >= m) has exactly
     # q's integer points, so its hull is P_I; otherwise q's own rows, the
     # unit multipliers in grid order, are aggregated and hulled
     units = multiplier_rows(q.m, 1)
     own = (next(s for s in samples if set(units).issubset(s.multipliers)) if k >= q.m
            else AggregationSample._of_rows(units))
-    [p_i] = _hulls_for(q, [own], built)
+    [p_i] = _hulls_for(q, [own], built, by_points)
     uncovered = set(p_i.hull.inequalities)
     hulls = []
-    for h in _hulls_for(q, samples, built):
+    for h in _hulls_for(q, samples, built, by_points):
         hulls.append(h)
         uncovered.difference_update(h.hull.inequalities)
         if not uncovered:
@@ -250,7 +251,7 @@ def closure_approx(q: CoveringInstance, k: int, density: int) -> ClosureApprox:
                                  k=k, density=density, stabilized=True)
     poly = _intersect(q.n, hulls)
     stabilized = poly == _intersect(
-        q.n, _hulls_for(q, sample_multipliers(q.m, k, 2 * density), built))
+        q.n, _hulls_for(q, sample_multipliers(q.m, k, 2 * density), built, by_points))
     return ClosureApprox(polyhedron=poly, hulls=tuple(hulls), samples=samples,
                          k=k, density=density, stabilized=stabilized)
 

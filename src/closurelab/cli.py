@@ -121,7 +121,7 @@ def cmd_closure(args) -> tuple[str, int]:
     # format each grid-row tuple the samples share once, keyed by id (ca keeps them alive)
     text: dict[int, str] = {}
 
-    def fmt(row: linalg.Vector) -> str:
+    def fmt(row: tuple[int, ...]) -> str:
         return text.get(id(row)) or text.setdefault(id(row), linalg.format_vector(row))
 
     entries = []

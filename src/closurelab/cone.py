@@ -59,11 +59,9 @@ from .polyhedron import (
 
 
 def _primitive_row(v: Sequence) -> tuple[int, ...]:
-    """The primitive integer row of v: ints are reduced as they are,
-    anything else goes through ``linalg.vector``, which accepts exactly
-    the exact rationals."""
-    v = tuple(v)
-    return tuple(linalg.int_row(v if all(type(a) is int for a in v) else linalg.vector(v)))
+    """The primitive integer row of v, read by ``linalg.exact_row``, which
+    accepts exactly the exact rationals."""
+    return tuple(linalg.int_row(linalg.exact_row(v)))
 
 
 @dataclass(frozen=True, init=False)
@@ -296,9 +294,13 @@ def closure_of(k: GeneratedCone) -> HPolyhedron:
 def is_valid_for_closure(k: GeneratedCone, q: Inequality) -> ValidityCheck:
     """Validity of q over the closure, decided as membership of (alpha,
     beta) in cone(generators + unit-last).  The closure must be nonempty."""
+    return _validity(k, q, _system(k._rows))
+
+
+def _validity(k: GeneratedCone, q: Inequality, system: HPolyhedron | None) -> ValidityCheck:
+    """``is_valid_for_closure`` with k's closure system already built."""
     if q.n != k.n:
         raise ContractViolation("inequality/cone dimension mismatch")
-    system = _system(k._rows)
     if system is None or system.is_empty:
         raise EmptyClosureError("validity over an empty closure is undefined")
     rows = _with_unit_row(k._rows)
@@ -323,7 +325,7 @@ def fii_check(k: GeneratedCone, q: Inequality) -> FiiCheck:
         raise NotFullDimensionalError(
             "the extreme-ray/irredundancy correspondence assumes a "
             "full-dimensional closure")
-    validity = is_valid_for_closure(k, q)
+    validity = _validity(k, q, system)
     if not validity.valid:
         raise InvalidInequalityError(
             "inequality is not valid for the closure", witness=validity.witness)

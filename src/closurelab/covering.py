@@ -19,12 +19,12 @@ fails a row with last coefficient 0 or has a larger t: in an
 upward-closed set a point is minimal exactly when no single unit step
 down stays feasible.  With t stored per prefix, that is an O(n) test.
 
-The box, the scan and ``MinimalPointSet``'s checks run on ints: each row
-of [M | d] scaled to its primitive integer form (a positive scale keeps
-the feasible set), and the points as int tuples, which are all that a
-``MinimalPointSet`` stores.  ``hull()`` hands them and the unit rays to
-the double description as integer rows.  ``MinimalPointSet.points`` is a
-Fraction view made on read; only ``CoveringInstance`` stores Fractions.
+Everything here stores ints and runs on them: a ``CoveringInstance``
+[M | d] times one common denominator, which the box and the scan read as
+it is (a positive scale keeps the feasible set), and a
+``MinimalPointSet`` its points, which ``hull()`` hands with the unit
+rays to the double description.  Their Fractions (``M``, ``d``,
+``points``) are views made on read.
 
 Every ``MinimalPointSet`` re-checks its antichain, the scan's output
 included, with bitsets instead of pairs: after the lexicographic sort,
@@ -49,26 +49,27 @@ from typing import Iterable, Sequence
 from .errors import ContractViolation
 from . import linalg
 from .linalg import Matrix, Vector
-from .polyhedron import HPolyhedron, Inequality, _v_to_h_rows
-
-_ZERO = Fraction(0)
+from .polyhedron import HPolyhedron, _from_row, _v_to_h_rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class CoveringInstance:
     """{x in R^n_+ : Mx >= d} with M >= 0 and d >= 0 entrywise.
 
     Such a set is never empty (sufficiently large points are feasible),
     which the constructor enforces: a row with positive demand must have
-    a positive coefficient somewhere.
-    """
+    a positive coefficient somewhere.  Stored as ``rows``, [M | d] times
+    the lcm of its denominators (one scale for all rows, as aggregation
+    weights them as given); ==, hash and repr are those of (M, d)."""
 
-    M: Matrix
-    d: Vector
+    rows: tuple[tuple[int, ...], ...]
+    denominator: int
 
-    def __post_init__(self):
-        m_rows = linalg.matrix(self.M)
-        demand = linalg.vector(self.d)
+    def __init__(self, M: Iterable[Iterable], d: Iterable):
+        m_rows = tuple(map(linalg.exact_row, M))
+        if any(len(row) != len(m_rows[0]) for row in m_rows):
+            raise ContractViolation("matrix rows have unequal lengths")
+        demand = linalg.exact_row(d)
         if not m_rows:
             raise ContractViolation("a covering instance needs at least one row")
         if not m_rows[0]:
@@ -84,26 +85,45 @@ class CoveringInstance:
                 raise ContractViolation(
                     f"covering data must be nonnegative: d[{i + 1}] = {demand[i]}",
                     at=("d", i))
-            if demand[i] > 0 and all(entry == 0 for entry in row):
+            if demand[i] > 0 and not any(row):
                 raise ContractViolation(
                     f"row {i + 1} demands {demand[i]} with all-zero coefficients; "
                     "the instance would be empty", at=("M", i))
-        object.__setattr__(self, "M", m_rows)
-        object.__setattr__(self, "d", demand)
+        width = len(m_rows[0]) + 1
+        flat, common = linalg.clear_denominators(
+            [a for row, di in zip(m_rows, demand) for a in row + (di,)])
+        object.__setattr__(self, "rows", tuple(
+            tuple(flat[i:i + width]) for i in range(0, len(flat), width)))
+        object.__setattr__(self, "denominator", common)
+
+    @property
+    def M(self) -> Matrix:
+        return tuple(tuple(Fraction(a, self.denominator) for a in row[:-1])
+                     for row in self.rows)
+
+    @property
+    def d(self) -> Vector:
+        return tuple(Fraction(row[-1], self.denominator) for row in self.rows)
+
+    def __hash__(self):
+        return hash((self.M, self.d))
+
+    def __repr__(self):
+        return f"CoveringInstance(M={self.M!r}, d={self.d!r})"
 
     @property
     def n(self) -> int:
-        return len(self.M[0])
+        return len(self.rows[0]) - 1
 
     @property
     def m(self) -> int:
-        return len(self.M)
+        return len(self.rows)
 
     def to_hpolyhedron(self) -> HPolyhedron:
-        """The linear relaxation as half-spaces: -M_i.x <= -d_i, -x_j <= 0."""
-        out = [Inequality(linalg.neg(row), -di) for row, di in zip(self.M, self.d)
-               if not linalg.is_zero(row)]
-        out.extend(Inequality(linalg.neg(linalg.unit(self.n, j)), _ZERO)
+        """The linear relaxation as canonical rows -M_i.x <= -d_i, -x_j <= 0."""
+        out = [_from_row(tuple(linalg.lowest_terms([-a for a in row])))
+               for row in self.rows if any(row[:-1])]
+        out.extend(_from_row(tuple(-int(i == j) for i in range(self.n + 1)))
                    for j in range(self.n))
         return HPolyhedron(self.n, tuple(out))
 
@@ -204,34 +224,17 @@ def dominates(low, high) -> bool:
     return all(a <= b for a, b in zip(low, high))
 
 
-CoveringRows = list[tuple[tuple[int, ...], int]]
-
-
-def _integer_rows(q: CoveringInstance) -> CoveringRows:
-    # Positive rescaling of each row keeps the feasible set; integer rows
-    # let the box and the prefix scan run in plain int arithmetic.
-    rows = []
-    for row, di in zip(q.M, q.d):
-        *ints, rhs = linalg.int_row(row + (di,))
-        rows.append((tuple(ints), rhs))
-    return rows
-
-
-def _box(rows: CoveringRows) -> tuple[int, ...]:
-    bounds = [0] * len(rows[0][0])
-    for row, rhs in rows:
-        for j, a in enumerate(row):
-            if a > 0:
-                need = -(-rhs // a)  # ceil(rhs / a)
-                if need > bounds[j]:
-                    bounds[j] = need
-    return tuple(bounds)
-
-
 def enumeration_box(q: CoveringInstance) -> tuple[int, ...]:
     """The exact per-coordinate bounds B_j; every minimal integer point
     satisfies x_j <= B_j."""
-    return _box(_integer_rows(q))
+    bounds = [0] * q.n
+    for row in q.rows:
+        for j, a in enumerate(row[:-1]):
+            if a > 0:
+                need = -(-row[-1] // a)  # ceil(d_i / M_ij)
+                if need > bounds[j]:
+                    bounds[j] = need
+    return tuple(bounds)
 
 
 def minimal_integer_points(q: CoveringInstance) -> MinimalPointSet:
@@ -242,10 +245,9 @@ def minimal_integer_points(q: CoveringInstance) -> MinimalPointSet:
     least last coordinate t(x') <= B_n, so the minimality test is one
     comparison per predecessor: (x', t(x')) is kept when every x' - e_j
     with x'_j > 0 stores a larger value."""
-    rows = _integer_rows(q)
-    *prefix_box, last_bound = _box(rows)
-    fixed = [(row[:-1], rhs) for row, rhs in rows if row[-1] == 0]
-    lifting = [(row[:-1], row[-1], rhs) for row, rhs in rows if row[-1] > 0]
+    *prefix_box, last_bound = enumeration_box(q)
+    fixed = [(row[:-2], row[-1]) for row in q.rows if row[-2] == 0]
+    lifting = [(row[:-2], row[-2], row[-1]) for row in q.rows if row[-2] > 0]
     blocked = last_bound + 1
     # Prefixes are enumerated in row-major order, so x' - e_j sits
     # strides[j] entries back in ``least``.

@@ -12,9 +12,9 @@ then the payload rows in order:
     d: 3 3
 
 All numbers are decimal-free rational tokens "p" or "p/q".  Parse errors
-carry the offending line and column.  Cone generators are read with
+carry the offending line and column.  Both kinds are read with
 ``linalg.parse_row``, so an integral token stays an int from the file to
-the cone's rows; covering data is read as Fractions.
+the int rows a cone or covering instance stores.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .cone import GeneratedCone
 from .covering import CoveringInstance
 from .errors import ContractViolation, ParseError
 from . import linalg
-from .linalg import parse_row, parse_vector
+from .linalg import parse_row
 
 KINDS = ("covering", "cone")
 
@@ -138,11 +138,11 @@ def _build(kind: str, n: int, m: int | None, rows) -> CoveringInstance | Generat
         for lineno, key, column, value in rows:
             _expect_key(kind, key, ("M", "d"), lineno, column)
             if key == "M":
-                matrix_rows.append(parse_vector(value, n, lineno))
+                matrix_rows.append(parse_row(value, n, lineno))
             elif demand is not None:
                 raise ParseError("repeated 'd' line", lineno, column)
             else:
-                demand = (parse_vector(value, None, lineno), lineno)
+                demand = (parse_row(value, None, lineno), lineno)
         if m is None:
             raise ParseError("covering instance needs an 'm' directive",
                              rows[0][0] if rows else 1, 1)

@@ -12,10 +12,11 @@ row gcd (``combine``).  A positive scale changes no sign test or ratio
 comparison, so they make the decisions the Fraction code would.  The hull
 pipeline (aggregation, the covering scan, the double description and the
 facet rows of ``v_to_h``) and the cone queries stay in integer rows from
-end to end, and store them: an ``Inequality`` keeps its primitive row, a
+end to end, and store them: a ``CoveringInstance`` keeps [M | d] times one
+common denominator, an ``Inequality`` its primitive row, a
 ``MinimalPointSet`` its int points and a ``GeneratedCone`` its generator
-rows, and their Fractions are views made on read.  ``parse_row`` reads
-an integral token as an int and only "p/q" as a Fraction.
+rows, and their Fractions are views made on read.  ``parse_row`` and
+``exact_row`` keep integral input as ints and make Fractions of the rest.
 """
 
 from __future__ import annotations
@@ -61,11 +62,10 @@ def vector(entries: Iterable[RationalLike]) -> Vector:
     return tuple(rational(e) for e in entries)
 
 
-def matrix(rows: Iterable[Iterable[RationalLike]]) -> Matrix:
-    out = tuple(vector(row) for row in rows)
-    if out and any(len(row) != len(out[0]) for row in out):
-        raise ContractViolation("matrix rows have unequal lengths")
-    return out
+def exact_row(entries: Iterable[RationalLike]) -> tuple[int | Fraction, ...]:
+    """The entries as they are when all are ints, else their ``vector``."""
+    v = tuple(entries)
+    return v if all(type(a) is int for a in v) else vector(v)
 
 
 def zeros(n: int) -> Vector:
@@ -202,8 +202,3 @@ def parse_row(text: str, expected_len: int | None = None,
     if expected_len is not None and len(out) != expected_len:
         raise ParseError(f"expected {expected_len} rational tokens, found {len(out)}", line, 1)
     return tuple(out)
-
-
-def parse_vector(text: str, expected_len: int | None = None, line: int = 0) -> Vector:
-    """``parse_row`` with every entry a Fraction."""
-    return tuple(map(rational, parse_row(text, expected_len, line)))

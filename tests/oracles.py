@@ -756,9 +756,10 @@ def doubling_stabilized(q: CoveringInstance, k: int, density: int) -> bool:
     """closure_approx's ``stabilized`` by the density-doubling pass alone:
     the density-D and density-2D intersections compared as facet lists."""
     built: dict = {}
+    hulls: dict = {}
 
     def intersect(d):
-        return _intersect(q.n, _hulls_for(q, sample_multipliers(q.m, k, d), built))
+        return _intersect(q.n, _hulls_for(q, sample_multipliers(q.m, k, d), built, hulls))
 
     return intersect(density) == intersect(2 * density)
 
@@ -770,8 +771,9 @@ def full_closure_approx(q: CoveringInstance, k: int, density: int) -> ClosureApp
     if k < 1 or density < 1:
         raise ContractViolation("k and density must be at least 1")
     built: dict = {}
+    by_points: dict = {}
     samples = sample_multipliers(q.m, k, density)
-    hulls = list(_hulls_for(q, samples, built))
+    hulls = list(_hulls_for(q, samples, built, by_points))
     poly = _intersect(q.n, hulls)
     # P_I: a density-D sample holding every unit row (k >= m) has exactly
     # q's integer points, so its hull is P_I; otherwise q's own rows, the
@@ -779,8 +781,8 @@ def full_closure_approx(q: CoveringInstance, k: int, density: int) -> ClosureApp
     units = multiplier_rows(q.m, 1)
     own = next((h for h in hulls if set(units).issubset(h.sample.multipliers)), None)
     if own is None:
-        [own] = _hulls_for(q, [AggregationSample(units)], built)
+        [own] = _hulls_for(q, [AggregationSample(units)], built, by_points)
     stabilized = poly == own.hull or poly == _intersect(
-        q.n, _hulls_for(q, sample_multipliers(q.m, k, 2 * density), built))
+        q.n, _hulls_for(q, sample_multipliers(q.m, k, 2 * density), built, by_points))
     return ClosureApprox(polyhedron=poly, hulls=tuple(hulls), samples=samples,
                          k=k, density=density, stabilized=stabilized)

@@ -24,7 +24,8 @@ from closurelab.aggregation import (
     project_instance,
     sample_multipliers,
 )
-from closurelab.covering import CoveringInstance, integer_hull
+from closurelab.covering import (CoveringInstance, MinimalPointSet, integer_hull,
+                                 minimal_integer_points)
 from closurelab.errors import ContractViolation
 from closurelab.io import parse_instance
 from closurelab.polyhedron import (
@@ -150,18 +151,42 @@ def _covering_prefix(q, samples):
     return None
 
 
-def test_closure_builds_one_hull_per_aggregated_instance(monkeypatch):
-    """q itself, whose hull P_I is built first, and the density-D
+@pytest.fixture
+def counted(monkeypatch):
+    """Two lists that closure_approx fills while the test runs: the
+    aggregated instances it scans for minimal points, and the point sets
+    whose hull it builds (one double description each)."""
+    scans, hulls = [], []
+    scan, hull = aggregation.minimal_integer_points, MinimalPointSet.hull
+
+    def counted_scan(q):
+        scans.append(q)
+        return scan(q)
+
+    def counted_hull(points):
+        hulls.append(points)
+        return hull(points)
+
+    monkeypatch.setattr(aggregation, "minimal_integer_points", counted_scan)
+    monkeypatch.setattr(MinimalPointSet, "hull", counted_hull)
+    return scans, hulls
+
+
+def _counted_closure(counted, q, k, density):
+    """closure_approx(q, k, density) with the instances it scanned and the
+    point sets it hulled, and nothing the caller counted before."""
+    for calls in counted:
+        calls.clear()
+    ca = closure_approx(q, k, density)
+    return ca, *map(list, counted)
+
+
+def test_closure_builds_one_hull_per_aggregated_instance(counted):
+    """Scanned: q itself, whose hull P_I is built first, and the density-D
     instances in grid order up to the first sample where their hulls hold
     every facet of P_I; when no sample gets there, every density-D
-    instance and every density-2D one."""
-    built = []
-
-    def counted(q):
-        built.append(q)
-        return integer_hull(q)
-
-    monkeypatch.setattr(aggregation, "integer_hull", counted)
+    instance and every density-2D one.  Each distinct instance is scanned
+    once, and each distinct set of minimal points among them hulled once."""
     own = AggregationSample(multiplier_rows(2, 1))
     for q, k, density, stabilized, at_hull in (
             (TWO_ROW, 1, 2, True, True), (TWO_ROW, 2, 2, True, True),
@@ -169,8 +194,7 @@ def test_closure_builds_one_hull_per_aggregated_instance(monkeypatch):
         samples = sample_multipliers(2, k, density)
         stop = _covering_prefix(q, samples)
         assert (stop is not None) == at_hull
-        built.clear()
-        ca = closure_approx(q, k, density)
+        ca, built, hulled = _counted_closure(counted, q, k, density)
         assert ca.stabilized == stabilized
         assert (ca.polyhedron == integer_hull(q)) == at_hull
         assert ca.samples_used == samples
@@ -185,24 +209,19 @@ def test_closure_builds_one_hull_per_aggregated_instance(monkeypatch):
         assert (aggregate(q, own) in expected) == (k == q.m)
         assert len(built) == len(set(built))
         assert set(built) == expected | {aggregate(q, own)}
+        assert len(hulled) == len(set(hulled))
+        assert set(hulled) == set(map(minimal_integer_points, built))
 
 
-def test_closure_reads_p_i_from_a_sample_holding_every_unit_row(monkeypatch):
+def test_closure_reads_p_i_from_a_sample_holding_every_unit_row(counted):
     """At k > m and density >= 2 a density-D sample holds both unit rows:
     its aggregated instance has exactly q's integer points, so its hull
-    is P_I and q's own hull is not built again.  That sample comes first
-    in grid order and its hull covers P_I, so no other hull is built."""
-    built = []
-
-    def counted(q):
-        built.append(q)
-        return integer_hull(q)
-
-    monkeypatch.setattr(aggregation, "integer_hull", counted)
+    is P_I and q's own instance is not scanned or hulled again.  That
+    sample comes first in grid order and its hull covers P_I, so no other
+    instance is scanned."""
     for density, samples in ((2, 1), (3, 10)):
-        built.clear()
-        ca = closure_approx(TWO_ROW, 3, density)
-        assert len(built) == len(set(built)) == len(ca.hulls) == 1
+        ca, built, hulled = _counted_closure(counted, TWO_ROW, 3, density)
+        assert len(built) == len(set(built)) == len(hulled) == len(ca.hulls) == 1
         assert len(ca.samples_used) == samples
         assert ca.stabilized == doubling_stabilized(TWO_ROW, 3, density)
         assert aggregate(TWO_ROW, AggregationSample(multiplier_rows(2, 1))) not in built
@@ -273,20 +292,43 @@ def test_closure_matches_the_full_intersection(args):
     assert got.hulls == want.hulls[:len(got.hulls)]
 
 
-def test_three_row_pair_closure_stops_after_32_hulls(monkeypatch):
+def test_three_row_pair_closure_stops_after_32_hulls(counted):
     """P_I and the first 31 of 6903 density-8 samples: their hulls hold
-    every facet of P_I, so no other hull is built."""
+    every facet of P_I, so no other instance is scanned.  The 32 instances
+    have 5 distinct sets of minimal points, and so 5 hulls are built."""
     q = parse_instance((INSTANCES / "three_row.txt").read_text()).payload
-    built = []
-
-    def counted(q):
-        built.append(q)
-        return integer_hull(q)
-
-    monkeypatch.setattr(aggregation, "integer_hull", counted)
-    ca = closure_approx(q, 2, 8)
-    assert len(built) == 32
+    ca, built, hulled = _counted_closure(counted, q, 2, 8)
+    assert (len(built), len(hulled)) == (32, 5)
     assert (len(ca.hulls), len(ca.samples_used), ca.stabilized) == (31, 6903, True)
+
+
+# k = 1, D = 4: the hulls never cover P_I, so every density-4 and density-8
+# instance is scanned, and q's own rows (k < m) as well
+NEVER_COVERS = CoveringInstance(([4, 2, 1], [4, 3, 3], [2, 1, 3]), (4, 6, 3))
+
+
+def test_closure_hulls_each_distinct_point_set_once(counted):
+    """119 distinct aggregated instances are scanned, but they have only 9
+    distinct sets of minimal points, so 9 hulls are built for 22 samples."""
+    ca, built, hulled = _counted_closure(counted, NEVER_COVERS, 1, 4)
+    assert (len(built), len(hulled)) == (119, 9)
+    assert (len(ca.hulls), len(ca.samples_used), ca.stabilized) == (22, 22, False)
+    assert len({id(h.hull) for h in ca.hulls}) < len({h.polyhedron for h in ca.hulls})
+
+
+@PROPERTY
+@given(closure_runs())
+@example((NEVER_COVERS, 1, 2))
+def test_hulls_are_shared_exactly_by_equal_point_sets(args):
+    """Every hull closure_approx returns is its instance's integer hull,
+    and two instances share one hull object exactly when their minimal
+    points are equal."""
+    ca = closure_approx(*args)
+    for h in ca.hulls:
+        assert h.hull == integer_hull(h.polyhedron)
+    for a, b in product(ca.hulls, repeat=2):
+        same_points = minimal_integer_points(a.polyhedron) == minimal_integer_points(b.polyhedron)
+        assert (a.hull is b.hull) == same_points
 
 
 @PROPERTY
@@ -295,7 +337,7 @@ def test_own_rows_hull_is_its_own_intersection(q):
     """closure_approx compares its approximation with this hull directly:
     the hull of q's rows is P_I, and _intersect keeps it row for row."""
     sample = AggregationSample(multiplier_rows(q.m, 1))
-    [own] = aggregation._hulls_for(q, [sample], {})
+    [own] = aggregation._hulls_for(q, [sample], {}, {})
     assert own.hull == integer_hull(q) == aggregation._intersect(q.n, [own])
 
 

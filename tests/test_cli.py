@@ -566,6 +566,22 @@ def test_fii_runs_one_double_description(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_fii_builds_the_closure_system_once(monkeypatch, capsys):
+    # fii_check hands the system it builds on to the validity check
+    calls = []
+    real = cone_module._system
+
+    def counted(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(cone_module, "_system", counted)
+    code, out, _ = run_cli(["cone", str(INSTANCES / "strip_cone.txt"), "fii", "x2 <= 7/2"],
+                           capsys)
+    assert code == 0 and "result: NOT FII (multipliers: 1/4 1/4 0)" in out.splitlines()
+    assert len(calls) == 1
+
+
 def test_theorem1_takes_one_rank_per_double_description(monkeypatch, capsys):
     # the dimension is kept with each cached DD, and the facet test reads
     # zero sets, so no rank is taken that a DD did not come with

@@ -138,6 +138,22 @@ def test_covering_validation():
         CoveringInstance(([0, 0],), (3,))
     with pytest.raises(ContractViolation):
         CoveringInstance((), ())
+    with pytest.raises(ContractViolation, match="^matrix rows have unequal lengths$"):
+        CoveringInstance(([1, 2], [1]), (1, 1))
+
+
+def test_covering_instance_stores_int_rows():
+    """[M | d] times one common denominator, with M and d read back as
+    Fractions; ==, hashing and repr are those of (M, d)."""
+    q = CoveringInstance(([1, "1/2"], [F(1, 3), 0]), ("3/2", 2))
+    assert (q.rows, q.denominator) == (((6, 3, 9), (2, 0, 12)), 6)
+    assert q.M == ((F(1), F(1, 2)), (F(1, 3), F(0))) and q.d == (F(3, 2), F(2))
+    assert q == CoveringInstance(q.M, q.d) and hash(q) == hash((q.M, q.d))
+    assert repr(q) == f"CoveringInstance(M={q.M!r}, d={q.d!r})"
+    # the same feasible set written at another scale is another instance
+    assert q != CoveringInstance(([6, 3], [2, 0]), (9, 12))
+    ints = CoveringInstance(([2, 1],), (3,))
+    assert all(type(a) is int for a in ints.rows[0]) and ints.denominator == 1
 
 
 def test_minimal_points_match_oracle_random():
