@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import ContractViolation
 from . import linalg
@@ -92,8 +92,8 @@ class AggregationSample:
     def k(self) -> int:
         return len(self.multipliers)
 
-    def describe(self, fmt: Callable[[tuple[int, ...]], str] = linalg.format_vector) -> str:
-        return "[" + "; ".join(map(fmt, self.multipliers)) + "]"
+    def describe(self) -> str:
+        return "[" + "; ".join(map(linalg.format_vector, self.multipliers)) + "]"
 
 
 @dataclass(frozen=True)

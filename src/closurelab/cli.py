@@ -118,18 +118,12 @@ def cmd_closure(args) -> tuple[str, int]:
     doc.field("density", args.density)
     doc.field("samples", len(ca.samples_used))
     doc.field("stabilized", ca.stabilized, text=_bool(ca.stabilized))
-    # format each grid-row tuple the samples share once, keyed by id (ca keeps them alive)
-    text: dict[int, str] = {}
-
-    def fmt(row: tuple[int, ...]) -> str:
-        return text.get(id(row)) or text.setdefault(id(row), linalg.format_vector(row))
-
     entries = []
     for cut in cuts:
-        label = cut.label if cut.sample is None else f"{cut.label} {cut.sample.describe(fmt)}"
+        label = cut.label if cut.sample is None else f"{cut.label} {cut.sample.describe()}"
         entries.append(f"{format_ge(cut.inequality)} | {label}")
     doc.block("facets", entries)
-    doc.block("samples-used", [s.describe(fmt) for s in ca.samples_used])
+    doc.block("samples-used", [s.describe() for s in ca.samples_used])
     return doc.render(args.format), EXIT_OK if ca.stabilized else EXIT_NOT_STABILIZED
 
 

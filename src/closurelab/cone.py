@@ -8,9 +8,11 @@ rows, made once (integral input stays int; anything else goes through
 ``linalg.vector``), and ``generators`` is a Fraction view; ``RaySet``
 and ``Theorem1Report`` store their rays the same way.  Every query runs
 on the distinct rows, with (0, ..., 0, 1) appended where needed.
-Extreme rays and pointedness come from the zero sets of the polar
-cone's double description (for a cone holding (0, ..., 0, 1), the ones
-cached with the closure system's DD), so ``extreme_rays`` and
+Each cone keeps its closure system, built on the first query, and the
+system keeps its double description (DD), so the queries on one cone
+share that DD.  Extreme rays and pointedness come from the zero sets of
+the polar cone's DD (for a cone holding (0, ..., 0, 1), the ones kept
+with the closure system's DD), so ``extreme_rays`` and
 ``check_theorem1`` solve no LP on a pointed cone and make no Fraction.
 Exact LPs remain where a certificate is printed: a line, a strict
 support, validity multipliers, a violating point.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -47,7 +50,6 @@ from .polyhedron import (
     Inequality,
     IntRows,
     _from_row,
-    _homogenized_dd,
     _zero_set,
     check_implication,
     dd_cone,
@@ -109,6 +111,18 @@ class GeneratedCone:
     @property
     def has_unit_last(self) -> bool:
         return _unit_row(self.dim) in self._rows
+
+    @cached_property
+    def _system(self) -> HPolyhedron | None:
+        """The closure system whose DD all cone queries read, built on the
+        first query and kept with the cone: the rows as alpha.x <= beta
+        (a primitive row is its inequality's canonical form), skipping
+        0.x <= b >= 0, unit-last among them.  None if some row is
+        0.x <= b < 0."""
+        rows = self._rows
+        if any(not any(g[:-1]) and g[-1] < 0 for g in rows):
+            return None
+        return HPolyhedron(self.n, sorted_unique(_from_row(g) for g in rows if any(g[:-1])))
 
     def unit_last(self) -> Vector:
         return linalg.unit(self.dim, self.n)
@@ -236,13 +250,13 @@ def _polar_zero_sets(rows: IntRows, system: HPolyhedron | None) -> tuple[int, li
     None.  Then the polar is its homogenization with t = -y_last: the
     polar ray (r, -t) gives a row (a, b) the zero set that the DD ray
     (r, t) gives the homogenized row (a, -b), and unit-last the one of
-    -t <= 0.  So those zero sets are read from the cached DD; other row
+    -t <= 0.  So those zero sets are read from the system's DD; other row
     sets take one dd_cone."""
     d = len(rows[0])
     if system is None:
         rays = dd_cone(rows, d)[1]
         return (1 << len(rays)) - 1, [_zero_set(g, rays) for g in rows]
-    _, rays, zero_sets, _ = _homogenized_dd(system)
+    _, rays, zero_sets, _ = system._dd
     of = {q.row: z for q, z in zip(system.inequalities, zero_sets)}
     of[_unit_row(d)] = zero_sets[-1]
     return (1 << len(rays)) - 1, [of[g] for g in rows]
@@ -270,38 +284,23 @@ def _extreme_rows(rows: IntRows, system: HPolyhedron | None) -> IntRows:
 def extreme_rays(k: GeneratedCone) -> RaySet:
     """The extreme rays of cone(generators), each a generator up to
     positive scaling."""
-    return RaySet(_extreme_rows(k._rows, _system(k._rows) if k.has_unit_last else None))
-
-
-def _system(rows: IntRows) -> HPolyhedron | None:
-    """The closure system whose cached DD all cone queries read: the rows
-    as alpha.x <= beta (a primitive row is its inequality's canonical
-    form), skipping 0.x <= b >= 0, unit-last among them.  None if some row
-    is 0.x <= b < 0."""
-    if any(not any(g[:-1]) and g[-1] < 0 for g in rows):
-        return None
-    return HPolyhedron(len(rows[0]) - 1, sorted_unique(_from_row(g) for g in rows if any(g[:-1])))
+    return RaySet(_extreme_rows(k._rows, k._system if k.has_unit_last else None))
 
 
 def closure_of(k: GeneratedCone) -> HPolyhedron:
     """The set cut out by reading every generator as alpha.x <= beta,
     with (0, ..., 0, 1) supplied when missing; redundancy-eliminated.
     The result may be empty."""
-    system = _system(k._rows)
+    system = k._system
     return empty_hpolyhedron(k.n) if system is None else remove_redundant(system)
 
 
 def is_valid_for_closure(k: GeneratedCone, q: Inequality) -> ValidityCheck:
     """Validity of q over the closure, decided as membership of (alpha,
     beta) in cone(generators + unit-last).  The closure must be nonempty."""
-    return _validity(k, q, _system(k._rows))
-
-
-def _validity(k: GeneratedCone, q: Inequality, system: HPolyhedron | None) -> ValidityCheck:
-    """``is_valid_for_closure`` with k's closure system already built."""
     if q.n != k.n:
         raise ContractViolation("inequality/cone dimension mismatch")
-    if system is None or system.is_empty:
+    if k._system is None or k._system.is_empty:
         raise EmptyClosureError("validity over an empty closure is undefined")
     rows = _with_unit_row(k._rows)
     gens = tuple(map(linalg.vector, rows))
@@ -320,12 +319,11 @@ def fii_check(k: GeneratedCone, q: Inequality) -> FiiCheck:
     inequalities no finite family of other valid inequalities implies.
     Requires a full-dimensional closure (read from the closure system,
     the same point set) and a valid q."""
-    system = _system(k._rows)
-    if system is None or dimension(system) != k.n:
+    if k._system is None or dimension(k._system) != k.n:
         raise NotFullDimensionalError(
             "the extreme-ray/irredundancy correspondence assumes a "
             "full-dimensional closure")
-    validity = _validity(k, q, system)
+    validity = is_valid_for_closure(k, q)
     if not validity.valid:
         raise InvalidInequalityError(
             "inequality is not valid for the closure", witness=validity.witness)
@@ -350,9 +348,9 @@ def check_theorem1(k: GeneratedCone) -> Theorem1Report:
     matching full dimension.  Each extreme row is a row of the closure
     system and a full-dimensional closure has one facet list, so (a)
     holds exactly when every facet is an extreme row.  Dimension, facets
-    and rays come from the closure system's cached DD (its zero sets),
+    and rays come from the closure system's DD (its zero sets),
     so a pointed cone costs one DD and no LP.  Unit-last cuts nothing."""
-    system = _system(k._rows)
+    system = k._system
     dim = -1 if system is None else dimension(system)
     if dim != k.n:
         raise NotFullDimensionalError(

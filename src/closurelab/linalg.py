@@ -1,20 +1,24 @@
 """Exact rational scalars, vectors, and matrices, and the integer-row
 elimination core the solvers run on.
 
-Every number the toolkit accepts or returns is a ``fractions.Fraction``:
-arbitrary precision, always in lowest terms with positive denominator, no
-rounding anywhere.  Vectors are tuples of Fractions and matrices are
-tuples of row vectors; both are immutable, so all operations are pure
-functions.  Inside, the simplex (``lp``), ``rank`` and double description
-(``polyhedron.dd_cone``) work on primitive integer rows (``int_row``,
-``lowest_terms``) and eliminate fraction-free with ``p*a - f*b`` over the
-row gcd (``combine``).  A positive scale changes no sign test or ratio
-comparison, so they make the decisions the Fraction code would.  The hull
-pipeline (aggregation, the covering scan, the double description and the
-facet rows of ``v_to_h``) and the cone queries stay in integer rows from
-end to end, and store them: a ``CoveringInstance`` keeps [M | d] times one
-common denominator, an ``Inequality`` its primitive row, a
-``MinimalPointSet`` its int points and a ``GeneratedCone`` its generator
+The toolkit takes ints, ``fractions.Fraction``s and ``"p/q"`` strings and
+never rounds.  Computed answers (certificates, LP points, vertices,
+witnesses) and the views of stored rows are Fractions in lowest terms with
+positive denominator; the stored rows (``Inequality.row``,
+``MinimalPointSet.int_points``, ``CoveringInstance.rows``,
+``GeneratedCone.int_generators``, ``RaySet.int_rays``,
+``Theorem1Report.extreme_rows``) are int tuples.  Vectors are tuples of
+Fractions and matrices tuples of row vectors; both are immutable, so all
+operations are pure functions.  Inside, the simplex (``lp``), ``rank`` and
+double description (``polyhedron.dd_cone``) work on primitive integer rows
+(``int_row``, ``lowest_terms``) and eliminate fraction-free with
+``p*a - f*b`` over the row gcd (``combine``).  A positive scale changes no
+sign test or ratio comparison, so they make the decisions the Fraction code
+would.  The hull pipeline (aggregation, the covering scan, the double
+description and the facet rows of ``v_to_h``) and the cone queries stay in
+integer rows from end to end, and store them: a ``CoveringInstance`` keeps
+[M | d] times one common denominator, an ``Inequality`` its primitive row,
+a ``MinimalPointSet`` its int points and a ``GeneratedCone`` its generator
 rows, and their Fractions are views made on read.  ``parse_row`` and
 ``exact_row`` keep integral input as ints and make Fractions of the rest.
 """

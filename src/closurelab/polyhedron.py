@@ -16,16 +16,18 @@ library makes).  Identity, hashing and sorting read the row; ``normal``,
 ``rhs`` and ``stacked()`` are Fraction views made on read, so a facet
 that ``v_to_h`` reads off a DD row makes no Fraction until it is used.
 
-One cached double description of the homogenization gives an
-H-polyhedron's emptiness, dimension and vertices, and the facets of a
-full-dimensional one.  The cache entry keeps each homogenized row's zero
-set, computed once, and the dimension: n minus the rank of the rows
-tight at every ray, the implicit equalities, a list that is usually
-empty.  The facets are read from the same zero sets with no rank.
-Projection restricts those vertices and rays to the kept coordinates
-and converts back with ``v_to_h``, so it needs no algorithm of its own.  The same generators decide containment (``is_subset``,
-``same_point_set``, validity, the flat redundancy scan); an LP remains
-only where a certificate is returned (``check_implication``).
+Each ``HPolyhedron`` keeps one double description (DD) of its
+homogenization, built on the first query that needs it.  It gives the
+polyhedron's emptiness, dimension and vertices, and the facets of a
+full-dimensional one.  It holds each homogenized row's zero set,
+computed once, and the dimension: n minus the rank of the rows tight at
+every ray, the implicit equalities, a list that is usually empty.  The
+facets are read from the same zero sets with no rank.  Projection
+restricts those vertices and rays to the kept coordinates and converts
+back with ``v_to_h``, so it needs no algorithm of its own.  The same
+generators decide containment (``is_subset``, ``same_point_set``,
+validity, the flat redundancy scan); an LP remains only where a
+certificate is returned (``check_implication``).
 
 A full-dimensional polyhedron has one irredundant system up to positive
 scaling of rows: its facets (Schrijver 1986, section 8.4).  So for such
@@ -40,7 +42,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, reduce
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
@@ -142,7 +144,32 @@ class HPolyhedron:
     @property
     def is_empty(self) -> bool:
         """True when no ray of the homogenization has t > 0."""
-        return _homogenized_dd(self).dim < 0
+        return self._dd.dim < 0
+
+    @cached_property
+    def _dd(self) -> _HomogenizedDD:
+        """dd_cone of the homogenization C = {(x, t) : normal.x - rhs.t <= 0,
+        t >= 0}, each homogenized row's zero set, and the dimension of p
+        (this polyhedron); built on the first query and kept with p,
+        outside ==, hash and repr.  The row -t <= 0 forces t = 0 on every
+        line, so p is empty (dimension -1) exactly when no ray has t > 0.
+        Otherwise C is the closed cone over p x {1}, so a row is tight on
+        all of C, that is at every ray (every line is tight at every row),
+        exactly when it is an implicit equality of p, and dim p = n -
+        rank(implicit equalities) (Schrijver 1986, section 8.2).  That
+        rank is taken on the rows (normal, -rhs): the equalities hold on
+        p, so the right-hand sides add no rank."""
+        rows = [_homogenized_row(q) for q in self.inequalities]
+        rows.append(_t_row(self.n))
+        lines, rays = dd_cone(rows, self.n + 1)
+        if any(l[-1] != 0 for l in lines):
+            raise InternalInvariantError("homogenization admits a line with t != 0")
+        zero_sets = tuple(_zero_set(r, rays) for r in rows)
+        if all(r[-1] <= 0 for r in rays):
+            return _HomogenizedDD(lines, rays, zero_sets, -1)
+        every = (1 << len(rays)) - 1
+        equalities = [r for r, z in zip(rows, zero_sets) if z == every]
+        return _HomogenizedDD(lines, rays, zero_sets, self.n - linalg.rank(equalities))
 
 
 @dataclass(frozen=True)
@@ -278,32 +305,6 @@ class _HomogenizedDD(NamedTuple):
     dim: int
 
 
-# Bounded so a long-lived process does not keep every polyhedron it has
-# seen; a whole perfbench pool (about 100 jobs) stays below 400 entries.
-@lru_cache(maxsize=1024)
-def _homogenized_dd(p: HPolyhedron) -> _HomogenizedDD:
-    """dd_cone of the homogenization C = {(x, t) : normal.x - rhs.t <= 0,
-    t >= 0}, each homogenized row's zero set, and the dimension of p.  The
-    row -t <= 0 forces t = 0 on every line, so p is empty (dimension -1)
-    exactly when no ray has t > 0.  Otherwise C is the closed cone over
-    p x {1}, so a row is tight on all of C, that is at every ray (every
-    line is tight at every row), exactly when it is an implicit equality
-    of p, and dim p = n - rank(implicit equalities) (Schrijver 1986,
-    section 8.2).  That rank is taken on the rows (normal, -rhs): the
-    equalities hold on p, so the right-hand sides add no rank."""
-    rows = [_homogenized_row(q) for q in p.inequalities]
-    rows.append(_t_row(p.n))
-    lines, rays = dd_cone(rows, p.n + 1)
-    if any(l[-1] != 0 for l in lines):
-        raise InternalInvariantError("homogenization admits a line with t != 0")
-    zero_sets = tuple(_zero_set(r, rays) for r in rows)
-    if all(r[-1] <= 0 for r in rays):
-        return _HomogenizedDD(lines, rays, zero_sets, -1)
-    every = (1 << len(rays)) - 1
-    equalities = [r for r, z in zip(rows, zero_sets) if z == every]
-    return _HomogenizedDD(lines, rays, zero_sets, p.n - linalg.rank(equalities))
-
-
 def _t_row(n: int) -> tuple[int, ...]:
     """The homogenization's row -t <= 0."""
     return (0,) * n + (-1,)
@@ -321,7 +322,7 @@ def h_to_v(p: HPolyhedron) -> VPolyhedron:
     opposite ray pairs."""
     if p.n < 1:
         raise ContractViolation("ambient dimension must be at least 1")
-    lines, rays, _, _ = _homogenized_dd(p)
+    lines, rays, _, _ = p._dd
     vertices = {tuple(Fraction(a, r[-1]) for a in r[:-1]) for r in rays if r[-1] > 0}
     if not vertices:
         return VPolyhedron(p.n, (), ())
@@ -391,7 +392,7 @@ def remove_redundant(p: HPolyhedron) -> HPolyhedron:
     inconsistent input is returned unchanged.
 
     A full-dimensional p keeps the last copy of each facet, read off the
-    zero sets cached with the DD of its homogenization C, with no rank.
+    zero sets kept with the DD of its homogenization C, with no rank.
     Each homogenized row, and the row -t <= 0, has a zero set: the rays
     of C it is tight at (every line is tight at every row).  C is
     full-dimensional, so a row tight at every ray is zero (0.x <= 0) and
@@ -401,8 +402,9 @@ def remove_redundant(p: HPolyhedron) -> HPolyhedron:
     exactly when no other row's zero set strictly contains its own, rows
     tight at every ray left out.  A flat p has no unique irredundant
     system: each row in turn is dropped if it holds on the others (a
-    nonempty superset of p), read from a throwaway DD."""
-    _, rays, (*zs, t_face), dim = _homogenized_dd(p)
+    nonempty superset of p), read from a throwaway DD.  When no row is
+    dropped the answer is p itself, which keeps its DD."""
+    _, rays, (*zs, t_face), dim = p._dd
     if dim < 0:
         return p
     if dim == p.n:
@@ -410,25 +412,25 @@ def remove_redundant(p: HPolyhedron) -> HPolyhedron:
         faces = {z for z in zs if z != every} | {t_face}
         facets = {z for z in faces if not any(z != f and z & f == z for f in faces)}
         last = {q: i for i, q in enumerate(p.inequalities)}
-        return HPolyhedron(p.n, tuple(
-            q for i, (q, z) in enumerate(zip(p.inequalities, zs))
-            if last[q] == i and not q.is_trivial() and z in facets))
-    kept = list(p.inequalities)
-    i = 0
-    while i < len(kept):
-        others = [_homogenized_row(q) for q in kept[:i] + kept[i + 1:]]
-        if _holds(*dd_cone(others + [_t_row(p.n)], p.n + 1), _homogenized_row(kept[i])):
-            kept.pop(i)
-        else:
-            i += 1
-    return HPolyhedron(p.n, tuple(kept))
+        kept = [q for i, (q, z) in enumerate(zip(p.inequalities, zs))
+                if last[q] == i and not q.is_trivial() and z in facets]
+    else:
+        kept = list(p.inequalities)
+        i = 0
+        while i < len(kept):
+            others = [_homogenized_row(q) for q in kept[:i] + kept[i + 1:]]
+            if _holds(*dd_cone(others + [_t_row(p.n)], p.n + 1), _homogenized_row(kept[i])):
+                kept.pop(i)
+            else:
+                i += 1
+    return p if len(kept) == len(p.inequalities) else HPolyhedron(p.n, tuple(kept))
 
 
 def is_subset(p: HPolyhedron, q: HPolyhedron) -> bool:
-    """p lies in q: every row of q holds over p's cached DD (an empty p lies in all)."""
+    """p lies in q: every row of q holds over p's DD (an empty p lies in all)."""
     if p.n != q.n:
         raise ContractViolation("cannot compare polyhedra of different dimension")
-    lines, rays, _, dim = _homogenized_dd(p)
+    lines, rays, _, dim = p._dd
     return dim < 0 or all(_holds(lines, rays, _homogenized_row(t)) for t in q.inequalities)
 
 
@@ -480,9 +482,9 @@ def check_implication(system: Sequence[Inequality], target: Inequality) -> Impli
 
 def dimension(p: HPolyhedron) -> int:
     """Affine dimension, or -1 for the empty polyhedron: n minus the rank
-    of the implicit equalities, the rows tight at every ray of the cached
-    DD, taken once with it."""
-    return _homogenized_dd(p).dim
+    of the implicit equalities, the rows tight at every ray of p's DD,
+    taken once with it."""
+    return p._dd.dim
 
 
 def is_facet_defining(p: HPolyhedron, q: Inequality) -> bool:

@@ -367,6 +367,21 @@ def test_cone_closure_command(tmp_path, capsys):
     assert "  1 1 <= 2" in out
 
 
+def test_cone_without_a_closure_system(tmp_path, capsys):
+    # the generator 0.x <= -1 leaves the cone no closure system: closure
+    # prints the standard empty system, and theorem1 and fii refuse it
+    path = write(tmp_path, "cone.txt", "kind: cone\nn: 2\nG: 0 0 -1\nG: 1 0 1\n")
+    code, out, _ = run_cli(["cone", path, "closure"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    for line in ("empty: true", "inequalities: 2", "  1 0 <= -1", "  -1 0 <= 0"):
+        assert line in lines
+    code, _, err = run_cli(["cone", path, "theorem1"], capsys)
+    assert code == 4 and "found dimension -1 in R^2" in err
+    code, _, err = run_cli(["cone", path, "fii", "x1 <= 1"], capsys)
+    assert code == 4 and "assumes a full-dimensional closure" in err
+
+
 def test_verify_command(tmp_path, capsys):
     code, out, _ = run_cli(["verify", "farkas", "--seed", "1"], capsys)
     assert code == 0
@@ -551,7 +566,7 @@ def test_containment_equality_and_facet_questions_solve_no_lp(monkeypatch, capsy
 
 def test_fii_runs_one_double_description(monkeypatch, capsys):
     # closure_of, dimension and the emptiness test of is_valid_for_closure
-    # all read the one cached DD of the sorted closure rows
+    # all read the one DD the cone's closure system keeps
     calls = []
     real = polyhedron.dd_cone
 
@@ -559,23 +574,28 @@ def test_fii_runs_one_double_description(monkeypatch, capsys):
         calls.append(rows)
         return real(rows, dim)
 
-    polyhedron._homogenized_dd.cache_clear()
     monkeypatch.setattr(polyhedron, "dd_cone", counted)
     code, out, _ = run_cli(["cone", UNIT_SQUARE, "fii", "x1 <= 1"], capsys)
     assert code == 0 and "result: FII" in out
     assert len(calls) == 1
+    # remove_redundant drops no row of the unit square, so the closure it
+    # returns is the system itself and its emptiness reads the same DD
+    code, out, _ = run_cli(["cone", UNIT_SQUARE, "closure"], capsys)
+    assert code == 0 and "empty: false" in out.splitlines()
+    assert len(calls) == 2
 
 
 def test_fii_builds_the_closure_system_once(monkeypatch, capsys):
-    # fii_check hands the system it builds on to the validity check
+    # the cone keeps the system fii_check builds, and the validity check
+    # reads it; the system is the one HPolyhedron the cone module makes
     calls = []
-    real = cone_module._system
+    real = cone_module.HPolyhedron
 
-    def counted(rows):
-        calls.append(rows)
-        return real(rows)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(cone_module, "_system", counted)
+    monkeypatch.setattr(cone_module, "HPolyhedron", counted)
     code, out, _ = run_cli(["cone", str(INSTANCES / "strip_cone.txt"), "fii", "x2 <= 7/2"],
                            capsys)
     assert code == 0 and "result: NOT FII (multipliers: 1/4 1/4 0)" in out.splitlines()
@@ -583,7 +603,7 @@ def test_fii_builds_the_closure_system_once(monkeypatch, capsys):
 
 
 def test_theorem1_takes_one_rank_per_double_description(monkeypatch, capsys):
-    # the dimension is kept with each cached DD, and the facet test reads
+    # the dimension is kept with each polyhedron's DD, and the facet test reads
     # zero sets, so no rank is taken that a DD did not come with
     counts = {"rank": 0, "dd_cone": 0}
     real_rank, real_dd = linalg.rank, polyhedron.dd_cone
@@ -596,7 +616,6 @@ def test_theorem1_takes_one_rank_per_double_description(monkeypatch, capsys):
         counts["dd_cone"] += 1
         return real_dd(rows, dim)
 
-    polyhedron._homogenized_dd.cache_clear()
     monkeypatch.setattr(linalg, "rank", counted_rank)
     monkeypatch.setattr(polyhedron, "dd_cone", counted_dd)
     for name in ("unit_square_cone.txt", "strip_cone.txt"):
@@ -607,9 +626,9 @@ def test_theorem1_takes_one_rank_per_double_description(monkeypatch, capsys):
 
 def test_theorem1_makes_no_new_double_description(monkeypatch, capsys, tmp_path):
     # the dimension, the facets and the polar cone's rays all come from the
-    # closure system's cached DD, so each run makes one DD (a cache miss of
-    # _homogenized_dd) and one redundancy pass, even with a redundant
-    # generator, and solves no cone membership LP
+    # DD the closure system keeps, so each run makes one DD and one
+    # redundancy pass, even with a redundant generator, and solves no cone
+    # membership LP
     calls, passes = [], []
     real_dd, real_remove = polyhedron.dd_cone, cone_module.remove_redundant
 
@@ -629,7 +648,6 @@ def test_theorem1_makes_no_new_double_description(monkeypatch, capsys, tmp_path)
                        (INSTANCES / "unit_square_cone.txt").read_text() + "G: 1 1 3\n"))
     for i, k in enumerate(random_pointed_cones(seed=4, count=12)):
         paths.append(write(tmp_path, f"pointed{i}.txt", format_cone(k)))
-    polyhedron._homogenized_dd.cache_clear()
     monkeypatch.setattr(polyhedron, "dd_cone", counted_dd)
     monkeypatch.setattr(cone_module, "dd_cone", counted_dd)
     monkeypatch.setattr(cone_module, "remove_redundant", counted_remove)
@@ -637,7 +655,7 @@ def test_theorem1_makes_no_new_double_description(monkeypatch, capsys, tmp_path)
     for path in paths:
         code, out, _ = run_cli(["cone", path, "theorem1"], capsys)
         assert code == 0 and "result: PASS" in out
-    assert len(calls) == polyhedron._homogenized_dd.cache_info().misses == len(paths)
+    assert len(calls) == len(paths)
     assert len(passes) == len(paths)
 
 
@@ -670,7 +688,6 @@ def test_cone_theorem1_and_rays_make_no_fraction(monkeypatch, capsys):
         made.append(args)
         return real_new(cls, *args, **kwargs)
 
-    polyhedron._homogenized_dd.cache_clear()
     monkeypatch.setattr(fractions.Fraction, "__new__", counted)
     for name in ("strip_cone.txt", "unit_square_cone.txt"):
         for sub in ("theorem1", "rays"):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from closurelab import cone as cone_module, linalg
+from closurelab import cone as cone_module, linalg, polyhedron
 from closurelab.cone import (
     GeneratedCone,
     check_theorem1,
@@ -154,6 +154,26 @@ def test_validity_multipliers_sum_generators():
 def test_validity_requires_nonempty_closure():
     with pytest.raises(EmptyClosureError):
         is_valid_for_closure(GeneratedCone((V([0, 0, -1]),)), ineq([1, 0], 1))
+
+
+def test_cone_queries_share_one_double_description(monkeypatch):
+    # the cone keeps its closure system and the system keeps its DD, so the
+    # queries after the first read that DD instead of making their own
+    calls = []
+    real = polyhedron.dd_cone
+
+    def counted(rows, dim):
+        calls.append(rows)
+        return real(rows, dim)
+
+    monkeypatch.setattr(polyhedron, "dd_cone", counted)
+    monkeypatch.setattr(cone_module, "dd_cone", counted)
+    k = GeneratedCone(SQUARE_CONE.generators + (V([1, 1, 3]),))
+    assert k.has_unit_last and check_theorem1(k).passed
+    assert len(closure_of(k).inequalities) == 4
+    assert len(extreme_rays(k).int_rays) == 4
+    assert is_valid_for_closure(k, ineq([1, 1], 2)).valid
+    assert len(calls) == 1
 
 
 def test_theorem1_orthant():

@@ -117,9 +117,30 @@ def test_inequality_views_match_fraction_reference(pair):
     assert not same or hash(qs[0]) == hash(qs[1])
 
 
-def test_polyhedron_query_caches_are_bounded():
-    maxsize = polyhedron._homogenized_dd.cache_info().maxsize
-    assert isinstance(maxsize, int) and maxsize > 0
+def test_polyhedron_keeps_one_double_description(monkeypatch):
+    # every query reads the DD the polyhedron keeps, made at most once, and
+    # ==, hash and repr see only the rows, whether the DD exists yet or not
+    calls = []
+    real = polyhedron.dd_cone
+
+    def counted(rows, dim):
+        calls.append(rows)
+        return real(rows, dim)
+
+    square_v = h_to_v(SQUARE)
+    monkeypatch.setattr(polyhedron, "dd_cone", counted)
+    rows = (ineq([1, 0], 1), ineq([-1, 0], 0), ineq([0, 1], 1), ineq([0, -1], 0),
+            ineq([1, 1], 3))
+    p, fresh = HPolyhedron(2, rows), HPolyhedron(2, rows)
+    before = (repr(p), hash(p))
+    assert not p.is_empty and dimension(p) == 2
+    assert remove_redundant(p).inequalities == rows[:4]
+    assert is_subset(p, SQUARE) and h_to_v(p) == square_v
+    assert len(calls) == 1 and "_dd" in vars(p) and "_dd" not in vars(fresh)
+    assert p == fresh and (repr(p), hash(p)) == (repr(fresh), hash(fresh)) == before
+    # an irredundant input is its own answer, so the result keeps its DD
+    square = HPolyhedron(2, rows[:4])
+    assert remove_redundant(square) is square
 
 
 def test_inequality_zero_normal_needs_nonnegative_rhs():
@@ -158,12 +179,11 @@ def test_h_to_v_empty():
 def test_h_to_v_line_with_t_is_an_internal_error(monkeypatch):
     # the row -t <= 0 forces t = 0 on every line of the homogenization,
     # so a line with t != 0 can only come from a broken double description;
-    # clear the cache so the patched dd_cone is reached
-    polyhedron._homogenized_dd.cache_clear()
+    # the polyhedron is built fresh, since SQUARE may already keep its DD
     monkeypatch.setattr(polyhedron, "dd_cone",
                         lambda rows, dim: ((V([0, 0, 1]),), (V([0, 0, 1]),)))
     with pytest.raises(InternalInvariantError, match="line with t != 0"):
-        h_to_v(SQUARE)
+        h_to_v(HPolyhedron(SQUARE.n, SQUARE.inequalities))
 
 
 def test_v_to_h_wedge():
@@ -413,7 +433,7 @@ def test_zero_set_facets_match_rank_facet_test(p):
 def test_cached_zero_sets_give_the_generator_rank_dimension(p):
     # one zero set per homogenized row (p's rows, then -t <= 0); the rows
     # tight at every ray are the implicit equalities that fix the dimension
-    _, rays, zero_sets, dim = polyhedron._homogenized_dd(p)
+    _, rays, zero_sets, dim = p._dd
     assert dim == dimension(p) == generator_rank_dimension(p)
     rows = [polyhedron._homogenized_row(q) for q in p.inequalities]
     rows.append(polyhedron._t_row(p.n))
@@ -445,9 +465,10 @@ def test_dd_queries_solve_no_lp(monkeypatch):
         raise AssertionError("LP solved")
 
     monkeypatch.setattr(polyhedron, "solve_lp", no_lp)
-    polyhedron._homogenized_dd.cache_clear()
-    assert dimension(TWO_SCALINGS) == 2 and not TWO_SCALINGS.is_empty
-    assert len(remove_redundant(TWO_SCALINGS).inequalities) == 4
+    # built fresh, so its DD is made under the patch
+    p = HPolyhedron(TWO_SCALINGS.n, TWO_SCALINGS.inequalities)
+    assert dimension(p) == 2 and not p.is_empty
+    assert len(remove_redundant(p).inequalities) == 4
 
 
 def test_check_implication_half_sum():
