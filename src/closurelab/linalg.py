@@ -1,5 +1,5 @@
-"""Exact rational scalars, vectors, and matrices, and the integer-row
-elimination core the solvers run on.
+"""Exact rational scalars and vectors, and the integer-row elimination
+core the solvers run on.
 
 The toolkit takes ints, ``fractions.Fraction``s and ``"p/q"`` strings and
 never rounds.  Computed answers (certificates, LP points, vertices,
@@ -7,9 +7,12 @@ witnesses) and the views of stored rows are Fractions in lowest terms with
 positive denominator; the stored rows (``Inequality.row``,
 ``MinimalPointSet.int_points``, ``CoveringInstance.rows``,
 ``GeneratedCone.int_generators``, ``RaySet.int_rays``,
-``Theorem1Report.extreme_rows``) are int tuples.  Vectors are tuples of
-Fractions and matrices tuples of row vectors; both are immutable, so all
-operations are pure functions.  Inside, the simplex (``lp``), ``rank`` and
+``Theorem1Report.extreme_rows``) are int tuples.  Vectors are immutable
+tuples of Fractions, and the helpers are pure functions.  Of Fraction
+vector code only what the library calls is left: ``vector``, ``dot``,
+``neg``, ``unit``, ``zeros``, ``is_zero`` and ``primitive``, with
+``check_dim``, ``rational``, ``exact_row`` and the text forms; there is
+no Fraction matrix algebra.  Inside, the simplex (``lp``), ``rank`` and
 double description (``polyhedron.dd_cone``) work on primitive integer rows
 (``int_row``, ``lowest_terms``) and eliminate fraction-free with
 ``p*a - f*b`` over the row gcd (``combine``).  A positive scale changes no
@@ -92,40 +95,12 @@ def dot(u: Vector, v: Vector) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def add(u: Vector, v: Vector) -> Vector:
-    check_dim(v, len(u))
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def scale(c: RationalLike, v: Vector) -> Vector:
-    c = rational(c)
-    return tuple(c * a for a in v)
-
-
 def neg(v: Vector) -> Vector:
     return tuple(-a for a in v)
 
 
 def is_zero(v: Vector) -> bool:
     return all(a == 0 for a in v)
-
-
-def mat_vec(m: Matrix, x: Vector) -> Vector:
-    return tuple(dot(row, x) for row in m)
-
-
-def vec_mat(y: Vector, m: Matrix) -> Vector:
-    check_dim(y, len(m))
-    if not m:
-        return ()
-    n = len(m[0])
-    return tuple(sum((y[i] * m[i][j] for i in range(len(m))), Fraction(0)) for j in range(n))
-
-
-def transpose(m: Matrix) -> Matrix:
-    if not m:
-        return ()
-    return tuple(tuple(row[j] for row in m) for j in range(len(m[0])))
 
 
 def primitive(v: Vector) -> Vector:

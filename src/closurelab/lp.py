@@ -6,17 +6,18 @@ row i is an integer vector whose rational value is ``row / row[basis[i]]``,
 and the cost row is integer numerators over one positive denominator.
 Both scales are positive, so Bland's sign tests and cross-multiplied
 ratio comparisons pick the same pivots the rational tableau would.
-Inputs, results and certificates are Fractions.  Free variables are
-handled by the classic x = x+ - x- split.  ``cone_membership`` hands the
-simplex integer columns: each generator and the target scaled by the
-lcm of their own denominators (integral data is passed as it is).
+Free variables are handled by the classic x = x+ - x- split.  The
+simplex gets positive integer scalings of the caller's data (ints or
+Fractions): ``solve_lp`` the primitive integer row of each (a_i, -a_i,
+e_i, 1, b_i), its slack and phase-1 artificial scaled with it, and
+``cone_membership`` each generator and the target times the lcm of their
+own denominators.  Results and certificates are Fractions.
 
 Every answer is exact and carries a certificate.  The public function
 that returns it, ``solve_lp`` or ``cone_membership``, checks it once and
-in full by substitution (InternalInvariantError if it fails):
-``solve_lp`` in Fractions against the caller's data, ``cone_membership``
-in ints against those positive integer scalings of it, which makes the
-same claim.  ``_simplex_standard`` is a plain solver and checks none.
+in full by exact integer substitution against those scalings, which
+makes the same claim as on the caller's data (InternalInvariantError if
+it fails).  ``_simplex_standard`` is a plain solver and checks none.
 ``LpResult`` and ``ConeMembership`` say what each check covers.
 """
 
@@ -39,9 +40,7 @@ from .linalg import (
     int_dot,
     int_row,
     is_zero,
-    mat_vec,
     primitive,
-    vec_mat,
     zeros,
 )
 
@@ -63,7 +62,8 @@ class LpResult:
     the optimal dual y when OPTIMAL, a Farkas vector y when INFEASIBLE
     and an improving recession ray r when UNBOUNDED; the last two are
     primitive-scaled.  With obj = c for max and -c for min, the check
-    covers the whole claim of each status:
+    covers the whole claim of each status, in ints on the rows w_i (a_i,
+    b_i) the simplex gets, each weighted y_i / w_i:
 
       OPTIMAL     a.x <= b, y >= 0, yA = obj and y.b = obj.x
       INFEASIBLE  y >= 0, yA = 0 and y.b < 0
@@ -142,25 +142,23 @@ def _run_phase(tableau: list[IntRow], cost: list[int], basis: list[int],
         _pivot(tableau, cost, basis, leave, col)
 
 
-def _simplex_standard(rows: Matrix, rhs: Vector, costs: Vector):
-    """min costs.z  s.t.  rows.z = rhs, z >= 0.
+def _simplex_standard(rows: Sequence[Sequence[int]], costs: Sequence[Fraction | int]):
+    """min costs.z  s.t.  r.z = h for every integer row (r, w, h), z >= 0.
 
-    Returns one of
-      ("optimal", z, duals)      with duals u satisfying u.rows <= costs
-      ("infeasible", u)          with u.rows <= 0 componentwise, u.rhs > 0
-      ("unbounded", z, ray)      with rows.ray = 0, ray >= 0, costs.ray < 0
+    w > 0 is the coefficient of the row's phase-1 artificial: the row is
+    the rational row (r, 1, h) / w, which the duals refer to.  Returns one of
+      ("optimal", z, duals)      with sum_i duals_i r_i / w_i <= costs
+      ("infeasible", u)          with sum_i u_i r_i / w_i <= 0, sum_i u_i h_i / w_i > 0
+      ("unbounded", z, ray)      with r.ray = 0, ray >= 0, costs.ray < 0
     Only the phase-1 invariant is checked here; callers check the rest.
     """
     m = len(rows)
     n_cols = len(costs)
-    signs = [(-1 if rhs[i] < 0 else 1) for i in range(m)]
+    signs = [(-1 if row[-1] < 0 else 1) for row in rows]
     tableau = []
-    for i in range(m):
-        # c*(row, 1, rhs) for a c > 0, then the sign and the artificial column
-        *scaled, c, b = int_row([*rows[i], 1, rhs[i]])
+    for i, (*r, w, h) in enumerate(rows):
         s = signs[i]
-        tableau.append([s * a for a in scaled] + [0] * i + [c]
-                       + [0] * (m - i - 1) + [s * b])
+        tableau.append([s * a for a in r] + [0] * i + [w] + [0] * (m - i - 1) + [s * h])
     basis = [n_cols + i for i in range(m)]
     width = n_cols + m
 
@@ -218,37 +216,47 @@ def solve_lp(a: Matrix, b: Vector, c: Vector, sense: str = "max") -> LpResult:
     for row in a:
         check_dim(row, n, "constraint row")
 
-    obj = c if sense == "max" else tuple(-q for q in c)
-    # z = (x+, x-, slack); minimize -obj
-    rows = tuple(
-        tuple(a[i]) + tuple(-q for q in a[i])
-        + tuple(_ONE if k == i else _ZERO for k in range(m))
-        for i in range(m)
-    )
-    costs = tuple(-q for q in obj) + tuple(obj) + zeros(m)
+    # obj is den * (c for max, -c for min); z = (x+, x-, slack), minimize -obj.z
+    obj, den = clear_denominators(c if sense == "max" else [-q for q in c])
+    rows, data, scales = [], [], []
+    for i, (row, bi) in enumerate(zip(a, b)):
+        *p, w, q = int_row([*row, 1, bi])
+        rows.append([*p, *(-v for v in p), *[0] * i, w, *[0] * (m - i - 1), w, q])
+        data.append((*p, q))
+        scales.append(w)
 
-    outcome = _simplex_standard(rows, b, costs)
+    outcome = _simplex_standard(rows, [-v for v in obj] + obj + [0] * m)
     if outcome[0] == "infeasible":
-        y = primitive(tuple(-q for q in outcome[1]))
-        if any(q < 0 for q in y) or not is_zero(vec_mat(y, a)) or dot(y, b) >= 0:
+        y = int_row([-u for u in outcome[1]])
+        weights, _, combo = _on_data(y, scales, data, n)
+        if any(v < 0 for v in weights) or any(combo[:-1]) or combo[-1] >= 0:
             raise InternalInvariantError("infeasibility certificate fails substitution")
-        return LpResult(LpStatus.INFEASIBLE, certificate=y)
+        return LpResult(LpStatus.INFEASIBLE, certificate=tuple(map(Fraction, y)))
     if outcome[0] == "unbounded":
-        _, z, zray = outcome
-        ray = primitive(tuple(zray[j] - zray[n + j] for j in range(n)))
-        bad_dir = dot(c, ray) <= 0 if sense == "max" else dot(c, ray) >= 0
-        if bad_dir or any(q > 0 for q in mat_vec(a, ray)):
+        zray = outcome[2]
+        ray = int_row([zray[j] - zray[n + j] for j in range(n)])
+        if int_dot(obj, ray) <= 0 or any(int_dot(r[:-1], ray) > 0 for r in data):
             raise InternalInvariantError("unboundedness certificate fails substitution")
-        return LpResult(LpStatus.UNBOUNDED, certificate=ray)
+        return LpResult(LpStatus.UNBOUNDED, certificate=tuple(map(Fraction, ray)))
     _, z, duals = outcome
     x = tuple(z[j] - z[n + j] for j in range(n))
-    y = tuple(-u for u in duals)
-    # vec_mat of no rows is (), not the zero vector of length n
-    ya = vec_mat(y, a) if a else zeros(n)
-    if (any(q < 0 for q in y) or ya != tuple(obj) or dot(y, b) != dot(obj, x)
-            or any(ax > bi for ax, bi in zip(mat_vec(a, x), b))):
+    point, dx = clear_denominators(x)
+    # -duals are the multipliers for obj: sum_i weights_i data_i = dw (obj, obj.x)
+    weights, dw, combo = _on_data([-u for u in duals], scales, data, n)
+    if (any(v < 0 for v in weights) or combo[:-1] != [dw * v for v in obj]
+            or dx * combo[-1] != dw * int_dot(obj, point)
+            or any(int_dot(r[:-1], point) > r[-1] * dx for r in data)):
         raise InternalInvariantError("optimality certificate fails substitution")
-    return LpResult(LpStatus.OPTIMAL, x=x, certificate=y, objective=dot(c, x))
+    return LpResult(LpStatus.OPTIMAL, x=x, certificate=tuple(-u / den for u in duals),
+                    objective=dot(c, x))
+
+
+def _on_data(y: Sequence[Fraction | int], scales: Sequence[int],
+             data: Sequence[Sequence[int]], n: int) -> tuple[IntRow, int, IntRow]:
+    """Weights y_i / scales_i on data_i = scales_i (a_i, b_i) as ints over one
+    positive denominator, that denominator, and sum_i weights_i data_i."""
+    weights, den = clear_denominators([Fraction(q, s) for q, s in zip(y, scales)])
+    return weights, den, [sum(w * r[j] for w, r in zip(weights, data)) for j in range(n + 1)]
 
 
 def cone_membership(generators: Sequence[Vector], target: Vector) -> ConeMembership:
@@ -276,7 +284,8 @@ def cone_membership(generators: Sequence[Vector], target: Vector) -> ConeMembers
     columns, scales = zip(*map(clear_denominators, generators))
     rhs, rhs_scale = clear_denominators(target)
     rows = tuple(zip(*columns))
-    outcome = _simplex_standard(rows, rhs, [0] * len(columns))
+    outcome = _simplex_standard([[*row, 1, h] for row, h in zip(rows, rhs)],
+                                [0] * len(columns))
     if outcome[0] == "optimal":
         z = outcome[1]
         weights, den = clear_denominators(z)

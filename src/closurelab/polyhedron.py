@@ -27,7 +27,7 @@ restricts those vertices and rays to the kept coordinates and converts
 back with ``v_to_h``, so it needs no algorithm of its own.  The same
 generators decide containment (``is_subset``, ``same_point_set``,
 validity, the flat redundancy scan); an LP remains only where a
-certificate is returned (``check_implication``).
+certificate is returned (``check_implication``, on the int rows).
 
 A full-dimensional polyhedron has one irredundant system up to positive
 scaling of rows: its facets (Schrijver 1986, section 8.4).  So for such
@@ -452,15 +452,17 @@ def check_implication(system: Sequence[Inequality], target: Inequality) -> Impli
     slack = rhs - optimum.  An optimum above rhs is the violating point;
     on an unbounded LP a feasible point (one more LP) stepped along the
     improving ray is.  The system must be consistent (otherwise
-    InconsistentSystemError carries the LP's Farkas certificate)."""
+    InconsistentSystemError carries the LP's Farkas certificate).  The LP
+    reads each row, or ``stacked()`` when the scale is not 1: the values
+    the inequality was built from, which the multipliers refer to."""
     system = tuple(system)
     n = target.n
     for q in system:
         if q.n != n:
             raise ContractViolation("system/target dimension mismatch")
-    a = tuple(q.normal for q in system)
-    b = tuple(q.rhs for q in system)
-    c, d = target.normal, target.rhs
+    *rows, (*c, d) = (q.row if q.scale == 1 else q.stacked() for q in (*system, target))
+    a = tuple(r[:-1] for r in rows)
+    b = tuple(r[-1] for r in rows)
     res = solve_lp(a, b, c, "max")
     if res.status is LpStatus.INFEASIBLE:
         raise InconsistentSystemError(
@@ -471,10 +473,10 @@ def check_implication(system: Sequence[Inequality], target: Inequality) -> Impli
     if res.status is LpStatus.OPTIMAL:
         witness = res.x
     else:
-        x0 = solve_lp(a, b, linalg.zeros(n), "max").x
+        x0 = solve_lp(a, b, (0,) * n, "max").x
         ray = res.certificate
         step = max(_ZERO, (d - dot(c, x0)) / dot(c, ray)) + 1
-        witness = linalg.add(x0, linalg.scale(step, ray))
+        witness = tuple(x + step * r for x, r in zip(x0, ray))
     if target.satisfied_by(witness) or not all(q.satisfied_by(witness) for q in system):
         raise InternalInvariantError("witness fails substitution check")
     return Implication(False, witness=witness)

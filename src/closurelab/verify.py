@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Callable
 
 from . import linalg
@@ -94,7 +94,7 @@ def random_lp(rng: random.Random):
 def dual_of_max(a, b, c):
     """Dual of max c.x s.t. a.x <= b (x free): min b.y, aT y = c, y >= 0."""
     m, n = len(a), len(c)
-    at = linalg.transpose(a) if a else tuple(() for _ in range(n))
+    at = tuple(zip(*a)) if a else ((),) * n
     rows = []
     rhs = []
     for j in range(n):
@@ -132,7 +132,7 @@ def suite_farkas(seed: int, count: int = 200) -> SuiteReport:
         elif res.status is LpStatus.INFEASIBLE:
             y = res.certificate
             ok = (all(q >= 0 for q in y)
-                  and linalg.is_zero(linalg.vec_mat(y, a))
+                  and all(linalg.dot(y, col) == 0 for col in zip(*a))
                   and linalg.dot(y, b) < 0)
             report.check(ok, lambda: dump(f"bad Farkas certificate {y}"))
         else:
@@ -170,7 +170,8 @@ def random_pointed_cones(seed: int, count: int = 50, max_attempts: int = 10000):
         if len(gens) < 2:
             continue
         cone = GeneratedCone(tuple(gens))
-        if dimension(closure_of(cone)) == n:
+        # the closure's dimension, from the closure system the cone keeps
+        if dimension(cone._system) == n:
             out.append(cone)
     return out
 
@@ -212,12 +213,12 @@ def suite_cone(seed: int, count: int = 50, line_count: int = 20) -> SuiteReport:
         facets = {q.stacked() for q in closure.inequalities}
         report.check(all(r in facets for r in rep.extreme_rays if r != cone.unit_last()),
                      lambda: dump("an extreme ray is not a facet of the closure"))
-        full = dimension(closure) == cone.n
+        full = dimension(cone._system) == cone.n
         pointed = is_pointed(cone).pointed
         report.check(pointed == full,
                      lambda: dump(f"pointed={pointed} but full-dimensional={full}"))
     for cone in random_line_cones(seed, line_count):
-        full = dimension(closure_of(cone)) == cone.n
+        full = dimension(cone._system) == cone.n
         pointed = is_pointed(cone).pointed
         report.check(
             (not pointed) and pointed == full,
@@ -366,8 +367,11 @@ def suite_aggregation(seed: int, single_count: int = 10, pair_count: int = 5) ->
         report.check(k_mono, lambda: dump("raising k did not shrink the closure"))
 
         hull = integer_hull(q)
+        # low.hulls holds the hulls of a grid-order prefix of the samples
+        sampled = chain((h.hull for h in low.hulls), (
+            integer_hull(aggregate(q, s)) for s in low.samples_used[len(low.hulls):]))
         sandwich = is_subset(hull, low.polyhedron) and all(
-            is_subset(low.polyhedron, integer_hull(aggregate(q, s))) for s in low.samples_used)
+            is_subset(low.polyhedron, h) for h in sampled)
         report.check(sandwich, lambda: dump("closure leaves the hull sandwich"))
 
         if low.stabilized:

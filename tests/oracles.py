@@ -1,7 +1,9 @@
 """Brute-force oracles used by the tests, independent of the library's
 conversion and projection code paths, Fraction reference versions of
-the routines the library runs on integer rows (simplex, cone
-membership, rank and double description), the LP-pruned V-to-H
+the routines the library runs on integer rows (simplex, solve_lp with
+its certificate checks, cone membership, rank and double description),
+the conversions between the simplex's integer rows and the rational
+rows they stand for, the LP-pruned V-to-H
 conversion that v_to_h replaces, the LP-decided cut attribution that
 classify_cuts replaces, the LP emptiness, dimension and redundancy tests
 that the homogenized double description replaces, the rank-based facet
@@ -19,7 +21,8 @@ intersection with the integer hull, and the containment, point-set
 equality and facet tests by check_implication that the homogenized
 double description replaces.  It also holds the Fraction text forms of
 an inequality that Inequality now prints from its integer row, and the
-small vector, inequality and cone helpers that only the tests use."""
+small vector, matrix, inequality and cone helpers that only the tests
+use (sub, add, scale, mat_vec, vec_mat, transpose)."""
 
 from __future__ import annotations
 
@@ -41,9 +44,9 @@ from closurelab.covering import CoveringInstance
 from closurelab.errors import (ContractViolation, InconsistentSystemError,
                                InternalInvariantError, InvalidInequalityError,
                                NotFullDimensionalError, NotPointedError)
-from closurelab.linalg import (Matrix, Vector, check_dim, combine, dot, int_dot, is_zero,
-                               mat_vec, primitive, transpose, vec_mat, zeros)
-from closurelab.lp import ConeMembership, LpStatus, solve_lp
+from closurelab.linalg import (Matrix, Vector, check_dim, combine, dot, int_dot, int_row,
+                               is_zero, primitive, rational, zeros)
+from closurelab.lp import ConeMembership, LpResult, LpStatus, solve_lp
 from closurelab.polyhedron import (HPolyhedron, Implication, Inequality, VPolyhedron,
                                    check_implication, dd_cone, empty_hpolyhedron,
                                    remove_redundant, sorted_unique)
@@ -57,6 +60,34 @@ UNATTRIBUTED = "UNATTRIBUTED"
 def sub(u: Vector, v: Vector) -> Vector:
     check_dim(v, len(u))
     return tuple(a - b for a, b in zip(u, v))
+
+
+def add(u: Vector, v: Vector) -> Vector:
+    check_dim(v, len(u))
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def scale(c, v: Vector) -> Vector:
+    c = rational(c)
+    return tuple(c * a for a in v)
+
+
+def mat_vec(m: Matrix, x: Vector) -> Vector:
+    return tuple(dot(row, x) for row in m)
+
+
+def vec_mat(y: Vector, m: Matrix) -> Vector:
+    check_dim(y, len(m))
+    if not m:
+        return ()
+    n = len(m[0])
+    return tuple(sum((y[i] * m[i][j] for i in range(len(m))), Fraction(0)) for j in range(n))
+
+
+def transpose(m: Matrix) -> Matrix:
+    if not m:
+        return ()
+    return tuple(tuple(row[j] for row in m) for j in range(len(m[0])))
 
 
 def flipped(q: Inequality) -> Inequality:
@@ -403,7 +434,7 @@ def three_solve_implication(system: Sequence[Inequality], target: Inequality) ->
     else:
         gain = dot(target.normal, res.certificate)
         step = max(_ZERO, (target.rhs - dot(target.normal, feas.x)) / gain) + 1
-        witness = linalg.add(feas.x, linalg.scale(step, res.certificate))
+        witness = add(feas.x, scale(step, res.certificate))
     if target.satisfied_by(witness) or not all(q.satisfied_by(witness) for q in system):
         raise InternalInvariantError("witness fails substitution check")
     return Implication(False, witness=witness)
@@ -461,9 +492,9 @@ def fraction_dd_cone(rows: Sequence[Vector], dim: int):
         if hit is not None:
             star = lines[hit] if vals[hit] < 0 else linalg.neg(lines[hit])
             dstar = dot(row, star)
-            lines = [_line_canonical(sub(l, linalg.scale(vals[j] / dstar, star)))
+            lines = [_line_canonical(sub(l, scale(vals[j] / dstar, star)))
                      for j, l in enumerate(lines) if j != hit]
-            new_rays = [primitive(sub(r, linalg.scale(dot(row, r) / dstar, star)))
+            new_rays = [primitive(sub(r, scale(dot(row, r) / dstar, star)))
                         for r in rays]
             rays = list(dict.fromkeys(new_rays + [primitive(star)]))
             continue
@@ -474,7 +505,7 @@ def fraction_dd_cone(rows: Sequence[Vector], dim: int):
         candidates = [r for r, _ in zero] + [r for r, _ in negi]
         for rn, vn in negi:
             for rp, vp in posi:
-                w = primitive(sub(linalg.scale(vp, rn), linalg.scale(vn, rp)))
+                w = primitive(sub(scale(vp, rn), scale(vn, rp)))
                 if not is_zero(w):
                     candidates.append(w)
         target = dim - len(lines) - 1
@@ -484,8 +515,9 @@ def fraction_dd_cone(rows: Sequence[Vector], dim: int):
 
 
 # ---------------------------------------------------------------------------
-# Fraction simplex (the reference for lp._simplex_standard) and cone
-# membership on Fraction rows (the reference for lp.cone_membership)
+# Fraction simplex (the reference for lp._simplex_standard), and cone
+# membership and solve_lp on Fraction rows (the references for
+# lp.cone_membership and lp.solve_lp)
 
 
 def _pivot(tableau, cost, basis, row, col):
@@ -596,9 +628,9 @@ def simplex_standard(rows: Matrix, rhs: Vector, costs: Vector):
 
 
 def fraction_cone_membership(generators: Sequence[Vector], target: Vector) -> ConeMembership:
-    """lp.cone_membership on the caller's Fraction data: the generators
-    transposed into the simplex's rows, the target its right-hand side,
-    and both answers checked by substitution in Fractions."""
+    """lp.cone_membership on the caller's Fraction data: the Fraction
+    simplex on the generators transposed into its rows, the target its
+    right-hand side, and both answers checked by substitution in Fractions."""
     d = len(target)
     for g in generators:
         check_dim(g, d, "generator")
@@ -607,7 +639,7 @@ def fraction_cone_membership(generators: Sequence[Vector], target: Vector) -> Co
             return ConeMembership(True, multipliers=())
         return ConeMembership(False, separator=primitive(target))
 
-    outcome = lp._simplex_standard(transpose(generators), target, zeros(len(generators)))
+    outcome = simplex_standard(transpose(generators), target, zeros(len(generators)))
     if outcome[0] == "optimal":
         mult = outcome[1]
         if any(q < 0 for q in mult) or vec_mat(mult, generators) != tuple(target):
@@ -633,12 +665,73 @@ def lp_extreme_rays(k: GeneratedCone) -> RaySet:
                         if not lp.cone_membership(rows[:i] + rows[i + 1:], g).member))
 
 
+def integer_rows(rows: Matrix, rhs: Vector) -> list[list[int]]:
+    """lp._simplex_standard's input for rows.z = rhs: each row (row, 1,
+    rhs) as a primitive integer row (r, w, h)."""
+    return [int_row([*row, 1, h]) for row, h in zip(rows, rhs)]
+
+
+def rational_rows(rows: Sequence[Sequence[int]]) -> tuple[Matrix, Vector]:
+    """The inverse of integer_rows: the rational rows r / w and right-hand
+    sides h / w that the integer rows (r, w, h) stand for."""
+    return (tuple(tuple(Fraction(a, r[-2]) for a in r[:-2]) for r in rows),
+            tuple(Fraction(r[-1], r[-2]) for r in rows))
+
+
 @contextmanager
 def fraction_simplex():
     """Within the block, closurelab.lp (solve_lp, cone_membership) runs on
-    the Fraction reference simplex above."""
-    with mock.patch.object(lp, "_simplex_standard", simplex_standard):
+    the Fraction reference simplex above, given the rational rows."""
+    def run(rows, costs):
+        return simplex_standard(*rational_rows(rows), costs)
+
+    with mock.patch.object(lp, "_simplex_standard", run):
         yield
+
+
+def fraction_solve_lp(a: Matrix, b: Vector, c: Vector, sense: str = "max") -> LpResult:
+    """lp.solve_lp as it ran on Fractions: the Fraction simplex on the
+    standard form (a_i, -a_i, e_i) = b_i and the certificates checked by
+    substitution in Fractions against the caller's data."""
+    if sense not in ("max", "min"):
+        raise ContractViolation(f"sense must be 'max' or 'min', got {sense!r}")
+    m = len(a)
+    n = len(c)
+    check_dim(b, m, "right-hand side")
+    for row in a:
+        check_dim(row, n, "constraint row")
+
+    obj = c if sense == "max" else tuple(-q for q in c)
+    # z = (x+, x-, slack); minimize -obj
+    rows = tuple(
+        tuple(a[i]) + tuple(-q for q in a[i])
+        + tuple(_ONE if k == i else _ZERO for k in range(m))
+        for i in range(m)
+    )
+    costs = tuple(-q for q in obj) + tuple(obj) + zeros(m)
+
+    outcome = simplex_standard(rows, b, costs)
+    if outcome[0] == "infeasible":
+        y = primitive(tuple(-q for q in outcome[1]))
+        if any(q < 0 for q in y) or not is_zero(vec_mat(y, a)) or dot(y, b) >= 0:
+            raise InternalInvariantError("infeasibility certificate fails substitution")
+        return LpResult(LpStatus.INFEASIBLE, certificate=y)
+    if outcome[0] == "unbounded":
+        _, z, zray = outcome
+        ray = primitive(tuple(zray[j] - zray[n + j] for j in range(n)))
+        bad_dir = dot(c, ray) <= 0 if sense == "max" else dot(c, ray) >= 0
+        if bad_dir or any(q > 0 for q in mat_vec(a, ray)):
+            raise InternalInvariantError("unboundedness certificate fails substitution")
+        return LpResult(LpStatus.UNBOUNDED, certificate=ray)
+    _, z, duals = outcome
+    x = tuple(z[j] - z[n + j] for j in range(n))
+    y = tuple(-u for u in duals)
+    # vec_mat of no rows is (), not the zero vector of length n
+    ya = vec_mat(y, a) if a else zeros(n)
+    if (any(q < 0 for q in y) or ya != tuple(obj) or dot(y, b) != dot(obj, x)
+            or any(ax > bi for ax, bi in zip(mat_vec(a, x), b))):
+        raise InternalInvariantError("optimality certificate fails substitution")
+    return LpResult(LpStatus.OPTIMAL, x=x, certificate=y, objective=dot(c, x))
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +752,7 @@ def fraction_aggregate(q: CoveringInstance, sample: AggregationSample) -> Coveri
     rows, demand = [], []
     for lam in sample.multipliers:
         linalg.check_dim(lam, q.m, "multiplier row")
-        stacked = primitive(linalg.vec_mat(lam, q.M) + (dot(lam, q.d),))
+        stacked = primitive(vec_mat(lam, q.M) + (dot(lam, q.d),))
         rows.append(stacked[:-1])
         demand.append(stacked[-1])
     return CoveringInstance(tuple(rows), tuple(demand))

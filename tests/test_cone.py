@@ -30,7 +30,7 @@ from closurelab.lp import cone_membership, solve_lp
 from closurelab.polyhedron import dimension, ineq, is_facet_defining, same_point_set
 from closurelab.verify import random_line_cones, random_pointed_cones
 
-from oracles import lp_extreme_rays, unique_generators
+from oracles import add, lp_extreme_rays, scale, unique_generators
 
 V = linalg.vector
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -218,7 +218,7 @@ def test_fii_square_corner_cut_is_redundant():
     assert not res.is_fii
     combo = linalg.zeros(3)
     for mu, g in zip(res.multipliers, res.others):
-        combo = linalg.add(combo, linalg.scale(mu, g))
+        combo = add(combo, scale(mu, g))
     assert combo == V([1, 1, 2])
 
 

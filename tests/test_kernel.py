@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from closurelab import linalg, lp
 from closurelab.lp import cone_membership, solve_lp
 from closurelab.polyhedron import dd_cone
-from oracles import fraction_dd_cone, fraction_rank, fraction_simplex, simplex_standard
+from oracles import (add, fraction_dd_cone, fraction_rank, fraction_simplex, fraction_solve_lp,
+                     integer_rows, scale, simplex_standard)
 
 V = linalg.vector
 
@@ -60,6 +61,9 @@ BEALE = (
 INFEASIBLE = ((V([1]), V([-1])), V([-1, 0]), V([0]), "max")
 UNBOUNDED = ((V([-1, 0]), V([0, -1])), V([0, 0]), V([1, 2]), "max")
 NO_ROWS = ((), (), V([0, 1]), "max")
+# scaling a_i and b_i without the slack and the artificial reweights phase
+# 1, and this Farkas vector comes out (3, 1, 9, 0) instead of (1, 0, 2, 0)
+THIRDS_FARKAS = ((V([2]), V([3]), V([-1]), V([0])), V([-1, -1, F(-4, 3), 2]), V([1]), "max")
 
 
 def _all_fractions(*vectors):
@@ -81,11 +85,13 @@ def _all_int_tuples(rows):
 @example(INFEASIBLE)
 @example(UNBOUNDED)
 @example(NO_ROWS)
+@example(THIRDS_FARKAS)
 def test_solve_lp_matches_fraction_simplex(args):
     got = solve_lp(*args)
     with fraction_simplex():
         want = solve_lp(*args)
     assert got == want
+    assert got == fraction_solve_lp(*args)
     assert _all_fractions(got.x, got.certificate)
 
 
@@ -99,7 +105,8 @@ def test_solve_lp_matches_fraction_simplex(args):
 @example(((V([-1, -2]),), V([0]), V([-2, 0])))
 def test_simplex_outcomes_match_fraction_simplex(args):
     # duals, primal z and raw rays are visible only here
-    got = lp._simplex_standard(*args)
+    rows, rhs, costs = args
+    got = lp._simplex_standard(integer_rows(rows, rhs), costs)
     assert got == simplex_standard(*args)
     assert _all_fractions(*got[1:])
 
@@ -143,7 +150,7 @@ def degenerate_row_lists(draw):
     for _ in range(draw(st.integers(1, 6))):
         a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
         rows.append(draw(st.sampled_from((
-            a, linalg.neg(a), linalg.scale(draw(st.integers(2, 3)), a), linalg.add(a, b)))))
+            a, linalg.neg(a), scale(draw(st.integers(2, 3)), a), add(a, b)))))
     return dim, draw(st.permutations(rows))
 
 

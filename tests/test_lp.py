@@ -10,7 +10,7 @@ from closurelab import linalg, lp
 from closurelab.errors import ContractViolation, InternalInvariantError
 from closurelab.lp import LpStatus, cone_membership, solve_lp
 from closurelab.verify import dual_of_max, random_lp
-from oracles import fraction_cone_membership
+from oracles import add, fraction_cone_membership, scale, vec_mat
 
 V = linalg.vector
 
@@ -109,7 +109,7 @@ def test_membership_round_trip_random():
         if res.member:
             recombined = linalg.zeros(d)
             for mu, g in zip(res.multipliers, gens):
-                recombined = linalg.add(recombined, linalg.scale(mu, g))
+                recombined = add(recombined, scale(mu, g))
             assert recombined == target
             assert all(mu >= 0 for mu in res.multipliers)
         else:
@@ -130,7 +130,7 @@ def memberships(draw):
     vectors = st.lists(entries, min_size=d, max_size=d).map(tuple)
     gens = draw(st.lists(vectors, max_size=5))
     for g in draw(st.lists(st.sampled_from(gens), max_size=2)) if gens else ():
-        gens.append(linalg.scale(draw(st.sampled_from((1, 2, F(1, 3)))), g))
+        gens.append(scale(draw(st.sampled_from((1, 2, F(1, 3)))), g))
     kind = draw(st.sampled_from(("zero", "combination", "combination", "free", "free")))
     if kind == "zero":
         target = linalg.zeros(d)
@@ -138,7 +138,7 @@ def memberships(draw):
         target = linalg.zeros(d)
         for g in gens:
             weight = draw(st.sampled_from((0, 1, 2, F(1, 2), F(3, 4))))
-            target = linalg.add(target, linalg.scale(weight, g))
+            target = add(target, scale(weight, g))
     else:
         target = draw(vectors)
     return draw(st.permutations(gens)), target
@@ -186,7 +186,7 @@ def test_certificate_audit_random():
         if res.status is LpStatus.INFEASIBLE:
             y = res.certificate
             assert all(q >= 0 for q in y)
-            assert linalg.is_zero(linalg.vec_mat(y, a))
+            assert linalg.is_zero(vec_mat(y, a))
             assert linalg.dot(y, b) < 0
         elif res.status is LpStatus.UNBOUNDED:
             r = res.certificate
@@ -203,7 +203,7 @@ def assert_optimal_duals(a, b, obj, res):
     y = res.certificate
     assert len(y) == len(a)
     assert all(q >= 0 for q in y)
-    assert (linalg.vec_mat(y, a) if a else linalg.zeros(len(obj))) == obj
+    assert (vec_mat(y, a) if a else linalg.zeros(len(obj))) == obj
     assert linalg.dot(y, b) == linalg.dot(obj, res.x)
 
 

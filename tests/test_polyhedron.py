@@ -37,11 +37,11 @@ from closurelab.polyhedron import (
     v_to_h,
 )
 
-from oracles import (brute_force_vertices, dd_rows_zero_normal_skip, fm_project,
+from oracles import (add, brute_force_vertices, dd_rows_zero_normal_skip, fm_project,
                      fraction_format_ge, fraction_format_le, generator_rank_dimension,
                      lp_dimension, lp_is_empty, lp_is_facet_defining, lp_is_subset,
                      lp_remove_redundant, lp_same_point_set, lp_v_to_h,
-                     point_has_extension, rank_remove_redundant, rational_grid,
+                     point_has_extension, rank_remove_redundant, rational_grid, scale,
                      three_solve_implication)
 
 V = linalg.vector
@@ -236,13 +236,13 @@ def v_polyhedra(draw):
     def in_span(coeffs):
         out = linalg.zeros(n)
         for c, b in zip(coeffs, basis):
-            out = linalg.add(out, linalg.scale(c, b))
+            out = add(out, scale(c, b))
         return out
 
     def coeffs():
         return draw(st.lists(small, min_size=len(basis), max_size=len(basis)))
 
-    vertices = tuple(linalg.add(base, in_span(coeffs()))
+    vertices = tuple(add(base, in_span(coeffs()))
                      for _ in range(draw(st.integers(1, 4))))
     rays = tuple(in_span(coeffs()) for _ in range(draw(st.integers(0, 2))))
     return VPolyhedron(n, vertices, rays)
@@ -387,7 +387,7 @@ def h_polyhedra(draw, min_n=1, n=None):
         rows += [q, Inequality(linalg.neg(q.normal), -q.rhs - gap)]
     for q in draw(st.lists(st.sampled_from(rows), max_size=2)) if rows else ():
         c = draw(positive)
-        rows.append(Inequality(linalg.scale(c, q.normal), c * q.rhs))
+        rows.append(Inequality(scale(c, q.normal), c * q.rhs))
     if draw(st.booleans()):
         rows.append(Inequality(linalg.zeros(n), draw(st.sampled_from((0, 1)))))
     return HPolyhedron(n, tuple(draw(st.permutations(rows))))
@@ -515,7 +515,7 @@ def implication_cases(draw):
     if kind == "combination" and rows:
         stacked = linalg.zeros(n) + (draw(st.sampled_from((0, 0, 1))),)
         for q in rows:
-            stacked = linalg.add(stacked, linalg.scale(draw(st.integers(0, 2)), q.stacked()))
+            stacked = add(stacked, scale(draw(st.integers(0, 2)), q.stacked()))
     elif kind == "tightened" and rows:
         q = draw(st.sampled_from(rows))
         stacked = q.normal + (q.rhs - draw(st.sampled_from((F(1, 2), F(1)))),)
@@ -550,7 +550,7 @@ def test_check_implication_matches_three_solve_reference(case):
         assert all(y >= 0 for y in got.multipliers) and got.slack >= 0
         rebuilt = linalg.zeros(target.n) + (got.slack,)
         for y, q in zip(got.multipliers, system, strict=True):
-            rebuilt = linalg.add(rebuilt, linalg.scale(y, q.stacked()))
+            rebuilt = add(rebuilt, scale(y, q.stacked()))
         assert rebuilt == target.stacked()
 
 
@@ -574,6 +574,18 @@ def test_check_implication_solves_one_lp_unless_unbounded(monkeypatch):
         except InconsistentSystemError:
             pass
         assert len(calls) == solves
+
+
+def test_check_implication_multipliers_refer_to_the_inequalities_as_built():
+    # the strip -x1 + 2 x2 <= 7, x1 + 2 x2 <= 7 with rows of scale 2 and 1/3,
+    # and the CLI's target x2 <= 7/2, the row (0, 2, 7) of scale 1/2
+    system = (ineq([-2, 4], 14), ineq([F(1, 3), F(2, 3)], F(7, 3)))
+    assert [q.scale for q in system] == [2, F(1, 3)]
+    got = check_implication(system, ineq([0, 1], F(7, 2)))
+    assert (got.multipliers, got.slack) == ((F(1, 8), F(3, 4)), 0)
+    got = check_implication(system, ineq([0, 1], 4))
+    assert (got.multipliers, got.slack) == ((F(1, 8), F(3, 4)), F(1, 2))
+    assert check_implication(system, ineq([1, 1], 100)).witness == (195, -94)
 
 
 @st.composite
