@@ -22,12 +22,12 @@ polyhedron's emptiness, dimension and vertices, and the facets of a
 full-dimensional one.  It holds each homogenized row's zero set,
 computed once, and the dimension: n minus the rank of the rows tight at
 every ray, the implicit equalities, a list that is usually empty.  The
-facets are read from the same zero sets with no rank.  Projection
-restricts those vertices and rays to the kept coordinates and converts
-back with ``v_to_h``, so it needs no algorithm of its own.  The same
-generators decide containment (``is_subset``, ``same_point_set``,
-validity, the flat redundancy scan); an LP remains only where a
-certificate is returned (``check_implication``, on the int rows).
+facets are read from the same zero sets with no rank.  One reader
+takes its vertices and rays on a set of coordinates: ``h_to_v`` on all,
+projection on the kept ones, then ``v_to_h``.  The same generators
+decide containment (``is_subset``, ``same_point_set``, validity, the
+flat redundancy scan); an LP remains only where a certificate is
+returned (``check_implication``, on the int rows).
 
 A full-dimensional polyhedron has one irredundant system up to positive
 scaling of rows: its facets (Schrijver 1986, section 8.4).  So for such
@@ -56,7 +56,7 @@ from .errors import (
 )
 from . import linalg
 from .linalg import (IntRow, Vector, combine, dot, format_rational, format_vector,
-                     int_dot, primitive, rational)
+                     int_dot, rational)
 from .lp import LpStatus, solve_lp
 
 _ZERO = Fraction(0)
@@ -322,15 +322,22 @@ def h_to_v(p: HPolyhedron) -> VPolyhedron:
     opposite ray pairs."""
     if p.n < 1:
         raise ContractViolation("ambient dimension must be at least 1")
+    return _generators(p, range(p.n))
+
+
+def _generators(p: HPolyhedron, keep: Sequence[int]) -> VPolyhedron:
+    """The vertices and rays of p's DD restricted to the coordinates in
+    ``keep``, sorted and deduplicated; lines come as opposite ray pairs,
+    and rays that restrict to zero drop out."""
     lines, rays, _, _ = p._dd
-    vertices = {tuple(Fraction(a, r[-1]) for a in r[:-1]) for r in rays if r[-1] > 0}
+    vertices = {tuple(Fraction(r[j], r[-1]) for j in keep) for r in rays if r[-1] > 0}
     if not vertices:
-        return VPolyhedron(p.n, (), ())
-    # a primitive generator with t = 0 is primitive on x alone
-    directions = {r[:-1] for r in rays if r[-1] == 0}
-    for l in lines:
-        directions.update((l[:-1], tuple(-a for a in l[:-1])))
-    return VPolyhedron(p.n, tuple(sorted(vertices)),
+        return VPolyhedron(len(keep), (), ())
+    # the rays with t = 0 and both senses of each line, primitive on keep
+    signed = [*(r for r in rays if r[-1] == 0), *lines, *(tuple(-a for a in l) for l in lines)]
+    directions = {tuple(linalg.lowest_terms([g[j] for j in keep])) for g in signed}
+    directions.discard((0,) * len(keep))
+    return VPolyhedron(len(keep), tuple(sorted(vertices)),
                        tuple(tuple(map(Fraction, d)) for d in sorted(directions)))
 
 
@@ -513,23 +520,16 @@ def fourier_motzkin_project(p: HPolyhedron, keep: Sequence[int]) -> HPolyhedron:
 
     The projection goes through the generators: the projection of
     conv(V) + cone(R) is conv(V') + cone(R') with every generator
-    restricted to ``keep``, so ``h_to_v`` and ``v_to_h`` do the work and
-    no LP is solved.  Lines arrive as opposite ray pairs; rays
-    that restrict to zero drop out.  An empty p gives
+    restricted to ``keep``, so p's DD generators, read on ``keep``, go to
+    ``v_to_h`` and no LP is solved.  An empty p gives
     ``empty_hpolyhedron(len(keep))``."""
     keep = sorted(set(keep))
     if not keep:
         raise ContractViolation("projection needs a nonempty index set")
     if keep[0] < 0 or keep[-1] >= p.n:
         raise ContractViolation(f"projection indices out of range for R^{p.n}")
-
-    v = h_to_v(p)
-    if v.is_empty:
-        return empty_hpolyhedron(len(keep))
-    vertices = {tuple(x[j] for j in keep) for x in v.vertices}
-    rays = {primitive(tuple(r[j] for j in keep)) for r in v.rays}
-    rays.discard(linalg.zeros(len(keep)))
-    return v_to_h(VPolyhedron(len(keep), tuple(sorted(vertices)), tuple(sorted(rays))))
+    v = _generators(p, keep)
+    return empty_hpolyhedron(len(keep)) if v.is_empty else v_to_h(v)
 
 
 def empty_hpolyhedron(n: int) -> HPolyhedron:

@@ -16,10 +16,10 @@ from itertools import chain, product
 from typing import Callable
 
 from . import linalg
-from .linalg import Vector
+from .linalg import Vector, int_dot
 from .lp import LpStatus, solve_lp
-from .polyhedron import dimension, h_to_v, is_subset, same_point_set
-from .cone import GeneratedCone, check_theorem1, closure_of, is_pointed
+from .polyhedron import dimension, h_to_v, is_subset
+from .cone import GeneratedCone, _unit_row, check_theorem1, closure_of, is_pointed
 from .covering import (
     CoveringInstance,
     dominates,
@@ -37,7 +37,6 @@ from .aggregation import (
 from .io import format_cone, format_covering
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 SUITES = ("farkas", "cone", "covering", "aggregation", "all")
 
@@ -161,12 +160,12 @@ def random_pointed_cones(seed: int, count: int = 50, max_attempts: int = 10000):
     while len(out) < count and attempts < max_attempts:
         attempts += 1
         n = rng.choice((2, 3))
-        gens = [linalg.zeros(n) + (_ONE,)]
+        gens = [(0,) * n + (1,)]
         for _ in range(rng.randint(2, 5)):
-            alpha = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
-            if linalg.is_zero(alpha):
+            alpha = tuple(rng.randint(-3, 3) for _ in range(n))
+            if not any(alpha):
                 continue
-            gens.append(alpha + (Fraction(rng.randint(0, 3)),))
+            gens.append(alpha + (rng.randint(0, 3),))
         if len(gens) < 2:
             continue
         cone = GeneratedCone(tuple(gens))
@@ -184,11 +183,11 @@ def random_line_cones(seed: int, count: int = 20):
     out = []
     for cone in base:
         n = cone.n
-        v = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
-        while linalg.is_zero(v):
-            v = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
-        pair = (v + (_ZERO,), linalg.neg(v) + (_ZERO,))
-        out.append(GeneratedCone(cone.generators + pair))
+        v = tuple(rng.randint(-3, 3) for _ in range(n))
+        while not any(v):
+            v = tuple(rng.randint(-3, 3) for _ in range(n))
+        pair = (v + (0,), tuple(-a for a in v) + (0,))
+        out.append(GeneratedCone(cone.int_generators + pair))
     return out
 
 
@@ -209,9 +208,9 @@ def suite_cone(seed: int, count: int = 50, line_count: int = 20) -> SuiteReport:
             return f"{reason}\n{format_cone(GeneratedCone(shrunk))}"
 
         report.check(rep.passed, lambda: dump(f"theorem-1 cross-check failed: {rep.detail}"))
-        closure = closure_of(cone)
-        facets = {q.stacked() for q in closure.inequalities}
-        report.check(all(r in facets for r in rep.extreme_rays if r != cone.unit_last()),
+        facets = {q.row for q in closure_of(cone).inequalities}
+        unit_last = _unit_row(cone.dim)
+        report.check(all(r in facets for r in rep.extreme_rows if r != unit_last),
                      lambda: dump("an extreme ray is not a facet of the closure"))
         full = dimension(cone._system) == cone.n
         pointed = is_pointed(cone).pointed
@@ -238,27 +237,30 @@ def random_covering(rng: random.Random, max_n: int = 3, max_m: int = 3,
     rows = []
     demand = []
     for _ in range(m):
-        row = [Fraction(rng.randint(0, max_entry)) for _ in range(n)]
-        d = Fraction(rng.randint(0, max_entry))
-        if d > 0 and all(a == 0 for a in row):
-            row[rng.randrange(n)] = Fraction(rng.randint(1, max_entry))
+        row = [rng.randint(0, max_entry) for _ in range(n)]
+        d = rng.randint(0, max_entry)
+        if d > 0 and not any(row):
+            row[rng.randrange(n)] = rng.randint(1, max_entry)
         rows.append(tuple(row))
         demand.append(d)
     return CoveringInstance(tuple(rows), tuple(demand))
 
 
+def _feasible_box_points(q: CoveringInstance, box: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every integer point of 0 <= x <= box that meets each row of [M | d],
+    tested in ints on ``q.rows`` (the data times a positive scale)."""
+    return [x for x in product(*(range(b + 1) for b in box))
+            if all(int_dot(row[:-1], x) >= row[-1] for row in q.rows)]
+
+
 def brute_force_minimal_points(q: CoveringInstance, slack: int = 0):
-    """Independent oracle: enumerate the (optionally enlarged) box, filter
-    feasibility in exact arithmetic, and keep the points no other feasible
-    point dominates (quadratic scan)."""
-    box = tuple(b + slack for b in enumeration_box(q))
-    feasible = []
-    for point in product(*(range(b + 1) for b in box)):
-        x = linalg.vector(point)
-        if all(linalg.dot(row, x) >= di for row, di in zip(q.M, q.d)):
-            feasible.append(x)
+    """Independent oracle: enumerate the whole (optionally enlarged) box,
+    keep the feasible points, and drop every point another feasible point
+    dominates (quadratic scan).  The kept points come back sorted, as
+    Fraction tuples."""
+    feasible = _feasible_box_points(q, tuple(b + slack for b in enumeration_box(q)))
     return tuple(sorted(
-        x for x in feasible
+        tuple(map(Fraction, x)) for x in feasible
         if not any(y != x and dominates(y, x) for y in feasible)
     ))
 
@@ -286,12 +288,8 @@ def suite_covering(seed: int, count: int = 100) -> SuiteReport:
             a != b and dominates(a, b) for a in points for b in points)
         report.check(pairwise_ok, lambda: dump("minimal points are not an antichain"))
 
-        box = enumeration_box(q)
-        complete = all(
-            any(dominates(p, linalg.vector(point)) for p in points)
-            for point in product(*(range(b + 1) for b in box))
-            if all(linalg.dot(row, linalg.vector(point)) >= di
-                   for row, di in zip(q.M, q.d)))
+        complete = all(any(dominates(p, x) for p in minimal.int_points)
+                       for x in _feasible_box_points(q, enumeration_box(q)))
         report.check(complete, lambda: dump("a feasible box point dominates no minimal point"))
 
         hull = minimal.hull()
@@ -315,21 +313,21 @@ def suite_covering(seed: int, count: int = 100) -> SuiteReport:
 
 def random_single_row(rng: random.Random, n: int | None = None) -> CoveringInstance:
     n = n or rng.randint(1, 3)
-    row = [Fraction(rng.randint(0, 5)) for _ in range(n)]
-    if all(a == 0 for a in row):
-        row[rng.randrange(n)] = Fraction(rng.randint(1, 5))
-    return CoveringInstance((tuple(row),), (Fraction(rng.randint(1, 5)),))
+    row = [rng.randint(0, 5) for _ in range(n)]
+    if not any(row):
+        row[rng.randrange(n)] = rng.randint(1, 5)
+    return CoveringInstance((tuple(row),), (rng.randint(1, 5),))
 
 
 def random_two_row(rng: random.Random, n: int = 2, max_entry: int = 4) -> CoveringInstance:
     rows = []
     demand = []
     for _ in range(2):
-        row = [Fraction(rng.randint(0, max_entry)) for _ in range(n)]
-        if all(a == 0 for a in row):
-            row[rng.randrange(n)] = Fraction(rng.randint(1, max_entry))
+        row = [rng.randint(0, max_entry) for _ in range(n)]
+        if not any(row):
+            row[rng.randrange(n)] = rng.randint(1, max_entry)
         rows.append(tuple(row))
-        demand.append(Fraction(rng.randint(1, max_entry)))
+        demand.append(rng.randint(1, max_entry))
     return CoveringInstance(tuple(rows), tuple(demand))
 
 
@@ -348,7 +346,7 @@ def suite_aggregation(seed: int, single_count: int = 10, pair_count: int = 5) ->
         for k, density in ((1, 1), (2, 4)):
             ca = closure_approx(q, k, density)
             report.check(
-                ca.stabilized and same_point_set(ca.polyhedron, hull),
+                ca.stabilized and ca.polyhedron == hull,
                 lambda: dump(f"k={k} density={density} closure differs from hull"))
 
     for idx in range(pair_count):

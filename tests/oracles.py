@@ -9,7 +9,9 @@ classify_cuts replaces, the LP emptiness, dimension and redundancy tests
 that the homogenized double description replaces, the rank-based facet
 test that its zero sets replace, the dimension from the rank of its
 generators that the implicit equalities replace, the Fourier-Motzkin
-elimination that projection through the generators replaces, the three-solve
+elimination that projection through the generators replaces, the
+projection through h_to_v's Fraction generators that the generator
+reader replaces, the three-solve
 implication test that check_implication's single LP replaces, the
 per-generator membership LPs that the polar cone's zero sets replace in
 extreme_rays, and the Fraction hull pipeline (aggregation, minimal point
@@ -49,7 +51,7 @@ from closurelab.linalg import (Matrix, Vector, check_dim, combine, dot, int_dot,
 from closurelab.lp import ConeMembership, LpResult, LpStatus, solve_lp
 from closurelab.polyhedron import (HPolyhedron, Implication, Inequality, VPolyhedron,
                                    check_implication, dd_cone, empty_hpolyhedron,
-                                   remove_redundant, sorted_unique)
+                                   remove_redundant, sorted_unique, v_to_h)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -402,6 +404,50 @@ def fm_project(p: HPolyhedron, keep: Sequence[int]) -> HPolyhedron:
             continue
         out.append(Inequality(normal, q.rhs))
     return lp_remove_redundant(HPolyhedron(len(keep), sorted_unique(out)))
+
+
+# ---------------------------------------------------------------------------
+# H to V and projection through it (the references for polyhedron.h_to_v
+# and polyhedron.fourier_motzkin_project, which read the DD generators on
+# the kept coordinates instead of restricting h_to_v's Fraction rays)
+
+
+def round_trip_h_to_v(p: HPolyhedron) -> VPolyhedron:
+    """Exact V-representation via double description of the homogenization.
+    Empty input gives empty vertex and ray lists; lines come back as
+    opposite ray pairs."""
+    if p.n < 1:
+        raise ContractViolation("ambient dimension must be at least 1")
+    lines, rays, _, _ = p._dd
+    vertices = {tuple(Fraction(a, r[-1]) for a in r[:-1]) for r in rays if r[-1] > 0}
+    if not vertices:
+        return VPolyhedron(p.n, (), ())
+    # a primitive generator with t = 0 is primitive on x alone
+    directions = {r[:-1] for r in rays if r[-1] == 0}
+    for l in lines:
+        directions.update((l[:-1], tuple(-a for a in l[:-1])))
+    return VPolyhedron(p.n, tuple(sorted(vertices)),
+                       tuple(tuple(map(Fraction, d)) for d in sorted(directions)))
+
+
+def round_trip_project(p: HPolyhedron, keep: Sequence[int]) -> HPolyhedron:
+    """Restrict round_trip_h_to_v's vertices and rays to ``keep``, make
+    each ray primitive again, and convert back with v_to_h.  Lines arrive
+    as opposite ray pairs; rays that restrict to zero drop out.  An empty
+    p gives ``empty_hpolyhedron(len(keep))``."""
+    keep = sorted(set(keep))
+    if not keep:
+        raise ContractViolation("projection needs a nonempty index set")
+    if keep[0] < 0 or keep[-1] >= p.n:
+        raise ContractViolation(f"projection indices out of range for R^{p.n}")
+
+    v = round_trip_h_to_v(p)
+    if v.is_empty:
+        return empty_hpolyhedron(len(keep))
+    vertices = {tuple(x[j] for j in keep) for x in v.vertices}
+    rays = {primitive(tuple(r[j] for j in keep)) for r in v.rays}
+    rays.discard(linalg.zeros(len(keep)))
+    return v_to_h(VPolyhedron(len(keep), tuple(sorted(vertices)), tuple(sorted(rays))))
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,8 @@ from oracles import (add, brute_force_vertices, dd_rows_zero_normal_skip, fm_pro
                      fraction_format_ge, fraction_format_le, generator_rank_dimension,
                      lp_dimension, lp_is_empty, lp_is_facet_defining, lp_is_subset,
                      lp_remove_redundant, lp_same_point_set, lp_v_to_h,
-                     point_has_extension, rank_remove_redundant, rational_grid, scale,
-                     three_solve_implication)
+                     point_has_extension, rank_remove_redundant, rational_grid,
+                     round_trip_h_to_v, round_trip_project, scale, three_solve_implication)
 
 V = linalg.vector
 
@@ -805,6 +805,17 @@ def test_projection_matches_fourier_motzkin_reference(case):
 # the segment from (0, 0, 0) to (1, 1, 0)
 FLAT_SEGMENT = HPolyhedron(3, (ineq([1, -1, 0], 0), ineq([-1, 1, 0], 0), ge([1, 0, 0], 0),
                                ineq([1, 0, 0], 1), ineq([0, 0, 1], 0), ge([0, 0, 1], 0)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(projections())
+@example((FLAT_SEGMENT, (0, 1)))
+def test_generator_reader_matches_the_round_trip_reference(case):
+    # exact equality, the order of generators and rows included, where
+    # the projection tests above compare flat results as point sets
+    p, keep = case
+    assert h_to_v(p) == round_trip_h_to_v(p)
+    assert fourier_motzkin_project(p, keep) == round_trip_project(p, keep)
 
 
 def test_projection_named_examples():

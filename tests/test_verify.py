@@ -1,9 +1,13 @@
 """Verification suites: deterministic seeding, failure reporting."""
 
 import os
+from fractions import Fraction as F
 
+from closurelab import linalg, verify
+from closurelab.covering import CoveringInstance
 from closurelab.verify import (
     SuiteReport,
+    brute_force_minimal_points,
     run_suite,
     suite_aggregation,
     suite_cone,
@@ -42,3 +46,18 @@ def test_run_suite_all():
         assert names == ["farkas", "aggregation"]
     else:
         assert [r.name for r in reports] == ["farkas", "cone", "covering", "aggregation"]
+
+
+def test_covering_oracle_tests_the_int_rows(monkeypatch):
+    # the box scan reads q.rows in ints: no Fraction vector per box point
+    def refuse(*args, **kwargs):
+        raise AssertionError("the covering oracle built a Fraction vector")
+
+    q = CoveringInstance(([F(2, 3), 1], [0, F(1, 2)]), (F(5, 3), F(1, 2)))
+    with monkeypatch.context() as m:
+        m.setattr(verify.linalg, "vector", refuse)
+        m.setattr(linalg, "dot", refuse)
+        points = brute_force_minimal_points(q)
+        report = suite_covering(3, count=10)
+    assert points == ((F(0), F(2)), (F(1), F(1)))
+    assert report.passed and report.checks == 80
