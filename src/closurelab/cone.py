@@ -11,8 +11,8 @@ on the distinct rows, with (0, ..., 0, 1) appended where needed.
 Each cone keeps its closure system, built on the first query, and the
 system keeps its double description (DD), so the queries on one cone
 share that DD.  Extreme rays and pointedness come from the zero sets of
-the polar cone's DD (for a cone holding (0, ..., 0, 1), the ones kept
-with the closure system's DD), so ``extreme_rays`` and
+the polar cone's DD (for a cone holding (0, ..., 0, 1), that DD is the
+closure system's own, read as it stands), so ``extreme_rays`` and
 ``check_theorem1`` solve no LP on a pointed cone and make no Fraction.
 Exact LPs remain where a certificate is printed: a line, a strict
 support, validity multipliers, a violating point.
@@ -50,6 +50,7 @@ from .polyhedron import (
     Inequality,
     IntRows,
     _from_row,
+    _unit_row,
     _zero_set,
     check_implication,
     dd_cone,
@@ -233,10 +234,6 @@ def is_pointed(k: GeneratedCone) -> Pointedness:
     return Pointedness(False, line_witness=witness)
 
 
-def _unit_row(d: int) -> tuple[int, ...]:
-    return (0,) * (d - 1) + (1,)
-
-
 def _with_unit_row(rows: IntRows) -> IntRows:
     """rows, with (0, ..., 0, 1) appended when missing."""
     unit = _unit_row(len(rows[0]))
@@ -247,18 +244,15 @@ def _polar_zero_sets(rows: IntRows, system: HPolyhedron | None) -> tuple[int, li
     """The zero set of every row, in order, on the rays of the polar cone
     {y : g.y <= 0 for every row g}, and the set of all those rays.
     ``system`` is the rows' closure system when they hold unit-last, else
-    None.  Then the polar is its homogenization with t = -y_last: the
-    polar ray (r, -t) gives a row (a, b) the zero set that the DD ray
-    (r, t) gives the homogenized row (a, -b), and unit-last the one of
-    -t <= 0.  So those zero sets are read from the system's DD; other row
-    sets take one dd_cone."""
+    None.  Then the system's DD is that polar, of the system's rows and
+    unit-last, so the zero sets are read from it; other row sets take
+    one dd_cone."""
     d = len(rows[0])
     if system is None:
         rays = dd_cone(rows, d)[1]
         return (1 << len(rays)) - 1, [_zero_set(g, rays) for g in rows]
     _, rays, zero_sets, _ = system._dd
-    of = {q.row: z for q, z in zip(system.inequalities, zero_sets)}
-    of[_unit_row(d)] = zero_sets[-1]
+    of = dict(zip((*(q.row for q in system.inequalities), _unit_row(d)), zero_sets))
     return (1 << len(rays)) - 1, [of[g] for g in rows]
 
 

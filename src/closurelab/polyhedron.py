@@ -6,8 +6,8 @@ inequalities are the same exactly when their coprime-integer canonical
 forms coincide, which identifies them up to positive scaling without
 ever leaving the rationals.  ``HPolyhedron`` is a finite intersection of
 half-spaces, ``VPolyhedron`` is conv(vertices) + cone(rays); conversion
-both ways runs the double description method on the homogenization,
-entirely in exact arithmetic.  Empty polyhedra are ordinary values.
+both ways runs the double description method on a polar cone, entirely
+in exact arithmetic.  Empty polyhedra are ordinary values.
 
 ``dd_cone`` takes and returns primitive integer rows, and an
 ``Inequality`` stores one: its primitive row, plus the positive scale
@@ -16,18 +16,19 @@ library makes).  Identity, hashing and sorting read the row; ``normal``,
 ``rhs`` and ``stacked()`` are Fraction views made on read, so a facet
 that ``v_to_h`` reads off a DD row makes no Fraction until it is used.
 
-Each ``HPolyhedron`` keeps one double description (DD) of its
-homogenization, built on the first query that needs it.  It gives the
-polyhedron's emptiness, dimension and vertices, and the facets of a
-full-dimensional one.  It holds each homogenized row's zero set,
-computed once, and the dimension: n minus the rank of the rows tight at
-every ray, the implicit equalities, a list that is usually empty.  The
-facets are read from the same zero sets with no rank.  One reader
-takes its vertices and rays on a set of coordinates: ``h_to_v`` on all,
-projection on the kept ones, then ``v_to_h``.  The same generators
-decide containment (``is_subset``, ``same_point_set``, validity, the
-flat redundancy scan); an LP remains only where a certificate is
-returned (``check_implication``, on the int rows).
+Each ``HPolyhedron`` keeps one double description (DD), built on the
+first query that needs it: the polar of the cone its rows and
+(0, ..., 0, 1) span, where a point x is the ray (x, -1) as in
+``v_to_h``.  It gives the polyhedron's emptiness, dimension and
+vertices, and the facets of a full-dimensional one.  It holds each
+row's zero set, computed once, and the dimension: n minus the rank of
+the rows tight at every ray, the implicit equalities, a list that is
+usually empty.  The facets are read from the same zero sets with no
+rank.  One reader takes its vertices and rays on a set of coordinates:
+``h_to_v`` on all, projection on the kept ones, then ``v_to_h``.  The
+same generators decide containment (``is_subset``, ``same_point_set``,
+validity, the flat redundancy scan); an LP remains only where a
+certificate is returned (``check_implication``, on the int rows).
 
 A full-dimensional polyhedron has one irredundant system up to positive
 scaling of rows: its facets (Schrijver 1986, section 8.4).  So for such
@@ -143,33 +144,34 @@ class HPolyhedron:
 
     @property
     def is_empty(self) -> bool:
-        """True when no ray of the homogenization has t > 0."""
+        """True when no ray of the DD has a negative last entry."""
         return self._dd.dim < 0
 
     @cached_property
-    def _dd(self) -> _HomogenizedDD:
-        """dd_cone of the homogenization C = {(x, t) : normal.x - rhs.t <= 0,
-        t >= 0}, each homogenized row's zero set, and the dimension of p
-        (this polyhedron); built on the first query and kept with p,
-        outside ==, hash and repr.  The row -t <= 0 forces t = 0 on every
-        line, so p is empty (dimension -1) exactly when no ray has t > 0.
-        Otherwise C is the closed cone over p x {1}, so a row is tight on
-        all of C, that is at every ray (every line is tight at every row),
+    def _dd(self) -> _PolarDD:
+        """dd_cone of C = {y : g.y <= 0} for p's rows g = (normal, rhs) and
+        (0, ..., 0, 1), each of those rows' zero sets, and the dimension
+        of p (this polyhedron); built on the first query and kept with p,
+        outside ==, hash and repr.  C is the polar of the cone the rows
+        span: p's cone of valid inequalities (Schrijver 1986, Cor. 7.1h)
+        when p is nonempty.  The last row forces t = 0 on every line, t
+        the last entry, so p is empty (dimension -1) exactly when no ray
+        has t < 0.  Otherwise C is the closed cone over p x {-1}, so a
+        row is tight at every ray (every line is tight at every row)
         exactly when it is an implicit equality of p, and dim p = n -
-        rank(implicit equalities) (Schrijver 1986, section 8.2).  That
-        rank is taken on the rows (normal, -rhs): the equalities hold on
-        p, so the right-hand sides add no rank."""
-        rows = [_homogenized_row(q) for q in self.inequalities]
-        rows.append(_t_row(self.n))
+        rank(implicit equalities) (Schrijver 1986, section 8.2); they hold
+        on p, so their right-hand sides add no rank."""
+        rows = [q.row for q in self.inequalities]
+        rows.append(_unit_row(self.n + 1))
         lines, rays = dd_cone(rows, self.n + 1)
         if any(l[-1] != 0 for l in lines):
-            raise InternalInvariantError("homogenization admits a line with t != 0")
+            raise InternalInvariantError("polar cone admits a line with t != 0")
         zero_sets = tuple(_zero_set(r, rays) for r in rows)
-        if all(r[-1] <= 0 for r in rays):
-            return _HomogenizedDD(lines, rays, zero_sets, -1)
+        if all(r[-1] >= 0 for r in rays):
+            return _PolarDD(lines, rays, zero_sets, -1)
         every = (1 << len(rays)) - 1
         equalities = [r for r, z in zip(rows, zero_sets) if z == every]
-        return _HomogenizedDD(lines, rays, zero_sets, self.n - linalg.rank(equalities))
+        return _PolarDD(lines, rays, zero_sets, self.n - linalg.rank(equalities))
 
 
 @dataclass(frozen=True)
@@ -297,27 +299,21 @@ def dd_cone(rows: Sequence[Sequence[int]], dim: int) -> tuple[IntRows, IntRows]:
 # conversions
 
 
-class _HomogenizedDD(NamedTuple):
+class _PolarDD(NamedTuple):
     lines: IntRows
     rays: IntRows
-    # per homogenized row (p's rows in order, then -t <= 0): the rays it is tight at
+    # per row (p's rows in order, then (0, ..., 0, 1)): the rays it is tight at
     zero_sets: tuple[int, ...]
     dim: int
 
 
-def _t_row(n: int) -> tuple[int, ...]:
-    """The homogenization's row -t <= 0."""
-    return (0,) * n + (-1,)
-
-
-def _homogenized_row(q: Inequality) -> tuple[int, ...]:
-    """The primitive integer row (normal, -rhs)."""
-    *normal, rhs = q.row
-    return (*normal, -rhs)
+def _unit_row(d: int) -> tuple[int, ...]:
+    """(0, ..., 0, 1) in Z^d: the valid inequality 0.x <= 1."""
+    return (0,) * (d - 1) + (1,)
 
 
 def h_to_v(p: HPolyhedron) -> VPolyhedron:
-    """Exact V-representation via double description of the homogenization.
+    """Exact V-representation via the double description p keeps.
     Empty input gives empty vertex and ray lists; lines come back as
     opposite ray pairs."""
     if p.n < 1:
@@ -330,7 +326,7 @@ def _generators(p: HPolyhedron, keep: Sequence[int]) -> VPolyhedron:
     ``keep``, sorted and deduplicated; lines come as opposite ray pairs,
     and rays that restrict to zero drop out."""
     lines, rays, _, _ = p._dd
-    vertices = {tuple(Fraction(r[j], r[-1]) for j in keep) for r in rays if r[-1] > 0}
+    vertices = {tuple(Fraction(r[j], -r[-1]) for j in keep) for r in rays if r[-1] < 0}
     if not vertices:
         return VPolyhedron(len(keep), (), ())
     # the rays with t = 0 and both senses of each line, primitive on keep
@@ -389,8 +385,9 @@ def _zero_set(row: Sequence[int], rays: IntRows) -> int:
 
 
 def _holds(lines: IntRows, rays: IntRows, row: Sequence[int]) -> bool:
-    """Does a.x <= b, as the row (a, -b), hold on a nonempty P given by the
-    DD of its homogenization?  That is the closed cone over P x {1}."""
+    """Does a.x <= b hold on a nonempty P given by its DD?  Exactly when
+    its row (a, b) lies in the polar of that DD: P's cone of valid
+    inequalities, which is finitely generated and so closed."""
     return all(int_dot(row, g) <= 0 for g in rays) and not any(int_dot(row, l) for l in lines)
 
 
@@ -399,9 +396,9 @@ def remove_redundant(p: HPolyhedron) -> HPolyhedron:
     inconsistent input is returned unchanged.
 
     A full-dimensional p keeps the last copy of each facet, read off the
-    zero sets kept with the DD of its homogenization C, with no rank.
-    Each homogenized row, and the row -t <= 0, has a zero set: the rays
-    of C it is tight at (every line is tight at every row).  C is
+    zero sets kept with its DD, of the cone C over p x {-1}, with no rank.
+    Each row, and (0, ..., 0, 1), has a zero set: the rays of C it is
+    tight at (every line is tight at every row).  C is
     full-dimensional, so a row tight at every ray is zero (0.x <= 0) and
     cuts no face; any other row cuts the proper face spanned by the lines
     and its zero set.  The facets are the maximal proper faces, and every
@@ -411,12 +408,12 @@ def remove_redundant(p: HPolyhedron) -> HPolyhedron:
     system: each row in turn is dropped if it holds on the others (a
     nonempty superset of p), read from a throwaway DD.  When no row is
     dropped the answer is p itself, which keeps its DD."""
-    _, rays, (*zs, t_face), dim = p._dd
+    _, rays, (*zs, unit_face), dim = p._dd
     if dim < 0:
         return p
     if dim == p.n:
         every = (1 << len(rays)) - 1
-        faces = {z for z in zs if z != every} | {t_face}
+        faces = {z for z in zs if z != every} | {unit_face}
         facets = {z for z in faces if not any(z != f and z & f == z for f in faces)}
         last = {q: i for i, q in enumerate(p.inequalities)}
         kept = [q for i, (q, z) in enumerate(zip(p.inequalities, zs))
@@ -425,8 +422,8 @@ def remove_redundant(p: HPolyhedron) -> HPolyhedron:
         kept = list(p.inequalities)
         i = 0
         while i < len(kept):
-            others = [_homogenized_row(q) for q in kept[:i] + kept[i + 1:]]
-            if _holds(*dd_cone(others + [_t_row(p.n)], p.n + 1), _homogenized_row(kept[i])):
+            others = [q.row for q in kept[:i] + kept[i + 1:]]
+            if _holds(*dd_cone(others + [_unit_row(p.n + 1)], p.n + 1), kept[i].row):
                 kept.pop(i)
             else:
                 i += 1
@@ -438,7 +435,7 @@ def is_subset(p: HPolyhedron, q: HPolyhedron) -> bool:
     if p.n != q.n:
         raise ContractViolation("cannot compare polyhedra of different dimension")
     lines, rays, _, dim = p._dd
-    return dim < 0 or all(_holds(lines, rays, _homogenized_row(t)) for t in q.inequalities)
+    return dim < 0 or all(_holds(lines, rays, t.row) for t in q.inequalities)
 
 
 @dataclass(frozen=True)

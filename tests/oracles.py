@@ -270,11 +270,18 @@ def lp_dimension(p: HPolyhedron) -> int:
     return p.n - linalg.rank(tight_rows)
 
 
+def homogenization_dd(p: HPolyhedron):
+    """dd_cone of the homogenization {(x, t) : a.x - b.t <= 0, t >= 0}: the
+    rows (a, -b), then -t <= 0.  A point x is the ray (x, 1) here, where
+    the DD that p keeps reads it as (x, -1)."""
+    rows = [(*q.row[:-1], -q.row[-1]) for q in p.inequalities] + [(0,) * p.n + (-1,)]
+    return dd_cone(rows, p.n + 1)
+
+
 def generator_rank_dimension(p: HPolyhedron) -> int:
     """dim p as the rank of the homogenization's DD lines and rays minus
     1, from a DD of its own; -1 when no ray has t > 0."""
-    rows = [(*q.row[:-1], -q.row[-1]) for q in p.inequalities] + [(0,) * p.n + (-1,)]
-    lines, rays = dd_cone(rows, p.n + 1)
+    lines, rays = homogenization_dd(p)
     if all(r[-1] <= 0 for r in rays):
         return -1
     return linalg.rank(lines + rays) - 1
@@ -413,12 +420,12 @@ def fm_project(p: HPolyhedron, keep: Sequence[int]) -> HPolyhedron:
 
 
 def round_trip_h_to_v(p: HPolyhedron) -> VPolyhedron:
-    """Exact V-representation via double description of the homogenization.
-    Empty input gives empty vertex and ray lists; lines come back as
-    opposite ray pairs."""
+    """Exact V-representation via double description of the homogenization,
+    made here rather than read from the DD that p keeps.  Empty input gives
+    empty vertex and ray lists; lines come back as opposite ray pairs."""
     if p.n < 1:
         raise ContractViolation("ambient dimension must be at least 1")
-    lines, rays, _, _ = p._dd
+    lines, rays = homogenization_dd(p)
     vertices = {tuple(Fraction(a, r[-1]) for a in r[:-1]) for r in rays if r[-1] > 0}
     if not vertices:
         return VPolyhedron(p.n, (), ())

@@ -1,6 +1,7 @@
 """Pinned `cone` subcommand output: exit code and digests of stdout and
 stderr for rays, pointed, closure, theorem1 and fii on the shipped cone
-instances and on seeded pointed, tilted and line cones.
+instances, on seeded pointed, tilted and line cones, and on three
+hand-written cones whose closures are empty or flat.
 
 The benchmark pool runs only `cone theorem1` on pointed cones, so these
 digests are what holds the other subcommands, and the line-cone error
@@ -25,6 +26,17 @@ from closurelab.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().parent / "data" / "cone_cli_digests.json"
 SEEDS = range(30)
+
+# Closures no shipped or seeded cone reaches.  They are defined here, not
+# in instances/, because test_closure_cli_pinned runs every file there.
+HAND_WRITTEN = {
+    # 0.x <= -1 is a generator, so the cone has no closure system
+    "no_system": [(0, 0, -1), (1, 0, 1)],
+    # x1 <= -1 and x1 >= 0: an inconsistent closure system
+    "inconsistent_system": [(1, 0, -1), (-1, 0, 0), (0, 1, 1)],
+    # x1 = 0 and x2 <= 1, with the implied x1 + x2 <= 2
+    "flat_closure": [(1, 0, 0), (-1, 0, 0), (0, 1, 1), (1, 1, 2), (0, 0, 1)],
+}
 
 
 def _cone(seed: int) -> tuple[str, list[tuple[int, ...]]]:
@@ -82,6 +94,8 @@ def _cases(workdir: Path):
     for seed in SEEDS:
         style, gens = _cone(seed)
         files[f"seed{seed:02d}-{style}"] = _cone_file(gens)
+    for name, gens in HAND_WRITTEN.items():
+        files[name] = _cone_file(gens)
     for name, text in files.items():
         path = workdir / f"{name}.txt"
         path.write_text(text, encoding="utf-8")

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a closurelab module imports is used there."""
+"""Source hygiene: every name a closurelab module imports is used there,
+and every private name a module defines is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -7,8 +8,8 @@ import pytest
 
 import closurelab
 
-MODULES = sorted(p for p in Path(closurelab.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+SOURCES = sorted(Path(closurelab.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -36,7 +37,21 @@ def _used(tree: ast.Module) -> set[str]:
             annotations.append(node.annotation)
     trees = [tree] + [ast.parse(a.value, mode="eval") for a in annotations
                       if isinstance(a, ast.Constant) and isinstance(a.value, str)]
-    return {n.id for t in trees for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {n.id for t in trees for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Single-underscore names the module binds at top level, with their lines."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+    return {name: line for name, line in out.items()
+            if name.startswith("_") and not name.startswith("__")}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -45,3 +60,16 @@ def test_every_top_level_import_is_used(path):
     used = _used(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert unused == {}
+
+
+def test_every_private_name_is_read_in_the_package():
+    # a helper nothing in src reads is dead code, or code only the tests
+    # call, which belongs in tests/oracles.py
+    trees = {p.name: ast.parse(p.read_text()) for p in SOURCES}
+    read = set()
+    for tree in trees.values():
+        read |= _used(tree)
+        read.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+    unread = {f"{name}:{line}": defined for name, tree in trees.items()
+              for defined, line in _private_definitions(tree).items() if defined not in read}
+    assert unread == {}

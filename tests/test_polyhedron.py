@@ -39,8 +39,8 @@ from closurelab.polyhedron import (
 
 from oracles import (add, brute_force_vertices, dd_rows_zero_normal_skip, fm_project,
                      fraction_format_ge, fraction_format_le, generator_rank_dimension,
-                     lp_dimension, lp_is_empty, lp_is_facet_defining, lp_is_subset,
-                     lp_remove_redundant, lp_same_point_set, lp_v_to_h,
+                     homogenization_dd, lp_dimension, lp_is_empty, lp_is_facet_defining,
+                     lp_is_subset, lp_remove_redundant, lp_same_point_set, lp_v_to_h,
                      point_has_extension, rank_remove_redundant, rational_grid,
                      round_trip_h_to_v, round_trip_project, scale, three_solve_implication)
 
@@ -431,12 +431,11 @@ def test_zero_set_facets_match_rank_facet_test(p):
 @example(POINT_IN_R1)
 @example(ZERO_ROW_FACE)
 def test_cached_zero_sets_give_the_generator_rank_dimension(p):
-    # one zero set per homogenized row (p's rows, then -t <= 0); the rows
+    # one zero set per polar row (p's rows, then (0, ..., 0, 1)); the rows
     # tight at every ray are the implicit equalities that fix the dimension
     _, rays, zero_sets, dim = p._dd
     assert dim == dimension(p) == generator_rank_dimension(p)
-    rows = [polyhedron._homogenized_row(q) for q in p.inequalities]
-    rows.append(polyhedron._t_row(p.n))
+    rows = [q.row for q in p.inequalities] + [polyhedron._unit_row(p.n + 1)]
     assert zero_sets == tuple(polyhedron._zero_set(r, rays) for r in rows)
 
 
@@ -816,6 +815,21 @@ def test_generator_reader_matches_the_round_trip_reference(case):
     p, keep = case
     assert h_to_v(p) == round_trip_h_to_v(p)
     assert fourier_motzkin_project(p, keep) == round_trip_project(p, keep)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(h_polyhedra())
+@example(POINT_IN_R1)
+@example(ZERO_ROW_FACE)
+@example(FLAT_SEGMENT)
+@example(empty_hpolyhedron(3))
+def test_kept_dd_is_the_homogenization_dd_with_t_negated(p):
+    # the polar of p's rows and (0, ..., 0, 1) is the homogenization
+    # {(x, t) : a.x - b.t <= 0, t >= 0} with its last coordinate negated,
+    # and dd_cone's choices commute with that map, ray for ray
+    lines, rays = homogenization_dd(p)
+    assert p._dd.lines == lines
+    assert p._dd.rays == tuple(sorted((*r[:-1], -r[-1]) for r in rays))
 
 
 def test_projection_named_examples():
