@@ -234,12 +234,9 @@ def closure_approx(q: CoveringInstance, k: int, density: int) -> ClosureApprox:
     samples = sample_multipliers(q.m, k, density)
     built: dict[IntRows, tuple[CoveringInstance, HPolyhedron]] = {}
     by_points: dict[IntRows, HPolyhedron] = {}
-    # P_I: a density-D sample holding every unit row (k >= m) has exactly
-    # q's integer points, so its hull is P_I; otherwise q's own rows, the
-    # unit multipliers in grid order, are aggregated and hulled
-    units = multiplier_rows(q.m, 1)
-    own = (next(s for s in samples if set(units).issubset(s.multipliers)) if k >= q.m
-           else AggregationSample._of_rows(units))
+    # P_I is the hull of q's own rows, the unit multipliers in grid order;
+    # a sample holding every unit row has q's minimal points and shares it
+    own = AggregationSample._of_rows(multiplier_rows(q.m, 1))
     [p_i] = _hulls_for(q, [own], built, by_points)
     uncovered = set(p_i.hull.inequalities)
     hulls = []

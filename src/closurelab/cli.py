@@ -46,14 +46,17 @@ CONE_SUBCOMMANDS = ("rays", "pointed", "closure", "theorem1", "fii")
 
 
 class _Doc:
-    """Accumulates one report as both text lines and a JSON object."""
+    """Accumulates one report as both text lines and a JSON object; a bool
+    field is written true/false in the text unless ``text`` is given."""
 
     def __init__(self, command: str, seed: int):
         self.lines = [f"command: {command}", f"version: {__version__}", f"seed: {seed}"]
         self.data = {"command": command, "version": __version__, "seed": seed}
 
     def field(self, key: str, value, text=None):
-        self.lines.append(f"{key}: {value if text is None else text}")
+        if text is None:
+            text = str(value).lower() if isinstance(value, bool) else value
+        self.lines.append(f"{key}: {text}")
         self.data[key.replace("-", "_")] = value
 
     def block(self, key: str, entries: list[str]):
@@ -65,10 +68,6 @@ class _Doc:
         if fmt == "structured":
             return json.dumps(self.data, sort_keys=True) + "\n"
         return "\n".join(self.lines) + "\n"
-
-
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
 
 
 def _load(path: str, expected_kind: str | None = None) -> InstanceFile:
@@ -117,7 +116,7 @@ def cmd_closure(args) -> tuple[str, int]:
     doc.field("k", args.k)
     doc.field("density", args.density)
     doc.field("samples", len(ca.samples_used))
-    doc.field("stabilized", ca.stabilized, text=_bool(ca.stabilized))
+    doc.field("stabilized", ca.stabilized)
     entries = []
     for cut in cuts:
         label = cut.label if cut.sample is None else f"{cut.label} {cut.sample.describe()}"
@@ -133,54 +132,42 @@ def cmd_cone(args) -> tuple[str, int]:
     sub = args.subcommand
     doc = _Doc(f"cone {sub}", args.seed)
     doc.field("n", cone.n)
-
+    code = EXIT_OK
     if sub == "rays":
         rays = extreme_rays(cone)  # NotPointedError -> exit 4 with witness
         doc.block("rays", [linalg.format_vector(r) for r in rays.int_rays])
-        return doc.render(args.format), EXIT_OK
-
-    if sub == "pointed":
+    elif sub == "pointed":
         pt = is_pointed(cone)
-        doc.field("pointed", pt.pointed, text=_bool(pt.pointed))
+        doc.field("pointed", pt.pointed)
         if pt.pointed:
             doc.field("support", linalg.format_vector(pt.support))
         else:
             doc.field("line", linalg.format_vector(pt.line_witness))
-        return doc.render(args.format), EXIT_OK
-
-    if sub == "closure":
+    elif sub == "closure":
         closure = closure_of(cone)
-        doc.field("unit-last-added", not cone.has_unit_last,
-                  text=_bool(not cone.has_unit_last))
-        doc.field("empty", closure.is_empty, text=_bool(closure.is_empty))
+        doc.field("unit-last-added", not cone.has_unit_last)
+        doc.field("empty", closure.is_empty)
         doc.block("inequalities", [format_le(q) for q in closure.inequalities])
-        return doc.render(args.format), EXIT_OK
-
-    if sub == "theorem1":
+    elif sub == "theorem1":
         rep = check_theorem1(cone)
         doc.field("result", "PASS" if rep.passed else "FAIL")
-        doc.field("pointed", rep.pointed, text=_bool(rep.pointed))
+        doc.field("pointed", rep.pointed)
         doc.block("extreme-rays", [linalg.format_vector(r) for r in rep.extreme_rows])
-        doc.field("rays-are-generators", rep.rays_are_generators,
-                  text=_bool(rep.rays_are_generators))
-        doc.field("rebuilt-closure-equal", rep.rebuilt_equals_closure,
-                  text=_bool(rep.rebuilt_equals_closure))
-        doc.field("unit-last-added", rep.added_unit_last, text=_bool(rep.added_unit_last))
+        doc.field("rays-are-generators", rep.rays_are_generators)
+        doc.field("rebuilt-closure-equal", rep.rebuilt_equals_closure)
+        doc.field("unit-last-added", rep.added_unit_last)
         if rep.detail:
             doc.field("detail", rep.detail)
-        return doc.render(args.format), EXIT_OK if rep.passed else EXIT_INTERNAL
-
-    if args.inequality is None:
-        raise ParseError("fii needs an inequality argument, e.g. \"x1 + x2 <= 2\"")
-    target = parse_inequality(args.inequality, cone.n)
-    rep = fii_check(cone, target)
-    doc.field("inequality", args.inequality.strip())
-    if rep.is_fii:
-        doc.field("result", "FII")
+        code = EXIT_OK if rep.passed else EXIT_INTERNAL
     else:
-        doc.field("result",
+        if args.inequality is None:
+            raise ParseError("fii needs an inequality argument, e.g. \"x1 + x2 <= 2\"")
+        target = parse_inequality(args.inequality, cone.n)
+        rep = fii_check(cone, target)
+        doc.field("inequality", args.inequality.strip())
+        doc.field("result", "FII" if rep.is_fii else
                   f"NOT FII (multipliers: {linalg.format_vector(rep.multipliers)})")
-    return doc.render(args.format), EXIT_OK
+    return doc.render(args.format), code
 
 
 def cmd_verify(args) -> tuple[str, int]:

@@ -57,7 +57,6 @@ from .polyhedron import (
     empty_hpolyhedron,
     dimension,
     remove_redundant,
-    sorted_unique,
 )
 
 
@@ -116,14 +115,14 @@ class GeneratedCone:
     @cached_property
     def _system(self) -> HPolyhedron | None:
         """The closure system whose DD all cone queries read, built on the
-        first query and kept with the cone: the rows as alpha.x <= beta
-        (a primitive row is its inequality's canonical form), skipping
+        first query and kept with the cone: the distinct rows, sorted, as
+        alpha.x <= beta (each primitive row is already canonical), skipping
         0.x <= b >= 0, unit-last among them.  None if some row is
         0.x <= b < 0."""
         rows = self._rows
         if any(not any(g[:-1]) and g[-1] < 0 for g in rows):
             return None
-        return HPolyhedron(self.n, sorted_unique(_from_row(g) for g in rows if any(g[:-1])))
+        return HPolyhedron(self.n, tuple(map(_from_row, sorted(g for g in rows if any(g[:-1])))))
 
     def unit_last(self) -> Vector:
         return linalg.unit(self.dim, self.n)

@@ -18,8 +18,8 @@ from typing import Callable
 from . import linalg
 from .linalg import Vector, int_dot
 from .lp import LpStatus, solve_lp
-from .polyhedron import dimension, h_to_v, is_subset
-from .cone import GeneratedCone, _unit_row, check_theorem1, closure_of, is_pointed
+from .polyhedron import _unit_row, dimension, h_to_v, is_subset
+from .cone import GeneratedCone, check_theorem1, closure_of, is_pointed
 from .covering import (
     CoveringInstance,
     dominates,

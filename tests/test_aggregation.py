@@ -213,18 +213,22 @@ def test_closure_builds_one_hull_per_aggregated_instance(counted):
         assert set(hulled) == set(map(minimal_integer_points, built))
 
 
-def test_closure_reads_p_i_from_a_sample_holding_every_unit_row(counted):
-    """At k > m and density >= 2 a density-D sample holds both unit rows:
-    its aggregated instance has exactly q's integer points, so its hull
-    is P_I and q's own instance is not scanned or hulled again.  That
-    sample comes first in grid order and its hull covers P_I, so no other
-    instance is scanned."""
+def test_closure_hulls_p_i_from_q_and_shares_it_with_a_covering_sample(counted):
+    """At k > m and density >= 2 the first density-D sample holds every
+    unit row, so its aggregated instance has exactly q's integer points.
+    P_I is still read from q's own instance: both are scanned, their
+    minimal points are the same, and one hull serves both.  That hull
+    covers P_I, so no other instance is scanned."""
+    own = aggregate(TWO_ROW, AggregationSample(multiplier_rows(2, 1)))
     for density, samples in ((2, 1), (3, 10)):
         ca, built, hulled = _counted_closure(counted, TWO_ROW, 3, density)
-        assert len(built) == len(set(built)) == len(hulled) == len(ca.hulls) == 1
+        assert built[0] == own
+        assert built[1] == aggregate(TWO_ROW, ca.samples_used[0])
+        assert len(built) == len(set(built)) == 2
+        assert len(hulled) == len(ca.hulls) == 1
         assert len(ca.samples_used) == samples
+        assert ca.polyhedron == integer_hull(TWO_ROW)
         assert ca.stabilized == doubling_stabilized(TWO_ROW, 3, density)
-        assert aggregate(TWO_ROW, AggregationSample(multiplier_rows(2, 1))) not in built
 
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -1,7 +1,7 @@
 """Pinned `hull` and `closure` output: exit code and digests of stdout and
 stderr, in text and structured format, on the shipped instances, the
-3x3 instance at three (k, D) settings, seeded 3-variable covering
-instances and covering instances with rational entries.
+3x3 instance and four covering instances with rational entries at four
+(k, D) settings, and seeded 3-variable covering instances.
 
 The benchmark pools run only 2-variable integer closures and
 2-/3-variable integer hulls, so these digests are what holds 3-variable
@@ -38,8 +38,9 @@ NAMED = (
     ("rational-zero-column", ("0 3/2 1/4", "0 1/3 5/6"), "11/4 7/5"),
 )
 
-# (k, D) settings for closure on the named instances
-CLOSURE_SETTINGS = ((1, 2), (1, 4), (2, 2))
+# (k, D) settings for closure on the named instances; k = 3 is k > m on
+# the 2-row instances and k = m on the 3-row ones
+CLOSURE_SETTINGS = ((1, 2), (1, 4), (2, 2), (3, 2))
 
 
 def _covering_file(rows, demand) -> str:

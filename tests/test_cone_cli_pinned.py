@@ -1,7 +1,8 @@
 """Pinned `cone` subcommand output: exit code and digests of stdout and
 stderr for rays, pointed, closure, theorem1 and fii on the shipped cone
-instances, on seeded pointed, tilted and line cones, and on three
-hand-written cones whose closures are empty or flat.
+instances, on seeded pointed, tilted and line cones, and on five
+hand-written cones: three whose closures are empty or flat, one lacking
+(0, ..., 0, 1) and one with a redundant generator.
 
 The benchmark pool runs only `cone theorem1` on pointed cones, so these
 digests are what holds the other subcommands, and the line-cone error
@@ -27,8 +28,8 @@ ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().parent / "data" / "cone_cli_digests.json"
 SEEDS = range(30)
 
-# Closures no shipped or seeded cone reaches.  They are defined here, not
-# in instances/, because test_closure_cli_pinned runs every file there.
+# Cones no shipped or seeded cone stands in for.  They are defined here,
+# not in instances/, because test_closure_cli_pinned runs every file there.
 HAND_WRITTEN = {
     # 0.x <= -1 is a generator, so the cone has no closure system
     "no_system": [(0, 0, -1), (1, 0, 1)],
@@ -36,6 +37,10 @@ HAND_WRITTEN = {
     "inconsistent_system": [(1, 0, -1), (-1, 0, 0), (0, 1, 1)],
     # x1 = 0 and x2 <= 1, with the implied x1 + x2 <= 2
     "flat_closure": [(1, 0, 0), (-1, 0, 0), (0, 1, 1), (1, 1, 2), (0, 0, 1)],
+    # lacks (0, 0, 1): rays run a DD of their own, theorem1 adds it
+    "no_unit_last": [(1, 0, 0), (0, 1, 0), (1, 1, 0)],
+    # the unit square plus the redundant x1 + x2 <= 3
+    "redundant_generator": [(1, 0, 1), (0, 1, 1), (-1, 0, 0), (0, -1, 0), (0, 0, 1), (1, 1, 3)],
 }
 
 

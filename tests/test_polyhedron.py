@@ -177,7 +177,7 @@ def test_h_to_v_empty():
 
 
 def test_h_to_v_line_with_t_is_an_internal_error(monkeypatch):
-    # the row -t <= 0 forces t = 0 on every line of the homogenization,
+    # the row (0, ..., 0, 1) forces t = 0 on every line of the polar cone,
     # so a line with t != 0 can only come from a broken double description;
     # the polyhedron is built fresh, since SQUARE may already keep its DD
     monkeypatch.setattr(polyhedron, "dd_cone",
@@ -399,7 +399,7 @@ TWO_SCALINGS = HPolyhedron(2, (ineq([2, 0], 2), ineq([0, 1], 1), ineq([-1, 0], 0
 ZERO_NORMAL_ROW = HPolyhedron(2, SQUARE.inequalities[:2] + (ineq([0, 0], 3),)
                               + SQUARE.inequalities[2:])
 POINT_IN_R1 = HPolyhedron(1, (ineq([3], 2), ineq([-3], -2)))
-# 0.x <= 0 is tight at every ray of the homogenization; counted as a face,
+# 0.x <= 0 is tight at every ray of the polar cone; counted as a face,
 # it would contain the zero set of the facet x3 <= 1 and drop it
 ZERO_ROW_FACE = HPolyhedron(3, (ineq([0, 0, 0], 1), ineq([0, 0, 1], 1), ineq([0, 0, 0], 0)))
 
