@@ -23,8 +23,9 @@ the rays are selected from the generator rows.  ``check_theorem1``
 checks at runtime that the extreme rows cover every facet of the
 closure, and the pointedness/full-dimension equivalence.  Both sides are
 read from one DD's zero sets, so this guards the bookkeeping between
-``remove_redundant`` and ``_extreme_rows``; the LP-reference property
-tests are the independent check.
+``remove_redundant`` and ``_extreme_rows``; the independent checks are
+the LP-reference property tests and ``certified_extreme_rows``, which
+finds the extreme rows by membership LPs alone.
 """
 
 from __future__ import annotations
@@ -278,6 +279,18 @@ def extreme_rays(k: GeneratedCone) -> RaySet:
     """The extreme rays of cone(generators), each a generator up to
     positive scaling."""
     return RaySet(_extreme_rows(k._rows, k._system if k.has_unit_last else None))
+
+
+def certified_extreme_rows(k: GeneratedCone) -> IntRows:
+    """The extreme rows of a pointed cone(generators + unit-last), sorted
+    as ``check_theorem1`` reports them, from one membership LP per row and
+    no DD.  A distinct primitive row of a pointed cone spans an extreme ray
+    exactly when it is not in the cone of the other rows; each answer,
+    separator or multipliers, is substitution-checked by
+    ``cone_membership``."""
+    rows = _with_unit_row(k._rows)
+    return tuple(sorted(g for i, g in enumerate(rows)
+                        if not cone_membership(rows[:i] + rows[i + 1:], g).member))
 
 
 def closure_of(k: GeneratedCone) -> HPolyhedron:

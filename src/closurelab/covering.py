@@ -18,12 +18,31 @@ minimal exactly when every predecessor x' - e_j with x'_j > 0 either
 fails a row with last coefficient 0 or has a larger t: in an
 upward-closed set a point is minimal exactly when no single unit step
 down stays feasible.  With t stored per prefix, that is an O(n) test.
+The scan takes the prefixes a run at a time, a run being the prefixes
+that differ only in x_{n-1}.  Along a run each row sum is an arithmetic
+progression in x_{n-1}, with nonnegative step: a row with last
+coefficient 0 fails on an initial stretch of the run and holds after
+it, and t is the max of 0 and one ceiling quotient of a ``range`` per
+row, taken for the whole run by ``map``.  The predecessor tests compare
+the run with itself shifted by one and with the stored run strides[j]
+prefixes back.
+
+The integer hull is conv(minimal points) + R^n_+, and ``hull()`` gives
+the double description the n unit rays (e_j, 0) first and then (p, -1)
+only for the points on a lower convex chain.  Within a run of the
+sorted points, the points that share x_1..x_{n-2}, x_{n-1} rises and
+x_n falls, and one monotone-chain pass (Andrew 1979) in the
+(x_{n-1}, x_n) plane drops every point b on or above the segment between
+two points a and c of its run.  That is exact: b = lambda a +
+(1 - lambda) c + mu e_n with 0 < lambda < 1 and mu >= 0, so the row
+(b, -1) is the same combination of (a, -1), (c, -1) and (e_n, 0), each
+drop keeps conv + R^n_+, and the polar cone, pointed, keeps its sorted
+primitive rays.
 
 Everything here stores ints and runs on them: a ``CoveringInstance``
 [M | d] times one common denominator, which the box and the scan read as
 it is (a positive scale keeps the feasible set), and a
-``MinimalPointSet`` its points, which ``hull()`` hands with the unit
-rays to the double description.  Their Fractions (``M``, ``d``,
+``MinimalPointSet`` its points.  Their Fractions (``M``, ``d``,
 ``points``) are views made on read.
 
 Every ``MinimalPointSet`` re-checks its antichain, the scan's output
@@ -42,8 +61,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import product
-from operator import and_, mul
+from itertools import chain, compress, groupby, product, repeat
+from operator import and_, floordiv, gt, itemgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import ContractViolation
@@ -76,11 +95,11 @@ class CoveringInstance:
             raise ContractViolation("a covering instance needs at least one variable")
         linalg.check_dim(demand, len(m_rows), "demand vector")
         for i, row in enumerate(m_rows):
-            for j, entry in enumerate(row):
-                if entry < 0:
-                    raise ContractViolation(
-                        f"covering data must be nonnegative: M[{i + 1}][{j + 1}] = {entry}",
-                        at=("M", i, j))
+            if min(row) < 0:
+                j = next(j for j, entry in enumerate(row) if entry < 0)
+                raise ContractViolation(
+                    f"covering data must be nonnegative: M[{i + 1}][{j + 1}] = {row[j]}",
+                    at=("M", i, j))
             if demand[i] < 0:
                 raise ContractViolation(
                     f"covering data must be nonnegative: d[{i + 1}] = {demand[i]}",
@@ -89,11 +108,12 @@ class CoveringInstance:
                 raise ContractViolation(
                     f"row {i + 1} demands {demand[i]} with all-zero coefficients; "
                     "the instance would be empty", at=("M", i))
-        width = len(m_rows[0]) + 1
-        flat, common = linalg.clear_denominators(
-            [a for row, di in zip(m_rows, demand) for a in row + (di,)])
-        object.__setattr__(self, "rows", tuple(
-            tuple(flat[i:i + width]) for i in range(0, len(flat), width)))
+        rows, common = tuple(map(tuple.__add__, m_rows, zip(demand))), 1
+        if set(map(type, chain.from_iterable(rows))) != {int}:
+            width = len(rows[0])
+            flat, common = linalg.clear_denominators(list(chain.from_iterable(rows)))
+            rows = tuple(tuple(flat[i:i + width]) for i in range(0, len(flat), width))
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "denominator", common)
 
     @property
@@ -173,13 +193,46 @@ class MinimalPointSet:
 
     def hull(self) -> HPolyhedron:
         """Irredundant H-representation of conv(points) + R^n_+; for the
-        minimal points of a covering instance this is its integer hull."""
+        minimal points of a covering instance this is its integer hull.
+
+        The double description gets the n unit rays (e_j, 0) first, then
+        (p, -1) only for the points that ``_lower_chains`` keeps.  Each
+        dropped point is a convex combination of two points of its run
+        plus mu e_n with mu >= 0, so its row lies in the cone of theirs and
+        (e_n, 0): the polar cone, which is pointed, and its sorted
+        primitive rays do not change."""
         if not self.int_points:
             raise ContractViolation("the hull of an empty point set is undefined")
         n = len(self.int_points[0])
-        rows = [p + (-1,) for p in self.int_points]
-        rows.extend(tuple(int(i == j) for i in range(n + 1)) for j in range(n))
+        rows = [tuple(int(i == j) for i in range(n + 1)) for j in range(n)]
+        rows.extend(p + (-1,) for p in _lower_chains(self.int_points))
         return _v_to_h_rows(n, rows)
+
+
+def _lower_chains(points: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The sorted antichain without the points that lie on or above the
+    segment between two others of their run: a maximal block of points
+    that share x_1..x_{n-2}.  One monotone-chain pass (Andrew 1979) per
+    run keeps its lower convex chain in the (x_{n-1}, x_n) plane.  Along a
+    run x_{n-1} rises and x_n falls, as in any antichain, so a point b
+    dropped between a and c is lambda a + (1 - lambda) c + mu e_n with
+    0 < lambda < 1 and mu >= 0."""
+    if len(points[0]) < 2:
+        return list(points)
+    kept: list[tuple[int, ...]] = []
+    for _, run in groupby(points, key=itemgetter(slice(-2))):
+        lower: list[tuple[int, ...]] = []
+        for c in run:
+            # drop b while it is on or above the segment from a to c: the
+            # turn a, b, c is clockwise or straight
+            while len(lower) > 1:
+                a, b = lower[-2], lower[-1]
+                if (b[-2] - a[-2]) * (c[-1] - a[-1]) > (b[-1] - a[-1]) * (c[-2] - a[-2]):
+                    break
+                lower.pop()
+            lower.append(c)
+        kept += lower
+    return kept
 
 
 def _natural(p: Sequence) -> tuple[int, ...] | None:
@@ -240,35 +293,67 @@ def enumeration_box(q: CoveringInstance) -> tuple[int, ...]:
 def minimal_integer_points(q: CoveringInstance) -> MinimalPointSet:
     """Exactly the minimal elements of {x in N^n : Mx >= d}.
 
-    Scans the prefixes x' of the box in lexicographic order.  A prefix
-    that fails a row with last coefficient 0 stores B_n + 1, above every
-    least last coordinate t(x') <= B_n, so the minimality test is one
-    comparison per predecessor: (x', t(x')) is kept when every x' - e_j
-    with x'_j > 0 stores a larger value."""
+    Scans the prefixes x' of the box in lexicographic order, one run of
+    x_{n-1} = 0..B_{n-1} at a time.  A prefix that fails a row with last
+    coefficient 0 stores B_n + 1, above every least last coordinate
+    t(x') <= B_n, so the minimality test is one comparison per
+    predecessor: (x', t(x')) is kept when every x' - e_j with x'_j > 0
+    stores a larger value.  Along a run every row sum is an arithmetic
+    progression in x_{n-1} with nonnegative step: a row with last
+    coefficient 0 fails on an initial stretch of the run and holds after
+    it, and t is the max of 0 and one ceiling quotient of a progression
+    per other row, taken for the whole run at once.  The run's predecessors
+    are the run shifted by one and the stored runs strides[j] prefixes
+    back."""
     *prefix_box, last_bound = enumeration_box(q)
-    fixed = [(row[:-2], row[-1]) for row in q.rows if row[-2] == 0]
-    lifting = [(row[:-2], row[-2], row[-1]) for row in q.rows if row[-2] > 0]
+    if not prefix_box:
+        # n = 1: a row with M_i1 = 0 has d_i = 0, so t(()), the one
+        # minimal point, is the largest ceil(d_i / M_i1)
+        return MinimalPointSet(((max((-(-rhs // a) for a, rhs in q.rows if a), default=0),),))
+    *outer_box, inner_bound = prefix_box
+    width = inner_bound + 1
     blocked = last_bound + 1
+    # the rows with last coefficient 0 and the others, split so that
+    # row.prefix = row[:-3] . outer prefix + a * x_{n-1}, a = row[-3]
+    fixed = [(row[:-3], row[-3], row[-1]) for row in q.rows if row[-2] == 0]
+    lifting = [(row[:-3], row[-3], row[-2], row[-1]) for row in q.rows if row[-2] > 0]
     # Prefixes are enumerated in row-major order, so x' - e_j sits
     # strides[j] entries back in ``least``.
-    strides = [1] * len(prefix_box)
-    for j in range(len(prefix_box) - 1, 0, -1):
-        strides[j - 1] = strides[j] * (prefix_box[j] + 1)
+    strides = [width] * len(outer_box)
+    for j in range(len(outer_box) - 1, 0, -1):
+        strides[j - 1] = strides[j] * (outer_box[j] + 1)
     least: list[int] = []
     kept: list[tuple[int, ...]] = []
-    for index, prefix in enumerate(product(*(range(b + 1) for b in prefix_box))):
-        if any(sum(map(mul, row, prefix)) < rhs for row, rhs in fixed):
-            least.append(blocked)
+    for outer in product(*(range(b + 1) for b in outer_box)):
+        # the rows in ``fixed`` hold exactly from x_{n-1} = first on
+        first = 0
+        for row, a, rhs in fixed:
+            short = rhs - sum(map(mul, row, outer))
+            if short > 0:
+                first = max(first, -(-short // a) if a else width)
+        if first >= width:
+            least.extend(repeat(blocked, width))
             continue
-        t = 0
-        for row, last, rhs in lifting:
-            # ceil((rhs - row.prefix) / last) in integer arithmetic
-            need = -((sum(map(mul, row, prefix)) - rhs) // last)
-            if need > t:
-                t = need
-        least.append(t)
-        if all(least[index - stride] > t for stride, x in zip(strides, prefix) if x):
-            kept.append(prefix + (t,))
+        length = width - first
+        # ceil((rhs - row.prefix) / last) = floor((rhs - row.prefix + last - 1) / last)
+        # along the run; t is the largest of these and 0
+        ceils = [
+            map(floordiv, range(top, top - a * length, -a), repeat(last)) if a
+            else repeat(top // last, length)
+            for row, a, last, rhs in lifting
+            for top in (rhs - sum(map(mul, row, outer)) - a * first + last - 1,)]
+        run = list(reduce(partial(map, max), ceils, repeat(0, length)))
+        # the previous entry of the run is blocked before ``first`` and
+        # missing at x_{n-1} = 0; B_n + 1 stands for both
+        preds = [[blocked, *run[:-1]]]
+        at = len(least) + first
+        preds.extend(least[at - stride:at - stride + length]
+                     for stride, x in zip(strides, outer) if x)
+        least.extend(repeat(blocked, first))
+        least.extend(run)
+        lowest = reduce(partial(map, min), preds)
+        kept.extend(outer + point for point in compress(
+            zip(range(first, width), run), map(gt, lowest, run)))
     return MinimalPointSet(tuple(kept))
 
 

@@ -242,7 +242,8 @@ def dd_cone(rows: Sequence[Sequence[int]], dim: int) -> tuple[IntRows, IntRows]:
     basis and fold the nonzero rows in one at a time.  Each ray keeps its
     zero set as an int bitmask: bit k is set when the ray is tight at the
     k-th nonzero row.  A row that hits a line turns that line into a ray
-    and projects the other rays onto the row's hyperplane.  Otherwise the
+    and projects the other lines and rays onto the row's hyperplane; one
+    already on it (value 0 at the row) is kept as it is.  Otherwise the
     rays on the row's feasible side stay, and a (negative, positive) pair
     makes a new ray exactly when the two are adjacent, decided from zero
     sets alone (Fukuda & Prodon 1996, Prop. 7): their common zero set has
@@ -251,7 +252,9 @@ def dd_cone(rows: Sequence[Sequence[int]], dim: int) -> tuple[IntRows, IntRows]:
     extreme rays, one per class modulo the lineality space; each step
     keeps that invariant, so no ray is repeated and no rank is taken.
     Rows come in, and lines and rays go out, as primitive integer rows, in
-    lexicographic order; callers convert at their own boundary.
+    lexicographic order; callers convert at their own boundary.  The rows
+    are folded in the order given: the covering hull passes its unit rows
+    first, which keeps the ray lists short.
     """
     lines: list[IntRow] = [[int(i == j) for i in range(dim)] for j in range(dim)]
     rays: list[IntRow] = []
@@ -268,9 +271,11 @@ def dd_cone(rows: Sequence[Sequence[int]], dim: int) -> tuple[IntRows, IntRows]:
             # tight at every earlier row, and every projected ray at this one
             d = abs(vals[hit])
             star = lines[hit] if vals[hit] < 0 else [-a for a in lines[hit]]
-            lines = [_line_canonical(combine(d, l, -vals[j], star))
+            # a line or ray at 0 on the row is already on its hyperplane
+            lines = [_line_canonical(combine(d, l, -vals[j], star)) if vals[j] else l
                      for j, l in enumerate(lines) if j != hit]
-            rays = [combine(d, r, -int_dot(row, r), star) for r in rays] + [star]
+            rays = [combine(d, r, -v, star) if (v := int_dot(row, r)) else r
+                    for r in rays] + [star]
             zs = [z | bit for z in zs] + [bit - 1]
         else:
             zero, posi, negi = [], [], []

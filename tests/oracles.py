@@ -24,7 +24,9 @@ equality and facet tests by check_implication that the homogenized
 double description replaces.  It also holds the Fraction text forms of
 an inequality that Inequality now prints from its integer row, and the
 small vector, matrix, inequality and cone helpers that only the tests
-use (sub, add, scale, mat_vec, vec_mat, transpose)."""
+use (sub, add, scale, mat_vec, vec_mat, transpose), the hull of every
+minimal point that the lower-chain filter replaces, and a broken copy of
+dd_cone for mutation tests."""
 
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from operator import le
 from typing import Sequence
 from unittest import mock
 
-from closurelab import linalg, lp
+from closurelab import linalg, lp, polyhedron
 from closurelab.aggregation import (HULL_FACET, SIGN, AggregatedHull, AggregationSample,
                                     ClosureApprox, CutClass, _hulls_for, _intersect,
                                     _is_sign_constraint, multiplier_rows,
@@ -50,8 +52,9 @@ from closurelab.linalg import (Matrix, Vector, check_dim, combine, dot, int_dot,
                                is_zero, primitive, rational, zeros)
 from closurelab.lp import ConeMembership, LpResult, LpStatus, solve_lp
 from closurelab.polyhedron import (HPolyhedron, Implication, Inequality, VPolyhedron,
-                                   check_implication, dd_cone, empty_hpolyhedron,
-                                   remove_redundant, sorted_unique, v_to_h)
+                                   _v_to_h_rows, check_implication, dd_cone,
+                                   empty_hpolyhedron, remove_redundant, sorted_unique,
+                                   v_to_h)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -567,6 +570,53 @@ def fraction_dd_cone(rows: Sequence[Vector], dim: int):
     return tuple(sorted(lines)), tuple(sorted(rays))
 
 
+def dd_cone_dropping_a_ray(rows: Sequence[Sequence[int]], dim: int):
+    """A broken polyhedron.dd_cone, for mutation tests: the same integer
+    double description, except that at dim = 4 every row step drops the
+    first ray it makes from an adjacent (negative, positive) pair.  It
+    gets the dimension of many n = 3 closures wrong, so a check that
+    cannot tell it from dd_cone does not check the DD."""
+    lines = [[int(i == j) for i in range(dim)] for j in range(dim)]
+    rays: list[list[int]] = []
+    zs: list[int] = []
+    bit = 1
+    for row in rows:
+        if not any(row):
+            continue
+        vals = [int_dot(row, l) for l in lines]
+        hit = next((j for j in range(len(lines)) if vals[j]), None)
+        if hit is not None:
+            d = abs(vals[hit])
+            star = lines[hit] if vals[hit] < 0 else [-a for a in lines[hit]]
+            lines = [polyhedron._line_canonical(combine(d, l, -vals[j], star))
+                     for j, l in enumerate(lines) if j != hit]
+            rays = [combine(d, r, -int_dot(row, r), star) for r in rays] + [star]
+            zs = [z | bit for z in zs] + [bit - 1]
+        else:
+            signs = [(i, int_dot(row, r)) for i, r in enumerate(rays)]
+            zero = [(i, v) for i, v in signs if v == 0]
+            posi = [(i, v) for i, v in signs if v > 0]
+            negi = [(i, v) for i, v in signs if v < 0]
+            need = dim - len(lines) - 2
+            new_rays = [rays[i] for i, _ in zero + negi]
+            new_zs = [zs[i] | bit for i, _ in zero] + [zs[i] for i, _ in negi]
+            dropped = dim != 4
+            for i, vn in negi:
+                for j, vp in posi:
+                    common = zs[i] & zs[j]
+                    if common.bit_count() < need or any(
+                            z & common == common for t, z in enumerate(zs) if t not in (i, j)):
+                        continue
+                    if not dropped:
+                        dropped = True
+                        continue
+                    new_rays.append(combine(vp, rays[i], vn, rays[j]))
+                    new_zs.append(common | bit)
+            rays, zs = new_rays, new_zs
+        bit <<= 1
+    return tuple(map(tuple, sorted(lines))), tuple(map(tuple, sorted(rays)))
+
+
 # ---------------------------------------------------------------------------
 # Fraction simplex (the reference for lp._simplex_standard), and cone
 # membership and solve_lp on Fraction rows (the references for
@@ -854,6 +904,16 @@ def fraction_v_to_h(p: VPolyhedron) -> HPolyhedron:
         q = Inequality(g[:-1], g[-1])
         out.extend((q, flipped(q)))
     return HPolyhedron(p.n, tuple(sorted(out, key=lambda q: q.row)))
+
+
+def unfiltered_hull(points: Sequence[Sequence[int]]) -> HPolyhedron:
+    """conv(points) + R^n_+ from every point: the rows (p, -1) of all the
+    points, then the unit rays (e_j, 0), through _v_to_h_rows, with no
+    lower-chain filter."""
+    n = len(points[0])
+    rows = [tuple(p) + (-1,) for p in points]
+    rows.extend(tuple(int(i == j) for i in range(n + 1)) for j in range(n))
+    return _v_to_h_rows(n, rows)
 
 
 def fraction_integer_hull(q: CoveringInstance) -> HPolyhedron:

@@ -663,13 +663,14 @@ def test_theorem1_and_rays_solve_no_lp(monkeypatch, capsys, tmp_path):
     def no_lp(*args, **kwargs):
         raise AssertionError("solve_lp called")
 
+    paths = [str(p) for p in sorted(INSTANCES.glob("*_cone.txt"))]
+    paths.append(write(tmp_path, "line.txt", LINE_CONE))
+    # the draws are filtered by is_pointed's LP, so they are made first
+    for i, k in enumerate(random_pointed_cones(seed=4, count=12)):
+        paths.append(write(tmp_path, f"pointed{i}.txt", format_cone(k)))
     # the two modules that import solve_lp and that cone commands reach
     monkeypatch.setattr(cone_module, "solve_lp", no_lp)
     monkeypatch.setattr(polyhedron, "solve_lp", no_lp)
-    paths = [str(p) for p in sorted(INSTANCES.glob("*_cone.txt"))]
-    paths.append(write(tmp_path, "line.txt", LINE_CONE))
-    for i, k in enumerate(random_pointed_cones(seed=4, count=12)):
-        paths.append(write(tmp_path, f"pointed{i}.txt", format_cone(k)))
     for path in paths:
         code, _, _ = run_cli(["cone", path, "rays"], capsys)
         assert code == (4 if path.endswith("line.txt") else 0)

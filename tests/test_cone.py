@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from closurelab import cone as cone_module, linalg, polyhedron
 from closurelab.cone import (
     GeneratedCone,
+    certified_extreme_rows,
     check_theorem1,
     closure_of,
     extreme_rays,
@@ -425,3 +426,12 @@ def small_cones(draw):
 @example(GeneratedCone(((0, 0, 1),)))  # unit-last alone: no closure row
 def test_extreme_rays_match_the_membership_lp_reference(k):
     assert _outcome(extreme_rays, k) == _outcome(lp_extreme_rays, k)
+
+
+def test_certified_extreme_rows_by_membership_lps():
+    # (1, 1, 2) is the sum of (1, 0, 1) and (0, 1, 1); unit-last is supplied
+    k = GeneratedCone(((1, 0, 1), (0, 1, 1), (1, 1, 2)))
+    assert certified_extreme_rows(k) == ((0, 0, 1), (0, 1, 1), (1, 0, 1))
+    assert certified_extreme_rows(k) == check_theorem1(k).extreme_rows
+    for k in random_pointed_cones(4, 10):
+        assert certified_extreme_rows(k) == check_theorem1(k).extreme_rows

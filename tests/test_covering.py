@@ -7,10 +7,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from closurelab import linalg
+from closurelab import linalg, polyhedron
 from closurelab.covering import (
     CoveringInstance,
     MinimalPointSet,
+    _lower_chains,
     dominates,
     down_set_contains,
     enumeration_box,
@@ -19,10 +20,10 @@ from closurelab.covering import (
     minimal_integer_points,
 )
 from closurelab.errors import ContractViolation
-from closurelab.polyhedron import check_implication, ge, h_to_v, same_point_set
+from closurelab.polyhedron import check_implication, dd_cone, ge, h_to_v, same_point_set
 from closurelab.verify import brute_force_minimal_points, random_covering
 
-from oracles import down_set_box_oracle
+from oracles import down_set_box_oracle, unfiltered_hull
 
 V = linalg.vector
 
@@ -251,3 +252,125 @@ def test_minimal_point_set_checks_a_long_antichain():
 
 def test_minimal_point_set_rejects_mixed_dimensions():
     _rejects([(1, 0), (0,)], "minimal points must all have the same dimension")
+
+
+# ---------------------------------------------------------------------------
+# the run-at-a-time scan on named cases
+
+
+def _scan_matches(q, expected):
+    assert minimal_integer_points(q).int_points == expected
+    assert minimal_integer_points(q).points == brute_force_minimal_points(q)
+
+
+def test_scan_prefix_coordinate_with_zero_bound():
+    # column 1 is zero, so B_1 = 0 and every outer prefix is (0,)
+    q = CoveringInstance(([0, 1, 1],), (2,))
+    assert enumeration_box(q) == (0, 2, 2)
+    _scan_matches(q, ((0, 0, 2), (0, 1, 1), (0, 2, 0)))
+
+
+def test_scan_fixed_row_blocks_the_zero_prefix():
+    # x_1 >= 2 has last coefficient 0: the run starts blocked at x_1 = 0, 1
+    _scan_matches(CoveringInstance(([1, 0], [1, 1]), (2, 3)), ((2, 1), (3, 0)))
+    # x_1 + x_2 >= 1 blocks only the prefix (0, 0); (1, 0) and (0, 1) each
+    # have a blocked predecessor and are kept
+    _scan_matches(CoveringInstance(([1, 1, 0], [0, 0, 1]), (1, 1)),
+                  ((0, 1, 1), (1, 0, 1)))
+    # a fixed row no prefix of a run meets blocks the whole run
+    _scan_matches(CoveringInstance(([2, 0, 0], [0, 1, 1]), (3, 2)),
+                  ((2, 0, 2), (2, 1, 1), (2, 2, 0)))
+
+
+def test_scan_one_variable():
+    _scan_matches(CoveringInstance(([3], [2]), (7, 9)), ((5,),))
+    _scan_matches(CoveringInstance(([0], [2]), (0, 3)), ((2,),))
+    _scan_matches(CoveringInstance(([0],), (0,)), ((0,),))
+
+
+def test_scan_two_variables_has_no_outer_prefix():
+    _scan_matches(CoveringInstance(([1, 2], [3, 1]), (4, 3)), ((0, 3), (1, 2), (2, 1), (4, 0)))
+
+
+# ---------------------------------------------------------------------------
+# the lower-chain filter in front of the hull's double description
+
+
+def test_chain_filter_pops_collinear_points():
+    # 2 x1 + 3 x2 >= 60: 11 of the 21 minimal points lie on the line
+    q = CoveringInstance(([2, 3],), (60,))
+    points = minimal_integer_points(q)
+    assert len(points.int_points) == 21
+    assert _lower_chains(points.int_points) == [(0, 20), (30, 0)]
+    hull = points.hull()
+    assert hull == unfiltered_hull(points.int_points)
+    assert set(hull.inequalities) == {ge([2, 3], 60), ge([1, 0], 0), ge([0, 1], 0)}
+
+
+def test_chain_filter_pops_a_point_above_a_segment():
+    # (2, 1) lies above the segment from (0, 2) to (3, 0)
+    points = minimal_integer_points(CoveringInstance(([2, 3],), (6,)))
+    assert points.int_points == ((0, 2), (2, 1), (3, 0))
+    assert _lower_chains(points.int_points) == [(0, 2), (3, 0)]
+    assert points.hull() == unfiltered_hull(points.int_points)
+
+
+def test_chain_filter_one_variable():
+    points = MinimalPointSet([(4,)])
+    assert _lower_chains(points.int_points) == [(4,)]
+    assert points.hull() == unfiltered_hull(points.int_points)
+
+
+def test_chain_filter_restarts_when_x_n_minus_2_changes():
+    # run x1 = 0 drops (0, 2, 3), above its segment; run x1 = 1 drops the
+    # collinear (1, 1, 1); (0, 4, 0) and (1, 0, 2) are in different runs
+    points = MinimalPointSet([(0, 0, 4), (0, 2, 3), (0, 4, 0), (1, 0, 2), (1, 1, 1), (1, 2, 0)])
+    assert _lower_chains(points.int_points) == [(0, 0, 4), (0, 4, 0), (1, 0, 2), (1, 2, 0)]
+    assert points.hull() == unfiltered_hull(points.int_points)
+
+
+def test_hull_sends_the_dd_only_unit_rows_and_chain_vertices(monkeypatch):
+    sizes = []
+
+    def counting(rows, dim):
+        sizes.append(len(rows))
+        return dd_cone(rows, dim)
+
+    monkeypatch.setattr(polyhedron, "dd_cone", counting)
+    minimal_integer_points(CoveringInstance(([2, 3],), (60,))).hull()
+    assert sizes == [4]  # 2 unit rows and 2 points, not 2 + 21
+
+
+@st.composite
+def staircases(draw):
+    """Covering instances with 1-5 variables and zero entries; demands up
+    to 60 at n = 1 give long staircases, and each larger n gets a smaller
+    top demand so that the box stays small."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    top = (60, 40, 12, 5, 3)[n - 1]
+    rows, rhs = [], []
+    for _ in range(m):
+        row = [draw(st.integers(0, 3)) for _ in range(n)]
+        rows.append(row)
+        rhs.append(draw(st.integers(0, top)) if any(row) else 0)
+    return CoveringInstance(rows, rhs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(staircases())
+@example(CoveringInstance(([2, 3],), (60,)))
+@example(CoveringInstance(([1, 1],), (40,)))
+@example(CoveringInstance(([1, 2, 3], [2, 0, 1]), (12, 7)))
+@example(CoveringInstance(([0, 1, 0, 2, 1],), (3,)))
+def test_filtered_hull_equals_the_hull_of_every_point(q):
+    points = minimal_integer_points(q)
+    assert points.hull() == unfiltered_hull(points.int_points)
+
+
+def test_minimal_point_set_int_input_keeps_the_messages():
+    _rejects([(0, 3), (-1, 2)],
+             "minimal points live in N^n, got (Fraction(-1, 1), Fraction(2, 1))")
+    _rejects([(1, 2), (0, 2)],
+             "not an antichain: (Fraction(0, 1), Fraction(2, 1)) and "
+             "(Fraction(1, 1), Fraction(2, 1)) are comparable")
+    assert MinimalPointSet([[2, 0], (0, 1)]).int_points == ((0, 1), (2, 0))

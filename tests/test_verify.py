@@ -3,7 +3,8 @@
 import os
 from fractions import Fraction as F
 
-from closurelab import linalg, verify
+from closurelab import cone, linalg, polyhedron, verify
+from closurelab.cone import GeneratedCone, is_pointed
 from closurelab.covering import CoveringInstance
 from closurelab.verify import (
     SuiteReport,
@@ -14,6 +15,7 @@ from closurelab.verify import (
     suite_covering,
     suite_farkas,
 )
+from oracles import dd_cone_dropping_a_ray
 
 
 def test_suites_pass_on_default_seeds():
@@ -61,3 +63,26 @@ def test_covering_oracle_tests_the_int_rows(monkeypatch):
         report = suite_covering(3, count=10)
     assert points == ((F(0), F(2)), (F(1), F(1)))
     assert report.passed and report.checks == 80
+
+
+def test_cone_draws_are_filtered_by_the_lp_not_the_dd(monkeypatch):
+    # x1 <= 0 and -x1 <= 0 cut out a flat closure; x1 <= 1 a full one
+    flat = GeneratedCone(((1, 0, 0), (-1, 0, 0), (0, 0, 1)))
+    full = GeneratedCone(((1, 0, 1), (0, 0, 1)))
+    assert not is_pointed(flat).pointed and is_pointed(full).pointed
+
+    def refuse(rows, dim):
+        raise AssertionError("the cone draws ran the DD under test")
+
+    monkeypatch.setattr(polyhedron, "dd_cone", refuse)
+    monkeypatch.setattr(cone, "dd_cone", refuse)
+    assert len(verify.random_pointed_cones(1, 10)) == 10
+
+
+def test_suite_cone_fails_on_a_broken_double_description(monkeypatch):
+    # the mutant drops a ray per row step at dim 4: on n = 3 cones it gets
+    # extreme rows and dimensions wrong, which only a check outside the DD sees
+    monkeypatch.setattr(polyhedron, "dd_cone", dd_cone_dropping_a_ray)
+    monkeypatch.setattr(cone, "dd_cone", dd_cone_dropping_a_ray)
+    report = suite_cone(1, count=12, line_count=0)
+    assert not report.passed and report.checks == 36
