@@ -5,15 +5,9 @@ from .lp import ConeMembership, LpResult, LpStatus, cone_membership, solve_lp
 from .polyhedron import (
     HPolyhedron,
     Inequality,
-    VPolyhedron,
     check_implication,
     dimension,
-    fourier_motzkin_project,
-    h_to_v,
-    is_facet_defining,
     remove_redundant,
-    same_point_set,
-    v_to_h,
 )
 from .cone import (
     GeneratedCone,
@@ -22,7 +16,6 @@ from .cone import (
     closure_of,
     extreme_rays,
     fii_check,
-    is_fii,
     is_pointed,
     is_valid_for_closure,
 )
@@ -31,7 +24,6 @@ from .covering import (
     MinimalPointSet,
     down_set_contains,
     integer_hull,
-    minimal_elements,
     minimal_integer_points,
 )
 from .aggregation import (
@@ -39,7 +31,6 @@ from .aggregation import (
     AggregationSample,
     ClosureApprox,
     aggregate,
-    check_projection_lemma,
     classify_cuts,
     closure_approx,
     sample_multipliers,
@@ -60,10 +51,8 @@ __all__ = [
     "LpStatus",
     "MinimalPointSet",
     "RaySet",
-    "VPolyhedron",
     "aggregate",
     "check_implication",
-    "check_projection_lemma",
     "check_theorem1",
     "classify_cuts",
     "closure_approx",
@@ -73,17 +62,11 @@ __all__ = [
     "down_set_contains",
     "extreme_rays",
     "fii_check",
-    "fourier_motzkin_project",
-    "h_to_v",
     "integer_hull",
-    "is_facet_defining",
-    "is_fii",
     "is_pointed",
     "is_valid_for_closure",
-    "minimal_elements",
     "minimal_integer_points",
     "remove_redundant",
-    "same_point_set",
+    "sample_multipliers",
     "solve_lp",
-    "v_to_h",
 ]

@@ -48,12 +48,9 @@ from .polyhedron import (
     Inequality,
     IntRows,
     format_ge,
-    fourier_motzkin_project,
     remove_redundant,
     sorted_unique,
 )
-
-_ZERO = Fraction(0)
 
 SIGN = "SIGN"
 HULL_FACET = "HULL_FACET"
@@ -88,10 +85,6 @@ class AggregationSample:
         object.__setattr__(s, "multipliers", rows)
         return s
 
-    @property
-    def k(self) -> int:
-        return len(self.multipliers)
-
     def describe(self) -> str:
         return "[" + "; ".join(map(linalg.format_vector, self.multipliers)) + "]"
 
@@ -125,10 +118,6 @@ class ClosureApprox:
     density: int
     stabilized: bool
 
-    @property
-    def samples_used(self) -> tuple[AggregationSample, ...]:
-        return self.samples
-
 
 @dataclass(frozen=True)
 class CutClass:
@@ -137,14 +126,6 @@ class CutClass:
     inequality: Inequality
     label: str
     sample: AggregationSample | None = None
-
-
-@dataclass(frozen=True)
-class ProjectionCheck:
-    passed: bool
-    projected_closure: HPolyhedron
-    closure_of_projection: HPolyhedron
-    projected_instance: CoveringInstance
 
 
 def multiplier_rows(m: int, density: int) -> tuple[tuple[int, ...], ...]:
@@ -261,7 +242,7 @@ def _is_sign_constraint(q: Inequality) -> bool:
 def classify_cuts(ca: ClosureApprox) -> tuple[CutClass, ...]:
     """Label each closure facet: SIGN for a nonnegativity bound, otherwise
     HULL_FACET with the first sampled hull it is facet-defining for.  Each
-    hull is v_to_h of conv(points) + R^n_+, a full-dimensional facet list,
+    hull is the facet list of the full-dimensional conv(points) + R^n_+,
     so a facet is facet-defining for it exactly when it is a row: no LP.
     Every closure_approx row is a hull row, so a facet in no hull can only
     come from a ClosureApprox built by hand; it raises ContractViolation."""
@@ -276,43 +257,3 @@ def classify_cuts(ca: ClosureApprox) -> tuple[CutClass, ...]:
                 f"closure row {format_ge(facet)} is a row of no sampled hull")
         out.append(CutClass(facet, HULL_FACET, source))
     return tuple(out)
-
-
-def project_instance(q: CoveringInstance, t: int) -> CoveringInstance:
-    """The orthogonal projection of a covering instance onto its first t
-    coordinates.  A row supported inside the first t coordinates survives
-    with its demand; any other row is absorbed by sending the dropped
-    coordinates to infinity and becomes trivial."""
-    if not 1 <= t < q.n:
-        raise ContractViolation(f"t must satisfy 1 <= t < {q.n}, got {t}")
-    rows = []
-    demand = []
-    for row, di in zip(q.M, q.d):
-        if all(row[j] == 0 for j in range(t, q.n)):
-            rows.append(row[:t])
-            demand.append(di)
-        else:
-            rows.append(linalg.zeros(t))
-            demand.append(_ZERO)
-    return CoveringInstance(tuple(rows), tuple(demand))
-
-
-def check_projection_lemma(q: CoveringInstance, t: int, k: int) -> ProjectionCheck:
-    """For single-row instances, where the sampled closure is exactly the
-    integer hull, verify that projecting the closure equals the closure of
-    the projected instance.  Multi-row instances are refused: both sides
-    would be sampled approximations and the equality is only guaranteed
-    for the exact closures.  Both sides are facet lists, compared as lists."""
-    if q.m != 1:
-        raise ContractViolation(
-            "projection commutation is only checked for single-row instances; "
-            f"got {q.m} rows, where the sampled closure may be inexact")
-    closure = closure_approx(q, k, 1).polyhedron
-    lhs = fourier_motzkin_project(closure, range(t))
-    projected = project_instance(q, t)
-    rhs = closure_approx(projected, k, 1).polyhedron
-    return ProjectionCheck(
-        passed=lhs == rhs,
-        projected_closure=lhs,
-        closure_of_projection=rhs,
-        projected_instance=projected)

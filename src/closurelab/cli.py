@@ -107,7 +107,7 @@ def cmd_closure(args) -> tuple[str, int]:
     q = inst.payload
     _note(args, f"closure: {q.m} rows, k={args.k}, density={args.density}")
     ca = closure_approx(q, args.k, args.density)
-    _note(args, f"closure: {len(ca.hulls)} of {len(ca.samples_used)} sample hulls built, "
+    _note(args, f"closure: {len(ca.hulls)} of {len(ca.samples)} sample hulls built, "
                 f"stabilized={ca.stabilized}")
     cuts = classify_cuts(ca)
     doc = _Doc("closure", args.seed)
@@ -115,14 +115,14 @@ def cmd_closure(args) -> tuple[str, int]:
     doc.field("m", q.m)
     doc.field("k", args.k)
     doc.field("density", args.density)
-    doc.field("samples", len(ca.samples_used))
+    doc.field("samples", len(ca.samples))
     doc.field("stabilized", ca.stabilized)
     entries = []
     for cut in cuts:
         label = cut.label if cut.sample is None else f"{cut.label} {cut.sample.describe()}"
         entries.append(f"{format_ge(cut.inequality)} | {label}")
     doc.block("facets", entries)
-    doc.block("samples-used", [s.describe() for s in ca.samples_used])
+    doc.block("samples-used", [s.describe() for s in ca.samples])
     return doc.render(args.format), EXIT_OK if ca.stabilized else EXIT_NOT_STABILIZED
 
 
@@ -244,6 +244,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "closure" and (args.k < 1 or args.density < 1):
         parser.error("--k and --density must be at least 1")
+    if args.command == "cone" and args.subcommand != "fii" and args.inequality is not None:
+        parser.error(f"cone {args.subcommand} takes no inequality; only fii does")
     try:
         text, code = args.run(args)
     except ClosureLabError as exc:

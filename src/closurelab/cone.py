@@ -125,9 +125,6 @@ class GeneratedCone:
             return None
         return HPolyhedron(self.n, tuple(map(_from_row, sorted(g for g in rows if any(g[:-1])))))
 
-    def unit_last(self) -> Vector:
-        return linalg.unit(self.dim, self.n)
-
 
 @dataclass(frozen=True, init=False)
 class RaySet:
@@ -341,10 +338,6 @@ def fii_check(k: GeneratedCone, q: Inequality) -> FiiCheck:
     member = cone_membership(others, q.stacked())
     return FiiCheck(not member.member, tuple(map(linalg.vector, others)),
                     multipliers=member.multipliers)
-
-
-def is_fii(k: GeneratedCone, q: Inequality) -> bool:
-    return fii_check(k, q).is_fii
 
 
 def check_theorem1(k: GeneratedCone) -> Theorem1Report:

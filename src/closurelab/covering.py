@@ -52,8 +52,7 @@ bitmask of the points with x_c >= v, and the AND of those masks at a
 point's values, above its own index, holds the later points above it.
 For p points in N^n that is one sort per coordinate, O(n p) lookups and
 ANDs of p-bit ints and at most p bits per distinct value and coordinate,
-in place of O(n p^2) comparisons.  ``minimal_elements`` runs on the same
-masks.
+in place of O(n p^2) comparisons.
 """
 
 from __future__ import annotations
@@ -354,22 +353,6 @@ def minimal_integer_points(q: CoveringInstance) -> MinimalPointSet:
         lowest = reduce(partial(map, min), preds)
         kept.extend(outer + point for point in compress(
             zip(range(first, width), run), map(gt, lowest, run)))
-    return MinimalPointSet(tuple(kept))
-
-
-def minimal_elements(points: Iterable[Sequence]) -> MinimalPointSet:
-    """The subset of the given points that is an antichain dominating all
-    of them."""
-    pts = sorted(set(tuple(linalg.vector(p)) for p in points))
-    # A point is dropped when an earlier kept point lies below it; by
-    # transitivity, the points a dropped one lies below are dropped already.
-    # Bits at or below i in point i's mask are never read again.
-    dropped = 0
-    kept: list[Vector] = []
-    for i, (p, mask) in enumerate(zip(pts, _at_least(pts))):
-        if not dropped >> i & 1:
-            kept.append(p)
-            dropped |= mask
     return MinimalPointSet(tuple(kept))
 
 

@@ -18,11 +18,12 @@ double description (``polyhedron.dd_cone``) work on primitive integer rows
 ``p*a - f*b`` over the row gcd (``combine``).  A positive scale changes no
 sign test or ratio comparison, so they make the decisions the Fraction code
 would.  The hull pipeline (aggregation, the covering scan, the double
-description and the facet rows of ``v_to_h``) and the cone queries stay in
-integer rows from end to end, and store them: a ``CoveringInstance`` keeps
-[M | d] times one common denominator, an ``Inequality`` its primitive row,
-a ``MinimalPointSet`` its int points and a ``GeneratedCone`` its generator
-rows, and their Fractions are views made on read.  ``parse_row`` and
+description and the facet rows of ``_v_to_h_rows``) and the cone queries
+stay in integer rows from end to end, and store them: a
+``CoveringInstance`` keeps [M | d] times one common denominator, an
+``Inequality`` its primitive row, a ``MinimalPointSet`` its int points
+and a ``GeneratedCone`` its generator rows, and their Fractions are views
+made on read.  ``parse_row`` and
 ``exact_row`` keep integral input as ints and make Fractions of the rest.
 """
 

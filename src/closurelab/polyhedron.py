@@ -1,41 +1,39 @@
-"""Exact polyhedra: half-space and generator descriptions and the
-conversions, reductions, and queries connecting them.
+"""Exact polyhedra: half-space descriptions, the double description
+they keep, and the reductions and queries read from it.
 
 An ``Inequality`` is a pair (normal, rhs) read as normal.x <= rhs; two
 inequalities are the same exactly when their coprime-integer canonical
 forms coincide, which identifies them up to positive scaling without
 ever leaving the rationals.  ``HPolyhedron`` is a finite intersection of
-half-spaces, ``VPolyhedron`` is conv(vertices) + cone(rays); conversion
-both ways runs the double description method on a polar cone, entirely
-in exact arithmetic.  Empty polyhedra are ordinary values.
+half-spaces.  ``_v_to_h_rows`` gives the facets of conv(vertices) +
+cone(rays) from the double description of a polar cone, entirely in
+exact arithmetic.  Empty polyhedra are ordinary values.
 
 ``dd_cone`` takes and returns primitive integer rows, and an
 ``Inequality`` stores one: its primitive row, plus the positive scale
 that gives back the values it was built from (1 for every row the
 library makes).  Identity, hashing and sorting read the row; ``normal``,
 ``rhs`` and ``stacked()`` are Fraction views made on read, so a facet
-that ``v_to_h`` reads off a DD row makes no Fraction until it is used.
+that ``_v_to_h_rows`` reads off a DD row makes no Fraction until it is
+used.
 
 Each ``HPolyhedron`` keeps one double description (DD), built on the
 first query that needs it: the polar of the cone its rows and
 (0, ..., 0, 1) span, where a point x is the ray (x, -1) as in
-``v_to_h``.  It gives the polyhedron's emptiness, dimension and
-vertices, and the facets of a full-dimensional one.  It holds each
+``_v_to_h_rows``.  It gives the polyhedron's emptiness and dimension,
+and the facets of a full-dimensional one.  It holds each
 row's zero set, computed once, and the dimension: n minus the rank of
 the rows tight at every ray, the implicit equalities, a list that is
 usually empty.  The facets are read from the same zero sets with no
-rank.  One reader takes its vertices and rays on a set of coordinates:
-``h_to_v`` on all, projection on the kept ones, then ``v_to_h``.  The
-same generators decide containment (``is_subset``, ``same_point_set``,
-validity, the flat redundancy scan); an LP remains only where a
-certificate is returned (``check_implication``, on the int rows).
+rank.  The same generators decide containment (``is_subset``, the flat
+redundancy scan); an LP remains only where a certificate is returned
+(``check_implication``, on the int rows).
 
 A full-dimensional polyhedron has one irredundant system up to positive
 scaling of rows: its facets (Schrijver 1986, section 8.4).  So for such
 polyhedra, irredundant systems in ``sorted_unique`` order (which
 ``remove_redundant`` keeps) describe the same set exactly when they are
-equal, and a valid inequality is facet-defining exactly when it is a row
-(``is_facet_defining``); otherwise compare with ``same_point_set``.
+equal.
 """
 
 from __future__ import annotations
@@ -51,8 +49,6 @@ from .errors import (
     ContractViolation,
     InconsistentSystemError,
     InternalInvariantError,
-    InvalidInequalityError,
-    NotFullDimensionalError,
     ParseError,
 )
 from . import linalg
@@ -174,28 +170,6 @@ class HPolyhedron:
         return _PolarDD(lines, rays, zero_sets, self.n - linalg.rank(equalities))
 
 
-@dataclass(frozen=True)
-class VPolyhedron:
-    """conv(vertices) + cone(rays); rays are primitive, lists are sorted.
-
-    A rays-only description is read as a cone with apex at the origin, so
-    the set is empty exactly when both lists are."""
-
-    n: int
-    vertices: tuple[Vector, ...]
-    rays: tuple[Vector, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(tuple(v) for v in self.vertices))
-        object.__setattr__(self, "rays", tuple(tuple(r) for r in self.rays))
-        for v in self.vertices + self.rays:
-            linalg.check_dim(v, self.n, "generator")
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.vertices and not self.rays
-
-
 def _from_row(row: tuple[int, ...]) -> Inequality:
     """row[:-1].x <= row[-1] for a primitive integer row with a nonzero
     normal, which is its own canonical form; no Fraction is made."""
@@ -206,11 +180,6 @@ def _from_row(row: tuple[int, ...]) -> Inequality:
 
 
 ineq = Inequality  # the short name the tests and docs use
-
-
-def ge(normal: Iterable, rhs) -> Inequality:
-    """Build normal.x >= rhs in the internal <= orientation."""
-    return Inequality(linalg.neg(linalg.vector(normal)), -rational(rhs))
 
 
 def sorted_unique(ineqs: Iterable[Inequality]) -> tuple[Inequality, ...]:
@@ -317,56 +286,17 @@ def _unit_row(d: int) -> tuple[int, ...]:
     return (0,) * (d - 1) + (1,)
 
 
-def h_to_v(p: HPolyhedron) -> VPolyhedron:
-    """Exact V-representation via the double description p keeps.
-    Empty input gives empty vertex and ray lists; lines come back as
-    opposite ray pairs."""
-    if p.n < 1:
-        raise ContractViolation("ambient dimension must be at least 1")
-    return _generators(p, range(p.n))
-
-
-def _generators(p: HPolyhedron, keep: Sequence[int]) -> VPolyhedron:
-    """The vertices and rays of p's DD restricted to the coordinates in
-    ``keep``, sorted and deduplicated; lines come as opposite ray pairs,
-    and rays that restrict to zero drop out."""
-    lines, rays, _, _ = p._dd
-    vertices = {tuple(Fraction(r[j], -r[-1]) for j in keep) for r in rays if r[-1] < 0}
-    if not vertices:
-        return VPolyhedron(len(keep), (), ())
-    # the rays with t = 0 and both senses of each line, primitive on keep
-    signed = [*(r for r in rays if r[-1] == 0), *lines, *(tuple(-a for a in l) for l in lines)]
-    directions = {tuple(linalg.lowest_terms([g[j] for j in keep])) for g in signed}
-    directions.discard((0,) * len(keep))
-    return VPolyhedron(len(keep), tuple(sorted(vertices)),
-                       tuple(tuple(map(Fraction, d)) for d in sorted(directions)))
-
-
-def v_to_h(p: VPolyhedron) -> HPolyhedron:
-    """Irredundant canonical H-representation of conv(vertices) + cone(rays).
-
-    A rays-only description is read as a cone with apex at the origin.
-    Implicit equalities of flat polyhedra come out as inequality pairs.
+def _v_to_h_rows(n: int, rows: Sequence[Sequence[int]]) -> HPolyhedron:
+    """Irredundant canonical H-representation of conv(V) + cone(R) in R^n,
+    given the polar cone's integer rows: (v, -1) for each vertex v and
+    (r, 0) for each ray r.  Implicit equalities of flat polyhedra come out
+    as inequality pairs.
 
     No LP is needed.  The DD lines of the polar cone {(a, b) : a.v <= b,
     a.r <= 0} are the equalities, with independent normals.  A DD ray whose
     normal lies in their span is (0, b > 0) plus a line, implied by the
     equality pairs; every other ray is a facet.  With no lines, as for a
-    full-dimensional P, only the rays with a zero normal are skipped.
-    """
-    vertices = p.vertices
-    if not vertices and not p.rays:
-        raise ContractViolation("V-representation needs at least one vertex or ray")
-    if not vertices:
-        vertices = (linalg.zeros(p.n),)
-    rows = [linalg.int_row(v + (-_ONE,)) for v in vertices]
-    rows.extend(linalg.int_row(r + (_ZERO,)) for r in p.rays)
-    return _v_to_h_rows(p.n, rows)
-
-
-def _v_to_h_rows(n: int, rows: Sequence[Sequence[int]]) -> HPolyhedron:
-    """v_to_h given the polar cone's rows: (v, -1) for each vertex and
-    (r, 0) for each ray, as integer rows."""
+    full-dimensional P, only the rays with a zero normal are skipped."""
     lines, rays = dd_cone(rows, n + 1)
     if lines:
         normals = [g[:-1] for g in lines]
@@ -498,50 +428,9 @@ def dimension(p: HPolyhedron) -> int:
     return p._dd.dim
 
 
-def is_facet_defining(p: HPolyhedron, q: Inequality) -> bool:
-    """True when the face p intersect {normal.x = rhs} has dimension n-1.
-    Requires p full-dimensional (its facets are the rows remove_redundant
-    keeps) and q valid for p (else check_implication's violating point)."""
-    if q.n != p.n:
-        raise ContractViolation("inequality/polyhedron dimension mismatch")
-    if dimension(p) != p.n:
-        raise NotFullDimensionalError(
-            f"facet test requires a full-dimensional polyhedron (dim {dimension(p)} < {p.n})")
-    if not is_subset(p, HPolyhedron(p.n, (q,))):
-        imp = check_implication(p.inequalities, q)
-        if imp.implied:
-            raise InternalInvariantError("DD and LP disagree on validity")
-        raise InvalidInequalityError(
-            "inequality is not valid for the polyhedron", witness=imp.witness)
-    return q in remove_redundant(p).inequalities
-
-
-def fourier_motzkin_project(p: HPolyhedron, keep: Sequence[int]) -> HPolyhedron:
-    """Exact orthogonal projection onto the coordinates in ``keep`` (listed
-    in increasing original order), irredundant and canonical.
-
-    The projection goes through the generators: the projection of
-    conv(V) + cone(R) is conv(V') + cone(R') with every generator
-    restricted to ``keep``, so p's DD generators, read on ``keep``, go to
-    ``v_to_h`` and no LP is solved.  An empty p gives
-    ``empty_hpolyhedron(len(keep))``."""
-    keep = sorted(set(keep))
-    if not keep:
-        raise ContractViolation("projection needs a nonempty index set")
-    if keep[0] < 0 or keep[-1] >= p.n:
-        raise ContractViolation(f"projection indices out of range for R^{p.n}")
-    v = _generators(p, keep)
-    return empty_hpolyhedron(len(keep)) if v.is_empty else v_to_h(v)
-
-
 def empty_hpolyhedron(n: int) -> HPolyhedron:
     first = linalg.unit(n, 0)
     return HPolyhedron(n, (Inequality(first, Fraction(-1)), Inequality(linalg.neg(first), _ZERO)))
-
-
-def same_point_set(p: HPolyhedron, q: HPolyhedron) -> bool:
-    """Exact point-set equality: containment both ways."""
-    return is_subset(p, q) and is_subset(q, p)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Callable
 from . import linalg
 from .linalg import Vector, int_dot
 from .lp import LpStatus, solve_lp
-from .polyhedron import dimension, h_to_v, is_subset
+from .polyhedron import dimension, is_subset
 from .cone import GeneratedCone, certified_extreme_rows, check_theorem1, is_pointed
 from .errors import NotFullDimensionalError
 from .covering import (
@@ -304,8 +304,9 @@ def suite_covering(seed: int, count: int = 100) -> SuiteReport:
         # covering form: every facet reads c.x >= d with c, d >= 0
         signs_ok = all(a <= 0 for f in hull.inequalities for a in f.row)
         report.check(signs_ok, lambda: dump("a hull facet leaves covering form"))
-        rays = h_to_v(hull).rays
-        units = tuple(sorted(linalg.unit(q.n, j) for j in range(q.n)))
+        lines, dd_rays, _, _ = hull._dd
+        rays = not lines and [r[:-1] for r in dd_rays if r[-1] == 0]
+        units = sorted(linalg.unit(q.n, j) for j in range(q.n))
         report.check(rays == units, lambda: dump(f"hull rays {rays} != unit vectors"))
 
         inside = is_subset(hull, q.to_hpolyhedron())
@@ -375,7 +376,7 @@ def suite_aggregation(seed: int, single_count: int = 10, pair_count: int = 5) ->
         hull = integer_hull(q)
         # low.hulls holds the hulls of a grid-order prefix of the samples
         sampled = chain((h.hull for h in low.hulls), (
-            integer_hull(aggregate(q, s)) for s in low.samples_used[len(low.hulls):]))
+            integer_hull(aggregate(q, s)) for s in low.samples[len(low.hulls):]))
         sandwich = is_subset(hull, low.polyhedron) and all(
             is_subset(low.polyhedron, h) for h in sampled)
         report.check(sandwich, lambda: dump("closure leaves the hull sandwich"))

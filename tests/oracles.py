@@ -1,38 +1,46 @@
-"""Brute-force oracles used by the tests, independent of the library's
-conversion and projection code paths, Fraction reference versions of
-the routines the library runs on integer rows (simplex, solve_lp with
-its certificate checks, cone membership, rank and double description),
-the conversions between the simplex's integer rows and the rational
-rows they stand for, the LP-pruned V-to-H
-conversion that v_to_h replaces, the LP-decided cut attribution that
-classify_cuts replaces, the LP emptiness, dimension and redundancy tests
-that the homogenized double description replaces, the rank-based facet
-test that its zero sets replace, the dimension from the rank of its
-generators that the implicit equalities replace, the Fourier-Motzkin
-elimination that projection through the generators replaces, the
-projection through h_to_v's Fraction generators that the generator
-reader replaces, the three-solve
-implication test that check_implication's single LP replaces, the
-per-generator membership LPs that the polar cone's zero sets replace in
-extreme_rays, and the Fraction hull pipeline (aggregation, minimal point
-checks, V to H, the sampled closure) that the integer rows replace, and
-the density-doubling stabilization check that closure_approx now runs
-only when its approximation is not already the integer hull, the
-closure that builds every density-D hull before it compares the
-intersection with the integer hull, and the containment, point-set
-equality and facet tests by check_implication that the homogenized
-double description replaces.  It also holds the Fraction text forms of
-an inequality that Inequality now prints from its integer row, and the
-small vector, matrix, inequality and cone helpers that only the tests
-use (sub, add, scale, mat_vec, vec_mat, transpose), the hull of every
-minimal point that the lower-chain filter replaces, and a broken copy of
-dd_cone for mutation tests."""
+"""Test-only code: the oracles the library is checked against, and the
+few types and helpers that only the tests use.
+
+The oracles, each independent of the library path it checks:
+- Fraction versions of the routines the library runs on integer rows:
+  simplex, solve_lp with its certificate checks, cone membership, rank
+  and double description, and the conversions between the simplex's
+  integer rows and the rational rows they stand for;
+- LP versions of what the polyhedron's double description decides:
+  emptiness, dimension and redundancy, containment, point-set equality
+  and the facet test (lp_same_point_set and lp_is_facet_defining are
+  also the tests' comparators), with the rank-based facet test and the
+  generator-rank dimension that its zero sets replace;
+- the LP-pruned V-to-H conversion that v_to_h is checked against, and
+  H to V and projection by a double description of their own
+  (round_trip_h_to_v, round_trip_project), which projection_lemma_sides
+  uses with project_instance to check the projection lemma on single-row
+  covering instances;
+- the three-solve implication test that check_implication's single LP
+  replaces, the per-generator membership LPs that the polar cone's zero
+  sets replace in extreme_rays, the LP-decided cut attribution that
+  classify_cuts replaces, and the down-set box enumeration;
+- the Fraction hull pipeline (aggregation, minimal point checks, V to
+  H, the sampled closure) that the integer rows replace, the hull of
+  every minimal point that the lower-chain filter replaces, the
+  density-doubling stabilization check and the closure that builds
+  every density-D hull before it compares the intersection with the
+  integer hull;
+- the Fraction text forms of an inequality that Inequality prints from
+  its integer row.
+
+Test-only types and helpers: VPolyhedron with v_to_h, the tests' entry
+to polyhedron._v_to_h_rows; ge; the vector, matrix, inequality and cone
+helpers sub, add, scale, mat_vec, vec_mat, transpose, flipped,
+unique_generators and with_unit_last; and a broken copy of dd_cone for
+mutation tests."""
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import ceil
 from operator import le
 from typing import Sequence
@@ -41,7 +49,7 @@ from unittest import mock
 from closurelab import linalg, lp, polyhedron
 from closurelab.aggregation import (HULL_FACET, SIGN, AggregatedHull, AggregationSample,
                                     ClosureApprox, CutClass, _hulls_for, _intersect,
-                                    _is_sign_constraint, multiplier_rows,
+                                    _is_sign_constraint, closure_approx, multiplier_rows,
                                     sample_multipliers)
 from closurelab.cone import GeneratedCone, RaySet, _line_through
 from closurelab.covering import CoveringInstance
@@ -51,10 +59,9 @@ from closurelab.errors import (ContractViolation, InconsistentSystemError,
 from closurelab.linalg import (Matrix, Vector, check_dim, combine, dot, int_dot, int_row,
                                is_zero, primitive, rational, zeros)
 from closurelab.lp import ConeMembership, LpResult, LpStatus, solve_lp
-from closurelab.polyhedron import (HPolyhedron, Implication, Inequality, VPolyhedron,
-                                   _v_to_h_rows, check_implication, dd_cone,
-                                   empty_hpolyhedron, remove_redundant, sorted_unique,
-                                   v_to_h)
+from closurelab.polyhedron import (HPolyhedron, Implication, Inequality, _v_to_h_rows,
+                                   check_implication, dd_cone, empty_hpolyhedron,
+                                   remove_redundant, sorted_unique)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -95,6 +102,11 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(tuple(row[j] for row in m) for j in range(len(m[0])))
 
 
+def ge(normal: Sequence, rhs) -> Inequality:
+    """Build normal.x >= rhs in the internal <= orientation."""
+    return Inequality(linalg.neg(linalg.vector(normal)), -rational(rhs))
+
+
 def flipped(q: Inequality) -> Inequality:
     """The reverse inequality -normal.x <= -rhs (for equality pairs)."""
     return Inequality(linalg.neg(q.normal), -q.rhs)
@@ -117,43 +129,7 @@ def with_unit_last(k: GeneratedCone) -> tuple[GeneratedCone, bool]:
     """The same cone, with (0, ..., 0, 1) appended when missing."""
     if k.has_unit_last:
         return k, False
-    return GeneratedCone(unique_generators(k) + (k.unit_last(),)), True
-
-
-def brute_force_vertices(p: HPolyhedron) -> tuple[Vector, ...]:
-    """Vertices by enumeration: solve every n-subset of tight inequalities
-    exactly, keep feasible solutions, and confirm vertexhood by the rank of
-    the active constraints."""
-    n = p.n
-    candidates = set()
-    for subset in combinations(p.inequalities, n):
-        m = tuple(q.normal for q in subset)
-        b = tuple(q.rhs for q in subset)
-        x = solve_square(m, b)
-        if x is None or not p.contains(x):
-            continue
-        tight = [q.normal for q in p.inequalities if linalg.dot(q.normal, x) == q.rhs]
-        if linalg.rank(tight) == n:
-            candidates.add(x)
-    return tuple(sorted(candidates))
-
-
-def point_has_extension(p: HPolyhedron, keep: tuple[int, ...], partial: Vector) -> bool:
-    """Is some point of p equal to `partial` on the kept coordinates?
-    Decided by exact LP feasibility, not by projection."""
-    extra = []
-    for j, value in zip(keep, partial):
-        e = linalg.unit(p.n, j)
-        extra.append(Inequality(e, value))
-        extra.append(Inequality(linalg.neg(e), -value))
-    a = tuple(q.normal for q in p.inequalities + tuple(extra))
-    b = tuple(q.rhs for q in p.inequalities + tuple(extra))
-    return solve_lp(a, b, linalg.zeros(p.n), "max").status is not LpStatus.INFEASIBLE
-
-
-def rational_grid(lo: int, hi: int, denominator: int = 2):
-    """All p/denominator in [lo, hi]: a small exact sample grid."""
-    return [Fraction(k, denominator) for k in range(lo * denominator, hi * denominator + 1)]
+    return GeneratedCone(unique_generators(k) + (linalg.unit(k.dim, k.n),)), True
 
 
 def down_set_box_oracle(e1, e2) -> bool:
@@ -178,29 +154,6 @@ def down_set_box_oracle(e1, e2) -> bool:
     return True
 
 
-def solve_square(m: Matrix, b: Vector) -> Vector | None:
-    """Solve m x = b for square m by Gauss-Jordan elimination in Fractions;
-    None when m is singular."""
-    n = len(m)
-    if n == 0:
-        return ()
-    linalg.check_dim(b, n)
-    aug = [list(row) + [rhs] for row, rhs in zip(m, b)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pr = aug[col]
-        inv = 1 / pr[col]
-        aug[col] = [a * inv for a in pr]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b2 for a, b2 in zip(aug[i], aug[col])]
-    return tuple(aug[i][n] for i in range(n))
-
-
 def fraction_rank(rows: Sequence[Vector]) -> int:
     """Rank by Gauss-Jordan elimination in Fractions."""
     work = [[Fraction(a) for a in r] for r in rows if not is_zero(r)]
@@ -222,7 +175,48 @@ def fraction_rank(rows: Sequence[Vector]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# V to H with an LP redundancy pass (the reference for polyhedron.v_to_h)
+# V-polyhedra, the tests' entry to polyhedron._v_to_h_rows
+
+
+@dataclass(frozen=True)
+class VPolyhedron:
+    """conv(vertices) + cone(rays) with Fraction generators; rays are
+    primitive, lists are sorted.
+
+    A rays-only description is read as a cone with apex at the origin, so
+    the set is empty exactly when both lists are."""
+
+    n: int
+    vertices: tuple[Vector, ...]
+    rays: tuple[Vector, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(tuple(v) for v in self.vertices))
+        object.__setattr__(self, "rays", tuple(tuple(r) for r in self.rays))
+        for v in self.vertices + self.rays:
+            check_dim(v, self.n, "generator")
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.vertices and not self.rays
+
+
+def v_to_h(p: VPolyhedron) -> HPolyhedron:
+    """Irredundant canonical H-representation of conv(vertices) + cone(rays),
+    by _v_to_h_rows on the polar rows (v, -1) and (r, 0) as integer rows.
+    A rays-only description is read as a cone with apex at the origin."""
+    vertices = p.vertices
+    if not vertices and not p.rays:
+        raise ContractViolation("V-representation needs at least one vertex or ray")
+    if not vertices:
+        vertices = (zeros(p.n),)
+    rows = [int_row(v + (-_ONE,)) for v in vertices]
+    rows.extend(int_row(r + (_ZERO,)) for r in p.rays)
+    return _v_to_h_rows(p.n, rows)
+
+
+# ---------------------------------------------------------------------------
+# V to H with an LP redundancy pass (the reference for v_to_h)
 
 
 def dd_rows_zero_normal_skip(p: VPolyhedron) -> HPolyhedron:
@@ -374,52 +368,7 @@ def lp_is_facet_defining(p: HPolyhedron, q: Inequality) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin elimination with LP pruning (the reference for
-# polyhedron.fourier_motzkin_project)
-
-
-def fm_project(p: HPolyhedron, keep: Sequence[int]) -> HPolyhedron:
-    """Eliminate the dropped coordinates one at a time, last first: pair
-    every row with a negative coefficient with every row with a positive
-    one, and prune by lp_remove_redundant after each step and at the end.
-    A 0 <= negative row gives empty_hpolyhedron(len(keep)); other
-    inconsistent inputs come back as some inconsistent system."""
-    keep = sorted(set(keep))
-    system = list(p.inequalities)
-    for j in sorted(set(range(p.n)) - set(keep), reverse=True):
-        lower, upper, neutral = [], [], []
-        for q in system:
-            c = q.normal[j]
-            (neutral if c == 0 else upper if c > 0 else lower).append(q)
-        combined = list(neutral)
-        upper = [linalg.int_row(q.stacked()) for q in upper]
-        for ql in lower:
-            low = linalg.int_row(ql.stacked())
-            for up in upper:
-                *normal, rhs = combine(up[j], low, low[j], up)
-                if not any(normal):
-                    if rhs < 0:
-                        return empty_hpolyhedron(len(keep))
-                    continue
-                combined.append(Inequality(normal, rhs))
-        system = [q for q in sorted_unique(combined) if not q.is_trivial()]
-        system = list(lp_remove_redundant(HPolyhedron(p.n, tuple(system))).inequalities)
-
-    out = []
-    for q in system:
-        normal = tuple(q.normal[j] for j in keep)
-        if is_zero(normal):
-            if q.rhs < 0:
-                return empty_hpolyhedron(len(keep))
-            continue
-        out.append(Inequality(normal, q.rhs))
-    return lp_remove_redundant(HPolyhedron(len(keep), sorted_unique(out)))
-
-
-# ---------------------------------------------------------------------------
-# H to V and projection through it (the references for polyhedron.h_to_v
-# and polyhedron.fourier_motzkin_project, which read the DD generators on
-# the kept coordinates instead of restricting h_to_v's Fraction rays)
+# H to V and projection through it, by a double description of their own
 
 
 def round_trip_h_to_v(p: HPolyhedron) -> VPolyhedron:
@@ -458,6 +407,35 @@ def round_trip_project(p: HPolyhedron, keep: Sequence[int]) -> HPolyhedron:
     rays = {primitive(tuple(r[j] for j in keep)) for r in v.rays}
     rays.discard(linalg.zeros(len(keep)))
     return v_to_h(VPolyhedron(len(keep), tuple(sorted(vertices)), tuple(sorted(rays))))
+
+
+def project_instance(q: CoveringInstance, t: int) -> CoveringInstance:
+    """The orthogonal projection of a covering instance onto its first t
+    coordinates.  A row supported inside the first t coordinates survives
+    with its demand; any other row is absorbed by sending the dropped
+    coordinates to infinity and becomes trivial.  For a single row, the
+    closure (the integer hull) of the projection is the projection of the
+    closure, which round_trip_project computes."""
+    if not 1 <= t < q.n:
+        raise ContractViolation(f"t must satisfy 1 <= t < {q.n}, got {t}")
+    rows = []
+    demand = []
+    for row, di in zip(q.M, q.d):
+        if all(row[j] == 0 for j in range(t, q.n)):
+            rows.append(row[:t])
+            demand.append(di)
+        else:
+            rows.append(zeros(t))
+            demand.append(_ZERO)
+    return CoveringInstance(tuple(rows), tuple(demand))
+
+
+def projection_lemma_sides(q: CoveringInstance, t: int) -> tuple[HPolyhedron, HPolyhedron]:
+    """For a single-row q, whose k = 1 closure at density 1 is its integer
+    hull: that closure projected onto x1..xt by round_trip_project, and
+    the closure of project_instance(q, t).  The lemma says they are equal."""
+    projected = round_trip_project(closure_approx(q, 1, 1).polyhedron, range(t))
+    return projected, closure_approx(project_instance(q, t), 1, 1).polyhedron
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from closurelab.aggregation import (
     SIGN,
     AggregationSample,
     aggregate,
-    check_projection_lemma,
     classify_cuts,
     closure_approx,
 )
@@ -35,17 +34,7 @@ from closurelab.covering import (
     integer_hull,
     minimal_integer_points,
 )
-from closurelab.polyhedron import (
-    HPolyhedron,
-    dimension,
-    ge,
-    h_to_v,
-    ineq,
-    is_facet_defining,
-    remove_redundant,
-    same_point_set,
-    sorted_unique,
-)
+from closurelab.polyhedron import HPolyhedron, dimension, ineq, remove_redundant, sorted_unique
 from closurelab.verify import (
     brute_force_minimal_points,
     random_covering,
@@ -56,7 +45,9 @@ from closurelab.verify import (
     suite_farkas,
 )
 
-from oracles import down_set_box_oracle, unique_generators, with_unit_last
+from oracles import (down_set_box_oracle, ge, lp_is_facet_defining, lp_same_point_set,
+                     projection_lemma_sides, round_trip_h_to_v, unique_generators,
+                     with_unit_last)
 
 V = linalg.vector
 
@@ -134,14 +125,14 @@ def test_criterion_5_fii_facet_agreement():
                 continue  # the mandatory trivial generator induces no half-space
             q = ineq(normal, rhs)
             tested += 1
-            if fii_check(cone, q).is_fii != is_facet_defining(closure, q):
+            if fii_check(cone, q).is_fii != lp_is_facet_defining(closure, q):
                 disagreements += 1
     standin = GeneratedCone((V([-1, 2, 7]), V([1, 2, 7]), V([0, 0, 1])))
     res = fii_check(standin, ineq([0, 1], F(7, 2)))
     standin_ok = (not res.is_fii) and res.multipliers[:2] == (F(1, 4), F(1, 4))
     ok = disagreements == 0 and standin_ok
     report(5, ok, f"30 closures, {tested} generator inequalities: is_fii matches "
-                  f"is_facet_defining; stand-in gives NOT FII with (1/4, 1/4)")
+                  f"the LP facet test; stand-in gives NOT FII with (1/4, 1/4)")
 
 
 def test_criterion_6_covering_form():
@@ -161,7 +152,7 @@ def test_criterion_6_covering_form():
                 break
         else:
             units = tuple(sorted(linalg.unit(q.n, j) for j in range(q.n)))
-            if h_to_v(hull).rays != units:
+            if round_trip_h_to_v(hull).rays != units:
                 bad += 1
     elapsed = time.monotonic() - start
     ok = bad == 0 and elapsed < 60.0
@@ -191,7 +182,7 @@ def test_criterion_8_single_row_exactness():
         for k in (1, 2):
             for density in (1, 4):
                 ca = closure_approx(q, k, density)
-                if not (ca.stabilized and same_point_set(ca.polyhedron, hull)):
+                if not (ca.stabilized and lp_same_point_set(ca.polyhedron, hull)):
                     bad += 1
     ok = bad == 0
     report(8, ok, f"20 single-row instances, k in {{1,2}}, D in {{1,4}}: closure "
@@ -220,7 +211,7 @@ def test_criterion_9_two_row_grid_oracle():
             agg = aggregate(q, AggregationSample((lam,)))
             pool.extend(integer_hull(agg).inequalities)
         oracle = remove_redundant(HPolyhedron(2, sorted_unique(pool)))
-        if not same_point_set(ca.polyhedron, oracle):
+        if not lp_same_point_set(ca.polyhedron, oracle):
             bad += 1
             continue
         if ca.stabilized:
@@ -239,7 +230,8 @@ def test_criterion_10_projection_lemma():
     for _ in range(10):
         q = random_single_row(rng, n=3)
         for t in (1, 2):
-            if not check_projection_lemma(q, t, 1).passed:
+            projected, closure = projection_lemma_sides(q, t)
+            if projected != closure:
                 bad += 1
     ok = bad == 0
     report(10, ok, f"10 single-row instances in R^3, t in {{1,2}}: projecting the "

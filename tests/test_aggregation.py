@@ -1,5 +1,5 @@
 """Aggregation closures: sampling grid, aggregation, intersection,
-classification, and projection commutation."""
+classification, and projection commutation on single rows."""
 
 import random
 from dataclasses import replace
@@ -17,27 +17,19 @@ from closurelab.aggregation import (
     SIGN,
     AggregationSample,
     aggregate,
-    check_projection_lemma,
     classify_cuts,
     closure_approx,
     multiplier_rows,
-    project_instance,
     sample_multipliers,
 )
 from closurelab.covering import (CoveringInstance, MinimalPointSet, integer_hull,
                                  minimal_integer_points)
 from closurelab.errors import ContractViolation
 from closurelab.io import parse_instance
-from closurelab.polyhedron import (
-    HPolyhedron,
-    check_implication,
-    ge,
-    remove_redundant,
-    same_point_set,
-    sorted_unique,
-)
+from closurelab.polyhedron import HPolyhedron, check_implication, remove_redundant, sorted_unique
 from closurelab.verify import random_single_row
-from oracles import doubling_stabilized, full_closure_approx
+from oracles import (doubling_stabilized, full_closure_approx, ge, lp_same_point_set,
+                     project_instance, projection_lemma_sides)
 
 V = linalg.vector
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -118,7 +110,7 @@ def test_closure_single_row_equals_hull():
     q = CoveringInstance(([1, 2],), (3,))
     ca = closure_approx(q, 1, 4)
     assert ca.stabilized
-    assert same_point_set(ca.polyhedron, integer_hull(q))
+    assert lp_same_point_set(ca.polyhedron, integer_hull(q))
     assert set(ca.polyhedron.inequalities) == {ge([1, 1], 2), ge([1, 2], 3),
                                                ge([1, 0], 0), ge([0, 1], 0)}
 
@@ -131,7 +123,7 @@ def test_closure_single_row_exact_for_k_and_density():
         for k, density in ((1, 1), (2, 3)):
             ca = closure_approx(q, k, density)
             assert ca.stabilized
-            assert same_point_set(ca.polyhedron, hull)
+            assert lp_same_point_set(ca.polyhedron, hull)
 
 
 # at density 1 the (1, 1) aggregation is missing: not stabilized
@@ -197,7 +189,7 @@ def test_closure_builds_one_hull_per_aggregated_instance(counted):
         ca, built, hulled = _counted_closure(counted, q, k, density)
         assert ca.stabilized == stabilized
         assert (ca.polyhedron == integer_hull(q)) == at_hull
-        assert ca.samples_used == samples
+        assert ca.samples == samples
         if at_hull:
             assert [h.sample for h in ca.hulls] == list(samples[:stop])
             expected = {aggregate(q, s) for s in samples[:stop]}
@@ -223,10 +215,10 @@ def test_closure_hulls_p_i_from_q_and_shares_it_with_a_covering_sample(counted):
     for density, samples in ((2, 1), (3, 10)):
         ca, built, hulled = _counted_closure(counted, TWO_ROW, 3, density)
         assert built[0] == own
-        assert built[1] == aggregate(TWO_ROW, ca.samples_used[0])
+        assert built[1] == aggregate(TWO_ROW, ca.samples[0])
         assert len(built) == len(set(built)) == 2
         assert len(hulled) == len(ca.hulls) == 1
-        assert len(ca.samples_used) == samples
+        assert len(ca.samples) == samples
         assert ca.polyhedron == integer_hull(TWO_ROW)
         assert ca.stabilized == doubling_stabilized(TWO_ROW, 3, density)
 
@@ -290,7 +282,7 @@ def test_closure_matches_the_full_intersection(args):
     got, want = closure_approx(q, k, density), full_closure_approx(q, k, density)
     assert _facet_rows(got.polyhedron) == _facet_rows(want.polyhedron)
     assert got.stabilized == want.stabilized
-    assert got.samples_used == want.samples_used
+    assert got.samples == want.samples
     assert _cut_rows(got) == _cut_rows(want)
     assert 0 < len(got.hulls) <= len(want.hulls)
     assert got.hulls == want.hulls[:len(got.hulls)]
@@ -303,7 +295,7 @@ def test_three_row_pair_closure_stops_after_32_hulls(counted):
     q = parse_instance((INSTANCES / "three_row.txt").read_text()).payload
     ca, built, hulled = _counted_closure(counted, q, 2, 8)
     assert (len(built), len(hulled)) == (32, 5)
-    assert (len(ca.hulls), len(ca.samples_used), ca.stabilized) == (31, 6903, True)
+    assert (len(ca.hulls), len(ca.samples), ca.stabilized) == (31, 6903, True)
 
 
 # k = 1, D = 4: the hulls never cover P_I, so every density-4 and density-8
@@ -316,7 +308,7 @@ def test_closure_hulls_each_distinct_point_set_once(counted):
     distinct sets of minimal points, so 9 hulls are built for 22 samples."""
     ca, built, hulled = _counted_closure(counted, NEVER_COVERS, 1, 4)
     assert (len(built), len(hulled)) == (119, 9)
-    assert (len(ca.hulls), len(ca.samples_used), ca.stabilized) == (22, 22, False)
+    assert (len(ca.hulls), len(ca.samples), ca.stabilized) == (22, 22, False)
     assert len({id(h.hull) for h in ca.hulls}) < len({h.polyhedron for h in ca.hulls})
 
 
@@ -351,7 +343,7 @@ def test_closure_two_row_matches_denominator_grid_oracle():
     for lam in multiplier_rows(2, 8):
         pool.extend(integer_hull(aggregate(TWO_ROW, AggregationSample((lam,)))).inequalities)
     oracle = remove_redundant(HPolyhedron(2, sorted_unique(pool)))
-    assert same_point_set(ca.polyhedron, oracle)
+    assert lp_same_point_set(ca.polyhedron, oracle)
 
 
 def test_closure_contains_hull_and_sits_in_sampled_hulls():
@@ -428,26 +420,21 @@ def test_projection_instance_construction():
 
 
 def test_projection_lemma_unbounded_column():
-    rep = check_projection_lemma(CoveringInstance(([1, 2],), (3,)), 1, 1)
-    assert rep.passed
-    assert set(rep.projected_closure.inequalities) == {ge([1], 0)}
+    projected, closure = projection_lemma_sides(CoveringInstance(([1, 2],), (3,)), 1)
+    assert projected == closure
+    assert set(projected.inequalities) == {ge([1], 0)}
 
 
 def test_projection_lemma_supported_row():
-    rep = check_projection_lemma(CoveringInstance(([2, 0],), (3,)), 1, 1)
-    assert rep.passed
-    assert set(rep.projected_closure.inequalities) == {ge([1], 2)}
+    projected, closure = projection_lemma_sides(CoveringInstance(([2, 0],), (3,)), 1)
+    assert projected == closure
+    assert set(projected.inequalities) == {ge([1], 2)}
 
 
 def test_projection_lemma_simplex_row():
-    rep = check_projection_lemma(CoveringInstance(([1, 1, 1],), (2,)), 2, 1)
-    assert rep.passed
-    assert set(rep.projected_closure.inequalities) == {ge([1, 0], 0), ge([0, 1], 0)}
-
-
-def test_projection_lemma_refuses_multirow():
-    with pytest.raises(ContractViolation):
-        check_projection_lemma(TWO_ROW, 1, 1)
+    projected, closure = projection_lemma_sides(CoveringInstance(([1, 1, 1],), (2,)), 2)
+    assert projected == closure
+    assert set(projected.inequalities) == {ge([1, 0], 0), ge([0, 1], 0)}
 
 
 def test_projection_lemma_random_single_rows():
@@ -455,4 +442,5 @@ def test_projection_lemma_random_single_rows():
     for _ in range(6):
         q = random_single_row(rng, n=3)
         for t in (1, 2):
-            assert check_projection_lemma(q, t, 1).passed
+            projected, closure = projection_lemma_sides(q, t)
+            assert projected == closure

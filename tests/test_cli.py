@@ -341,6 +341,16 @@ def test_cone_theorem1_command(tmp_path, capsys):
     assert "result: PASS" in out
 
 
+@pytest.mark.parametrize("sub", ["rays", "pointed", "closure", "theorem1"])
+def test_cone_inequality_outside_fii_is_a_usage_error(sub, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["cone", str(INSTANCES / "strip_cone.txt"), sub, "x1 <= 1"])
+    assert err.value.code == 2
+    out, err_text = capsys.readouterr()
+    assert out == ""
+    assert f"cone {sub} takes no inequality; only fii does" in err_text
+
+
 def test_cone_fii_command(tmp_path, capsys):
     path = write(tmp_path, "cone.txt", CONE)
     code, out, _ = run_cli(["cone", path, "fii", "x1 + x2 <= 2"], capsys)
@@ -546,9 +556,9 @@ def test_theorem1_on_a_pointed_cone_solves_no_lp(monkeypatch, capsys):
         assert code == 0 and "result: PASS" in out
 
 
-def test_containment_equality_and_facet_questions_solve_no_lp(monkeypatch, capsys):
-    # the verify containment checks, same_point_set and a valid facet test
-    # read the cached double description; only a certificate needs an LP
+def test_verify_containment_questions_solve_no_lp(monkeypatch, capsys):
+    # the verify containment checks read the cached double description;
+    # only a certificate needs an LP
     def refused(*args, **kwargs):
         raise AssertionError("a yes/no question solved an LP")
 
@@ -556,12 +566,6 @@ def test_containment_equality_and_facet_questions_solve_no_lp(monkeypatch, capsy
     for suite in ("covering", "aggregation"):
         code, out, _ = run_cli(["verify", suite, "--seed", "1"], capsys)
         assert code == 0 and "result: PASS" in out
-    ineq = polyhedron.ineq
-    square = polyhedron.HPolyhedron(2, (ineq([1, 0], 1), ineq([-1, 0], 0), ineq([0, 1], 1),
-                                        ineq([0, -1], 0), ineq([1, 1], 2)))
-    assert polyhedron.same_point_set(square, polyhedron.remove_redundant(square))
-    assert polyhedron.is_facet_defining(square, ineq([1, 0], 1))
-    assert not polyhedron.is_facet_defining(square, ineq([1, 1], 2))
 
 
 def test_fii_runs_one_double_description(monkeypatch, capsys):

@@ -12,18 +12,17 @@ from closurelab.covering import (
     CoveringInstance,
     MinimalPointSet,
     _lower_chains,
-    dominates,
     down_set_contains,
     enumeration_box,
     integer_hull,
-    minimal_elements,
     minimal_integer_points,
 )
 from closurelab.errors import ContractViolation
-from closurelab.polyhedron import check_implication, dd_cone, ge, h_to_v, same_point_set
+from closurelab.polyhedron import check_implication, dd_cone
 from closurelab.verify import brute_force_minimal_points, random_covering
 
-from oracles import down_set_box_oracle, unfiltered_hull
+from oracles import (down_set_box_oracle, ge, lp_same_point_set, round_trip_h_to_v,
+                     unfiltered_hull)
 
 V = linalg.vector
 
@@ -68,22 +67,6 @@ def test_integer_hull_integral_relaxation():
 def test_integer_hull_zero_demand_is_orthant():
     hull = integer_hull(CoveringInstance(([1, 2], [3, 0]), (0, 0)))
     assert set(hull.inequalities) == {ge([1, 0], 0), ge([0, 1], 0)}
-
-
-def test_minimal_elements_examples():
-    assert minimal_elements([(1, 2), (0, 2), (3, 0)]).points == pts((0, 2), (3, 0))
-    assert minimal_elements([(1, 1)]).points == pts((1, 1))
-
-
-def test_minimal_elements_matches_pairwise_oracle():
-    rng = random.Random(8)
-    for _ in range(10):
-        points = [tuple(rng.randint(0, 5) for _ in range(3)) for _ in range(100)]
-        got = minimal_elements(points).points
-        vecs = sorted(set(V(p) for p in points))
-        oracle = tuple(p for p in vecs
-                       if not any(q != p and dominates(q, p) for q in vecs))
-        assert got == oracle
 
 
 def _rejects(points, message):
@@ -181,7 +164,7 @@ def test_hull_is_covering_shaped_random():
             ge_normal = linalg.neg(facet.normal)
             assert all(a >= 0 for a in ge_normal)
             assert -facet.rhs >= 0
-        assert h_to_v(hull).rays == tuple(sorted(
+        assert round_trip_h_to_v(hull).rays == tuple(sorted(
             linalg.unit(q.n, j) for j in range(q.n)))
 
 
@@ -203,7 +186,7 @@ def test_rational_data_instance():
     # 2x1 + 6x2 >= 9 over N^2: minimal points by hand
     assert mp.points == pts((0, 2), (2, 1), (5, 0))
     hull = integer_hull(q)
-    assert same_point_set(hull, integer_hull(CoveringInstance(([2, 6],), (9,))))
+    assert lp_same_point_set(hull, integer_hull(CoveringInstance(([2, 6],), (9,))))
 
 
 # Small nonnegative rationals, zero drawn often: zero coefficients give

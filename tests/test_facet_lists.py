@@ -13,13 +13,13 @@ from fractions import Fraction as F
 from hypothesis import assume, example, given, settings, strategies as st
 
 from closurelab import linalg, lp, polyhedron
-from closurelab.aggregation import check_projection_lemma, classify_cuts, closure_approx
+from closurelab.aggregation import classify_cuts, closure_approx
 from closurelab.cone import GeneratedCone, check_theorem1, closure_of, extreme_rays
 from closurelab.covering import CoveringInstance
 from closurelab.polyhedron import dimension
 
-from oracles import (lp_classify_cuts, lp_same_point_set, unique_generators,
-                     with_unit_last)
+from oracles import (lp_classify_cuts, lp_same_point_set, projection_lemma_sides,
+                     unique_generators, with_unit_last)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -105,7 +105,7 @@ NO_UNIT_CONE = GeneratedCone(((1, 0, 0), (0, 1, 0), (1, 1, 0)))
 def test_rebuilt_equals_closure_matches_same_point_set(cone):
     ku, _ = with_unit_last(cone)
     rays = extreme_rays(ku).rays
-    rebuilt = closure_of(GeneratedCone(rays + (ku.unit_last(),)))
+    rebuilt = closure_of(GeneratedCone(rays + (linalg.unit(ku.dim, ku.n),)))
     rep = check_theorem1(cone)
     assert rep.rebuilt_equals_closure == lp_same_point_set(closure_of(ku), rebuilt)
     assert rep.extreme_rays == rays
@@ -123,7 +123,7 @@ def test_closure_list_equality_matches_same_point_set_on_subfamilies(cone):
     closure = closure_of(ku)
     gens = unique_generators(ku)
     for i in range(len(gens)):
-        sub = closure_of(GeneratedCone(gens[:i] + gens[i + 1:] + (ku.unit_last(),)))
+        sub = closure_of(GeneratedCone(gens[:i] + gens[i + 1:] + (linalg.unit(ku.dim, ku.n),)))
         assert (closure == sub) == lp_same_point_set(closure, sub)
 
 
@@ -139,8 +139,8 @@ def test_classify_cuts_makes_no_lp_call(monkeypatch):
 
 
 def test_facet_list_decisions_make_no_implication_lp(monkeypatch):
-    # facet-list comparisons, is_facet_defining and same_point_set read the
-    # cached DD; check_implication is only for certificates
+    # facet-list comparisons read the cached DD; check_implication is only
+    # for certificates
     def no_implication(*args):
         raise AssertionError("an implication LP decided a facet-list comparison")
 
@@ -148,5 +148,6 @@ def test_facet_list_decisions_make_no_implication_lp(monkeypatch):
     ca = closure_approx(KNAPSACK_PAIR, 1, 2)
     assert ca.stabilized
     classify_cuts(ca)
-    assert check_projection_lemma(SINGLE_ROW, 1, 1).passed
+    projected, closure = projection_lemma_sides(SINGLE_ROW, 1)
+    assert projected == closure
     assert check_theorem1(SQUARE_CONE).passed

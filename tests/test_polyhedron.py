@@ -1,4 +1,4 @@
-"""Polyhedron conversions, reductions, and queries."""
+"""Polyhedra: inequalities, V to H, reductions, and queries."""
 
 import random
 from fractions import Fraction as F
@@ -11,38 +11,28 @@ from closurelab.errors import (
     ContractViolation,
     InconsistentSystemError,
     InternalInvariantError,
-    InvalidInequalityError,
-    NotFullDimensionalError,
     ParseError,
 )
 from closurelab.polyhedron import (
     HPolyhedron,
     Inequality,
-    VPolyhedron,
     check_implication,
     dimension,
     empty_hpolyhedron,
     format_ge,
     format_le,
-    fourier_motzkin_project,
-    ge,
-    h_to_v,
     ineq,
-    is_facet_defining,
     is_subset,
     parse_inequality,
     remove_redundant,
-    same_point_set,
     sorted_unique,
-    v_to_h,
 )
 
-from oracles import (add, brute_force_vertices, dd_rows_zero_normal_skip, fm_project,
-                     fraction_format_ge, fraction_format_le, generator_rank_dimension,
-                     homogenization_dd, lp_dimension, lp_is_empty, lp_is_facet_defining,
-                     lp_is_subset, lp_remove_redundant, lp_same_point_set, lp_v_to_h,
-                     point_has_extension, rank_remove_redundant, rational_grid,
-                     round_trip_h_to_v, round_trip_project, scale, three_solve_implication)
+from oracles import (VPolyhedron, add, dd_rows_zero_normal_skip, fraction_format_ge,
+                     fraction_format_le, ge, generator_rank_dimension, homogenization_dd,
+                     lp_dimension, lp_is_empty, lp_is_facet_defining, lp_is_subset,
+                     lp_remove_redundant, lp_same_point_set, lp_v_to_h, rank_remove_redundant,
+                     round_trip_h_to_v, scale, three_solve_implication, v_to_h)
 
 V = linalg.vector
 
@@ -127,7 +117,7 @@ def test_polyhedron_keeps_one_double_description(monkeypatch):
         calls.append(rows)
         return real(rows, dim)
 
-    square_v = h_to_v(SQUARE)
+    square_dd = SQUARE._dd
     monkeypatch.setattr(polyhedron, "dd_cone", counted)
     rows = (ineq([1, 0], 1), ineq([-1, 0], 0), ineq([0, 1], 1), ineq([0, -1], 0),
             ineq([1, 1], 3))
@@ -135,7 +125,7 @@ def test_polyhedron_keeps_one_double_description(monkeypatch):
     before = (repr(p), hash(p))
     assert not p.is_empty and dimension(p) == 2
     assert remove_redundant(p).inequalities == rows[:4]
-    assert is_subset(p, SQUARE) and h_to_v(p) == square_v
+    assert is_subset(p, SQUARE) and p._dd[:2] == square_dd[:2]
     assert len(calls) == 1 and "_dd" in vars(p) and "_dd" not in vars(fresh)
     assert p == fresh and (repr(p), hash(p)) == (repr(fresh), hash(fresh)) == before
     # an irredundant input is its own answer, so the result keeps its DD
@@ -150,40 +140,14 @@ def test_inequality_zero_normal_needs_nonnegative_rhs():
         ineq([0, 0], -1)
 
 
-def test_h_to_v_unit_square():
-    vp = h_to_v(SQUARE)
-    assert vp.vertices == (V([0, 0]), V([0, 1]), V([1, 0]), V([1, 1]))
-    assert vp.rays == ()
-
-
-def test_h_to_v_orthant():
-    vp = h_to_v(HPolyhedron(2, (ineq([-1, 0], 0), ineq([0, -1], 0))))
-    assert vp.vertices == (V([0, 0]),)
-    assert vp.rays == (V([0, 1]), V([1, 0]))
-
-
-def test_h_to_v_wedge_matches_brute_force():
-    vp = h_to_v(WEDGE)
-    oracle = brute_force_vertices(WEDGE)
-    assert oracle == (V([0, 2]), V([1, 1]), V([3, 0]))
-    assert vp.vertices == oracle
-    assert vp.rays == (V([0, 1]), V([1, 0]))
-
-
-def test_h_to_v_empty():
-    empty = HPolyhedron(1, (ineq([1], -1), ineq([-1], 0)))
-    vp = h_to_v(empty)
-    assert vp.vertices == () and vp.rays == ()
-
-
-def test_h_to_v_line_with_t_is_an_internal_error(monkeypatch):
+def test_polar_line_with_t_is_an_internal_error(monkeypatch):
     # the row (0, ..., 0, 1) forces t = 0 on every line of the polar cone,
     # so a line with t != 0 can only come from a broken double description;
     # the polyhedron is built fresh, since SQUARE may already keep its DD
     monkeypatch.setattr(polyhedron, "dd_cone",
                         lambda rows, dim: ((V([0, 0, 1]),), (V([0, 0, 1]),)))
     with pytest.raises(InternalInvariantError, match="line with t != 0"):
-        h_to_v(HPolyhedron(SQUARE.n, SQUARE.inequalities))
+        dimension(HPolyhedron(SQUARE.n, SQUARE.inequalities))
 
 
 def test_v_to_h_wedge():
@@ -271,7 +235,7 @@ def test_v_to_h_skips_rays_implied_by_equalities():
 
 def test_whole_space_round_trip():
     space = HPolyhedron(2, ())
-    vp = h_to_v(space)
+    vp = round_trip_h_to_v(space)
     assert vp.vertices == (V([0, 0]),)
     assert set(vp.rays) == {V([1, 0]), V([-1, 0]), V([0, 1]), V([0, -1])}
     back = v_to_h(vp)
@@ -282,7 +246,7 @@ def test_single_point_round_trip():
     vp = VPolyhedron(2, (V([F(1, 2), 3]),), ())
     hp = v_to_h(vp)
     assert dimension(hp) == 0
-    assert h_to_v(hp).vertices == (V([F(1, 2), 3]),)
+    assert round_trip_h_to_v(hp).vertices == (V([F(1, 2), 3]),)
 
 
 def test_round_trip_random_polyhedra():
@@ -300,14 +264,14 @@ def test_round_trip_random_polyhedra():
         if not ineqs:
             continue
         p = HPolyhedron(n, ineqs)
-        vp = h_to_v(p)
+        vp = round_trip_h_to_v(p)
         if not vp.vertices:
             assert p.is_empty
             empties += 1
             done += 1
             continue
         back = v_to_h(vp)
-        assert same_point_set(p, back)
+        assert lp_same_point_set(p, back)
         assert all(p.contains(v) for v in vp.vertices)
         done += 1
     assert empties > 0  # the sweep really exercised the empty branch
@@ -353,7 +317,7 @@ def test_remove_redundant_preserves_point_set_random():
         out = remove_redundant(p)
         if p.is_empty:
             continue
-        assert same_point_set(p, out)
+        assert lp_same_point_set(p, out)
         # every kept inequality is non-redundant against the others
         for i, q in enumerate(out.inequalities):
             rest = out.inequalities[:i] + out.inequalities[i + 1:]
@@ -437,17 +401,6 @@ def test_cached_zero_sets_give_the_generator_rank_dimension(p):
     assert dim == dimension(p) == generator_rank_dimension(p)
     rows = [q.row for q in p.inequalities] + [polyhedron._unit_row(p.n + 1)]
     assert zero_sets == tuple(polyhedron._zero_set(r, rays) for r in rows)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(h_polyhedra())
-@example(POINT_IN_R1)
-def test_h_to_v_generators_are_fractions(p):
-    # the DD hands back integer rows; a vertex is x / t for t > 0, which
-    # true division of ints would make a float
-    v = h_to_v(p)
-    assert all(type(a) is F for g in v.vertices + v.rays for a in g)
-    assert all(p.contains(x) for x in v.vertices)
 
 
 def test_dd_queries_named_examples():
@@ -614,41 +567,7 @@ def test_containment_and_equality_match_lp_references(pair):
     p, q = pair
     assert is_subset(p, q) == lp_is_subset(p, q)
     assert is_subset(q, p) == lp_is_subset(q, p)
-    assert same_point_set(p, q) == lp_same_point_set(p, q)
-    assert same_point_set(p, remove_redundant(p))
-
-
-@st.composite
-def facet_cases(draw):
-    """An implication_cases system as a polyhedron, with its target or
-    with one of its rows, as it is or with its rhs raised."""
-    rows, target = draw(implication_cases())
-    p = HPolyhedron(target.n, rows)
-    if rows and draw(st.booleans()):
-        q = draw(st.sampled_from(rows))
-        target = Inequality(q.normal, q.rhs + draw(st.sampled_from((0, 0, F(1, 2)))))
-    return p, target
-
-
-def _facet_outcome(test, p, q):
-    try:
-        return test(p, q)
-    except (NotFullDimensionalError, InvalidInequalityError) as err:
-        return type(err), getattr(err, "witness", None)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(facet_cases())
-@example((SQUARE, ineq([1, 0], 1)))
-@example((SQUARE, ineq([1, 1], 2)))
-@example((SQUARE, ineq([1, 0], F(1, 2))))
-@example((SQUARE, ineq([0, 0], 0)))
-@example((SQUARE, ineq([0, 0], 1)))
-@example((WEDGE, ge([1, 2], 3)))
-@example((HPolyhedron(2, (ineq([1, 0], 0), ineq([-1, 0], 0))), ineq([1, 0], 0)))
-def test_is_facet_defining_matches_lp_reference(case):
-    p, q = case
-    assert _facet_outcome(is_facet_defining, p, q) == _facet_outcome(lp_is_facet_defining, p, q)
+    assert lp_same_point_set(p, remove_redundant(p))
 
 
 def test_is_subset_examples():
@@ -670,25 +589,6 @@ def test_dimension_examples():
     assert dimension(HPolyhedron(3, ())) == 3
 
 
-def test_facet_examples():
-    assert is_facet_defining(SQUARE, ineq([1, 0], 1))
-    assert not is_facet_defining(SQUARE, ineq([1, 1], 2))
-    assert is_facet_defining(WEDGE, ge([1, 2], 3))
-
-
-def test_facet_rejects_invalid_inequality():
-    with pytest.raises(InvalidInequalityError) as err:
-        is_facet_defining(SQUARE, ineq([1, 0], F(1, 2)))
-    witness = err.value.witness
-    assert SQUARE.contains(witness) and witness[0] > F(1, 2)
-
-
-def test_facet_rejects_flat_polyhedron():
-    flat = HPolyhedron(2, (ineq([1, 0], 0), ineq([-1, 0], 0)))
-    with pytest.raises(NotFullDimensionalError):
-        is_facet_defining(flat, ineq([1, 0], 0))
-
-
 def test_facets_equal_irredundant_system_random():
     # for full-dimensional polyhedra the irredundant description is exactly
     # the facet list
@@ -708,113 +608,16 @@ def test_facets_equal_irredundant_system_random():
             continue
         reduced = remove_redundant(p)
         for q in reduced.inequalities:
-            assert is_facet_defining(p, q)
+            assert lp_is_facet_defining(p, q)
         for q in p.inequalities:
             if q not in reduced.inequalities:
-                assert not is_facet_defining(p, q)
+                assert not lp_is_facet_defining(p, q)
         done += 1
-
-
-def test_projection_eliminates_variable():
-    p = HPolyhedron(2, (ineq([1, 1], 2), ineq([1, -1], 0)))
-    out = fourier_motzkin_project(p, [0])
-    assert out.inequalities == (ineq([1], 1),)
-
-
-def test_projection_unbounded_direction():
-    p = HPolyhedron(2, (ge([1, 1], 2), ge([1, 0], 0), ge([0, 1], 0)))
-    out = fourier_motzkin_project(p, [0])
-    assert out.inequalities == (ge([1], 0),)
-
-
-def test_projection_identity():
-    out = fourier_motzkin_project(SQUARE, [0, 1])
-    assert same_point_set(out, SQUARE)
-
-
-def test_projection_of_empty_is_empty():
-    p = HPolyhedron(2, (ineq([0, 1], -1), ineq([0, -1], 0), ineq([1, 0], 5)))
-    out = fourier_motzkin_project(p, [0])
-    assert out.is_empty
-
-
-def test_projection_matches_extension_oracle():
-    rng = random.Random(41)
-    for _ in range(6):
-        ineqs = tuple(
-            Inequality(V([rng.randint(-2, 2) for _ in range(3)]),
-                       F(rng.randint(0, 4)))
-            for _ in range(rng.randint(2, 5)))
-        ineqs = tuple(q for q in ineqs if not q.is_trivial())
-        if not ineqs:
-            continue
-        p = HPolyhedron(3, ineqs)
-        keep = tuple(sorted(rng.sample(range(3), rng.randint(1, 2))))
-        proj = fourier_motzkin_project(p, keep)
-        for point in ((F(x), F(y)) for x in rational_grid(-2, 2)
-                      for y in rational_grid(-2, 2)):
-            partial = point[:len(keep)]
-            assert proj.contains(partial) == point_has_extension(p, keep, partial)
-
-
-def test_projection_composes():
-    rng = random.Random(47)
-    for _ in range(5):
-        ineqs = tuple(
-            Inequality(V([rng.randint(-2, 2) for _ in range(3)]),
-                       F(rng.randint(0, 4)))
-            for _ in range(rng.randint(3, 6)))
-        ineqs = tuple(q for q in ineqs if not q.is_trivial())
-        if not ineqs:
-            continue
-        p = HPolyhedron(3, ineqs)
-        direct = fourier_motzkin_project(p, [0])
-        staged = fourier_motzkin_project(fourier_motzkin_project(p, [0, 1]), [0])
-        if direct.is_empty or staged.is_empty:
-            assert direct.is_empty == staged.is_empty
-        else:
-            assert same_point_set(direct, staged)
-
-
-@st.composite
-def projections(draw):
-    """An h_polyhedra draw in R^2..R^4 (full-dimensional, flat, empty, or
-    through the origin, which often leaves lines) and a kept index set."""
-    p = draw(h_polyhedra(min_n=2))
-    keep = draw(st.lists(st.integers(0, p.n - 1), min_size=1, max_size=p.n, unique=True))
-    return p, tuple(sorted(keep))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(projections())
-def test_projection_matches_fourier_motzkin_reference(case):
-    p, keep = case
-    out = fourier_motzkin_project(p, keep)
-    ref = fm_project(p, keep)
-    if dimension(out) == len(keep):
-        assert [q.stacked() for q in out.inequalities] == \
-            [q.stacked() for q in ref.inequalities]
-    else:
-        # flat results have no unique irredundant system; empty inputs may
-        # come back from elimination as another inconsistent system
-        assert same_point_set(out, ref)
-    assert remove_redundant(out) == out
 
 
 # the segment from (0, 0, 0) to (1, 1, 0)
 FLAT_SEGMENT = HPolyhedron(3, (ineq([1, -1, 0], 0), ineq([-1, 1, 0], 0), ge([1, 0, 0], 0),
                                ineq([1, 0, 0], 1), ineq([0, 0, 1], 0), ge([0, 0, 1], 0)))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(projections())
-@example((FLAT_SEGMENT, (0, 1)))
-def test_generator_reader_matches_the_round_trip_reference(case):
-    # exact equality, the order of generators and rows included, where
-    # the projection tests above compare flat results as point sets
-    p, keep = case
-    assert h_to_v(p) == round_trip_h_to_v(p)
-    assert fourier_motzkin_project(p, keep) == round_trip_project(p, keep)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -830,42 +633,6 @@ def test_kept_dd_is_the_homogenization_dd_with_t_negated(p):
     lines, rays = homogenization_dd(p)
     assert p._dd.lines == lines
     assert p._dd.rays == tuple(sorted((*r[:-1], -r[-1]) for r in rays))
-
-
-def test_projection_named_examples():
-    segment = fourier_motzkin_project(FLAT_SEGMENT, [0, 1])
-    assert dimension(segment) == 1 and len(segment.inequalities) == 4
-    assert same_point_set(segment, HPolyhedron(2, (
-        ineq([1, -1], 0), ineq([-1, 1], 0), ge([1, 0], 0), ineq([1, 0], 1))))
-
-    empty = HPolyhedron(3, (ineq([1, 1, 1], -1), ge([1, 0, 0], 0), ge([0, 1, 0], 0),
-                            ge([0, 0, 1], 0)))
-    assert fourier_motzkin_project(empty, [0, 2]) == polyhedron.empty_hpolyhedron(2)
-
-    # x3 is free, so the input has a line along the dropped coordinate
-    prism = HPolyhedron(3, (ge([1, 0, 0], 0), ge([0, 1, 0], 0), ineq([1, 1, 0], 2)))
-    assert [q.stacked() for q in fourier_motzkin_project(prism, [0, 1]).inequalities] == \
-        [V([-1, 0, 0]), V([0, -1, 0]), V([1, 1, 2])]
-
-    assert fourier_motzkin_project(SQUARE, [1, 0]).inequalities == \
-        tuple(sorted(SQUARE.inequalities, key=lambda q: q.row))
-
-
-def test_projection_of_flat_polyhedron_solves_no_lp(monkeypatch):
-    def no_lp(*args, **kwargs):
-        raise AssertionError("projection solved an LP")
-
-    with monkeypatch.context() as m:
-        m.setattr(polyhedron, "solve_lp", no_lp)
-        out = fourier_motzkin_project(FLAT_SEGMENT, [0, 1])
-    assert same_point_set(out, fm_project(FLAT_SEGMENT, [0, 1]))
-
-
-def test_projection_rejects_bad_index_sets():
-    with pytest.raises(ContractViolation):
-        fourier_motzkin_project(SQUARE, [])
-    with pytest.raises(ContractViolation):
-        fourier_motzkin_project(SQUARE, [2])
 
 
 def test_formatting_and_parsing():
