@@ -114,8 +114,6 @@ class ClosureApprox:
     polyhedron: HPolyhedron
     hulls: tuple[AggregatedHull, ...]
     samples: tuple[AggregationSample, ...]
-    k: int
-    density: int
     stabilized: bool
 
 
@@ -226,12 +224,12 @@ def closure_approx(q: CoveringInstance, k: int, density: int) -> ClosureApprox:
         uncovered.difference_update(h.hull.inequalities)
         if not uncovered:
             return ClosureApprox(polyhedron=p_i.hull, hulls=tuple(hulls), samples=samples,
-                                 k=k, density=density, stabilized=True)
+                                 stabilized=True)
     poly = _intersect(q.n, hulls)
     stabilized = poly == _intersect(
         q.n, _hulls_for(q, sample_multipliers(q.m, k, 2 * density), built, by_points))
     return ClosureApprox(polyhedron=poly, hulls=tuple(hulls), samples=samples,
-                         k=k, density=density, stabilized=stabilized)
+                         stabilized=stabilized)
 
 
 def _is_sign_constraint(q: Inequality) -> bool:

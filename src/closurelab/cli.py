@@ -70,16 +70,17 @@ class _Doc:
         return "\n".join(self.lines) + "\n"
 
 
-def _load(path: str, expected_kind: str | None = None) -> InstanceFile:
+def _load(path: str, expected_kind: str) -> InstanceFile:
+    """The instance at path, of the expected kind; a UTF-8 byte-order mark is skipped."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}")
     except UnicodeDecodeError:
         raise ParseError(f"cannot read {path}: not UTF-8 text")
     inst = parse_instance(text)
-    if expected_kind and inst.kind != expected_kind:
+    if inst.kind != expected_kind:
         raise ParseError(f"expected a {expected_kind} instance, got {inst.kind!r}")
     return inst
 
@@ -188,10 +189,14 @@ def cmd_verify(args) -> tuple[str, int]:
 
 
 def _int_arg(text: str) -> int:
-    """argparse type for integer flags: ASCII digits only, as in instance files."""
-    if not is_ascii_int(text):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    """argparse type for integer flags: ASCII digits only, as in instance
+    files, and no more of them than int() reads."""
+    if is_ascii_int(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 @lru_cache(maxsize=1)

@@ -34,8 +34,6 @@ KINDS = ("covering", "cone")
 @dataclass(frozen=True)
 class InstanceFile:
     kind: str
-    n: int
-    m: int | None
     payload: CoveringInstance | GeneratedCone
 
 
@@ -68,7 +66,10 @@ def _int_field(value: str, name: str, lineno: int) -> int:
     if not is_ascii_int(value):
         raise ParseError(f"{name} must be an integer, got {value.strip()!r}",
                          lineno, _column(value))
-    out = int(value)
+    try:
+        out = int(value)
+    except ValueError:
+        raise linalg.number_too_long(lineno, _column(value)) from None
     if out < 1:
         raise ParseError(f"{name} must be at least 1, got {out}", lineno, _column(value))
     return out
@@ -103,7 +104,7 @@ def parse_instance(text: str) -> InstanceFile:
         payload = _build(kind, n, m, rows)
     except ContractViolation as exc:
         raise _data_error(exc, rows)
-    return InstanceFile(kind, n, m, payload)
+    return InstanceFile(kind, payload)
 
 
 def _data_error(exc: ContractViolation, rows) -> ParseError:

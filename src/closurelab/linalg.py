@@ -8,28 +8,25 @@ positive denominator; the stored rows (``Inequality.row``,
 ``MinimalPointSet.int_points``, ``CoveringInstance.rows``,
 ``GeneratedCone.int_generators``, ``RaySet.int_rays``,
 ``Theorem1Report.extreme_rows``) are int tuples.  Vectors are immutable
-tuples of Fractions, and the helpers are pure functions.  Of Fraction
-vector code only what the library calls is left: ``vector``, ``dot``,
-``neg``, ``unit``, ``zeros``, ``is_zero`` and ``primitive``, with
-``check_dim``, ``rational``, ``exact_row`` and the text forms; there is
-no Fraction matrix algebra.  Inside, the simplex (``lp``), ``rank`` and
-double description (``polyhedron.dd_cone``) work on primitive integer rows
-(``int_row``, ``lowest_terms``) and eliminate fraction-free with
-``p*a - f*b`` over the row gcd (``combine``).  A positive scale changes no
-sign test or ratio comparison, so they make the decisions the Fraction code
-would.  The hull pipeline (aggregation, the covering scan, the double
-description and the facet rows of ``_v_to_h_rows``) and the cone queries
-stay in integer rows from end to end, and store them: a
-``CoveringInstance`` keeps [M | d] times one common denominator, an
-``Inequality`` its primitive row, a ``MinimalPointSet`` its int points
-and a ``GeneratedCone`` its generator rows, and their Fractions are views
-made on read.  ``parse_row`` and
+tuples of Fractions, and the helpers are pure functions.  Inside, the
+simplex (``lp``), ``rank`` and double description (``polyhedron.dd_cone``)
+work on primitive integer rows (``int_row``, ``lowest_terms``) and
+eliminate fraction-free with ``p*a - f*b`` over the row gcd
+(``combine``).  A positive scale changes no sign test or ratio
+comparison, so they make the decisions the Fraction code would.  The hull
+pipeline (aggregation, the covering scan, the double description and the
+facet rows of ``_v_to_h_rows``) and the cone queries stay in integer rows
+from end to end, and store them: a ``CoveringInstance`` keeps [M | d]
+times one common denominator, an ``Inequality`` its primitive row, a
+``MinimalPointSet`` its int points and a ``GeneratedCone`` its generator
+rows, and their Fractions are views made on read.  ``parse_row`` and
 ``exact_row`` keep integral input as ints and make Fractions of the rest.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -57,7 +54,10 @@ def rational(value: RationalLike) -> Fraction:
         token = value.strip()
         if not _RATIONAL_TOKEN.match(token):
             raise ParseError(f"not a rational token (expected 'p' or 'p/q'): {value!r}")
-        return Fraction(token)
+        try:
+            return Fraction(token)
+        except ValueError:
+            raise number_too_long() from None
     raise ContractViolation(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -169,6 +169,13 @@ def format_vector(v: Vector) -> str:
     return " ".join(format_rational(a) for a in v)
 
 
+def number_too_long(line: int = 0, column: int = 0) -> ParseError:
+    """The error for a digit run that int() refuses to read: longer than
+    the interpreter's sys.get_int_max_str_digits()."""
+    return ParseError(f"number has more than {sys.get_int_max_str_digits()} digits",
+                      line, column)
+
+
 def parse_row(text: str, expected_len: int | None = None,
               line: int = 0) -> tuple[int | Fraction, ...]:
     """Blank-separated rational tokens: an integral token "p" as an int,
@@ -178,7 +185,10 @@ def parse_row(text: str, expected_len: int | None = None,
     for tok in re.finditer(r"\S+", text):
         if not _RATIONAL_TOKEN.match(tok[0]):
             raise ParseError(f"not a rational token: {tok[0]!r}", line, tok.start() + 1)
-        out.append(Fraction(tok[0]) if "/" in tok[0] else int(tok[0]))
+        try:
+            out.append(Fraction(tok[0]) if "/" in tok[0] else int(tok[0]))
+        except ValueError:
+            raise number_too_long(line, tok.start() + 1) from None
     if expected_len is not None and len(out) != expected_len:
         raise ParseError(f"expected {expected_len} rational tokens, found {len(out)}", line, 1)
     return tuple(out)

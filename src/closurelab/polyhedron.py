@@ -5,9 +5,10 @@ An ``Inequality`` is a pair (normal, rhs) read as normal.x <= rhs; two
 inequalities are the same exactly when their coprime-integer canonical
 forms coincide, which identifies them up to positive scaling without
 ever leaving the rationals.  ``HPolyhedron`` is a finite intersection of
-half-spaces.  ``_v_to_h_rows`` gives the facets of conv(vertices) +
-cone(rays) from the double description of a polar cone, entirely in
-exact arithmetic.  Empty polyhedra are ordinary values.
+half-spaces.  ``_v_to_h_rows`` gives the facets of a full-dimensional
+conv(vertices) + cone(rays), read in exact arithmetic from the double
+description of its pointed polar cone.  Empty polyhedra are ordinary
+values.
 
 ``dd_cone`` takes and returns primitive integer rows, and an
 ``Inequality`` stores one: its primitive row, plus the positive scale
@@ -287,27 +288,21 @@ def _unit_row(d: int) -> tuple[int, ...]:
 
 
 def _v_to_h_rows(n: int, rows: Sequence[Sequence[int]]) -> HPolyhedron:
-    """Irredundant canonical H-representation of conv(V) + cone(R) in R^n,
-    given the polar cone's integer rows: (v, -1) for each vertex v and
-    (r, 0) for each ray r.  Implicit equalities of flat polyhedra come out
-    as inequality pairs.
+    """Irredundant canonical H-representation of a full-dimensional
+    P = conv(V) + cone(R) in R^n, given the polar cone's integer rows:
+    (v, -1) for each vertex v and (r, 0) for each ray r.
 
-    No LP is needed.  The DD lines of the polar cone {(a, b) : a.v <= b,
-    a.r <= 0} are the equalities, with independent normals.  A DD ray whose
-    normal lies in their span is (0, b > 0) plus a line, implied by the
-    equality pairs; every other ray is a facet.  With no lines, as for a
-    full-dimensional P, only the rays with a zero normal are skipped."""
+    No LP is needed.  A line of the polar cone {(a, b) : a.v <= b,
+    a.r <= 0} would be an equality a.x = b holding on P, so for a
+    full-dimensional P the cone is pointed and its extreme rays are P's
+    facets and (0, 1), the trivial 0.x <= 1, the only ray with a zero
+    normal (Schrijver 1986, section 8.4).  A line raises
+    InternalInvariantError.  Every DD ray is a primitive integer row, so
+    each is its facet's canonical form, in dd_cone's sorted order."""
     lines, rays = dd_cone(rows, n + 1)
     if lines:
-        normals = [g[:-1] for g in lines]
-        rays = [g for g in rays if linalg.rank(normals + [g[:-1]]) > len(lines)]
-    else:
-        rays = [g for g in rays if any(g[:-1])]
-    out = [*rays, *lines, *(tuple(-a for a in g) for g in lines)]
-    # Every DD generator is a primitive integer row, so each row is its
-    # facet's canonical form; dd_cone repeats no ray, and a ray that is
-    # +-a line lies in the lines' span and was skipped above.
-    return HPolyhedron(n, tuple(map(_from_row, sorted(out))))
+        raise InternalInvariantError("polar cone has a line: the V-description is flat")
+    return HPolyhedron(n, tuple(map(_from_row, [g for g in rays if any(g[:-1])])))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +473,10 @@ def parse_inequality(text: str, n: int) -> Inequality:
             if pos > start and not sign:
                 raise ParseError(f"expected '+' or '-' before {lhs[pos:end]!r}",
                                  column=pos + 1)
-            idx = int(var) - 1
+            try:
+                idx = int(var) - 1
+            except ValueError:
+                raise linalg.number_too_long(column=pos + 1) from None
             if not 0 <= idx < n:
                 raise ParseError(f"variable x{var} out of range for n={n}", column=pos + 1)
             coeff = rational(coeff_text) if coeff_text else _ONE

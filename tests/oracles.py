@@ -11,8 +11,9 @@ The oracles, each independent of the library path it checks:
   and the facet test (lp_same_point_set and lp_is_facet_defining are
   also the tests' comparators), with the rank-based facet test and the
   generator-rank dimension that its zero sets replace;
-- the LP-pruned V-to-H conversion that v_to_h is checked against, and
-  H to V and projection by a double description of their own
+- the LP-pruned V-to-H conversion that v_to_h is checked against on
+  full-dimensional input, with the rank test that tells which input is,
+  and H to V and projection by a double description of their own
   (round_trip_h_to_v, round_trip_project), which projection_lemma_sides
   uses with project_instance to check the projection lemma on single-row
   covering instances;
@@ -219,22 +220,23 @@ def v_to_h(p: VPolyhedron) -> HPolyhedron:
 # V to H with an LP redundancy pass (the reference for v_to_h)
 
 
-def dd_rows_zero_normal_skip(p: VPolyhedron) -> HPolyhedron:
-    """Every double-description generator of the polar cone as a row,
-    lines as equality pairs, skipping only rays with a zero normal."""
-    vertices = p.vertices or (zeros(p.n),)
-    rows = [v + (-_ONE,) for v in vertices] + [r + (_ZERO,) for r in p.rays]
-    lines, rays = fraction_io_dd_cone(rows, p.n + 1)
-    out = [Inequality(g[:-1], g[-1]) for g in rays if not is_zero(g[:-1])]
-    for g in lines:
-        q = Inequality(g[:-1], g[-1])
-        out.extend((q, flipped(q)))
-    return HPolyhedron(p.n, sorted_unique(out))
+def is_full_dimensional(p: VPolyhedron) -> bool:
+    """conv(vertices) + cone(rays) spans R^n: its affine hull is v0 plus
+    the span of the other vertices minus v0 and the rays, v0 the first
+    vertex (the origin for a rays-only description)."""
+    v0, *others = p.vertices or (zeros(p.n),)
+    return fraction_rank([sub(v, v0) for v in others] + list(p.rays)) == p.n
 
 
 def lp_v_to_h(p: VPolyhedron) -> HPolyhedron:
-    """The DD rows pruned by one LP per row."""
-    return lp_remove_redundant(dd_rows_zero_normal_skip(p))
+    """For a full-dimensional p, whose polar cone has no line: every
+    double-description ray of the polar cone with a nonzero normal as a
+    row, pruned by one LP per row."""
+    vertices = p.vertices or (zeros(p.n),)
+    rows = [v + (-_ONE,) for v in vertices] + [r + (_ZERO,) for r in p.rays]
+    _, rays = fraction_io_dd_cone(rows, p.n + 1)
+    out = [Inequality(g[:-1], g[-1]) for g in rays if not is_zero(g[:-1])]
+    return lp_remove_redundant(HPolyhedron(p.n, sorted_unique(out)))
 
 
 # ---------------------------------------------------------------------------
@@ -932,8 +934,7 @@ def fraction_closure_approx(q: CoveringInstance, k: int, density: int) -> Closur
     poly = intersect(hulls)
     doubled = intersect(hulls_for(2 * density))
     return ClosureApprox(polyhedron=poly, hulls=tuple(hulls),
-                         samples=sample_multipliers(q.m, k, density), k=k, density=density,
-                         stabilized=poly == doubled)
+                         samples=sample_multipliers(q.m, k, density), stabilized=poly == doubled)
 
 
 def doubling_stabilized(q: CoveringInstance, k: int, density: int) -> bool:
@@ -969,4 +970,4 @@ def full_closure_approx(q: CoveringInstance, k: int, density: int) -> ClosureApp
     stabilized = poly == own.hull or poly == _intersect(
         q.n, _hulls_for(q, sample_multipliers(q.m, k, 2 * density), built, by_points))
     return ClosureApprox(polyhedron=poly, hulls=tuple(hulls), samples=samples,
-                         k=k, density=density, stabilized=stabilized)
+                         stabilized=stabilized)

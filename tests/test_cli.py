@@ -71,6 +71,10 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 UNIT_SQUARE = str(INSTANCES / "unit_square_cone.txt")
 
+# one digit more than int() reads from a string
+LONG = "1" * (sys.get_int_max_str_digits() + 1)
+TOO_LONG = f"number has more than {sys.get_int_max_str_digits()} digits"
+
 
 def cli_env(**extra):
     env = dict(os.environ, **extra)
@@ -157,9 +161,13 @@ def test_repeated_demand_line_exits_2(tmp_path, capsys):
     ("kind: cone\nn: 2\nG: 1_0 0 1\n", "error: line 3, column 4: not a rational token: '1_0'\n"),
     ("kind: cone\nn: 2\nG: 1 \u0663 1\n",
      "error: line 3, column 6: not a rational token: '\u0663'\n"),
+    # more digits than int() reads
+    (f"kind: covering\nn: 2\nm: 1\nM: 1 {LONG}\nd: 3\n",
+     f"error: line 4, column 6: {TOO_LONG}\n"),
+    (f"kind: covering\nn: {LONG}\n", f"error: line 2, column 4: {TOO_LONG}\n"),
 ], ids=["M token", "d token", "tab", "n integer", "m at least 1", "kind",
         "n underscore", "n fullwidth digit", "M arabic-indic digit",
-        "G underscore", "G arabic-indic digit"])
+        "G underscore", "G arabic-indic digit", "M over-long", "n over-long"])
 def test_instance_parse_error_columns_count_in_the_raw_line(tmp_path, capsys, text, err_text):
     code, out, err = run_cli(["hull", write(tmp_path, "bad.txt", text)], capsys)
     assert (code, out, err) == (2, "", err_text)
@@ -214,7 +222,9 @@ def test_fii_parse_error_column_counts_in_the_argument(capsys):
             ("x1 + x9 <= 1", "error: column 4: variable x9 out of range for n=2\n"),
             (" x1 + y1 >= 0", "error: column 5: cannot read term at '+ y1'\n"),
             ("  <= 1", "error: column 1: inequality needs a left-hand side "
-                       "(write '0' for none)\n")):
+                       "(write '0' for none)\n"),
+            (f"x2 <= {LONG}", f"error: {TOO_LONG}\n"),
+            (f"x{LONG} <= 1", f"error: column 1: {TOO_LONG}\n")):
         code, out, err = run_cli(["cone", UNIT_SQUARE, "fii", arg], capsys)
         assert (code, out, err) == (2, "", err_text), arg
 
@@ -305,8 +315,9 @@ def test_closure_usage_error_on_zero_density(tmp_path, capsys):
     capsys.readouterr()
 
 
-# int() reads each of these (as 10, 2 and 3), and each names a valid run
-@pytest.mark.parametrize("value", ["1_0", "２", "٣"])
+# int() reads the first three (as 10, 2 and 3), and each names a valid
+# run; the last has more digits than int() reads
+@pytest.mark.parametrize("value", ["1_0", "２", "٣", pytest.param(LONG, id="over-long")])
 @pytest.mark.parametrize("command, flag", [
     ("hull", "--seed"), ("closure", "--seed"), ("closure", "--k"), ("closure", "--density"),
 ])
@@ -425,6 +436,13 @@ def test_non_utf8_instance_exits_2(tmp_path, capsys):
     assert err == f"error: cannot read {path}: not UTF-8 text\n"
 
 
+def test_instance_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + COVERING.encode("ascii"))
+    assert run_cli(["hull", str(path)], capsys) == run_cli(
+        ["hull", write(tmp_path, "plain.txt", COVERING)], capsys)
+
+
 def test_out_into_missing_directory_exits_2(tmp_path, capsys):
     path = write(tmp_path, "cov.txt", COVERING)
     _, report, _ = run_cli(["hull", path], capsys)
@@ -448,6 +466,37 @@ def test_readme_sample_commands(argv, code, line, capsys):
     assert got == code
     if line is not None:
         assert line in out.splitlines()
+
+
+# an invalid target exits 4 with check_implication's violating point: the
+# LP's optimum when bounded, a feasible point stepped along its ray when not
+@pytest.mark.parametrize("target, point", [("x2 <= 1", "0 7/2"),
+                                           ("x1 + x2 <= 100", "195 -94")])
+def test_fii_invalid_target_prints_the_violating_point(target, point, capsys):
+    code, out, err = run_cli(["cone", str(INSTANCES / "strip_cone.txt"), "fii", target], capsys)
+    assert (code, out) == (4, "")
+    assert f"violating point: {point}" in err.splitlines()
+
+
+# integral tokens are read as ints and p/q tokens as Fractions; each file
+# below is a shipped instance written with p/q tokens (knapsack_pair's
+# [M | d] halved), stored as the same int rows, so it prints the same report
+# and exits with the same code
+FRACTIONAL_STRIP_CONE = "kind: cone\nn: 2\nG: -1/2 1 7/2\nG: 1/3 2/3 7/3\nG: 0 0 5\n"
+FRACTIONAL_KNAPSACK_PAIR = "kind: covering\nn: 2\nm: 2\nM: 1 1/2\nM: 1/2 1\nd: 1 1\n"
+
+
+@pytest.mark.parametrize("name, text, args", [
+    ("strip_cone", FRACTIONAL_STRIP_CONE, ("cone", "theorem1")),
+    ("knapsack_pair", FRACTIONAL_KNAPSACK_PAIR, ("hull",)),
+    ("knapsack_pair", FRACTIONAL_KNAPSACK_PAIR, ("closure", "--density", "1")),
+    ("knapsack_pair", FRACTIONAL_KNAPSACK_PAIR, ("closure", "--k", "2", "--density", "2")),
+], ids=["strip_cone theorem1", "knapsack_pair hull", "knapsack_pair closure D1",
+        "knapsack_pair closure k2 D2"])
+def test_fractional_tokens_print_the_integral_report(tmp_path, capsys, name, text, args):
+    command, *rest = args
+    fractional = run_cli([command, write(tmp_path, "fractional.txt", text), *rest], capsys)
+    assert fractional == run_cli([command, str(INSTANCES / f"{name}.txt"), *rest], capsys)
 
 
 def test_cli_determinism_subprocess(tmp_path):

@@ -28,6 +28,10 @@ ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().parent / "data" / "closure_cli_digests.json"
 SEEDS = range(20)
 
+# the shipped instances, named so that a new sample file adds no case; the
+# two cones exercise the usage exit
+SHIPPED = ("knapsack_pair", "single_row", "strip_cone", "three_row", "unit_square_cone")
+
 # (name, rows of M, d): the 3x3 instance of the ROADMAP baseline, then
 # rational entries, a zero row and a zero column
 NAMED = (
@@ -67,8 +71,8 @@ def _seeded(seed: int) -> str:
 def _cases(workdir: Path):
     """(case id, argv) pairs in a fixed order."""
     runs = []
-    for path in sorted((ROOT / "instances").glob("*.txt")):
-        runs.append((path.stem, str(path), ("hull", "closure")))
+    for name in SHIPPED:
+        runs.append((name, str(ROOT / "instances" / f"{name}.txt"), ("hull", "closure")))
     for name, rows, demand in NAMED:
         path = workdir / f"{name}.txt"
         path.write_text(_covering_file(rows, demand), encoding="utf-8")
