@@ -11,7 +11,6 @@ from .polyhedron import (
 )
 from .cone import (
     GeneratedCone,
-    RaySet,
     check_theorem1,
     closure_of,
     extreme_rays,
@@ -50,7 +49,6 @@ __all__ = [
     "LpResult",
     "LpStatus",
     "MinimalPointSet",
-    "RaySet",
     "aggregate",
     "check_implication",
     "check_theorem1",

@@ -91,11 +91,11 @@ class AggregationSample:
 
 @dataclass(frozen=True)
 class AggregatedHull:
-    """One sampled relaxation: the aggregated covering instance and the
-    exact integer hull of its lattice points."""
+    """One sampled relaxation: the sample and the exact integer hull of
+    the lattice points of its aggregated instance, ``aggregate(q,
+    sample)``."""
 
     sample: AggregationSample
-    polyhedron: CoveringInstance
     hull: HPolyhedron
 
 
@@ -176,20 +176,18 @@ def aggregate(q: CoveringInstance, sample: AggregationSample) -> CoveringInstanc
 
 
 def _hulls_for(q: CoveringInstance, samples: Iterable[AggregationSample],
-               built: dict[IntRows, tuple[CoveringInstance, HPolyhedron]],
+               built: dict[IntRows, HPolyhedron],
                hulls: dict[IntRows, HPolyhedron]) -> Iterator[AggregatedHull]:
     """The samples' aggregated hulls, each built when it is drawn;
-    ``built`` caches each aggregated instance and its hull by the
-    instance's integer rows, and ``hulls`` each hull by its minimal
-    points."""
+    ``built`` caches each hull by the aggregated integer rows, and
+    ``hulls`` by its minimal points."""
     for sample, rows in _aggregated_rows(q, samples):
         if rows not in built:
-            agg = _instance(rows)
-            points = minimal_integer_points(agg)
+            points = minimal_integer_points(_instance(rows))
             if points.int_points not in hulls:
                 hulls[points.int_points] = points.hull()
-            built[rows] = (agg, hulls[points.int_points])
-        yield AggregatedHull(sample, *built[rows])
+            built[rows] = hulls[points.int_points]
+        yield AggregatedHull(sample, built[rows])
 
 
 def _intersect(n: int, hulls: Iterable[AggregatedHull]) -> HPolyhedron:
@@ -211,7 +209,7 @@ def closure_approx(q: CoveringInstance, k: int, density: int) -> ClosureApprox:
     if k < 1 or density < 1:
         raise ContractViolation("k and density must be at least 1")
     samples = sample_multipliers(q.m, k, density)
-    built: dict[IntRows, tuple[CoveringInstance, HPolyhedron]] = {}
+    built: dict[IntRows, HPolyhedron] = {}
     by_points: dict[IntRows, HPolyhedron] = {}
     # P_I is the hull of q's own rows, the unit multipliers in grid order;
     # a sample holding every unit row has q's minimal points and shares it

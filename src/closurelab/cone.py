@@ -5,13 +5,16 @@ A ``GeneratedCone`` holds a finite family of nonzero vectors (alpha, beta)
 in Q^(n+1), each read as the half-space alpha.x <= beta; the closure is
 their intersection.  A cone stores its generators as primitive integer
 rows, made once (integral input stays int; anything else goes through
-``linalg.vector``), and ``generators`` is a Fraction view; ``RaySet``
-and ``Theorem1Report`` store their rays the same way.  Every query runs
-on the distinct rows, with (0, ..., 0, 1) appended where needed.
-Each cone keeps its closure system, built on the first query, and the
-system keeps its double description (DD), so the queries on one cone
-share that DD.  Extreme rays and pointedness come from the zero sets of
-the polar cone's DD (for a cone holding (0, ..., 0, 1), that DD is the
+``linalg.vector``), and ``generators`` is a Fraction view.  Extreme
+rays have one form wherever they are returned: ``extreme_rays``,
+``certified_extreme_rows`` and ``Theorem1Report.extreme_rows`` are
+sorted primitive int rows.  Every query runs on the distinct rows, with
+(0, ..., 0, 1) appended where needed.  Each cone keeps its closure
+system, built on the first query (``empty_hpolyhedron`` when a
+generator reads 0.x <= b < 0), and the system keeps its double
+description (DD), so the queries on one cone share that DD.  Extreme
+rays and pointedness come from the zero sets of the polar cone's DD
+(when the rows are the system's rows and (0, ..., 0, 1), that DD is the
 closure system's own, read as it stands), so ``extreme_rays`` and
 ``check_theorem1`` solve no LP on a pointed cone and make no Fraction.
 Exact LPs remain where a certificate is printed: a line, a strict
@@ -114,31 +117,17 @@ class GeneratedCone:
         return _unit_row(self.dim) in self._rows
 
     @cached_property
-    def _system(self) -> HPolyhedron | None:
+    def _system(self) -> HPolyhedron:
         """The closure system whose DD all cone queries read, built on the
         first query and kept with the cone: the distinct rows, sorted, as
         alpha.x <= beta (each primitive row is already canonical), skipping
-        0.x <= b >= 0, unit-last among them.  None if some row is
-        0.x <= b < 0."""
+        0.x <= b >= 0, unit-last among them.  A row 0.x <= b < 0 makes it
+        ``empty_hpolyhedron(n)``, the form an ``Inequality`` prescribes for
+        emptiness."""
         rows = self._rows
         if any(not any(g[:-1]) and g[-1] < 0 for g in rows):
-            return None
+            return empty_hpolyhedron(self.n)
         return HPolyhedron(self.n, tuple(map(_from_row, sorted(g for g in rows if any(g[:-1])))))
-
-
-@dataclass(frozen=True, init=False)
-class RaySet:
-    """Extreme rays in canonical primitive form, lexicographically sorted
-    and stored as int rows; ``rays`` is their Fraction view."""
-
-    int_rays: tuple[tuple[int, ...], ...]
-
-    def __init__(self, rays: Iterable[Sequence]):
-        object.__setattr__(self, "int_rays", tuple(sorted(set(map(_primitive_row, rays)))))
-
-    @property
-    def rays(self) -> tuple[Vector, ...]:
-        return tuple(tuple(map(Fraction, r)) for r in self.int_rays)
 
 
 @dataclass(frozen=True)
@@ -175,16 +164,16 @@ class FiiCheck:
 
 @dataclass(frozen=True)
 class Theorem1Report:
-    """check_theorem1 outcome.  ``rays_are_generators`` is True whenever
-    the cone is pointed: each extreme ray is selected from the cone's own
-    generator rows, so it is a generator by construction.  The extreme
-    rays are stored as sorted int rows; ``extreme_rays`` is their Fraction
-    view."""
+    """check_theorem1 outcome.  ``extreme_rows`` is what the function
+    ``extreme_rays`` returns for cone(generators + unit-last): sorted
+    primitive int rows, each selected from the cone's own rows, so on a
+    pointed cone the rays are generators by construction (the CLI prints
+    ``pointed`` for that claim).  The property ``extreme_rays`` is their
+    Fraction view."""
 
     passed: bool
     pointed: bool
     extreme_rows: tuple[tuple[int, ...], ...]
-    rays_are_generators: bool
     rebuilt_equals_closure: bool
     added_unit_last: bool
     detail: str = ""
@@ -237,26 +226,27 @@ def _with_unit_row(rows: IntRows) -> IntRows:
     return rows if unit in rows else rows + (unit,)
 
 
-def _polar_zero_sets(rows: IntRows, system: HPolyhedron | None) -> tuple[int, list[int]]:
+def _polar_zero_sets(rows: IntRows, system: HPolyhedron) -> tuple[int, list[int]]:
     """The zero set of every row, in order, on the rays of the polar cone
     {y : g.y <= 0 for every row g}, and the set of all those rays.
-    ``system`` is the rows' closure system when they hold unit-last, else
-    None.  Then the system's DD is that polar, of the system's rows and
-    unit-last, so the zero sets are read from it; other row sets take
-    one dd_cone."""
+    ``system`` is the closure system of the cone the rows come from.  Its
+    DD is the polar of the system's rows and unit-last, so when ``rows``
+    are exactly those, as a set, the zero sets are read from it; any
+    other row set takes one dd_cone."""
     d = len(rows[0])
-    if system is None:
+    keys = (*(q.row for q in system.inequalities), _unit_row(d))
+    if set(rows) != set(keys):
         rays = dd_cone(rows, d)[1]
         return (1 << len(rays)) - 1, [_zero_set(g, rays) for g in rows]
     _, rays, zero_sets, _ = system._dd
-    of = dict(zip((*(q.row for q in system.inequalities), _unit_row(d)), zero_sets))
+    of = dict(zip(keys, zero_sets))
     return (1 << len(rays)) - 1, [of[g] for g in rows]
 
 
-def _extreme_rows(rows: IntRows, system: HPolyhedron | None) -> IntRows:
-    """The rows spanning extreme rays of cone(rows), with no LP on a
-    pointed cone; ``system`` as for ``_polar_zero_sets``.  A row's zero
-    set is the polar rays it is tight at.  One tight at every ray is
+def _extreme_rows(rows: IntRows, system: HPolyhedron) -> IntRows:
+    """The rows spanning extreme rays of cone(rows), sorted, with no LP
+    on a pointed cone; ``system`` as for ``_polar_zero_sets``.  A row's
+    zero set is the polar rays it is tight at.  One tight at every ray is
     orthogonal to the polar, so the cone has a line (NotPointedError, the
     line named by the line search).  Otherwise a row is extreme exactly
     when its face of the polar is a facet: no other row's zero set
@@ -268,14 +258,14 @@ def _extreme_rows(rows: IntRows, system: HPolyhedron | None) -> IntRows:
             raise InternalInvariantError("DD and line search disagree")
         raise NotPointedError(
             "extreme rays are only defined for pointed cones", line_witness=line)
-    return tuple(g for i, (g, z) in enumerate(zip(rows, zs))
-                 if not any(j != i and y & z == z for j, y in enumerate(zs)))
+    return tuple(sorted(g for i, (g, z) in enumerate(zip(rows, zs))
+                        if not any(j != i and y & z == z for j, y in enumerate(zs))))
 
 
-def extreme_rays(k: GeneratedCone) -> RaySet:
-    """The extreme rays of cone(generators), each a generator up to
-    positive scaling."""
-    return RaySet(_extreme_rows(k._rows, k._system if k.has_unit_last else None))
+def extreme_rays(k: GeneratedCone) -> IntRows:
+    """The extreme rays of cone(generators) as sorted primitive int rows,
+    each a generator row."""
+    return _extreme_rows(k._rows, k._system)
 
 
 def certified_extreme_rows(k: GeneratedCone) -> IntRows:
@@ -294,8 +284,7 @@ def closure_of(k: GeneratedCone) -> HPolyhedron:
     """The set cut out by reading every generator as alpha.x <= beta,
     with (0, ..., 0, 1) supplied when missing; redundancy-eliminated.
     The result may be empty."""
-    system = k._system
-    return empty_hpolyhedron(k.n) if system is None else remove_redundant(system)
+    return remove_redundant(k._system)
 
 
 def is_valid_for_closure(k: GeneratedCone, q: Inequality) -> ValidityCheck:
@@ -303,7 +292,7 @@ def is_valid_for_closure(k: GeneratedCone, q: Inequality) -> ValidityCheck:
     beta) in cone(generators + unit-last).  The closure must be nonempty."""
     if q.n != k.n:
         raise ContractViolation("inequality/cone dimension mismatch")
-    if k._system is None or k._system.is_empty:
+    if k._system.is_empty:
         raise EmptyClosureError("validity over an empty closure is undefined")
     rows = _with_unit_row(k._rows)
     gens = tuple(map(linalg.vector, rows))
@@ -322,7 +311,7 @@ def fii_check(k: GeneratedCone, q: Inequality) -> FiiCheck:
     inequalities no finite family of other valid inequalities implies.
     Requires a full-dimensional closure (read from the closure system,
     the same point set) and a valid q."""
-    if k._system is None or dimension(k._system) != k.n:
+    if dimension(k._system) != k.n:
         raise NotFullDimensionalError(
             "the extreme-ray/irredundancy correspondence assumes a "
             "full-dimensional closure")
@@ -350,7 +339,7 @@ def check_theorem1(k: GeneratedCone) -> Theorem1Report:
     and rays come from the closure system's DD (its zero sets),
     so a pointed cone costs one DD and no LP.  Unit-last cuts nothing."""
     system = k._system
-    dim = -1 if system is None else dimension(system)
+    dim = dimension(system)
     if dim != k.n:
         raise NotFullDimensionalError(
             "the equivalence is stated for full-dimensional closures "
@@ -360,14 +349,12 @@ def check_theorem1(k: GeneratedCone) -> Theorem1Report:
         rays = _extreme_rows(_with_unit_row(k._rows), system)
     except NotPointedError as e:
         return Theorem1Report(
-            passed=False, pointed=False, extreme_rows=(),
-            rays_are_generators=False, rebuilt_equals_closure=False,
+            passed=False, pointed=False, extreme_rows=(), rebuilt_equals_closure=False,
             added_unit_last=added,
             detail=(f"full-dimensional closure but cone contains the line "
                     f"through {linalg.format_vector(e.line_witness)}"))
     equal = {q.row for q in remove_redundant(system).inequalities} <= set(rays)
     return Theorem1Report(
-        passed=equal, pointed=True,
-        extreme_rows=tuple(sorted(rays)),
-        rays_are_generators=True, rebuilt_equals_closure=equal, added_unit_last=added,
+        passed=equal, pointed=True, extreme_rows=rays,
+        rebuilt_equals_closure=equal, added_unit_last=added,
         detail="" if equal else "closure rebuilt from extreme rays differs from the full closure")

@@ -6,9 +6,11 @@ never rounds.  Computed answers (certificates, LP points, vertices,
 witnesses) and the views of stored rows are Fractions in lowest terms with
 positive denominator; the stored rows (``Inequality.row``,
 ``MinimalPointSet.int_points``, ``CoveringInstance.rows``,
-``GeneratedCone.int_generators``, ``RaySet.int_rays``,
-``Theorem1Report.extreme_rows``) are int tuples.  Vectors are immutable
-tuples of Fractions, and the helpers are pure functions.  Inside, the
+``GeneratedCone.int_generators``, and the extreme rows of
+``cone.extreme_rays`` and ``Theorem1Report``) are int tuples, and
+``format_rational`` prints either kind in full, however many digits it
+has.  Vectors are immutable tuples of Fractions, and the helpers are
+pure functions.  Inside, the
 simplex (``lp``), ``rank`` and double description (``polyhedron.dd_cone``)
 work on primitive integer rows (``int_row``, ``lowest_terms``) and
 eliminate fraction-free with ``p*a - f*b`` over the row gcd
@@ -27,8 +29,8 @@ from __future__ import annotations
 
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -61,9 +63,15 @@ def rational(value: RationalLike) -> Fraction:
     raise ContractViolation(f"cannot interpret {value!r} as an exact rational")
 
 
-def format_rational(q: Fraction) -> str:
-    """Serialize as "p" or "p/q", never a decimal."""
-    return str(q)
+def format_rational(q: Fraction | int) -> str:
+    """Serialize as "p" or "p/q", never a decimal, with every digit: where
+    ``str`` refuses a part longer than sys.get_int_max_str_digits(), the
+    part is printed by ``Decimal``, which converts an int exactly."""
+    try:
+        return str(q)
+    except ValueError:
+        p = str(Decimal(q.numerator))
+        return p if q.denominator == 1 else f"{p}/{Decimal(q.denominator)}"
 
 
 def vector(entries: Iterable[RationalLike]) -> Vector:
@@ -137,7 +145,7 @@ def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
 def clear_denominators(v: Sequence[Fraction | int]) -> tuple[IntRow, int]:
     """The integer row L*v and L, the lcm of v's denominators: L = 1 and
     the entries unchanged for integral v.  Accepts ints."""
-    common = reduce(lcm, (a.denominator for a in v), 1)
+    common = lcm(*(a.denominator for a in v))
     return [a.numerator * (common // a.denominator) for a in v], common
 
 
@@ -150,7 +158,7 @@ def int_row(v: Sequence[Fraction | int]) -> IntRow:
 def lowest_terms(row: IntRow) -> IntRow:
     """The integer row divided by the gcd of its entries; a row already in
     lowest terms, or zero, is returned as it is."""
-    g = reduce(gcd, row, 0)
+    g = gcd(*row)
     return [a // g for a in row] if g > 1 else row
 
 

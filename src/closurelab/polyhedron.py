@@ -42,7 +42,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
@@ -84,7 +84,7 @@ class Inequality:
         ints, common = linalg.clear_denominators(v)
         # common is the lcm of the denominators, so g / common is in lowest
         # terms and is 1 only for a primitive integer input
-        g = reduce(gcd, ints, 0) or 1
+        g = gcd(*ints) or 1
         object.__setattr__(self, "row", tuple(a // g for a in ints))
         object.__setattr__(self, "scale", _ONE if g == common else Fraction(g, common))
 

@@ -52,7 +52,7 @@ from closurelab.aggregation import (HULL_FACET, SIGN, AggregatedHull, Aggregatio
                                     ClosureApprox, CutClass, _hulls_for, _intersect,
                                     _is_sign_constraint, closure_approx, multiplier_rows,
                                     sample_multipliers)
-from closurelab.cone import GeneratedCone, RaySet, _line_through
+from closurelab.cone import GeneratedCone, _line_through
 from closurelab.covering import CoveringInstance
 from closurelab.errors import (ContractViolation, InconsistentSystemError,
                                InternalInvariantError, InvalidInequalityError,
@@ -734,7 +734,7 @@ def fraction_cone_membership(generators: Sequence[Vector], target: Vector) -> Co
     return ConeMembership(False, separator=h)
 
 
-def lp_extreme_rays(k: GeneratedCone) -> RaySet:
+def lp_extreme_rays(k: GeneratedCone) -> tuple[tuple[int, ...], ...]:
     """The extreme rays of cone(generators) by LP, as cone.extreme_rays
     decided them before it read the polar cone's DD: the line search
     decides pointedness, and a generator is extreme when it is no member
@@ -744,7 +744,7 @@ def lp_extreme_rays(k: GeneratedCone) -> RaySet:
     if line is not None:
         raise NotPointedError(
             "extreme rays are only defined for pointed cones", line_witness=line)
-    return RaySet(tuple(linalg.vector(g) for i, g in enumerate(rows)
+    return tuple(sorted(g for i, g in enumerate(rows)
                         if not lp.cone_membership(rows[:i] + rows[i + 1:], g).member))
 
 
@@ -923,7 +923,7 @@ def fraction_closure_approx(q: CoveringInstance, k: int, density: int) -> Closur
             agg = fraction_aggregate(q, sample)
             if agg not in built:
                 built[agg] = fraction_integer_hull(agg)
-            out.append(AggregatedHull(sample, agg, built[agg]))
+            out.append(AggregatedHull(sample, built[agg]))
         return out
 
     def intersect(hulls):

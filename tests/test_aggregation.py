@@ -309,7 +309,8 @@ def test_closure_hulls_each_distinct_point_set_once(counted):
     ca, built, hulled = _counted_closure(counted, NEVER_COVERS, 1, 4)
     assert (len(built), len(hulled)) == (119, 9)
     assert (len(ca.hulls), len(ca.samples), ca.stabilized) == (22, 22, False)
-    assert len({id(h.hull) for h in ca.hulls}) < len({h.polyhedron for h in ca.hulls})
+    assert len({id(h.hull) for h in ca.hulls}) < len(
+        {aggregate(NEVER_COVERS, h.sample) for h in ca.hulls})
 
 
 @PROPERTY
@@ -319,11 +320,13 @@ def test_hulls_are_shared_exactly_by_equal_point_sets(args):
     """Every hull closure_approx returns is its instance's integer hull,
     and two instances share one hull object exactly when their minimal
     points are equal."""
+    q = args[0]
     ca = closure_approx(*args)
     for h in ca.hulls:
-        assert h.hull == integer_hull(h.polyhedron)
+        assert h.hull == integer_hull(aggregate(q, h.sample))
     for a, b in product(ca.hulls, repeat=2):
-        same_points = minimal_integer_points(a.polyhedron) == minimal_integer_points(b.polyhedron)
+        same_points = (minimal_integer_points(aggregate(q, a.sample))
+                       == minimal_integer_points(aggregate(q, b.sample)))
         assert (a.hull is b.hull) == same_points
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from closurelab import cli, cone as cone_module, covering, errors, linalg, polyhedron
+from closurelab import cli, cone as cone_module, covering, errors, linalg, polyhedron, verify
 from closurelab.cli import main
 from closurelab.errors import (
     ContractViolation,
@@ -26,8 +26,9 @@ from closurelab.errors import (
 )
 from closurelab.lp import ConeMembership, LpResult, LpStatus
 from closurelab.io import format_cone, parse_instance
+from closurelab.polyhedron import parse_inequality
 from closurelab.covering import CoveringInstance
-from closurelab.cone import GeneratedCone
+from closurelab.cone import GeneratedCone, is_valid_for_closure
 from closurelab.verify import random_pointed_cones
 
 COVERING = """\
@@ -207,6 +208,54 @@ def test_instance_data_errors_point_at_the_bad_value(tmp_path, capsys, command, 
     name, *rest = command
     code, out, err = run_cli([name, write(tmp_path, "bad.txt", text), *rest], capsys)
     assert (code, out, err) == (2, "", err_text)
+
+
+# error paths no other test reaches: each exits 2 with one stderr line.
+# ``text`` is written to a file passed as the instance; None passes a
+# path that does not exist
+@pytest.mark.parametrize("args, text, err_text", [
+    (("hull",), "", "error: line 1, column 1: empty instance file\n"),
+    (("hull",), "# only a comment\n", "error: line 1, column 1: empty instance file\n"),
+    (("hull",), "kind: covering\nn 2\n", "error: line 2, column 1: expected 'key: value'\n"),
+    (("hull",), "kind: covering\nn: 2\nM: 1 1\nd: 3\n",
+     "error: line 3, column 1: covering instance needs an 'm' directive\n"),
+    (("hull",), "kind: covering\nn: 2\nm: 1\nM: 1 1\n",
+     "error: line 4, column 1: covering instance needs a 'd' line\n"),
+    (("hull",), "kind: covering\nn: 2\nm: 1\nM: 1 1\nd: 3 3\n",
+     "error: line 5, column 1: 'd' needs 1 entries, found 2\n"),
+    (("cone", "rays"), "kind: cone\nn: 2\n",
+     "error: line 1, column 1: cone instance needs at least one 'G' line\n"),
+    (("hull",), None, "error: cannot read {path}: No such file or directory\n"),
+    (("cone", "fii"), CONE,
+     'error: fii needs an inequality argument, e.g. "x1 + x2 <= 2"\n'),
+    (("cone", "fii", "x1 + x2"), CONE, "error: inequality needs '<=' or '>=': 'x1 + x2'\n"),
+], ids=["empty file", "comments only", "no colon", "covering without m",
+        "covering without d", "d too long", "cone without G", "missing file",
+        "fii without inequality", "inequality without relation"])
+def test_input_error_paths_exit_2(tmp_path, capsys, args, text, err_text):
+    command, *rest = args
+    path = str(tmp_path / "missing.txt") if text is None else write(tmp_path, "in.txt", text)
+    code, out, err = run_cli([command, path, *rest], capsys)
+    assert (code, out, err) == (2, "", err_text.format(path=path))
+
+
+def test_verify_prints_counterexamples_and_exits_5(monkeypatch, capsys):
+    # a failing suite's dumps are printed line by line under
+    # <suite>-counterexamples, and the run exits 5
+    def failing(seed):
+        report = verify.SuiteReport("cone", seed)
+        report.check(True, lambda: "not printed")
+        report.check(False, lambda: f"first failure at seed {seed}\nkind: cone")
+        report.check(False, lambda: "second failure")
+        return report
+
+    monkeypatch.setattr(verify, "suite_cone", failing)
+    code, out, err = run_cli(["verify", "cone", "--seed", "3"], capsys)
+    assert (code, err) == (5, "")
+    assert out == ("command: verify\nversion: 0.1.0\nseed: 3\nsuite: cone\n"
+                   "cone: FAIL (3 checks)\ncone-counterexamples: 3\n"
+                   "  first failure at seed 3\n  kind: cone\n  second failure\n"
+                   "result: FAIL\n")
 
 
 def test_fii_with_juxtaposed_terms_exits_2(capsys):
@@ -389,8 +438,8 @@ def test_cone_closure_command(tmp_path, capsys):
 
 
 def test_cone_without_a_closure_system(tmp_path, capsys):
-    # the generator 0.x <= -1 leaves the cone no closure system: closure
-    # prints the standard empty system, and theorem1 and fii refuse it
+    # the generator 0.x <= -1 makes the cone's closure system the standard
+    # empty system: closure prints it, and theorem1 and fii refuse it
     path = write(tmp_path, "cone.txt", "kind: cone\nn: 2\nG: 0 0 -1\nG: 1 0 1\n")
     code, out, _ = run_cli(["cone", path, "closure"], capsys)
     assert code == 0
@@ -476,6 +525,28 @@ def test_fii_invalid_target_prints_the_violating_point(target, point, capsys):
     code, out, err = run_cli(["cone", str(INSTANCES / "strip_cone.txt"), "fii", target], capsys)
     assert (code, out) == (4, "")
     assert f"violating point: {point}" in err.splitlines()
+
+
+def test_over_long_violating_point_is_printed_in_full(tmp_path, capsys):
+    # generators with 2500-digit entries make a violating point whose
+    # coordinates are longer than str() of an int writes by default
+    sevens, threes = "7" * 2500, "3" * 2500
+    path = write(tmp_path, "long.txt",
+                 f"kind: cone\nn: 2\nG: {sevens} 1 1\nG: 1 {threes} 1\nG: 0 0 1\n")
+    code, out, err = run_cli(["cone", path, "fii", "x1 + x2 <= 0"], capsys)
+    assert (code, out) == (4, "")
+    message, point = err.splitlines()
+    assert message == "error: inequality is not valid for the closure"
+    witness = is_valid_for_closure(parse_instance(Path(path).read_text()).payload,
+                                   parse_inequality("x1 + x2 <= 0", 2)).witness
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = " ".join(map(str, witness))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert max(map(len, expected.split())) > limit
+    assert point == f"violating point: {expected}"
 
 
 # integral tokens are read as ints and p/q tokens as Fractions; each file

@@ -68,17 +68,17 @@ def test_zero_generator_rejected():
 
 def test_extreme_rays_drops_sum():
     rays = extreme_rays(GeneratedCone((V([1, 0]), V([0, 1]), V([1, 1]))))
-    assert rays.rays == (V([0, 1]), V([1, 0]))
+    assert rays == (V([0, 1]), V([1, 0]))
 
 
 def test_extreme_rays_identity_case():
     rays = extreme_rays(GeneratedCone((V([1, 0]), V([0, 1]))))
-    assert rays.rays == (V([0, 1]), V([1, 0]))
+    assert rays == (V([0, 1]), V([1, 0]))
 
 
 def test_extreme_rays_interior_generator():
     k = GeneratedCone((V([2, 1]), V([1, 2]), V([1, 1])))
-    assert extreme_rays(k).rays == (V([1, 2]), V([2, 1]))
+    assert extreme_rays(k) == (V([1, 2]), V([2, 1]))
     # (1,1) really is 1/3 (2,1) + 1/3 (1,2)
     member = cone_membership((V([2, 1]), V([1, 2])), V([1, 1]))
     assert member.member and member.multipliers == (F(1, 3), F(1, 3))
@@ -172,7 +172,7 @@ def test_cone_queries_share_one_double_description(monkeypatch):
     k = GeneratedCone(SQUARE_CONE.generators + (V([1, 1, 3]),))
     assert k.has_unit_last and check_theorem1(k).passed
     assert len(closure_of(k).inequalities) == 4
-    assert len(extreme_rays(k).int_rays) == 4
+    assert len(extreme_rays(k)) == 4
     assert is_valid_for_closure(k, ineq([1, 1], 2)).valid
     assert len(calls) == 1
 
@@ -284,27 +284,27 @@ def test_extreme_ray_soundness_random():
         for g in gens:
             others = tuple(x for x in gens if x != g)
             member = cone_membership(others, g).member
-            assert member == (g not in rays.rays)
+            assert member == (g not in rays)
 
 
 def test_rebuilt_closure_equals_original_random():
     for cone in random_pointed_cones(43, count=8):
         rays = extreme_rays(cone)
-        rebuilt = GeneratedCone(rays.rays + (linalg.unit(cone.dim, cone.n),))
+        rebuilt = GeneratedCone(rays + (linalg.unit(cone.dim, cone.n),))
         assert lp_same_point_set(closure_of(cone), closure_of(rebuilt))
 
 
 def test_extreme_rays_order_independent():
     for cone in random_pointed_cones(51, count=6):
-        reference = extreme_rays(cone).rays
+        reference = extreme_rays(cone)
         shuffled = GeneratedCone(tuple(reversed(cone.generators)))
-        assert extreme_rays(shuffled).rays == reference
+        assert extreme_rays(shuffled) == reference
 
 
 def test_scaled_duplicate_generators_collapse():
     k = GeneratedCone((V([1, 0]), V([3, 0]), V([0, 2]), V([0, 1])))
     assert unique_generators(k) == (V([1, 0]), V([0, 1]))
-    assert extreme_rays(k).rays == (V([0, 1]), V([1, 0]))
+    assert extreme_rays(k) == (V([0, 1]), V([1, 0]))
 
 
 def _ints(v):
@@ -333,7 +333,9 @@ def test_cone_layer_hands_the_lp_ints_and_returns_fractions(monkeypatch):
             ("strip_cone.txt", ineq([-1, 2], 7), ineq([0, 1], F(7, 2)), ineq([0, 1], 1)),
             ("unit_square_cone.txt", ineq([1, 0], 1), ineq([1, 1], 2), ineq([1, 1], 1))):
         k = parse_instance((INSTANCES / name).read_text()).payload
-        vectors += unique_generators(k) + extreme_rays(k).rays
+        # extreme rays are stored int rows, as Theorem1Report.extreme_rows
+        assert extreme_rays(k) and all(map(_ints, extreme_rays(k)))
+        vectors += unique_generators(k)
         pointed = is_pointed(k)
         assert pointed.pointed
         vectors.append(pointed.support)
@@ -433,5 +435,6 @@ def test_certified_extreme_rows_by_membership_lps():
     k = GeneratedCone(((1, 0, 1), (0, 1, 1), (1, 1, 2)))
     assert certified_extreme_rows(k) == ((0, 0, 1), (0, 1, 1), (1, 0, 1))
     assert certified_extreme_rows(k) == check_theorem1(k).extreme_rows
+    # the drawn cones hold unit-last, so both DD readers give the same rows
     for k in random_pointed_cones(4, 10):
-        assert certified_extreme_rows(k) == check_theorem1(k).extreme_rows
+        assert certified_extreme_rows(k) == check_theorem1(k).extreme_rows == extreme_rays(k)

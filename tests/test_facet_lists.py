@@ -104,7 +104,7 @@ NO_UNIT_CONE = GeneratedCone(((1, 0, 0), (0, 1, 0), (1, 1, 0)))
 @example(NO_UNIT_CONE)
 def test_rebuilt_equals_closure_matches_same_point_set(cone):
     ku, _ = with_unit_last(cone)
-    rays = extreme_rays(ku).rays
+    rays = extreme_rays(ku)
     rebuilt = closure_of(GeneratedCone(rays + (linalg.unit(ku.dim, ku.n),)))
     rep = check_theorem1(cone)
     assert rep.rebuilt_equals_closure == lp_same_point_set(closure_of(ku), rebuilt)

@@ -26,6 +26,21 @@ def test_format_rational_is_decimal_free():
     assert linalg.format_rational(F(-4)) == "-4"
 
 
+# 5000 sevens: more digits than str() of an int writes by default
+SEVENS = (10 ** 5000 - 1) // 9 * 7
+
+
+@pytest.mark.parametrize("value, text", [
+    (SEVENS, "7" * 5000),
+    (-SEVENS, "-" + "7" * 5000),
+    (F(SEVENS), "7" * 5000),
+    (F(-SEVENS, 3), "-" + "7" * 5000 + "/3"),
+    (F(1, SEVENS), "1/" + "7" * 5000),
+], ids=["int", "negative int", "integral Fraction", "long numerator", "long denominator"])
+def test_format_rational_prints_every_digit(value, text):
+    assert linalg.format_rational(value) == text
+
+
 def test_primitive_form():
     assert linalg.primitive(V([F(1, 2), F(3, 2)])) == V([1, 3])
     assert linalg.primitive(V([4, 6])) == V([2, 3])
