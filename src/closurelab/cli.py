@@ -12,6 +12,11 @@ Exit codes: 0 ok, 2 usage, parse or file I/O failure, 3 closure not
 stabilized, 4 hypothesis violation (non-pointed, non-full-dimensional,
 empty closure, invalid inequality), 5 internal invariant failure.  A
 library failure takes its code from its error type's ``exit_code``.
+
+``main`` parses argv once: the command name picks its own parser, which
+reads the rest (see ``parse_argv``).  Only a command line that this does
+not fully consume, an unknown command or none, goes through the
+top-level parser, so argparse writes every usage and help message.
 """
 
 from __future__ import annotations
@@ -71,10 +76,12 @@ class _Doc:
 
 
 def _load(path: str, expected_kind: str) -> InstanceFile:
-    """The instance at path, of the expected kind; a UTF-8 byte-order mark is skipped."""
+    """The instance at path, of the expected kind; a UTF-8 byte-order mark is
+    skipped.  The bytes are decoded whole, with no newline translation:
+    ``parse_instance`` splits lines at CR, LF and CRLF alike."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}")
     except UnicodeDecodeError:
@@ -245,13 +252,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _command_parsers() -> dict[str, argparse.ArgumentParser]:
+    """Each command's own parser, by name: the subparsers' choices."""
+    return next(a.choices for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+def parse_argv(argv: list[str]) -> argparse.Namespace:
+    """The namespace ``build_parser().parse_args(argv)`` gives, parsed once.
+
+    The top-level parser only hands everything after the command name to
+    that command's parser, so argv[1:] goes to it directly.  When there is
+    no command, the command is unknown, or arguments are left over, the
+    whole argv goes through ``build_parser().parse_args``, so every usage,
+    help and "unrecognized arguments" message comes from argparse itself.
+    A command parser's own error or help exits from inside it either way."""
+    sub = _command_parsers().get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line (``sys.argv[1:]`` when argv is None), print its
+    report and return the exit code; argv is read by ``parse_argv``."""
+    args = parse_argv(sys.argv[1:] if argv is None else list(argv))
     if args.command == "closure" and (args.k < 1 or args.density < 1):
-        parser.error("--k and --density must be at least 1")
+        build_parser().error("--k and --density must be at least 1")
     if args.command == "cone" and args.subcommand != "fii" and args.inequality is not None:
-        parser.error(f"cone {args.subcommand} takes no inequality; only fii does")
+        build_parser().error(f"cone {args.subcommand} takes no inequality; only fii does")
     try:
         text, code = args.run(args)
     except ClosureLabError as exc:

@@ -236,7 +236,7 @@ def _lower_chains(points: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 def _natural(p: Sequence) -> tuple[int, ...] | None:
     """p as a tuple of ints when every entry is a nonnegative integer."""
-    if all(type(a) is int and a >= 0 for a in p):
+    if {*map(type, p)} <= {int} and (not p or min(p) >= 0):
         return tuple(p)
     v = linalg.vector(p)
     if any(a.denominator != 1 or a < 0 for a in v):

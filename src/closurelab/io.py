@@ -56,10 +56,13 @@ def _column(value: str) -> int:
     return len(value) - len(value.lstrip()) + 1
 
 
+_ASCII_INT = re.compile(r"[+-]?[0-9]+")
+
+
 def is_ascii_int(text: str) -> bool:
     """Is text an optionally signed run of ASCII digits, up to surrounding
     whitespace?  int() would also read '1_0' and other scripts' digits."""
-    return re.fullmatch(r"[+-]?[0-9]+", text.strip()) is not None
+    return _ASCII_INT.fullmatch(text.strip()) is not None
 
 
 def _int_field(value: str, name: str, lineno: int) -> int:

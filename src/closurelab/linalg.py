@@ -23,6 +23,12 @@ times one common denominator, an ``Inequality`` its primitive row, a
 ``MinimalPointSet`` its int points and a ``GeneratedCone`` its generator
 rows, and their Fractions are views made on read.  ``parse_row`` and
 ``exact_row`` keep integral input as ints and make Fractions of the rest.
+
+Rows of ints cost integer work only.  ``parse_row`` reads a line in one
+pass (one pattern checks it, ``int`` converts the split tokens) and walks
+it token by token only to place an error.  ``exact_row`` and ``int_row``
+test a row's types once; an int row goes straight to one ``gcd``, and
+only other rows take the Fraction path through ``clear_denominators``.
 """
 
 from __future__ import annotations
@@ -33,9 +39,9 @@ from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NoReturn, Sequence, Union
 
-from .errors import ContractViolation, ParseError
+from .errors import ContractViolation, InternalInvariantError, ParseError
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -44,6 +50,8 @@ IntRow = list[int]
 RationalLike = Union[Fraction, int, str]
 
 _RATIONAL_TOKEN = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
+# a whole row of such tokens, blank-separated, blanks around it allowed
+_RATIONAL_ROW = re.compile(r"(?:\s*[+-]?[0-9]+(?:/[1-9][0-9]*)?(?!\S))*\s*")
 
 
 def rational(value: RationalLike) -> Fraction:
@@ -81,7 +89,7 @@ def vector(entries: Iterable[RationalLike]) -> Vector:
 def exact_row(entries: Iterable[RationalLike]) -> tuple[int | Fraction, ...]:
     """The entries as they are when all are ints, else their ``vector``."""
     v = tuple(entries)
-    return v if all(type(a) is int for a in v) else vector(v)
+    return v if {*map(type, v)} <= {int} else vector(v)
 
 
 def zeros(n: int) -> Vector:
@@ -151,7 +159,12 @@ def clear_denominators(v: Sequence[Fraction | int]) -> tuple[IntRow, int]:
 
 def int_row(v: Sequence[Fraction | int]) -> IntRow:
     """The primitive integer row c*v for the unique rational c > 0 (the
-    zero row for a zero input).  Accepts ints, whose denominator is 1."""
+    zero row for a zero input).  A row of ints (by exact type, so not of
+    bools) is read in one pass: it is divided by its gcd.  Any other row
+    first has its denominators cleared."""
+    if {*map(type, v)} <= {int}:
+        g = gcd(*v)
+        return [a // g for a in v] if g > 1 else list(v)
     return lowest_terms(clear_denominators(v)[0])
 
 
@@ -174,7 +187,7 @@ def int_dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 
 def format_vector(v: Vector) -> str:
-    return " ".join(format_rational(a) for a in v)
+    return " ".join(map(format_rational, v))
 
 
 def number_too_long(line: int = 0, column: int = 0) -> ParseError:
@@ -188,15 +201,36 @@ def parse_row(text: str, expected_len: int | None = None,
               line: int = 0) -> tuple[int | Fraction, ...]:
     """Blank-separated rational tokens: an integral token "p" as an int,
     only "p/q" as a Fraction.  Error columns count from 1 at the first
-    character of ``text``."""
-    out = []
+    character of ``text``.
+
+    The line is read in one pass: one pattern checks it whole, and
+    ``str.split`` (whose blanks are the pattern's) cuts the tokens for
+    ``int``, or ``Fraction`` where a "/" appears.  Only a line that fails,
+    by a bad token or by a number longer than ``int`` reads, is walked
+    token by token to place the error at its first bad token."""
+    out = None
+    if _RATIONAL_ROW.fullmatch(text):
+        tokens = text.split()
+        try:
+            out = (tuple(map(int, tokens)) if "/" not in text else
+                   tuple(Fraction(t) if "/" in t else int(t) for t in tokens))
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+    if out is None:
+        _raise_at_bad_token(text, line)
+    if expected_len is not None and len(out) != expected_len:
+        raise ParseError(f"expected {expected_len} rational tokens, found {len(out)}", line, 1)
+    return out
+
+
+def _raise_at_bad_token(text: str, line: int) -> NoReturn:
+    """The ParseError for the first token of text that is not a rational
+    token, or that holds a number longer than ``int`` reads."""
     for tok in re.finditer(r"\S+", text):
         if not _RATIONAL_TOKEN.match(tok[0]):
             raise ParseError(f"not a rational token: {tok[0]!r}", line, tok.start() + 1)
         try:
-            out.append(Fraction(tok[0]) if "/" in tok[0] else int(tok[0]))
+            Fraction(tok[0]) if "/" in tok[0] else int(tok[0])
         except ValueError:
             raise number_too_long(line, tok.start() + 1) from None
-    if expected_len is not None and len(out) != expected_len:
-        raise ParseError(f"expected {expected_len} rational tokens, found {len(out)}", line, 1)
-    return tuple(out)
+    raise InternalInvariantError(f"the row pattern rejects a row of rational tokens: {text!r}")

@@ -45,12 +45,12 @@ MUTANTS = (
     # dd_cone: the incremental double description.  Without the
     # containment test the rays still generate the polar but include
     # non-extreme ones; zero-set containment between rows is the same on
-    # such a list, so the cone answers cannot show it, and the hull's
-    # facets, read off the rays, do
+    # such a list, so the cone answers cannot show it.  The hull's facets,
+    # read off the rays, do, and so does the rank of each ray's tight rows
     Mutant("dd_cone-no-containment-test", "src/closurelab/polyhedron.py",
            "if common.bit_count() < need or any(",
            "if common.bit_count() < need or False and any(",
-           ("tests/test_covering.py",)),
+           ("tests/test_covering.py", "tests/test_polyhedron.py")),
     Mutant("dd_cone-zero-ray-misses-row", "src/closurelab/polyhedron.py",
            "new_zs = [zs[i] | bit for i, _ in zero]",
            "new_zs = [zs[i] for i, _ in zero]",
@@ -104,6 +104,21 @@ MUTANTS = (
            "if set(rows) != set(keys):",
            "if not set(rows) <= set(keys):",
            ("tests/test_cone.py",)),
+    # the front end's fast paths: an int row divided by its gcd, a row
+    # read whole once the pattern accepts it, and argv handed to the
+    # command's parser when it reads every argument
+    Mutant("int-row-skips-gcd", "src/closurelab/linalg.py",
+           "return [a // g for a in v] if g > 1 else list(v)",
+           "return list(v)",
+           ("tests/test_linalg.py",)),
+    Mutant("parse-row-skips-pattern", "src/closurelab/linalg.py",
+           "if _RATIONAL_ROW.fullmatch(text):",
+           "if True:",
+           ("tests/test_linalg.py",)),
+    Mutant("dispatch-ignores-leftover-args", "src/closurelab/cli.py",
+           "        if not rest:\n",
+           "        if True:\n",
+           ("tests/test_cli.py",)),
     # format_rational's fallback for parts longer than str() writes
     Mutant("format-rational-drops-long-denominator", "src/closurelab/linalg.py",
            'return p if q.denominator == 1 else f"{p}/{Decimal(q.denominator)}"',

@@ -28,7 +28,10 @@ The oracles, each independent of the library path it checks:
   every density-D hull before it compares the intersection with the
   integer hull;
 - the Fraction text forms of an inequality that Inequality prints from
-  its integer row.
+  its integer row;
+- the token-by-token row reader that linalg.parse_row's one-pass read
+  replaces, and the denominator-clearing int_row that its one-gcd path
+  for int rows replaces.
 
 Test-only types and helpers: VPolyhedron with v_to_h, the tests' entry
 to polyhedron._v_to_h_rows; ge; the vector, matrix, inequality and cone
@@ -38,6 +41,7 @@ mutation tests."""
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,7 +60,7 @@ from closurelab.cone import GeneratedCone, _line_through
 from closurelab.covering import CoveringInstance
 from closurelab.errors import (ContractViolation, InconsistentSystemError,
                                InternalInvariantError, InvalidInequalityError,
-                               NotFullDimensionalError, NotPointedError)
+                               NotFullDimensionalError, NotPointedError, ParseError)
 from closurelab.linalg import (Matrix, Vector, check_dim, combine, dot, int_dot, int_row,
                                is_zero, primitive, rational, zeros)
 from closurelab.lp import ConeMembership, LpResult, LpStatus, solve_lp
@@ -153,6 +157,33 @@ def down_set_box_oracle(e1, e2) -> bool:
         if in_down_set(x, pts1) and not in_down_set(x, pts2):
             return False
     return True
+
+
+_TOKEN = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
+
+
+def token_loop_parse_row(text: str, expected_len: int | None = None,
+                         line: int = 0) -> tuple[int | Fraction, ...]:
+    """linalg.parse_row one token at a time: each blank-separated token is
+    matched alone and converted alone, an error raised at the first bad
+    one."""
+    out = []
+    for tok in re.finditer(r"\S+", text):
+        if not _TOKEN.match(tok[0]):
+            raise ParseError(f"not a rational token: {tok[0]!r}", line, tok.start() + 1)
+        try:
+            out.append(Fraction(tok[0]) if "/" in tok[0] else int(tok[0]))
+        except ValueError:
+            raise linalg.number_too_long(line, tok.start() + 1) from None
+    if expected_len is not None and len(out) != expected_len:
+        raise ParseError(f"expected {expected_len} rational tokens, found {len(out)}", line, 1)
+    return tuple(out)
+
+
+def denominator_int_row(v: Sequence) -> list[int]:
+    """linalg.int_row for any row of exact rationals: clear its
+    denominators, then divide by the gcd of the entries."""
+    return linalg.lowest_terms(linalg.clear_denominators(v)[0])
 
 
 def fraction_rank(rows: Sequence[Vector]) -> int:

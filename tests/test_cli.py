@@ -492,6 +492,16 @@ def test_instance_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
         ["hull", write(tmp_path, "plain.txt", COVERING)], capsys)
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "CR"])
+@pytest.mark.parametrize("text", [TWO_ROW, TWO_ROW.replace("M: 2 1", "M: 2 x")],
+                         ids=["valid", "bad token"])
+def test_instance_line_endings_read_as_newlines(tmp_path, capsys, newline, text):
+    path = tmp_path / "endings.txt"
+    path.write_bytes(text.replace("\n", newline).encode("ascii"))
+    assert run_cli(["hull", str(path)], capsys) == run_cli(
+        ["hull", write(tmp_path, "plain.txt", text)], capsys)
+
+
 def test_out_into_missing_directory_exits_2(tmp_path, capsys):
     path = write(tmp_path, "cov.txt", COVERING)
     _, report, _ = run_cli(["hull", path], capsys)
@@ -598,6 +608,76 @@ def test_repeated_main_leaves_no_argparse_garbage(capsys):
         gc.garbage.clear()
     capsys.readouterr()
     assert leaked == []
+
+
+SINGLE_ROW = str(INSTANCES / "single_row.txt")
+KNAPSACK = str(INSTANCES / "knapsack_pair.txt")
+STRIP = str(INSTANCES / "strip_cone.txt")
+
+ROUTED_ARGV = [
+    ["hull", SINGLE_ROW],
+    ["hull", SINGLE_ROW, "--seed", "3"],
+    ["hull", "--seed", "3", SINGLE_ROW],
+    ["hull", SINGLE_ROW, "--format", "structured"],
+    ["hull", SINGLE_ROW, "--format=structured", "--out", "report.txt"],
+    ["hull", SINGLE_ROW, "-vv"],
+    ["hull", "-v", SINGLE_ROW, "--verbose"],
+    ["hull", "--", SINGLE_ROW],
+    ["closure", KNAPSACK, "--k=2"],
+    ["closure", KNAPSACK, "--dens", "3"],
+    ["closure", KNAPSACK, "--k", "2", "--density", "3"],
+    ["closure", "--density", "2", KNAPSACK, "--k", "1"],
+    ["closure", KNAPSACK, "--seed=-3"],
+    ["cone", STRIP, "theorem1"],
+    ["cone", STRIP, "pointed", "-v"],
+    ["cone", "--format", "structured", STRIP, "rays"],
+    ["cone", STRIP, "fii", "x2 <= 7/2"],
+    ["cone", STRIP, "fii", "-x1 <= 2"],
+    ["cone", STRIP, "fii", "--", "-x2 <= 7/2"],
+    ["verify", "cone", "--seed", "2"],
+    ["verify", "--seed", "-1", "all"],
+]
+
+
+@pytest.mark.parametrize("argv", ROUTED_ARGV, ids=" ".join)
+def test_argv_goes_to_the_command_parser_alone(argv, monkeypatch):
+    expected = cli.build_parser().parse_args(argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser ran")
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "parse_args", refuse)
+    assert cli.parse_argv(argv) == expected
+
+
+TOP_USAGE = "usage: closurelab [-h] {hull,closure,cone,verify} ...\n"
+# argparse quotes the choices in its message on some Python versions only
+COMMANDS = ("'hull', 'closure', 'cone', 'verify'", "hull, closure, cone, verify")
+
+
+def _invalid_command(name):
+    return {f"{TOP_USAGE}closurelab: error: argument command: invalid choice: "
+            f"'{name}' (choose from {choices})\n" for choices in COMMANDS}
+
+
+@pytest.mark.parametrize("argv, errs", [
+    ([], {f"{TOP_USAGE}closurelab: error: the following arguments are required: command\n"}),
+    (["nope"], _invalid_command("nope")),
+    (["hull", SINGLE_ROW, "--bogus"],
+     {f"{TOP_USAGE}closurelab: error: unrecognized arguments: --bogus\n"}),
+    (["hull", SINGLE_ROW, "extra"],
+     {f"{TOP_USAGE}closurelab: error: unrecognized arguments: extra\n"}),
+    (["--seed", "3", "hull", SINGLE_ROW], _invalid_command("3")),
+], ids=["no command", "unknown command", "unknown flag", "extra positional", "flag first"])
+def test_argv_errors_come_from_the_top_level_parser(argv, errs, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exit_.value.code, out) == (2, "")
+    assert err in errs
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv)
+    assert capsys.readouterr().err == err
 
 
 def _returning(result):

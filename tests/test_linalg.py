@@ -1,12 +1,14 @@
 """Rational vector/matrix helpers."""
 
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from closurelab import linalg
 from closurelab.errors import ContractViolation, ParseError
-from oracles import mat_vec, transpose, vec_mat
+from oracles import denominator_int_row, mat_vec, token_loop_parse_row, transpose, vec_mat
 
 V = linalg.vector
 
@@ -75,3 +77,87 @@ def test_matrix_ops():
     assert mat_vec(m, V([1, 1])) == V([3, 7])
     assert vec_mat(V([1, 1]), m) == V([4, 6])
     assert transpose(m) == (V([1, 3]), V([2, 4]))
+
+
+# short ASCII digit runs, leading zeros included, and one run a digit
+# longer than int() reads
+DIGITS = st.text("0123456789", min_size=1, max_size=5)
+TOO_LONG_DIGITS = "9" * (sys.get_int_max_str_digits() + 1)
+SIGNED = st.builds("{}{}".format, st.sampled_from(("", "+", "-")), DIGITS)
+TOKENS = st.one_of(
+    SIGNED,
+    st.builds("{}/{}".format, SIGNED, DIGITS),
+    # tokens the row pattern must refuse, some of which int() or
+    # Fraction() would read: underscores, Arabic-Indic and fullwidth
+    # digits, an exponent
+    st.sampled_from(("1_0", "\u0663", "1\u0663", "\uff12", "1/+2", "1/-2", "0x1", "1e3")),
+    st.sampled_from(("x", "1.5", "--1", "+", "-", "/", "1/", "/2", "1/2/3", "+-1")),
+    st.just(TOO_LONG_DIGITS),
+    st.builds("{}/{}".format, SIGNED, st.just(TOO_LONG_DIGITS)),
+)
+# tab, EM SPACE (U+2003) and the information separator U+001C are blanks
+# to both str.split and the pattern's \s
+BLANKS = st.lists(st.sampled_from(" \t\u2003\x1c\n\r\x0b"), max_size=2).map("".join)
+
+
+@st.composite
+def rows_of_tokens(draw):
+    tokens = draw(st.lists(TOKENS, max_size=6))
+    # an empty separator glues two tokens into one
+    parts = [draw(BLANKS)]
+    for tok in tokens:
+        parts += [tok, draw(BLANKS)]
+    return "".join(parts)
+
+
+def _outcome(parse, *args):
+    """The parsed row with each entry's exact type, or the error's text and place."""
+    try:
+        return [(type(a), a) for a in parse(*args)]
+    except ParseError as exc:
+        return (str(exc), exc.line, exc.column)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(rows_of_tokens(), st.sampled_from((None, 0, 1, 2, 3)), st.integers(0, 9))
+@example("1 2 3", 3, 1)
+@example(" 007\t-0/5\u2003+3/4\x1c", None, 2)
+@example("1 1_0 2", None, 4)
+@example(f"1 {TOO_LONG_DIGITS} x", None, 1)
+@example("1 x " + TOO_LONG_DIGITS, None, 1)
+def test_parse_row_matches_the_token_loop(text, expected_len, line):
+    assert _outcome(linalg.parse_row, text, expected_len, line) == \
+        _outcome(token_loop_parse_row, text, expected_len, line)
+
+
+ENTRIES = st.one_of(
+    st.integers(-60, 60),
+    st.integers(-10 ** 30, 10 ** 30),
+    st.builds(F, st.integers(-60, 60), st.integers(1, 12)),
+    st.booleans(),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.lists(st.integers(-60, 60).map(lambda a: 6 * a), max_size=6),
+                 st.lists(ENTRIES, max_size=6)))
+@example([])
+@example([0, 0, 0])
+@example([4, -6, 10])
+@example([True, 2])
+@example([F(2), 4])
+def test_int_row_matches_the_denominator_path(v):
+    row = linalg.int_row(v)
+    assert row == denominator_int_row(v)
+    assert all(type(a) is int for a in row)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(ENTRIES, max_size=6))
+@example([True, 1])
+def test_exact_row_keeps_int_rows_and_reads_the_rest(v):
+    row = linalg.exact_row(v)
+    if all(type(a) is int for a in v):
+        assert row == tuple(v)
+    else:
+        assert row == linalg.vector(v) and all(type(a) is F for a in row)

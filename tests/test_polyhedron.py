@@ -29,11 +29,11 @@ from closurelab.polyhedron import (
 )
 
 from oracles import (VPolyhedron, add, fraction_format_ge, fraction_format_le,
-                     fraction_v_to_h, ge, generator_rank_dimension, homogenization_dd,
-                     is_full_dimensional, lp_dimension, lp_is_empty, lp_is_facet_defining,
-                     lp_is_subset, lp_remove_redundant, lp_same_point_set, lp_v_to_h,
-                     rank_remove_redundant, round_trip_h_to_v, scale, three_solve_implication,
-                     v_to_h)
+                     fraction_rank, fraction_v_to_h, ge, generator_rank_dimension,
+                     homogenization_dd, is_full_dimensional, lp_dimension, lp_is_empty,
+                     lp_is_facet_defining, lp_is_subset, lp_remove_redundant,
+                     lp_same_point_set, lp_v_to_h, rank_remove_redundant, round_trip_h_to_v,
+                     scale, three_solve_implication, v_to_h)
 
 V = linalg.vector
 
@@ -383,6 +383,23 @@ def test_dd_queries_match_lp_references(p):
 def test_zero_set_facets_match_rank_facet_test(p):
     assert [q.stacked() for q in remove_redundant(p).inequalities] == \
         [q.stacked() for q in rank_remove_redundant(p).inequalities]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(h_polyhedra())
+@example(SQUARE)
+@example(POINT_IN_R1)
+@example(ZERO_ROW_FACE)
+def test_every_polar_ray_is_extreme(p):
+    # a ray of the polar cone {y : g.y <= 0} is extreme exactly when the
+    # rows tight at it (p's rows and (0, ..., 0, 1)) have rank dim - 1
+    # modulo the lines; a non-extreme ray, a sum of two others, is tight
+    # at fewer rows
+    lines, rays, _, _ = p._dd
+    rows = [q.row for q in p.inequalities] + [polyhedron._unit_row(p.n + 1)]
+    for ray in rays:
+        tight = [V(r) for r in rows if linalg.int_dot(r, ray) == 0]
+        assert fraction_rank(tight) == p.n + 1 - len(lines) - 1
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
