@@ -22,7 +22,6 @@ from .covering import (
     CoveringInstance,
     MinimalPointSet,
     down_set_contains,
-    integer_hull,
     minimal_integer_points,
 )
 from .aggregation import (
@@ -60,7 +59,6 @@ __all__ = [
     "down_set_contains",
     "extreme_rays",
     "fii_check",
-    "integer_hull",
     "is_pointed",
     "is_valid_for_closure",
     "minimal_integer_points",

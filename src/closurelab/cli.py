@@ -163,8 +163,8 @@ def cmd_cone(args) -> tuple[str, int]:
         doc.block("extreme-rays", [linalg.format_vector(r) for r in rep.extreme_rows])
         # each extreme ray is a generator row, so this holds when pointed
         doc.field("rays-are-generators", rep.pointed)
-        doc.field("rebuilt-closure-equal", rep.rebuilt_equals_closure)
-        doc.field("unit-last-added", rep.added_unit_last)
+        doc.field("rebuilt-closure-equal", rep.passed)
+        doc.field("unit-last-added", not cone.has_unit_last)
         if rep.detail:
             doc.field("detail", rep.detail)
         code = EXIT_OK if rep.passed else EXIT_INTERNAL

@@ -5,10 +5,9 @@ A ``GeneratedCone`` holds a finite family of nonzero vectors (alpha, beta)
 in Q^(n+1), each read as the half-space alpha.x <= beta; the closure is
 their intersection.  A cone stores its generators as primitive integer
 rows, made once (integral input stays int; anything else goes through
-``linalg.vector``), and ``generators`` is a Fraction view.  Extreme
-rays have one form wherever they are returned: ``extreme_rays``,
-``certified_extreme_rows`` and ``Theorem1Report.extreme_rows`` are
-sorted primitive int rows.  Every query runs on the distinct rows, with
+``linalg.vector``).  Extreme rays have one form wherever they are
+returned: ``extreme_rays``, ``certified_extreme_rows`` and
+``Theorem1Report.extreme_rows`` are sorted primitive int rows.  Every query runs on the distinct rows, with
 (0, ..., 0, 1) appended where needed.  Each cone keeps its closure
 system, built on the first query (``empty_hpolyhedron`` when a
 generator reads 0.x <= b < 0), and the system keeps its double
@@ -34,7 +33,6 @@ finds the extreme rows by membership LPs alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -76,8 +74,7 @@ class GeneratedCone:
 
     Generators must be nonzero; the last coordinate is the right-hand side
     of the inequality the generator encodes.  They are stored as their
-    canonical primitive int rows, in the order given, repeats included;
-    ``generators`` is their Fraction view.
+    canonical primitive int rows, in the order given, repeats included.
     """
 
     int_generators: tuple[tuple[int, ...], ...]
@@ -98,10 +95,6 @@ class GeneratedCone:
                                         at=("generators", i))
         object.__setattr__(self, "int_generators", rows)
         object.__setattr__(self, "_rows", tuple(dict.fromkeys(rows)))
-
-    @property
-    def generators(self) -> tuple[Vector, ...]:
-        return tuple(tuple(map(Fraction, g)) for g in self.int_generators)
 
     @property
     def dim(self) -> int:
@@ -146,7 +139,6 @@ class ValidityCheck:
     generator list when valid, a violating closure point when not."""
 
     valid: bool
-    generators: tuple[Vector, ...]
     multipliers: Vector | None = None
     witness: Vector | None = None
 
@@ -155,10 +147,10 @@ class ValidityCheck:
 class FiiCheck:
     """Extreme-ray test for a valid inequality: not expressible from the
     other generators.  When it is expressible, ``multipliers`` reproduce
-    the inequality vector from ``others`` exactly."""
+    the inequality vector exactly from the other distinct rows of
+    generators + unit-last, in order."""
 
     is_fii: bool
-    others: tuple[Vector, ...]
     multipliers: Vector | None = None
 
 
@@ -168,19 +160,13 @@ class Theorem1Report:
     ``extreme_rays`` returns for cone(generators + unit-last): sorted
     primitive int rows, each selected from the cone's own rows, so on a
     pointed cone the rays are generators by construction (the CLI prints
-    ``pointed`` for that claim).  The property ``extreme_rays`` is their
-    Fraction view."""
+    ``pointed`` for that claim).  ``passed`` is also whether the closure
+    rebuilt from those rays equals the full closure."""
 
     passed: bool
     pointed: bool
     extreme_rows: tuple[tuple[int, ...], ...]
-    rebuilt_equals_closure: bool
-    added_unit_last: bool
     detail: str = ""
-
-    @property
-    def extreme_rays(self) -> tuple[Vector, ...]:
-        return tuple(tuple(map(Fraction, r)) for r in self.extreme_rows)
 
 
 def _line_through(rows: tuple[tuple[int, ...], ...]) -> Vector | None:
@@ -294,16 +280,14 @@ def is_valid_for_closure(k: GeneratedCone, q: Inequality) -> ValidityCheck:
         raise ContractViolation("inequality/cone dimension mismatch")
     if k._system.is_empty:
         raise EmptyClosureError("validity over an empty closure is undefined")
-    rows = _with_unit_row(k._rows)
-    gens = tuple(map(linalg.vector, rows))
-    member = cone_membership(rows, q.stacked())
+    member = cone_membership(_with_unit_row(k._rows), q.stacked())
     if member.member:
-        return ValidityCheck(True, gens, multipliers=member.multipliers)
+        return ValidityCheck(True, multipliers=member.multipliers)
     # the LP keeps generator order, which fixes its witness
     imp = check_implication([_from_row(g) for g in k._rows if any(g[:-1])], q)
     if imp.implied:
         raise InternalInvariantError("invalidity witness fails substitution")
-    return ValidityCheck(False, gens, witness=imp.witness)
+    return ValidityCheck(False, witness=imp.witness)
 
 
 def fii_check(k: GeneratedCone, q: Inequality) -> FiiCheck:
@@ -323,10 +307,9 @@ def fii_check(k: GeneratedCone, q: Inequality) -> FiiCheck:
     others = tuple(g for g in rows if g != q.row)
     if others == rows:
         # q's row is no generator, so the validity LP already asked this
-        return FiiCheck(False, validity.generators, multipliers=validity.multipliers)
+        return FiiCheck(False, multipliers=validity.multipliers)
     member = cone_membership(others, q.stacked())
-    return FiiCheck(not member.member, tuple(map(linalg.vector, others)),
-                    multipliers=member.multipliers)
+    return FiiCheck(not member.member, multipliers=member.multipliers)
 
 
 def check_theorem1(k: GeneratedCone) -> Theorem1Report:
@@ -344,17 +327,14 @@ def check_theorem1(k: GeneratedCone) -> Theorem1Report:
         raise NotFullDimensionalError(
             "the equivalence is stated for full-dimensional closures "
             f"(found dimension {dim} in R^{k.n})")
-    added = not k.has_unit_last
     try:
         rays = _extreme_rows(_with_unit_row(k._rows), system)
     except NotPointedError as e:
         return Theorem1Report(
-            passed=False, pointed=False, extreme_rows=(), rebuilt_equals_closure=False,
-            added_unit_last=added,
+            passed=False, pointed=False, extreme_rows=(),
             detail=(f"full-dimensional closure but cone contains the line "
                     f"through {linalg.format_vector(e.line_witness)}"))
     equal = {q.row for q in remove_redundant(system).inequalities} <= set(rays)
     return Theorem1Report(
         passed=equal, pointed=True, extreme_rows=rays,
-        rebuilt_equals_closure=equal, added_unit_last=added,
         detail="" if equal else "closure rebuilt from extreme rays differs from the full closure")

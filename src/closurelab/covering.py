@@ -356,13 +356,6 @@ def minimal_integer_points(q: CoveringInstance) -> MinimalPointSet:
     return MinimalPointSet(tuple(kept))
 
 
-def integer_hull(q: CoveringInstance) -> HPolyhedron:
-    """Irredundant H-representation of conv({x in N^n : Mx >= d}), which
-    equals conv(minimal points) + R^n_+ and is again of covering form.
-    Holding the minimal points already, call their ``hull()`` instead."""
-    return minimal_integer_points(q).hull()
-
-
 def down_set_contains(e1: Iterable[Sequence], e2: Iterable[Sequence]) -> bool:
     """Is {x : x <= some point of e1} contained in {x : x <= some point of
     e2}?  For finitely generated down-sets this is exactly generator

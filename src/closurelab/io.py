@@ -37,11 +37,16 @@ class InstanceFile:
     payload: CoveringInstance | GeneratedCone
 
 
+_LINE_BREAK = re.compile(r"\r\n?|\n")
+
+
 def _directives(text: str):
-    """(line number, key, key column, value) per directive.  The value is
+    """(line number, key, key column, value) per directive.  Lines end at
+    CR, LF or CRLF only; str.splitlines would also break at form feeds,
+    U+2028 and other characters that a row reads as blanks.  The value is
     left in place, its line as typed with the key and ':' blanked, so
     parse-error columns count in the raw line."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_LINE_BREAK.split(text), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
@@ -70,7 +75,8 @@ def _int_field(value: str, name: str, lineno: int) -> int:
         raise ParseError(f"{name} must be an integer, got {value.strip()!r}",
                          lineno, _column(value))
     try:
-        out = int(value)
+        # int() reads no U+001C..U+001F, which strip() and rows read as blanks
+        out = int(value.strip())
     except ValueError:
         raise linalg.number_too_long(lineno, _column(value)) from None
     if out < 1:

@@ -21,7 +21,7 @@ facet rows of ``_v_to_h_rows``) and the cone queries stay in integer rows
 from end to end, and store them: a ``CoveringInstance`` keeps [M | d]
 times one common denominator, an ``Inequality`` its primitive row, a
 ``MinimalPointSet`` its int points and a ``GeneratedCone`` its generator
-rows, and their Fractions are views made on read.  ``parse_row`` and
+rows.  The first three make their Fractions on read.  ``parse_row`` and
 ``exact_row`` keep integral input as ints and make Fractions of the rest.
 
 Rows of ints cost integer work only.  ``parse_row`` reads a line in one

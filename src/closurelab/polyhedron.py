@@ -13,10 +13,9 @@ values.
 ``dd_cone`` takes and returns primitive integer rows, and an
 ``Inequality`` stores one: its primitive row, plus the positive scale
 that gives back the values it was built from (1 for every row the
-library makes).  Identity, hashing and sorting read the row; ``normal``,
-``rhs`` and ``stacked()`` are Fraction views made on read, so a facet
-that ``_v_to_h_rows`` reads off a DD row makes no Fraction until it is
-used.
+library makes).  Identity, hashing and sorting read the row;
+``stacked()`` is the Fraction view made on read, so a facet that
+``_v_to_h_rows`` reads off a DD row makes no Fraction until it is used.
 
 Each ``HPolyhedron`` keeps one double description (DD), built on the
 first query that needs it: the polar of the cone its rows and
@@ -67,11 +66,11 @@ class Inequality:
     positive scale with scale * row == (normal, rhs) as given.
 
     Identity (== and hashing) is by the row, so positive rescalings of one
-    another compare equal.  ``normal``, ``rhs`` and ``stacked()`` are
-    Fraction views made on read.  A zero normal is only legal with a
-    nonnegative right-hand side: 0.x <= b for b < 0 is not an inequality
-    but an inconsistency marker, and callers must represent emptiness with
-    a genuine inconsistent system instead.
+    another compare equal.  ``stacked()`` is the Fraction view made on
+    read.  A zero normal is only legal with a nonnegative right-hand
+    side: 0.x <= b for b < 0 is not an inequality but an inconsistency
+    marker, and callers must represent emptiness with a genuine
+    inconsistent system instead.
     """
 
     row: tuple[int, ...]
@@ -97,14 +96,6 @@ class Inequality:
         if self.scale == 1:
             return tuple(map(Fraction, self.row))
         return tuple(self.scale * a for a in self.row)
-
-    @property
-    def normal(self) -> Vector:
-        return self.stacked()[:-1]
-
-    @property
-    def rhs(self) -> Fraction:
-        return self.scale * self.row[-1]
 
     def canonical(self) -> "Inequality":
         """The inequality scaled to its canonical form; itself when it
@@ -178,9 +169,6 @@ def _from_row(row: tuple[int, ...]) -> Inequality:
     object.__setattr__(q, "row", row)
     object.__setattr__(q, "scale", _ONE)
     return q
-
-
-ineq = Inequality  # the short name the tests and docs use
 
 
 def sorted_unique(ineqs: Iterable[Inequality]) -> tuple[Inequality, ...]:
@@ -381,14 +369,15 @@ class Implication:
 
 def check_implication(system: Sequence[Inequality], target: Inequality) -> Implication:
     """Does the system of inequalities force target?  Decided by one LP,
-    max target.normal over the system, exact either way.  An optimum at
-    most rhs is implied: the LP's optimal duals are the multipliers and
-    slack = rhs - optimum.  An optimum above rhs is the violating point;
-    on an unbounded LP a feasible point (one more LP) stepped along the
-    improving ray is.  The system must be consistent (otherwise
-    InconsistentSystemError carries the LP's Farkas certificate).  The LP
-    reads each row, or ``stacked()`` when the scale is not 1: the values
-    the inequality was built from, which the multipliers refer to."""
+    max a.x over the system for target a.x <= b, exact either way.  An
+    optimum at most b is implied: the LP's optimal duals are the
+    multipliers and slack = b - optimum.  An optimum above b is the
+    violating point; on an unbounded LP a feasible point (one more LP)
+    stepped along the improving ray is.  The system must be consistent
+    (otherwise InconsistentSystemError carries the LP's Farkas
+    certificate).  The LP reads each row, or ``stacked()`` when the scale
+    is not 1: the values the inequality was built from, which the
+    multipliers refer to."""
     system = tuple(system)
     n = target.n
     for q in system:

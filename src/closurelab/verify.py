@@ -16,16 +16,15 @@ from itertools import chain, product
 from typing import Callable
 
 from . import linalg
-from .linalg import Vector, int_dot
+from .linalg import int_dot
 from .lp import LpStatus, solve_lp
-from .polyhedron import dimension, is_subset
+from .polyhedron import IntRows, dimension, is_subset
 from .cone import GeneratedCone, certified_extreme_rows, check_theorem1, is_pointed
 from .errors import NotFullDimensionalError
 from .covering import (
     CoveringInstance,
     dominates,
     enumeration_box,
-    integer_hull,
     minimal_integer_points,
 )
 from .aggregation import (
@@ -59,7 +58,7 @@ class SuiteReport:
             self.failures.append(dump())
 
 
-def _shrink_generators(gens: tuple[Vector, ...], fails: Callable[[tuple[Vector, ...]], bool]):
+def _shrink_generators(gens: IntRows, fails: Callable[[IntRows], bool]):
     """Greedy removal: drop generators one at a time while the predicate
     still fails.  Exact minimality is not attempted."""
     current = list(gens)
@@ -212,7 +211,7 @@ def suite_cone(seed: int, count: int = 50, line_count: int = 20) -> SuiteReport:
                     return not check_theorem1(GeneratedCone(gens)).passed
                 except Exception:
                     return False
-            shrunk = _shrink_generators(cone.generators, fails)
+            shrunk = _shrink_generators(cone.int_generators, fails)
             return f"{reason}\n{format_cone(GeneratedCone(shrunk))}"
 
         report.check(passed, lambda: dump(f"theorem-1 cross-check failed: {detail}"))
@@ -351,7 +350,7 @@ def suite_aggregation(seed: int, single_count: int = 10, pair_count: int = 5) ->
         def dump(reason):
             return f"single-row {idx}: {reason}\n{format_covering(q)}"
 
-        hull = integer_hull(q)
+        hull = minimal_integer_points(q).hull()
         for k, density in ((1, 1), (2, 4)):
             ca = closure_approx(q, k, density)
             report.check(
@@ -373,10 +372,11 @@ def suite_aggregation(seed: int, single_count: int = 10, pair_count: int = 5) ->
         k_mono = is_subset(deeper.polyhedron, low.polyhedron)
         report.check(k_mono, lambda: dump("raising k did not shrink the closure"))
 
-        hull = integer_hull(q)
+        hull = minimal_integer_points(q).hull()
         # low.hulls holds the hulls of a grid-order prefix of the samples
         sampled = chain((h.hull for h in low.hulls), (
-            integer_hull(aggregate(q, s)) for s in low.samples[len(low.hulls):]))
+            minimal_integer_points(aggregate(q, s)).hull()
+            for s in low.samples[len(low.hulls):]))
         sandwich = is_subset(hull, low.polyhedron) and all(
             is_subset(low.polyhedron, h) for h in sampled)
         report.check(sandwich, lambda: dump("closure leaves the hull sandwich"))

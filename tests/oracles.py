@@ -35,9 +35,9 @@ The oracles, each independent of the library path it checks:
 
 Test-only types and helpers: VPolyhedron with v_to_h, the tests' entry
 to polyhedron._v_to_h_rows; ge; the vector, matrix, inequality and cone
-helpers sub, add, scale, mat_vec, vec_mat, transpose, flipped,
-unique_generators and with_unit_last; and a broken copy of dd_cone for
-mutation tests."""
+helpers sub, add, scale, mat_vec, vec_mat, transpose, normal_rhs,
+flipped, unique_generators, with_unit_last and fii_others; and a broken
+copy of dd_cone for mutation tests."""
 
 from __future__ import annotations
 
@@ -112,9 +112,17 @@ def ge(normal: Sequence, rhs) -> Inequality:
     return Inequality(linalg.neg(linalg.vector(normal)), -rational(rhs))
 
 
+def normal_rhs(q: Inequality) -> tuple[Vector, Fraction]:
+    """(normal, rhs) of normal.x <= rhs, split from ``q.stacked()``: the
+    values q was built from."""
+    stacked = q.stacked()
+    return stacked[:-1], stacked[-1]
+
+
 def flipped(q: Inequality) -> Inequality:
     """The reverse inequality -normal.x <= -rhs (for equality pairs)."""
-    return Inequality(linalg.neg(q.normal), -q.rhs)
+    normal, rhs = normal_rhs(q)
+    return Inequality(linalg.neg(normal), -rhs)
 
 
 def fraction_format_le(normal: Vector, rhs: Fraction) -> str:
@@ -127,7 +135,8 @@ def fraction_format_ge(normal: Vector, rhs: Fraction) -> str:
 
 
 def unique_generators(k: GeneratedCone) -> tuple[Vector, ...]:
-    return tuple(dict.fromkeys(k.generators))
+    """The distinct generator rows, in first-seen order, as Fractions."""
+    return tuple(map(linalg.vector, dict.fromkeys(k.int_generators)))
 
 
 def with_unit_last(k: GeneratedCone) -> tuple[GeneratedCone, bool]:
@@ -135,6 +144,13 @@ def with_unit_last(k: GeneratedCone) -> tuple[GeneratedCone, bool]:
     if k.has_unit_last:
         return k, False
     return GeneratedCone(unique_generators(k) + (linalg.unit(k.dim, k.n),)), True
+
+
+def fii_others(k: GeneratedCone, q: Inequality) -> tuple[Vector, ...]:
+    """The rows fii_check's multipliers refer to: the distinct generators,
+    then (0, ..., 0, 1) when missing, without q's canonical row."""
+    return tuple(g for g in unique_generators(with_unit_last(k)[0])
+                 if g != primitive(q.stacked()))
 
 
 def down_set_box_oracle(e1, e2) -> bool:
@@ -275,14 +291,15 @@ def lp_v_to_h(p: VPolyhedron) -> HPolyhedron:
 # HPolyhedron.is_empty, polyhedron.dimension and polyhedron.remove_redundant)
 
 
-def _rows(p: HPolyhedron) -> tuple[Matrix, Vector]:
-    return (tuple(q.normal for q in p.inequalities),
-            tuple(q.rhs for q in p.inequalities))
+def _split(system: Sequence[Inequality]) -> tuple[Matrix, Vector]:
+    """The LP data (normals, right-hand sides) of a system."""
+    pairs = [normal_rhs(q) for q in system]
+    return tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
 
 
 def lp_is_empty(p: HPolyhedron) -> bool:
     """Infeasibility of the system, by one LP."""
-    a, b = _rows(p)
+    a, b = _split(p.inequalities)
     return solve_lp(a, b, zeros(p.n), "max").status is LpStatus.INFEASIBLE
 
 
@@ -291,12 +308,12 @@ def lp_dimension(p: HPolyhedron) -> int:
     (min normal.x reaches rhs); -1 when empty."""
     if lp_is_empty(p):
         return -1
-    a, b = _rows(p)
+    a, b = _split(p.inequalities)
     tight_rows = []
-    for q in p.inequalities:
-        res = solve_lp(a, b, q.normal, "min")
-        if res.status is LpStatus.OPTIMAL and res.objective == q.rhs:
-            tight_rows.append(q.normal)
+    for normal, rhs in zip(a, b):
+        res = solve_lp(a, b, normal, "min")
+        if res.status is LpStatus.OPTIMAL and res.objective == rhs:
+            tight_rows.append(normal)
     return p.n - linalg.rank(tight_rows)
 
 
@@ -325,11 +342,10 @@ def lp_remove_redundant(p: HPolyhedron) -> HPolyhedron:
     kept = list(p.inequalities)
     i = 0
     while i < len(kept):
-        others = kept[:i] + kept[i + 1:]
-        a = tuple(q.normal for q in others)
-        b = tuple(q.rhs for q in others)
-        res = solve_lp(a, b, kept[i].normal, "max")
-        if res.status is LpStatus.OPTIMAL and res.objective <= kept[i].rhs:
+        a, b = _split(kept[:i] + kept[i + 1:])
+        normal, rhs = normal_rhs(kept[i])
+        res = solve_lp(a, b, normal, "max")
+        if res.status is LpStatus.OPTIMAL and res.objective <= rhs:
             kept.pop(i)
         else:
             i += 1
@@ -344,12 +360,13 @@ def rank_remove_redundant(p: HPolyhedron) -> HPolyhedron:
     same rows as the library's scan of flat rows."""
     if lp_dimension(p) < p.n:
         return lp_remove_redundant(p)
-    rows = [(*q.normal, -q.rhs) for q in p.inequalities] + [zeros(p.n) + (-_ONE,)]
+    rows = [(*a, -b) for a, b in map(normal_rhs, p.inequalities)] + [zeros(p.n) + (-_ONE,)]
     lines, rays = dd_cone([linalg.int_row(r) for r in rows], p.n + 1)
     last = {q: i for i, q in enumerate(p.inequalities)}
 
     def is_facet(q: Inequality) -> bool:
-        row = linalg.int_row((*q.normal, -q.rhs))
+        normal, rhs = normal_rhs(q)
+        row = linalg.int_row((*normal, -rhs))
         return linalg.rank(lines + tuple(g for g in rays if int_dot(row, g) == 0)) == p.n
 
     return HPolyhedron(p.n, tuple(
@@ -478,12 +495,11 @@ def projection_lemma_sides(q: CoveringInstance, t: int) -> tuple[HPolyhedron, HP
 def three_solve_implication(system: Sequence[Inequality], target: Inequality) -> Implication:
     """A feasibility LP, cone membership of target.stacked() in the cone of
     the stacked rows plus (0, ..., 0, 1), and, when not a member, the LP
-    max target.normal for a violating point (stepped along the improving
-    ray from the feasibility LP's point when unbounded)."""
+    max a.x for the target a.x <= b, for a violating point (stepped along
+    the improving ray from the feasibility LP's point when unbounded)."""
     system = tuple(system)
     n = target.n
-    a = tuple(q.normal for q in system)
-    b = tuple(q.rhs for q in system)
+    a, b = _split(system)
     feas = solve_lp(a, b, zeros(n), "max")
     if feas.status is LpStatus.INFEASIBLE:
         raise InconsistentSystemError(
@@ -495,12 +511,13 @@ def three_solve_implication(system: Sequence[Inequality], target: Inequality) ->
         mult = member.multipliers
         return Implication(True, multipliers=mult[:-1], slack=mult[-1])
 
-    res = solve_lp(a, b, target.normal, "max")
+    normal, rhs = normal_rhs(target)
+    res = solve_lp(a, b, normal, "max")
     if res.status is LpStatus.OPTIMAL:
         witness = res.x
     else:
-        gain = dot(target.normal, res.certificate)
-        step = max(_ZERO, (target.rhs - dot(target.normal, feas.x)) / gain) + 1
+        gain = dot(normal, res.certificate)
+        step = max(_ZERO, (rhs - dot(normal, feas.x)) / gain) + 1
         witness = add(feas.x, scale(step, res.certificate))
     if target.satisfied_by(witness) or not all(q.satisfied_by(witness) for q in system):
         raise InternalInvariantError("witness fails substitution check")

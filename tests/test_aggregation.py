@@ -22,8 +22,7 @@ from closurelab.aggregation import (
     multiplier_rows,
     sample_multipliers,
 )
-from closurelab.covering import (CoveringInstance, MinimalPointSet, integer_hull,
-                                 minimal_integer_points)
+from closurelab.covering import CoveringInstance, MinimalPointSet, minimal_integer_points
 from closurelab.errors import ContractViolation
 from closurelab.io import parse_instance
 from closurelab.polyhedron import HPolyhedron, check_implication, remove_redundant, sorted_unique
@@ -110,7 +109,7 @@ def test_closure_single_row_equals_hull():
     q = CoveringInstance(([1, 2],), (3,))
     ca = closure_approx(q, 1, 4)
     assert ca.stabilized
-    assert lp_same_point_set(ca.polyhedron, integer_hull(q))
+    assert lp_same_point_set(ca.polyhedron, minimal_integer_points(q).hull())
     assert set(ca.polyhedron.inequalities) == {ge([1, 1], 2), ge([1, 2], 3),
                                                ge([1, 0], 0), ge([0, 1], 0)}
 
@@ -119,7 +118,7 @@ def test_closure_single_row_exact_for_k_and_density():
     rng = random.Random(2)
     for _ in range(5):
         q = random_single_row(rng)
-        hull = integer_hull(q)
+        hull = minimal_integer_points(q).hull()
         for k, density in ((1, 1), (2, 3)):
             ca = closure_approx(q, k, density)
             assert ca.stabilized
@@ -135,9 +134,9 @@ ABOVE_HULL = CoveringInstance(([4, 4], [1, 4]), (6, 3))
 def _covering_prefix(q, samples):
     """The length of the shortest grid-order prefix of samples whose
     aggregated hulls hold every facet of P_I as a row, or None."""
-    uncovered = set(integer_hull(q).inequalities)
+    uncovered = set(minimal_integer_points(q).hull().inequalities)
     for j, s in enumerate(samples, 1):
-        uncovered -= set(integer_hull(aggregate(q, s)).inequalities)
+        uncovered -= set(minimal_integer_points(aggregate(q, s)).hull().inequalities)
         if not uncovered:
             return j
     return None
@@ -188,7 +187,7 @@ def test_closure_builds_one_hull_per_aggregated_instance(counted):
         assert (stop is not None) == at_hull
         ca, built, hulled = _counted_closure(counted, q, k, density)
         assert ca.stabilized == stabilized
-        assert (ca.polyhedron == integer_hull(q)) == at_hull
+        assert (ca.polyhedron == minimal_integer_points(q).hull()) == at_hull
         assert ca.samples == samples
         if at_hull:
             assert [h.sample for h in ca.hulls] == list(samples[:stop])
@@ -219,7 +218,7 @@ def test_closure_hulls_p_i_from_q_and_shares_it_with_a_covering_sample(counted):
         assert len(built) == len(set(built)) == 2
         assert len(hulled) == len(ca.hulls) == 1
         assert len(ca.samples) == samples
-        assert ca.polyhedron == integer_hull(TWO_ROW)
+        assert ca.polyhedron == minimal_integer_points(TWO_ROW).hull()
         assert ca.stabilized == doubling_stabilized(TWO_ROW, 3, density)
 
 
@@ -323,7 +322,7 @@ def test_hulls_are_shared_exactly_by_equal_point_sets(args):
     q = args[0]
     ca = closure_approx(*args)
     for h in ca.hulls:
-        assert h.hull == integer_hull(aggregate(q, h.sample))
+        assert h.hull == minimal_integer_points(aggregate(q, h.sample)).hull()
     for a, b in product(ca.hulls, repeat=2):
         same_points = (minimal_integer_points(aggregate(q, a.sample))
                        == minimal_integer_points(aggregate(q, b.sample)))
@@ -337,21 +336,22 @@ def test_own_rows_hull_is_its_own_intersection(q):
     the hull of q's rows is P_I, and _intersect keeps it row for row."""
     sample = AggregationSample(multiplier_rows(q.m, 1))
     [own] = aggregation._hulls_for(q, [sample], {}, {})
-    assert own.hull == integer_hull(q) == aggregation._intersect(q.n, [own])
+    assert own.hull == minimal_integer_points(q).hull() == aggregation._intersect(q.n, [own])
 
 
 def test_closure_two_row_matches_denominator_grid_oracle():
     ca = closure_approx(TWO_ROW, 1, 8)
     pool = []
     for lam in multiplier_rows(2, 8):
-        pool.extend(integer_hull(aggregate(TWO_ROW, AggregationSample((lam,)))).inequalities)
+        agg = aggregate(TWO_ROW, AggregationSample((lam,)))
+        pool.extend(minimal_integer_points(agg).hull().inequalities)
     oracle = remove_redundant(HPolyhedron(2, sorted_unique(pool)))
     assert lp_same_point_set(ca.polyhedron, oracle)
 
 
 def test_closure_contains_hull_and_sits_in_sampled_hulls():
     ca = closure_approx(TWO_ROW, 1, 4)
-    hull = integer_hull(TWO_ROW)
+    hull = minimal_integer_points(TWO_ROW).hull()
     for t in ca.polyhedron.inequalities:
         assert check_implication(hull.inequalities, t).implied
     for h in ca.hulls:

@@ -492,14 +492,31 @@ def test_instance_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
         ["hull", write(tmp_path, "plain.txt", COVERING)], capsys)
 
 
-@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "CR"])
+# the characters other than CR and LF that str.splitlines breaks at; a
+# row reads each of them as a blank
+SPLITLINES_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r", *(c + "\n" for c in SPLITLINES_ONLY)],
+                         ids=["CRLF", "CR", *(f"U+{ord(c):04X} LF" for c in SPLITLINES_ONLY)])
 @pytest.mark.parametrize("text", [TWO_ROW, TWO_ROW.replace("M: 2 1", "M: 2 x")],
                          ids=["valid", "bad token"])
 def test_instance_line_endings_read_as_newlines(tmp_path, capsys, newline, text):
+    # only CR, LF and CRLF end a line, so a bad token keeps its line number
     path = tmp_path / "endings.txt"
-    path.write_bytes(text.replace("\n", newline).encode("ascii"))
+    path.write_bytes(text.replace("\n", newline).encode("utf-8"))
     assert run_cli(["hull", str(path)], capsys) == run_cli(
         ["hull", write(tmp_path, "plain.txt", text)], capsys)
+
+
+@pytest.mark.parametrize("blank", SPLITLINES_ONLY + ["\x1f"],
+                         ids=[f"U+{ord(c):04X}" for c in SPLITLINES_ONLY + ["\x1f"]])
+def test_unicode_blanks_read_as_blanks_in_rows_and_sizes(tmp_path, capsys, blank):
+    path = tmp_path / "blank.txt"
+    text = TWO_ROW.replace("M: 1 2", f"M: 1{blank}2").replace("n: 2", f"n: 2{blank}")
+    path.write_bytes(text.encode("utf-8"))
+    assert run_cli(["hull", str(path)], capsys) == run_cli(
+        ["hull", write(tmp_path, "plain.txt", TWO_ROW)], capsys)
 
 
 def test_out_into_missing_directory_exits_2(tmp_path, capsys):

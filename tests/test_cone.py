@@ -27,11 +27,11 @@ from closurelab.errors import (
 )
 from closurelab.io import parse_instance
 from closurelab.lp import cone_membership, solve_lp
-from closurelab.polyhedron import dimension, ineq
+from closurelab.polyhedron import Inequality, dimension
 from closurelab.verify import random_line_cones, random_pointed_cones
 
-from oracles import (add, lp_extreme_rays, lp_is_facet_defining, lp_same_point_set, scale,
-                     unique_generators)
+from oracles import (add, fii_others, lp_extreme_rays, lp_is_facet_defining, lp_same_point_set,
+                     scale, unique_generators)
 
 V = linalg.vector
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -44,7 +44,7 @@ SQUARE_CONE = GeneratedCone((V([1, 0, 1]), V([0, 1, 1]),
 
 def test_generators_are_canonicalized():
     k = GeneratedCone((V([2, 4]), V([0, 3])))
-    assert k.generators == (V([1, 2]), V([0, 1]))
+    assert k.int_generators == ((1, 2), (0, 1))
 
 
 def test_generator_contract_is_kept_by_the_int_fast_path():
@@ -54,8 +54,6 @@ def test_generator_contract_is_kept_by_the_int_fast_path():
         with pytest.raises(ContractViolation, match="cannot interpret"):
             GeneratedCone(gens)
     k = GeneratedCone((("1/2", "1", "3/2"), (F(2, 3), F(0), F(4, 3)), (2, 4, 6)))
-    assert k.generators == (V([1, 2, 3]), V([1, 0, 2]), V([1, 2, 3]))
-    assert all(type(a) is F for g in k.generators for a in g)
     assert k.int_generators == ((1, 2, 3), (1, 0, 2), (1, 2, 3))
     assert k._rows == ((1, 2, 3), (1, 0, 2))
     assert k == GeneratedCone(((1, 2, 3), (1, 0, 2), (1, 2, 3)))
@@ -114,24 +112,24 @@ def test_is_pointed_detects_hidden_line():
 
 def test_closure_orthant():
     closure = closure_of(ORTHANT_CONE)
-    assert set(closure.inequalities) == {ineq([-1, 0], 0), ineq([0, -1], 0)}
+    assert set(closure.inequalities) == {Inequality([-1, 0], 0), Inequality([0, -1], 0)}
 
 
 def test_closure_slab():
     closure = closure_of(GeneratedCone((V([1, 0, 1]), V([-1, 0, 0]), V([0, 0, 1]))))
-    assert set(closure.inequalities) == {ineq([1, 0], 1), ineq([-1, 0], 0)}
+    assert set(closure.inequalities) == {Inequality([1, 0], 1), Inequality([-1, 0], 0)}
 
 
 def test_closure_direct_reading():
     closure = closure_of(GeneratedCone((V([1, 1, 2]), V([1, 2, 3]), V([0, 0, 1]))))
-    assert set(closure.inequalities) == {ineq([1, 1], 2), ineq([1, 2], 3)}
+    assert set(closure.inequalities) == {Inequality([1, 1], 2), Inequality([1, 2], 3)}
 
 
 def test_closure_adds_unit_last_silently():
     k = GeneratedCone((V([1, 1, 2]),))
     assert not k.has_unit_last
     closure = closure_of(k)
-    assert set(closure.inequalities) == {ineq([1, 1], 2)}
+    assert set(closure.inequalities) == {Inequality([1, 1], 2)}
 
 
 def test_closure_can_be_empty():
@@ -140,21 +138,21 @@ def test_closure_can_be_empty():
 
 
 def test_validity_over_orthant():
-    assert is_valid_for_closure(ORTHANT_CONE, ineq([-1, -1], 5)).valid
-    res = is_valid_for_closure(ORTHANT_CONE, ineq([1, 0], 1))
+    assert is_valid_for_closure(ORTHANT_CONE, Inequality([-1, -1], 5)).valid
+    res = is_valid_for_closure(ORTHANT_CONE, Inequality([1, 0], 1))
     assert not res.valid
     assert res.witness == V([2, 0])
 
 
 def test_validity_multipliers_sum_generators():
     k = GeneratedCone((V([1, 1, 2]), V([1, 2, 3]), V([0, 0, 1])))
-    res = is_valid_for_closure(k, ineq([2, 3], 5))
+    res = is_valid_for_closure(k, Inequality([2, 3], 5))
     assert res.valid and res.multipliers == (F(1), F(1), F(0))
 
 
 def test_validity_requires_nonempty_closure():
     with pytest.raises(EmptyClosureError):
-        is_valid_for_closure(GeneratedCone((V([0, 0, -1]),)), ineq([1, 0], 1))
+        is_valid_for_closure(GeneratedCone((V([0, 0, -1]),)), Inequality([1, 0], 1))
 
 
 def test_cone_queries_share_one_double_description(monkeypatch):
@@ -169,11 +167,11 @@ def test_cone_queries_share_one_double_description(monkeypatch):
 
     monkeypatch.setattr(polyhedron, "dd_cone", counted)
     monkeypatch.setattr(cone_module, "dd_cone", counted)
-    k = GeneratedCone(SQUARE_CONE.generators + (V([1, 1, 3]),))
+    k = GeneratedCone(SQUARE_CONE.int_generators + ((1, 1, 3),))
     assert k.has_unit_last and check_theorem1(k).passed
     assert len(closure_of(k).inequalities) == 4
     assert len(extreme_rays(k)) == 4
-    assert is_valid_for_closure(k, ineq([1, 1], 2)).valid
+    assert is_valid_for_closure(k, Inequality([1, 1], 2)).valid
     assert len(calls) == 1
 
 
@@ -182,10 +180,10 @@ def test_theorem1_orthant():
 
 
 def test_theorem1_redundant_generator_excluded():
-    k = GeneratedCone(ORTHANT_CONE.generators + (V([-1, -1, 0]),))
+    k = GeneratedCone(ORTHANT_CONE.int_generators + ((-1, -1, 0),))
     rep = check_theorem1(k)
     assert rep.passed
-    assert V([-1, -1, 0]) not in rep.extreme_rays
+    assert (-1, -1, 0) not in rep.extreme_rows
 
 
 def test_theorem1_requires_full_dimensional_closure():
@@ -199,7 +197,7 @@ def test_theorem1_random_cones():
         rep = check_theorem1(cone)
         assert rep.passed
         # every drawn cone holds (0, ..., 0, 1), so no generator is added
-        assert set(rep.extreme_rays) <= set(unique_generators(cone))
+        assert set(rep.extreme_rows) <= set(cone.int_generators)
 
 
 def test_pointedness_matches_full_dimension_random():
@@ -211,21 +209,22 @@ def test_pointedness_matches_full_dimension_random():
 
 
 def test_fii_square_facet():
-    assert fii_check(SQUARE_CONE, ineq([1, 0], 1)).is_fii
+    assert fii_check(SQUARE_CONE, Inequality([1, 0], 1)).is_fii
 
 
 def test_fii_square_corner_cut_is_redundant():
-    res = fii_check(SQUARE_CONE, ineq([1, 1], 2))
+    q = Inequality([1, 1], 2)
+    res = fii_check(SQUARE_CONE, q)
     assert not res.is_fii
     combo = linalg.zeros(3)
-    for mu, g in zip(res.multipliers, res.others):
+    for mu, g in zip(res.multipliers, fii_others(SQUARE_CONE, q), strict=True):
         combo = add(combo, scale(mu, g))
     assert combo == V([1, 1, 2])
 
 
 def test_fii_example_one_standin():
     k = GeneratedCone((V([-1, 2, 7]), V([1, 2, 7]), V([0, 0, 1])))
-    res = fii_check(k, ineq([0, 1], F(7, 2)))
+    res = fii_check(k, Inequality([0, 1], F(7, 2)))
     assert not res.is_fii
     assert res.multipliers == (F(1, 4), F(1, 4), F(0))
 
@@ -234,11 +233,11 @@ STRIP_CONE = GeneratedCone((V([-1, 2, 7]), V([1, 2, 7]), V([0, 0, 1])))
 
 
 @pytest.mark.parametrize("cone, q, want, lps", [
-    (STRIP_CONE, ineq([0, 1], F(7, 2)), (F(1, 4), F(1, 4), F(0)), 1),
-    (STRIP_CONE, ineq([0, 1], 7), (F(1, 4), F(1, 4), F(7, 2)), 1),
-    (SQUARE_CONE, ineq([1, 1], 2), (F(1), F(1), F(0), F(0), F(0)), 1),
+    (STRIP_CONE, Inequality([0, 1], F(7, 2)), (F(1, 4), F(1, 4), F(0)), 1),
+    (STRIP_CONE, Inequality([0, 1], 7), (F(1, 4), F(1, 4), F(7, 2)), 1),
+    (SQUARE_CONE, Inequality([1, 1], 2), (F(1), F(1), F(0), F(0), F(0)), 1),
     # q is a generator: others drops it, so the second LP is a new question
-    (SQUARE_CONE, ineq([1, 0], 1), None, 2),
+    (SQUARE_CONE, Inequality([1, 0], 1), None, 2),
 ], ids=["strip x2<=7/2", "strip x2<=7", "square x1+x2<=2", "square x1<=1"])
 def test_fii_reuses_the_validity_lp_when_q_is_no_generator(monkeypatch, cone, q, want, lps):
     calls = []
@@ -251,19 +250,22 @@ def test_fii_reuses_the_validity_lp_when_q_is_no_generator(monkeypatch, cone, q,
     res = fii_check(cone, q)
     assert len(calls) == lps
     assert res.is_fii == (want is None) and res.multipliers == want
-    canon = linalg.primitive(q.stacked())
-    assert res.others == tuple(g for g in unique_generators(cone) if g != canon)
+    if want is not None:
+        combo = linalg.zeros(cone.dim)
+        for mu, g in zip(want, fii_others(cone, q), strict=True):
+            combo = add(combo, scale(mu, g))
+        assert combo == q.stacked()
 
 
 def test_fii_rejects_invalid_inequality():
     with pytest.raises(InvalidInequalityError):
-        fii_check(ORTHANT_CONE, ineq([1, 0], 1))
+        fii_check(ORTHANT_CONE, Inequality([1, 0], 1))
 
 
 def test_fii_requires_full_dimensional_closure():
     flat = GeneratedCone((V([1, 0, 0]), V([-1, 0, 0]), V([0, 0, 1])))
     with pytest.raises(NotFullDimensionalError):
-        fii_check(flat, ineq([1, 0], 0))
+        fii_check(flat, Inequality([1, 0], 0))
 
 
 def test_fii_matches_facet_defining_on_generators():
@@ -273,7 +275,7 @@ def test_fii_matches_facet_defining_on_generators():
             normal, rhs = g[:-1], g[-1]
             if linalg.is_zero(normal):
                 continue
-            q = ineq(normal, rhs)
+            q = Inequality(normal, rhs)
             assert fii_check(cone, q).is_fii == lp_is_facet_defining(closure, q)
 
 
@@ -297,7 +299,7 @@ def test_rebuilt_closure_equals_original_random():
 def test_extreme_rays_order_independent():
     for cone in random_pointed_cones(51, count=6):
         reference = extreme_rays(cone)
-        shuffled = GeneratedCone(tuple(reversed(cone.generators)))
+        shuffled = GeneratedCone(tuple(reversed(cone.int_generators)))
         assert extreme_rays(shuffled) == reference
 
 
@@ -330,25 +332,27 @@ def test_cone_layer_hands_the_lp_ints_and_returns_fractions(monkeypatch):
     monkeypatch.setattr(cone_module, "solve_lp", recording_lp)
     vectors = []  # every vector a result hands out
     for name, fii, not_fii, invalid in (
-            ("strip_cone.txt", ineq([-1, 2], 7), ineq([0, 1], F(7, 2)), ineq([0, 1], 1)),
-            ("unit_square_cone.txt", ineq([1, 0], 1), ineq([1, 1], 2), ineq([1, 1], 1))):
+            ("strip_cone.txt", Inequality([-1, 2], 7), Inequality([0, 1], F(7, 2)),
+             Inequality([0, 1], 1)),
+            ("unit_square_cone.txt", Inequality([1, 0], 1), Inequality([1, 1], 2),
+             Inequality([1, 1], 1))):
         k = parse_instance((INSTANCES / name).read_text()).payload
         # extreme rays are stored int rows, as Theorem1Report.extreme_rows
         assert extreme_rays(k) and all(map(_ints, extreme_rays(k)))
-        vectors += unique_generators(k)
+        assert all(map(_ints, k.int_generators))
         pointed = is_pointed(k)
         assert pointed.pointed
         vectors.append(pointed.support)
         vectors += [q.stacked() for q in closure_of(k).inequalities]
         report = check_theorem1(k)
         assert report.passed
-        vectors += report.extreme_rays
+        assert all(map(_ints, report.extreme_rows))
         yes, no = fii_check(k, fii), fii_check(k, not_fii)
         assert yes.is_fii and not no.is_fii
-        vectors += yes.others + no.others + (no.multipliers,)
+        vectors.append(no.multipliers)
         valid, bad = is_valid_for_closure(k, not_fii), is_valid_for_closure(k, invalid)
         assert valid.valid and not bad.valid
-        vectors += valid.generators + (valid.multipliers,) + bad.generators + (bad.witness,)
+        vectors += [valid.multipliers, bad.witness]
         with pytest.raises(InvalidInequalityError) as err:
             fii_check(k, invalid)
         vectors.append(err.value.witness)
@@ -363,7 +367,7 @@ def test_cone_layer_hands_the_lp_ints_and_returns_fractions(monkeypatch):
     with pytest.raises(NotFullDimensionalError):
         check_theorem1(line)
     with pytest.raises(NotFullDimensionalError):
-        fii_check(line, ineq([1, 0], 1))
+        fii_check(line, Inequality([1, 0], 1))
     assert columns and lp_rows
     assert all(map(_ints, columns)) and all(map(_ints, lp_rows))
     assert vectors and all(map(_fractions, vectors))
@@ -402,7 +406,7 @@ def test_rescaled_and_repeated_generators_give_the_same_cone(cones):
     for query in (extreme_rays, is_pointed, closure_of, check_theorem1):
         assert _outcome(query, scaled) == _outcome(query, k), query.__name__
     for g in unique_generators(k):
-        q = ineq(g[:-1], g[-1])
+        q = Inequality(g[:-1], g[-1])
         assert _outcome(fii_check, scaled, q) == _outcome(fii_check, k, q)
 
 

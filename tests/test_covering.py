@@ -14,7 +14,6 @@ from closurelab.covering import (
     _lower_chains,
     down_set_contains,
     enumeration_box,
-    integer_hull,
     minimal_integer_points,
 )
 from closurelab.errors import ContractViolation
@@ -54,18 +53,18 @@ def test_enumeration_box():
 
 
 def test_integer_hull_named_instance():
-    hull = integer_hull(CoveringInstance(([1, 2],), (3,)))
+    hull = minimal_integer_points(CoveringInstance(([1, 2],), (3,))).hull()
     assert set(hull.inequalities) == {ge([1, 1], 2), ge([1, 2], 3),
                                       ge([1, 0], 0), ge([0, 1], 0)}
 
 
 def test_integer_hull_integral_relaxation():
-    hull = integer_hull(CoveringInstance(([2, 3],), (6,)))
+    hull = minimal_integer_points(CoveringInstance(([2, 3],), (6,))).hull()
     assert set(hull.inequalities) == {ge([2, 3], 6), ge([1, 0], 0), ge([0, 1], 0)}
 
 
 def test_integer_hull_zero_demand_is_orthant():
-    hull = integer_hull(CoveringInstance(([1, 2], [3, 0]), (0, 0)))
+    hull = minimal_integer_points(CoveringInstance(([1, 2], [3, 0]), (0, 0))).hull()
     assert set(hull.inequalities) == {ge([1, 0], 0), ge([0, 1], 0)}
 
 
@@ -159,11 +158,11 @@ def test_hull_is_covering_shaped_random():
     rng = random.Random(16)
     for _ in range(12):
         q = random_covering(rng)
-        hull = integer_hull(q)
+        hull = minimal_integer_points(q).hull()
         for facet in hull.inequalities:
-            ge_normal = linalg.neg(facet.normal)
+            ge_normal = linalg.neg(facet.row[:-1])
             assert all(a >= 0 for a in ge_normal)
-            assert -facet.rhs >= 0
+            assert -facet.row[-1] >= 0
         assert round_trip_h_to_v(hull).rays == tuple(sorted(
             linalg.unit(q.n, j) for j in range(q.n)))
 
@@ -172,7 +171,7 @@ def test_hull_sandwich_random():
     rng = random.Random(18)
     for _ in range(10):
         q = random_covering(rng)
-        hull = integer_hull(q)
+        hull = minimal_integer_points(q).hull()
         relax = q.to_hpolyhedron()
         for t in relax.inequalities:
             assert check_implication(hull.inequalities, t).implied
@@ -185,8 +184,9 @@ def test_rational_data_instance():
     mp = minimal_integer_points(q)
     # 2x1 + 6x2 >= 9 over N^2: minimal points by hand
     assert mp.points == pts((0, 2), (2, 1), (5, 0))
-    hull = integer_hull(q)
-    assert lp_same_point_set(hull, integer_hull(CoveringInstance(([2, 6],), (9,))))
+    hull = minimal_integer_points(q).hull()
+    scaled = CoveringInstance(([2, 6],), (9,))
+    assert lp_same_point_set(hull, minimal_integer_points(scaled).hull())
 
 
 # Small nonnegative rationals, zero drawn often: zero coefficients give

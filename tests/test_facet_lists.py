@@ -107,9 +107,8 @@ def test_rebuilt_equals_closure_matches_same_point_set(cone):
     rays = extreme_rays(ku)
     rebuilt = closure_of(GeneratedCone(rays + (linalg.unit(ku.dim, ku.n),)))
     rep = check_theorem1(cone)
-    assert rep.rebuilt_equals_closure == lp_same_point_set(closure_of(ku), rebuilt)
-    assert rep.extreme_rays == rays
-    assert rep.added_unit_last == (not cone.has_unit_last)
+    assert rep.passed == lp_same_point_set(closure_of(ku), rebuilt)
+    assert rep.extreme_rows == rays
 
 
 @PROPERTY

@@ -11,8 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from closurelab import linalg
 from closurelab.aggregation import AggregationSample, aggregate, closure_approx
-from closurelab.covering import (CoveringInstance, MinimalPointSet, integer_hull,
-                                 minimal_integer_points)
+from closurelab.covering import CoveringInstance, MinimalPointSet, minimal_integer_points
 from closurelab.errors import ContractViolation
 from oracles import (VPolyhedron, fraction_aggregate, fraction_closure_approx,
                      fraction_integer_hull, fraction_minimal_point_set, fraction_v_to_h)
@@ -64,7 +63,7 @@ def _all_fractions(*vectors):
 def test_aggregation_shares_one_scale_across_rows():
     out = aggregate(ROW_SCALES_MATTER, AggregationSample(((1, 1),)))
     assert (out.M, out.d) == (((3, 2),), (5,))
-    assert _rows(integer_hull(out)) == _rows(fraction_integer_hull(out))
+    assert _rows(minimal_integer_points(out).hull()) == _rows(fraction_integer_hull(out))
 
 
 @PROPERTY

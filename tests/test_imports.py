@@ -1,9 +1,13 @@
 """Source hygiene: every name a closurelab module imports is used there,
 every private name a module defines is read somewhere in the package,
-every public function or class is read outside its own definition (or
-says why not), and ``__all__`` lists exactly what ``__init__`` imports."""
+every public function or class is read outside its own definition and
+every attribute of a public class is read somewhere in the package (or
+each says why not), ``__all__`` lists exactly what ``__init__`` imports,
+and the README's Python sample runs against the package as it is."""
 
 import ast
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -96,8 +100,62 @@ def test_every_public_name_has_a_reader_in_the_package():
     assert sorted(unread) == sorted(UNREAD_PUBLIC)
 
 
+# class attributes no code in the package reads, each kept for a stated reason
+UNREAD_ATTRIBUTES = {
+    "ConeMembership.separator": "the certificate of a non-member, for ROADMAP item 4",
+    "Implication.slack": "the certificate's slack on 0.x <= 1, for ROADMAP item 4",
+    "ParseError.line": "the line of an input error",
+    "ParseError.column": "the column of an input error",
+}
+
+
+def _attributes(cls: ast.ClassDef) -> set[str]:
+    """The class's fields and class-level names, its methods and
+    properties, and each self.x its __init__ sets; dunders left out."""
+    names = set()
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+            if node.name == "__init__":
+                names.update(t.attr for t in ast.walk(node)
+                             if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
+                             and isinstance(t.value, ast.Name) and t.value.id == "self")
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+
+
+def test_every_public_class_attribute_is_read_in_the_package():
+    # a field, property or method that no code reads, or that only the
+    # tests read, is dead weight on every instance or a view that belongs
+    # in tests/oracles.py
+    trees = [ast.parse(p.read_text()) for p in SOURCES]
+    read = {n.attr for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = {f"{node.name}.{name}" for tree in trees for node in tree.body
+              if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+              for name in _attributes(node) if name not in read}
+    assert sorted(unread) == sorted(UNREAD_ATTRIBUTES)
+
+
 def test_all_lists_exactly_the_imported_names():
     # a stale entry would otherwise fail only on `from closurelab import *`
     tree = ast.parse(Path(closurelab.__file__).read_text())
     assert sorted(closurelab.__all__) == sorted(_imported(tree))
     assert all(hasattr(closurelab, name) for name in closurelab.__all__)
+
+
+def test_readme_python_sample_runs():
+    # a name deleted from the package cannot stay in the quick start
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.S | re.M)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], str(readme), "exec"), namespace)
+    # the values the sample's comments give
+    assert namespace["minimal"].int_points == ((0, 2), (1, 1), (3, 0))
+    assert namespace["ca"].stabilized
+    res = namespace["res"]
+    assert not res.is_fii and res.multipliers == (Fraction(1, 4), Fraction(1, 4), 0)

@@ -21,7 +21,6 @@ from closurelab.polyhedron import (
     empty_hpolyhedron,
     format_ge,
     format_le,
-    ineq,
     is_subset,
     parse_inequality,
     remove_redundant,
@@ -32,32 +31,32 @@ from oracles import (VPolyhedron, add, fraction_format_ge, fraction_format_le,
                      fraction_rank, fraction_v_to_h, ge, generator_rank_dimension,
                      homogenization_dd, is_full_dimensional, lp_dimension, lp_is_empty,
                      lp_is_facet_defining, lp_is_subset, lp_remove_redundant,
-                     lp_same_point_set, lp_v_to_h, rank_remove_redundant, round_trip_h_to_v,
-                     scale, three_solve_implication, v_to_h)
+                     lp_same_point_set, lp_v_to_h, normal_rhs, rank_remove_redundant,
+                     round_trip_h_to_v, scale, three_solve_implication, v_to_h)
 
 V = linalg.vector
 
-SQUARE = HPolyhedron(2, (ineq([1, 0], 1), ineq([-1, 0], 0),
-                         ineq([0, 1], 1), ineq([0, -1], 0)))
+SQUARE = HPolyhedron(2, (Inequality([1, 0], 1), Inequality([-1, 0], 0),
+                         Inequality([0, 1], 1), Inequality([0, -1], 0)))
 WEDGE = HPolyhedron(2, (ge([1, 1], 2), ge([1, 2], 3), ge([1, 0], 0), ge([0, 1], 0)))
 
 
 def test_inequality_identity_up_to_positive_scaling():
-    assert ineq([1, 2], 4) == ineq([F(1, 2), 1], 2)
-    assert ineq([1, 2], 4) != ineq([-1, -2], -4)
-    assert hash(ineq([2, 4], 8)) == hash(ineq([1, 2], 4))
+    assert Inequality([1, 2], 4) == Inequality([F(1, 2), 1], 2)
+    assert Inequality([1, 2], 4) != Inequality([-1, -2], -4)
+    assert hash(Inequality([2, 4], 8)) == hash(Inequality([1, 2], 4))
 
 
 def test_inequality_stores_its_primitive_row_and_scale():
-    q = ineq([2, 4], 8)
+    q = Inequality([2, 4], 8)
     assert q.row == (1, 2, 4) and q.scale == 2
     assert repr(q) == "Inequality('2 4 <= 8')"
     assert q.stacked() == (F(2), F(4), F(8))
-    assert q == ineq([1, 2], 4) and repr(q) == "Inequality('2 4 <= 8')"
+    assert q == Inequality([1, 2], 4) and repr(q) == "Inequality('2 4 <= 8')"
     c = q.canonical()
-    assert (c.normal, c.rhs) == ((F(1), F(2)), F(4)) and c.row == q.row and c.scale == 1
+    assert c.stacked() == (F(1), F(2), F(4)) and c.row == q.row and c.scale == 1
     assert c.canonical() is c
-    for attr, value in (("row", (1, 1, 1)), ("scale", F(1)), ("normal", (F(1), F(1)))):
+    for attr, value in (("row", (1, 1, 1)), ("scale", F(1))):
         with pytest.raises(AttributeError):
             setattr(q, attr, value)
 
@@ -92,7 +91,7 @@ def inequality_pairs(draw):
 def test_inequality_views_match_fraction_reference(pair):
     qs = [Inequality(normal, rhs) for normal, rhs in pair]
     for q, (normal, rhs) in zip(qs, pair):
-        assert (q.normal, q.rhs, q.stacked()) == (normal, rhs, normal + (rhs,))
+        assert q.stacked() == normal + (rhs,)
         assert all(type(a) is F for a in q.stacked())
         assert format_le(q) == fraction_format_le(normal, rhs)
         assert format_ge(q) == fraction_format_ge(normal, rhs)
@@ -120,8 +119,8 @@ def test_polyhedron_keeps_one_double_description(monkeypatch):
 
     square_dd = SQUARE._dd
     monkeypatch.setattr(polyhedron, "dd_cone", counted)
-    rows = (ineq([1, 0], 1), ineq([-1, 0], 0), ineq([0, 1], 1), ineq([0, -1], 0),
-            ineq([1, 1], 3))
+    rows = (Inequality([1, 0], 1), Inequality([-1, 0], 0), Inequality([0, 1], 1),
+            Inequality([0, -1], 0), Inequality([1, 1], 3))
     p, fresh = HPolyhedron(2, rows), HPolyhedron(2, rows)
     before = (repr(p), hash(p))
     assert not p.is_empty and dimension(p) == 2
@@ -135,10 +134,10 @@ def test_polyhedron_keeps_one_double_description(monkeypatch):
 
 
 def test_inequality_zero_normal_needs_nonnegative_rhs():
-    ineq([0, 0], 1)
-    ineq([0, 0], 0)
+    Inequality([0, 0], 1)
+    Inequality([0, 0], 0)
     with pytest.raises(ContractViolation):
-        ineq([0, 0], -1)
+        Inequality([0, 0], -1)
 
 
 def test_polar_line_with_t_is_an_internal_error(monkeypatch):
@@ -273,26 +272,27 @@ def test_round_trip_random_polyhedra():
 
 
 def test_remove_redundant_drops_sum():
-    p = HPolyhedron(2, (ineq([1, 0], 1), ineq([0, 1], 1), ineq([1, 1], 3)))
-    assert remove_redundant(p).inequalities == (ineq([1, 0], 1), ineq([0, 1], 1))
+    p = HPolyhedron(2, (Inequality([1, 0], 1), Inequality([0, 1], 1), Inequality([1, 1], 3)))
+    assert remove_redundant(p).inequalities == (Inequality([1, 0], 1), Inequality([0, 1], 1))
 
 
 def test_remove_redundant_keeps_tighter_bound():
-    p = HPolyhedron(1, (ineq([1], 1), ineq([1], 2)))
-    assert remove_redundant(p).inequalities == (ineq([1], 1),)
+    p = HPolyhedron(1, (Inequality([1], 1), Inequality([1], 2)))
+    assert remove_redundant(p).inequalities == (Inequality([1], 1),)
 
 
 def test_remove_redundant_example_one_standin():
-    p = HPolyhedron(2, (ineq([-1, 2], 7), ineq([1, 2], 7), ineq([0, 1], F(7, 2))))
+    p = HPolyhedron(2, (Inequality([-1, 2], 7), Inequality([1, 2], 7),
+                        Inequality([0, 1], F(7, 2))))
     out = remove_redundant(p)
-    assert out.inequalities == (ineq([-1, 2], 7), ineq([1, 2], 7))
+    assert out.inequalities == (Inequality([-1, 2], 7), Inequality([1, 2], 7))
     # the dropped inequality is implied with multipliers (1/4, 1/4)
-    imp = check_implication(out.inequalities, ineq([0, 1], F(7, 2)))
+    imp = check_implication(out.inequalities, Inequality([0, 1], F(7, 2)))
     assert imp.implied and imp.multipliers == (F(1, 4), F(1, 4)) and imp.slack == 0
 
 
 def test_remove_redundant_flags_empty_input():
-    empty = HPolyhedron(1, (ineq([1], -1), ineq([-1], 0)))
+    empty = HPolyhedron(1, (Inequality([1], -1), Inequality([-1], 0)))
     out = remove_redundant(empty)
     assert out.is_empty and out.inequalities == empty.inequalities
 
@@ -343,24 +343,27 @@ def h_polyhedra(draw, min_n=1, n=None):
     if kind in ("flat", "empty"):
         q = Inequality(normal(nonzero=True), draw(small))
         gap = draw(positive) if kind == "empty" else 0
-        rows += [q, Inequality(linalg.neg(q.normal), -q.rhs - gap)]
+        a, b = normal_rhs(q)
+        rows += [q, Inequality(linalg.neg(a), -b - gap)]
     for q in draw(st.lists(st.sampled_from(rows), max_size=2)) if rows else ():
         c = draw(positive)
-        rows.append(Inequality(scale(c, q.normal), c * q.rhs))
+        rows.append(Inequality(scale(c, q.stacked()[:-1]), c * q.stacked()[-1]))
     if draw(st.booleans()):
         rows.append(Inequality(linalg.zeros(n), draw(st.sampled_from((0, 1)))))
     return HPolyhedron(n, tuple(draw(st.permutations(rows))))
 
 
 # the kept facet is the last of its two scalings
-TWO_SCALINGS = HPolyhedron(2, (ineq([2, 0], 2), ineq([0, 1], 1), ineq([-1, 0], 0),
-                               ineq([1, 0], 1), ineq([0, -1], 0)))
-ZERO_NORMAL_ROW = HPolyhedron(2, SQUARE.inequalities[:2] + (ineq([0, 0], 3),)
+TWO_SCALINGS = HPolyhedron(2, (Inequality([2, 0], 2), Inequality([0, 1], 1),
+                               Inequality([-1, 0], 0), Inequality([1, 0], 1),
+                               Inequality([0, -1], 0)))
+ZERO_NORMAL_ROW = HPolyhedron(2, SQUARE.inequalities[:2] + (Inequality([0, 0], 3),)
                               + SQUARE.inequalities[2:])
-POINT_IN_R1 = HPolyhedron(1, (ineq([3], 2), ineq([-3], -2)))
+POINT_IN_R1 = HPolyhedron(1, (Inequality([3], 2), Inequality([-3], -2)))
 # 0.x <= 0 is tight at every ray of the polar cone; counted as a face,
 # it would contain the zero set of the facet x3 <= 1 and drop it
-ZERO_ROW_FACE = HPolyhedron(3, (ineq([0, 0, 0], 1), ineq([0, 0, 1], 1), ineq([0, 0, 0], 0)))
+ZERO_ROW_FACE = HPolyhedron(3, (Inequality([0, 0, 0], 1), Inequality([0, 0, 1], 1),
+                                Inequality([0, 0, 0], 0)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -419,7 +422,7 @@ def test_dd_queries_named_examples():
     assert [q.stacked() for q in remove_redundant(TWO_SCALINGS).inequalities] == \
         [V([0, 1, 1]), V([-1, 0, 0]), V([1, 0, 1]), V([0, -1, 0])]
     assert remove_redundant(ZERO_NORMAL_ROW).inequalities == SQUARE.inequalities
-    assert remove_redundant(ZERO_ROW_FACE).inequalities == (ineq([0, 0, 1], 1),)
+    assert remove_redundant(ZERO_ROW_FACE).inequalities == (Inequality([0, 0, 1], 1),)
     assert dimension(POINT_IN_R1) == 0 and not POINT_IN_R1.is_empty
     assert remove_redundant(POINT_IN_R1) == POINT_IN_R1
 
@@ -436,14 +439,14 @@ def test_dd_queries_solve_no_lp(monkeypatch):
 
 
 def test_check_implication_half_sum():
-    imp = check_implication((ineq([1, 2], 4), ineq([1, 0], 2)), ineq([1, 1], 3))
+    imp = check_implication((Inequality([1, 2], 4), Inequality([1, 0], 2)), Inequality([1, 1], 3))
     assert imp.implied
     assert imp.multipliers == (F(1, 2), F(1, 2))
     assert imp.slack == 0
 
 
 def test_check_implication_witness():
-    imp = check_implication((ineq([1], 1),), ineq([1], 0))
+    imp = check_implication((Inequality([1], 1),), Inequality([1], 0))
     assert not imp.implied
     assert imp.witness is not None
     assert linalg.dot(V([1]), imp.witness) > 0
@@ -451,20 +454,21 @@ def test_check_implication_witness():
 
 
 def test_check_implication_slack_only():
-    imp = check_implication((ineq([-1, 0], 0), ineq([0, -1], 0)), ineq([-1, -1], 5))
+    imp = check_implication((Inequality([-1, 0], 0), Inequality([0, -1], 0)),
+                            Inequality([-1, -1], 5))
     assert imp.implied and imp.slack == 5
 
 
 def test_check_implication_unbounded_direction_witness():
     # x2 <= 0 fails over {x1 <= 0}: witness found along an improving ray
-    imp = check_implication((ineq([1, 0], 0),), ineq([0, 1], 0))
+    imp = check_implication((Inequality([1, 0], 0),), Inequality([0, 1], 0))
     assert not imp.implied
     assert imp.witness[1] > 0 and imp.witness[0] <= 0
 
 
 def test_check_implication_rejects_inconsistent_system():
     with pytest.raises(InconsistentSystemError) as err:
-        check_implication((ineq([1], -1), ineq([-1], 0)), ineq([1], 5))
+        check_implication((Inequality([1], -1), Inequality([-1], 0)), Inequality([1], 5))
     assert err.value.certificate is not None
 
 
@@ -482,7 +486,8 @@ def implication_cases(draw):
             stacked = add(stacked, scale(draw(st.integers(0, 2)), q.stacked()))
     elif kind == "tightened" and rows:
         q = draw(st.sampled_from(rows))
-        stacked = q.normal + (q.rhs - draw(st.sampled_from((F(1, 2), F(1)))),)
+        *a, b = q.stacked()
+        stacked = (*a, b - draw(st.sampled_from((F(1, 2), F(1)))))
     else:
         stacked = tuple(draw(st.lists(small, min_size=n + 1, max_size=n + 1)))
     normal, rhs = stacked[:-1], stacked[-1]
@@ -493,11 +498,11 @@ def implication_cases(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(implication_cases())
-@example(((ineq([1, 2], 4), ineq([1, 0], 2)), ineq([1, 1], 3)))
-@example(((ineq([1], 1),), ineq([1], 0)))
-@example(((ineq([1, 0], 0),), ineq([0, 1], 0)))
-@example(((ineq([1], -1), ineq([-1], 0)), ineq([1], 5)))
-@example(((), ineq([0, 0], 0)))
+@example(((Inequality([1, 2], 4), Inequality([1, 0], 2)), Inequality([1, 1], 3)))
+@example(((Inequality([1], 1),), Inequality([1], 0)))
+@example(((Inequality([1, 0], 0),), Inequality([0, 1], 0)))
+@example(((Inequality([1], -1), Inequality([-1], 0)), Inequality([1], 5)))
+@example(((), Inequality([0, 0], 0)))
 def test_check_implication_matches_three_solve_reference(case):
     system, target = case
     try:
@@ -528,10 +533,14 @@ def test_check_implication_solves_one_lp_unless_unbounded(monkeypatch):
 
     monkeypatch.setattr(polyhedron, "solve_lp", counted)
     for system, target, solves in (
-            ((ineq([1, 2], 4), ineq([1, 0], 2)), ineq([1, 1], 3), 1),  # implied
-            ((ineq([1], 1),), ineq([1], 0), 1),                        # optimum violates
-            ((ineq([1], -1), ineq([-1], 0)), ineq([1], 5), 1),         # inconsistent
-            ((ineq([1, 0], 0),), ineq([0, 1], 0), 2)):                 # unbounded
+            # implied
+            ((Inequality([1, 2], 4), Inequality([1, 0], 2)), Inequality([1, 1], 3), 1),
+            # optimum violates
+            ((Inequality([1], 1),), Inequality([1], 0), 1),
+            # inconsistent
+            ((Inequality([1], -1), Inequality([-1], 0)), Inequality([1], 5), 1),
+            # unbounded
+            ((Inequality([1, 0], 0),), Inequality([0, 1], 0), 2)):
         calls.clear()
         try:
             check_implication(system, target)
@@ -543,13 +552,13 @@ def test_check_implication_solves_one_lp_unless_unbounded(monkeypatch):
 def test_check_implication_multipliers_refer_to_the_inequalities_as_built():
     # the strip -x1 + 2 x2 <= 7, x1 + 2 x2 <= 7 with rows of scale 2 and 1/3,
     # and the CLI's target x2 <= 7/2, the row (0, 2, 7) of scale 1/2
-    system = (ineq([-2, 4], 14), ineq([F(1, 3), F(2, 3)], F(7, 3)))
+    system = (Inequality([-2, 4], 14), Inequality([F(1, 3), F(2, 3)], F(7, 3)))
     assert [q.scale for q in system] == [2, F(1, 3)]
-    got = check_implication(system, ineq([0, 1], F(7, 2)))
+    got = check_implication(system, Inequality([0, 1], F(7, 2)))
     assert (got.multipliers, got.slack) == ((F(1, 8), F(3, 4)), 0)
-    got = check_implication(system, ineq([0, 1], 4))
+    got = check_implication(system, Inequality([0, 1], 4))
     assert (got.multipliers, got.slack) == ((F(1, 8), F(3, 4)), F(1, 2))
-    assert check_implication(system, ineq([1, 1], 100)).witness == (195, -94)
+    assert check_implication(system, Inequality([1, 1], 100)).witness == (195, -94)
 
 
 @st.composite
@@ -574,7 +583,7 @@ def polyhedron_pairs(draw):
 @given(polyhedron_pairs())
 @example((SQUARE, SQUARE))
 @example((POINT_IN_R1, empty_hpolyhedron(1)))
-@example((empty_hpolyhedron(2), HPolyhedron(2, (ineq([1, 0], -1), ineq([-1, 0], -1)))))
+@example((empty_hpolyhedron(2), HPolyhedron(2, (Inequality([1, 0], -1), Inequality([-1, 0], -1)))))
 def test_containment_and_equality_match_lp_references(pair):
     p, q = pair
     assert is_subset(p, q) == lp_is_subset(p, q)
@@ -583,21 +592,21 @@ def test_containment_and_equality_match_lp_references(pair):
 
 
 def test_is_subset_examples():
-    assert is_subset(SQUARE, HPolyhedron(2, (ineq([1, 1], 2),)))
-    assert not is_subset(HPolyhedron(2, (ineq([1, 1], 2),)), SQUARE)
+    assert is_subset(SQUARE, HPolyhedron(2, (Inequality([1, 1], 2),)))
+    assert not is_subset(HPolyhedron(2, (Inequality([1, 1], 2),)), SQUARE)
     assert is_subset(empty_hpolyhedron(2), SQUARE)
     assert not is_subset(SQUARE, empty_hpolyhedron(2))
     # a line: x1 = 0 holds on it, x2 <= 5 does not
-    line = HPolyhedron(2, (ineq([1, 0], 0), ineq([-1, 0], 0)))
-    assert is_subset(line, HPolyhedron(2, (ineq([1, 0], 0), ineq([0, 0], 1))))
-    assert not is_subset(line, HPolyhedron(2, (ineq([0, 1], 5),)))
+    line = HPolyhedron(2, (Inequality([1, 0], 0), Inequality([-1, 0], 0)))
+    assert is_subset(line, HPolyhedron(2, (Inequality([1, 0], 0), Inequality([0, 0], 1))))
+    assert not is_subset(line, HPolyhedron(2, (Inequality([0, 1], 5),)))
     with pytest.raises(ContractViolation):
         is_subset(SQUARE, POINT_IN_R1)
 
 def test_dimension_examples():
     assert dimension(SQUARE) == 2
-    assert dimension(HPolyhedron(2, (ineq([1, 0], 0), ineq([-1, 0], 0)))) == 1
-    assert dimension(HPolyhedron(1, (ineq([1], -1), ineq([-1], 0)))) == -1
+    assert dimension(HPolyhedron(2, (Inequality([1, 0], 0), Inequality([-1, 0], 0)))) == 1
+    assert dimension(HPolyhedron(1, (Inequality([1], -1), Inequality([-1], 0)))) == -1
     assert dimension(HPolyhedron(3, ())) == 3
 
 
@@ -628,8 +637,9 @@ def test_facets_equal_irredundant_system_random():
 
 
 # the segment from (0, 0, 0) to (1, 1, 0)
-FLAT_SEGMENT = HPolyhedron(3, (ineq([1, -1, 0], 0), ineq([-1, 1, 0], 0), ge([1, 0, 0], 0),
-                               ineq([1, 0, 0], 1), ineq([0, 0, 1], 0), ge([0, 0, 1], 0)))
+FLAT_SEGMENT = HPolyhedron(3, (Inequality([1, -1, 0], 0), Inequality([-1, 1, 0], 0),
+                               ge([1, 0, 0], 0), Inequality([1, 0, 0], 1),
+                               Inequality([0, 0, 1], 0), ge([0, 0, 1], 0)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -648,13 +658,13 @@ def test_kept_dd_is_the_homogenization_dd_with_t_negated(p):
 
 
 def test_formatting_and_parsing():
-    q = ineq([1, 2], 4)
+    q = Inequality([1, 2], 4)
     assert format_le(q) == "1 2 <= 4"
     assert format_ge(q) == "-1 -2 >= -4"
     assert parse_inequality("x1 + 2 x2 <= 4", 2) == q
     assert parse_inequality("2 x2 + x1 <= 4", 2) == q
     assert parse_inequality("x1 + 2 x2 >= 3", 2) == ge([1, 2], 3)
-    assert parse_inequality("1/2 x1 - x2 <= -1/3", 2) == ineq([F(1, 2), -1], F(-1, 3))
+    assert parse_inequality("1/2 x1 - x2 <= -1/3", 2) == Inequality([F(1, 2), -1], F(-1, 3))
 
 
 def test_parse_errors():
@@ -678,12 +688,12 @@ def test_parse_inequality_rejects_juxtaposed_terms_and_empty_left_side():
         parse_inequality(" <= 1", 2)
     assert err.value.column == 1
     # the explicit zero left side, the pinned CLI form and the README form
-    assert parse_inequality("0 <= 1", 2) == ineq([0, 0], 1)
-    assert parse_inequality("- 2 x1 + 1 x3 <= 4", 3) == ineq([-2, 0, 1], 4)
-    assert parse_inequality("x2 <= 7/2", 2) == ineq([0, 1], F(7, 2))
+    assert parse_inequality("0 <= 1", 2) == Inequality([0, 0], 1)
+    assert parse_inequality("- 2 x1 + 1 x3 <= 4", 3) == Inequality([-2, 0, 1], 4)
+    assert parse_inequality("x2 <= 7/2", 2) == Inequality([0, 1], F(7, 2))
     assert parse_inequality("x1+x2 >= 1", 2) == ge([1, 1], 1)
 
 
 def test_sorted_unique_canonicalizes():
-    out = sorted_unique([ineq([2, 4], 8), ineq([1, 2], 4), ineq([0, 1], 1)])
-    assert out == (ineq([0, 1], 1), ineq([1, 2], 4))
+    out = sorted_unique([Inequality([2, 4], 8), Inequality([1, 2], 4), Inequality([0, 1], 1)])
+    assert out == (Inequality([0, 1], 1), Inequality([1, 2], 4))
