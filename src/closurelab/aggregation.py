@@ -65,7 +65,7 @@ class AggregationSample:
     multipliers: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(linalg.int_row(linalg.exact_row(r))) for r in self.multipliers)
+        rows = tuple(tuple(linalg.int_row(tuple(r))) for r in self.multipliers)
         if not rows:
             raise ContractViolation("a sample needs at least one multiplier row")
         width = len(rows[0])
@@ -154,14 +154,12 @@ def sample_multipliers(m: int, k: int, density: int) -> tuple[AggregationSample,
 def _aggregated_rows(q: CoveringInstance, samples: Iterable[AggregationSample]):
     """Each sample with its rows lambda^j [M | d] as primitive integer rows,
     combined from q's rows: [M | d] at one scale, as a scale per row would
-    change what a multiplier aggregates."""
+    change what a multiplier aggregates.  Each multiplier row must have
+    q.m entries, as the grid's rows have."""
     columns = list(zip(*q.rows))
     for sample in samples:
-        rows = []
-        for lam in sample.multipliers:
-            linalg.check_dim(lam, q.m, "multiplier row")
-            rows.append(tuple(linalg.lowest_terms([int_dot(lam, c) for c in columns])))
-        yield sample, tuple(rows)
+        yield sample, tuple(tuple(linalg.lowest_terms([int_dot(lam, c) for c in columns]))
+                            for lam in sample.multipliers)
 
 
 def _instance(rows: IntRows) -> CoveringInstance:
@@ -171,6 +169,8 @@ def _instance(rows: IntRows) -> CoveringInstance:
 def aggregate(q: CoveringInstance, sample: AggregationSample) -> CoveringInstance:
     """The k-row covering instance with rows lambda^j M >= lambda^j d, each
     row reduced to canonical primitive form."""
+    for lam in sample.multipliers:
+        linalg.check_dim(lam, q.m, "multiplier row")
     [(_, rows)] = _aggregated_rows(q, [sample])
     return _instance(rows)
 

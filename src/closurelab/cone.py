@@ -4,10 +4,11 @@ closure they induce.
 A ``GeneratedCone`` holds a finite family of nonzero vectors (alpha, beta)
 in Q^(n+1), each read as the half-space alpha.x <= beta; the closure is
 their intersection.  A cone stores its generators as primitive integer
-rows, made once (integral input stays int; anything else goes through
-``linalg.vector``).  Extreme rays have one form wherever they are
-returned: ``extreme_rays``, ``certified_extreme_rows`` and
-``Theorem1Report.extreme_rows`` are sorted primitive int rows.  Every query runs on the distinct rows, with
+rows, each read once by ``linalg.int_row`` (a row of ints takes one
+``gcd``; anything else goes through ``linalg.vector``).  Extreme rays
+have one form wherever they are returned: ``extreme_rays``,
+``certified_extreme_rows`` and ``Theorem1Report.extreme_rows`` are
+sorted primitive int rows.  Every query runs on the distinct rows, with
 (0, ..., 0, 1) appended where needed.  Each cone keeps its closure
 system, built on the first query (``empty_hpolyhedron`` when a
 generator reads 0.x <= b < 0), and the system keeps its double
@@ -62,12 +63,6 @@ from .polyhedron import (
 )
 
 
-def _primitive_row(v: Sequence) -> tuple[int, ...]:
-    """The primitive integer row of v, read by ``linalg.exact_row``, which
-    accepts exactly the exact rationals."""
-    return tuple(linalg.int_row(linalg.exact_row(v)))
-
-
 @dataclass(frozen=True, init=False)
 class GeneratedCone:
     """cone(generators) for a finite family of candidate inequality vectors.
@@ -82,7 +77,7 @@ class GeneratedCone:
     _rows: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     def __init__(self, generators: Iterable[Sequence]):
-        rows = tuple(map(_primitive_row, generators))
+        rows = tuple(tuple(linalg.int_row(tuple(g))) for g in generators)
         if not rows:
             raise ContractViolation("a generated cone needs at least one generator")
         d = len(rows[0])

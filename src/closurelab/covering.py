@@ -42,8 +42,10 @@ primitive rays.
 Everything here stores ints and runs on them: a ``CoveringInstance``
 [M | d] times one common denominator, which the box and the scan read as
 it is (a positive scale keeps the feasible set), and a
-``MinimalPointSet`` its points.  Their Fractions (``M``, ``d``,
-``points``) are views made on read.
+``MinimalPointSet`` its points.  [M | d] is type-tested once, whole, and
+read by ``linalg.vector`` only if an entry is not an int; the sign checks
+read the stored ints.  Their Fractions (``M``, ``d``, ``points``) are
+views made on read.
 
 Every ``MinimalPointSet`` re-checks its antichain, the scan's output
 included, with bitsets instead of pairs: after the lexicographic sort,
@@ -84,34 +86,36 @@ class CoveringInstance:
     denominator: int
 
     def __init__(self, M: Iterable[Iterable], d: Iterable):
-        m_rows = tuple(map(linalg.exact_row, M))
+        m_rows = tuple(map(tuple, M))
         if any(len(row) != len(m_rows[0]) for row in m_rows):
             raise ContractViolation("matrix rows have unequal lengths")
-        demand = linalg.exact_row(d)
+        demand = tuple(d)
         if not m_rows:
             raise ContractViolation("a covering instance needs at least one row")
         if not m_rows[0]:
             raise ContractViolation("a covering instance needs at least one variable")
         linalg.check_dim(demand, len(m_rows), "demand vector")
-        for i, row in enumerate(m_rows):
-            if min(row) < 0:
+        rows, common = tuple(map(tuple.__add__, m_rows, zip(demand))), 1
+        if not {*map(type, chain.from_iterable(rows))} <= {int}:
+            width = len(rows[0])
+            flat, common = linalg.clear_denominators(
+                linalg.vector(chain.from_iterable(rows)))
+            rows = tuple(tuple(flat[i:i + width]) for i in range(0, len(flat), width))
+        # common > 0 keeps every sign; a value prints as given, stored / common
+        for i, row in enumerate(rows):
+            if min(row[:-1]) < 0:
                 j = next(j for j, entry in enumerate(row) if entry < 0)
                 raise ContractViolation(
-                    f"covering data must be nonnegative: M[{i + 1}][{j + 1}] = {row[j]}",
-                    at=("M", i, j))
-            if demand[i] < 0:
+                    "covering data must be nonnegative: "
+                    f"M[{i + 1}][{j + 1}] = {Fraction(row[j], common)}", at=("M", i, j))
+            if row[-1] < 0:
                 raise ContractViolation(
-                    f"covering data must be nonnegative: d[{i + 1}] = {demand[i]}",
-                    at=("d", i))
-            if demand[i] > 0 and not any(row):
+                    "covering data must be nonnegative: "
+                    f"d[{i + 1}] = {Fraction(row[-1], common)}", at=("d", i))
+            if row[-1] > 0 and not any(row[:-1]):
                 raise ContractViolation(
-                    f"row {i + 1} demands {demand[i]} with all-zero coefficients; "
-                    "the instance would be empty", at=("M", i))
-        rows, common = tuple(map(tuple.__add__, m_rows, zip(demand))), 1
-        if set(map(type, chain.from_iterable(rows))) != {int}:
-            width = len(rows[0])
-            flat, common = linalg.clear_denominators(list(chain.from_iterable(rows)))
-            rows = tuple(tuple(flat[i:i + width]) for i in range(0, len(flat), width))
+                    f"row {i + 1} demands {Fraction(row[-1], common)} with all-zero "
+                    "coefficients; the instance would be empty", at=("M", i))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "denominator", common)
 

@@ -21,14 +21,15 @@ facet rows of ``_v_to_h_rows``) and the cone queries stay in integer rows
 from end to end, and store them: a ``CoveringInstance`` keeps [M | d]
 times one common denominator, an ``Inequality`` its primitive row, a
 ``MinimalPointSet`` its int points and a ``GeneratedCone`` its generator
-rows.  The first three make their Fractions on read.  ``parse_row`` and
-``exact_row`` keep integral input as ints and make Fractions of the rest.
+rows.  The first three make their Fractions on read.  ``parse_row``
+keeps integral input as ints and makes Fractions of the rest.
 
 Rows of ints cost integer work only.  ``parse_row`` reads a line in one
 pass (one pattern checks it, ``int`` converts the split tokens) and walks
-it token by token only to place an error.  ``exact_row`` and ``int_row``
-test a row's types once; an int row goes straight to one ``gcd``, and
-only other rows take the Fraction path through ``clear_denominators``.
+it token by token only to place an error.  ``int_row`` is the one reader
+of an exact-rational row a constructor takes in, and tests its types
+once: an int row goes straight to one ``gcd``, and only other rows go
+through ``vector`` and ``clear_denominators``.
 """
 
 from __future__ import annotations
@@ -54,8 +55,9 @@ _RATIONAL_TOKEN = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
 _RATIONAL_ROW = re.compile(r"(?:\s*[+-]?[0-9]+(?:/[1-9][0-9]*)?(?!\S))*\s*")
 
 
-def rational(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or decimal-free "p/q" string to a Fraction."""
+def rational(value: RationalLike, column: int = 0) -> Fraction:
+    """Coerce an int, Fraction, or decimal-free "p/q" string to a Fraction.
+    A string's ParseError carries ``column``, where it stands in its line."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -63,11 +65,12 @@ def rational(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         token = value.strip()
         if not _RATIONAL_TOKEN.match(token):
-            raise ParseError(f"not a rational token (expected 'p' or 'p/q'): {value!r}")
+            raise ParseError(f"not a rational token (expected 'p' or 'p/q'): {value!r}",
+                             column=column)
         try:
             return Fraction(token)
         except ValueError:
-            raise number_too_long() from None
+            raise number_too_long(column=column) from None
     raise ContractViolation(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -84,12 +87,6 @@ def format_rational(q: Fraction | int) -> str:
 
 def vector(entries: Iterable[RationalLike]) -> Vector:
     return tuple(rational(e) for e in entries)
-
-
-def exact_row(entries: Iterable[RationalLike]) -> tuple[int | Fraction, ...]:
-    """The entries as they are when all are ints, else their ``vector``."""
-    v = tuple(entries)
-    return v if {*map(type, v)} <= {int} else vector(v)
 
 
 def zeros(n: int) -> Vector:
@@ -157,15 +154,15 @@ def clear_denominators(v: Sequence[Fraction | int]) -> tuple[IntRow, int]:
     return [a.numerator * (common // a.denominator) for a in v], common
 
 
-def int_row(v: Sequence[Fraction | int]) -> IntRow:
+def int_row(v: Sequence[RationalLike]) -> IntRow:
     """The primitive integer row c*v for the unique rational c > 0 (the
-    zero row for a zero input).  A row of ints (by exact type, so not of
-    bools) is read in one pass: it is divided by its gcd.  Any other row
-    first has its denominators cleared."""
+    zero row for a zero input).  A row of ints (by exact type) is divided
+    by its gcd.  Any other row is read by ``vector``, which takes exact
+    rationals only and bools as 0 and 1, and has its denominators cleared."""
     if {*map(type, v)} <= {int}:
         g = gcd(*v)
         return [a // g for a in v] if g > 1 else list(v)
-    return lowest_terms(clear_denominators(v)[0])
+    return lowest_terms(clear_denominators(vector(v))[0])
 
 
 def lowest_terms(row: IntRow) -> IntRow:

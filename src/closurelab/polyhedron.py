@@ -413,8 +413,9 @@ def dimension(p: HPolyhedron) -> int:
 
 
 def empty_hpolyhedron(n: int) -> HPolyhedron:
-    first = linalg.unit(n, 0)
-    return HPolyhedron(n, (Inequality(first, Fraction(-1)), Inequality(linalg.neg(first), _ZERO)))
+    """x_1 <= -1 and -x_1 <= 0 in R^n, n >= 1: the canonical empty system."""
+    rest = (0,) * (n - 1)
+    return HPolyhedron(n, (_from_row((1, *rest, -1)), _from_row((-1, *rest, 0))))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +447,7 @@ def parse_inequality(text: str, n: int) -> Inequality:
             break
     else:
         raise ParseError(f"inequality needs '<=' or '>=': {text!r}")
-    rhs = rational(rhs_text.strip())
+    rhs = rational(rhs_text.strip(), len(text) - len(rhs_text.lstrip()) + 1)
     coeffs = [_ZERO] * n
     # the left side is scanned in place, so columns count in ``text``
     start, end = len(lhs) - len(lhs.lstrip()), len(lhs.rstrip())
@@ -468,7 +469,7 @@ def parse_inequality(text: str, n: int) -> Inequality:
                 raise linalg.number_too_long(column=pos + 1) from None
             if not 0 <= idx < n:
                 raise ParseError(f"variable x{var} out of range for n={n}", column=pos + 1)
-            coeff = rational(coeff_text) if coeff_text else _ONE
+            coeff = rational(coeff_text, m.start(2) + 1) if coeff_text else _ONE
             coeffs[idx] += -coeff if sign == "-" else coeff
             pos = m.end()
     if op == ">=":

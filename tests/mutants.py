@@ -68,6 +68,16 @@ MUTANTS = (
            "first = max(first, -(-short // a) if a else width)",
            "first = max(first, short // a if a else width)",
            ("tests/test_covering.py",)),
+    # CoveringInstance reads [M | d] in one pass: one type test for the
+    # whole data, then the sign checks on the stored ints
+    Mutant("covering-keeps-non-int-data", "src/closurelab/covering.py",
+           "if not {*map(type, chain.from_iterable(rows))} <= {int}:",
+           "if False:",
+           ("tests/test_covering.py",)),
+    Mutant("covering-skips-demand-sign", "src/closurelab/covering.py",
+           "if row[-1] < 0:",
+           "if False:",
+           ("tests/test_covering.py",)),
     Mutant("lower-chains-keep-upper-side", "src/closurelab/covering.py",
            "(b[-2] - a[-2]) * (c[-1] - a[-1]) > (b[-1] - a[-1]) * (c[-2] - a[-2])",
            "(b[-2] - a[-2]) * (c[-1] - a[-1]) < (b[-1] - a[-1]) * (c[-2] - a[-2])",
@@ -104,12 +114,17 @@ MUTANTS = (
            "if set(rows) != set(keys):",
            "if not set(rows) <= set(keys):",
            ("tests/test_cone.py",)),
-    # the front end's fast paths: an int row divided by its gcd, a row
-    # read whole once the pattern accepts it, and argv handed to the
-    # command's parser when it reads every argument
+    # the front end's fast paths: an int row divided by its gcd (any other
+    # row read by vector, which refuses a float), a row read whole once the
+    # pattern accepts it, and argv handed to the command's parser when it
+    # reads every argument
     Mutant("int-row-skips-gcd", "src/closurelab/linalg.py",
            "return [a // g for a in v] if g > 1 else list(v)",
            "return list(v)",
+           ("tests/test_linalg.py",)),
+    Mutant("int-row-skips-vector", "src/closurelab/linalg.py",
+           "return lowest_terms(clear_denominators(vector(v))[0])",
+           "return lowest_terms(clear_denominators(v)[0])",
            ("tests/test_linalg.py",)),
     Mutant("parse-row-skips-pattern", "src/closurelab/linalg.py",
            "if _RATIONAL_ROW.fullmatch(text):",

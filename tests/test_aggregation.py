@@ -96,6 +96,14 @@ def test_aggregate_zero_row_is_trivial():
     assert out.d == V([0, 3])
 
 
+def test_aggregate_checks_the_multiplier_row_width():
+    # a sample does not know the instance; aggregate checks it against q.m
+    with pytest.raises(ContractViolation, match="^multiplier row has length 3, expected 2$"):
+        aggregate(TWO_ROW, AggregationSample(((1, 0, 1),)))
+    with pytest.raises(ContractViolation, match="^multiplier row has length 1, expected 2$"):
+        aggregate(TWO_ROW, AggregationSample(((1,),)))
+
+
 def test_sample_validation():
     with pytest.raises(ContractViolation):
         AggregationSample(((0, 0),))

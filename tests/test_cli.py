@@ -201,7 +201,17 @@ def test_indented_key_errors_report_the_key_column(tmp_path, capsys, command, te
      "the instance would be empty\n"),
     (("cone", "rays"), "kind: cone\nn: 2\nG: 1 0 0\nG: 0 0 0\n",
      "error: line 4, column 4: the zero vector is not a legal generator\n"),
-], ids=["negative M entry", "negative demand", "zero row with demand", "zero generator"])
+    # rational data is stored times one common denominator; values print as given
+    (("hull",), "kind: covering\nn: 2\nm: 2\nM: 1/2 1\nM: 1 -1/3\nd: 3 3\n",
+     "error: line 5, column 6: covering data must be nonnegative: M[2][2] = -1/3\n"),
+    (("hull",), "kind: covering\nn: 2\nm: 2\nM: 1 1\nM: 1 1/2\nd: 3/2 -3/4\n",
+     "error: line 6, column 8: covering data must be nonnegative: d[2] = -3/4\n"),
+    (("hull",), "kind: covering\nn: 2\nm: 2\nM: 1 1/3\nM: 0 0\nd: 3 5/2\n",
+     "error: line 5, column 4: row 2 demands 5/2 with all-zero coefficients; "
+     "the instance would be empty\n"),
+], ids=["negative M entry", "negative demand", "zero row with demand", "zero generator",
+        "negative rational M entry", "negative rational demand",
+        "zero row with rational demand"])
 def test_instance_data_errors_point_at_the_bad_value(tmp_path, capsys, command, text,
                                                      err_text):
     # an entry error points at its token, a whole-row error at the row's first token
@@ -272,8 +282,17 @@ def test_fii_parse_error_column_counts_in_the_argument(capsys):
             (" x1 + y1 >= 0", "error: column 5: cannot read term at '+ y1'\n"),
             ("  <= 1", "error: column 1: inequality needs a left-hand side "
                        "(write '0' for none)\n"),
-            (f"x2 <= {LONG}", f"error: {TOO_LONG}\n"),
-            (f"x{LONG} <= 1", f"error: column 1: {TOO_LONG}\n")):
+            (f"x{LONG} <= 1", f"error: column 1: {TOO_LONG}\n"),
+            # a number the term pattern admits but rational() refuses
+            ("3/0 x1 <= 1", "error: column 1: not a rational token "
+                            "(expected 'p' or 'p/q'): '3/0'\n"),
+            ("x2 + 3/0 x1 <= 1", "error: column 6: not a rational token "
+                                 "(expected 'p' or 'p/q'): '3/0'\n"),
+            ("x1 <= 1/0", "error: column 7: not a rational token "
+                          "(expected 'p' or 'p/q'): '1/0'\n"),
+            (f"x2 <= {LONG}", f"error: column 7: {TOO_LONG}\n"),
+            (f"x1 <=   {LONG}", f"error: column 9: {TOO_LONG}\n"),
+            (f"{LONG} x1 <= 1", f"error: column 1: {TOO_LONG}\n")):
         code, out, err = run_cli(["cone", UNIT_SQUARE, "fii", arg], capsys)
         assert (code, out, err) == (2, "", err_text), arg
 

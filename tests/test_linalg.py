@@ -7,6 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from closurelab import linalg
+from closurelab.aggregation import AggregationSample
+from closurelab.cone import GeneratedCone
+from closurelab.covering import CoveringInstance
 from closurelab.errors import ContractViolation, ParseError
 from oracles import denominator_int_row, mat_vec, token_loop_parse_row, transpose, vec_mat
 
@@ -152,12 +155,68 @@ def test_int_row_matches_the_denominator_path(v):
     assert all(type(a) is int for a in row)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.lists(ENTRIES, max_size=6))
-@example([True, 1])
-def test_exact_row_keeps_int_rows_and_reads_the_rest(v):
-    row = linalg.exact_row(v)
-    if all(type(a) is int for a in v):
-        assert row == tuple(v)
-    else:
-        assert row == linalg.vector(v) and all(type(a) is F for a in row)
+def _written(value: F, form: str):
+    """value as an int (if integral), a "p/q" string, a bool (if 0 or 1)
+    or a Fraction."""
+    if form == "int" and value.denominator == 1:
+        return value.numerator
+    if form == "str":
+        return f"{value.numerator}/{value.denominator}"
+    if form == "bool" and value in (0, 1):
+        return bool(value)
+    return value
+
+
+@st.composite
+def exact_rows(draw):
+    """Nonnegative rows of one width with a positive first entry (a cone's
+    generators, [M | d] and a sample's multiplier rows alike), a written
+    form per entry, and the place of an entry to write as a float."""
+    width = draw(st.integers(2, 4))
+    value = st.builds(F, st.integers(0, 9), st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(value.filter(bool), *[value] * (width - 1)),
+                         min_size=1, max_size=3))
+    forms = draw(st.lists(st.lists(st.sampled_from(("int", "str", "bool", "Fraction")),
+                                   min_size=width, max_size=width),
+                          min_size=len(rows), max_size=len(rows)))
+    return rows, forms, (draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, width - 1)))
+
+
+def _covering(rows) -> CoveringInstance:
+    return CoveringInstance([r[:-1] for r in rows], [r[-1] for r in rows])
+
+
+def _read(rows):
+    """What GeneratedCone, CoveringInstance and AggregationSample store of
+    rows, each row handed over as an iterator where one is taken."""
+    q = _covering(rows)
+    return (GeneratedCone(map(iter, rows)).int_generators, (q.rows, q.denominator),
+            AggregationSample(tuple(map(iter, rows))).multipliers)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(exact_rows())
+@example(([(F(1), F(0))], [["bool", "bool"]], (0, 1)))
+@example(([(F(2), F(4), F(0))], [["int", "int", "int"]], (0, 2)))
+@example(([(F(1, 2), F(1))], [["str", "bool"]], (0, 0)))
+def test_constructors_read_ints_fractions_strings_and_bools_alike(case):
+    # a cone and a sample read each row with linalg.int_row, a covering
+    # instance reads [M | d] whole: int data takes the int path, the rest
+    # goes through linalg.vector, both store the same int rows, and a
+    # float anywhere is refused by vector
+    rows, forms, (i, j) = case
+    want = _read(rows)
+    assert want[0] == want[2] == tuple(tuple(denominator_int_row(r)) for r in rows)
+    flat, common = linalg.clear_denominators([a for r in rows for a in r])
+    width = len(rows[0])
+    assert want[1] == (tuple(tuple(flat[k:k + width]) for k in range(0, len(flat), width)),
+                       common)
+    assert _read([tuple(map(_written, r, f)) for r, f in zip(rows, forms)]) == want
+    assert {type(a) for r in (*want[0], *want[1][0], *want[2]) for a in r} == {int}
+    floated = [list(r) for r in rows]
+    floated[i][j] = float(rows[i][j])
+    for make in (GeneratedCone, AggregationSample, _covering):
+        with pytest.raises(ContractViolation, match="cannot interpret"):
+            make(tuple(map(tuple, floated)))
+
+
