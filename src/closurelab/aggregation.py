@@ -184,9 +184,9 @@ def _hulls_for(q: CoveringInstance, samples: Iterable[AggregationSample],
     for sample, rows in _aggregated_rows(q, samples):
         if rows not in built:
             points = minimal_integer_points(_instance(rows))
-            if points.int_points not in hulls:
-                hulls[points.int_points] = points.hull()
-            built[rows] = hulls[points.int_points]
+            if points.points not in hulls:
+                hulls[points.points] = points.hull()
+            built[rows] = hulls[points.points]
         yield AggregatedHull(sample, built[rows])
 
 

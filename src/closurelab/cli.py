@@ -100,7 +100,7 @@ def cmd_hull(args) -> tuple[str, int]:
     doc = _Doc("hull", args.seed)
     doc.field("n", q.n)
     doc.field("m", q.m)
-    doc.block("minimal-points", [linalg.format_vector(p) for p in minimal.int_points])
+    doc.block("minimal-points", [linalg.format_vector(p) for p in minimal.points])
     doc.block("facets", [format_ge(f) for f in hull.inequalities])
     return doc.render(args.format), EXIT_OK
 

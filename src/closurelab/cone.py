@@ -52,6 +52,7 @@ from .polyhedron import (
     HPolyhedron,
     Inequality,
     IntRows,
+    _facets,
     _from_row,
     _unit_row,
     _zero_set,
@@ -207,40 +208,33 @@ def _with_unit_row(rows: IntRows) -> IntRows:
     return rows if unit in rows else rows + (unit,)
 
 
-def _polar_zero_sets(rows: IntRows, system: HPolyhedron) -> tuple[int, list[int]]:
-    """The zero set of every row, in order, on the rays of the polar cone
-    {y : g.y <= 0 for every row g}, and the set of all those rays.
-    ``system`` is the closure system of the cone the rows come from.  Its
-    DD is the polar of the system's rows and unit-last, so when ``rows``
-    are exactly those, as a set, the zero sets are read from it; any
-    other row set takes one dd_cone."""
-    d = len(rows[0])
-    keys = (*(q.row for q in system.inequalities), _unit_row(d))
-    if set(rows) != set(keys):
-        rays = dd_cone(rows, d)[1]
-        return (1 << len(rays)) - 1, [_zero_set(g, rays) for g in rows]
-    _, rays, zero_sets, _ = system._dd
-    of = dict(zip(keys, zero_sets))
-    return (1 << len(rays)) - 1, [of[g] for g in rows]
-
-
 def _extreme_rows(rows: IntRows, system: HPolyhedron) -> IntRows:
     """The rows spanning extreme rays of cone(rows), sorted, with no LP
-    on a pointed cone; ``system`` as for ``_polar_zero_sets``.  A row's
-    zero set is the polar rays it is tight at.  One tight at every ray is
-    orthogonal to the polar, so the cone has a line (NotPointedError, the
-    line named by the line search).  Otherwise a row is extreme exactly
-    when its face of the polar is a facet: no other row's zero set
-    contains its own (Fukuda & Prodon 1996)."""
-    every, zs = _polar_zero_sets(rows, system)
-    if every in zs:
+    on a pointed cone.  A row's zero set is the rays of the polar cone
+    {y : g.y <= 0 for every row g} it is tight at.  ``system`` is the
+    closure system of the cone the rows come from; its DD is the polar of
+    its rows and unit-last, so when ``rows`` are exactly those, as a set,
+    the zero sets are looked up there, and any other row set takes one
+    dd_cone.  A row tight at every ray is orthogonal to the polar, so the
+    cone has a line (NotPointedError, the line named by the line search).
+    Otherwise the polar is full-dimensional and a row is extreme exactly
+    when its face of the polar is a facet (``_facets``); distinct
+    primitive rows cut distinct facets."""
+    d = len(rows[0])
+    if set(rows) == {*(q.row for q in system.inequalities), _unit_row(d)}:
+        _, rays, zero_of, _ = system._dd
+    else:
+        rays = dd_cone(rows, d)[1]
+        zero_of = {g: _zero_set(g, rays) for g in rows}
+    every = (1 << len(rays)) - 1
+    if every in zero_of.values():
         line = _line_through(rows)
         if line is None:
             raise InternalInvariantError("DD and line search disagree")
         raise NotPointedError(
             "extreme rays are only defined for pointed cones", line_witness=line)
-    return tuple(sorted(g for i, (g, z) in enumerate(zip(rows, zs))
-                        if not any(j != i and y & z == z for j, y in enumerate(zs))))
+    facets = _facets(zero_of.values(), every)
+    return tuple(sorted(g for g in rows if zero_of[g] in facets))
 
 
 def extreme_rays(k: GeneratedCone) -> IntRows:

@@ -44,8 +44,8 @@ Everything here stores ints and runs on them: a ``CoveringInstance``
 it is (a positive scale keeps the feasible set), and a
 ``MinimalPointSet`` its points.  [M | d] is type-tested once, whole, and
 read by ``linalg.vector`` only if an entry is not an int; the sign checks
-read the stored ints.  Their Fractions (``M``, ``d``, ``points``) are
-views made on read.
+read the stored ints.  ``M`` and ``d`` are the Fraction views of the data,
+made on read; a ``MinimalPointSet``'s ``points`` are its int tuples.
 
 Every ``MinimalPointSet`` re-checks its antichain, the scan's output
 included, with bitsets instead of pairs: after the lexicographic sort,
@@ -80,7 +80,8 @@ class CoveringInstance:
     which the constructor enforces: a row with positive demand must have
     a positive coefficient somewhere.  Stored as ``rows``, [M | d] times
     the lcm of its denominators (one scale for all rows, as aggregation
-    weights them as given); ==, hash and repr are those of (M, d)."""
+    weights them as given); == and hash read those stored fields, and
+    repr prints the Fraction views (M, d)."""
 
     rows: tuple[tuple[int, ...], ...]
     denominator: int
@@ -128,9 +129,6 @@ class CoveringInstance:
     def d(self) -> Vector:
         return tuple(Fraction(row[-1], self.denominator) for row in self.rows)
 
-    def __hash__(self):
-        return hash((self.M, self.d))
-
     def __repr__(self):
         return f"CoveringInstance(M={self.M!r}, d={self.d!r})"
 
@@ -151,11 +149,11 @@ class CoveringInstance:
         return HPolyhedron(self.n, tuple(out))
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, init=False)
 class MinimalPointSet:
     """An antichain of feasible integer points that dominates every
-    feasible integer point; lexicographically sorted.  The points are
-    stored as int tuples; ``points`` is their Fraction view.
+    feasible integer point; lexicographically sorted.  ``points`` are
+    stored, and read, as int tuples.
 
     The constructor checks every input: the points must lie in N^n for
     one n and form an antichain.  The antichain check runs on bitmasks
@@ -163,7 +161,7 @@ class MinimalPointSet:
     masks per distinct value and coordinate.  It reports the first
     comparable pair in sorted order, as a pairwise scan would."""
 
-    int_points: tuple[tuple[int, ...], ...]
+    points: tuple[tuple[int, ...], ...]
 
     def __init__(self, points: Iterable[Sequence]):
         points = tuple(points)
@@ -185,14 +183,7 @@ class MinimalPointSet:
                 raise ContractViolation(
                     f"not an antichain: {tuple(map(Fraction, low))} and "
                     f"{tuple(map(Fraction, high))} are comparable")
-        object.__setattr__(self, "int_points", tuple(ints))
-
-    @property
-    def points(self) -> tuple[Vector, ...]:
-        return tuple(tuple(map(Fraction, p)) for p in self.int_points)
-
-    def __repr__(self):
-        return f"MinimalPointSet(points={self.points!r})"
+        object.__setattr__(self, "points", tuple(ints))
 
     def hull(self) -> HPolyhedron:
         """Irredundant H-representation of conv(points) + R^n_+; for the
@@ -204,11 +195,11 @@ class MinimalPointSet:
         plus mu e_n with mu >= 0, so its row lies in the cone of theirs and
         (e_n, 0): the polar cone, which is pointed, and its sorted
         primitive rays do not change."""
-        if not self.int_points:
+        if not self.points:
             raise ContractViolation("the hull of an empty point set is undefined")
-        n = len(self.int_points[0])
+        n = len(self.points[0])
         rows = [tuple(int(i == j) for i in range(n + 1)) for j in range(n)]
-        rows.extend(p + (-1,) for p in _lower_chains(self.int_points))
+        rows.extend(p + (-1,) for p in _lower_chains(self.points))
         return _v_to_h_rows(n, rows)
 
 
@@ -311,8 +302,8 @@ def minimal_integer_points(q: CoveringInstance) -> MinimalPointSet:
     *prefix_box, last_bound = enumeration_box(q)
     if not prefix_box:
         # n = 1: a row with M_i1 = 0 has d_i = 0, so t(()), the one
-        # minimal point, is the largest ceil(d_i / M_i1)
-        return MinimalPointSet(((max((-(-rhs // a) for a, rhs in q.rows if a), default=0),),))
+        # minimal point, is B_1, the largest ceil(d_i / M_i1)
+        return MinimalPointSet(((last_bound,),))
     *outer_box, inner_bound = prefix_box
     width = inner_bound + 1
     blocked = last_bound + 1

@@ -5,7 +5,7 @@ The toolkit takes ints, ``fractions.Fraction``s and ``"p/q"`` strings and
 never rounds.  Computed answers (certificates, LP points, vertices,
 witnesses) and the views of stored rows are Fractions in lowest terms with
 positive denominator; the stored rows (``Inequality.row``,
-``MinimalPointSet.int_points``, ``CoveringInstance.rows``,
+``MinimalPointSet.points``, ``CoveringInstance.rows``,
 ``GeneratedCone.int_generators``, and the extreme rows of
 ``cone.extreme_rays`` and ``Theorem1Report``) are int tuples, and
 ``format_rational`` prints either kind in full, however many digits it

@@ -148,18 +148,19 @@ class HPolyhedron:
         row is tight at every ray (every line is tight at every row)
         exactly when it is an implicit equality of p, and dim p = n -
         rank(implicit equalities) (Schrijver 1986, section 8.2); they hold
-        on p, so their right-hand sides add no rank."""
+        on p, so their right-hand sides add no rank.  The zero sets are
+        kept by row, one per distinct row."""
         rows = [q.row for q in self.inequalities]
         rows.append(_unit_row(self.n + 1))
         lines, rays = dd_cone(rows, self.n + 1)
         if any(l[-1] != 0 for l in lines):
             raise InternalInvariantError("polar cone admits a line with t != 0")
-        zero_sets = tuple(_zero_set(r, rays) for r in rows)
+        zero_of = {r: _zero_set(r, rays) for r in rows}
         if all(r[-1] >= 0 for r in rays):
-            return _PolarDD(lines, rays, zero_sets, -1)
+            return _PolarDD(lines, rays, zero_of, -1)
         every = (1 << len(rays)) - 1
-        equalities = [r for r, z in zip(rows, zero_sets) if z == every]
-        return _PolarDD(lines, rays, zero_sets, self.n - linalg.rank(equalities))
+        equalities = [r for r, z in zero_of.items() if z == every]
+        return _PolarDD(lines, rays, zero_of, self.n - linalg.rank(equalities))
 
 
 def _from_row(row: tuple[int, ...]) -> Inequality:
@@ -265,8 +266,8 @@ def dd_cone(rows: Sequence[Sequence[int]], dim: int) -> tuple[IntRows, IntRows]:
 class _PolarDD(NamedTuple):
     lines: IntRows
     rays: IntRows
-    # per row (p's rows in order, then (0, ..., 0, 1)): the rays it is tight at
-    zero_sets: tuple[int, ...]
+    # each of p's rows, and (0, ..., 0, 1), to the rays it is tight at
+    zero_of: dict[tuple[int, ...], int]
     dim: int
 
 
@@ -302,6 +303,16 @@ def _zero_set(row: Sequence[int], rays: IntRows) -> int:
     return sum(1 << k for k, g in enumerate(rays) if int_dot(row, g) == 0)
 
 
+def _facets(zero_sets: Iterable[int], every: int) -> set[int]:
+    """The zero sets other than ``every`` that no other one strictly
+    contains: the facets of a full-dimensional C = {y : g.y <= 0 for every
+    row g}, each as the rays of C it holds (Fukuda & Prodon 1996).  Every
+    zero set but ``every`` cuts the proper face spanned by C's lines and
+    its rays, and every facet of C is cut by some row."""
+    faces = set(zero_sets) - {every}
+    return {z for z in faces if not any(z != f and z & f == z for f in faces)}
+
+
 def _holds(lines: IntRows, rays: IntRows, row: Sequence[int]) -> bool:
     """Does a.x <= b hold on a nonempty P given by its DD?  Exactly when
     its row (a, b) lies in the polar of that DD: P's cone of valid
@@ -322,20 +333,18 @@ def remove_redundant(p: HPolyhedron) -> HPolyhedron:
     and its zero set.  The facets are the maximal proper faces, and every
     facet is cut by some row, so a row with a nonzero normal is a facet
     exactly when no other row's zero set strictly contains its own, rows
-    tight at every ray left out.  A flat p has no unique irredundant
+    tight at every ray left out (``_facets``).  A flat p has no unique irredundant
     system: each row in turn is dropped if it holds on the others (a
     nonempty superset of p), read from a throwaway DD.  When no row is
     dropped the answer is p itself, which keeps its DD."""
-    _, rays, (*zs, unit_face), dim = p._dd
+    _, rays, zero_of, dim = p._dd
     if dim < 0:
         return p
     if dim == p.n:
-        every = (1 << len(rays)) - 1
-        faces = {z for z in zs if z != every} | {unit_face}
-        facets = {z for z in faces if not any(z != f and z & f == z for f in faces)}
+        facets = _facets(zero_of.values(), (1 << len(rays)) - 1)
         last = {q: i for i, q in enumerate(p.inequalities)}
-        kept = [q for i, (q, z) in enumerate(zip(p.inequalities, zs))
-                if last[q] == i and not q.is_trivial() and z in facets]
+        kept = [q for i, q in enumerate(p.inequalities)
+                if last[q] == i and not q.is_trivial() and zero_of[q.row] in facets]
     else:
         kept = list(p.inequalities)
         i = 0

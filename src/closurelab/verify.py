@@ -264,12 +264,10 @@ def brute_force_minimal_points(q: CoveringInstance, slack: int = 0):
     """Independent oracle: enumerate the whole (optionally enlarged) box,
     keep the feasible points, and drop every point another feasible point
     dominates (quadratic scan).  The kept points come back sorted, as
-    Fraction tuples."""
+    int tuples."""
     feasible = _feasible_box_points(q, tuple(b + slack for b in enumeration_box(q)))
     return tuple(sorted(
-        tuple(map(Fraction, x)) for x in feasible
-        if not any(y != x and dominates(y, x) for y in feasible)
-    ))
+        x for x in feasible if not any(y != x and dominates(y, x) for y in feasible)))
 
 
 def suite_covering(seed: int, count: int = 100) -> SuiteReport:
@@ -295,7 +293,7 @@ def suite_covering(seed: int, count: int = 100) -> SuiteReport:
             a != b and dominates(a, b) for a in points for b in points)
         report.check(pairwise_ok, lambda: dump("minimal points are not an antichain"))
 
-        complete = all(any(dominates(p, x) for p in minimal.int_points)
+        complete = all(any(dominates(p, x) for p in points)
                        for x in _feasible_box_points(q, enumeration_box(q)))
         report.check(complete, lambda: dump("a feasible box point dominates no minimal point"))
 

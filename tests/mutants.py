@@ -86,12 +86,17 @@ MUTANTS = (
            "groupby(points, key=itemgetter(slice(-2)))",
            "groupby(points, key=itemgetter(slice(-3)))",
            ("tests/test_covering.py",)),
-    # remove_redundant: the facet test on a full-dimensional input and the
-    # sequential scan on a flat one
+    # _facets, the facet rule both remove_redundant and _extreme_rows read:
+    # kept whole, it keeps non-facets; reversed, it keeps the least faces
     Mutant("remove-redundant-keeps-non-facets", "src/closurelab/polyhedron.py",
-           "facets = {z for z in faces if not any(z != f and z & f == z for f in faces)}",
-           "facets = faces",
+           "return {z for z in faces if not any(z != f and z & f == z for f in faces)}",
+           "return faces",
            ("tests/test_polyhedron.py",)),
+    Mutant("extreme-rows-reversed-containment", "src/closurelab/polyhedron.py",
+           "return {z for z in faces if not any(z != f and z & f == z for f in faces)}",
+           "return {z for z in faces if not any(z != f and z & f == f for f in faces)}",
+           ("tests/test_cone.py",)),
+    # remove_redundant's sequential scan on a flat input
     Mutant("remove-redundant-flat-keeps-all", "src/closurelab/polyhedron.py",
            "if _holds(*dd_cone(others + [_unit_row(p.n + 1)], p.n + 1), kept[i].row):",
            "if False:",
@@ -101,19 +106,21 @@ MUTANTS = (
            "tuple(map(_from_row, [g for g in rays if any(g[:-1])]))",
            "tuple(map(_from_row, list(rays)))",
            ("tests/test_covering.py",)),
-    # _extreme_rows and the DD it reads
-    Mutant("extreme-rows-reversed-containment", "src/closurelab/cone.py",
-           "if not any(j != i and y & z == z for j, y in enumerate(zs))",
-           "if not any(j != i and y & z == y for j, y in enumerate(zs))",
-           ("tests/test_cone.py",)),
+    # _extreme_rows: its sorted answer, and the closure system's DD read
+    # only for exactly its rows and unit-last
     Mutant("extreme-rows-unsorted", "src/closurelab/cone.py",
-           "return tuple(sorted(g for i, (g, z) in enumerate(zip(rows, zs))",
-           "return tuple((g for i, (g, z) in enumerate(zip(rows, zs))",
+           "return tuple(sorted(g for g in rows if zero_of[g] in facets))",
+           "return tuple((g for g in rows if zero_of[g] in facets))",
            ("tests/test_cone.py",)),
     Mutant("polar-zero-sets-reuse-on-subset", "src/closurelab/cone.py",
-           "if set(rows) != set(keys):",
-           "if not set(rows) <= set(keys):",
+           "if set(rows) == {*(q.row for q in system.inequalities), _unit_row(d)}:",
+           "if set(rows) <= {*(q.row for q in system.inequalities), _unit_row(d)}:",
            ("tests/test_cone.py",)),
+    # classify_cuts reads a sign row only as -x_j <= 0
+    Mutant("sign-constraint-any-unit-row", "src/closurelab/aggregation.py",
+           "return rhs == 0 and sum(1 for a in normal if a) == 1 and min(normal) == -1",
+           "return rhs == 0 and sum(1 for a in normal if a) == 1",
+           ("tests/test_aggregation.py",)),
     # the front end's fast paths: an int row divided by its gcd (any other
     # row read by vector, which refuses a float), a row read whole once the
     # pattern accepts it, and argv handed to the command's parser when it

@@ -25,7 +25,8 @@ from closurelab.aggregation import (
 from closurelab.covering import CoveringInstance, MinimalPointSet, minimal_integer_points
 from closurelab.errors import ContractViolation
 from closurelab.io import parse_instance
-from closurelab.polyhedron import HPolyhedron, check_implication, remove_redundant, sorted_unique
+from closurelab.polyhedron import (HPolyhedron, Inequality, check_implication, remove_redundant,
+                                   sorted_unique)
 from closurelab.verify import random_single_row
 from oracles import (doubling_stabilized, full_closure_approx, ge, lp_same_point_set,
                      project_instance, projection_lemma_sides)
@@ -420,6 +421,18 @@ def test_classify_rejects_a_row_of_no_hull():
     assert all(stray not in h.hull.inequalities for h in ca.hulls)
     forged = replace(ca, polyhedron=HPolyhedron(2, ca.polyhedron.inequalities + (stray,)))
     with pytest.raises(ContractViolation, match="row 1 1 >= 1 is a row of no sampled hull"):
+        classify_cuts(forged)
+
+
+def test_classify_reads_a_sign_row_only_as_minus_x_j_le_0():
+    # x1 <= 0 has one nonzero coefficient and right-hand side 0 like the
+    # sign row -x1 <= 0, but it is no nonnegativity bound; with no hulls
+    # it is a row of no sampled hull
+    ca = closure_approx(TWO_ROW, 1, 2)
+    forged = replace(ca, hulls=(), polyhedron=HPolyhedron(
+        2, (Inequality([1, 0], 0), Inequality([-1, 0], 0))))
+    with pytest.raises(ContractViolation,
+                       match="^closure row -1 0 >= 0 is a row of no sampled hull$"):
         classify_cuts(forged)
 
 

@@ -268,6 +268,74 @@ def test_verify_prints_counterexamples_and_exits_5(monkeypatch, capsys):
                    "result: FAIL\n")
 
 
+def _dumped(out, suite, head):
+    """The dumps under <suite>-counterexamples, each a (first line, rest)
+    pair; a dump starts at an entry that begins with ``head``."""
+    block = out.split(f"\n{suite}-counterexamples: ", 1)[1]
+    dumps = []
+    for line in block.splitlines()[1:]:
+        if not line.startswith("  "):
+            break
+        if line[2:].startswith(head):
+            dumps.append((line[2:], []))
+        else:
+            dumps[-1][1].append(line[2:] + "\n")
+    return [(first, "".join(rest)) for first, rest in dumps]
+
+
+def test_verify_covering_dumps_parse_back_to_the_drawn_instances(monkeypatch, capsys):
+    # an oracle that drops a point fails the oracle and the enlarged-box
+    # checks on every instance; each dump is the drawn instance, printed
+    # by format_covering
+    drawn = []
+    real_draw, real_oracle = verify.random_covering, verify.brute_force_minimal_points
+
+    def draw(rng):
+        drawn.append(real_draw(rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(verify, "random_covering", draw)
+    monkeypatch.setattr(verify, "brute_force_minimal_points",
+                        lambda q, slack=0: real_oracle(q, slack)[1:])
+    code, out, err = run_cli(["verify", "covering", "--seed", "1"], capsys)
+    assert (code, err) == (5, "")
+    assert "\ncovering: FAIL (800 checks)\ncovering-counterexamples: " in out
+    assert out.endswith("\nresult: FAIL\n")
+    dumps = _dumped(out, "covering", "instance ")
+    assert len(dumps) == 2 * len(drawn) == 200
+    for i, (first, text) in enumerate(dumps):
+        reason = "minimal points " if i % 2 == 0 else "minimal points change when the box grows"
+        assert first.startswith(f"instance {i // 2}: {reason}")
+        assert parse_instance(text).payload == drawn[i // 2]
+
+
+def test_verify_cone_dumps_shrink_to_the_failing_generators(monkeypatch, capsys):
+    # check_theorem1 made to fail on every cone of three or more
+    # generators: each dump is its drawn cone shrunk to three of them
+    real = verify.check_theorem1
+
+    def failing(k):
+        rep = real(k)
+        if len(k.int_generators) < 3:
+            return rep
+        return cone_module.Theorem1Report(False, rep.pointed, rep.extreme_rows, "forced")
+
+    monkeypatch.setattr(verify, "check_theorem1", failing)
+    code, out, err = run_cli(["verify", "cone", "--seed", "1"], capsys)
+    assert (code, err) == (5, "")
+    assert out.endswith("\nresult: FAIL\n")
+    drawn = [k.int_generators for k in random_pointed_cones(seed=1)
+             if len(k.int_generators) >= 3]
+    dumps = _dumped(out, "cone", "theorem-1 cross-check failed")
+    assert f"\ncone-counterexamples: {6 * len(dumps)}\n" in out
+    assert len(dumps) == len(drawn) and any(len(gens) > 3 for gens in drawn)
+    for gens, (first, text) in zip(drawn, dumps):
+        assert first == "theorem-1 cross-check failed: forced"
+        shrunk = parse_instance(text).payload.int_generators
+        assert len(shrunk) == 3 and set(shrunk) <= set(gens)
+        assert len(shrunk) < len(gens) or shrunk == gens
+
+
 def test_fii_with_juxtaposed_terms_exits_2(capsys):
     code, out, err = run_cli(["cone", UNIT_SQUARE, "fii", "x1 x2 <= 1"], capsys)
     assert (code, out) == (2, "")
@@ -939,9 +1007,16 @@ def test_cone_theorem1_and_rays_make_no_fraction(monkeypatch, capsys):
 
 def _polar_without_rays(monkeypatch):
     # a polar cone with no rays leaves every generator tight at every ray,
-    # which is the DD's "not pointed" verdict
-    monkeypatch.setattr(cone_module, "_polar_zero_sets",
-                        lambda rows, system: (0, [0] * len(rows)))
+    # which is the DD's "not pointed" verdict; the dimension stays the real
+    # one.  The unit-square generators are its closure system's rows and
+    # unit-last, so the cone queries read this DD.
+    real = polyhedron.HPolyhedron._dd.func
+
+    def without_rays(p):
+        dd = real(p)
+        return dd._replace(rays=(), zero_of=dict.fromkeys(dd.zero_of, 0))
+
+    monkeypatch.setattr(polyhedron.HPolyhedron, "_dd", property(without_rays))
 
 
 def test_theorem1_reports_a_line_and_exits_5(monkeypatch, capsys):

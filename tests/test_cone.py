@@ -30,6 +30,7 @@ from closurelab.lp import cone_membership, solve_lp
 from closurelab.polyhedron import Inequality, dimension
 from closurelab.verify import random_line_cones, random_pointed_cones
 
+from test_cone_cli_pinned import HAND_WRITTEN
 from oracles import (add, fii_others, lp_extreme_rays, lp_is_facet_defining, lp_same_point_set,
                      scale, unique_generators)
 
@@ -173,6 +174,24 @@ def test_cone_queries_share_one_double_description(monkeypatch):
     assert len(extreme_rays(k)) == 4
     assert is_valid_for_closure(k, Inequality([1, 1], 2)).valid
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["no_unit_last", "no_system"])
+def test_extreme_rays_off_the_closure_system_take_one_dd_of_their_rows(name, monkeypatch):
+    # the generators are not the closure system's rows and unit-last, so
+    # the closure system's DD is not built: one DD of the generators alone
+    calls = []
+    real = polyhedron.dd_cone
+
+    def counted(rows, dim):
+        calls.append(tuple(rows))
+        return real(rows, dim)
+
+    monkeypatch.setattr(polyhedron, "dd_cone", counted)
+    monkeypatch.setattr(cone_module, "dd_cone", counted)
+    k = GeneratedCone(HAND_WRITTEN[name])
+    extreme_rays(k)
+    assert calls == [k._rows]
 
 
 def test_theorem1_orthant():

@@ -127,11 +127,11 @@ def test_covering_validation():
 
 def test_covering_instance_stores_int_rows():
     """[M | d] times one common denominator, with M and d read back as
-    Fractions; ==, hashing and repr are those of (M, d)."""
+    Fractions; == and hashing read the stored ints, and repr prints (M, d)."""
     q = CoveringInstance(([1, "1/2"], [F(1, 3), 0]), ("3/2", 2))
     assert (q.rows, q.denominator) == (((6, 3, 9), (2, 0, 12)), 6)
     assert q.M == ((F(1), F(1, 2)), (F(1, 3), F(0))) and q.d == (F(3, 2), F(2))
-    assert q == CoveringInstance(q.M, q.d) and hash(q) == hash((q.M, q.d))
+    assert q == CoveringInstance(q.M, q.d) and hash(q) == hash((q.rows, q.denominator))
     assert repr(q) == f"CoveringInstance(M={q.M!r}, d={q.d!r})"
     # the same feasible set written at another scale is another instance
     assert q != CoveringInstance(([6, 3], [2, 0]), (9, 12))
@@ -227,7 +227,7 @@ def test_minimal_points_match_brute_force_oracle(q):
 
 def test_minimal_point_set_checks_a_long_antichain():
     antichain = [(i, 2999 - i) for i in range(3000)]
-    assert MinimalPointSet(antichain).int_points == tuple(antichain)
+    assert MinimalPointSet(antichain).points == tuple(antichain)
     _rejects(antichain + [(0, 2999)],
              "not an antichain: (Fraction(0, 1), Fraction(2999, 1)) and "
              "(Fraction(0, 1), Fraction(2999, 1)) are comparable")
@@ -242,7 +242,7 @@ def test_minimal_point_set_rejects_mixed_dimensions():
 
 
 def _scan_matches(q, expected):
-    assert minimal_integer_points(q).int_points == expected
+    assert minimal_integer_points(q).points == expected
     assert minimal_integer_points(q).points == brute_force_minimal_points(q)
 
 
@@ -283,33 +283,33 @@ def test_chain_filter_pops_collinear_points():
     # 2 x1 + 3 x2 >= 60: 11 of the 21 minimal points lie on the line
     q = CoveringInstance(([2, 3],), (60,))
     points = minimal_integer_points(q)
-    assert len(points.int_points) == 21
-    assert _lower_chains(points.int_points) == [(0, 20), (30, 0)]
+    assert len(points.points) == 21
+    assert _lower_chains(points.points) == [(0, 20), (30, 0)]
     hull = points.hull()
-    assert hull == unfiltered_hull(points.int_points)
+    assert hull == unfiltered_hull(points.points)
     assert set(hull.inequalities) == {ge([2, 3], 60), ge([1, 0], 0), ge([0, 1], 0)}
 
 
 def test_chain_filter_pops_a_point_above_a_segment():
     # (2, 1) lies above the segment from (0, 2) to (3, 0)
     points = minimal_integer_points(CoveringInstance(([2, 3],), (6,)))
-    assert points.int_points == ((0, 2), (2, 1), (3, 0))
-    assert _lower_chains(points.int_points) == [(0, 2), (3, 0)]
-    assert points.hull() == unfiltered_hull(points.int_points)
+    assert points.points == ((0, 2), (2, 1), (3, 0))
+    assert _lower_chains(points.points) == [(0, 2), (3, 0)]
+    assert points.hull() == unfiltered_hull(points.points)
 
 
 def test_chain_filter_one_variable():
     points = MinimalPointSet([(4,)])
-    assert _lower_chains(points.int_points) == [(4,)]
-    assert points.hull() == unfiltered_hull(points.int_points)
+    assert _lower_chains(points.points) == [(4,)]
+    assert points.hull() == unfiltered_hull(points.points)
 
 
 def test_chain_filter_restarts_when_x_n_minus_2_changes():
     # run x1 = 0 drops (0, 2, 3), above its segment; run x1 = 1 drops the
     # collinear (1, 1, 1); (0, 4, 0) and (1, 0, 2) are in different runs
     points = MinimalPointSet([(0, 0, 4), (0, 2, 3), (0, 4, 0), (1, 0, 2), (1, 1, 1), (1, 2, 0)])
-    assert _lower_chains(points.int_points) == [(0, 0, 4), (0, 4, 0), (1, 0, 2), (1, 2, 0)]
-    assert points.hull() == unfiltered_hull(points.int_points)
+    assert _lower_chains(points.points) == [(0, 0, 4), (0, 4, 0), (1, 0, 2), (1, 2, 0)]
+    assert points.hull() == unfiltered_hull(points.points)
 
 
 def test_hull_sends_the_dd_only_unit_rows_and_chain_vertices(monkeypatch):
@@ -347,7 +347,7 @@ def staircases(draw):
 @example(CoveringInstance(([0, 1, 0, 2, 1],), (3,)))
 def test_filtered_hull_equals_the_hull_of_every_point(q):
     points = minimal_integer_points(q)
-    assert points.hull() == unfiltered_hull(points.int_points)
+    assert points.hull() == unfiltered_hull(points.points)
 
 
 def test_minimal_point_set_int_input_keeps_the_messages():
@@ -356,4 +356,4 @@ def test_minimal_point_set_int_input_keeps_the_messages():
     _rejects([(1, 2), (0, 2)],
              "not an antichain: (Fraction(0, 1), Fraction(2, 1)) and "
              "(Fraction(1, 1), Fraction(2, 1)) are comparable")
-    assert MinimalPointSet([[2, 0], (0, 1)]).int_points == ((0, 1), (2, 0))
+    assert MinimalPointSet([[2, 0], (0, 1)]).points == ((0, 1), (2, 0))

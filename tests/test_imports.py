@@ -155,7 +155,7 @@ def test_readme_python_sample_runs():
     namespace = {}
     exec(compile(blocks[0], str(readme), "exec"), namespace)
     # the values the sample's comments give
-    assert namespace["minimal"].int_points == ((0, 2), (1, 1), (3, 0))
+    assert namespace["minimal"].points == ((0, 2), (1, 1), (3, 0))
     assert namespace["ca"].stabilized
     res = namespace["res"]
     assert not res.is_fii and res.multipliers == (Fraction(1, 4), Fraction(1, 4), 0)

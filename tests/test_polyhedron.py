@@ -410,12 +410,12 @@ def test_every_polar_ray_is_extreme(p):
 @example(POINT_IN_R1)
 @example(ZERO_ROW_FACE)
 def test_cached_zero_sets_give_the_generator_rank_dimension(p):
-    # one zero set per polar row (p's rows, then (0, ..., 0, 1)); the rows
-    # tight at every ray are the implicit equalities that fix the dimension
-    _, rays, zero_sets, dim = p._dd
+    # one zero set per polar row (p's rows and (0, ..., 0, 1)), by row; the
+    # rows tight at every ray are the implicit equalities that fix the dimension
+    _, rays, zero_of, dim = p._dd
     assert dim == dimension(p) == generator_rank_dimension(p)
     rows = [q.row for q in p.inequalities] + [polyhedron._unit_row(p.n + 1)]
-    assert zero_sets == tuple(polyhedron._zero_set(r, rays) for r in rows)
+    assert zero_of == {r: polyhedron._zero_set(r, rays) for r in rows}
 
 
 def test_dd_queries_named_examples():
