@@ -38,7 +38,7 @@ from .cone import (
 from .covering import minimal_integer_points
 from .errors import ClosureLabError, ParseError
 from . import __version__, linalg
-from .io import InstanceFile, is_ascii_int, parse_instance
+from .io import KINDS, is_ascii_int, parse_instance
 from .polyhedron import format_ge, format_le, parse_inequality
 from .verify import SUITES, run_suite
 
@@ -75,9 +75,10 @@ class _Doc:
         return "\n".join(self.lines) + "\n"
 
 
-def _load(path: str, expected_kind: str) -> InstanceFile:
-    """The instance at path, of the expected kind; a UTF-8 byte-order mark is
-    skipped.  The bytes are decoded whole, with no newline translation:
+def _load(path: str, expected_kind: str):
+    """The instance at path, of the type ``KINDS[expected_kind]``; a file
+    of the other kind is a ParseError naming it.  A UTF-8 byte-order mark
+    is skipped.  The bytes are decoded whole, with no newline translation:
     ``parse_instance`` splits lines at CR, LF and CRLF alike."""
     try:
         with open(path, "rb") as fh:
@@ -87,14 +88,14 @@ def _load(path: str, expected_kind: str) -> InstanceFile:
     except UnicodeDecodeError:
         raise ParseError(f"cannot read {path}: not UTF-8 text")
     inst = parse_instance(text)
-    if inst.kind != expected_kind:
-        raise ParseError(f"expected a {expected_kind} instance, got {inst.kind!r}")
+    if not isinstance(inst, KINDS[expected_kind]):
+        got = next(name for name, cls in KINDS.items() if isinstance(inst, cls))
+        raise ParseError(f"expected a {expected_kind} instance, got {got!r}")
     return inst
 
 
 def cmd_hull(args) -> tuple[str, int]:
-    inst = _load(args.instance, "covering")
-    q = inst.payload
+    q = _load(args.instance, "covering")
     minimal = minimal_integer_points(q)
     hull = minimal.hull()
     doc = _Doc("hull", args.seed)
@@ -111,8 +112,7 @@ def _note(args, message: str) -> None:
 
 
 def cmd_closure(args) -> tuple[str, int]:
-    inst = _load(args.instance, "covering")
-    q = inst.payload
+    q = _load(args.instance, "covering")
     _note(args, f"closure: {q.m} rows, k={args.k}, density={args.density}")
     ca = closure_approx(q, args.k, args.density)
     _note(args, f"closure: {len(ca.hulls)} of {len(ca.samples)} sample hulls built, "
@@ -135,8 +135,7 @@ def cmd_closure(args) -> tuple[str, int]:
 
 
 def cmd_cone(args) -> tuple[str, int]:
-    inst = _load(args.instance, "cone")
-    cone: GeneratedCone = inst.payload
+    cone: GeneratedCone = _load(args.instance, "cone")
     sub = args.subcommand
     doc = _Doc(f"cone {sub}", args.seed)
     doc.field("n", cone.n)

@@ -3,16 +3,17 @@ closure they induce.
 
 A ``GeneratedCone`` holds a finite family of nonzero vectors (alpha, beta)
 in Q^(n+1), each read as the half-space alpha.x <= beta; the closure is
-their intersection.  A cone stores its generators as primitive integer
-rows, each read once by ``linalg.int_row`` (a row of ints takes one
-``gcd``; anything else goes through ``linalg.vector``).  Extreme rays
-have one form wherever they are returned: ``extreme_rays``,
-``certified_extreme_rows`` and ``Theorem1Report.extreme_rows`` are
-sorted primitive int rows.  Every query runs on the distinct rows, with
-(0, ..., 0, 1) appended where needed.  Each cone keeps its closure
-system, built on the first query (``empty_hpolyhedron`` when a
-generator reads 0.x <= b < 0), and the system keeps its double
-description (DD), so the queries on one cone share that DD.  Extreme
+their intersection.  A cone stores its generators once, as distinct
+primitive integer rows in first-seen order, each read once by
+``linalg.int_row`` (a row of ints takes one ``gcd``; anything else goes
+through ``linalg.vector``).  Extreme rays have one form wherever they
+are returned: ``extreme_rays``, ``certified_extreme_rows`` and
+``Theorem1Report.extreme_rows`` are sorted primitive int rows.  Every
+query runs on the stored rows, with (0, ..., 0, 1) appended where
+needed.  Each cone keeps its closure system, built on the first query
+(``empty_hpolyhedron`` when a generator reads 0.x <= b < 0), and the
+system keeps its double description (DD), so the queries on one cone
+share that DD.  Extreme
 rays and pointedness come from the zero sets of the polar cone's DD
 (when the rows are the system's rows and (0, ..., 0, 1), that DD is the
 closure system's own, read as it stands), so ``extreme_rays`` and
@@ -33,7 +34,7 @@ finds the extreme rows by membership LPs alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -70,12 +71,11 @@ class GeneratedCone:
 
     Generators must be nonzero; the last coordinate is the right-hand side
     of the inequality the generator encodes.  They are stored as their
-    canonical primitive int rows, in the order given, repeats included.
+    canonical primitive int rows, each distinct row once, in first-seen
+    order: a repeated generator spans no new ray.
     """
 
     int_generators: tuple[tuple[int, ...], ...]
-    # the distinct generators, in first-seen order
-    _rows: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     def __init__(self, generators: Iterable[Sequence]):
         rows = tuple(tuple(linalg.int_row(tuple(g))) for g in generators)
@@ -89,12 +89,11 @@ class GeneratedCone:
             if not any(row):
                 raise ContractViolation("the zero vector is not a legal generator",
                                         at=("generators", i))
-        object.__setattr__(self, "int_generators", rows)
-        object.__setattr__(self, "_rows", tuple(dict.fromkeys(rows)))
+        object.__setattr__(self, "int_generators", tuple(dict.fromkeys(rows)))
 
     @property
     def dim(self) -> int:
-        return len(self._rows[0])
+        return len(self.int_generators[0])
 
     @property
     def n(self) -> int:
@@ -103,17 +102,17 @@ class GeneratedCone:
 
     @property
     def has_unit_last(self) -> bool:
-        return _unit_row(self.dim) in self._rows
+        return _unit_row(self.dim) in self.int_generators
 
     @cached_property
     def _system(self) -> HPolyhedron:
         """The closure system whose DD all cone queries read, built on the
-        first query and kept with the cone: the distinct rows, sorted, as
+        first query and kept with the cone: the stored rows, sorted, as
         alpha.x <= beta (each primitive row is already canonical), skipping
         0.x <= b >= 0, unit-last among them.  A row 0.x <= b < 0 makes it
         ``empty_hpolyhedron(n)``, the form an ``Inequality`` prescribes for
         emptiness."""
-        rows = self._rows
+        rows = self.int_generators
         if any(not any(g[:-1]) and g[-1] < 0 for g in rows):
             return empty_hpolyhedron(self.n)
         return HPolyhedron(self.n, tuple(map(_from_row, sorted(g for g in rows if any(g[:-1])))))
@@ -143,7 +142,7 @@ class ValidityCheck:
 class FiiCheck:
     """Extreme-ray test for a valid inequality: not expressible from the
     other generators.  When it is expressible, ``multipliers`` reproduce
-    the inequality vector exactly from the other distinct rows of
+    the inequality vector exactly from the other stored rows of
     generators + unit-last, in order."""
 
     is_fii: bool
@@ -183,20 +182,20 @@ def is_pointed(k: GeneratedCone) -> Pointedness:
     -1 <= h_i <= 1.  A positive optimum gives the support h; otherwise the
     line search must find a generator spanning a line of the cone."""
     d = k.dim
-    rows = [tuple(-a for a in g) + (1,) for g in k._rows]  # s - h.g <= 0
+    rows = [tuple(-a for a in g) + (1,) for g in k.int_generators]  # s - h.g <= 0
     for j in range(d):
         e = tuple(int(i == j) for i in range(d + 1))
         rows += [e, tuple(-a for a in e)]
-    rhs = (0,) * len(k._rows) + (1,) * (2 * d)
+    rhs = (0,) * len(k.int_generators) + (1,) * (2 * d)
     res = solve_lp(tuple(rows), rhs, (0,) * d + (1,), "max")
     if res.status is not LpStatus.OPTIMAL:
         raise InternalInvariantError("support LP is bounded and feasible")
     if res.objective > 0:
         h = res.x[:d]
-        if any(dot(h, g) <= 0 for g in k._rows):
+        if any(dot(h, g) <= 0 for g in k.int_generators):
             raise InternalInvariantError("support vector fails substitution")
         return Pointedness(True, support=h)
-    witness = _line_through(k._rows)
+    witness = _line_through(k.int_generators)
     if witness is None:
         raise InternalInvariantError("support LP and line search disagree")
     return Pointedness(False, line_witness=witness)
@@ -240,7 +239,7 @@ def _extreme_rows(rows: IntRows, system: HPolyhedron) -> IntRows:
 def extreme_rays(k: GeneratedCone) -> IntRows:
     """The extreme rays of cone(generators) as sorted primitive int rows,
     each a generator row."""
-    return _extreme_rows(k._rows, k._system)
+    return _extreme_rows(k.int_generators, k._system)
 
 
 def certified_extreme_rows(k: GeneratedCone) -> IntRows:
@@ -250,7 +249,7 @@ def certified_extreme_rows(k: GeneratedCone) -> IntRows:
     exactly when it is not in the cone of the other rows; each answer,
     separator or multipliers, is substitution-checked by
     ``cone_membership``."""
-    rows = _with_unit_row(k._rows)
+    rows = _with_unit_row(k.int_generators)
     return tuple(sorted(g for i, g in enumerate(rows)
                         if not cone_membership(rows[:i] + rows[i + 1:], g).member))
 
@@ -269,11 +268,11 @@ def is_valid_for_closure(k: GeneratedCone, q: Inequality) -> ValidityCheck:
         raise ContractViolation("inequality/cone dimension mismatch")
     if k._system.is_empty:
         raise EmptyClosureError("validity over an empty closure is undefined")
-    member = cone_membership(_with_unit_row(k._rows), q.stacked())
+    member = cone_membership(_with_unit_row(k.int_generators), q.stacked())
     if member.member:
         return ValidityCheck(True, multipliers=member.multipliers)
     # the LP keeps generator order, which fixes its witness
-    imp = check_implication([_from_row(g) for g in k._rows if any(g[:-1])], q)
+    imp = check_implication([_from_row(g) for g in k.int_generators if any(g[:-1])], q)
     if imp.implied:
         raise InternalInvariantError("invalidity witness fails substitution")
     return ValidityCheck(False, witness=imp.witness)
@@ -292,7 +291,7 @@ def fii_check(k: GeneratedCone, q: Inequality) -> FiiCheck:
     if not validity.valid:
         raise InvalidInequalityError(
             "inequality is not valid for the closure", witness=validity.witness)
-    rows = _with_unit_row(k._rows)
+    rows = _with_unit_row(k.int_generators)
     others = tuple(g for g in rows if g != q.row)
     if others == rows:
         # q's row is no generator, so the validity LP already asked this
@@ -317,7 +316,7 @@ def check_theorem1(k: GeneratedCone) -> Theorem1Report:
             "the equivalence is stated for full-dimensional closures "
             f"(found dimension {dim} in R^{k.n})")
     try:
-        rays = _extreme_rows(_with_unit_row(k._rows), system)
+        rays = _extreme_rows(_with_unit_row(k.int_generators), system)
     except NotPointedError as e:
         return Theorem1Report(
             passed=False, pointed=False, extreme_rows=(),

@@ -210,9 +210,8 @@ def _lower_chains(points: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
     run keeps its lower convex chain in the (x_{n-1}, x_n) plane.  Along a
     run x_{n-1} rises and x_n falls, as in any antichain, so a point b
     dropped between a and c is lambda a + (1 - lambda) c + mu e_n with
-    0 < lambda < 1 and mu >= 0."""
-    if len(points[0]) < 2:
-        return list(points)
+    0 < lambda < 1 and mu >= 0.  An antichain in N^1 is one point, which
+    its one run keeps."""
     kept: list[tuple[int, ...]] = []
     for _, run in groupby(points, key=itemgetter(slice(-2))):
         lower: list[tuple[int, ...]] = []

@@ -68,10 +68,9 @@ class EmptyClosureError(HypothesisViolation):
     """Closure is empty where a nonempty closure is required."""
 
 
-class InvalidInequalityError(ClosureLabError):
-    """Inequality claimed valid is violated; carries a violating point."""
-
-    exit_code = 4
+class InvalidInequalityError(HypothesisViolation):
+    """Inequality claimed valid is violated, so the hypothesis that it is
+    valid fails; carries a violating point."""
 
     def __init__(self, message: str, witness=None):
         super().__init__(message)

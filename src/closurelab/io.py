@@ -12,15 +12,17 @@ then the payload rows in order:
     d: 3 3
 
 All numbers are decimal-free rational tokens "p" or "p/q".  Parse errors
-carry the offending line and column.  Both kinds are read with
+carry the offending line and column.  ``parse_instance`` returns the
+instance itself, a ``CoveringInstance`` or a ``GeneratedCone``, and
+``KINDS`` maps each kind name to that type.  Both kinds are read with
 ``linalg.parse_row``, so an integral token stays an int from the file to
-the int rows a cone or covering instance stores.
+the int rows a cone or covering instance stores.  ``format_cone`` writes
+the rows a cone stores, so a repeated generator is written once.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .cone import GeneratedCone
 from .covering import CoveringInstance
@@ -28,13 +30,7 @@ from .errors import ContractViolation, ParseError
 from . import linalg
 from .linalg import parse_row
 
-KINDS = ("covering", "cone")
-
-
-@dataclass(frozen=True)
-class InstanceFile:
-    kind: str
-    payload: CoveringInstance | GeneratedCone
+KINDS = {"covering": CoveringInstance, "cone": GeneratedCone}
 
 
 _LINE_BREAK = re.compile(r"\r\n?|\n")
@@ -84,7 +80,9 @@ def _int_field(value: str, name: str, lineno: int) -> int:
     return out
 
 
-def parse_instance(text: str) -> InstanceFile:
+def parse_instance(text: str) -> CoveringInstance | GeneratedCone:
+    """The covering instance or generated cone the text holds; its first
+    directive names the kind (``KINDS``)."""
     items = list(_directives(text))
     if not items:
         raise ParseError("empty instance file", 1, 1)
@@ -110,10 +108,9 @@ def parse_instance(text: str) -> InstanceFile:
         raise ParseError("missing 'n' directive", items[-1][0], 1)
 
     try:
-        payload = _build(kind, n, m, rows)
+        return _build(kind, n, m, rows)
     except ContractViolation as exc:
         raise _data_error(exc, rows)
-    return InstanceFile(kind, payload)
 
 
 def _data_error(exc: ContractViolation, rows) -> ParseError:

@@ -93,8 +93,6 @@ class Inequality:
 
     def stacked(self) -> Vector:
         """The (normal, rhs) vector in Q^(n+1)."""
-        if self.scale == 1:
-            return tuple(map(Fraction, self.row))
         return tuple(self.scale * a for a in self.row)
 
     def canonical(self) -> "Inequality":

@@ -60,20 +60,19 @@ class SuiteReport:
 
 def _shrink_generators(gens: IntRows, fails: Callable[[IntRows], bool]):
     """Greedy removal: drop generators one at a time while the predicate
-    still fails.  Exact minimality is not attempted."""
+    still fails.  The predicate answers every candidate and does not
+    raise (``suite_cone``'s catches every error itself).  Exact minimality
+    is not attempted."""
     current = list(gens)
     changed = True
     while changed and len(current) > 1:
         changed = False
         for i in range(len(current)):
             candidate = tuple(current[:i] + current[i + 1:])
-            try:
-                if fails(candidate):
-                    current = list(candidate)
-                    changed = True
-                    break
-            except Exception:
-                continue
+            if fails(candidate):
+                current = list(candidate)
+                changed = True
+                break
     return tuple(current)
 
 

@@ -106,6 +106,12 @@ MUTANTS = (
            "tuple(map(_from_row, [g for g in rays if any(g[:-1])]))",
            "tuple(map(_from_row, list(rays)))",
            ("tests/test_covering.py",)),
+    # GeneratedCone stores each distinct generator once; every query reads
+    # the stored rows, so a repeat would be a second copy of one ray
+    Mutant("cone-keeps-repeated-generators", "src/closurelab/cone.py",
+           'object.__setattr__(self, "int_generators", tuple(dict.fromkeys(rows)))',
+           'object.__setattr__(self, "int_generators", rows)',
+           ("tests/test_cone.py",)),
     # _extreme_rows: its sorted answer, and the closure system's DD read
     # only for exactly its rows and unit-last
     Mutant("extreme-rows-unsorted", "src/closurelab/cone.py",

@@ -787,7 +787,7 @@ def lp_extreme_rays(k: GeneratedCone) -> tuple[tuple[int, ...], ...]:
     decided them before it read the polar cone's DD: the line search
     decides pointedness, and a generator is extreme when it is no member
     of the cone of the others."""
-    rows = k._rows
+    rows = k.int_generators
     line = _line_through(rows)
     if line is not None:
         raise NotPointedError(

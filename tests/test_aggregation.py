@@ -135,7 +135,7 @@ def test_closure_single_row_exact_for_k_and_density():
 
 
 # at density 1 the (1, 1) aggregation is missing: not stabilized
-KNAPSACK_PAIR = parse_instance((INSTANCES / "knapsack_pair.txt").read_text()).payload
+KNAPSACK_PAIR = parse_instance((INSTANCES / "knapsack_pair.txt").read_text())
 # stabilized at k = 1, density 4, yet the approximation is larger than P_I
 ABOVE_HULL = CoveringInstance(([4, 4], [1, 4]), (6, 3))
 
@@ -300,7 +300,7 @@ def test_three_row_pair_closure_stops_after_32_hulls(counted):
     """P_I and the first 31 of 6903 density-8 samples: their hulls hold
     every facet of P_I, so no other instance is scanned.  The 32 instances
     have 5 distinct sets of minimal points, and so 5 hulls are built."""
-    q = parse_instance((INSTANCES / "three_row.txt").read_text()).payload
+    q = parse_instance((INSTANCES / "three_row.txt").read_text())
     ca, built, hulled = _counted_closure(counted, q, 2, 8)
     assert (len(built), len(hulled)) == (32, 5)
     assert (len(ca.hulls), len(ca.samples), ca.stabilized) == (31, 6903, True)

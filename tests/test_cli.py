@@ -1,9 +1,11 @@
 """Command-line interface: parsing, commands, exit codes, determinism."""
 
+import dataclasses
 import fractions
 import gc
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -96,8 +98,8 @@ def write(tmp_path, name, text):
 
 
 def test_parse_instance_kinds():
-    assert isinstance(parse_instance(COVERING).payload, CoveringInstance)
-    assert isinstance(parse_instance(CONE).payload, GeneratedCone)
+    assert isinstance(parse_instance(COVERING), CoveringInstance)
+    assert isinstance(parse_instance(CONE), GeneratedCone)
     # no command reads the H-, V- or point-set kinds, so the format has none
     for text in ("kind: hrep\nn: 2\nH: 1 1 <= 2\nH: 1 0 >= 0\n",
                  "kind: vrep\nn: 2\nV: 0 2\nR: 1 0\n",
@@ -239,14 +241,42 @@ def test_instance_data_errors_point_at_the_bad_value(tmp_path, capsys, command, 
     (("cone", "fii"), CONE,
      'error: fii needs an inequality argument, e.g. "x1 + x2 <= 2"\n'),
     (("cone", "fii", "x1 + x2"), CONE, "error: inequality needs '<=' or '>=': 'x1 + x2'\n"),
+    (("hull",), (INSTANCES / "strip_cone.txt").read_text(),
+     "error: expected a covering instance, got 'cone'\n"),
+    (("cone", "rays"), (INSTANCES / "single_row.txt").read_text(),
+     "error: expected a cone instance, got 'covering'\n"),
 ], ids=["empty file", "comments only", "no colon", "covering without m",
         "covering without d", "d too long", "cone without G", "missing file",
-        "fii without inequality", "inequality without relation"])
+        "fii without inequality", "inequality without relation", "hull on a cone file",
+        "cone on a covering file"])
 def test_input_error_paths_exit_2(tmp_path, capsys, args, text, err_text):
     command, *rest = args
     path = str(tmp_path / "missing.txt") if text is None else write(tmp_path, "in.txt", text)
     code, out, err = run_cli([command, path, *rest], capsys)
     assert (code, out, err) == (2, "", err_text.format(path=path))
+
+
+def _boom(*args, **kwargs):
+    raise ContractViolation("boom")
+
+
+@pytest.mark.parametrize("constructor, text, line", [
+    ("GeneratedCone", "kind: cone\n# c\nn: 2\n\n  G: 1 0 1\nG: 0 1 1\n", 5),
+    ("CoveringInstance", "kind: covering\nn: 2\nm: 1\nM: 1 1\nd: 2\n", 4),
+])
+def test_data_error_naming_no_datum_is_placed_at_the_first_row(constructor, text, line,
+                                                               monkeypatch):
+    monkeypatch.setattr(f"closurelab.io.{constructor}", _boom)
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert str(err.value) == f"line {line}, column 1: boom"
+
+
+def test_data_error_naming_no_datum_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("closurelab.io.GeneratedCone", _boom)
+    path = write(tmp_path, "cone.txt", "kind: cone\n# c\nn: 2\n\n  G: 1 0 1\nG: 0 1 1\n")
+    code, out, err = run_cli(["cone", path, "rays"], capsys)
+    assert (code, out, err) == (2, "", "error: line 5, column 1: boom\n")
 
 
 def test_verify_prints_counterexamples_and_exits_5(monkeypatch, capsys):
@@ -270,7 +300,8 @@ def test_verify_prints_counterexamples_and_exits_5(monkeypatch, capsys):
 
 def _dumped(out, suite, head):
     """The dumps under <suite>-counterexamples, each a (first line, rest)
-    pair; a dump starts at an entry that begins with ``head``."""
+    pair; a dump starts at an entry that begins with ``head`` (a string or
+    a tuple of them)."""
     block = out.split(f"\n{suite}-counterexamples: ", 1)[1]
     dumps = []
     for line in block.splitlines()[1:]:
@@ -306,7 +337,61 @@ def test_verify_covering_dumps_parse_back_to_the_drawn_instances(monkeypatch, ca
     for i, (first, text) in enumerate(dumps):
         reason = "minimal points " if i % 2 == 0 else "minimal points change when the box grows"
         assert first.startswith(f"instance {i // 2}: {reason}")
-        assert parse_instance(text).payload == drawn[i // 2]
+        assert parse_instance(text) == drawn[i // 2]
+
+
+def test_verify_farkas_dumps_evaluate_to_the_drawn_lps(monkeypatch, capsys):
+    # a dual whose objective is b + 1 misses every finite optimum; each
+    # dump's A, b and c lines are the reprs of the instance's draw
+    real = verify.dual_of_max
+
+    def shifted(a, b, c):
+        rows, rhs, costs = real(a, b, c)
+        return rows, rhs, tuple(x + 1 for x in costs)
+
+    monkeypatch.setattr(verify, "dual_of_max", shifted)
+    code, out, err = run_cli(["verify", "farkas", "--seed", "1"], capsys)
+    assert (code, err) == (5, "")
+    assert "\nfarkas: FAIL (365 checks)\nfarkas-counterexamples: 120\n" in out
+    assert out.endswith("\nresult: FAIL\n")
+    rng = random.Random(1)
+    drawn = [verify.random_lp(rng) for _ in range(200)]
+    dumps = _dumped(out, "farkas", "instance ")
+    assert len(dumps) == 30
+    for first, text in dumps:
+        idx = int(first.split(":", 1)[0].removeprefix("instance "))
+        assert "dual mismatch" in first
+        values = {}
+        for line in text.splitlines():
+            name, expr = line.split(" = ", 1)
+            values[name] = eval(expr, {"Fraction": fractions.Fraction})
+        assert (values["A"], values["b"], values["c"]) == drawn[idx]
+
+
+def test_verify_aggregation_dumps_parse_back_to_the_drawn_instances(monkeypatch, capsys):
+    # with no run stabilized and no containment holding, every check
+    # before the facet attribution fails: two per single-row instance and
+    # three per two-row instance, each dump printed by format_covering
+    drawn = []
+    for name in ("random_single_row", "random_two_row"):
+        def draw(rng, *args, real=getattr(verify, name), **kwargs):
+            drawn.append(real(rng, *args, **kwargs))
+            return drawn[-1]
+        monkeypatch.setattr(verify, name, draw)
+    real_closure = verify.closure_approx
+    monkeypatch.setattr(verify, "closure_approx", lambda q, k, density: dataclasses.replace(
+        real_closure(q, k, density), stabilized=False))
+    monkeypatch.setattr(verify, "is_subset", lambda p, q: False)
+    code, out, err = run_cli(["verify", "aggregation", "--seed", "3"], capsys)
+    assert (code, err) == (5, "")
+    assert out.endswith("\nresult: FAIL\n")
+    dumps = _dumped(out, "aggregation", ("single-row ", "two-row "))
+    assert len(drawn) == 15 and len(dumps) == 35
+    owners = [i for i in range(10) for _ in range(2)] + [i for i in range(10, 15) for _ in range(3)]
+    for i, (first, text) in zip(owners, dumps):
+        head = f"single-row {i}: " if i < 10 else f"two-row {i - 10}: "
+        assert first.startswith(head)
+        assert parse_instance(text) == drawn[i]
 
 
 def test_verify_cone_dumps_shrink_to_the_failing_generators(monkeypatch, capsys):
@@ -331,7 +416,7 @@ def test_verify_cone_dumps_shrink_to_the_failing_generators(monkeypatch, capsys)
     assert len(dumps) == len(drawn) and any(len(gens) > 3 for gens in drawn)
     for gens, (first, text) in zip(drawn, dumps):
         assert first == "theorem-1 cross-check failed: forced"
-        shrunk = parse_instance(text).payload.int_generators
+        shrunk = parse_instance(text).int_generators
         assert len(shrunk) == 3 and set(shrunk) <= set(gens)
         assert len(shrunk) < len(gens) or shrunk == gens
 
@@ -651,7 +736,7 @@ def test_over_long_violating_point_is_printed_in_full(tmp_path, capsys):
     assert (code, out) == (4, "")
     message, point = err.splitlines()
     assert message == "error: inequality is not valid for the closure"
-    witness = is_valid_for_closure(parse_instance(Path(path).read_text()).payload,
+    witness = is_valid_for_closure(parse_instance(Path(path).read_text()),
                                    parse_inequality("x1 + x2 <= 0", 2)).witness
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)

@@ -55,8 +55,7 @@ def test_generator_contract_is_kept_by_the_int_fast_path():
         with pytest.raises(ContractViolation, match="cannot interpret"):
             GeneratedCone(gens)
     k = GeneratedCone((("1/2", "1", "3/2"), (F(2, 3), F(0), F(4, 3)), (2, 4, 6)))
-    assert k.int_generators == ((1, 2, 3), (1, 0, 2), (1, 2, 3))
-    assert k._rows == ((1, 2, 3), (1, 0, 2))
+    assert k.int_generators == ((1, 2, 3), (1, 0, 2))
     assert k == GeneratedCone(((1, 2, 3), (1, 0, 2), (1, 2, 3)))
 
 
@@ -176,6 +175,18 @@ def test_cone_queries_share_one_double_description(monkeypatch):
     assert len(calls) == 1
 
 
+def test_repeated_generators_are_stored_and_read_once():
+    # (2, 0, 2) is (1, 0, 1) again.  Stored twice, the DD would return that
+    # row twice and the membership LPs would find each copy in the cone of
+    # the other and drop it
+    k = GeneratedCone(((1, 0, 1), (0, 1, 1), (2, 0, 2), (0, 0, 1), (-1, 0, 0), (0, -1, 0)))
+    assert len(k.int_generators) == 5
+    want = ((-1, 0, 0), (0, -1, 0), (0, 1, 1), (1, 0, 1))
+    assert extreme_rays(k) == want
+    assert certified_extreme_rows(k) == want
+    assert check_theorem1(k).extreme_rows == want
+
+
 @pytest.mark.parametrize("name", ["no_unit_last", "no_system"])
 def test_extreme_rays_off_the_closure_system_take_one_dd_of_their_rows(name, monkeypatch):
     # the generators are not the closure system's rows and unit-last, so
@@ -191,7 +202,7 @@ def test_extreme_rays_off_the_closure_system_take_one_dd_of_their_rows(name, mon
     monkeypatch.setattr(cone_module, "dd_cone", counted)
     k = GeneratedCone(HAND_WRITTEN[name])
     extreme_rays(k)
-    assert calls == [k._rows]
+    assert calls == [k.int_generators]
 
 
 def test_theorem1_orthant():
@@ -355,7 +366,7 @@ def test_cone_layer_hands_the_lp_ints_and_returns_fractions(monkeypatch):
              Inequality([0, 1], 1)),
             ("unit_square_cone.txt", Inequality([1, 0], 1), Inequality([1, 1], 2),
              Inequality([1, 1], 1))):
-        k = parse_instance((INSTANCES / name).read_text()).payload
+        k = parse_instance((INSTANCES / name).read_text())
         # extreme rays are stored int rows, as Theorem1Report.extreme_rows
         assert extreme_rays(k) and all(map(_ints, extreme_rays(k)))
         assert all(map(_ints, k.int_generators))
@@ -421,7 +432,7 @@ def _outcome(f, *args):
 def test_rescaled_and_repeated_generators_give_the_same_cone(cones):
     k, scaled = cones
     assert unique_generators(scaled) == unique_generators(k)
-    assert k._rows == tuple(tuple(linalg.int_row(g)) for g in unique_generators(k))
+    assert k.int_generators == tuple(tuple(linalg.int_row(g)) for g in unique_generators(k))
     for query in (extreme_rays, is_pointed, closure_of, check_theorem1):
         assert _outcome(query, scaled) == _outcome(query, k), query.__name__
     for g in unique_generators(k):

@@ -3,6 +3,8 @@
 import os
 from fractions import Fraction as F
 
+import pytest
+
 from closurelab import cone, linalg, polyhedron, verify
 from closurelab.cone import GeneratedCone, is_pointed
 from closurelab.covering import CoveringInstance
@@ -48,6 +50,13 @@ def test_run_suite_all():
         assert names == ["farkas", "aggregation"]
     else:
         assert [r.name for r in reports] == ["farkas", "cone", "covering", "aggregation"]
+
+
+def test_run_suite_refuses_an_unknown_name():
+    with pytest.raises(ValueError) as err:
+        run_suite("bogus", 1)
+    assert str(err.value) == ("unknown suite 'bogus'; expected one of "
+                              "farkas, cone, covering, aggregation, all")
 
 
 def test_covering_oracle_tests_the_int_rows(monkeypatch):
