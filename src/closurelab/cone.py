@@ -26,10 +26,13 @@ generator up to positive scaling; here that holds by construction, as
 the rays are selected from the generator rows.  ``check_theorem1``
 checks at runtime that the extreme rows cover every facet of the
 closure, and the pointedness/full-dimension equivalence.  Both sides are
-read from one DD's zero sets, so this guards the bookkeeping between
-``remove_redundant`` and ``_extreme_rows``; the independent checks are
-the LP-reference property tests and ``certified_extreme_rows``, which
-finds the extreme rows by membership LPs alone.
+read from one ``_facets`` pass over the zero sets the DD tracks, so the
+facet check cannot fail on a pointed full-dimensional closure until a
+check from outside the DD, such as Theorem 1 run on a closure's own cut
+family (ROADMAP item 9), gives it an independent side.  The independent
+checks today are the LP-reference property tests and
+``certified_extreme_rows``, which finds the extreme rows by membership
+LPs alone.
 """
 
 from __future__ import annotations
@@ -53,12 +56,11 @@ from .polyhedron import (
     HPolyhedron,
     Inequality,
     IntRows,
+    _dd_zero_sets,
     _facets,
     _from_row,
     _unit_row,
-    _zero_set,
     check_implication,
-    dd_cone,
     empty_hpolyhedron,
     dimension,
     remove_redundant,
@@ -156,7 +158,11 @@ class Theorem1Report:
     primitive int rows, each selected from the cone's own rows, so on a
     pointed cone the rays are generators by construction (the CLI prints
     ``pointed`` for that claim).  ``passed`` is also whether the closure
-    rebuilt from those rays equals the full closure."""
+    rebuilt from those rays equals the full closure: whether every facet
+    row is an extreme row.  Both are reads of one facet set, so on a
+    pointed full-dimensional closure ``passed`` is always true until
+    Theorem 1 on a closure's own cut family (ROADMAP item 9) gives it an
+    independent side."""
 
     passed: bool
     pointed: bool
@@ -207,25 +213,16 @@ def _with_unit_row(rows: IntRows) -> IntRows:
     return rows if unit in rows else rows + (unit,)
 
 
-def _extreme_rows(rows: IntRows, system: HPolyhedron) -> IntRows:
-    """The rows spanning extreme rays of cone(rows), sorted, with no LP
-    on a pointed cone.  A row's zero set is the rays of the polar cone
-    {y : g.y <= 0 for every row g} it is tight at.  ``system`` is the
-    closure system of the cone the rows come from; its DD is the polar of
-    its rows and unit-last, so when ``rows`` are exactly those, as a set,
-    the zero sets are looked up there, and any other row set takes one
-    dd_cone.  A row tight at every ray is orthogonal to the polar, so the
-    cone has a line (NotPointedError, the line named by the line search).
-    Otherwise the polar is full-dimensional and a row is extreme exactly
-    when its face of the polar is a facet (``_facets``); distinct
-    primitive rows cut distinct facets."""
-    d = len(rows[0])
-    if set(rows) == {*(q.row for q in system.inequalities), _unit_row(d)}:
-        _, rays, zero_of, _ = system._dd
-    else:
-        rays = dd_cone(rows, d)[1]
-        zero_of = {g: _zero_set(g, rays) for g in rows}
-    every = (1 << len(rays)) - 1
+def _extreme_and_facets(rows: IntRows, zero_of: dict[tuple[int, ...], int],
+                        every: int) -> tuple[IntRows, set[int]]:
+    """The rows spanning extreme rays of cone(rows), sorted, and the zero
+    sets of the facets of the polar cone {y : g.y <= 0 for every row g},
+    from one ``_facets`` pass over each row's zero set; ``every`` is the
+    set of all the polar's rays.  A row tight at every ray is orthogonal
+    to the polar, so cone(rows) has a line (NotPointedError, the line
+    named by the line search).  Otherwise the polar is full-dimensional,
+    a row is extreme exactly when its face of the polar is a facet, and
+    distinct primitive rows cut distinct facets."""
     if every in zero_of.values():
         line = _line_through(rows)
         if line is None:
@@ -233,7 +230,23 @@ def _extreme_rows(rows: IntRows, system: HPolyhedron) -> IntRows:
         raise NotPointedError(
             "extreme rays are only defined for pointed cones", line_witness=line)
     facets = _facets(zero_of.values(), every)
-    return tuple(sorted(g for g in rows if zero_of[g] in facets))
+    return tuple(sorted(g for g in rows if zero_of[g] in facets)), facets
+
+
+def _extreme_rows(rows: IntRows, system: HPolyhedron) -> IntRows:
+    """The rows spanning extreme rays of cone(rows), sorted, with no LP
+    on a pointed cone, read from the zero sets of the polar cone's DD
+    (``_extreme_and_facets``).  ``system`` is the closure system of the
+    cone the rows come from; its DD is the polar of its rows and
+    unit-last, so when ``rows`` are exactly those, as a set, the zero
+    sets are looked up there, and any other row set takes the zero sets
+    of one DD of its rows (``_dd_zero_sets``)."""
+    d = len(rows[0])
+    if set(rows) == {*(q.row for q in system.inequalities), _unit_row(d)}:
+        _, rays, zero_of, _ = system._dd
+    else:
+        _, rays, zero_of = _dd_zero_sets(rows, d)
+    return _extreme_and_facets(rows, zero_of, (1 << len(rays)) - 1)[0]
 
 
 def extreme_rays(k: GeneratedCone) -> IntRows:
@@ -307,22 +320,28 @@ def check_theorem1(k: GeneratedCone) -> Theorem1Report:
     matching full dimension.  Each extreme row is a row of the closure
     system and a full-dimensional closure has one facet list, so (a)
     holds exactly when every facet is an extreme row.  Dimension, facets
-    and rays come from the closure system's DD (its zero sets),
-    so a pointed cone costs one DD and no LP.  Unit-last cuts nothing."""
+    and rays come from the closure system's DD, read once: one
+    ``_facets`` pass over its zero sets gives both the extreme rows and
+    the closure's facets (the rows ``remove_redundant`` keeps), so a
+    pointed cone costs one DD and no LP.  Unit-last cuts nothing.  Both
+    sides of (a) are reads of that one facet set, and every facet row is
+    a generator, so (a) cannot fail on a pointed full-dimensional
+    closure; it guards the bookkeeping between them, not the DD."""
     system = k._system
-    dim = dimension(system)
+    _, rays, zero_of, dim = system._dd
     if dim != k.n:
         raise NotFullDimensionalError(
             "the equivalence is stated for full-dimensional closures "
             f"(found dimension {dim} in R^{k.n})")
+    rows = _with_unit_row(k.int_generators)
     try:
-        rays = _extreme_rows(_with_unit_row(k.int_generators), system)
+        extreme, facets = _extreme_and_facets(rows, zero_of, (1 << len(rays)) - 1)
     except NotPointedError as e:
         return Theorem1Report(
             passed=False, pointed=False, extreme_rows=(),
             detail=(f"full-dimensional closure but cone contains the line "
                     f"through {linalg.format_vector(e.line_witness)}"))
-    equal = {q.row for q in remove_redundant(system).inequalities} <= set(rays)
+    equal = {q.row for q in system.inequalities if zero_of[q.row] in facets} <= set(extreme)
     return Theorem1Report(
-        passed=equal, pointed=True, extreme_rows=rays,
+        passed=equal, pointed=True, extreme_rows=extreme,
         detail="" if equal else "closure rebuilt from extreme rays differs from the full closure")

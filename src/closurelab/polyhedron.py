@@ -22,9 +22,10 @@ first query that needs it: the polar of the cone its rows and
 (0, ..., 0, 1) span, where a point x is the ray (x, -1) as in
 ``_v_to_h_rows``.  It gives the polyhedron's emptiness and dimension,
 and the facets of a full-dimensional one.  It holds each
-row's zero set, computed once, and the dimension: n minus the rank of
-the rows tight at every ray, the implicit equalities, a list that is
-usually empty.  The facets are read from the same zero sets with no
+row's zero set, the one the DD itself tracks to test adjacency, handed
+back with its rays (``_dd_zero_sets``), and the dimension: n minus the
+rank of the rows tight at every ray, the implicit equalities, a list
+that is usually empty.  The facets are read from the same zero sets with no
 rank.  The same generators decide containment (``is_subset``, the flat
 redundancy scan); an LP remains only where a certificate is returned
 (``check_implication``, on the int rows).
@@ -147,13 +148,13 @@ class HPolyhedron:
         exactly when it is an implicit equality of p, and dim p = n -
         rank(implicit equalities) (Schrijver 1986, section 8.2); they hold
         on p, so their right-hand sides add no rank.  The zero sets are
-        kept by row, one per distinct row."""
+        the ones the DD tracks (``_dd_zero_sets``), kept by row, one per
+        distinct row."""
         rows = [q.row for q in self.inequalities]
         rows.append(_unit_row(self.n + 1))
-        lines, rays = dd_cone(rows, self.n + 1)
+        lines, rays, zero_of = _dd_zero_sets(rows, self.n + 1)
         if any(l[-1] != 0 for l in lines):
             raise InternalInvariantError("polar cone admits a line with t != 0")
-        zero_of = {r: _zero_set(r, rays) for r in rows}
         if all(r[-1] >= 0 for r in rays):
             return _PolarDD(lines, rays, zero_of, -1)
         every = (1 << len(rays)) - 1
@@ -192,35 +193,42 @@ def _line_canonical(v: IntRow) -> IntRow:
 IntRows = tuple[tuple[int, ...], ...]
 
 
-def dd_cone(rows: Sequence[Sequence[int]], dim: int) -> tuple[IntRows, IntRows]:
-    """Minimal generators (lines, rays) of {y in R^dim : r.y <= 0 for all r}.
+def _double_description(rows: Sequence[Sequence[int]], dim: int
+                        ) -> tuple[IntRows, list[IntRow], list[int], list[int | None]]:
+    """The double description that ``dd_cone`` and ``_dd_zero_sets`` read:
+    (lines, rays, zs, bits), with the lines sorted as ``dd_cone`` returns
+    them, the rays in the order the fold made them, zs[k] the zero set of
+    rays[k] over the row bits, and bits[i] the bit of rows[i], or None for
+    a zero row, which is tight at every ray.  Each view sorts the rays it
+    returns, so ``dd_cone`` pays nothing for the zero sets.
 
     Incremental double description: start from all of R^dim as a lineality
     basis and fold the nonzero rows in one at a time.  Each ray keeps its
     zero set as an int bitmask: bit k is set when the ray is tight at the
     k-th nonzero row.  A row that hits a line turns that line into a ray
     and projects the other lines and rays onto the row's hyperplane; one
-    already on it (value 0 at the row) is kept as it is.  Otherwise the
-    rays on the row's feasible side stay, and a (negative, positive) pair
-    makes a new ray exactly when the two are adjacent, decided from zero
-    sets alone (Fukuda & Prodon 1996, Prop. 7): their common zero set has
-    at least dim - #lines - 2 rows, and no other ray's zero set contains
-    it.  The containment test needs the ray list to be exactly the
-    extreme rays, one per class modulo the lineality space; each step
+    already on it (value 0 at the row) is kept as it is.  Lines carry no
+    orientation and the sign of the new ray comes from the row, so lines
+    are put in ``_line_canonical`` form once, on the way out.  Otherwise
+    the rays on the row's feasible side stay, and a (negative, positive)
+    pair makes a new ray exactly when the two are adjacent, decided from
+    zero sets alone (Fukuda & Prodon 1996, Prop. 7): their common zero set
+    has at least dim - #lines - 2 rows, and no other ray's zero set
+    contains it.  The containment test needs the ray list to be exactly
+    the extreme rays, one per class modulo the lineality space; each step
     keeps that invariant, so no ray is repeated and no rank is taken.
-    Rows come in, and lines and rays go out, as primitive integer rows, in
-    lexicographic order; callers convert at their own boundary.  The rows
-    are folded in the order given: the covering hull passes its unit rows
-    first, which keeps the ray lists short.
     """
     lines: list[IntRow] = [[int(i == j) for i in range(dim)] for j in range(dim)]
     rays: list[IntRow] = []
     zs: list[int] = []  # zs[i]: the zero set of rays[i]
+    bits: list[int | None] = []
     bit = 1
 
     for row in rows:
         if not any(row):
+            bits.append(None)
             continue
+        bits.append(bit)
         vals = [int_dot(row, l) for l in lines]
         hit = next((j for j in range(len(lines)) if vals[j]), None)
         if hit is not None:
@@ -229,7 +237,7 @@ def dd_cone(rows: Sequence[Sequence[int]], dim: int) -> tuple[IntRows, IntRows]:
             d = abs(vals[hit])
             star = lines[hit] if vals[hit] < 0 else [-a for a in lines[hit]]
             # a line or ray at 0 on the row is already on its hyperplane
-            lines = [_line_canonical(combine(d, l, -vals[j], star)) if vals[j] else l
+            lines = [combine(d, l, -vals[j], star) if vals[j] else l
                      for j, l in enumerate(lines) if j != hit]
             rays = [combine(d, r, -v, star) if (v := int_dot(row, r)) else r
                     for r in rays] + [star]
@@ -254,7 +262,36 @@ def dd_cone(rows: Sequence[Sequence[int]], dim: int) -> tuple[IntRows, IntRows]:
             rays, zs = new_rays, new_zs
         bit <<= 1
 
-    return tuple(map(tuple, sorted(lines))), tuple(map(tuple, sorted(rays)))
+    return tuple(sorted(tuple(_line_canonical(l)) for l in lines)), rays, zs, bits
+
+
+def dd_cone(rows: Sequence[Sequence[int]], dim: int) -> tuple[IntRows, IntRows]:
+    """Minimal generators (lines, rays) of {y in R^dim : r.y <= 0 for all r},
+    from ``_double_description``; its zero sets are left unread.
+    Rows come in, and lines and rays go out, as primitive integer rows, in
+    lexicographic order; callers convert at their own boundary.  The rows
+    are folded in the order given: the covering hull passes its unit rows
+    first, which keeps the ray lists short.
+    """
+    lines, rays, _, _ = _double_description(rows, dim)
+    return lines, tuple(map(tuple, sorted(rays)))
+
+
+def _dd_zero_sets(rows: Sequence[tuple[int, ...]], dim: int
+                  ) -> tuple[IntRows, IntRows, dict[tuple[int, ...], int]]:
+    """(lines, rays, zero_of) of {y : r.y <= 0 for every row r}: ``dd_cone``'s
+    answer, and each distinct row to the rays it is tight at, as a bitmask
+    with bit k for rays[k].  The zero sets are the ones the double
+    description tracks to test adjacency, turned from one mask per ray
+    into one per row, so no row is multiplied by a ray.  This is the one
+    reader of that bitmask format."""
+    lines, rays, zs, bits = _double_description(rows, dim)
+    order = sorted(range(len(rays)), key=rays.__getitem__)
+    zs = [zs[i] for i in order]
+    every = (1 << len(zs)) - 1
+    zero_of = {row: every if b is None else sum(1 << k for k, z in enumerate(zs) if z & b)
+               for row, b in zip(rows, bits)}
+    return lines, tuple(tuple(rays[i]) for i in order), zero_of
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +331,6 @@ def _v_to_h_rows(n: int, rows: Sequence[Sequence[int]]) -> HPolyhedron:
 
 # ---------------------------------------------------------------------------
 # reductions and queries
-
-
-def _zero_set(row: Sequence[int], rays: IntRows) -> int:
-    """The rays row is tight at, as a bitmask: bit k for rays[k]."""
-    return sum(1 << k for k, g in enumerate(rays) if int_dot(row, g) == 0)
 
 
 def _facets(zero_sets: Iterable[int], every: int) -> set[int]:

@@ -42,11 +42,12 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    # dd_cone: the incremental double description.  Without the
-    # containment test the rays still generate the polar but include
-    # non-extreme ones; zero-set containment between rows is the same on
-    # such a list, so the cone answers cannot show it.  The hull's facets,
-    # read off the rays, do, and so does the rank of each ray's tight rows
+    # _double_description: the incremental double description behind
+    # dd_cone and every polyhedron's DD.  Without the containment test the
+    # rays still generate the polar but include non-extreme ones; zero-set
+    # containment between rows is the same on such a list, so the cone
+    # answers cannot show it.  The hull's facets, read off the rays, do,
+    # and so does the rank of each ray's tight rows
     Mutant("dd_cone-no-containment-test", "src/closurelab/polyhedron.py",
            "if common.bit_count() < need or any(",
            "if common.bit_count() < need or False and any(",
@@ -60,9 +61,20 @@ MUTANTS = (
            "zs = list(zs) + [bit - 1]",
            ("tests/test_cone.py",)),
     Mutant("dd_cone-line-projection-sign", "src/closurelab/polyhedron.py",
-           "_line_canonical(combine(d, l, -vals[j], star))",
-           "_line_canonical(combine(d, l, vals[j], star))",
+           "combine(d, l, -vals[j], star) if vals[j] else l",
+           "combine(d, l, vals[j], star) if vals[j] else l",
            ("tests/test_cone.py",)),
+    # the hand-off: the zero sets the double description tracks, read per
+    # row; a row read through its neighbour's bit, or a zero row read as
+    # tight at no ray, gives the wrong faces
+    Mutant("dd-hand-off-row-reads-next-bit", "src/closurelab/polyhedron.py",
+           "bits.append(bit)",
+           "bits.append(bit << 1)",
+           ("tests/test_polyhedron.py",)),
+    Mutant("dd-hand-off-zero-row-tight-nowhere", "src/closurelab/polyhedron.py",
+           "bits.append(None)",
+           "bits.append(0)",
+           ("tests/test_polyhedron.py",)),
     # the covering scan and the lower chains that feed the hull's DD
     Mutant("scan-fixed-row-start-floor", "src/closurelab/covering.py",
            "first = max(first, -(-short // a) if a else width)",

@@ -36,8 +36,11 @@ The oracles, each independent of the library path it checks:
 Test-only types and helpers: VPolyhedron with v_to_h, the tests' entry
 to polyhedron._v_to_h_rows; ge; the vector, matrix, inequality and cone
 helpers sub, add, scale, mat_vec, vec_mat, transpose, normal_rhs,
-flipped, unique_generators, with_unit_last and fii_others; and a broken
-copy of dd_cone for mutation tests."""
+flipped, unique_generators, with_unit_last and fii_others; a broken
+copy of dd_cone for mutation tests, and as_double_description, which
+puts such a copy under every DD reader; and _zero_set, the per-row
+rebuild of a zero set (one int_dot per ray) that the double
+description's own zero sets replace, kept as their reference."""
 
 from __future__ import annotations
 
@@ -643,6 +646,28 @@ def dd_cone_dropping_a_ray(rows: Sequence[Sequence[int]], dim: int):
             rays, zs = new_rays, new_zs
         bit <<= 1
     return tuple(map(tuple, sorted(lines))), tuple(map(tuple, sorted(rays)))
+
+
+def _zero_set(row: Sequence[int], rays: Sequence[Sequence[int]]) -> int:
+    """The rays row is tight at, as a bitmask: bit k for rays[k]."""
+    return sum(1 << k for k, g in enumerate(rays) if int_dot(row, g) == 0)
+
+
+def as_double_description(dd):
+    """polyhedron._double_description made from dd, a double description
+    that returns (lines, rays) as dd_cone does: the zero sets are
+    recomputed from dd's own rays, one int_dot per (row, ray) pair, so
+    a fault in dd reaches dd_cone, every polyhedron's DD and the cone
+    queries alike."""
+    def kernel(rows, dim):
+        lines, rays = dd(rows, dim)
+        bits, k = [], 0
+        for row in rows:
+            bits.append(1 << k if any(row) else None)
+            k += any(row)
+        zs = [sum(b for row, b in zip(rows, bits) if b and int_dot(row, g) == 0) for g in rays]
+        return lines, list(rays), zs, bits
+    return kernel
 
 
 # ---------------------------------------------------------------------------

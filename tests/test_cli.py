@@ -959,15 +959,16 @@ def test_verify_containment_questions_solve_no_lp(monkeypatch, capsys):
 
 def test_fii_runs_one_double_description(monkeypatch, capsys):
     # closure_of, dimension and the emptiness test of is_valid_for_closure
-    # all read the one DD the cone's closure system keeps
+    # all read the one DD the cone's closure system keeps; every DD,
+    # dd_cone's and each polyhedron's, runs the one kernel counted here
     calls = []
-    real = polyhedron.dd_cone
+    real = polyhedron._double_description
 
     def counted(rows, dim):
         calls.append(rows)
         return real(rows, dim)
 
-    monkeypatch.setattr(polyhedron, "dd_cone", counted)
+    monkeypatch.setattr(polyhedron, "_double_description", counted)
     code, out, _ = run_cli(["cone", UNIT_SQUARE, "fii", "x1 <= 1"], capsys)
     assert code == 0 and "result: FII" in out
     assert len(calls) == 1
@@ -998,40 +999,44 @@ def test_fii_builds_the_closure_system_once(monkeypatch, capsys):
 def test_theorem1_takes_one_rank_per_double_description(monkeypatch, capsys):
     # the dimension is kept with each polyhedron's DD, and the facet test reads
     # zero sets, so no rank is taken that a DD did not come with
-    counts = {"rank": 0, "dd_cone": 0}
-    real_rank, real_dd = linalg.rank, polyhedron.dd_cone
+    counts = {"rank": 0, "dd": 0}
+    real_rank, real_dd = linalg.rank, polyhedron._double_description
 
     def counted_rank(rows):
         counts["rank"] += 1
         return real_rank(rows)
 
     def counted_dd(rows, dim):
-        counts["dd_cone"] += 1
+        counts["dd"] += 1
         return real_dd(rows, dim)
 
     monkeypatch.setattr(linalg, "rank", counted_rank)
-    monkeypatch.setattr(polyhedron, "dd_cone", counted_dd)
+    monkeypatch.setattr(polyhedron, "_double_description", counted_dd)
     for name in ("unit_square_cone.txt", "strip_cone.txt"):
         code, out, _ = run_cli(["cone", str(INSTANCES / name), "theorem1"], capsys)
         assert code == 0 and "result: PASS" in out
-    assert 0 < counts["rank"] <= counts["dd_cone"]
+    assert 0 < counts["rank"] <= counts["dd"]
 
 
 def test_theorem1_makes_no_new_double_description(monkeypatch, capsys, tmp_path):
     # the dimension, the facets and the polar cone's rays all come from the
-    # DD the closure system keeps, so each run makes one DD and one
-    # redundancy pass, even with a redundant generator, and solves no cone
-    # membership LP
+    # DD the closure system keeps, so each run makes one DD and one facet
+    # pass, which gives both the extreme rows and the closure's facets,
+    # even with a redundant generator; it takes no redundancy pass and
+    # solves no cone membership LP
     calls, passes = [], []
-    real_dd, real_remove = polyhedron.dd_cone, cone_module.remove_redundant
+    real_dd, real_facets = polyhedron._double_description, polyhedron._facets
 
     def counted_dd(rows, dim):
         calls.append(rows)
         return real_dd(rows, dim)
 
-    def counted_remove(p):
-        passes.append(p)
-        return real_remove(p)
+    def counted_facets(zero_sets, every):
+        passes.append(every)
+        return real_facets(zero_sets, every)
+
+    def no_redundancy_pass(p):
+        raise AssertionError("theorem1 ran remove_redundant")
 
     def no_membership(*args):
         raise AssertionError("theorem1 solved a cone-membership LP")
@@ -1041,9 +1046,10 @@ def test_theorem1_makes_no_new_double_description(monkeypatch, capsys, tmp_path)
                        (INSTANCES / "unit_square_cone.txt").read_text() + "G: 1 1 3\n"))
     for i, k in enumerate(random_pointed_cones(seed=4, count=12)):
         paths.append(write(tmp_path, f"pointed{i}.txt", format_cone(k)))
-    monkeypatch.setattr(polyhedron, "dd_cone", counted_dd)
-    monkeypatch.setattr(cone_module, "dd_cone", counted_dd)
-    monkeypatch.setattr(cone_module, "remove_redundant", counted_remove)
+    monkeypatch.setattr(polyhedron, "_double_description", counted_dd)
+    monkeypatch.setattr(polyhedron, "_facets", counted_facets)
+    monkeypatch.setattr(cone_module, "_facets", counted_facets)
+    monkeypatch.setattr(cone_module, "remove_redundant", no_redundancy_pass)
     monkeypatch.setattr(cone_module, "cone_membership", no_membership)
     for path in paths:
         code, out, _ = run_cli(["cone", path, "theorem1"], capsys)

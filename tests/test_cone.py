@@ -157,16 +157,16 @@ def test_validity_requires_nonempty_closure():
 
 def test_cone_queries_share_one_double_description(monkeypatch):
     # the cone keeps its closure system and the system keeps its DD, so the
-    # queries after the first read that DD instead of making their own
+    # queries after the first read that DD instead of making their own;
+    # every DD runs the one kernel counted here
     calls = []
-    real = polyhedron.dd_cone
+    real = polyhedron._double_description
 
     def counted(rows, dim):
         calls.append(rows)
         return real(rows, dim)
 
-    monkeypatch.setattr(polyhedron, "dd_cone", counted)
-    monkeypatch.setattr(cone_module, "dd_cone", counted)
+    monkeypatch.setattr(polyhedron, "_double_description", counted)
     k = GeneratedCone(SQUARE_CONE.int_generators + ((1, 1, 3),))
     assert k.has_unit_last and check_theorem1(k).passed
     assert len(closure_of(k).inequalities) == 4
@@ -192,14 +192,13 @@ def test_extreme_rays_off_the_closure_system_take_one_dd_of_their_rows(name, mon
     # the generators are not the closure system's rows and unit-last, so
     # the closure system's DD is not built: one DD of the generators alone
     calls = []
-    real = polyhedron.dd_cone
+    real = polyhedron._double_description
 
     def counted(rows, dim):
         calls.append(tuple(rows))
         return real(rows, dim)
 
-    monkeypatch.setattr(polyhedron, "dd_cone", counted)
-    monkeypatch.setattr(cone_module, "dd_cone", counted)
+    monkeypatch.setattr(polyhedron, "_double_description", counted)
     k = GeneratedCone(HAND_WRITTEN[name])
     extreme_rays(k)
     assert calls == [k.int_generators]

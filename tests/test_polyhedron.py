@@ -27,9 +27,10 @@ from closurelab.polyhedron import (
     sorted_unique,
 )
 
-from oracles import (VPolyhedron, add, fraction_format_ge, fraction_format_le,
-                     fraction_rank, fraction_v_to_h, ge, generator_rank_dimension,
-                     homogenization_dd, is_full_dimensional, lp_dimension, lp_is_empty,
+from oracles import (VPolyhedron, _zero_set, add, as_double_description, fraction_format_ge,
+                     fraction_format_le, fraction_rank, fraction_v_to_h, ge,
+                     generator_rank_dimension, homogenization_dd, is_full_dimensional,
+                     lp_dimension, lp_is_empty,
                      lp_is_facet_defining, lp_is_subset, lp_remove_redundant,
                      lp_same_point_set, lp_v_to_h, normal_rhs, rank_remove_redundant,
                      round_trip_h_to_v, scale, three_solve_implication, v_to_h)
@@ -109,16 +110,17 @@ def test_inequality_views_match_fraction_reference(pair):
 
 def test_polyhedron_keeps_one_double_description(monkeypatch):
     # every query reads the DD the polyhedron keeps, made at most once, and
-    # ==, hash and repr see only the rows, whether the DD exists yet or not
+    # ==, hash and repr see only the rows, whether the DD exists yet or not;
+    # every DD runs the one kernel counted here
     calls = []
-    real = polyhedron.dd_cone
+    real = polyhedron._double_description
 
     def counted(rows, dim):
         calls.append(rows)
         return real(rows, dim)
 
     square_dd = SQUARE._dd
-    monkeypatch.setattr(polyhedron, "dd_cone", counted)
+    monkeypatch.setattr(polyhedron, "_double_description", counted)
     rows = (Inequality([1, 0], 1), Inequality([-1, 0], 0), Inequality([0, 1], 1),
             Inequality([0, -1], 0), Inequality([1, 1], 3))
     p, fresh = HPolyhedron(2, rows), HPolyhedron(2, rows)
@@ -144,8 +146,8 @@ def test_polar_line_with_t_is_an_internal_error(monkeypatch):
     # the row (0, ..., 0, 1) forces t = 0 on every line of the polar cone,
     # so a line with t != 0 can only come from a broken double description;
     # the polyhedron is built fresh, since SQUARE may already keep its DD
-    monkeypatch.setattr(polyhedron, "dd_cone",
-                        lambda rows, dim: ((V([0, 0, 1]),), (V([0, 0, 1]),)))
+    monkeypatch.setattr(polyhedron, "_double_description",
+                        as_double_description(lambda rows, dim: (((0, 0, 1),), ((0, 0, 1),))))
     with pytest.raises(InternalInvariantError, match="line with t != 0"):
         dimension(HPolyhedron(SQUARE.n, SQUARE.inequalities))
 
@@ -415,7 +417,40 @@ def test_cached_zero_sets_give_the_generator_rank_dimension(p):
     _, rays, zero_of, dim = p._dd
     assert dim == dimension(p) == generator_rank_dimension(p)
     rows = [q.row for q in p.inequalities] + [polyhedron._unit_row(p.n + 1)]
-    assert zero_of == {r: polyhedron._zero_set(r, rays) for r in rows}
+    assert zero_of == {r: _zero_set(r, rays) for r in rows}
+
+
+@st.composite
+def dd_row_systems(draw):
+    """(rows, dim) for the DD kernel in dims 1-6: primitive int rows,
+    often too few to span R^dim, so the polar keeps lines, with zero rows,
+    repeated rows and negated rows mixed in."""
+    dim = draw(st.integers(1, 6))
+    entries = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    rows = [tuple(linalg.int_row(r)) for r in draw(st.lists(entries, max_size=7))]
+    for _ in range(draw(st.integers(0, 3))) if rows else ():
+        r = draw(st.sampled_from(rows))
+        rows.append(draw(st.sampled_from((r, tuple(-a for a in r), (0,) * dim))))
+    return tuple(draw(st.permutations(rows))), dim
+
+
+def _polar_rows(p):
+    """The rows of p's DD: p's rows and (0, ..., 0, 1)."""
+    return (*(q.row for q in p.inequalities), polyhedron._unit_row(p.n + 1)), p.n + 1
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.one_of(dd_row_systems(), h_polyhedra().map(_polar_rows)))
+@example((((0, 0), (1, 0), (1, 0), (0, 1)), 2))
+@example((((0, 1), (0, -1)), 2))
+@example(_polar_rows(ZERO_ROW_FACE))
+def test_dd_hands_over_the_zero_sets_it_tracks(args):
+    # the kernel's own zero sets, read per row, are the rows tight at each
+    # returned ray; a zero row is tight at every ray, a repeat like its first
+    rows, dim = args
+    lines, rays, zero_of = polyhedron._dd_zero_sets(rows, dim)
+    assert (lines, rays) == polyhedron.dd_cone(rows, dim)
+    assert zero_of == {r: _zero_set(r, rays) for r in rows}
 
 
 def test_dd_queries_named_examples():

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from closurelab import cone, linalg, polyhedron, verify
+from closurelab import linalg, polyhedron, verify
 from closurelab.cone import GeneratedCone, is_pointed
 from closurelab.covering import CoveringInstance
 from closurelab.verify import (
@@ -17,7 +17,7 @@ from closurelab.verify import (
     suite_covering,
     suite_farkas,
 )
-from oracles import dd_cone_dropping_a_ray
+from oracles import as_double_description, dd_cone_dropping_a_ray
 
 
 def test_suites_pass_on_default_seeds():
@@ -83,15 +83,16 @@ def test_cone_draws_are_filtered_by_the_lp_not_the_dd(monkeypatch):
     def refuse(rows, dim):
         raise AssertionError("the cone draws ran the DD under test")
 
-    monkeypatch.setattr(polyhedron, "dd_cone", refuse)
-    monkeypatch.setattr(cone, "dd_cone", refuse)
+    # every DD reader, dd_cone and each polyhedron's DD, runs this kernel
+    monkeypatch.setattr(polyhedron, "_double_description", refuse)
     assert len(verify.random_pointed_cones(1, 10)) == 10
 
 
 def test_suite_cone_fails_on_a_broken_double_description(monkeypatch):
     # the mutant drops a ray per row step at dim 4: on n = 3 cones it gets
-    # extreme rows and dimensions wrong, which only a check outside the DD sees
-    monkeypatch.setattr(polyhedron, "dd_cone", dd_cone_dropping_a_ray)
-    monkeypatch.setattr(cone, "dd_cone", dd_cone_dropping_a_ray)
+    # extreme rows and dimensions wrong, which only a check outside the DD
+    # sees; its zero sets are recomputed from its own rays
+    monkeypatch.setattr(polyhedron, "_double_description",
+                        as_double_description(dd_cone_dropping_a_ray))
     report = suite_cone(1, count=12, line_count=0)
     assert not report.passed and report.checks == 36
