@@ -56,6 +56,7 @@ from .polyhedron import (
     HPolyhedron,
     Inequality,
     IntRows,
+    _PolarDD,
     _dd_zero_sets,
     _facets,
     _from_row,
@@ -213,16 +214,16 @@ def _with_unit_row(rows: IntRows) -> IntRows:
     return rows if unit in rows else rows + (unit,)
 
 
-def _extreme_and_facets(rows: IntRows, zero_of: dict[tuple[int, ...], int],
-                        every: int) -> tuple[IntRows, set[int]]:
+def _extreme_and_facets(rows: IntRows, dd: _PolarDD) -> tuple[IntRows, set[int]]:
     """The rows spanning extreme rays of cone(rows), sorted, and the zero
     sets of the facets of the polar cone {y : g.y <= 0 for every row g},
-    from one ``_facets`` pass over each row's zero set; ``every`` is the
-    set of all the polar's rays.  A row tight at every ray is orthogonal
-    to the polar, so cone(rows) has a line (NotPointedError, the line
-    named by the line search).  Otherwise the polar is full-dimensional,
-    a row is extreme exactly when its face of the polar is a facet, and
-    distinct primitive rows cut distinct facets."""
+    from one ``_facets`` pass over the zero sets of dd, that polar's DD.
+    A row tight at every ray is orthogonal to the polar, so cone(rows)
+    has a line (NotPointedError, the line named by the line search).
+    Otherwise the polar is full-dimensional, a row is extreme exactly
+    when its face of the polar is a facet, and distinct primitive rows
+    cut distinct facets."""
+    zero_of, every = dd.zero_of, dd.every
     if every in zero_of.values():
         line = _line_through(rows)
         if line is None:
@@ -233,26 +234,18 @@ def _extreme_and_facets(rows: IntRows, zero_of: dict[tuple[int, ...], int],
     return tuple(sorted(g for g in rows if zero_of[g] in facets)), facets
 
 
-def _extreme_rows(rows: IntRows, system: HPolyhedron) -> IntRows:
-    """The rows spanning extreme rays of cone(rows), sorted, with no LP
-    on a pointed cone, read from the zero sets of the polar cone's DD
-    (``_extreme_and_facets``).  ``system`` is the closure system of the
-    cone the rows come from; its DD is the polar of its rows and
-    unit-last, so when ``rows`` are exactly those, as a set, the zero
-    sets are looked up there, and any other row set takes the zero sets
-    of one DD of its rows (``_dd_zero_sets``)."""
-    d = len(rows[0])
-    if set(rows) == {*(q.row for q in system.inequalities), _unit_row(d)}:
-        _, rays, zero_of, _ = system._dd
-    else:
-        _, rays, zero_of = _dd_zero_sets(rows, d)
-    return _extreme_and_facets(rows, zero_of, (1 << len(rays)) - 1)[0]
-
-
 def extreme_rays(k: GeneratedCone) -> IntRows:
     """The extreme rays of cone(generators) as sorted primitive int rows,
-    each a generator row."""
-    return _extreme_rows(k.int_generators, k._system)
+    each a generator row, with no LP on a pointed cone.  The closure
+    system's DD is the polar of its rows and unit-last, so it is read
+    when the generators are exactly those, as a set; any other generators
+    take one DD of their own rows."""
+    rows, system = k.int_generators, k._system
+    if set(rows) == {*(q.row for q in system.inequalities), _unit_row(k.dim)}:
+        dd = system._dd
+    else:
+        dd = _dd_zero_sets(rows, k.dim)
+    return _extreme_and_facets(rows, dd)[0]
 
 
 def certified_extreme_rows(k: GeneratedCone) -> IntRows:
@@ -328,20 +321,20 @@ def check_theorem1(k: GeneratedCone) -> Theorem1Report:
     a generator, so (a) cannot fail on a pointed full-dimensional
     closure; it guards the bookkeeping between them, not the DD."""
     system = k._system
-    _, rays, zero_of, dim = system._dd
-    if dim != k.n:
+    dd = system._dd
+    if dd.dim != k.n:
         raise NotFullDimensionalError(
             "the equivalence is stated for full-dimensional closures "
-            f"(found dimension {dim} in R^{k.n})")
+            f"(found dimension {dd.dim} in R^{k.n})")
     rows = _with_unit_row(k.int_generators)
     try:
-        extreme, facets = _extreme_and_facets(rows, zero_of, (1 << len(rays)) - 1)
+        extreme, facets = _extreme_and_facets(rows, dd)
     except NotPointedError as e:
         return Theorem1Report(
             passed=False, pointed=False, extreme_rows=(),
             detail=(f"full-dimensional closure but cone contains the line "
                     f"through {linalg.format_vector(e.line_witness)}"))
-    equal = {q.row for q in system.inequalities if zero_of[q.row] in facets} <= set(extreme)
+    equal = {q.row for q in system.inequalities if dd.zero_of[q.row] in facets} <= set(extreme)
     return Theorem1Report(
         passed=equal, pointed=True, extreme_rows=extreme,
         detail="" if equal else "closure rebuilt from extreme rays differs from the full closure")

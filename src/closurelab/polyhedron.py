@@ -21,12 +21,12 @@ Each ``HPolyhedron`` keeps one double description (DD), built on the
 first query that needs it: the polar of the cone its rows and
 (0, ..., 0, 1) span, where a point x is the ray (x, -1) as in
 ``_v_to_h_rows``.  It gives the polyhedron's emptiness and dimension,
-and the facets of a full-dimensional one.  It holds each
-row's zero set, the one the DD itself tracks to test adjacency, handed
-back with its rays (``_dd_zero_sets``), and the dimension: n minus the
-rank of the rows tight at every ray, the implicit equalities, a list
-that is usually empty.  The facets are read from the same zero sets with no
-rank.  The same generators decide containment (``is_subset``, the flat
+and the facets of a full-dimensional one.  It is a ``_PolarDD``, the
+one form of a polar DD (``_dd_zero_sets`` makes one of bare rows): its
+rays, each row's zero set, the one the DD itself tracks to test
+adjacency, and the dimension: n minus the rank of the rows tight at
+every ray, the implicit equalities, a list that is usually empty.  The
+facets are read from the same zero sets with no rank.  The same generators decide containment (``is_subset``, the flat
 redundancy scan); an LP remains only where a certificate is returned
 (``check_implication``, on the int rows).
 
@@ -136,30 +136,26 @@ class HPolyhedron:
 
     @cached_property
     def _dd(self) -> _PolarDD:
-        """dd_cone of C = {y : g.y <= 0} for p's rows g = (normal, rhs) and
-        (0, ..., 0, 1), each of those rows' zero sets, and the dimension
-        of p (this polyhedron); built on the first query and kept with p,
-        outside ==, hash and repr.  C is the polar of the cone the rows
-        span: p's cone of valid inequalities (Schrijver 1986, Cor. 7.1h)
+        """``_dd_zero_sets`` of C = {y : g.y <= 0} for p's rows g = (normal,
+        rhs) and (0, ..., 0, 1), with the dimension of p (this polyhedron)
+        filled in; built on the first query and kept with p, outside ==,
+        hash and repr.  C is the polar of the cone the rows span: p's cone of valid inequalities (Schrijver 1986, Cor. 7.1h)
         when p is nonempty.  The last row forces t = 0 on every line, t
         the last entry, so p is empty (dimension -1) exactly when no ray
         has t < 0.  Otherwise C is the closed cone over p x {-1}, so a
         row is tight at every ray (every line is tight at every row)
         exactly when it is an implicit equality of p, and dim p = n -
         rank(implicit equalities) (Schrijver 1986, section 8.2); they hold
-        on p, so their right-hand sides add no rank.  The zero sets are
-        the ones the DD tracks (``_dd_zero_sets``), kept by row, one per
-        distinct row."""
+        on p, so their right-hand sides add no rank."""
         rows = [q.row for q in self.inequalities]
         rows.append(_unit_row(self.n + 1))
-        lines, rays, zero_of = _dd_zero_sets(rows, self.n + 1)
-        if any(l[-1] != 0 for l in lines):
+        dd = _dd_zero_sets(rows, self.n + 1)
+        if any(l[-1] != 0 for l in dd.lines):
             raise InternalInvariantError("polar cone admits a line with t != 0")
-        if all(r[-1] >= 0 for r in rays):
-            return _PolarDD(lines, rays, zero_of, -1)
-        every = (1 << len(rays)) - 1
-        equalities = [r for r, z in zero_of.items() if z == every]
-        return _PolarDD(lines, rays, zero_of, self.n - linalg.rank(equalities))
+        if all(r[-1] >= 0 for r in dd.rays):
+            return dd._replace(dim=-1)
+        equalities = [r for r, z in dd.zero_of.items() if z == dd.every]
+        return dd._replace(dim=self.n - linalg.rank(equalities))
 
 
 def _from_row(row: tuple[int, ...]) -> Inequality:
@@ -277,33 +273,40 @@ def dd_cone(rows: Sequence[Sequence[int]], dim: int) -> tuple[IntRows, IntRows]:
     return lines, tuple(map(tuple, sorted(rays)))
 
 
-def _dd_zero_sets(rows: Sequence[tuple[int, ...]], dim: int
-                  ) -> tuple[IntRows, IntRows, dict[tuple[int, ...], int]]:
-    """(lines, rays, zero_of) of {y : r.y <= 0 for every row r}: ``dd_cone``'s
-    answer, and each distinct row to the rays it is tight at, as a bitmask
-    with bit k for rays[k].  The zero sets are the ones the double
-    description tracks to test adjacency, turned from one mask per ray
-    into one per row, so no row is multiplied by a ray.  This is the one
-    reader of that bitmask format."""
+class _PolarDD(NamedTuple):
+    """A polar cone's DD: ``dd_cone``'s lines and rays, each distinct row
+    to the rays it is tight at (bit k for rays[k]), and the dimension of
+    the polyhedron it belongs to, None for a DD of bare rows."""
+
+    lines: IntRows
+    rays: IntRows
+    zero_of: dict[tuple[int, ...], int]
+    dim: int | None = None
+
+    @property
+    def every(self) -> int:
+        """The zero set of a row tight at every ray."""
+        return (1 << len(self.rays)) - 1
+
+
+def _dd_zero_sets(rows: Sequence[tuple[int, ...]], dim: int) -> _PolarDD:
+    """The ``_PolarDD`` of {y : r.y <= 0 for every row r}, ``dim`` unset.
+    The zero sets are the ones the double description tracks to test
+    adjacency, turned from one mask per ray into one per row, so no row
+    is multiplied by a ray.  This is the one reader of that bitmask
+    format."""
     lines, rays, zs, bits = _double_description(rows, dim)
     order = sorted(range(len(rays)), key=rays.__getitem__)
     zs = [zs[i] for i in order]
-    every = (1 << len(zs)) - 1
-    zero_of = {row: every if b is None else sum(1 << k for k, z in enumerate(zs) if z & b)
-               for row, b in zip(rows, bits)}
-    return lines, tuple(tuple(rays[i]) for i in order), zero_of
+    dd = _PolarDD(lines, tuple(tuple(rays[i]) for i in order), {})
+    for row, b in zip(rows, bits):
+        dd.zero_of[row] = dd.every if b is None else sum(
+            1 << k for k, z in enumerate(zs) if z & b)
+    return dd
 
 
 # ---------------------------------------------------------------------------
 # conversions
-
-
-class _PolarDD(NamedTuple):
-    lines: IntRows
-    rays: IntRows
-    # each of p's rows, and (0, ..., 0, 1), to the rays it is tight at
-    zero_of: dict[tuple[int, ...], int]
-    dim: int
 
 
 def _unit_row(d: int) -> tuple[int, ...]:
@@ -367,14 +370,14 @@ def remove_redundant(p: HPolyhedron) -> HPolyhedron:
     system: each row in turn is dropped if it holds on the others (a
     nonempty superset of p), read from a throwaway DD.  When no row is
     dropped the answer is p itself, which keeps its DD."""
-    _, rays, zero_of, dim = p._dd
-    if dim < 0:
+    dd = p._dd
+    if dd.dim < 0:
         return p
-    if dim == p.n:
-        facets = _facets(zero_of.values(), (1 << len(rays)) - 1)
+    if dd.dim == p.n:
+        facets = _facets(dd.zero_of.values(), dd.every)
         last = {q: i for i, q in enumerate(p.inequalities)}
         kept = [q for i, q in enumerate(p.inequalities)
-                if last[q] == i and not q.is_trivial() and zero_of[q.row] in facets]
+                if last[q] == i and not q.is_trivial() and dd.zero_of[q.row] in facets]
     else:
         kept = list(p.inequalities)
         i = 0
@@ -391,8 +394,8 @@ def is_subset(p: HPolyhedron, q: HPolyhedron) -> bool:
     """p lies in q: every row of q holds over p's DD (an empty p lies in all)."""
     if p.n != q.n:
         raise ContractViolation("cannot compare polyhedra of different dimension")
-    lines, rays, _, dim = p._dd
-    return dim < 0 or all(_holds(lines, rays, t.row) for t in q.inequalities)
+    dd = p._dd
+    return dd.dim < 0 or all(_holds(dd.lines, dd.rays, t.row) for t in q.inequalities)
 
 
 @dataclass(frozen=True)

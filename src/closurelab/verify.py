@@ -149,7 +149,7 @@ def suite_farkas(seed: int, count: int = 200) -> SuiteReport:
 # cone suite
 
 
-def random_pointed_cones(seed: int, count: int = 50, max_attempts: int = 10000):
+def random_pointed_cones(seed: int, count: int = 50):
     """Seeded generators: cones in Q^3 / Q^4 containing (0, ..., 0, 1) with
     nonnegative last coordinates (so the closure contains the origin) and a
     full-dimensional closure.  Full dimension is decided by ``is_pointed``,
@@ -158,7 +158,7 @@ def random_pointed_cones(seed: int, count: int = 50, max_attempts: int = 10000):
     rng = random.Random(seed)
     out = []
     attempts = 0
-    while len(out) < count and attempts < max_attempts:
+    while len(out) < count and attempts < 10000:
         attempts += 1
         n = rng.choice((2, 3))
         gens = [(0,) * n + (1,)]
@@ -236,17 +236,18 @@ def suite_cone(seed: int, count: int = 50, line_count: int = 20) -> SuiteReport:
 # covering suite
 
 
-def random_covering(rng: random.Random, max_n: int = 3, max_m: int = 3,
-                    max_entry: int = 5) -> CoveringInstance:
-    n = rng.randint(1, max_n)
-    m = rng.randint(1, max_m)
+def random_covering(rng: random.Random) -> CoveringInstance:
+    """1-3 rows in 1-3 variables, entries and demands in 0..5; a row with
+    positive demand gets a positive entry."""
+    n = rng.randint(1, 3)
+    m = rng.randint(1, 3)
     rows = []
     demand = []
     for _ in range(m):
-        row = [rng.randint(0, max_entry) for _ in range(n)]
-        d = rng.randint(0, max_entry)
+        row = [rng.randint(0, 5) for _ in range(n)]
+        d = rng.randint(0, 5)
         if d > 0 and not any(row):
-            row[rng.randrange(n)] = rng.randint(1, max_entry)
+            row[rng.randrange(n)] = rng.randint(1, 5)
         rows.append(tuple(row))
         demand.append(d)
     return CoveringInstance(tuple(rows), tuple(demand))
@@ -300,8 +301,8 @@ def suite_covering(seed: int, count: int = 100) -> SuiteReport:
         # covering form: every facet reads c.x >= d with c, d >= 0
         signs_ok = all(a <= 0 for f in hull.inequalities for a in f.row)
         report.check(signs_ok, lambda: dump("a hull facet leaves covering form"))
-        lines, dd_rays, _, _ = hull._dd
-        rays = not lines and [r[:-1] for r in dd_rays if r[-1] == 0]
+        dd = hull._dd
+        rays = not dd.lines and [r[:-1] for r in dd.rays if r[-1] == 0]
         units = sorted(linalg.unit(q.n, j) for j in range(q.n))
         report.check(rays == units, lambda: dump(f"hull rays {rays} != unit vectors"))
 

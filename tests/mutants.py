@@ -75,6 +75,12 @@ MUTANTS = (
            "bits.append(None)",
            "bits.append(0)",
            ("tests/test_polyhedron.py",)),
+    # the all-rays mask every DD reader derives from the rays: one bit too
+    # high, no row is tight at every ray, so no implicit equality is found
+    Mutant("polar-dd-every-one-bit-high", "src/closurelab/polyhedron.py",
+           "return (1 << len(self.rays)) - 1",
+           "return 1 << len(self.rays)",
+           ("tests/test_polyhedron.py",)),
     # the covering scan and the lower chains that feed the hull's DD
     Mutant("scan-fixed-row-start-floor", "src/closurelab/covering.py",
            "first = max(first, -(-short // a) if a else width)",
@@ -98,7 +104,7 @@ MUTANTS = (
            "groupby(points, key=itemgetter(slice(-2)))",
            "groupby(points, key=itemgetter(slice(-3)))",
            ("tests/test_covering.py",)),
-    # _facets, the facet rule both remove_redundant and _extreme_rows read:
+    # _facets, the facet rule both remove_redundant and _extreme_and_facets read:
     # kept whole, it keeps non-facets; reversed, it keeps the least faces
     Mutant("remove-redundant-keeps-non-facets", "src/closurelab/polyhedron.py",
            "return {z for z in faces if not any(z != f and z & f == z for f in faces)}",
@@ -124,15 +130,15 @@ MUTANTS = (
            'object.__setattr__(self, "int_generators", tuple(dict.fromkeys(rows)))',
            'object.__setattr__(self, "int_generators", rows)',
            ("tests/test_cone.py",)),
-    # _extreme_rows: its sorted answer, and the closure system's DD read
-    # only for exactly its rows and unit-last
+    # _extreme_and_facets' sorted answer, and extreme_rays reading the
+    # closure system's DD only for exactly its rows and unit-last
     Mutant("extreme-rows-unsorted", "src/closurelab/cone.py",
            "return tuple(sorted(g for g in rows if zero_of[g] in facets))",
            "return tuple((g for g in rows if zero_of[g] in facets))",
            ("tests/test_cone.py",)),
     Mutant("polar-zero-sets-reuse-on-subset", "src/closurelab/cone.py",
-           "if set(rows) == {*(q.row for q in system.inequalities), _unit_row(d)}:",
-           "if set(rows) <= {*(q.row for q in system.inequalities), _unit_row(d)}:",
+           "if set(rows) == {*(q.row for q in system.inequalities), _unit_row(k.dim)}:",
+           "if set(rows) <= {*(q.row for q in system.inequalities), _unit_row(k.dim)}:",
            ("tests/test_cone.py",)),
     # classify_cuts reads a sign row only as -x_j <= 0
     Mutant("sign-constraint-any-unit-row", "src/closurelab/aggregation.py",

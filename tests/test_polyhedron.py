@@ -448,9 +448,9 @@ def test_dd_hands_over_the_zero_sets_it_tracks(args):
     # the kernel's own zero sets, read per row, are the rows tight at each
     # returned ray; a zero row is tight at every ray, a repeat like its first
     rows, dim = args
-    lines, rays, zero_of = polyhedron._dd_zero_sets(rows, dim)
-    assert (lines, rays) == polyhedron.dd_cone(rows, dim)
-    assert zero_of == {r: _zero_set(r, rays) for r in rows}
+    dd = polyhedron._dd_zero_sets(rows, dim)
+    assert (dd.lines, dd.rays) == polyhedron.dd_cone(rows, dim) and dd.dim is None
+    assert dd.zero_of == {r: _zero_set(r, dd.rays) for r in rows}
 
 
 def test_dd_queries_named_examples():
