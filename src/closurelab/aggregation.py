@@ -204,8 +204,10 @@ def closure_approx(q: CoveringInstance, k: int, density: int) -> ClosureApprox:
     then P_I, stabilized.  If the samples run out first, the answer is
     the redundancy-eliminated intersection of all their hulls, and it is
     stabilized when the density-2D intersection is the same.  Each
-    distinct set of minimal points is hulled once per call.  All of
-    these contain P_I, so they are compared as facet lists: no LP."""
+    distinct set of minimal points is hulled once per call; with two
+    variables, as every 2-variable instance has, each hull is read off
+    its lower chain with no double description.  All of these contain
+    P_I, so they are compared as facet lists: no LP."""
     if k < 1 or density < 1:
         raise ContractViolation("k and density must be at least 1")
     samples = sample_multipliers(q.m, k, density)

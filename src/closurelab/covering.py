@@ -27,17 +27,21 @@ row, taken for the whole run by ``map``.  The predecessor tests compare
 the run with itself shifted by one and with the stored run strides[j]
 prefixes back.
 
-The integer hull is conv(minimal points) + R^n_+, and ``hull()`` gives
-the double description the n unit rays (e_j, 0) first and then (p, -1)
-only for the points on a lower convex chain.  Within a run of the
-sorted points, the points that share x_1..x_{n-2}, x_{n-1} rises and
-x_n falls, and one monotone-chain pass (Andrew 1979) in the
-(x_{n-1}, x_n) plane drops every point b on or above the segment between
-two points a and c of its run.  That is exact: b = lambda a +
-(1 - lambda) c + mu e_n with 0 < lambda < 1 and mu >= 0, so the row
-(b, -1) is the same combination of (a, -1), (c, -1) and (e_n, 0), each
-drop keeps conv + R^n_+, and the polar cone, pointed, keeps its sorted
-primitive rays.
+The integer hull is conv(minimal points) + R^n_+, and ``hull()`` reads
+it from the points on a lower convex chain.  Within a run of the sorted
+points, the points that share x_1..x_{n-2}, x_{n-1} rises and x_n falls,
+and one monotone-chain pass (Andrew 1979) in the (x_{n-1}, x_n) plane
+drops every point b on or above the segment between two points a and c
+of its run.  That is exact: b = lambda a + (1 - lambda) c + mu e_n with
+0 < lambda < 1 and mu >= 0, so the row (b, -1) is the same combination
+of (a, -1), (c, -1) and (e_n, 0), each drop keeps conv + R^n_+, and the
+polar cone, pointed, keeps its sorted primitive rays.  In the plane
+(n = 2) every point is in the one run and the chain is strictly convex,
+so its points are the hull's vertices in order and the facets are
+written down from it: the two end rays and one edge per consecutive
+pair, with no double description.  Otherwise the double description
+gets the n unit rays (e_j, 0) first and then (p, -1) for each chain
+point p.
 
 Everything here stores ints and runs on them: a ``CoveringInstance``
 [M | d] times one common denominator, which the box and the scan read as
@@ -63,6 +67,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, compress, groupby, product, repeat
+from math import gcd
 from operator import and_, floordiv, gt, itemgetter, mul
 from typing import Iterable, Sequence
 
@@ -189,17 +194,34 @@ class MinimalPointSet:
         """Irredundant H-representation of conv(points) + R^n_+; for the
         minimal points of a covering instance this is its integer hull.
 
-        The double description gets the n unit rays (e_j, 0) first, then
-        (p, -1) only for the points that ``_lower_chains`` keeps.  Each
+        Only the points that ``_lower_chains`` keeps are read.  Each
         dropped point is a convex combination of two points of its run
         plus mu e_n with mu >= 0, so its row lies in the cone of theirs and
         (e_n, 0): the polar cone, which is pointed, and its sorted
-        primitive rays do not change."""
+        primitive rays do not change.
+
+        With n = 2 the kept points are the vertices, x1 rising and x2
+        falling, and the facets need no double description:
+        x1 >= a1 at the first vertex a, x2 >= c2 at the last vertex c, and
+        for each consecutive pair (a, c) the edge u x1 + v x2 >= u a1 + v a2
+        with (u, v) = (a2 - c2, c1 - a1) divided by its gcd.  Sorted, these
+        are the rows ``_v_to_h_rows`` would read off the polar's rays.
+        Otherwise the double description gets the n unit rays (e_j, 0)
+        first, then (p, -1) for each kept point p."""
         if not self.points:
             raise ContractViolation("the hull of an empty point set is undefined")
         n = len(self.points[0])
+        lower = _lower_chains(self.points)
+        if n == 2:
+            rows = [(-1, 0, -lower[0][0]), (0, -1, -lower[-1][1])]
+            for a, c in zip(lower, lower[1:]):
+                u, v = a[1] - c[1], c[0] - a[0]
+                g = gcd(u, v)
+                u, v = u // g, v // g
+                rows.append((-u, -v, -(u * a[0] + v * a[1])))
+            return HPolyhedron(2, tuple(map(_from_row, sorted(rows))))
         rows = [tuple(int(i == j) for i in range(n + 1)) for j in range(n)]
-        rows.extend(p + (-1,) for p in _lower_chains(self.points))
+        rows.extend(p + (-1,) for p in lower)
         return _v_to_h_rows(n, rows)
 
 

@@ -308,8 +308,13 @@ def suite_covering(seed: int, count: int = 100) -> SuiteReport:
 
         inside = is_subset(hull, q.to_hpolyhedron())
         report.check(inside, lambda: dump("integer hull escapes the relaxation"))
-        pts_ok = all(hull.contains(p) for p in points)
-        report.check(pts_ok, lambda: dump("a minimal point misses the hull"))
+        # and from the other side, every vertex is a minimal point: a
+        # primitive ray (v, t) with t < 0 has an integral v / -t exactly
+        # when t = -1
+        pts_ok = all(hull.contains(p) for p in points) and all(
+            r[-1] == -1 and r[:-1] in points for r in dd.rays if r[-1] < 0)
+        report.check(pts_ok, lambda: dump(
+            "a minimal point misses the hull, or a hull vertex is not a minimal point"))
     return report
 
 

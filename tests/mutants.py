@@ -81,7 +81,7 @@ MUTANTS = (
            "return (1 << len(self.rays)) - 1",
            "return 1 << len(self.rays)",
            ("tests/test_polyhedron.py",)),
-    # the covering scan and the lower chains that feed the hull's DD
+    # the covering scan and the lower chains that feed the hull
     Mutant("scan-fixed-row-start-floor", "src/closurelab/covering.py",
            "first = max(first, -(-short // a) if a else width)",
            "first = max(first, short // a if a else width)",
@@ -103,6 +103,16 @@ MUTANTS = (
     Mutant("lower-chains-runs-span-prefixes", "src/closurelab/covering.py",
            "groupby(points, key=itemgetter(slice(-2)))",
            "groupby(points, key=itemgetter(slice(-3)))",
+           ("tests/test_covering.py",)),
+    # the plane hull read off the lower chain with no DD: the x1 >= row
+    # placed at the chain's last vertex, and an edge normal left unreduced
+    Mutant("plane-hull-x1-row-at-last-vertex", "src/closurelab/covering.py",
+           "rows = [(-1, 0, -lower[0][0]), (0, -1, -lower[-1][1])]",
+           "rows = [(-1, 0, -lower[-1][0]), (0, -1, -lower[-1][1])]",
+           ("tests/test_covering.py",)),
+    Mutant("plane-hull-edge-skips-gcd", "src/closurelab/covering.py",
+           "g = gcd(u, v)",
+           "g = 1",
            ("tests/test_covering.py",)),
     # _facets, the facet rule both remove_redundant and _extreme_and_facets read:
     # kept whole, it keeps non-facets; reversed, it keeps the least faces

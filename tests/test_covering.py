@@ -312,7 +312,8 @@ def test_chain_filter_restarts_when_x_n_minus_2_changes():
     assert points.hull() == unfiltered_hull(points.points)
 
 
-def test_hull_sends_the_dd_only_unit_rows_and_chain_vertices(monkeypatch):
+def _dd_sizes(monkeypatch):
+    """The row counts of the dd_cone calls made after this, as a list."""
     sizes = []
 
     def counting(rows, dim):
@@ -320,8 +321,30 @@ def test_hull_sends_the_dd_only_unit_rows_and_chain_vertices(monkeypatch):
         return dd_cone(rows, dim)
 
     monkeypatch.setattr(polyhedron, "dd_cone", counting)
-    minimal_integer_points(CoveringInstance(([2, 3],), (60,))).hull()
-    assert sizes == [4]  # 2 unit rows and 2 points, not 2 + 21
+    return sizes
+
+
+def test_hull_sends_the_dd_only_unit_rows_and_chain_vertices(monkeypatch):
+    sizes = _dd_sizes(monkeypatch)
+    points = minimal_integer_points(CoveringInstance(([1, 2, 3], [3, 1, 1]), (12, 9)))
+    points.hull()
+    assert len(points.points) == 34
+    assert sizes == [22]  # 3 unit rows and 19 chain points, not 3 + 34
+
+
+def test_plane_hull_is_read_off_the_chain_with_no_dd(monkeypatch):
+    sizes = _dd_sizes(monkeypatch)
+    hull = minimal_integer_points(CoveringInstance(([2, 3],), (60,))).hull()
+    assert sizes == []
+    # x1 >= 0 at the chain's first vertex, x2 >= 0 at its last, one edge 2 x1 + 3 x2 >= 60
+    assert [q.row for q in hull.inequalities] == [(-2, -3, -60), (-1, 0, 0), (0, -1, 0)]
+
+
+def test_line_hull_still_takes_the_dd(monkeypatch):
+    sizes = _dd_sizes(monkeypatch)
+    hull = minimal_integer_points(CoveringInstance(([2],), (7,))).hull()
+    assert sizes == [2]  # the unit row and the one point
+    assert [q.row for q in hull.inequalities] == [(-1, -4)]
 
 
 @st.composite
@@ -345,6 +368,9 @@ def staircases(draw):
 @example(CoveringInstance(([1, 1],), (40,)))
 @example(CoveringInstance(([1, 2, 3], [2, 0, 1]), (12, 7)))
 @example(CoveringInstance(([0, 1, 0, 2, 1],), (3,)))
+@example(CoveringInstance(([1, 1], [1, 0], [0, 1]), (2, 1, 1)))  # one point, (1, 1)
+@example(CoveringInstance(([0, 2], [0, 1]), (5, 2)))  # a zero column
+@example(CoveringInstance(([1, 2],), (0,)))  # zero demand: the origin
 def test_filtered_hull_equals_the_hull_of_every_point(q):
     points = minimal_integer_points(q)
     assert points.hull() == unfiltered_hull(points.points)
