@@ -20,8 +20,11 @@ density cannot change it: ``stabilized`` holds.  Every hull and P_I is a
 full-dimensional canonical facet list, so the test needs no LP and no
 intersection.  A run that builds every sample without covering P_I
 intersects them all; that approximation is not P_I, and ``stabilized``
-compares it with the density-2D intersection.  No change there is
-evidence of exactness, not a proof.
+asks whether it lies in every density-2D hull.  Each density-D hull
+contains a density-2D hull, so the density-2D intersection lies in the
+approximation, and this containment is their equality: one DD of the
+approximation and int dot products.  No change there is evidence of
+exactness, not a proof.
 
 Aggregation runs on integer rows: each aggregated row is an integer
 combination of the rows ``CoveringInstance`` stores, [M | d] times one
@@ -48,6 +51,7 @@ from .polyhedron import (
     Inequality,
     IntRows,
     format_ge,
+    is_subset,
     remove_redundant,
     sorted_unique,
 )
@@ -107,9 +111,10 @@ class ClosureApprox:
     is the hulls built, a grid-order prefix of ``samples`` that ends where
     the hulls first cover every facet of the integer hull, or holds them
     all.  ``stabilized`` records that doubling the density leaves the
-    point set unchanged (necessary, not sufficient, for exactness); it
-    always holds when the approximation equals the integer hull, which
-    makes it the exact closure."""
+    point set unchanged, tested as containment in every density-2D hull
+    (necessary, not sufficient, for exactness); it always holds when the
+    approximation equals the integer hull, which makes it the exact
+    closure."""
 
     polyhedron: HPolyhedron
     hulls: tuple[AggregatedHull, ...]
@@ -190,11 +195,9 @@ def _hulls_for(q: CoveringInstance, samples: Iterable[AggregationSample],
         yield AggregatedHull(sample, built[rows])
 
 
-def _intersect(n: int, hulls: Iterable[AggregatedHull]) -> HPolyhedron:
-    pool = []
-    for h in hulls:
-        pool.extend(h.hull.inequalities)
-    return remove_redundant(HPolyhedron(n, sorted_unique(pool)))
+def _pooled(n: int, hulls: Iterable[AggregatedHull]) -> HPolyhedron:
+    """Every hull's rows in one system, each distinct row once."""
+    return HPolyhedron(n, sorted_unique(r for h in hulls for r in h.hull.inequalities))
 
 
 def closure_approx(q: CoveringInstance, k: int, density: int) -> ClosureApprox:
@@ -203,11 +206,12 @@ def closure_approx(q: CoveringInstance, k: int, density: int) -> ClosureApprox:
     until every facet of P_I is a row of one of them, and the answer is
     then P_I, stabilized.  If the samples run out first, the answer is
     the redundancy-eliminated intersection of all their hulls, and it is
-    stabilized when the density-2D intersection is the same.  Each
-    distinct set of minimal points is hulled once per call; with two
-    variables, as every 2-variable instance has, each hull is read off
-    its lower chain with no double description.  All of these contain
-    P_I, so they are compared as facet lists: no LP."""
+    stabilized when it lies in every density-2D hull: the density-2D
+    intersection, which lies in it, is then the same.  Each distinct set
+    of minimal points is hulled once per call; with two variables, as
+    every 2-variable instance has, each hull is read off its lower chain
+    with no double description.  No LP: P_I is compared with hull rows,
+    and the containment is read off the approximation's DD."""
     if k < 1 or density < 1:
         raise ContractViolation("k and density must be at least 1")
     samples = sample_multipliers(q.m, k, density)
@@ -225,9 +229,9 @@ def closure_approx(q: CoveringInstance, k: int, density: int) -> ClosureApprox:
         if not uncovered:
             return ClosureApprox(polyhedron=p_i.hull, hulls=tuple(hulls), samples=samples,
                                  stabilized=True)
-    poly = _intersect(q.n, hulls)
-    stabilized = poly == _intersect(
-        q.n, _hulls_for(q, sample_multipliers(q.m, k, 2 * density), built, by_points))
+    poly = remove_redundant(_pooled(q.n, hulls))
+    stabilized = is_subset(poly, _pooled(
+        q.n, _hulls_for(q, sample_multipliers(q.m, k, 2 * density), built, by_points)))
     return ClosureApprox(polyhedron=poly, hulls=tuple(hulls), samples=samples,
                          stabilized=stabilized)
 

@@ -23,16 +23,16 @@ support, validity multipliers, a violating point.
 
 For a finite family the conical hull is closed, so each extreme ray is a
 generator up to positive scaling; here that holds by construction, as
-the rays are selected from the generator rows.  ``check_theorem1``
-checks at runtime that the extreme rows cover every facet of the
-closure, and the pointedness/full-dimension equivalence.  Both sides are
-read from one ``_facets`` pass over the zero sets the DD tracks, so the
-facet check cannot fail on a pointed full-dimensional closure until a
-check from outside the DD, such as Theorem 1 run on a closure's own cut
-family (ROADMAP item 9), gives it an independent side.  The independent
-checks today are the LP-reference property tests and
+the rays are selected from the generator rows, and so does the closure
+rebuilt from them.  ``check_theorem1`` therefore checks at runtime only
+the pointedness/full-dimension equivalence, read from the DD's zero sets
+and confirmed by the line search when they find a line; its ``passed``
+gets a side from outside the DD once Theorem 1 runs on a closure's own
+cut family (ROADMAP item 9).  The independent
+checks of the DD today are the LP-reference property tests and
 ``certified_extreme_rows``, which finds the extreme rows by membership
-LPs alone.
+LPs alone.  ``fii_check`` asks one LP: a generator's row against the
+other rows, any other row against all of them, which is its validity.
 """
 
 from __future__ import annotations
@@ -158,12 +158,10 @@ class Theorem1Report:
     ``extreme_rays`` returns for cone(generators + unit-last): sorted
     primitive int rows, each selected from the cone's own rows, so on a
     pointed cone the rays are generators by construction (the CLI prints
-    ``pointed`` for that claim).  ``passed`` is also whether the closure
-    rebuilt from those rays equals the full closure: whether every facet
-    row is an extreme row.  Both are reads of one facet set, so on a
-    pointed full-dimensional closure ``passed`` is always true until
-    Theorem 1 on a closure's own cut family (ROADMAP item 9) gives it an
-    independent side."""
+    ``pointed`` for that claim), and the closure rebuilt from them is the
+    full closure.  ``passed`` is pointedness until Theorem 1 on a
+    closure's own cut family (ROADMAP item 9) gives the rebuilt closure
+    an independent side."""
 
     passed: bool
     pointed: bool
@@ -214,15 +212,14 @@ def _with_unit_row(rows: IntRows) -> IntRows:
     return rows if unit in rows else rows + (unit,)
 
 
-def _extreme_and_facets(rows: IntRows, dd: _PolarDD) -> tuple[IntRows, set[int]]:
-    """The rows spanning extreme rays of cone(rows), sorted, and the zero
-    sets of the facets of the polar cone {y : g.y <= 0 for every row g},
-    from one ``_facets`` pass over the zero sets of dd, that polar's DD.
-    A row tight at every ray is orthogonal to the polar, so cone(rows)
-    has a line (NotPointedError, the line named by the line search).
-    Otherwise the polar is full-dimensional, a row is extreme exactly
-    when its face of the polar is a facet, and distinct primitive rows
-    cut distinct facets."""
+def _extreme_rows(rows: IntRows, dd: _PolarDD) -> IntRows:
+    """The rows spanning extreme rays of cone(rows), sorted, from one
+    ``_facets`` pass over the zero sets of dd, the DD of the polar cone
+    {y : g.y <= 0 for every row g}.  A row tight at every ray is
+    orthogonal to the polar, so cone(rows) has a line (NotPointedError,
+    the line named by the line search).  Otherwise the polar is
+    full-dimensional, a row is extreme exactly when its face of the polar
+    is a facet, and distinct primitive rows cut distinct facets."""
     zero_of, every = dd.zero_of, dd.every
     if every in zero_of.values():
         line = _line_through(rows)
@@ -231,7 +228,7 @@ def _extreme_and_facets(rows: IntRows, dd: _PolarDD) -> tuple[IntRows, set[int]]
         raise NotPointedError(
             "extreme rays are only defined for pointed cones", line_witness=line)
     facets = _facets(zero_of.values(), every)
-    return tuple(sorted(g for g in rows if zero_of[g] in facets)), facets
+    return tuple(sorted(g for g in rows if zero_of[g] in facets))
 
 
 def extreme_rays(k: GeneratedCone) -> IntRows:
@@ -245,7 +242,7 @@ def extreme_rays(k: GeneratedCone) -> IntRows:
         dd = system._dd
     else:
         dd = _dd_zero_sets(rows, k.dim)
-    return _extreme_and_facets(rows, dd)[0]
+    return _extreme_rows(rows, dd)
 
 
 def certified_extreme_rows(k: GeneratedCone) -> IntRows:
@@ -288,21 +285,21 @@ def fii_check(k: GeneratedCone, q: Inequality) -> FiiCheck:
     """Is q an extreme ray of cone(generators + unit-last)?  Exactly the
     inequalities no finite family of other valid inequalities implies.
     Requires a full-dimensional closure (read from the closure system,
-    the same point set) and a valid q."""
+    the same point set) and a valid q.  A generator's row is valid, so it
+    takes one LP: its membership in the cone of the other rows.  Any
+    other q takes the validity LP alone, which asks the same question."""
     if dimension(k._system) != k.n:
         raise NotFullDimensionalError(
             "the extreme-ray/irredundancy correspondence assumes a "
             "full-dimensional closure")
-    validity = is_valid_for_closure(k, q)
-    if not validity.valid:
-        raise InvalidInequalityError(
-            "inequality is not valid for the closure", witness=validity.witness)
     rows = _with_unit_row(k.int_generators)
-    others = tuple(g for g in rows if g != q.row)
-    if others == rows:
-        # q's row is no generator, so the validity LP already asked this
+    if q.row not in rows:
+        validity = is_valid_for_closure(k, q)
+        if not validity.valid:
+            raise InvalidInequalityError(
+                "inequality is not valid for the closure", witness=validity.witness)
         return FiiCheck(False, multipliers=validity.multipliers)
-    member = cone_membership(others, q.stacked())
+    member = cone_membership(tuple(g for g in rows if g != q.row), q.stacked())
     return FiiCheck(not member.member, multipliers=member.multipliers)
 
 
@@ -310,31 +307,23 @@ def check_theorem1(k: GeneratedCone) -> Theorem1Report:
     """Cross-check on a finite family with full-dimensional closure:
     (a) the closure rebuilt from the extreme rays of cone(generators +
     unit-last) alone is the same point set, and (b) pointedness holds,
-    matching full dimension.  Each extreme row is a row of the closure
-    system and a full-dimensional closure has one facet list, so (a)
-    holds exactly when every facet is an extreme row.  Dimension, facets
-    and rays come from the closure system's DD, read once: one
-    ``_facets`` pass over its zero sets gives both the extreme rows and
-    the closure's facets (the rows ``remove_redundant`` keeps), so a
-    pointed cone costs one DD and no LP.  Unit-last cuts nothing.  Both
-    sides of (a) are reads of that one facet set, and every facet row is
-    a generator, so (a) cannot fail on a pointed full-dimensional
-    closure; it guards the bookkeeping between them, not the DD."""
-    system = k._system
-    dd = system._dd
+    matching full dimension.  Dimension and rays come from the closure
+    system's DD, read once, so a pointed cone costs one DD and no LP.  A
+    pointed finitely generated cone is the cone of its extreme rays, each
+    a generator row here, so (a) holds by construction once (b) does:
+    ``passed`` is pointedness until Theorem 1 on a closure's own cut
+    family (ROADMAP item 9) gives (a) a side of its own.  A cone with a
+    line fails, the line named by the line search."""
+    dd = k._system._dd
     if dd.dim != k.n:
         raise NotFullDimensionalError(
             "the equivalence is stated for full-dimensional closures "
             f"(found dimension {dd.dim} in R^{k.n})")
-    rows = _with_unit_row(k.int_generators)
     try:
-        extreme, facets = _extreme_and_facets(rows, dd)
+        extreme = _extreme_rows(_with_unit_row(k.int_generators), dd)
     except NotPointedError as e:
         return Theorem1Report(
             passed=False, pointed=False, extreme_rows=(),
             detail=(f"full-dimensional closure but cone contains the line "
                     f"through {linalg.format_vector(e.line_witness)}"))
-    equal = {q.row for q in system.inequalities if dd.zero_of[q.row] in facets} <= set(extreme)
-    return Theorem1Report(
-        passed=equal, pointed=True, extreme_rows=extreme,
-        detail="" if equal else "closure rebuilt from extreme rays differs from the full closure")
+    return Theorem1Report(passed=True, pointed=True, extreme_rows=extreme)

@@ -96,11 +96,6 @@ class Inequality:
         """The (normal, rhs) vector in Q^(n+1)."""
         return tuple(self.scale * a for a in self.row)
 
-    def canonical(self) -> "Inequality":
-        """The inequality scaled to its canonical form; itself when it
-        already is."""
-        return self if self.scale == 1 else _from_row(self.row)
-
     def satisfied_by(self, x: Vector) -> bool:
         return dot(self.row[:-1], x) <= self.row[-1]
 
@@ -159,8 +154,9 @@ class HPolyhedron:
 
 
 def _from_row(row: tuple[int, ...]) -> Inequality:
-    """row[:-1].x <= row[-1] for a primitive integer row with a nonzero
-    normal, which is its own canonical form; no Fraction is made."""
+    """row[:-1].x <= row[-1] for a primitive integer row, such as an
+    ``Inequality``'s, which is its own canonical form; no Fraction is
+    made.  The one place a canonical ``Inequality`` is made from a row."""
     q = object.__new__(Inequality)
     object.__setattr__(q, "row", row)
     object.__setattr__(q, "scale", _ONE)
@@ -169,10 +165,7 @@ def _from_row(row: tuple[int, ...]) -> Inequality:
 
 def sorted_unique(ineqs: Iterable[Inequality]) -> tuple[Inequality, ...]:
     """Canonical forms, deduplicated, lexicographically sorted."""
-    seen = {}
-    for q in ineqs:
-        seen.setdefault(q.row, q)
-    return tuple(seen[k].canonical() for k in sorted(seen))
+    return tuple(map(_from_row, sorted({q.row for q in ineqs})))
 
 
 # ---------------------------------------------------------------------------

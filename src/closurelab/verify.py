@@ -44,7 +44,6 @@ SUITES = ("farkas", "cone", "covering", "aggregation", "all")
 @dataclass
 class SuiteReport:
     name: str
-    seed: int
     checks: int = 0
     failures: list[str] = field(default_factory=list)
 
@@ -110,7 +109,7 @@ def suite_farkas(seed: int, count: int = 200) -> SuiteReport:
     """Random LPs: every certificate verifies by exact substitution and
     every optimum matches a dual optimum exactly."""
     rng = random.Random(seed)
-    report = SuiteReport("farkas", seed)
+    report = SuiteReport("farkas")
     for idx in range(count):
         a, b, c = random_lp(rng)
         res = solve_lp(a, b, c, "max")
@@ -196,7 +195,7 @@ def suite_cone(seed: int, count: int = 50, line_count: int = 20) -> SuiteReport:
     membership LPs certify, and the pointedness/full-dimension
     equivalence.  The cones are full-dimensional by an LP, so a DD that
     finds one flat fails the Theorem-1 check."""
-    report = SuiteReport("cone", seed)
+    report = SuiteReport("cone")
     for cone in random_pointed_cones(seed, count):
         try:
             rep = check_theorem1(cone)
@@ -274,7 +273,7 @@ def suite_covering(seed: int, count: int = 100) -> SuiteReport:
     """Minimal points against the quadratic oracle, antichain and dominance
     completeness, box-bound soundness, and the covering form of the hull."""
     rng = random.Random(seed)
-    report = SuiteReport("covering", seed)
+    report = SuiteReport("covering")
     for idx in range(count):
         q = random_covering(rng)
 
@@ -346,7 +345,7 @@ def suite_aggregation(seed: int, single_count: int = 10, pair_count: int = 5) ->
     """Single-row exactness, density and k monotonicity, the hull sandwich,
     and facet attribution on stabilized runs."""
     rng = random.Random(seed)
-    report = SuiteReport("aggregation", seed)
+    report = SuiteReport("aggregation")
     for idx in range(single_count):
         q = random_single_row(rng)
 

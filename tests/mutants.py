@@ -114,7 +114,7 @@ MUTANTS = (
            "g = gcd(u, v)",
            "g = 1",
            ("tests/test_covering.py",)),
-    # _facets, the facet rule both remove_redundant and _extreme_and_facets read:
+    # _facets, the facet rule both remove_redundant and _extreme_rows read:
     # kept whole, it keeps non-facets; reversed, it keeps the least faces
     Mutant("remove-redundant-keeps-non-facets", "src/closurelab/polyhedron.py",
            "return {z for z in faces if not any(z != f and z & f == z for f in faces)}",
@@ -140,7 +140,7 @@ MUTANTS = (
            'object.__setattr__(self, "int_generators", tuple(dict.fromkeys(rows)))',
            'object.__setattr__(self, "int_generators", rows)',
            ("tests/test_cone.py",)),
-    # _extreme_and_facets' sorted answer, and extreme_rays reading the
+    # _extreme_rows' sorted answer, and extreme_rays reading the
     # closure system's DD only for exactly its rows and unit-last
     Mutant("extreme-rows-unsorted", "src/closurelab/cone.py",
            "return tuple(sorted(g for g in rows if zero_of[g] in facets))",
@@ -150,6 +150,21 @@ MUTANTS = (
            "if set(rows) == {*(q.row for q in system.inequalities), _unit_row(k.dim)}:",
            "if set(rows) <= {*(q.row for q in system.inequalities), _unit_row(k.dim)}:",
            ("tests/test_cone.py",)),
+    # fii_check asks a generator only whether the other rows span it, and
+    # any other target only the validity LP
+    Mutant("fii-generator-test-inverted", "src/closurelab/cone.py",
+           "if q.row not in rows:",
+           "if q.row in rows:",
+           ("tests/test_cone.py",)),
+    # the doubling pass: the density-2D intersection always lies in the
+    # density-D approximation, so only the other containment tests anything
+    Mutant("stabilized-containment-reversed", "src/closurelab/aggregation.py",
+           "stabilized = is_subset(poly, _pooled(\n"
+           "        q.n, _hulls_for(q, sample_multipliers(q.m, k, 2 * density), built, by_points)))",
+           "stabilized = is_subset(_pooled(\n"
+           "        q.n, _hulls_for(q, sample_multipliers(q.m, k, 2 * density), built, by_points)),"
+           " poly)",
+           ("tests/test_aggregation.py",)),
     # classify_cuts reads a sign row only as -x_j <= 0
     Mutant("sign-constraint-any-unit-row", "src/closurelab/aggregation.py",
            "return rhs == 0 and sum(1 for a in normal if a) == 1 and min(normal) == -1",

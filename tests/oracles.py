@@ -56,7 +56,7 @@ from unittest import mock
 
 from closurelab import linalg, lp, polyhedron
 from closurelab.aggregation import (HULL_FACET, SIGN, AggregatedHull, AggregationSample,
-                                    ClosureApprox, CutClass, _hulls_for, _intersect,
+                                    ClosureApprox, CutClass, _hulls_for,
                                     _is_sign_constraint, closure_approx, multiplier_rows,
                                     sample_multipliers)
 from closurelab.cone import GeneratedCone, _line_through
@@ -1010,6 +1010,15 @@ def fraction_closure_approx(q: CoveringInstance, k: int, density: int) -> Closur
                          samples=sample_multipliers(q.m, k, density), stabilized=poly == doubled)
 
 
+def intersect_hulls(n: int, hulls) -> HPolyhedron:
+    """The redundancy-eliminated intersection of the hulls: their rows
+    pooled, each distinct row once, then ``remove_redundant``."""
+    pool = []
+    for h in hulls:
+        pool.extend(h.hull.inequalities)
+    return remove_redundant(HPolyhedron(n, sorted_unique(pool)))
+
+
 def doubling_stabilized(q: CoveringInstance, k: int, density: int) -> bool:
     """closure_approx's ``stabilized`` by the density-doubling pass alone:
     the density-D and density-2D intersections compared as facet lists."""
@@ -1017,7 +1026,7 @@ def doubling_stabilized(q: CoveringInstance, k: int, density: int) -> bool:
     hulls: dict = {}
 
     def intersect(d):
-        return _intersect(q.n, _hulls_for(q, sample_multipliers(q.m, k, d), built, hulls))
+        return intersect_hulls(q.n, _hulls_for(q, sample_multipliers(q.m, k, d), built, hulls))
 
     return intersect(density) == intersect(2 * density)
 
@@ -1032,7 +1041,7 @@ def full_closure_approx(q: CoveringInstance, k: int, density: int) -> ClosureApp
     by_points: dict = {}
     samples = sample_multipliers(q.m, k, density)
     hulls = list(_hulls_for(q, samples, built, by_points))
-    poly = _intersect(q.n, hulls)
+    poly = intersect_hulls(q.n, hulls)
     # P_I: a density-D sample holding every unit row (k >= m) has exactly
     # q's integer points, so its hull is P_I; otherwise q's own rows, the
     # unit multipliers in grid order, are aggregated and hulled
@@ -1040,7 +1049,7 @@ def full_closure_approx(q: CoveringInstance, k: int, density: int) -> ClosureApp
     own = next((h for h in hulls if set(units).issubset(h.sample.multipliers)), None)
     if own is None:
         [own] = _hulls_for(q, [AggregationSample(units)], built, by_points)
-    stabilized = poly == own.hull or poly == _intersect(
+    stabilized = poly == own.hull or poly == intersect_hulls(
         q.n, _hulls_for(q, sample_multipliers(q.m, k, 2 * density), built, by_points))
     return ClosureApprox(polyhedron=poly, hulls=tuple(hulls), samples=samples,
                          stabilized=stabilized)

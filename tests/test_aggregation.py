@@ -28,13 +28,15 @@ from closurelab.io import parse_instance
 from closurelab.polyhedron import (HPolyhedron, Inequality, check_implication, remove_redundant,
                                    sorted_unique)
 from closurelab.verify import random_single_row
-from oracles import (doubling_stabilized, full_closure_approx, ge, lp_same_point_set,
-                     project_instance, projection_lemma_sides)
+from oracles import (doubling_stabilized, full_closure_approx, ge, intersect_hulls,
+                     lp_same_point_set, project_instance, projection_lemma_sides)
 
 V = linalg.vector
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 TWO_ROW = CoveringInstance(([1, 2], [2, 1]), (3, 3))
+# stabilized at density 2 but not exact: density 8 finds a cut density 4 misses
+FALSE_STABILIZATION = parse_instance((INSTANCES / "false_stabilization.txt").read_text())
 
 
 def rows_of(samples):
@@ -264,6 +266,8 @@ def closure_runs(draw):
 @given(closure_runs())
 @example((KNAPSACK_PAIR, 1, 1))
 @example((ABOVE_HULL, 1, 4))
+@example((FALSE_STABILIZATION, 1, 2))
+@example((FALSE_STABILIZATION, 1, 4))
 def test_stabilized_matches_the_doubling_pass(args):
     q, k, density = args
     assert closure_approx(q, k, density).stabilized == doubling_stabilized(q, k, density)
@@ -342,10 +346,30 @@ def test_hulls_are_shared_exactly_by_equal_point_sets(args):
 @given(coverings())
 def test_own_rows_hull_is_its_own_intersection(q):
     """closure_approx compares its approximation with this hull directly:
-    the hull of q's rows is P_I, and _intersect keeps it row for row."""
+    the hull of q's rows is P_I, and intersecting it alone keeps it row
+    for row."""
     sample = AggregationSample(multiplier_rows(q.m, 1))
     [own] = aggregation._hulls_for(q, [sample], {}, {})
-    assert own.hull == minimal_integer_points(q).hull() == aggregation._intersect(q.n, [own])
+    assert own.hull == minimal_integer_points(q).hull() == intersect_hulls(q.n, [own])
+
+
+@pytest.mark.parametrize("name, stabilized", [
+    ("three_row.txt", False), ("false_stabilization.txt", True)])
+def test_doubling_pass_reduces_one_intersection(monkeypatch, name, stabilized):
+    """A run whose hulls never cover P_I reduces the density-D intersection
+    once; the density-2D hulls are only asked whether they contain it."""
+    q = parse_instance((INSTANCES / name).read_text())
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return remove_redundant(p)
+
+    monkeypatch.setattr(aggregation, "remove_redundant", counting)
+    ca = closure_approx(q, 1, 2)
+    assert len(ca.hulls) == len(ca.samples)
+    assert ca.polyhedron != minimal_integer_points(q).hull()
+    assert (ca.stabilized, len(calls)) == (stabilized, 1)
 
 
 def test_closure_two_row_matches_denominator_grid_oracle():

@@ -283,7 +283,7 @@ def test_verify_prints_counterexamples_and_exits_5(monkeypatch, capsys):
     # a failing suite's dumps are printed line by line under
     # <suite>-counterexamples, and the run exits 5
     def failing(seed):
-        report = verify.SuiteReport("cone", seed)
+        report = verify.SuiteReport("cone")
         report.check(True, lambda: "not printed")
         report.check(False, lambda: f"first failure at seed {seed}\nkind: cone")
         report.check(False, lambda: "second failure")
@@ -705,6 +705,10 @@ def test_out_into_missing_directory_exits_2(tmp_path, capsys):
     (["hull", "single_row.txt"], 0, None),
     (["closure", "knapsack_pair.txt", "--density", "1"], 3, "stabilized: false"),
     (["closure", "knapsack_pair.txt", "--density", "2"], 0, "stabilized: true"),
+    (["closure", "false_stabilization.txt", "--density", "2"], 0, "stabilized: true"),
+    (["closure", "false_stabilization.txt", "--density", "4"], 3, "stabilized: false"),
+    (["closure", "false_stabilization.txt", "--density", "8"], 0,
+     "  2 1 >= 3 | HULL_FACET [2 3]"),
     (["cone", "strip_cone.txt", "fii", "x2 <= 7/2"], 0,
      "result: NOT FII (multipliers: 1/4 1/4 0)"),
 ])
@@ -910,7 +914,7 @@ def test_fii_exits_5_when_invalidity_witness_fails(monkeypatch, capsys):
     # a valid inequality reported as outside the cone: the LP point found
     # as a violating witness satisfies it
     monkeypatch.setattr(cone_module, "cone_membership", _returning(NOT_A_MEMBER))
-    _assert_internal_exit(["cone", UNIT_SQUARE, "fii", "x1 <= 1"],
+    _assert_internal_exit(["cone", UNIT_SQUARE, "fii", "x1 + x2 <= 2"],
                           "invalidity witness fails substitution", capsys)
 
 

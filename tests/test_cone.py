@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -215,6 +216,17 @@ def test_theorem1_redundant_generator_excluded():
     assert (-1, -1, 0) not in rep.extreme_rows
 
 
+def test_theorem1_reads_only_the_closure_systems_dd():
+    """A pointed full-dimensional closure passes on its DD alone: no cover
+    set is built from the system's rows, as the rebuild from the extreme
+    rows is the closure by construction."""
+    k = GeneratedCone(SQUARE_CONE.int_generators)
+    want = check_theorem1(SQUARE_CONE)
+    k.__dict__["_system"] = SimpleNamespace(_dd=SQUARE_CONE._system._dd)
+    assert check_theorem1(k) == want
+    assert (want.passed, want.pointed, want.detail) == (True, True, "")
+
+
 def test_theorem1_requires_full_dimensional_closure():
     flat = GeneratedCone((V([1, 0, 0]), V([-1, 0, 0]), V([0, 0, 1])))
     with pytest.raises(NotFullDimensionalError):
@@ -265,9 +277,10 @@ STRIP_CONE = GeneratedCone((V([-1, 2, 7]), V([1, 2, 7]), V([0, 0, 1])))
     (STRIP_CONE, Inequality([0, 1], F(7, 2)), (F(1, 4), F(1, 4), F(0)), 1),
     (STRIP_CONE, Inequality([0, 1], 7), (F(1, 4), F(1, 4), F(7, 2)), 1),
     (SQUARE_CONE, Inequality([1, 1], 2), (F(1), F(1), F(0), F(0), F(0)), 1),
-    # q is a generator: others drops it, so the second LP is a new question
-    (SQUARE_CONE, Inequality([1, 0], 1), None, 2),
-], ids=["strip x2<=7/2", "strip x2<=7", "square x1+x2<=2", "square x1<=1"])
+    # q is a generator, so valid: the one LP asks whether the others span it
+    (SQUARE_CONE, Inequality([1, 0], 1), None, 1),
+    (SQUARE_CONE, Inequality([2, 0], 2), None, 1),
+], ids=["strip x2<=7/2", "strip x2<=7", "square x1+x2<=2", "square x1<=1", "square 2x1<=2"])
 def test_fii_reuses_the_validity_lp_when_q_is_no_generator(monkeypatch, cone, q, want, lps):
     calls = []
 

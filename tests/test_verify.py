@@ -34,7 +34,7 @@ def test_suite_is_seed_deterministic():
 
 
 def test_failure_reporting_and_counts():
-    rep = SuiteReport("demo", 0)
+    rep = SuiteReport("demo")
     rep.check(True, lambda: "never")
     rep.check(False, lambda: "broken thing")
     assert rep.checks == 2
